@@ -6,14 +6,8 @@
 // real TEP work (DeltaT on two TEPs per cycle) with quiescent decode
 // cycles — the reactive-system duty cycle the fleet exists to scale.
 //
-// The main sweep runs the SoA/SIMD batched stepping path (the fleet
-// default); a per-instance-count single-thread AoS reference run measures
-// the batched SLA's layout win directly (soa_speedup_vs_aos). Flags:
+// Flags:
 //   --quick          shrink the sweep for CI smoke runs
-//   --no-soa         run the main sweep through the scalar AoS path
-//   --batch-width N  lanes per batched decode group (FleetConfig)
-//   --pin            pin the main thread to CPU 0 and pool worker w to
-//                    CPU w (stops scheduler migration mid-measurement)
 //   --journal        arm the record/replay journal for every sweep (its
 //                    cost is gated separately by bench/telemetry_overhead;
 //                    here it marks the run's numbers as journal-inclusive)
@@ -21,9 +15,8 @@
 //
 // Prints a markdown table (cycles/sec, speedup vs 1 thread, scaling
 // efficiency) and writes BENCH_fleet_throughput.json; the host block
-// records the effective SIMD dispatch level (scalar/sse2/avx2) plus the
-// seed and journal arming, so any BENCH json can be tied back to a
-// reproducible configuration. In full
+// records the native-tier capability plus the seed and journal arming, so
+// any BENCH json can be tied back to a reproducible configuration. In full
 // mode on a machine with >= 4 hardware threads, the run fails unless the
 // >= 256-instance sweep reaches >= 3x aggregate throughput at 4 threads.
 #include <benchmark/benchmark.h>
@@ -40,7 +33,6 @@
 #include "fleet/fleet.hpp"
 #include "pscp/machine.hpp"
 #include "support/hostinfo.hpp"
-#include "support/simd.hpp"
 #include "support/text.hpp"
 #include "workloads/smd_fleet.hpp"
 
@@ -50,9 +42,6 @@ namespace {
 
 struct BenchOptions {
   bool quick = false;
-  bool soa = true;
-  int batchWidth = 0;  ///< 0 = FleetConfig auto
-  bool pin = false;
   /// Run every sweep with the record/replay journal armed — measures the
   /// recording overhead under the same duty cycle bench_compare gates.
   bool journal = false;
@@ -80,14 +69,6 @@ struct SweepResult {
   double efficiency = 1.0;  ///< speedup / threads
 };
 
-/// Single-thread AoS reference at one instance count: the denominator of
-/// the batched-stepping layout win.
-struct AosReference {
-  size_t instances = 0;
-  double configCyclesPerSec = 0.0;
-  double soaSpeedup = 0.0;  ///< SoA 1-thread rate / AoS 1-thread rate
-};
-
 /// Native-tier A/B at one instance count: the same routine-dense duty
 /// cycle stepped once with the interpreter and once with the JIT forced
 /// on. Rates are machine (simulated) cycles per wall second — both arms
@@ -104,12 +85,9 @@ struct JitReference {
 
 SweepResult runSweep(const fleet::Fleet::ChartImagePtr& image, size_t instances,
                      int threads, int epochs, int cyclesPerEpoch,
-                     const BenchOptions& opts, bool soa, bool* ok) {
+                     const BenchOptions& opts, bool* ok) {
   fleet::FleetConfig config;
   config.workerThreads = threads;
-  config.soaBatching = soa;
-  config.batchWidth = opts.batchWidth;
-  config.pinWorkers = opts.pin;
   config.journal = opts.journal;
   fleet::Fleet fleet(image, config);
   // Per epoch every instance receives one X and one Y step pulse through
@@ -214,12 +192,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       opts.quick = true;
-    } else if (std::strcmp(argv[i], "--no-soa") == 0) {
-      opts.soa = false;
-    } else if (std::strcmp(argv[i], "--pin") == 0) {
-      opts.pin = true;
-    } else if (std::strcmp(argv[i], "--batch-width") == 0 && i + 1 < argc) {
-      opts.batchWidth = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--journal") == 0) {
       opts.journal = true;
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
@@ -230,8 +202,7 @@ int main(int argc, char** argv) {
       opts.jit = false;
     } else {
       std::fprintf(stderr,
-                   "usage: fleet_throughput [--quick] [--no-soa] "
-                   "[--batch-width N] [--pin] [--journal] [--seed N] "
+                   "usage: fleet_throughput [--quick] [--journal] [--seed N] "
                    "[--jit | --no-jit]\n");
       return 2;
     }
@@ -242,7 +213,6 @@ int main(int argc, char** argv) {
   if (!tep::jit::jitBackendAvailable() ||
       tep::jit::jitModeFromEnv() == tep::jit::JitMode::kOff)
     opts.jit = false;
-  if (opts.pin) pinCurrentThreadToCpu(0);
 
   const std::vector<size_t> instanceCounts =
       opts.quick ? std::vector<size_t>{32, 128} : std::vector<size_t>{64, 256, 1024};
@@ -250,48 +220,30 @@ int main(int argc, char** argv) {
       opts.quick ? std::vector<int>{1, 2, 4} : std::vector<int>{1, 2, 4, 8};
   // Quick mode still needs a timed window of tens of milliseconds per
   // sweep: a 4-epoch window is single-digit ms and its derived ratios
-  // (speedup, SoA-vs-AoS) swing 2x run to run, which no gate tolerance
-  // survives.
+  // (speedup) swing 2x run to run, which no gate tolerance survives.
   const int epochs = opts.quick ? 16 : 12;
   const int cyclesPerEpoch = opts.quick ? 8 : 16;
   const unsigned hwThreads = std::thread::hardware_concurrency();
 
   std::printf("=== Fleet throughput: SMD instances x worker threads ===\n");
-  std::printf("(%s mode, %s stepping, simd dispatch %s, %d epochs x %d cycles, "
-              "%u hardware threads%s)\n\n",
-              opts.quick ? "quick" : "full", opts.soa ? "SoA batched" : "AoS scalar",
-              simdLevelName(activeSimdLevel()), epochs, cyclesPerEpoch, hwThreads,
-              opts.pin ? ", pinned" : "");
+  std::printf("(%s mode, %d epochs x %d cycles, %u hardware threads)\n\n",
+              opts.quick ? "quick" : "full", epochs, cyclesPerEpoch, hwThreads);
 
   const auto image = workloads::makeSmdFleetImage();
 
   bool ok = true;
   std::vector<SweepResult> results;
-  std::vector<AosReference> aosRefs;
   for (size_t instances : instanceCounts) {
     double oneThreadRate = 0.0;
     for (int threads : threadCounts) {
-      SweepResult r = runSweep(image, instances, threads, epochs, cyclesPerEpoch,
-                               opts, opts.soa, &ok);
+      SweepResult r =
+          runSweep(image, instances, threads, epochs, cyclesPerEpoch, opts, &ok);
       if (threads == 1) oneThreadRate = r.configCyclesPerSec;
       if (oneThreadRate > 0.0 && r.configCyclesPerSec > 0.0) {
         r.speedup = r.configCyclesPerSec / oneThreadRate;
         r.efficiency = r.speedup / threads;
       }
       results.push_back(r);
-    }
-    if (opts.soa) {
-      // Layout A/B at one thread: same workload through the scalar AoS
-      // path; the ratio isolates the batched-SLA + arena win from thread
-      // scaling.
-      const SweepResult aos = runSweep(image, instances, 1, epochs,
-                                       cyclesPerEpoch, opts, false, &ok);
-      AosReference ref;
-      ref.instances = instances;
-      ref.configCyclesPerSec = aos.configCyclesPerSec;
-      if (aos.configCyclesPerSec > 0.0 && oneThreadRate > 0.0)
-        ref.soaSpeedup = oneThreadRate / aos.configCyclesPerSec;
-      aosRefs.push_back(ref);
     }
   }
 
@@ -324,13 +276,6 @@ int main(int argc, char** argv) {
     std::printf("| %9zu | %7d | %12.0f | %13.0f | %6.2fx | %9.2f%% |\n",
                 r.instances, r.threads, r.configCyclesPerSec, r.machineCyclesPerSec,
                 r.speedup, 100.0 * r.efficiency);
-  if (!aosRefs.empty()) {
-    std::printf("\n| instances | AoS 1t cycles/s | SoA-vs-AoS speedup |\n");
-    std::printf("|-----------|-----------------|--------------------|\n");
-    for (const AosReference& ref : aosRefs)
-      std::printf("| %9zu | %15.0f | %17.2fx |\n", ref.instances,
-                  ref.configCyclesPerSec, ref.soaSpeedup);
-  }
   if (!jitRefs.empty()) {
     std::printf("\n| instances | interp mach/s | jit mach/s | jit speedup | compiled | compile ms |\n");
     std::printf("|-----------|---------------|------------|-------------|----------|------------|\n");
@@ -342,9 +287,8 @@ int main(int argc, char** argv) {
   }
 
   std::string json = "{\n  \"benchmark\": \"fleet_throughput\",\n";
-  json += strfmt("  \"mode\": \"%s\",\n  \"stepping\": \"%s\",\n"
-                 "  \"hardware_threads\": %u,\n",
-                 opts.quick ? "quick" : "full", opts.soa ? "soa" : "aos", hwThreads);
+  json += strfmt("  \"mode\": \"%s\",\n  \"hardware_threads\": %u,\n",
+                 opts.quick ? "quick" : "full", hwThreads);
   // Provenance rides in the host block: host.* is informational in
   // bench_compare, so changing the seed or arming the journal never trips
   // a numeric gate by itself.
@@ -360,15 +304,6 @@ int main(int argc, char** argv) {
         "\"speedup_vs_1t\": %.3f, \"efficiency\": %.3f}%s\n",
         r.instances, r.threads, r.configCyclesPerSec, r.machineCyclesPerSec,
         r.speedup, r.efficiency, i + 1 < results.size() ? "," : "");
-  }
-  json += "  ],\n  \"aos_reference\": [\n";
-  for (size_t i = 0; i < aosRefs.size(); ++i) {
-    const AosReference& ref = aosRefs[i];
-    json += strfmt(
-        "    {\"instances\": %zu, \"threads\": 1, "
-        "\"config_cycles_per_sec\": %.0f, \"soa_speedup_vs_aos\": %.3f}%s\n",
-        ref.instances, ref.configCyclesPerSec, ref.soaSpeedup,
-        i + 1 < aosRefs.size() ? "," : "");
   }
   json += "  ],\n  \"jit_reference\": [\n";
   for (size_t i = 0; i < jitRefs.size(); ++i) {

@@ -7,10 +7,7 @@
 #include <mutex>
 #include <thread>
 
-#include "fleet/arena.hpp"
 #include "support/diag.hpp"
-#include "support/hostinfo.hpp"
-#include "support/simd.hpp"
 
 namespace pscp::fleet {
 
@@ -58,20 +55,6 @@ struct Fleet::Instance {
 
 struct Fleet::Shard {
   std::vector<Instance*> members;
-
-  // SoA batching state (sized in rebuildShards, untouched when the fleet
-  // runs with soaBatching off). A lane's arena row is valid when its
-  // dirty flag is clear; scalar fallback cycles set it again. Writes are
-  // lane-disjoint, so stealing workers never race even when a steal
-  // boundary splits a cacheline.
-  ShardArena arena;
-  std::vector<uint8_t> arenaDirty;
-  // Per-lane epoch accumulators for the cycle-major batched loop (the
-  // scalar path keeps these in locals; cycle-major order needs them to
-  // survive across the cycle loop).
-  std::vector<int64_t> epochMachineCycles;
-  std::vector<int64_t> epochFired;
-
   alignas(64) std::atomic<size_t> cursor{0};
 };
 
@@ -158,9 +141,6 @@ Fleet::Fleet(ChartImagePtr image, FleetConfig config)
   PSCP_ASSERT(image_ != nullptr);
   if (config_.workerThreads < 1) config_.workerThreads = 1;
   if (config_.stealChunk < 1) config_.stealChunk = 1;
-  // A lane group yields one uint64 selection bitmask; 0 = auto (whole
-  // group per decode pass).
-  if (config_.batchWidth < 1 || config_.batchWidth > 64) config_.batchWidth = 64;
   workerCount_ = static_cast<size_t>(config_.workerThreads);
   workerMetrics_.resize(workerCount_);
   workerMetricRefs_.resize(workerCount_);
@@ -191,8 +171,6 @@ Fleet::Fleet(ChartImagePtr image, FleetConfig config)
     journal_->setEventQueueCapacity(
         static_cast<int64_t>(config_.eventQueueCapacity));
     journal_->setRecordedWorkers(config_.workerThreads);
-    journal_->setRecordedSoa(config_.soaBatching);
-    journal_->setSimdLevel(simdLevelName(activeSimdLevel()));
   }
   if (workerCount_ > 1) {
     pool_ = std::make_unique<Pool>();
@@ -282,9 +260,8 @@ void Fleet::rebuildShards() {
   for (size_t w = 0; w < workerCount_; ++w)
     shards_.push_back(std::make_unique<Shard>());
   // Contiguous block placement (cache-aware): shard w owns a consecutive
-  // run of live instances, so its SoA arena lanes are stepped in spawn
-  // order by one worker streaming one contiguous buffer — round-robin
-  // placement would interleave every shard's lanes through memory.
+  // run of live instances, stepped in spawn order by one worker —
+  // round-robin placement would interleave every shard through memory.
   std::vector<Instance*> live;
   live.reserve(instances_.size());
   for (const auto& inst : instances_)
@@ -298,14 +275,6 @@ void Fleet::rebuildShards() {
     shard.members.assign(live.begin() + static_cast<ptrdiff_t>(next),
                          live.begin() + static_cast<ptrdiff_t>(next + take));
     next += take;
-    if (config_.soaBatching) {
-      const size_t crWords =
-          (static_cast<size_t>(image_->layout().totalBits()) + 63) / 64;
-      shard.arena.resize(shard.members.size(), crWords);
-      shard.arenaDirty.assign(shard.members.size(), 1);
-      shard.epochMachineCycles.assign(shard.members.size(), 0);
-      shard.epochFired.assign(shard.members.size(), 0);
-    }
   }
   shardsDirty_ = false;
 }
@@ -333,13 +302,6 @@ void Fleet::stepInstance(Instance& inst, int cycles, WorkerLocal& local) {
       ++local.quiescentCycles;
     }
   }
-  finishInstanceEpoch(inst, cycles, epochMachineCycles, epochFired, drainedCount,
-                      local);
-}
-
-void Fleet::finishInstanceEpoch(Instance& inst, int cycles,
-                                int64_t epochMachineCycles, int64_t epochFired,
-                                int64_t drainedCount, WorkerLocal& local) {
   inst.firedTransitions += epochFired;
   local.firedTransitions += epochFired;
   inst.machineCycles += epochMachineCycles;
@@ -374,80 +336,6 @@ void Fleet::finishInstanceEpoch(Instance& inst, int cycles,
     inst.portLog.insert(inst.portLog.end(), writes.begin(), writes.end());
   }
   inst.machine.clearPortWrites();
-}
-
-void Fleet::stepChunkBatched(Shard& shard, size_t begin, size_t end, int cycles,
-                             WorkerLocal& local) {
-  const sla::BatchedSla& batched = image_->batchedSla();
-  const sla::CrSoa soa = shard.arena.view();
-  const size_t group = static_cast<size_t>(config_.batchWidth);
-
-  // Epoch-start drain, same delivery point as the scalar path (cycle 0).
-  for (size_t i = begin; i < end; ++i) {
-    Instance& inst = *shard.members[i];
-    inst.drained.clear();
-    int32_t event = 0;
-    while (inst.queue.tryPop(&event)) inst.drained.push_back(event);
-    const int64_t drainedCount = static_cast<int64_t>(inst.drained.size());
-    inst.eventsDelivered += drainedCount;
-    local.eventsDelivered += drainedCount;
-    shard.epochMachineCycles[i] = 0;
-    shard.epochFired[i] = 0;
-  }
-
-  // Cycle-major over lane groups: one vector decode answers "who selects
-  // anything" for the whole group, and only lanes with work (a non-empty
-  // selection, pending/drained events, a matured timer, an observer)
-  // enter the scalar machine step. A lane's arena row is packed lazily —
-  // once on first eligibility, and again only after a scalar fallback
-  // cycle dirtied it — so a quiescent steady state runs pure decode with
-  // zero copying.
-  for (int c = 0; c < cycles; ++c) {
-    for (size_t g = begin; g < end; g += group) {
-      const size_t gEnd = std::min(g + group, end);
-      uint64_t eligible = 0;
-      for (size_t i = g; i < gEnd; ++i) {
-        Instance& inst = *shard.members[i];
-        if (c == 0 && !inst.drained.empty()) continue;
-        if (!inst.machine.nextCycleIsPureDecode()) continue;
-        eligible |= uint64_t{1} << (i - g);
-        if (shard.arenaDirty[i] != 0) {
-          shard.arena.pack(i, inst.machine.crBits());
-          shard.arenaDirty[i] = 0;
-        }
-      }
-      // Ineligible lanes may hold stale rows; the kernel reads them (the
-      // block is evaluated whole) but their selection bits are ignored.
-      const uint64_t selected =
-          eligible == 0 ? 0 : batched.selectedLanes(soa, g, gEnd - g);
-      for (size_t i = g; i < gEnd; ++i) {
-        Instance& inst = *shard.members[i];
-        const uint64_t bit = uint64_t{1} << (i - g);
-        if ((eligible & bit) != 0 && (selected & bit) == 0) {
-          inst.machine.applyQuiescentCycle(&inst.stats);
-        } else {
-          inst.machine.configurationCycleIds(c == 0 ? inst.drained : kNoEvents,
-                                             &inst.stats);
-          shard.arenaDirty[i] = 1;
-        }
-        shard.epochMachineCycles[i] += inst.stats.cycles;
-        inst.busStallCycles += inst.stats.busStallCycles;
-        shard.epochFired[i] += static_cast<int64_t>(inst.stats.fired.size());
-        local.busStallCycles += inst.stats.busStallCycles;
-        if (inst.stats.quiescent) {
-          ++inst.quiescentCycles;
-          ++local.quiescentCycles;
-        }
-      }
-    }
-  }
-
-  for (size_t i = begin; i < end; ++i) {
-    Instance& inst = *shard.members[i];
-    finishInstanceEpoch(inst, cycles, shard.epochMachineCycles[i],
-                        shard.epochFired[i],
-                        static_cast<int64_t>(inst.drained.size()), local);
-  }
 }
 
 void Fleet::runWorkerEpoch(size_t worker, int cycles, int64_t epoch) {
@@ -485,12 +373,8 @@ void Fleet::runWorkerEpoch(size_t worker, int cycles, int64_t epoch) {
       const size_t begin = shard.cursor.fetch_add(chunk, std::memory_order_relaxed);
       if (begin >= shard.members.size()) break;
       const size_t end = std::min(begin + chunk, shard.members.size());
-      if (config_.soaBatching) {
-        stepChunkBatched(shard, begin, end, cycles, local);
-      } else {
-        for (size_t i = begin; i < end; ++i)
-          stepInstance(*shard.members[i], cycles, local);
-      }
+      for (size_t i = begin; i < end; ++i)
+        stepInstance(*shard.members[i], cycles, local);
       if (offset != 0) {
         ++local.stealChunks;
         if (local.ring != nullptr)
@@ -556,7 +440,6 @@ void Fleet::runWorkerEpoch(size_t worker, int cycles, int64_t epoch) {
 }
 
 void Fleet::workerLoop(size_t worker) {
-  if (config_.pinWorkers) pinCurrentThreadToCpu(static_cast<int>(worker));
   uint64_t seen = 0;
   for (;;) {
     int cycles = 0;
@@ -655,9 +538,6 @@ void Fleet::setCondition(InstanceId id, const std::string& conditionName,
                          bool value) {
   Instance& inst = liveInstance(id);
   inst.machine.setCondition(conditionName, value);
-  // The write went straight into the CR; any packed SoA row for this lane
-  // is now stale, so force a shard rebuild before the next epoch.
-  shardsDirty_ = true;
   if (journal_ != nullptr)
     journal_->recordSetCondition(static_cast<int64_t>(id),
                                  image_->layout().conditionBit(conditionName),
@@ -681,7 +561,6 @@ void Fleet::warmCycle(InstanceId id, const std::vector<int>& eventBits) {
     inst.portLog.insert(inst.portLog.end(), writes.begin(), writes.end());
   }
   inst.machine.clearPortWrites();
-  shardsDirty_ = true;  // the cycle rewrote the CR; see setCondition()
   if (journal_ != nullptr)
     journal_->recordWarmCycle(static_cast<int64_t>(id), eventBits);
 }

@@ -12,24 +12,18 @@
 //   - step(cycles) is one *epoch*: every live instance advances exactly
 //     `cycles` configuration cycles, then a barrier completes the epoch.
 //   - Instances are statically sharded across workers in contiguous
-//     blocks (by spawn order): a shard's members are neighbours in its
-//     SoA arena, so one worker streams one contiguous arena instead of
-//     interleaving with every other shard's cachelines. Within an epoch
-//     each worker drains its own shard in fixed-size chunks claimed
+//     blocks (by spawn order), so one worker walks one run of neighbouring
+//     instances instead of interleaving with every other shard. Within an
+//     epoch each worker drains its own shard in fixed-size chunks claimed
 //     through an atomic cursor, then steals remaining chunks from other
 //     shards — an oversized shard (instances with heavier charts, or a
 //     retire-skewed distribution) is finished by whoever has idle cycles,
 //     so the barrier waits for the slowest chunk, not the slowest shard.
-//   - SoA batching (FleetConfig::soaBatching, default on): at epoch
-//     start each shard's CRs are packed into a cacheline-aligned
-//     structure-of-arrays arena (fleet/arena.hpp) and the batched SLA
-//     (sla/batch.hpp) decodes 2–4 instances per vector op. Lanes that
-//     select nothing — the dominant case for reactive populations, which
-//     are mostly quiescent between stimuli — complete their cycle through
-//     PscpMachine::applyQuiescentCycle without touching the scalar
-//     machinery; lanes with events, timers, observers or a non-empty
-//     selection fall back to the scalar step and are re-packed before
-//     their next batched decode. Both paths are bit-identical.
+//   - Every instance cycle is one PscpMachine::configurationCycleIds call.
+//     Idle instances — the dominant case for reactive populations, which
+//     are mostly quiescent between stimuli — cost no decode: the machine's
+//     quiescence memo answers an event-free cycle over a CR that already
+//     decoded to nothing (see pscp/machine.hpp).
 //   - Event injection goes through a per-instance bounded SPSC queue.
 //     Producers never take a lock and never touch the stepping hot loop;
 //     the worker drains the queue at the first cycle of the instance's
@@ -65,7 +59,7 @@
 // control-plane op and every delivered event is appended to a
 // pscp-journal-v1 log with periodic CR-digest checkpoints, from which
 // obs/journal/replay.hpp re-executes the run bit-identically at any
-// worker count or stepping mode. See obs/journal/journal.hpp.
+// worker count. See obs/journal/journal.hpp.
 #pragma once
 
 #include <atomic>
@@ -94,28 +88,8 @@ struct FleetConfig {
   /// Per-instance event-queue capacity (rounded up to a power of two).
   size_t eventQueueCapacity = 256;
   /// Instances per work-stealing chunk. Smaller = finer load balance,
-  /// larger = less cursor traffic. Multiples of 8 keep chunk boundaries on
-  /// SoA-arena cacheline boundaries (8 lanes × 8 B), so two workers never
-  /// share a line across a steal boundary.
+  /// larger = less cursor traffic.
   size_t stealChunk = 8;
-  /// Structure-of-arrays batched stepping (the default): each shard packs
-  /// its instances' CRs into a contiguous lane arena and the vector-
-  /// dispatched SLA (sla::BatchedSla, level from support/simd) decodes a
-  /// whole lane block per pass; lanes that select nothing take the
-  /// quiescent fast path without ever entering the scalar machine step.
-  /// Bit-identical to the scalar path by contract — the fleet test suite
-  /// diffs the two — so switching this off is purely a perf experiment
-  /// (bench/fleet_throughput --no-soa sweeps both).
-  bool soaBatching = true;
-  /// Lanes per batched decode group, 1..64; 0 = auto (64: one selection
-  /// bitmask per group, amortizing the term loop over the whole chunk).
-  /// Only meaningful with soaBatching; bench --batch-width sweeps it.
-  int batchWidth = 0;
-  /// Pin pool worker w to logical CPU w (Linux; best-effort). Stops the
-  /// scheduler migrating workers mid-epoch, which on multi-socket or
-  /// many-core hosts costs both cache warmth and the scaling curve.
-  /// Ignored when workerThreads == 1 (the caller owns that thread).
-  bool pinWorkers = false;
   /// Keep per-instance port-write logs across epochs (drained from the
   /// machine each epoch; read/clear via portWrites()/clearPortWrites()).
   /// Off by default: a throughput fleet discards writes each epoch so
@@ -125,8 +99,8 @@ struct FleetConfig {
   /// Native-tier mode applied to every instance (default: the process-wide
   /// PSCP_JIT setting). Serial-equivalent configuration cycles then run
   /// compiled TEP routines — bit-identical to the interpreter by contract
-  /// (tests/tep_jit_test.cpp diffs the two across worker counts and
-  /// batching modes), so this is purely a perf knob.
+  /// (tests/tep_jit_test.cpp diffs the two across worker counts), so this
+  /// is purely a perf knob.
   tep::jit::JitMode jitMode = tep::jit::jitModeFromEnv();
   /// Routine executions before jitMode == kAuto promotes a routine.
   int64_t jitThreshold = tep::jit::kDefaultJitThreshold;
@@ -212,10 +186,10 @@ class Fleet {
   }
 
   // ----------------------------------------------------------- inspection
-  /// Direct access to an instance's machine (between epochs only). For
-  /// *mutation*, prefer the journaled wrappers below: writes made here are
-  /// not recorded, and CR writes (setCondition and the like) can leave a
-  /// stale SoA arena row behind the batched decode's back.
+  /// Direct access to an instance's machine (between epochs only).
+  /// Mutating it is safe for stepping — every CR write clears the
+  /// machine's quiescence memo — but is not journaled: replayable runs
+  /// use the wrappers below.
   [[nodiscard]] machine::PscpMachine& machine(InstanceId id);
   [[nodiscard]] const machine::PscpMachine& machine(InstanceId id) const;
   [[nodiscard]] InstanceSnapshot snapshot(InstanceId id) const;
@@ -266,10 +240,9 @@ class Fleet {
 
   /// Journaled machine-control surface: same effect as the corresponding
   /// PscpMachine calls through machine(id), but logged so a replay
-  /// reproduces them, and SoA-safe (they mark the shard arenas stale, so
-  /// batched decode never reads a CR row mutated behind its back).
-  /// Replayable runs must route all pre-/inter-epoch machine mutation
-  /// through these — direct machine() writes are invisible to the journal.
+  /// reproduces them. Replayable runs must route all pre-/inter-epoch
+  /// machine mutation through these — direct machine() writes are
+  /// invisible to the journal.
   void setInputPort(InstanceId id, const std::string& portName, uint32_t value);
   void setInputPort(InstanceId id, int portAddress, uint32_t value);
   void setCondition(InstanceId id, const std::string& conditionName, bool value);
@@ -296,15 +269,6 @@ class Fleet {
   void rebuildShards();
   void runWorkerEpoch(size_t worker, int cycles, int64_t epoch);
   void stepInstance(Instance& inst, int cycles, WorkerLocal& local);
-  /// SoA fast path: step one claimed chunk of a shard cycle-major, vector
-  /// decode per lane group, scalar fallback for non-quiescent lanes.
-  void stepChunkBatched(Shard& shard, size_t begin, size_t end, int cycles,
-                        WorkerLocal& local);
-  /// Per-lane epoch bookkeeping shared by both stepping paths (counter
-  /// fold, telemetry records, port-write capture).
-  void finishInstanceEpoch(Instance& inst, int cycles, int64_t epochMachineCycles,
-                           int64_t epochFired, int64_t drainedCount,
-                           WorkerLocal& local);
   void workerLoop(size_t worker);
 
   ChartImagePtr image_;

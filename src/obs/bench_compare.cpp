@@ -58,9 +58,9 @@ BenchCompareResult compareBenchJson(const JsonValue& baseline,
       baseHost->dump() != curHost->dump()) {
     result.hostMismatch = true;
     // Name the differing members instead of dumping both blobs: a
-    // capability mismatch (simd_dispatch, jit) changes what the numbers
-    // *mean*, while cpu_model/governor drift merely adds noise — the
-    // reader should see which case this is at a glance.
+    // capability mismatch (jit) changes what the numbers *mean*, while
+    // cpu_model/governor drift merely adds noise — the reader should see
+    // which case this is at a glance.
     const auto memberDump = [](const JsonValue* host, const std::string& key) {
       const JsonValue* v = host->find(key);
       return v == nullptr ? std::string("<absent>") : v->dump();
@@ -73,7 +73,7 @@ BenchCompareResult compareBenchJson(const JsonValue& baseline,
       const std::string baseMember = memberDump(baseHost, key);
       const std::string curMember = memberDump(curHost, key);
       if (baseMember == curMember) continue;
-      const bool capability = key == "simd_dispatch" || key == "jit";
+      const bool capability = key == "jit";
       result.notes.push_back(strfmt(
           "host mismatch%s: %s baseline %s vs current %s",
           capability ? " (execution capability — metrics not comparable)" : "",

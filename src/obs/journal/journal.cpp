@@ -338,8 +338,6 @@ JsonValue Journal::toJson() const {
   doc.set("checkpoint_interval",
           JsonValue::makeNumber(static_cast<double>(config_.checkpointInterval)));
   doc.set("recorded_workers", JsonValue::makeNumber(recordedWorkers_));
-  doc.set("recorded_soa", JsonValue::makeBool(recordedSoa_));
-  doc.set("simd", JsonValue::makeString(simdLevel_));
   if (!note_.empty()) doc.set("note", JsonValue::makeString(note_));
   doc.set("span_count", JsonValue::makeNumber(static_cast<double>(nextSpan_)));
 
@@ -438,10 +436,8 @@ bool Journal::fromJson(const JsonValue& doc, Journal* out, std::string* error) {
   int64_t n = 0;
   if (jsonInt(doc, "event_queue_capacity", &n)) j.eventQueueCapacity_ = n;
   if (jsonInt(doc, "recorded_workers", &n)) j.recordedWorkers_ = static_cast<int>(n);
-  if (const JsonValue* soa = doc.find("recorded_soa"); soa != nullptr)
-    j.recordedSoa_ = soa->boolean;
-  if (const JsonValue* simd = doc.find("simd"); simd != nullptr && simd->isString())
-    j.simdLevel_ = simd->string;
+  // v1 documents may also carry "recorded_soa" and "simd" (a stepping
+  // mode and an SLA kernel name); like any unknown key they are ignored.
   if (const JsonValue* note = doc.find("note"); note != nullptr && note->isString())
     j.note_ = note->string;
 
@@ -567,8 +563,10 @@ std::string Journal::dumpBinary() const {
   putI64(&out, eventQueueCapacity_);
   putI64(&out, config_.checkpointInterval);
   putU32(&out, static_cast<uint32_t>(recordedWorkers_));
-  putU8(&out, recordedSoa_ ? 1 : 0);
-  putString(&out, simdLevel_);
+  // Two retired header fields (a stepping-mode flag and a kernel name),
+  // written empty so the version-1 byte layout stays fixed.
+  putU8(&out, 0);
+  putString(&out, "");
   putU64(&out, nextSpan_);
 
   putU64(&out, warmEvents_.size());
@@ -620,8 +618,8 @@ bool Journal::parseBinary(const std::string& bytes, Journal* out,
   j.eventQueueCapacity_ = r.i64();
   j.config_.checkpointInterval = r.i64();
   j.recordedWorkers_ = static_cast<int>(r.u32());
-  j.recordedSoa_ = r.u8() != 0;
-  j.simdLevel_ = r.str();
+  (void)r.u8();   // retired stepping-mode flag
+  (void)r.str();  // retired kernel name
   j.nextSpan_ = r.u64();
 
   // Counts are validated against the remaining byte budget before any

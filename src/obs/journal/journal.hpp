@@ -8,8 +8,7 @@
 // epoch, every step — plus periodic CR-word digests as checkpoints, all
 // anchored to a content hash of the ChartImage it ran over. A replay
 // engine (journal/replay.hpp) reconstructs the fleet from the log and
-// verifies bit-identity against the recorded digests at any worker count
-// and either stepping mode.
+// verifies bit-identity against the recorded digests at any worker count.
 //
 // Why recording *delivery* (not injection) makes replay deterministic:
 // producers inject from arbitrary threads at arbitrary times, racing the
@@ -131,8 +130,6 @@ class Journal {
   void setImageHash(uint64_t hash) { imageHash_ = hash; }
   void setEventQueueCapacity(int64_t capacity) { eventQueueCapacity_ = capacity; }
   void setRecordedWorkers(int workers) { recordedWorkers_ = workers; }
-  void setRecordedSoa(bool soa) { recordedSoa_ = soa; }
-  void setSimdLevel(std::string level) { simdLevel_ = std::move(level); }
   /// Free-form provenance annotation ("counterexample for property X of
   /// spec Y"). Carried by the JSON form only; the binary framing — a
   /// fixed-layout wire format — drops it. Never affects replay.
@@ -142,8 +139,6 @@ class Journal {
   [[nodiscard]] uint64_t imageHash() const { return imageHash_; }
   [[nodiscard]] int64_t eventQueueCapacity() const { return eventQueueCapacity_; }
   [[nodiscard]] int recordedWorkers() const { return recordedWorkers_; }
-  [[nodiscard]] bool recordedSoa() const { return recordedSoa_; }
-  [[nodiscard]] const std::string& simdLevel() const { return simdLevel_; }
   [[nodiscard]] const std::string& note() const { return note_; }
   [[nodiscard]] const JournalConfig& config() const { return config_; }
 
@@ -208,8 +203,6 @@ class Journal {
   uint64_t imageHash_ = 0;
   int64_t eventQueueCapacity_ = 0;
   int recordedWorkers_ = 1;
-  bool recordedSoa_ = true;
-  std::string simdLevel_;
   std::string note_;
 
   std::vector<Op> ops_;

@@ -66,9 +66,6 @@ ReplayResult Replayer::run(const ReplayOptions& options) const {
 
   FleetConfig config;
   config.workerThreads = options.workerThreads;
-  config.soaBatching = options.soaBatching;
-  config.batchWidth = options.batchWidth;
-  config.pinWorkers = options.pinWorkers;
   config.jitMode = options.jitMode;
   config.jitThreshold = options.jitThreshold;
   config.eventQueueCapacity =
@@ -344,7 +341,6 @@ BisectResult bisectDivergence(const Journal& journal,
   // failing checkpoint? If not, the journal itself is the divergent side.
   ReplayOptions reference;
   reference.workerThreads = 1;
-  reference.soaBatching = journal.recordedSoa();
   reference.stopAfterEpoch = hi;
   ++out.probes;
   const ReplayResult referenceRun = replayer.run(reference);

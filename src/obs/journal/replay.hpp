@@ -1,18 +1,17 @@
 // Journal replay engine: re-execute a pscp-journal-v1 log and verify
 // bit-identity against its recorded CR digests.
 //
-// Determinism contract (why replay at a different worker count / stepping
-// mode is valid): a fleet instance's trajectory is a function of its
+// Determinism contract (why replay at a different worker count is
+// valid): a fleet instance's trajectory is a function of its
 // delivered-event script alone — machines share only the immutable
-// ChartImage, each instance is stepped by exactly one worker per epoch,
-// and the SoA batched path is bit-identical to the scalar path by
-// contract (the fleet test suite diffs 1/2/8 workers and both modes). The
-// journal records the delivered script; the Replayer re-injects it on the
-// control thread before each step, so injections happen-before step() and
-// are delivered at that epoch's first cycle in recorded order. Any worker
-// count, either batching mode and any SIMD dispatch level must therefore
-// reproduce the recorded CR digests exactly; a mismatch is a real
-// divergence (or a damaged journal), never scheduling noise.
+// ChartImage and each instance is stepped by exactly one worker per epoch
+// (the fleet test suite diffs 1/2/8 workers). The journal records the
+// delivered script; the Replayer re-injects it on the control thread
+// before each step, so injections happen-before step() and are delivered
+// at that epoch's first cycle in recorded order. Any worker count and
+// either execution tier must therefore reproduce the recorded CR digests
+// exactly; a mismatch is a real divergence (or a damaged journal), never
+// scheduling noise.
 //
 // Bisection: bisectDivergence() binary-searches the first divergent epoch
 // by re-replaying journal *prefixes* (determinism makes from-scratch
@@ -45,9 +44,6 @@ using fleet::InstanceId;
 
 struct ReplayOptions {
   int workerThreads = 1;
-  bool soaBatching = true;
-  int batchWidth = 0;
-  bool pinWorkers = false;
   /// Native-tier mode for the replay fleet. Tiered execution is inside the
   /// determinism contract (bit-identical to the interpreter), so a journal
   /// recorded under one mode must verify under any other — the JIT
@@ -65,9 +61,9 @@ struct ReplayOptions {
   /// Optional tracing: attach `traceSink` to instance `traceInstance`'s
   /// machine at spawn (tee a TraceRecorder and the SpanTracker; see
   /// obs/tee.hpp). `spanTracker` is primed before every step with the
-  /// spans delivered to that instance. Attaching a sink forces the traced
-  /// instance onto the scalar step path — still bit-identical by the obs
-  /// contract.
+  /// spans delivered to that instance. Attaching a sink makes the traced
+  /// instance decode every cycle (it bypasses the quiescence memo) — still
+  /// bit-identical by the obs contract.
   ObsSink* traceSink = nullptr;
   SpanTracker* spanTracker = nullptr;
   int64_t traceInstance = -1;
@@ -139,7 +135,7 @@ struct BisectResult {
 
 /// Locate the first divergent epoch of `target` against the journal (see
 /// header comment for the algorithm). The reference configuration is one
-/// worker with the journal's recorded batching mode.
+/// worker.
 [[nodiscard]] BisectResult bisectDivergence(const Journal& journal,
                                             Fleet::ChartImagePtr image,
                                             const ReplayOptions& target);

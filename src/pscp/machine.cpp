@@ -21,7 +21,6 @@ ChartImage::ChartImage(const statechart::Chart& chart,
       arch_(arch),
       layout_(chart),
       sla_(chart, layout_),
-      batched_(sla_),
       binding_(sla::makeBinding(chart, layout_)),
       app_(compiler::Compiler(actions, binding_, arch_, options).compile(chart)) {
   arch_.validate();
@@ -152,6 +151,7 @@ PscpMachine::~PscpMachine() = default;
 
 void PscpMachine::applyActive(StateId s, bool active) {
   if (activeBits_.test(static_cast<int>(s)) == active) return;
+  quiescentMemo_ = false;
   activeBits_.set(static_cast<int>(s), active);
   if (s == chart_.root()) return;  // the root has no CR code
   const auto [fieldIndex, code] = layout_.stateCode(s);
@@ -172,6 +172,7 @@ void PscpMachine::setCrCondition(int index, bool value) {
   PSCP_ASSERT(index >= 0 && index < static_cast<int>(crConditions_.size()));
   crConditions_[static_cast<size_t>(index)] = value ? 1 : 0;
   cr_.set(layout_.conditionBase() + index, value);
+  quiescentMemo_ = false;
 }
 
 // ----------------------------------------------------------------- TepHost
@@ -427,27 +428,10 @@ CycleStats PscpMachine::configurationCycle(
   return configurationCycleIds(ids);
 }
 
-bool PscpMachine::nextCycleIsPureDecode() const {
-  if (obs_.sink != nullptr) return false;
-  if (!pendingEvents_.empty()) return false;
+bool PscpMachine::timerDue() const {
   for (const Timer& t : timers_)
-    if (totalCycles_ >= t.nextFire) return false;
-  return true;
-}
-
-void PscpMachine::applyQuiescentCycle(CycleStats* statsOut) {
-  // Mirror of the chosen.empty() arm of configurationCycleIds for a
-  // no-event cycle: same counters, same timestamps, same scratch effects.
-  ++configCycles_;
-  CycleStats& stats = *statsOut;
-  stats.fired.clear();
-  stats.cycles = kSlaEvaluateCycles;
-  stats.busStallCycles = 0;
-  stats.quiescent = true;
-  activeSnapshotBits_ = activeBits_;
-  busStallsThisCycle_ = 0;
-  totalCycles_ += stats.cycles;
-  machineTimeNow_ = totalCycles_;
+    if (totalCycles_ >= t.nextFire) return true;
+  return false;
 }
 
 CycleStats PscpMachine::configurationCycleIds(
@@ -468,10 +452,23 @@ void PscpMachine::configurationCycleIds(const std::vector<int>& externalEventIds
   activeSnapshotBits_ = activeBits_;
   busStallsThisCycle_ = 0;
 
+  // Quiescence memo: the CR decoded to nothing when last sampled without
+  // events and has not been written since, and this cycle samples no
+  // events either (none external, none raised, no timer due) — so the SLA
+  // would select nothing again. An observer forces the decode it watches.
+  obs::ObsSink* const sink = obs_.sink;
+  if (quiescentMemo_ && externalEventIds.empty() && pendingEvents_.empty() &&
+      sink == nullptr && !timerDue()) {
+    stats.quiescent = true;
+    stats.cycles = kSlaEvaluateCycles;
+    totalCycles_ += stats.cycles;
+    machineTimeNow_ = totalCycles_;
+    return;
+  }
+
   const int64_t cycleIndex = configCycles_ - 1;  // 0-based, for observers
   const int64_t base = totalCycles_;             // machine time at cycle start
   machineTimeNow_ = base;
-  obs::ObsSink* const sink = obs_.sink;
   if (sink != nullptr) sink->onCycleBegin(cycleIndex, base);
 
   // 1. Sample events into the CR: external + those the TEPs raised last
@@ -508,6 +505,9 @@ void PscpMachine::configurationCycleIds(const std::vector<int>& externalEventIds
     sink->onSlaSelect(selectedIds, chosenIds, selectStats.termsEvaluated, base);
   }
   if (chosen.empty()) {
+    // Only an event-free decode speaks for the bare CR: a negated event
+    // literal may select once the sampled events are gone.
+    if (eventScratch_.empty()) quiescentMemo_ = true;
     stats.quiescent = true;
     stats.cycles = kSlaEvaluateCycles;
     totalCycles_ += stats.cycles;

@@ -42,6 +42,13 @@
 // stepping through configurationCycleIds(events, &stats) is allocation-
 // free: every per-cycle temporary is a member scratch buffer, so thousands
 // of instances stepped by a worker pool never serialize on the allocator.
+//
+// Quiescence memo: the SLA is combinational logic over the CR, so what it
+// selects depends on the CR alone. Once a cycle sampled no events and
+// selected nothing, every later event-free cycle selects nothing too until
+// something writes the CR. The machine keeps that fact in one bit and
+// answers such cycles without a decode (see configurationCycleIds); an
+// attached observer bypasses it, so sinks still see every decode.
 #pragma once
 
 #include <map>
@@ -52,7 +59,6 @@
 
 #include "compiler/codegen.hpp"
 #include "obs/sink.hpp"
-#include "sla/batch.hpp"
 #include "sla/sla.hpp"
 #include "statechart/semantics.hpp"
 #include "support/bits.hpp"
@@ -105,9 +111,6 @@ class ChartImage {
   [[nodiscard]] const hwlib::ArchConfig& arch() const { return arch_; }
   [[nodiscard]] const sla::CrLayout& layout() const { return layout_; }
   [[nodiscard]] const sla::Sla& sla() const { return sla_; }
-  /// SoA/SIMD compilation of the same array (fleet batched stepping);
-  /// kernel level latched from support/simd at image build.
-  [[nodiscard]] const sla::BatchedSla& batchedSla() const { return batched_; }
   [[nodiscard]] const compiler::HardwareBinding& binding() const { return binding_; }
   [[nodiscard]] const compiler::CompiledApp& app() const { return app_; }
 
@@ -133,7 +136,6 @@ class ChartImage {
   hwlib::ArchConfig arch_;
   sla::CrLayout layout_;
   sla::Sla sla_;
-  sla::BatchedSla batched_;
   compiler::HardwareBinding binding_;
   compiler::CompiledApp app_;
 
@@ -173,34 +175,14 @@ class PscpMachine : public tep::TepHost {
   /// `stats->fired` instead of returning a fresh CycleStats, so a caller
   /// that reuses one stats object steps the machine without any heap
   /// allocation in steady state (the fleet worker loop depends on this).
+  /// A cycle the quiescence memo answers costs no decode; its stats and
+  /// every counter are those the decode would have produced.
   void configurationCycleIds(const std::vector<int>& externalEventIds,
                              CycleStats* stats);
 
-  // ------------------------------------------- batched stepping (src/fleet)
-  // The fleet's SoA fast path evaluates many instances' SLA decodes in one
-  // vector pass, then applies the quiescent-cycle bookkeeping to every
-  // lane that selected nothing — bypassing configurationCycleIds entirely
-  // for the dominant idle case. These three members externalize exactly
-  // the state that path needs; any sequence of {batched quiescent cycle,
-  // scalar configurationCycleIds} is bit-identical to the all-scalar run.
-
   /// The packed CR. Between cycles the event bits are always clear (they
-  /// live only inside the decode window), so when nextCycleIsPureDecode()
-  /// holds this is byte-for-byte what the SLA would sample for a cycle
-  /// with no external events.
+  /// live only inside the decode window); journals digest these words.
   [[nodiscard]] const BitVec& crBits() const { return cr_; }
-
-  /// True when a configuration cycle with no external events would reach
-  /// the SLA decode with the CR exactly as crBits() reads now: no pending
-  /// internal events, no matured hardware timer, no attached observer
-  /// (sinks see per-cycle callbacks the batched path does not emit).
-  [[nodiscard]] bool nextCycleIsPureDecode() const;
-
-  /// Apply one quiescent configuration cycle without re-running the
-  /// decode: identical state/stats updates to configurationCycleIds when
-  /// the SLA selects nothing. Only valid when the caller has already
-  /// established that (batched decode over crBits() selected no lane).
-  void applyQuiescentCycle(CycleStats* stats);
 
   // ----------------------------------------------------- tiered execution
   // The native tier (src/tep/jit) runs compiled routines when the cycle is
@@ -275,7 +257,8 @@ class PscpMachine : public tep::TepHost {
   /// Attach/detach observability (opt-in; see src/obs). With the default
   /// (null sink) options the machine's behaviour and timing are
   /// bit-identical to an unobserved machine, and a non-null sink only
-  /// observes — it never changes CycleStats.
+  /// observes — it never changes CycleStats. An attached sink bypasses the
+  /// quiescence memo, so it sees every decode.
   void setObsOptions(const obs::ObsOptions& options);
   [[nodiscard]] const obs::ObsOptions& obsOptions() const { return obs_; }
   /// The naming context a sink receives at attach (also usable directly).
@@ -306,10 +289,14 @@ class PscpMachine : public tep::TepHost {
 
  private:
   /// Insert/remove `s` from the configuration, keeping the packed activity
-  /// bitset and the CR state field incrementally in sync.
+  /// bitset and the CR state field incrementally in sync. Clears the
+  /// quiescence memo.
   void applyActive(statechart::StateId s, bool active);
   /// Write one condition bit to both the byte array and the packed CR.
+  /// Clears the quiescence memo.
   void setCrCondition(int index, bool value);
+  /// Some hardware timer has matured: the next cycle samples its event.
+  [[nodiscard]] bool timerDue() const;
   /// Conflict resolution over `selectScratch_` into `chosenScratch_`
   /// (identical policy to statechart::Interpreter::step), allocation-free.
   void resolveConflicts();
@@ -349,6 +336,11 @@ class PscpMachine : public tep::TepHost {
   /// the raise-ordered list (both reused across cycles, never freed).
   BitVec pendingEventBits_;
   std::vector<int> pendingEvents_;
+  /// Set at the end of a cycle that sampled no events and selected
+  /// nothing: the CR as it stands decodes to nothing. Cleared by the only
+  /// writers of CR bits outside event sampling, applyActive and
+  /// setCrCondition.
+  bool quiescentMemo_ = false;
 
   // Per-cycle scratch buffers, hoisted out of configurationCycleIds so the
   // steady-state step never allocates: sampled event bits, SLA selection,

@@ -1,6 +1,7 @@
 #include "statechart/parser.hpp"
 
 #include <cctype>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -171,6 +172,17 @@ class ChartParser {
     return parseInt(t);
   }
 
+  /// A literal that must fit a non-negative int (bit positions, widths
+  /// and port addresses index host arrays).
+  int expectIntAttribute(const char* what) {
+    const Token t = expect(Tok::Number, "integer");
+    const int64_t v = parseInt(t);
+    if (v > std::numeric_limits<int>::max())
+      lex_.error(t.loc, strfmt("%s '%s' is out of range (at most %d)", what,
+                               t.text.c_str(), std::numeric_limits<int>::max()));
+    return static_cast<int>(v);
+  }
+
   int64_t parseInt(const Token& t) {
     try {
       size_t used = 0;
@@ -295,9 +307,9 @@ class ChartParser {
         e.port = expectIdent().text;
         e.external = true;
       } else if (t.text == "bit") {
-        e.positionInPort = static_cast<int>(expectInt());
+        e.positionInPort = expectIntAttribute("event bit");
       } else if (t.text == "width") {
-        e.width = static_cast<int>(expectInt());
+        e.width = expectIntAttribute("event width");
       } else if (t.text == "external") {
         e.external = true;
       } else {
@@ -319,7 +331,7 @@ class ChartParser {
         c.port = expectIdent().text;
         c.external = true;
       } else if (t.text == "bit") {
-        c.positionInPort = static_cast<int>(expectInt());
+        c.positionInPort = expectIntAttribute("condition bit");
       } else if (t.text == "external") {
         c.external = true;
       } else {
@@ -347,8 +359,8 @@ class ChartParser {
     else lex_.error(dirTok.loc, strfmt("unknown port direction '%s'", dirTok.text.c_str()));
     while (lex_.peek().kind != Tok::Semi) {
       const Token t = expectIdent();
-      if (t.text == "width") p.width = static_cast<int>(expectInt());
-      else if (t.text == "address") p.address = static_cast<int>(expectInt());
+      if (t.text == "width") p.width = expectIntAttribute("port width");
+      else if (t.text == "address") p.address = expectIntAttribute("port address");
       else lex_.error(t.loc, strfmt("unknown port attribute '%s'", t.text.c_str()));
     }
     expect(Tok::Semi, "';'");

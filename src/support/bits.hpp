@@ -64,9 +64,9 @@ class BitVec {
   [[nodiscard]] size_t wordCount() const { return words_.size(); }
   [[nodiscard]] uint64_t word(size_t w) const { return words_[w]; }
 
-  /// Whole-word store (the SoA unpack path). Bits beyond size() are
-  /// dropped so the all-zero tail invariant — which any()/operator== rely
-  /// on — holds regardless of the incoming word.
+  /// Whole-word store (rebuilding a CR from journal words). Bits beyond
+  /// size() are dropped so the all-zero tail invariant — which
+  /// any()/operator== rely on — holds regardless of the incoming word.
   void setWord(size_t w, uint64_t value) {
     PSCP_ASSERT(w < words_.size());
     const int tail = bits_ - static_cast<int>(w) * 64;

@@ -7,11 +7,6 @@
 #include <thread>
 #include <utility>
 
-#if defined(__linux__)
-#include <sched.h>
-#endif
-
-#include "support/simd.hpp"
 #include "tep/jit/tier.hpp"
 
 namespace pscp {
@@ -74,29 +69,15 @@ JsonValue hostInfoJson(const HostInfo& info) {
   host.set("logical_cpus", JsonValue::makeNumber(info.logicalCpus));
   host.set("physical_cores", JsonValue::makeNumber(info.physicalCores));
   host.set("governor", JsonValue::makeString(info.governor));
-  host.set("simd_dispatch", JsonValue::makeString(simdLevelName(activeSimdLevel())));
   // Effective native-tier capability: the PSCP_JIT mode ("off" disables
   // even on capable hosts) or "unavailable" when the backend is compiled
-  // out / the host ISA is unsupported. Like simd_dispatch this explains
-  // cross-host baseline drift, so bench_compare names it on mismatch.
+  // out / the host ISA is unsupported. This explains cross-host baseline
+  // drift, so bench_compare names it on mismatch.
   host.set("jit", JsonValue::makeString(
                       tep::jit::jitBackendAvailable()
                           ? tep::jit::jitModeName(tep::jit::jitModeFromEnv())
                           : "unavailable"));
   return host;
-}
-
-bool pinCurrentThreadToCpu(int cpu) {
-#if defined(__linux__)
-  if (cpu < 0) return false;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<size_t>(cpu) % CPU_SETSIZE, &set);
-  return sched_setaffinity(0, sizeof(set), &set) == 0;
-#else
-  (void)cpu;
-  return false;
-#endif
 }
 
 }  // namespace pscp

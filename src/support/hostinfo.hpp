@@ -29,15 +29,9 @@ struct HostInfo {
 
 /// The "host" block for BENCH_*.json:
 /// { "cpu_model": s, "logical_cpus": n, "physical_cores": n, "governor": s,
-///   "simd_dispatch": "scalar"|"sse2"|"avx2" } — the last is the batched
-/// SLA's effective runtime dispatch level (support/simd), so a number can
-/// be traced to the kernel that produced it.
+///   "jit": "off"|"auto"|"always"|"unavailable" } — the last is the
+/// effective native-tier capability, so a number can be traced to the
+/// execution tier that produced it.
 [[nodiscard]] JsonValue hostInfoJson(const HostInfo& info = hostInfo());
-
-/// Pin the calling thread to one logical CPU (Linux sched_setaffinity).
-/// Best-effort: false on failure or unsupported platforms. Used by the
-/// fleet's pinWorkers option and bench --pin to stop the scheduler from
-/// migrating workers mid-measurement.
-bool pinCurrentThreadToCpu(int cpu);
 
 }  // namespace pscp

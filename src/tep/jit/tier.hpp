@@ -37,7 +37,7 @@ enum class JitMode : uint8_t {
 
 [[nodiscard]] const char* jitModeName(JitMode mode);
 
-/// Parse "off" / "auto" / "always" (case-sensitive, like PSCP_SIMD).
+/// Parse "off" / "auto" / "always" (case-sensitive).
 /// Returns false on unknown values.
 [[nodiscard]] bool parseJitMode(const std::string& text, JitMode* out);
 

@@ -1,18 +1,21 @@
 // Fleet engine tests: SPSC queue semantics, instance lifecycle, event
 // injection, metrics merging, and — the core guarantee — determinism:
 // per-instance port-write logs must be bit-identical no matter how many
-// worker threads step the fleet.
+// worker threads step the fleet, and identical to standalone machines that
+// decode every cycle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "actionlang/parser.hpp"
 #include "fleet/fleet.hpp"
 #include "fleet/spsc.hpp"
 #include "obs/metrics.hpp"
+#include "obs/sink.hpp"
 #include "pscp/machine.hpp"
 #include "statechart/parser.hpp"
 
@@ -22,7 +25,10 @@ namespace {
 // The Counter chart from the machine tests: an AND-state whose two
 // regions both react to TICK (parallel TEP work), a guarded GO entry and
 // a STOP exit that reports through a port — enough structure that a
-// scheduling bug in the fleet would scramble the port-write logs.
+// scheduling bug in the fleet would scramble the port-write logs. The
+// watch region also pauses and resumes on ARMED alone: event-free
+// transitions that only a CR condition write can enable, so stepping
+// must notice every such write (Init's write-back, setCondition).
 const char* kChart = R"chart(
 chart Counter;
 event GO; event STOP; event TICK; event OVERFLOW;
@@ -48,6 +54,10 @@ andstate Active {
   orstate WatchPart { default Watching;
     basicstate Watching {
       transition { target Watching; label "TICK/Watch()"; }
+      transition { target Paused; label "[not ARMED]"; }
+    }
+    basicstate Paused {
+      transition { target Watching; label "[ARMED]"; }
     }
   }
 }
@@ -276,17 +286,24 @@ struct ScriptedRun {
   std::vector<InstanceSnapshot> snapshots;
 };
 
+/// Observes nothing. Attaching it to a machine only takes the quiescence
+/// memo away, so that machine runs the full SLA decode every cycle.
+class NullObserver final : public obs::ObsSink {};
+
+/// `sink`, when set, is attached to every instance, so the fleet decodes
+/// every cycle. At `retireEpoch` every third instance is retired, which
+/// rebuilds the shards and leaves them of unequal size.
 ScriptedRun runScriptedFleet(const Fleet::ChartImagePtr& image, int workers,
-                             size_t instances, int epochs, bool soa = true,
-                             int batchWidth = 0) {
+                             size_t instances, int epochs,
+                             obs::ObsSink* sink = nullptr, int retireEpoch = -1) {
   FleetConfig config;
   config.workerThreads = workers;
   config.capturePortWrites = true;
   config.stealChunk = 4;
-  config.soaBatching = soa;
-  config.batchWidth = batchWidth;
   Fleet fleet(image, config);
   const std::vector<InstanceId> ids = fleet.spawnMany(instances);
+  if (sink != nullptr)
+    for (InstanceId id : ids) fleet.machine(id).setObsOptions({sink});
   const int go = fleet.eventId("GO");
   const int stop = fleet.eventId("STOP");
   const int tick = fleet.eventId("TICK");
@@ -294,12 +311,27 @@ ScriptedRun runScriptedFleet(const Fleet::ChartImagePtr& image, int workers,
   std::vector<uint64_t> rng(instances);
   for (size_t i = 0; i < instances; ++i) rng[i] = 0x9E3779B97F4A7C15ull * (i + 1);
 
+  ScriptedRun run;
+  run.portLogs.resize(instances);
+  run.snapshots.resize(instances);
+  const auto capture = [&](size_t i) {
+    run.portLogs[i] = fleet.portWrites(ids[i]);
+    run.snapshots[i] = fleet.snapshot(ids[i]);
+  };
   for (int epoch = 0; epoch < epochs; ++epoch) {
     for (size_t i = 0; i < instances; ++i) {
+      if (!fleet.isLive(ids[i])) continue;
+      if (epoch == retireEpoch && i % 3 == 0) {
+        capture(i);
+        fleet.retire(ids[i]);
+        continue;
+      }
       uint64_t& s = rng[i];
       s = s * 6364136223846793005ull + 1442695040888963407ull;
       const uint32_t roll = static_cast<uint32_t>(s >> 33) % 100;
-      fleet.machine(ids[i]).setCondition("ARMED", true);  // re-arm every epoch
+      // Mostly armed; a disarm pauses the watch region and a later re-arm
+      // must wake it, often on an epoch that injects nothing.
+      fleet.machine(ids[i]).setCondition("ARMED", (s >> 24) % 4 != 0);
       fleet.machine(ids[i]).setInputPort("Sense",
                                          static_cast<uint32_t>((s >> 16) & 3));
       if (roll < 25) {
@@ -313,13 +345,32 @@ ScriptedRun runScriptedFleet(const Fleet::ChartImagePtr& image, int workers,
     }
     fleet.step(2);
   }
-
-  ScriptedRun run;
-  for (InstanceId id : ids) {
-    run.portLogs.push_back(fleet.portWrites(id));
-    run.snapshots.push_back(fleet.snapshot(id));
-  }
+  for (size_t i = 0; i < instances; ++i)
+    if (fleet.isLive(ids[i])) capture(i);
   return run;
+}
+
+/// Every counter of a snapshot, compared (and printed) in one assertion.
+auto counters(const InstanceSnapshot& s) {
+  return std::make_tuple(s.machineCycles, s.configCycles, s.quiescentCycles,
+                         s.firedTransitions, s.busStallCycles,
+                         s.eventsDelivered, s.eventsDropped);
+}
+
+/// Every instance's port log, counters and configuration must agree.
+void expectSameRun(const ScriptedRun& got, const ScriptedRun& want,
+                   const std::string& what) {
+  ASSERT_EQ(got.portLogs.size(), want.portLogs.size()) << what;
+  size_t writes = 0;
+  for (size_t i = 0; i < want.portLogs.size(); ++i) {
+    ASSERT_EQ(got.portLogs[i], want.portLogs[i]) << what << ", instance " << i;
+    ASSERT_EQ(counters(got.snapshots[i]), counters(want.snapshots[i]))
+        << what << ", instance " << i;
+    ASSERT_EQ(got.snapshots[i].activeStates, want.snapshots[i].activeStates)
+        << what << ", instance " << i;
+    writes += want.portLogs[i].size();
+  }
+  EXPECT_GT(writes, 0u) << what << ": the script must exercise port writes";
 }
 
 TEST_F(FleetTest, PortWriteLogsAreBitIdenticalAcrossWorkerCounts) {
@@ -337,85 +388,134 @@ TEST_F(FleetTest, PortWriteLogsAreBitIdenticalAcrossWorkerCounts) {
   ASSERT_GT(totalFired, static_cast<int64_t>(kInstances))
       << "script must actually fire transitions";
 
-  for (int workers : {2, 8}) {
-    const ScriptedRun run = runScriptedFleet(image_, workers, kInstances, kEpochs);
-    for (size_t i = 0; i < kInstances; ++i) {
-      ASSERT_EQ(run.portLogs[i], base.portLogs[i])
-          << "port-write log diverged for instance " << i << " at "
-          << workers << " workers";
-      ASSERT_EQ(run.snapshots[i].machineCycles, base.snapshots[i].machineCycles)
-          << "cycle count diverged for instance " << i;
-      ASSERT_EQ(run.snapshots[i].firedTransitions,
-                base.snapshots[i].firedTransitions);
-      ASSERT_EQ(run.snapshots[i].activeStates, base.snapshots[i].activeStates);
-    }
-  }
+  for (int workers : {2, 8})
+    expectSameRun(runScriptedFleet(image_, workers, kInstances, kEpochs), base,
+                  std::to_string(workers) + " workers");
 }
 
+// The next two tests keep the names they had when they held the SoA
+// batched path to per-instance (AoS) stepping. That path is gone; the
+// fleet's idle fast path is now the quiescence memo, and the reference is
+// the same script on a fleet whose instances carry a sink (full decode).
 TEST_F(FleetTest, SoaBatchedSteppingIsBitIdenticalToAosStepping) {
-  // The SoA fast path (pack CRs into the shard arena, evaluate the
-  // BatchedSla kernel, apply quiescent cycles in bulk) must be
-  // indistinguishable from per-instance AoS stepping: same port-write
-  // logs, same cycle counts, same active states. 37 instances leaves a
-  // tail under every vector width and batch width below.
-  constexpr size_t kInstances = 37;
-  constexpr int kEpochs = 20;
-  const ScriptedRun aos =
-      runScriptedFleet(image_, 1, kInstances, kEpochs, /*soa=*/false);
-
-  int64_t totalWrites = 0;
-  for (size_t i = 0; i < kInstances; ++i)
-    totalWrites += static_cast<int64_t>(aos.portLogs[i].size());
-  ASSERT_GT(totalWrites, 0) << "script must actually exercise port writes";
-
-  for (const int workers : {1, 3}) {
-    for (const int batchWidth : {1, 3, 64}) {
-      const ScriptedRun soa = runScriptedFleet(image_, workers, kInstances,
-                                               kEpochs, /*soa=*/true, batchWidth);
-      for (size_t i = 0; i < kInstances; ++i) {
-        ASSERT_EQ(soa.portLogs[i], aos.portLogs[i])
-            << "SoA diverged from AoS for instance " << i << " at "
-            << workers << " workers, batch width " << batchWidth;
-        ASSERT_EQ(soa.snapshots[i].machineCycles, aos.snapshots[i].machineCycles)
-            << "instance " << i << " batch width " << batchWidth;
-        ASSERT_EQ(soa.snapshots[i].firedTransitions,
-                  aos.snapshots[i].firedTransitions);
-        ASSERT_EQ(soa.snapshots[i].activeStates, aos.snapshots[i].activeStates);
-      }
-    }
-  }
+  NullObserver observer;
+  for (const int workers : {1, 3})  // 37 instances leave partial steal chunks
+    expectSameRun(runScriptedFleet(image_, workers, 37, 20),
+                  runScriptedFleet(image_, workers, 37, 20, &observer),
+                  std::to_string(workers) + " workers");
 }
 
 TEST_F(FleetTest, RetirementHolesKeepSoaAndAosIdentical) {
-  // Retiring instances mid-run forces shard rebuilds (block placement
-  // re-packs the arena) and leaves shards of unequal size; the batched
-  // path must still match AoS exactly.
-  auto runHoles = [&](bool soa) {
-    FleetConfig config;
-    config.workerThreads = 2;
-    config.capturePortWrites = true;
-    config.soaBatching = soa;
-    Fleet fleet(image_, config);
-    const std::vector<InstanceId> ids = fleet.spawnMany(24);
-    std::vector<std::vector<machine::PortWrite>> logs;
-    for (int epoch = 0; epoch < 12; ++epoch) {
-      if (epoch == 4)
-        for (size_t i = 0; i < ids.size(); i += 3) {
-          logs.push_back(fleet.portWrites(ids[i]));
-          fleet.retire(ids[i]);
-        }
-      for (InstanceId id : ids) {
-        if (!fleet.isLive(id)) continue;
-        fleet.machine(id).setCondition("ARMED", true);
-        fleet.injectByName(id, epoch % 3 == 0 ? "GO" : "TICK");
-      }
-      fleet.step(2);
-    }
-    for (InstanceId id : ids)
-      if (fleet.isLive(id)) logs.push_back(fleet.portWrites(id));
-    return logs;
+  NullObserver observer;
+  expectSameRun(runScriptedFleet(image_, 2, 24, 12, nullptr, 4),
+                runScriptedFleet(image_, 2, 24, 12, &observer, 4),
+                "retirement holes");
+}
+
+TEST_F(FleetTest, SteppingMatchesFullDecodeMirrors) {
+  // The fleet steps every instance through configurationCycleIds, where
+  // the quiescence memo answers idle cycles. Each instance has a
+  // standalone mirror with a sink attached, which decodes every cycle.
+  // Port logs, every snapshot counter and the active states must agree —
+  // across worker counts, retirement holes (shard rebuilds) and direct
+  // machine(id).setCondition writes between epochs. 37 instances leave
+  // partial steal chunks.
+  constexpr size_t kInstances = 37;
+  constexpr int kEpochs = 24;
+  constexpr int kCycles = 3;
+  struct Mirror {
+    std::unique_ptr<machine::PscpMachine> machine;
+    InstanceSnapshot counts;
   };
-  ASSERT_EQ(runHoles(true), runHoles(false));
+  NullObserver observer;
+
+  for (const int workers : {1, 3}) {
+    FleetConfig config;
+    config.workerThreads = workers;
+    config.capturePortWrites = true;
+    config.stealChunk = 4;
+    Fleet fleet(image_, config);
+    const std::vector<InstanceId> ids = fleet.spawnMany(kInstances);
+    const int go = fleet.eventId("GO");
+    const int stop = fleet.eventId("STOP");
+    const int tick = fleet.eventId("TICK");
+    std::vector<Mirror> mirrors(kInstances);
+    std::vector<uint64_t> rng(kInstances);
+    for (size_t i = 0; i < kInstances; ++i) {
+      mirrors[i].machine = std::make_unique<machine::PscpMachine>(image_);
+      mirrors[i].machine->setObsOptions({&observer});
+      rng[i] = 0xD1B54A32D192ED03ull * (i + 1);
+    }
+
+    const auto expectSame = [&](size_t i) {
+      const InstanceSnapshot got = fleet.snapshot(ids[i]);
+      const InstanceSnapshot& want = mirrors[i].counts;
+      const machine::PscpMachine& m = *mirrors[i].machine;
+      EXPECT_EQ(fleet.portWrites(ids[i]), m.portWrites())
+          << "instance " << i << " at " << workers << " workers";
+      EXPECT_EQ(counters(got), counters(want)) << "instance " << i;  // 0 dropped
+      EXPECT_EQ(got.activeStates, m.activeNames()) << "instance " << i;
+    };
+
+    int64_t eventFreeFirings = 0;
+    int64_t quiescent = 0;
+    std::vector<int> events;
+    machine::CycleStats stats;
+    for (int epoch = 0; epoch < kEpochs; ++epoch) {
+      if (epoch == 8) {
+        for (size_t i = 1; i < kInstances; i += 4) {
+          expectSame(i);
+          fleet.retire(ids[i]);
+          mirrors[i].machine.reset();
+        }
+      }
+      for (size_t i = 0; i < kInstances; ++i) {
+        if (mirrors[i].machine == nullptr) continue;
+        machine::PscpMachine& m = *mirrors[i].machine;
+        uint64_t& s = rng[i];
+        s = s * 6364136223846793005ull + 1442695040888963407ull;
+        const uint32_t roll = static_cast<uint32_t>(s >> 33) % 100;
+        if (roll % 3 == 0) {  // a direct CR write, between epochs
+          const bool armed = (s >> 20) % 2 == 0;
+          fleet.machine(ids[i]).setCondition("ARMED", armed);
+          m.setCondition("ARMED", armed);
+        }
+        const uint32_t sense = static_cast<uint32_t>((s >> 16) & 3);
+        fleet.machine(ids[i]).setInputPort("Sense", sense);
+        m.setInputPort("Sense", sense);
+        events.clear();
+        if (roll < 20) {
+          events.push_back(go);
+        } else if (roll < 45) {
+          events.push_back(tick);
+          if (roll % 2 == 0) events.push_back(tick);  // queued duplicate
+        } else if (roll < 55) {
+          events.push_back(stop);
+        }
+        for (const int e : events) ASSERT_TRUE(fleet.inject(ids[i], e));
+        mirrors[i].counts.eventsDelivered += static_cast<int64_t>(events.size());
+        for (int c = 0; c < kCycles; ++c) {
+          m.configurationCycleIds(c == 0 ? events : std::vector<int>{}, &stats);
+          InstanceSnapshot& counts = mirrors[i].counts;
+          counts.machineCycles += stats.cycles;
+          counts.configCycles += 1;
+          counts.quiescentCycles += stats.quiescent ? 1 : 0;
+          counts.firedTransitions += static_cast<int64_t>(stats.fired.size());
+          counts.busStallCycles += stats.busStallCycles;
+          quiescent += stats.quiescent ? 1 : 0;
+          if ((c > 0 || events.empty()) && !stats.fired.empty()) ++eventFreeFirings;
+        }
+      }
+      fleet.step(kCycles);
+    }
+    for (size_t i = 0; i < kInstances; ++i)
+      if (mirrors[i].machine != nullptr) expectSame(i);
+    EXPECT_EQ(fleet.liveCount(), kInstances - 9);
+    // The script must reach both sides of the memo: idle cycles it
+    // answers, and event-free firings a CR write made possible.
+    EXPECT_GT(quiescent, static_cast<int64_t>(kInstances * kEpochs));
+    EXPECT_GT(eventFreeFirings, static_cast<int64_t>(kInstances));
+  }
 }
 
 TEST_F(FleetTest, StealingFleetMatchesSingleThreadWithSkewedShards) {

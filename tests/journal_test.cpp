@@ -10,7 +10,10 @@
 
 #include "fleet/fleet.hpp"
 #include "obs/journal/journal.hpp"
+#include "obs/journal/replay.hpp"
+#include "pscp/machine.hpp"
 #include "support/bits.hpp"
+#include "support/diag.hpp"
 #include "support/json.hpp"
 #include "workloads/smd_fleet.hpp"
 
@@ -26,8 +29,6 @@ Journal makeSampleJournal() {
   j.setImageHash(0x1234'5678'9abc'def0ull);
   j.setEventQueueCapacity(256);
   j.setRecordedWorkers(4);
-  j.setRecordedSoa(false);
-  j.setSimdLevel("avx2");
 
   j.recordSpawn(0);
   j.recordSpawn(1);
@@ -54,8 +55,6 @@ void expectJournalsEqual(const Journal& a, const Journal& b) {
   EXPECT_EQ(a.imageHash(), b.imageHash());
   EXPECT_EQ(a.eventQueueCapacity(), b.eventQueueCapacity());
   EXPECT_EQ(a.recordedWorkers(), b.recordedWorkers());
-  EXPECT_EQ(a.recordedSoa(), b.recordedSoa());
-  EXPECT_EQ(a.simdLevel(), b.simdLevel());
   EXPECT_EQ(a.spanCount(), b.spanCount());
 
   ASSERT_EQ(a.ops().size(), b.ops().size());
@@ -109,6 +108,58 @@ TEST(Journal, BinaryRoundTripPreservesEveryOpAndCheckpoint) {
   std::string error;
   ASSERT_TRUE(Journal::parseBinary(bytes, &parsed, &error)) << error;
   expectJournalsEqual(original, parsed);
+}
+
+TEST(Journal, V1JsonWithRetiredHeaderKeysParsesAndVerifies) {
+  // A v1 header may carry "recorded_soa" and "simd" (earlier builds wrote
+  // them). Such a document must parse and replay to its checkpoint. The
+  // expected CR digest comes from a standalone machine fed the same
+  // events: a warm POWER cycle, then DATA_VALID and two idle cycles.
+  const auto image = workloads::makeSmdFleetImage();
+  machine::PscpMachine mirror(image);
+  const int power = mirror.eventId("POWER");
+  const int dataValid = mirror.eventId("DATA_VALID");
+  machine::CycleStats stats;
+  mirror.configurationCycleIds({power}, &stats);
+  mirror.configurationCycleIds({dataValid}, &stats);
+  mirror.configurationCycleIds({}, &stats);
+  mirror.configurationCycleIds({}, &stats);
+  ASSERT_TRUE(mirror.isActive("Operation"));
+  const uint64_t instanceDigest = crDigest(mirror.crBits());
+  const uint64_t fleetDigest = foldInstanceDigest(kFleetDigestSeed, 0, instanceDigest);
+
+  const std::string text = strfmt(
+      R"({"schema": "pscp-journal-v1", "chart": "SmdPickupHead",
+          "image_hash": "0x%016llx", "event_queue_capacity": 256,
+          "checkpoint_interval": 1, "recorded_workers": 1,
+          "recorded_soa": true, "simd": "avx2", "span_count": 1,
+          "ops": [
+            {"op": "spawn", "id": 0},
+            {"op": "warm", "id": 0, "events": [%d]},
+            {"op": "inject", "id": 0, "event": %d, "epoch": 1, "span": 1},
+            {"op": "step", "epoch": 1, "cycles": 3},
+            {"op": "checkpoint", "epoch": 1, "digest": "0x%016llx",
+             "instances": [{"id": 0, "digest": "0x%016llx"}]}]})",
+      static_cast<unsigned long long>(imageContentHash(*image)), power, dataValid,
+      static_cast<unsigned long long>(fleetDigest),
+      static_cast<unsigned long long>(instanceDigest));
+  Journal journal;
+  std::string error;
+  ASSERT_TRUE(Journal::parse(text, &journal, &error)) << error;
+  EXPECT_EQ(journal.recordedWorkers(), 1);
+  EXPECT_EQ(journal.checkpointCount(), 1u);
+  EXPECT_EQ(journal.toJson().find("recorded_soa"), nullptr);
+  EXPECT_EQ(journal.toJson().find("simd"), nullptr);
+
+  const Replayer replayer(&journal, image);
+  for (const int workers : {1, 8}) {
+    ReplayOptions options;
+    options.workerThreads = workers;
+    const ReplayResult result = replayer.run(options);
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_TRUE(result.verified) << "workers=" << workers;
+    EXPECT_EQ(result.checkpointsChecked, 1);
+  }
 }
 
 TEST(Journal, ReadFileSniffsBinaryAgainstJson) {

@@ -2,12 +2,15 @@
 // well-formedness (the Chrome trace JSON is parsed back by a small
 // recursive-descent JSON reader, the VCD is structurally checked), and the
 // observer-effect regression — attaching a recorder must not change a
-// single cycle of the simulated machine.
+// single cycle of the simulated machine, even though it takes the machine
+// off its quiescence memo.
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "actionlang/parser.hpp"
 #include "core/system.hpp"
@@ -477,6 +480,206 @@ TEST(ObserverEffect, NullSinkOptionsAreInert) {
   const auto b = nulled.configurationCycle({"POWER"});
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(a.fired, b.fired);
+}
+
+// ----------------------------------------------------- quiescence memo
+// An unobserved machine answers an event-free cycle over an unchanged,
+// already-quiescent CR from its memo; an observed one decodes every
+// cycle. This chart's idle stretches end through every kind of CR writer:
+// Wait leaves on [ARMED] alone (setCondition) unless KICK masks it, Armed
+// leaves on [FLAG] alone (a TEP condition write-back), Spin leaves on
+// [FLAG] as soon as it is entered (a configuration update), PING is raised
+// by a TEP or directly through raiseEvent, TMR comes from a hardware
+// timer, GO and KICK from outside.
+
+const char* kMemoChart = R"chart(
+chart MemoProbe;
+event GO; event KICK; event PING; event TMR;
+condition ARMED; condition FLAG;
+port In data in width 8 address 0x20;
+port Out data out width 8 address 0x21;
+
+orstate Top {
+  contains Wait, Armed, Flagged, Spin;
+  default Wait;
+}
+basicstate Wait {
+  transition { target Armed; label "not KICK [ARMED]/Disarm()"; }
+}
+basicstate Armed {
+  transition { target Armed; label "GO/Ping()"; }
+  transition { target Armed; label "PING/SetFlag()"; }
+  transition { target Flagged; label "[FLAG]/Report()"; }
+  transition { target Armed; label "TMR/Count()"; }
+}
+basicstate Flagged {
+  transition { target Flagged; label "TMR/Count()"; }
+  transition { target Wait; label "KICK/Unflag()"; }
+  transition { target Spin; label "GO"; }
+}
+basicstate Spin {
+  transition { target Flagged; label "[FLAG]"; }
+}
+)chart";
+
+const char* kMemoActions = R"code(
+int:16 hits;
+void Disarm() { set_cond(ARMED, 0); }
+void Ping() { raise(PING); }
+void SetFlag() { set_cond(FLAG, 1); }
+void Report() { write_port(Out, read_port(In) + hits); }
+void Count() { hits = hits + 1; write_port(Out, hits); }
+void Unflag() { set_cond(FLAG, 0); }
+)code";
+
+/// Observes nothing: attaching it only takes the memo away.
+class NullObserver final : public ObsSink {};
+
+struct MemoProbe {
+  statechart::Chart chart = statechart::parseChart(kMemoChart);
+  actionlang::Program actions = actionlang::parseActionSource(kMemoActions);
+  std::shared_ptr<const machine::ChartImage> image =
+      std::make_shared<const machine::ChartImage>(chart, actions, SmdRun::arch(2));
+};
+
+/// One machine's run: every cycle's stats, in order.
+struct MemoTrace {
+  machine::PscpMachine machine;
+  std::vector<machine::CycleStats> cycles;
+
+  explicit MemoTrace(const MemoProbe& probe) : machine(probe.image) {}
+  void step(std::vector<int> events = {}) {
+    machine::CycleStats stats;
+    machine.configurationCycleIds(events, &stats);
+    cycles.push_back(std::move(stats));
+  }
+  void idle(int n) {
+    for (int i = 0; i < n; ++i) step();
+  }
+};
+
+/// Run `drive` on a bare machine and on one with a NullObserver attached,
+/// require the two to agree on every cycle and all final state, then hand
+/// the bare run to `check`.
+template <typename Drive, typename Check>
+void expectBareMatchesObserved(const MemoProbe& probe, Drive drive, Check check) {
+  MemoTrace bare(probe);
+  drive(bare);
+  MemoTrace observed(probe);
+  NullObserver observer;
+  observed.machine.setObsOptions({&observer});
+  drive(observed);
+
+  ASSERT_EQ(bare.cycles.size(), observed.cycles.size());
+  for (size_t i = 0; i < bare.cycles.size(); ++i) {
+    EXPECT_EQ(bare.cycles[i].fired, observed.cycles[i].fired) << "cycle " << i;
+    EXPECT_EQ(bare.cycles[i].cycles, observed.cycles[i].cycles) << "cycle " << i;
+    EXPECT_EQ(bare.cycles[i].busStallCycles, observed.cycles[i].busStallCycles)
+        << "cycle " << i;
+    EXPECT_EQ(bare.cycles[i].quiescent, observed.cycles[i].quiescent)
+        << "cycle " << i;
+  }
+  EXPECT_EQ(bare.machine.totalCycles(), observed.machine.totalCycles());
+  EXPECT_EQ(bare.machine.configurationCycles(),
+            observed.machine.configurationCycles());
+  EXPECT_EQ(bare.machine.activeNames(), observed.machine.activeNames());
+  EXPECT_EQ(bare.machine.portWrites(), observed.machine.portWrites());
+  EXPECT_EQ(bare.machine.conditionValue("ARMED"),
+            observed.machine.conditionValue("ARMED"));
+  EXPECT_EQ(bare.machine.conditionValue("FLAG"),
+            observed.machine.conditionValue("FLAG"));
+  EXPECT_EQ(bare.machine.globalValue("hits"), observed.machine.globalValue("hits"));
+  check(bare);
+}
+
+TEST(ObserverEffect, QuiescenceMemoMatchesObservedDecodeAtEveryInvalidation) {
+  const MemoProbe probe;
+  constexpr size_t kTimerStart = 16;
+  const auto drive = [](MemoTrace& t) {
+    machine::PscpMachine& m = t.machine;
+    t.idle(3);  // Wait, ARMED clear: quiescent, into the memo
+    m.setCondition("ARMED", true);
+    t.step({m.eventId("KICK")});  // events sampled, nothing selected
+    t.idle(3);  // [ARMED] fires with no event; Disarm writes ARMED back
+    t.step({m.eventId("GO")});  // external event; Ping raises PING
+    t.idle(4);  // PING fires SetFlag, whose write-back enables [FLAG]
+    t.step({m.eventId("GO")});  // into Spin, whose [FLAG] already holds
+    t.idle(3);
+    m.addTimer("TMR", 150);  // after idling in Flagged
+    // Idle until the timer has fired three times: it matures after idle
+    // cycles each time (a firing costs far less than the period).
+    for (int fires = 0, i = 0; fires < 3 && i < 400; ++i) {
+      t.step();
+      if (!t.cycles.back().fired.empty()) ++fires;
+    }
+    // Right after a firing, the next maturity is a period away: the
+    // twelve cycles below stay clear of it.
+    t.step({m.eventId("KICK")});
+    t.idle(6);  // Wait: nothing selected
+    m.setCondition("ARMED", true);
+    t.idle(3);  // into Armed, then into the memo
+    m.raiseEvent(m.eventId("PING"));  // raised from outside any routine
+    t.idle(2);  // PING fires SetFlag, then [FLAG] moves to Flagged
+  };
+  expectBareMatchesObserved(probe, drive, [&](const MemoTrace& bare) {
+    // The drive must really leave the memo at each point above.
+    const auto firedAt = [&](size_t i) { return bare.cycles[i].fired.size(); };
+    EXPECT_TRUE(bare.cycles[3].quiescent) << "KICK masks [ARMED]";
+    EXPECT_EQ(firedAt(4), 1u) << "setCondition must end the idle stretch";
+    EXPECT_EQ(firedAt(7), 1u) << "GO";
+    EXPECT_EQ(firedAt(8), 1u) << "TEP-raised PING";
+    EXPECT_EQ(firedAt(9), 1u) << "[FLAG] after the write-back";
+    EXPECT_EQ(firedAt(12), 1u) << "GO into Spin";
+    EXPECT_EQ(firedAt(13), 1u) << "[FLAG] right after entering Spin";
+    EXPECT_TRUE(bare.cycles[kTimerStart - 1].quiescent);
+    const size_t tail = bare.cycles.size() - 12;  // the KICK cycle
+    int64_t timerFirings = 0;
+    for (size_t i = kTimerStart; i < tail; ++i) {
+      if (firedAt(i) == 0) continue;
+      ++timerFirings;
+      EXPECT_TRUE(bare.cycles[i - 1].quiescent)
+          << "cycle " << i << ": the timer must mature after an idle cycle";
+    }
+    EXPECT_EQ(timerFirings, 3);
+    EXPECT_EQ(bare.machine.globalValue("hits"), 3);
+    EXPECT_EQ(firedAt(tail), 1u) << "KICK";
+    EXPECT_EQ(firedAt(tail + 7), 1u) << "[ARMED] after setCondition";
+    EXPECT_TRUE(bare.cycles[tail + 9].quiescent);
+    EXPECT_EQ(firedAt(tail + 10), 1u) << "a directly raised PING";
+    EXPECT_EQ(firedAt(tail + 11), 1u) << "[FLAG] after the write-back";
+    EXPECT_TRUE(bare.machine.isActive("Flagged"));
+  });
+}
+
+TEST(ObserverEffect, PortAndGlobalWritesLeaveTheMemoValid) {
+  // Input ports and globals are not part of the CR: writing them while the
+  // machine idles in the memo must not change a single cycle, and the
+  // next routine must read the new values.
+  const MemoProbe probe;
+  const auto drive = [](MemoTrace& t) {
+    machine::PscpMachine& m = t.machine;
+    m.setCondition("ARMED", true);
+    t.step();
+    t.step({m.eventId("GO")});
+    t.idle(2);  // PING, then [FLAG]: Report writes In + hits = 0
+    t.idle(3);  // Flagged: into the memo
+    m.setInputPort("In", 7);
+    m.setGlobalValue("hits", 5);
+    t.idle(3);
+    t.step({m.eventId("KICK")});
+    m.setCondition("ARMED", true);
+    t.idle(2);  // back to Armed
+    t.step({m.eventId("GO")});
+    t.idle(3);  // Report writes In + hits = 12
+  };
+  expectBareMatchesObserved(probe, drive, [](const MemoTrace& bare) {
+    for (size_t i = 4; i < 10; ++i)
+      EXPECT_TRUE(bare.cycles[i].quiescent) << "cycle " << i;
+    const std::vector<machine::PortWrite>& writes = bare.machine.portWrites();
+    ASSERT_EQ(writes.size(), 2u);
+    EXPECT_EQ(writes[0].value, 0u);
+    EXPECT_EQ(writes[1].value, 12u);
+  });
 }
 
 // ----------------------------------------------- reference-system observer

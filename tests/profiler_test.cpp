@@ -538,32 +538,34 @@ TEST(BenchCompare, HostMismatchWarnsButNeverGates) {
 }
 
 TEST(BenchCompare, HostMismatchNamesCapabilityFields) {
-  // The warning names each differing member; simd_dispatch and jit are
-  // execution capabilities, flagged as such (metrics not comparable).
+  // The warning names each differing member; jit is an execution
+  // capability, flagged as such (metrics not comparable), while governor
+  // drift is named without that flag.
   const JsonValue baseline = parseFixture(
-      R"({"host":{"cpu_model":"Xeon","simd_dispatch":"avx2","jit":"auto"},
+      R"({"host":{"cpu_model":"Xeon","governor":"performance","jit":"auto"},
           "speedup":4.0})");
   const JsonValue current = parseFixture(
-      R"({"host":{"cpu_model":"Xeon","simd_dispatch":"scalar",
+      R"({"host":{"cpu_model":"Xeon","governor":"powersave",
           "jit":"unavailable"},"speedup":4.0})");
   const BenchCompareResult r = compareBenchJson(baseline, current, {});
   EXPECT_TRUE(r.hostMismatch);
   EXPECT_EQ(r.regressions, 0);
-  bool namedSimd = false, namedJit = false, namedCpu = false;
+  bool namedJit = false, namedGovernor = false, namedCpu = false;
   for (const std::string& note : r.notes) {
-    if (note.find("simd_dispatch") != std::string::npos) {
-      namedSimd = true;
-      EXPECT_NE(note.find("execution capability"), std::string::npos) << note;
-      EXPECT_NE(note.find("avx2"), std::string::npos) << note;
-      EXPECT_NE(note.find("scalar"), std::string::npos) << note;
-    }
-    if (note.find("\"jit\"") != std::string::npos ||
-        note.find("jit baseline") != std::string::npos)
+    if (note.find("jit baseline") != std::string::npos) {
       namedJit = true;
+      EXPECT_NE(note.find("execution capability"), std::string::npos) << note;
+      EXPECT_NE(note.find("auto"), std::string::npos) << note;
+      EXPECT_NE(note.find("unavailable"), std::string::npos) << note;
+    }
+    if (note.find("governor") != std::string::npos) {
+      namedGovernor = true;
+      EXPECT_EQ(note.find("execution capability"), std::string::npos) << note;
+    }
     if (note.find("cpu_model") != std::string::npos) namedCpu = true;
   }
-  EXPECT_TRUE(namedSimd);
   EXPECT_TRUE(namedJit);
+  EXPECT_TRUE(namedGovernor);
   EXPECT_FALSE(namedCpu);  // matching members stay out of the warning
 }
 

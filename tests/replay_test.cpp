@@ -1,6 +1,6 @@
 // Replay engine tests (src/obs/journal/replay): the acceptance matrix —
-// bit-identical replay of a recorded SMD fleet across worker counts and
-// stepping modes — plus retire-mid-interval, empty journals, wrong-image
+// bit-identical replay of a recorded SMD fleet across worker counts —
+// plus retire-mid-interval, empty journals, wrong-image
 // refusal, exact-epoch bisection of a corrupted journal, and the causal
 // span tracker's Chrome-trace lowering.
 //
@@ -69,18 +69,15 @@ TEST(Replay, BitIdenticalAcrossWorkersAndSteppingModes) {
   const Recording rec = recordSmdRun(64, 12, 4);
   const Replayer replayer(rec.journal.get(), rec.image);
   for (const int workers : {1, 2, 8}) {
-    for (const bool soa : {true, false}) {
-      ReplayOptions options;
-      options.workerThreads = workers;
-      options.soaBatching = soa;
-      const ReplayResult result = replayer.run(options);
-      ASSERT_TRUE(result.ok) << result.error;
-      EXPECT_GT(result.checkpointsChecked, 0);
-      if (!result.verified) {
-        saveRepro(*rec.journal, "JOURNAL_repro_bitident.json");
-        FAIL() << "replay diverged at workers=" << workers << " soa=" << soa
-               << " checkpoint epoch " << result.firstMismatch.epoch;
-      }
+    ReplayOptions options;
+    options.workerThreads = workers;
+    const ReplayResult result = replayer.run(options);
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_GT(result.checkpointsChecked, 0);
+    if (!result.verified) {
+      saveRepro(*rec.journal, "JOURNAL_repro_bitident.json");
+      FAIL() << "replay diverged at workers=" << workers << " checkpoint epoch "
+             << result.firstMismatch.epoch;
     }
   }
 }
@@ -91,17 +88,13 @@ TEST(Replay, AllConfigurationsAgreeOnTheFinalDigest) {
   uint64_t expected = 0;
   bool first = true;
   for (const int workers : {1, 3, 8}) {
-    for (const bool soa : {true, false}) {
-      ReplayOptions options;
-      options.workerThreads = workers;
-      options.soaBatching = soa;
-      const ReplayResult result = replayer.run(options);
-      ASSERT_TRUE(result.ok) << result.error;
-      if (first) expected = result.finalDigest;
-      first = false;
-      EXPECT_EQ(result.finalDigest, expected)
-          << "workers=" << workers << " soa=" << soa;
-    }
+    ReplayOptions options;
+    options.workerThreads = workers;
+    const ReplayResult result = replayer.run(options);
+    ASSERT_TRUE(result.ok) << result.error;
+    if (first) expected = result.finalDigest;
+    first = false;
+    EXPECT_EQ(result.finalDigest, expected) << "workers=" << workers;
   }
   EXPECT_NE(expected, kFleetDigestSeed) << "16 live instances must fold in";
 }

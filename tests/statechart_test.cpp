@@ -174,6 +174,39 @@ TEST(ChartParser, Errors) {
       Error);
 }
 
+TEST(ChartParser, OutOfRangeIntegerAttributesAreLocatedErrors) {
+  // A port address or width that does not fit an int is a located parse
+  // error, never a wrapped value that trips an internal assertion at the
+  // first port write.
+  const auto errorFor = [](const std::string& port) -> std::string {
+    try {
+      (void)parseChart("chart C;\n" + port +
+                           "\nbasicstate S { transition { target S; label \"E\"; } }",
+                       "lamp.chart");
+    } catch (const Error& e) {
+      EXPECT_EQ(e.where().file, "lamp.chart");
+      EXPECT_EQ(e.where().line, 2);
+      return e.what();
+    }
+    return "";
+  };
+  const std::string address =
+      errorFor("port Lamp data out width 8 address 0x429496729630;");
+  EXPECT_NE(address.find("port address '0x429496729630' is out of range"),
+            std::string::npos)
+      << address;
+  const std::string width = errorFor("port Lamp data out width 4294967304 address 0x10;");
+  EXPECT_NE(width.find("port width '4294967304' is out of range"), std::string::npos)
+      << width;
+  EXPECT_EQ(address.find("internal assertion"), std::string::npos);
+
+  // The largest int is still a legal literal.
+  const Chart c = parseChart(
+      "port Lamp data out width 8 address 0x7fffffff;\n"
+      "basicstate S { transition { target S; label \"E\"; } }");
+  EXPECT_EQ(c.ports().at("Lamp").address, 0x7fffffff);
+}
+
 // ------------------------------------------------------------- hierarchy
 
 TEST(ChartHierarchy, LcaAndOrthogonality) {

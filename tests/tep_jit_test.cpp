@@ -13,7 +13,7 @@
 //      and timestamps) and active states must match on every cycle.
 //   3. Fleet/journal level — a journal recorded under the interpreter
 //      must verify (CR digest checkpoints) when replayed with the native
-//      tier forced on, at 1 and 8 workers, SoA batching on and off.
+//      tier forced on, at 1 and 8 workers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -752,10 +752,9 @@ TEST(TepJitFleet, FleetJitMatchesInterpAcrossWorkersAndSoa) {
   constexpr size_t kInstances = 12;
   constexpr int kEpochs = 20;
 
-  auto runFleet = [&](jit::JitMode mode, int workers, bool soa) {
+  auto runFleet = [&](jit::JitMode mode, int workers) {
     fleet::FleetConfig config;
     config.workerThreads = workers;
-    config.soaBatching = soa;
     config.jitMode = mode;
     config.jitThreshold = 4;
     fleet::Fleet fleet(image, config);
@@ -772,19 +771,17 @@ TEST(TepJitFleet, FleetJitMatchesInterpAcrossWorkersAndSoa) {
     return snaps;
   };
 
-  const auto reference = runFleet(jit::JitMode::kOff, 1, false);
+  const auto reference = runFleet(jit::JitMode::kOff, 1);
   for (const int workers : {1, 8}) {
-    for (const bool soa : {false, true}) {
-      const auto got = runFleet(jit::JitMode::kAlways, workers, soa);
-      ASSERT_EQ(got.size(), reference.size());
-      for (size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].machineCycles, reference[i].machineCycles)
-            << "instance " << i << " workers=" << workers << " soa=" << soa;
-        EXPECT_EQ(got[i].configCycles, reference[i].configCycles) << i;
-        EXPECT_EQ(got[i].firedTransitions, reference[i].firedTransitions) << i;
-        EXPECT_EQ(got[i].quiescentCycles, reference[i].quiescentCycles) << i;
-        EXPECT_EQ(got[i].activeStates, reference[i].activeStates) << i;
-      }
+    const auto got = runFleet(jit::JitMode::kAlways, workers);
+    ASSERT_EQ(got.size(), reference.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].machineCycles, reference[i].machineCycles)
+          << "instance " << i << " workers=" << workers;
+      EXPECT_EQ(got[i].configCycles, reference[i].configCycles) << i;
+      EXPECT_EQ(got[i].firedTransitions, reference[i].firedTransitions) << i;
+      EXPECT_EQ(got[i].quiescentCycles, reference[i].quiescentCycles) << i;
+      EXPECT_EQ(got[i].activeStates, reference[i].activeStates) << i;
     }
   }
 }
@@ -811,7 +808,7 @@ TEST(TepJitFleet, TierMetricsSurfaceInMergedMetrics) {
 TEST(TepJitJournal, InterpreterRecordingVerifiesUnderJit) {
   // Record the SMD duty cycle under the interpreter, then verify the CR
   // digest checkpoints replaying with the native tier forced on — across
-  // worker counts and batching modes (the PR-8 acceptance matrix).
+  // worker counts.
   const auto image = workloads::makeSmdFleetImage(/*numTeps=*/1);
   fleet::FleetConfig config;
   config.journal = true;
@@ -834,19 +831,16 @@ TEST(TepJitJournal, InterpreterRecordingVerifiesUnderJit) {
 
   const obs::journal::Replayer replayer(&journal, image);
   for (const int workers : {1, 8}) {
-    for (const bool soa : {false, true}) {
-      obs::journal::ReplayOptions options;
-      options.workerThreads = workers;
-      options.soaBatching = soa;
-      options.jitMode = jit::JitMode::kAlways;
-      options.jitThreshold = 1;
-      const obs::journal::ReplayResult result = replayer.run(options);
-      ASSERT_TRUE(result.ok) << result.error;
-      EXPECT_TRUE(result.verified)
-          << "workers=" << workers << " soa=" << soa << " first mismatch at epoch "
-          << result.firstMismatch.epoch;
-      EXPECT_GT(result.checkpointsChecked, 0);
-    }
+    obs::journal::ReplayOptions options;
+    options.workerThreads = workers;
+    options.jitMode = jit::JitMode::kAlways;
+    options.jitThreshold = 1;
+    const obs::journal::ReplayResult result = replayer.run(options);
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_TRUE(result.verified)
+        << "workers=" << workers << " first mismatch at epoch "
+        << result.firstMismatch.epoch;
+    EXPECT_GT(result.checkpointsChecked, 0);
   }
 }
 

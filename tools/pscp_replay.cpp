@@ -2,25 +2,22 @@
 //
 //   pscp_replay record --out J.json [--instances N] [--threads N]
 //                      [--epochs N] [--cycles N] [--checkpoint-interval N]
-//                      [--no-soa] [--binary] [--faulty-epoch E]
+//                      [--binary] [--faulty-epoch E]
 //       Run the SMD pickup-head fleet workload with the journal armed and
 //       write the log. --faulty-epoch deliberately corrupts the journal's
 //       inject record for that epoch before writing (bisect demo fodder).
 //
-//   pscp_replay replay J [--threads N] [--no-soa] [--batch-width N]
-//                        [--jit MODE]
+//   pscp_replay replay J [--threads N] [--jit MODE]
 //       Re-execute the journal at the given configuration and print the
 //       final fleet digest. Checkpoints are verified along the way.
 //
-//   pscp_replay verify J [--threads N] [--no-soa] [--batch-width N]
-//                        [--jit MODE]
+//   pscp_replay verify J [--threads N] [--jit MODE]
 //       Like replay, but the exit status is the verdict: 0 iff every
 //       recorded checkpoint matched bit-for-bit. --jit always against a
 //       journal recorded under the interpreter is the native-tier
 //       bit-identity proof.
 //
-//   pscp_replay bisect J [--threads N] [--no-soa] [--batch-width N]
-//                        [--jit MODE]
+//   pscp_replay bisect J [--threads N] [--jit MODE]
 //       Locate the first divergent epoch of the given configuration
 //       against the journal, print both CR states decoded and the causal
 //       event spans in the divergence window.
@@ -50,7 +47,6 @@
 #include "obs/tee.hpp"
 #include "statechart/parser.hpp"
 #include "support/diag.hpp"
-#include "support/simd.hpp"
 #include "tep/jit/tier.hpp"
 #include "workloads/smd_fleet.hpp"
 
@@ -70,8 +66,6 @@ struct Options {
   int epochs = 64;
   int cycles = 4;
   int64_t checkpointInterval = 16;
-  bool soa = true;
-  int batchWidth = 0;
   tep::jit::JitMode jitMode = tep::jit::jitModeFromEnv();
   bool binary = false;
   int64_t traceInstance = -1;
@@ -82,14 +76,14 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s record --out PATH [--instances N] [--threads N] [--epochs N]\n"
-      "          [--cycles N] [--checkpoint-interval N] [--no-soa] [--binary]\n"
+      "          [--cycles N] [--checkpoint-interval N] [--binary]\n"
       "          [--faulty-epoch E]\n"
-      "       %s replay JOURNAL [--threads N] [--no-soa] [--batch-width N]\n"
-      "          [--jit off|auto|always] [--chart FILE [--actions FILE]]\n"
-      "       %s verify JOURNAL [--threads N] [--no-soa] [--batch-width N]\n"
-      "          [--jit off|auto|always] [--chart FILE [--actions FILE]]\n"
-      "       %s bisect JOURNAL [--threads N] [--no-soa] [--batch-width N]\n"
-      "          [--jit off|auto|always] [--chart FILE [--actions FILE]]\n"
+      "       %s replay JOURNAL [--threads N] [--jit off|auto|always]\n"
+      "          [--chart FILE [--actions FILE]]\n"
+      "       %s verify JOURNAL [--threads N] [--jit off|auto|always]\n"
+      "          [--chart FILE [--actions FILE]]\n"
+      "       %s bisect JOURNAL [--threads N] [--jit off|auto|always]\n"
+      "          [--chart FILE [--actions FILE]]\n"
       "       %s trace JOURNAL --instance ID --out PATH\n",
       argv0, argv0, argv0, argv0, argv0);
   return 2;
@@ -104,9 +98,7 @@ bool parseOptions(int argc, char** argv, Options* opt) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     const char* v = nullptr;
-    if (arg == "--no-soa") {
-      opt->soa = false;
-    } else if (arg == "--binary") {
+    if (arg == "--binary") {
       opt->binary = true;
     } else if (arg == "--out" && (v = next())) {
       opt->outPath = v;
@@ -120,8 +112,6 @@ bool parseOptions(int argc, char** argv, Options* opt) {
       opt->cycles = std::atoi(v);
     } else if (arg == "--checkpoint-interval" && (v = next())) {
       opt->checkpointInterval = std::atoll(v);
-    } else if (arg == "--batch-width" && (v = next())) {
-      opt->batchWidth = std::atoi(v);
     } else if (arg == "--jit" && (v = next())) {
       if (!tep::jit::parseJitMode(v, &opt->jitMode)) {
         std::fprintf(stderr, "bad --jit mode: %s (off|auto|always)\n", v);
@@ -153,7 +143,6 @@ int runRecord(const Options& opt) {
   auto image = workloads::makeSmdFleetImage();
   fleet::FleetConfig config;
   config.workerThreads = opt.threads;
-  config.soaBatching = opt.soa;
   config.journal = true;
   config.journalConfig.checkpointInterval = opt.checkpointInterval;
   fleet::Fleet fleet(image, config);
@@ -213,13 +202,11 @@ int runRecord(const Options& opt) {
   }
   std::printf(
       "recorded %zu instances x %d epochs (%d cycles each) to %s\n"
-      "  ops %zu, spans %llu, checkpoints %zu, simd %s, workers %d, soa %s\n",
+      "  ops %zu, spans %llu, checkpoints %zu, workers %d\n",
       opt.instances, opt.epochs, opt.cycles, opt.outPath.c_str(),
       fleet.journal()->ops().size(),
       static_cast<unsigned long long>(fleet.journal()->spanCount()),
-      fleet.journal()->checkpointCount(), fleet.journal()->simdLevel().c_str(),
-      fleet.journal()->recordedWorkers(),
-      fleet.journal()->recordedSoa() ? "on" : "off");
+      fleet.journal()->checkpointCount(), fleet.journal()->recordedWorkers());
   return 0;
 }
 
@@ -291,8 +278,6 @@ bool loadJournal(const Options& opt, Journal* journal) {
 ReplayOptions targetOptions(const Options& opt) {
   ReplayOptions options;
   options.workerThreads = opt.threads;
-  options.soaBatching = opt.soa;
-  options.batchWidth = opt.batchWidth;
   options.jitMode = opt.jitMode;
   return options;
 }
@@ -316,14 +301,8 @@ int runReplayOrVerify(const Options& opt) {
               static_cast<long long>(result.finalEpoch),
               static_cast<unsigned long long>(result.finalDigest));
   if (result.verified) {
-    // The replaying process's dispatch level, not the recorded one — a
-    // scalar-pinned verify of an avx2 recording is exactly the cross-SIMD
-    // bit-identity proof, so say which kernels actually ran.
-    std::printf("verdict: bit-identical (threads %d, soa %s, jit %s, simd %s "
-                "vs recorded %s)\n",
-                opt.threads, opt.soa ? "on" : "off",
-                tep::jit::jitModeName(opt.jitMode),
-                simdLevelName(activeSimdLevel()), journal.simdLevel().c_str());
+    std::printf("verdict: bit-identical (threads %d, jit %s)\n", opt.threads,
+                tep::jit::jitModeName(opt.jitMode));
     return 0;
   }
   const CheckpointMismatch& m = result.firstMismatch;
