@@ -90,9 +90,10 @@ void BM_TepSimulatorThroughput(benchmark::State& state) {
   arch.dataWidth = 16;
   arch.registerFileSize = 4;
   tep::AsmProgram program = tep::assemble(kLoop);
+  const tep::MicroTable micro(program, arch);
   tep::SimpleHost host;
   tep::Tep tep(arch, host);
-  tep.setProgram(&program);
+  tep.setProgram(&program, &micro);
   int64_t cycles = 0;
   for (auto _ : state) {
     const auto r = tep.run("main");

@@ -148,7 +148,6 @@ double runJitArm(const fleet::Fleet::ChartImagePtr& image, size_t instances,
   fleet::FleetConfig config;
   config.workerThreads = 1;
   config.jitMode = mode;
-  config.jitThreshold = 1;
   fleet::Fleet fleet(image, config);
   const workloads::SmdPulseIds pulses = workloads::resolveSmdPulseIds(fleet);
   if (!workloads::warmUpSmdFleet(fleet, instances, pulses)) {

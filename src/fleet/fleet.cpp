@@ -15,12 +15,6 @@ namespace {
 // Static empty event list for every non-first cycle of an epoch, so the
 // per-cycle call passes a reference without building a vector.
 const std::vector<int> kNoEvents;
-
-// Bucket bounds for the per-instance machine-cycles-per-epoch histogram;
-// shared by every worker registry so mergedMetrics() can fold them.
-std::vector<int64_t> epochCycleBounds() {
-  return {4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384};
-}
 }  // namespace
 
 // ------------------------------------------------------- internal structs
@@ -70,7 +64,6 @@ struct Fleet::WorkerLocal {
   int64_t eventsDelivered = 0;
   int64_t stealChunks = 0;
   int64_t instancesStepped = 0;
-  obs::Histogram* cyclesPerEpoch = nullptr;
 
   // Telemetry (ring == nullptr when the plane is disarmed: the hot loop's
   // single predictable check).
@@ -93,7 +86,6 @@ struct Fleet::WorkerMetricRefs {
   int64_t* eventsDelivered = nullptr;
   int64_t* stealChunks = nullptr;
   int64_t* epochTasks = nullptr;
-  obs::Histogram* cyclesPerEpoch = nullptr;
 };
 
 /// One cacheline-aligned block of health atomics per worker. Only the
@@ -155,8 +147,6 @@ Fleet::Fleet(ChartImagePtr image, FleetConfig config)
     refs.eventsDelivered = &reg.counter("fleet.events_delivered");
     refs.stealChunks = &reg.counter("fleet.steal_chunks");
     refs.epochTasks = &reg.counter("fleet.epoch_tasks");
-    refs.cyclesPerEpoch =
-        &reg.histogram("fleet.instance_cycles_per_epoch", epochCycleBounds());
   }
   if (config_.telemetry) {
     if (config_.flightRecordsPerShard < 1) config_.flightRecordsPerShard = 1;
@@ -198,7 +188,6 @@ InstanceId Fleet::spawn() {
   instances_.push_back(
       std::make_unique<Instance>(image_, id, config_.eventQueueCapacity));
   instances_.back()->machine.setJitMode(config_.jitMode);
-  instances_.back()->machine.setJitThreshold(config_.jitThreshold);
   liveCount_.fetch_add(1, std::memory_order_relaxed);
   shardsDirty_ = true;
   if (journal_ != nullptr) journal_->recordSpawn(static_cast<int64_t>(id));
@@ -309,7 +298,6 @@ void Fleet::stepInstance(Instance& inst, int cycles, WorkerLocal& local) {
   local.machineCycles += epochMachineCycles;
   local.configCycles += cycles;
   local.instancesStepped += 1;
-  local.cyclesPerEpoch->record(epochMachineCycles);
 
   if (local.ring != nullptr) {  // telemetry armed: the one extra branch
     if (drainedCount > local.queueDepthHwm) local.queueDepthHwm = drainedCount;
@@ -341,7 +329,6 @@ void Fleet::stepInstance(Instance& inst, int cycles, WorkerLocal& local) {
 void Fleet::runWorkerEpoch(size_t worker, int cycles, int64_t epoch) {
   const WorkerMetricRefs& refs = workerMetricRefs_[worker];
   WorkerLocal local;
-  local.cyclesPerEpoch = refs.cyclesPerEpoch;
 
   const bool armed = flight_ != nullptr;
   int64_t epochStart = 0;

@@ -102,8 +102,6 @@ struct FleetConfig {
   /// (tests/tep_jit_test.cpp diffs the two across worker counts), so this
   /// is purely a perf knob.
   tep::jit::JitMode jitMode = tep::jit::jitModeFromEnv();
-  /// Routine executions before jitMode == kAuto promotes a routine.
-  int64_t jitThreshold = tep::jit::kDefaultJitThreshold;
 
   /// Arm the telemetry plane: per-shard flight-recorder rings plus live
   /// health counters (see header comment). Off by default — a disarmed
@@ -202,8 +200,7 @@ class Fleet {
   /// Fold the per-worker metric registries into one report: counters
   /// fleet.config_cycles, fleet.machine_cycles, fleet.quiescent_cycles,
   /// fleet.fired_transitions, fleet.bus_stall_cycles,
-  /// fleet.events_delivered, fleet.steal_chunks, fleet.epoch_tasks, plus
-  /// the fleet.instance_cycles_per_epoch histogram.
+  /// fleet.events_delivered, fleet.steal_chunks, fleet.epoch_tasks.
   [[nodiscard]] obs::MetricsRegistry mergedMetrics() const;
 
   /// Native-tier residency of the shared chart image (routine counts,

@@ -67,7 +67,6 @@ ReplayResult Replayer::run(const ReplayOptions& options) const {
   FleetConfig config;
   config.workerThreads = options.workerThreads;
   config.jitMode = options.jitMode;
-  config.jitThreshold = options.jitThreshold;
   config.eventQueueCapacity =
       std::max<size_t>(static_cast<size_t>(journal_->eventQueueCapacity()),
                        maxInjectBurst_ + 1);
@@ -203,6 +202,12 @@ ReplayResult Replayer::run(const ReplayOptions& options) const {
         break;
       }
       case OpKind::kSetPort:
+        if (image_->portSlot(op.a) < 0) {
+          result.error = strfmt("port op %zu sets undeclared port address %lld",
+                                static_cast<size_t>(&op - journal_->ops().data()),
+                                static_cast<long long>(op.a));
+          return result;
+        }
         fleet.setInputPort(static_cast<InstanceId>(op.instance),
                            static_cast<int>(op.a),
                            static_cast<uint32_t>(op.b));

@@ -50,7 +50,6 @@ struct ReplayOptions {
   /// differential tests replay interpreter recordings with the native tier
   /// forced on.
   tep::jit::JitMode jitMode = tep::jit::jitModeFromEnv();
-  int64_t jitThreshold = tep::jit::kDefaultJitThreshold;
   /// Compare every checkpoint encountered; stop at the first mismatch.
   bool verifyCheckpoints = true;
   /// Replay only ops up to (and including) this epoch; -1 = the whole

@@ -4,30 +4,12 @@
 #include <cstdio>
 
 #include "support/diag.hpp"
+#include "support/json.hpp"
 #include "support/text.hpp"
 
 namespace pscp::obs {
 
 namespace {
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20)
-          out += strfmt("\\u%04x", static_cast<unsigned>(c));
-        else
-          out += c;
-    }
-  }
-  return out;
-}
 
 std::string nameOf(const std::vector<std::string>& names, size_t index,
                    const char* prefix) {

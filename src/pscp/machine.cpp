@@ -22,8 +22,12 @@ ChartImage::ChartImage(const statechart::Chart& chart,
       layout_(chart),
       sla_(chart, layout_),
       binding_(sla::makeBinding(chart, layout_)),
-      app_(compiler::Compiler(actions, binding_, arch_, options).compile(chart)) {
+      app_(compiler::Compiler(actions, binding_, arch_, options).compile(chart)),
+      micro_(app_.program, arch_) {
   arch_.validate();
+  std::set<int> addresses;
+  for (const auto& [name, port] : chart.ports()) addresses.insert(port.address);
+  portAddresses_.assign(addresses.begin(), addresses.end());
 
   // Precompute the structural data resolveConflicts and the configuration
   // update need per transition, as packed bitsets over StateIds. The
@@ -62,6 +66,13 @@ ChartImage::ChartImage(const statechart::Chart& chart,
       &app_.program, &arch_, static_cast<int>(transitionCount));
 }
 
+int ChartImage::portSlot(int64_t address) const {
+  const auto it =
+      std::lower_bound(portAddresses_.begin(), portAddresses_.end(), address);
+  if (it == portAddresses_.end() || *it != address) return -1;
+  return static_cast<int>(it - portAddresses_.begin());
+}
+
 // ------------------------------------------------------------- PscpMachine
 
 PscpMachine::PscpMachine(std::shared_ptr<const ChartImage> image)
@@ -70,7 +81,8 @@ PscpMachine::PscpMachine(std::shared_ptr<const ChartImage> image)
       arch_(image_->arch_),
       layout_(image_->layout_),
       sla_(image_->sla_),
-      externalMem_(tep::kExternalSize, 0) {
+      externalMem_(tep::kExternalSize, 0),
+      ports_(image_->portAddresses_.size(), 0) {
   internalBanks_.assign(static_cast<size_t>(arch_.numTeps),
                         std::vector<uint8_t>(tep::kExternalBase, 0));
   regBanks_.assign(static_cast<size_t>(arch_.numTeps), std::vector<uint32_t>(16, 0));
@@ -87,7 +99,7 @@ PscpMachine::PscpMachine(std::shared_ptr<const ChartImage> image)
   image_->app_.loadImage(*this);
   for (int i = 0; i < arch_.numTeps; ++i) {
     teps_.push_back(std::make_unique<tep::Tep>(arch_, *this, i));
-    teps_.back()->setProgram(&image_->app_.program);
+    teps_.back()->setProgram(&image_->app_.program, &image_->micro_);
     condCache_.emplace_back(static_cast<size_t>(layout_.conditionCount()), 0);
     condDirty_.emplace_back(layout_.conditionCount());
   }
@@ -220,17 +232,18 @@ void PscpMachine::writeReg(int index, uint32_t value) {
   for (auto& bank : regBanks_) bank[static_cast<size_t>(index)] = value;  // loader
 }
 
+size_t PscpMachine::declaredPortSlot(int address, const char* access) const {
+  const int slot = image_->portSlot(address);
+  if (slot < 0) fail("PSCP: %s undeclared port address %d", access, address);
+  return static_cast<size_t>(slot);
+}
+
 uint32_t PscpMachine::readPort(int address) {
-  PSCP_ASSERT(address >= 0);
-  if (address >= static_cast<int>(ports_.size())) return 0;
-  return ports_[static_cast<size_t>(address)];
+  return ports_[declaredPortSlot(address, "TEP read of")];
 }
 
 void PscpMachine::writePort(int address, uint32_t value) {
-  PSCP_ASSERT(address >= 0);
-  if (address >= static_cast<int>(ports_.size()))
-    ports_.resize(static_cast<size_t>(address) + 1, 0);
-  ports_[static_cast<size_t>(address)] = value;
+  ports_[declaredPortSlot(address, "TEP write to")] = value;
   const int64_t cycleIndex = configCycles_ > 0 ? configCycles_ - 1 : 0;
   const statechart::TransitionId running =
       (currentTep_ >= 0 && currentTep_ < static_cast<int>(runningScratch_.size()))
@@ -327,10 +340,7 @@ void PscpMachine::setInputPort(const std::string& portName, uint32_t value) {
 }
 
 void PscpMachine::setInputPort(int portAddress, uint32_t value) {
-  PSCP_ASSERT(portAddress >= 0);
-  if (portAddress >= static_cast<int>(ports_.size()))
-    ports_.resize(static_cast<size_t>(portAddress) + 1, 0);
-  ports_[static_cast<size_t>(portAddress)] = value;
+  ports_[declaredPortSlot(portAddress, "setInputPort to")] = value;
 }
 
 uint32_t PscpMachine::outputPort(const std::string& portName) const {
@@ -338,8 +348,8 @@ uint32_t PscpMachine::outputPort(const std::string& portName) const {
 }
 
 uint32_t PscpMachine::outputPort(int portAddress) const {
-  if (portAddress < 0 || portAddress >= static_cast<int>(ports_.size())) return 0;
-  return ports_[static_cast<size_t>(portAddress)];
+  const int slot = image_->portSlot(portAddress);
+  return slot < 0 ? 0 : ports_[static_cast<size_t>(slot)];
 }
 
 int64_t PscpMachine::globalValue(const std::string& name) const {
@@ -681,7 +691,7 @@ int64_t PscpMachine::runTatSerial(const std::vector<TransitionId>& chosen,
     cycles += kDispatchCyclesPerTransition;
     const int entry = image_->routineEntry_[static_cast<size_t>(t)];
     runningScratch_[0] = t;
-    const jit::CompiledFn fn = tier.dispatch(t, entry, jitMode_, jitThreshold_);
+    const jit::CompiledFn fn = tier.dispatch(t, entry, jitMode_);
     currentTep_ = 0;
     if (fn != nullptr) {
       jit::JitEnv env;

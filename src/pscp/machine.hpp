@@ -34,10 +34,11 @@
 //
 // Multi-instance organisation: everything a machine needs that depends
 // only on the chart — the CR layout, the synthesized SLA, the compiled
-// program, the per-transition exit/enter bitsets — lives in a ChartImage,
-// an immutable compile product that any number of machines share via
-// shared_ptr. A fleet spawns its Nth instance by allocating mutable state
-// only (memories, register banks, TEP cores); the compiler and SLA
+// program and its microprogram table, the port map, the per-transition
+// exit/enter bitsets — lives in a ChartImage, an immutable compile product
+// that any number of machines share via shared_ptr. A fleet spawns its Nth
+// instance by allocating mutable state only (memories, register banks,
+// port values, TEP cores); the compiler, the microcode decoder and SLA
 // synthesis run once per chart, not once per instance. Steady-state
 // stepping through configurationCycleIds(events, &stats) is allocation-
 // free: every per-cycle temporary is a member scratch buffer, so thousands
@@ -94,12 +95,13 @@ struct CycleStats {
 };
 
 /// The immutable per-chart compile product: CR layout, synthesized SLA,
-/// hardware binding, compiled TEP program, and the per-transition
-/// structural data (exit/enter bitsets, scope depths, interned exclusion
-/// groups, routine entry points) the scheduler needs each cycle. Build it
-/// once and hand the same shared_ptr to every PscpMachine over the chart —
-/// construction cost (SLA synthesis + compilation) is paid once per chart,
-/// and the image is safe to read from any number of threads concurrently.
+/// hardware binding, compiled TEP program and its predecoded microprogram
+/// table, the port map, and the per-transition structural data (exit/enter
+/// bitsets, scope depths, interned exclusion groups, routine entry points)
+/// the scheduler needs each cycle. Build it once and hand the same
+/// shared_ptr to every PscpMachine over the chart — construction cost (SLA
+/// synthesis + compilation) is paid once per chart, and the image is safe
+/// to read from any number of threads concurrently.
 /// The chart and actions must outlive the image.
 class ChartImage {
  public:
@@ -113,6 +115,12 @@ class ChartImage {
   [[nodiscard]] const sla::Sla& sla() const { return sla_; }
   [[nodiscard]] const compiler::HardwareBinding& binding() const { return binding_; }
   [[nodiscard]] const compiler::CompiledApp& app() const { return app_; }
+  [[nodiscard]] const tep::MicroTable& microTable() const { return micro_; }
+  /// The port map: declared bus addresses, sorted and unique. A machine
+  /// keeps one port value per entry.
+  [[nodiscard]] const std::vector<int>& portAddresses() const { return portAddresses_; }
+  /// Index of `address` in portAddresses(), or -1 when none is declared.
+  [[nodiscard]] int portSlot(int64_t address) const;
 
   /// The native-tier compile cache for this image's routines. Like the
   /// image it is shared by every instance over the chart: each routine is
@@ -138,6 +146,8 @@ class ChartImage {
   sla::Sla sla_;
   compiler::HardwareBinding binding_;
   compiler::CompiledApp app_;
+  tep::MicroTable micro_;
+  std::vector<int> portAddresses_;
 
   // Precomputed per transition (the scheduler's per-cycle work reads these
   // flat arrays and never recomputes structure).
@@ -194,9 +204,6 @@ class PscpMachine : public tep::TepHost {
   /// Override the process-wide PSCP_JIT mode for this instance.
   void setJitMode(tep::jit::JitMode mode) { jitMode_ = mode; }
   [[nodiscard]] tep::jit::JitMode jitMode() const { return jitMode_; }
-  /// Routine executions before kAuto promotes a routine to native code.
-  void setJitThreshold(int64_t threshold) { jitThreshold_ = threshold; }
-  [[nodiscard]] int64_t jitThreshold() const { return jitThreshold_; }
   /// Routine dispatches this instance ran natively / on the interpreter.
   [[nodiscard]] int64_t jitNativeRuns() const { return jitNativeRuns_; }
   [[nodiscard]] int64_t jitInterpRuns() const { return jitInterpRuns_; }
@@ -232,7 +239,8 @@ class PscpMachine : public tep::TepHost {
   [[nodiscard]] int portId(const std::string& portName) const;
 
   /// Environment-facing ports (by chart port name, or — fast path — by the
-  /// interned bus address from portId()).
+  /// interned bus address from portId()). Setting an address no port is
+  /// declared at throws; reading one returns 0.
   void setInputPort(const std::string& portName, uint32_t value);
   void setInputPort(int portAddress, uint32_t value);
   [[nodiscard]] uint32_t outputPort(const std::string& portName) const;
@@ -297,6 +305,8 @@ class PscpMachine : public tep::TepHost {
   void setCrCondition(int index, bool value);
   /// Some hardware timer has matured: the next cycle samples its event.
   [[nodiscard]] bool timerDue() const;
+  /// ports_ index of `address`; an undeclared one is a runtime error.
+  [[nodiscard]] size_t declaredPortSlot(int address, const char* access) const;
   /// Conflict resolution over `selectScratch_` into `chosenScratch_`
   /// (identical policy to statechart::Interpreter::step), allocation-free.
   void resolveConflicts();
@@ -363,7 +373,7 @@ class PscpMachine : public tep::TepHost {
   /// Register files are per TEP too ("units with or without associated
   /// register files"): the compiler's register windows hold call frames.
   std::vector<std::vector<uint32_t>> regBanks_;
-  std::vector<uint32_t> ports_;  ///< flat by bus address, grown on demand
+  std::vector<uint32_t> ports_;  ///< one per image port-map entry
   std::vector<PortWrite> portWrites_;
 
   // TEP cores and their condition caches: flat byte arrays (index = CR
@@ -383,9 +393,8 @@ class PscpMachine : public tep::TepHost {
   int64_t totalBusStalls_ = 0;
   int64_t configCycles_ = 0;
 
-  // Tiered execution knobs and per-instance tier counters.
+  // Tiered execution mode and per-instance tier counters.
   tep::jit::JitMode jitMode_ = tep::jit::jitModeFromEnv();
-  int64_t jitThreshold_ = tep::jit::kDefaultJitThreshold;
   int64_t jitNativeRuns_ = 0;
   int64_t jitInterpRuns_ = 0;
 

@@ -58,8 +58,7 @@ TierCache::TierCache(const AsmProgram* program, const hwlib::ArchConfig* config,
   if (count_ > 0) slots_ = std::make_unique<Slot[]>(static_cast<size_t>(count_));
 }
 
-CompiledFn TierCache::dispatch(int transition, int entry, JitMode mode,
-                               int64_t threshold) {
+CompiledFn TierCache::dispatch(int transition, int entry, JitMode mode) {
   if (mode == JitMode::kOff || !jitBackendAvailable()) return nullptr;
   if (transition < 0 || transition >= count_) return nullptr;
   Slot& slot = slots_[transition];
@@ -74,7 +73,7 @@ CompiledFn TierCache::dispatch(int transition, int entry, JitMode mode,
     case RoutineState::kNotCompiled:
       break;
   }
-  if (mode == JitMode::kAuto && execs < threshold) return nullptr;
+  if (mode == JitMode::kAuto && execs < kDefaultJitThreshold) return nullptr;
   if (compileSlot(slot, entry, nullptr)) {
     return slot.fn.load(std::memory_order_acquire);
   }

@@ -3,11 +3,12 @@
 //
 // Promotion policy: with mode kAlways every routine is compiled on its
 // first dispatch; with kAuto a routine is compiled once its execution
-// count crosses the threshold (hotness, fed by the same per-transition
-// counters the profiler attributes cycles to); kOff never compiles. A
-// routine that fails lowering or emission is marked Rejected and stays on
-// the interpreter forever — rejection is a performance decision, never a
-// correctness one, because the interpreter is the semantics.
+// count reaches kDefaultJitThreshold (hotness, fed by the same
+// per-transition counters the profiler attributes cycles to); kOff never
+// compiles. A routine that fails lowering or emission is marked Rejected
+// and stays on the interpreter forever — rejection is a performance
+// decision, never a correctness one, because the interpreter is the
+// semantics.
 //
 // The cache lives per ChartImage, so a fleet of thousands of instances
 // compiles each routine once and shares the read-execute pages; per-run
@@ -31,7 +32,7 @@ namespace pscp::tep::jit {
 
 enum class JitMode : uint8_t {
   kOff,     ///< interpreter only
-  kAuto,    ///< compile when a routine crosses the hotness threshold
+  kAuto,    ///< compile when a routine reaches kDefaultJitThreshold runs
   kAlways,  ///< compile every routine on first dispatch
 };
 
@@ -50,8 +51,8 @@ enum class JitMode : uint8_t {
 /// interpreter — kAuto/kAlways are safe to request anywhere.
 [[nodiscard]] constexpr bool jitBackendAvailable() { return PSCP_JIT_BACKEND != 0; }
 
-/// Default hotness threshold (routine executions before compilation) for
-/// kAuto. Low enough that steady-state fleet workloads promote within the
+/// Hotness threshold (routine executions before compilation) for kAuto.
+/// Low enough that steady-state fleet workloads promote within the
 /// first epochs, high enough that one-shot configuration routines don't
 /// pay compile time.
 inline constexpr int64_t kDefaultJitThreshold = 64;
@@ -82,8 +83,7 @@ class TierCache {
   /// Called per dispatch. Bumps the routine's execution counter, applies
   /// the promotion policy, and returns the native entry point when the
   /// routine is (now) compiled — nullptr means "interpret this run".
-  [[nodiscard]] CompiledFn dispatch(int transition, int entry, JitMode mode,
-                                    int64_t threshold);
+  [[nodiscard]] CompiledFn dispatch(int transition, int entry, JitMode mode);
 
   /// Force-compile a routine (profiler-seeded AOT). Returns false with
   /// `reason` when lowering/emission rejects it.

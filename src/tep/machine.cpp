@@ -70,22 +70,11 @@ Tep::Tep(const hwlib::ArchConfig& config, TepHost& host, int id)
   callStack_.reserve(32);
 }
 
-void Tep::setProgram(const AsmProgram* program) {
+void Tep::setProgram(const AsmProgram* program, const MicroTable* micro) {
+  PSCP_ASSERT(program != nullptr && micro != nullptr &&
+              micro->size() == program->code.size());
   program_ = program;
-  microCache_.clear();
-  microByPc_.assign(program != nullptr ? program->code.size() : 0, nullptr);
-}
-
-const std::vector<MicroInstr>& Tep::microProgramFor(const Instr& instr) {
-  std::string key = opcodeMnemonic(instr.op);
-  if (isWidthSensitive(instr.op)) key += strfmt(".%d", instr.width);
-  const bool isShift =
-      instr.op == Opcode::Shl || instr.op == Opcode::Shr || instr.op == Opcode::Sar;
-  if (isShift && !config_.hasBarrelShifter) key += strfmt("/%d", instr.operand);
-  auto it = microCache_.find(key);
-  if (it == microCache_.end())
-    it = microCache_.emplace(key, microcodeFor(instr, config_)).first;
-  return it->second;
+  micro_ = micro;
 }
 
 void Tep::startRoutine(int entry) {
@@ -102,12 +91,9 @@ void Tep::beginInstruction() {
   if (pc_ < 0 || pc_ >= static_cast<int>(program_->code.size()))
     fail("TEP%d: PC %d ran off the program (size %zu)", id_, pc_, program_->code.size());
   current_ = program_->code[static_cast<size_t>(pc_)];
-  // Program memory is immutable while loaded, so the microprogram of a
-  // given PC never changes: resolve it once, then hit the pointer table.
-  const std::vector<MicroInstr>*& slot = microByPc_[static_cast<size_t>(pc_)];
-  if (slot == nullptr) slot = &microProgramFor(current_);
-  microProgram_ = slot;
-  microPc_ = 0;
+  const std::span<const MicroInstr> micro = micro_->at(pc_);
+  microPc_ = micro.data();
+  microEnd_ = micro.data() + micro.size();
   // The PC advances as the instruction enters execution; the IFetch state
   // (when present — the pipelined TEP overlaps it away) is pure cost.
   ++pc_;
@@ -123,7 +109,7 @@ bool needsExternalBus(const MicroInstr& mi, int32_t mar) {
 void Tep::stepCycle() {
   if (!busy_) return;
   ++cycles_;
-  const MicroInstr& mi = (*microProgram_)[microPc_];
+  const MicroInstr& mi = *microPc_;
   if (needsExternalBus(mi, mar_)) {
     if (!host_.acquireExternalBus(id_)) {
       ++stalls_;
@@ -138,8 +124,7 @@ void Tep::stepCycle() {
     extPhase_ = 0;
   }
   execMicroOp(mi);
-  ++microPc_;
-  if (microPc_ >= microProgram_->size()) {
+  if (++microPc_ == microEnd_) {
     ++instructions_;
     if (sink_ != nullptr) sink_->onInstrRetire(id_, obsNow());
     if (busy_) beginInstruction();

@@ -96,8 +96,9 @@ class Tep {
  public:
   Tep(const hwlib::ArchConfig& config, TepHost& host, int id = 0);
 
-  /// Program memory is shared between TEPs; the caller keeps it alive.
-  void setProgram(const AsmProgram* program);
+  /// Program memory and its microprogram table (built for this TEP's
+  /// config) are shared between TEPs; the caller keeps both alive.
+  void setProgram(const AsmProgram* program, const MicroTable* micro);
 
   /// Begin executing the routine at instruction index `entry`.
   void startRoutine(int entry);
@@ -147,12 +148,12 @@ class Tep {
   void execMicroOp(const MicroInstr& mi);
   void aluExec(AluSub sub, bool last);
   void applyFlags(uint32_t result, int width);
-  [[nodiscard]] const std::vector<MicroInstr>& microProgramFor(const Instr& instr);
 
   const hwlib::ArchConfig& config_;
   TepHost& host_;
   int id_ = 0;
   const AsmProgram* program_ = nullptr;
+  const MicroTable* micro_ = nullptr;
 
   // Architectural state.
   uint32_t acc_ = 0;
@@ -167,8 +168,8 @@ class Tep {
 
   // Microprogram execution state.
   bool busy_ = false;
-  const std::vector<MicroInstr>* microProgram_ = nullptr;
-  size_t microPc_ = 0;
+  const MicroInstr* microPc_ = nullptr;   ///< next state of current_
+  const MicroInstr* microEnd_ = nullptr;  ///< one past its last state
   Instr current_;
   int extPhase_ = 0;  ///< 0 = idle, 1 = wait state pending for ext access
 
@@ -181,13 +182,6 @@ class Tep {
   obs::ObsSink* sink_ = nullptr;
   const int64_t* obsTime_ = nullptr;
   [[nodiscard]] int64_t obsNow() const { return obsTime_ != nullptr ? *obsTime_ : cycles_; }
-
-  // Microprogram cache keyed like the microcode ROM, plus a per-PC pointer
-  // table resolved on first fetch of each instruction: steady-state
-  // execution never rebuilds the string key or walks the map (and never
-  // allocates).
-  std::map<std::string, std::vector<MicroInstr>> microCache_;
-  std::vector<const std::vector<MicroInstr>*> microByPc_;
 };
 
 }  // namespace pscp::tep

@@ -275,6 +275,15 @@ int cyclesFor(const Instr& instr, const hwlib::ArchConfig& config) {
   return static_cast<int>(microcodeFor(instr, config).size());
 }
 
+MicroTable::MicroTable(const AsmProgram& program, const hwlib::ArchConfig& config)
+    : offsets_{0} {
+  for (const Instr& in : program.code) {
+    const std::vector<MicroInstr> micro = microcodeFor(in, config);
+    ops_.insert(ops_.end(), micro.begin(), micro.end());
+    offsets_.push_back(static_cast<uint32_t>(ops_.size()));
+  }
+}
+
 MicroGroup microGroupOf(MicroOp op) {
   switch (op) {
     case MicroOp::AluChunk:

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -86,6 +87,25 @@ void unpackAlu(int32_t arg, AluSub& sub, int& chunk, bool& last);
 /// Cycles the instruction takes in the absence of stalls (microprogram
 /// length); external-memory wait states are added by the simulator.
 [[nodiscard]] int cyclesFor(const Instr& instr, const hwlib::ArchConfig& config);
+
+/// The microprogram of every instruction of one program on one config,
+/// decoded once into a flat array with per-PC offsets: the one decoder the
+/// flow synthesizes per application (Sec. 3.2). A ChartImage owns the
+/// table every TEP of every instance reads.
+class MicroTable {
+ public:
+  MicroTable(const AsmProgram& program, const hwlib::ArchConfig& config);
+  /// microcodeFor(program.code[pc], config), for 0 <= pc < size().
+  [[nodiscard]] std::span<const MicroInstr> at(int pc) const {
+    const auto i = static_cast<size_t>(pc);
+    return {ops_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
+  }
+  [[nodiscard]] size_t size() const { return offsets_.size() - 1; }
+
+ private:
+  std::vector<MicroInstr> ops_;
+  std::vector<uint32_t> offsets_;  ///< size() + 1 entries into ops_
+};
 
 // ------------------------------------------------ Table 1 microword format
 

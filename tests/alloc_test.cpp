@@ -5,7 +5,8 @@
 //
 // This TU replaces the global operator new/delete with counting versions
 // (forwarding to malloc/free, so behaviour is unchanged for the whole
-// test binary) and asserts a delta of zero across 1000 hot cycles.
+// test binary) and asserts a delta of zero across 1000 hot cycles. The
+// byte counter bounds what spawning a machine costs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,9 +20,15 @@
 
 namespace {
 std::atomic<uint64_t> gAllocations{0};
+std::atomic<uint64_t> gAllocatedBytes{0};
+
+void count(std::size_t size) {
+  gAllocations.fetch_add(1, std::memory_order_relaxed);
+  gAllocatedBytes.fetch_add(size, std::memory_order_relaxed);
+}
 
 void* countedAlloc(std::size_t size) {
-  gAllocations.fetch_add(1, std::memory_order_relaxed);
+  count(size);
   if (size == 0) size = 1;
   void* p = std::malloc(size);
   if (p == nullptr) throw std::bad_alloc();
@@ -29,7 +36,7 @@ void* countedAlloc(std::size_t size) {
 }
 
 void* countedAlignedAlloc(std::size_t size, std::size_t alignment) {
-  gAllocations.fetch_add(1, std::memory_order_relaxed);
+  count(size);
   if (size == 0) size = alignment;
   const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
   void* p = std::aligned_alloc(alignment, rounded);
@@ -41,11 +48,11 @@ void* countedAlignedAlloc(std::size_t size, std::size_t alignment) {
 void* operator new(std::size_t size) { return countedAlloc(size); }
 void* operator new[](std::size_t size) { return countedAlloc(size); }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  gAllocations.fetch_add(1, std::memory_order_relaxed);
+  count(size);
   return std::malloc(size == 0 ? 1 : size);
 }
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  gAllocations.fetch_add(1, std::memory_order_relaxed);
+  count(size);
   return std::malloc(size == 0 ? 1 : size);
 }
 void* operator new(std::size_t size, std::align_val_t align) {
@@ -269,6 +276,36 @@ TEST(SteadyStateAllocations, FleetEpochLoopIsAllocationFreeWithJournalArmed) {
   ASSERT_NE(f.journal(), nullptr);
   EXPECT_GT(f.journal()->ops().size(), 200u * 17u);
   EXPECT_GE(f.journal()->checkpointCount(), 50u);
+}
+
+const char* kFarPortChart = R"chart(
+chart FarPort;
+event GO;
+port Far data out width 16 address 0x4000000;
+
+orstate Top { contains Idle, Sent; default Idle; }
+basicstate Idle { transition { target Sent; label "GO/Emit()"; } }
+basicstate Sent { transition { target Idle; label "GO"; } }
+)chart";
+
+// Ports take one slot per declared address, so a port at a far bus
+// address costs four bytes, not an array reaching up to the address:
+// spawning a machine over the image and running the routine that writes
+// the port stays under a megabyte.
+TEST(SteadyStateAllocations, FarPortAddressCostsOnePortSlot) {
+  const statechart::Chart chart = statechart::parseChart(kFarPortChart);
+  const actionlang::Program actions =
+      actionlang::parseActionSource("void Emit() { write_port(Far, 0x1234); }");
+  const auto image = std::make_shared<const ChartImage>(chart, actions, hwlib::ArchConfig{});
+
+  const uint64_t before = gAllocatedBytes.load(std::memory_order_relaxed);
+  {
+    PscpMachine machine(image);
+    machine.configurationCycleIds({machine.eventId("GO")});
+    EXPECT_EQ(machine.outputPort("Far"), 0x1234u);
+  }
+  const uint64_t bytes = gAllocatedBytes.load(std::memory_order_relaxed) - before;
+  EXPECT_LT(bytes, uint64_t{1} << 20) << bytes << " bytes";
 }
 
 }  // namespace

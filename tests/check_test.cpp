@@ -56,12 +56,6 @@ Checked runOn(const Scenario& s, CheckOptions options = {}) {
   return c;
 }
 
-const PropertyReport* findProp(const CheckResult& r, const std::string& name) {
-  for (const PropertyReport& p : r.properties)
-    if (p.name == name) return &p;
-  return nullptr;
-}
-
 int countCode(const CheckResult& r, const char* code) {
   int n = 0;
   for (const Finding& f : r.findings)

@@ -75,8 +75,9 @@ DiffResult runDiff(const std::string& source, const ActionCall& call,
     PSCP_ASSERT(p.storageClass != kStorageRegister);
     host.writeWord(p.address, static_cast<uint32_t>(value), g->type->byteSize());
   }
+  const tep::MicroTable micro(app.program, arch);
   tep::Tep tep(arch, host, 0);
-  tep.setProgram(&app.program);
+  tep.setProgram(&app.program, &micro);
   const tep::RunResult r = tep.run("r");
   PSCP_ASSERT(r.completed);
 
@@ -326,8 +327,9 @@ TEST(Codegen, IntrinsicsReachHost) {
   tep::SimpleHost host;
   app.loadImage(host);
   host.ports[0x17] = 0x42;
+  const tep::MicroTable micro(app.program, arch);
   tep::Tep tep(arch, host);
-  tep.setProgram(&app.program);
+  tep.setProgram(&app.program, &micro);
   EXPECT_TRUE(tep.run("r").completed);
   EXPECT_EQ(host.ports[0x12], 0x43u);
   ASSERT_EQ(host.raisedEvents.size(), 1u);
@@ -351,8 +353,9 @@ TEST(Codegen, TestCondAndInState) {
   app.loadImage(host);
   host.conditions[1] = true;  // MOVEMENT
   host.states[0] = true;      // RunX
+  const tep::MicroTable micro(app.program, arch);
   tep::Tep tep(arch, host);
-  tep.setProgram(&app.program);
+  tep.setProgram(&app.program, &micro);
   EXPECT_TRUE(tep.run("r").completed);
   const auto& p = app.globalPlacement.at("out");
   EXPECT_EQ(host.readWord(p.address, 2), 11u);
@@ -388,8 +391,9 @@ TEST(Codegen, StoragePromotionPreservesSemanticsAndSavesCycles) {
     CompiledApp app = compiler.compileCalls({{"r", {{"go", {}}}}});
     tep::SimpleHost host;
     app.loadImage(host);
+    const tep::MicroTable micro(app.program, arch);
     tep::Tep tep(arch, host);
-    tep.setProgram(&app.program);
+    tep.setProgram(&app.program, &micro);
     const auto r = tep.run("r");
     PSCP_ASSERT(r.completed);
     cycles[idx] = r.cycles;
@@ -444,8 +448,9 @@ TEST(Peephole, StatsReportWork) {
   // Program must still terminate at TRET when simulated.
   hwlib::ArchConfig arch;
   tep::SimpleHost host;
+  const tep::MicroTable micro(p, arch);
   tep::Tep tep(arch, host);
-  tep.setProgram(&p);
+  tep.setProgram(&p, &micro);
   EXPECT_TRUE(tep.run("r").completed);
 }
 

@@ -15,9 +15,9 @@ namespace {
 TEST(FpgaDevices, FamilyAndLookup) {
   EXPECT_EQ(fpga::deviceByName("XC4025").clbs(), 1024);  // the paper's part
   EXPECT_EQ(fpga::deviceByName("XC4005").clbs(), 196);
-  EXPECT_THROW(fpga::deviceByName("XC9999"), Error);
+  EXPECT_THROW((void)fpga::deviceByName("XC9999"), Error);
   EXPECT_EQ(fpga::smallestFitting(500.0).name, "XC4013");
-  EXPECT_THROW(fpga::smallestFitting(5000.0), Error);
+  EXPECT_THROW((void)fpga::smallestFitting(5000.0), Error);
 }
 
 TEST(Floorplanner, PlacesAllBlocksWithoutOverlap) {
@@ -112,8 +112,9 @@ TEST(Explorer, LadderMonotonicallyImprovesAndMatchesPaperShape) {
   for (const auto& step : result.steps) {
     if (!step.kept) continue;
     EXPECT_LE(step.eval.violations, prevViol) << step.action;
-    if (step.eval.violations == prevViol)
+    if (step.eval.violations == prevViol) {
       EXPECT_LE(step.eval.worstExcess, prevExcess) << step.action;
+    }
     prevViol = step.eval.violations;
     prevExcess = step.eval.worstExcess;
   }

@@ -271,9 +271,6 @@ TEST_F(FleetTest, MergedMetricsAgreeWithPerInstanceSnapshots) {
   EXPECT_EQ(merged.value("fleet.fired_transitions"), fired);
   EXPECT_EQ(merged.value("fleet.events_delivered"), delivered);
   EXPECT_GT(fired, 0);
-  const obs::Histogram* h = merged.findHistogram("fleet.instance_cycles_per_epoch");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count(), 10 * 5);  // one sample per instance per epoch
 }
 
 // ----------------------------------------------------------- determinism

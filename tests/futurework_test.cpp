@@ -61,12 +61,14 @@ TEST(PipelinedTep, SameResultsFewerCycles) {
 
   tep::AsmProgram program = tep::assemble(src);
   tep::SimpleHost h1;
+  const tep::MicroTable micro1(program, plain);
   tep::Tep t1(plain, h1);
-  t1.setProgram(&program);
+  t1.setProgram(&program, &micro1);
   const auto r1 = t1.run("main");
   tep::SimpleHost h2;
+  const tep::MicroTable micro2(program, piped);
   tep::Tep t2(piped, h2);
-  t2.setProgram(&program);
+  t2.setProgram(&program, &micro2);
   const auto r2 = t2.run("main");
 
   ASSERT_TRUE(r1.completed && r2.completed);

@@ -640,7 +640,9 @@ TEST(BenchCompare, ScalingMetricsGateWhenHostHasTheThreads) {
   const BenchCompareResult r = compareBenchJson(baseline, current, {});
   EXPECT_GT(r.regressions, 0);
   for (const MetricDelta& d : r.deltas)
-    if (d.path == "sweeps[0].speedup_vs_1t") EXPECT_TRUE(d.regression);
+    if (d.path == "sweeps[0].speedup_vs_1t") {
+      EXPECT_TRUE(d.regression);
+    }
 }
 
 TEST(BenchCompare, CurrentHostOversubscriptionAlsoSkips) {
@@ -658,7 +660,9 @@ TEST(BenchCompare, CurrentHostOversubscriptionAlsoSkips) {
   const BenchCompareResult r = compareBenchJson(baseline, current, options);
   EXPECT_EQ(r.regressions, 0);
   for (const MetricDelta& d : r.deltas)
-    if (d.path == "sweeps[0].speedup_vs_1t") EXPECT_TRUE(d.ignored);
+    if (d.path == "sweeps[0].speedup_vs_1t") {
+      EXPECT_TRUE(d.ignored);
+    }
 }
 
 TEST(BenchCompare, DirectionHeuristic) {

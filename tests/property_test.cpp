@@ -190,8 +190,9 @@ TEST_P(RandomProgramEquivalence, InterpreterAndTepAgree) {
         host.writeWord(p.address, static_cast<uint32_t>(inputs[i]),
                        (gp.vars[i].width <= 8) ? 1 : 2);
       }
+      const tep::MicroTable micro(app.program, arch);
       tep::Tep tep(arch, host);
-      tep.setProgram(&app.program);
+      tep.setProgram(&app.program, &micro);
       const auto run = tep.run("r", 4'000'000);
       ASSERT_TRUE(run.completed) << "arch " << arch.describe();
       for (const Var& v : gp.vars) {
@@ -234,8 +235,9 @@ TEST(ProgramEncoding, CompiledProgramsRoundTripThroughBinary) {
       const tep::Instr& original = app.program.code[index++];
       EXPECT_EQ(decoded.op, original.op);
       EXPECT_EQ(decoded.operand, original.operand) << original.str();
-      if (tep::isWidthSensitive(original.op))
+      if (tep::isWidthSensitive(original.op)) {
         EXPECT_EQ(decoded.width, original.width) << original.str();
+      }
     }
     EXPECT_EQ(index, app.program.code.size());
   }

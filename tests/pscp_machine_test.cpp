@@ -8,6 +8,7 @@
 #include "pscp/machine.hpp"
 #include "pscp/sched_cost.hpp"
 #include "statechart/parser.hpp"
+#include "workloads/smd_fleet.hpp"
 
 namespace pscp::machine {
 namespace {
@@ -311,6 +312,74 @@ TEST(PscpRun, RunToQuiescenceChasesInternalEvents) {
   EXPECT_GE(cycles.size(), 2u);
   EXPECT_TRUE(h.machine.isActive("IdleS"));
   EXPECT_TRUE(cycles.back().quiescent);
+}
+
+// --------------------------------------------------------- image tables
+
+// The image decodes the chart's microprograms once and every TEP reads
+// that table; each entry is exactly what the static cost model
+// (cyclesFor) measures, so simulator and timing analysis share one source.
+TEST(PscpImage, MicroTableHoldsEachInstructionsMicroprogram) {
+  for (const int teps : {1, 2}) {
+    const auto image = workloads::makeSmdFleetImage(teps);
+    const tep::AsmProgram& program = image->app().program;
+    const tep::MicroTable& table = image->microTable();
+    ASSERT_EQ(table.size(), program.code.size());
+    for (size_t pc = 0; pc < program.code.size(); ++pc) {
+      const tep::Instr& in = program.code[pc];
+      const std::span<const tep::MicroInstr> entry = table.at(static_cast<int>(pc));
+      EXPECT_EQ(std::vector<tep::MicroInstr>(entry.begin(), entry.end()),
+                tep::microcodeFor(in, image->arch()))
+          << "teps=" << teps << " pc=" << pc;
+      EXPECT_EQ(static_cast<int>(entry.size()), tep::cyclesFor(in, image->arch()))
+          << "teps=" << teps << " pc=" << pc;
+    }
+  }
+}
+
+const char* kFarPortChart = R"chart(
+chart FarPort;
+event GO;
+port Far data out width 16 address 0x4000000;
+
+orstate Top { contains Idle, Sent; default Idle; }
+basicstate Idle { transition { target Sent; label "GO/Emit()"; } }
+basicstate Sent { transition { target Idle; label "GO"; } }
+)chart";
+
+const char* kFarPortActions = R"code(
+void Emit() { write_port(Far, 0x1234); }
+)code";
+
+// Ports live in one slot per declared address, so a far address is as
+// cheap as a near one; an address no port is declared at is an error that
+// names it (reads of it return 0).
+TEST(PscpPorts, FarDeclaredAddressRoundTripsThroughThePortMap) {
+  const statechart::Chart chart = statechart::parseChart(kFarPortChart);
+  const actionlang::Program actions = actionlang::parseActionSource(kFarPortActions);
+  PscpMachine m(chart, actions, hwlib::ArchConfig{});
+  EXPECT_EQ(m.image().portAddresses(), std::vector<int>{0x4000000});
+
+  m.configurationCycle({"GO"});
+  EXPECT_EQ(m.outputPort("Far"), 0x1234u);
+  EXPECT_EQ(m.outputPort(0x4000000), 0x1234u);
+  EXPECT_EQ(m.outputPort(0x20), 0u);
+  m.setInputPort(0x4000000, 7);
+  EXPECT_EQ(m.outputPort("Far"), 7u);
+
+  for (const int address : {-5, 0, 0x3FFFFFF, 0x4000001}) {
+    try {
+      m.setInputPort(address, 1);
+      ADD_FAILURE() << "setInputPort(" << address << ") must throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::to_string(address)), std::string::npos)
+          << e.what();
+    }
+  }
+  // A TEP access off the map is a runtime diagnostic on either tier.
+  EXPECT_THROW((void)m.readPort(0x20), Error);
+  EXPECT_THROW(m.writePort(-5, 1), Error);
+  EXPECT_EQ(m.outputPort("Far"), 7u);
 }
 
 }  // namespace

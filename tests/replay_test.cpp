@@ -9,6 +9,7 @@
 // artifact for offline bisection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "obs/journal/spans.hpp"
 #include "obs/recorder.hpp"
 #include "obs/tee.hpp"
+#include "support/diag.hpp"
 #include "support/json.hpp"
 #include "workloads/smd_fleet.hpp"
 
@@ -147,6 +149,36 @@ TEST(Replay, MismatchedImageHashIsRefused) {
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("image content hash mismatch"), std::string::npos)
       << result.error;
+}
+
+// Port ops carry raw bus addresses. One at an address the image declares
+// no port at ends the replay with a diagnostic naming the address and the
+// op, in either wire format: never an assertion, and never an allocation
+// sized by the address.
+TEST(Replay, PortOpAtUndeclaredAddressIsADiagnostic) {
+  Recording rec = recordSmdRun(2, 2, 1);
+  std::vector<Op>& ops = rec.journal->mutableOps();
+  const auto first = std::find_if(ops.begin(), ops.end(), [](const Op& op) {
+    return op.kind == OpKind::kSetPort;
+  });
+  ASSERT_NE(first, ops.end()) << "the SMD warm-up sets the Buffer port";
+  const size_t index = static_cast<size_t>(first - ops.begin());
+  for (const int64_t address : {int64_t{-5}, int64_t{0x4000000}, int64_t{2000000000}}) {
+    first->a = address;
+    for (const bool binary : {false, true}) {
+      Journal damaged;
+      std::string error;
+      ASSERT_TRUE(Journal::parse(binary ? rec.journal->dumpBinary() : rec.journal->dumpJson(),
+                                 &damaged, &error))
+          << error;
+      const ReplayResult result = Replayer(&damaged, rec.image).run({});
+      EXPECT_FALSE(result.ok);
+      EXPECT_NE(result.error.find(strfmt("port op %zu ", index)), std::string::npos)
+          << result.error;
+      EXPECT_NE(result.error.find(std::to_string(address)), std::string::npos)
+          << result.error;
+    }
+  }
 }
 
 TEST(Replay, BisectPinpointsTheExactCorruptedEpoch) {

@@ -75,7 +75,9 @@ TEST(CrLayoutTest, PartsAndCodes) {
   // Exclusive states in one field get distinct codes.
   const auto [fIdle, cIdle] = layout.stateCode(c.stateByName("IdleS"));
   const auto [fWork, cWork] = layout.stateCode(c.stateByName("Work"));
-  if (fIdle == fWork) EXPECT_NE(cIdle, cWork);
+  if (fIdle == fWork) {
+    EXPECT_NE(cIdle, cWork);
+  }
   EXPECT_GT(cIdle, 0);  // code 0 is reserved for "none active"
   // Encoding must not exceed one-hot (binary fields compress OR siblings).
   EXPECT_LE(layout.totalBits() - layout.stateBase(),
@@ -83,8 +85,7 @@ TEST(CrLayoutTest, PartsAndCodes) {
 }
 
 /// Build CR bits for a given interpreter configuration + events.
-std::vector<bool> crFor(const Chart& chart, const CrLayout& layout,
-                        const statechart::Interpreter& interp,
+std::vector<bool> crFor(const CrLayout& layout, const statechart::Interpreter& interp,
                         const std::set<std::string>& events) {
   std::vector<bool> bits(static_cast<size_t>(layout.totalBits()), false);
   for (const std::string& e : events) bits[static_cast<size_t>(layout.eventBit(e))] = true;
@@ -117,7 +118,7 @@ TEST(SlaLogic, AgreesWithInterpreterSemantics) {
         std::set<std::string> events;
         for (int i = 0; i < 3; ++i)
           if ((mask >> i) & 1) events.insert(eventNames[static_cast<size_t>(i)]);
-        const auto fromSla = sla.select(crFor(c, layout, interp, events));
+        const auto fromSla = sla.select(crFor(layout, interp, events));
         const auto fromInterp = interp.enabledTransitions(events);
         EXPECT_EQ(fromSla, fromInterp) << "mask=" << mask << " ready=" << ready;
       }
@@ -142,7 +143,7 @@ TEST(SlaLogic, NegatedTriggerExpandsCorrectly) {
   interp.step({"GO"});  // enter Work
 
   auto enabledWith = [&](const std::set<std::string>& events) {
-    const auto sel = sla.select(crFor(c, layout, interp, events));
+    const auto sel = sla.select(crFor(layout, interp, events));
     const statechart::TransitionId workToIdle = c.outgoing(c.stateByName("Work"))[0];
     return std::find(sel.begin(), sel.end(), workToIdle) != sel.end();
   };
@@ -223,7 +224,7 @@ TEST(SlaNetlists, BlifRoundTripsAgainstEvaluator) {
   interp.setCondition("READY", true);
   for (const auto& events :
        std::vector<std::set<std::string>>{{}, {"GO"}, {"TICK"}, {"GO", "STOP"}}) {
-    const std::vector<bool> cr = crFor(c, layout, interp, events);
+    const std::vector<bool> cr = crFor(layout, interp, events);
     std::map<std::string, bool> inputs;
     for (size_t b = 0; b < cr.size(); ++b) inputs[strfmt("cr%zu", b)] = cr[b];
     const auto values = evalBlif(blif, inputs);
@@ -255,7 +256,7 @@ TEST(SlaNetlists, BindingExposesAllHardwareNames) {
   EXPECT_EQ(binding.event("GO"), layout.eventBit("GO"));
   EXPECT_EQ(binding.condition("READY"), layout.conditionBit("READY"));
   EXPECT_EQ(binding.state("Work"), c.stateByName("Work"));
-  EXPECT_THROW(binding.event("NOPE"), Error);
+  EXPECT_THROW((void)binding.event("NOPE"), Error);
 }
 
 }  // namespace

@@ -64,8 +64,9 @@ struct TierRun {
 TierRun runInterp(const AsmProgram& prog, int entry,
                   const hwlib::ArchConfig& config, SimpleHost& host,
                   int64_t maxCycles) {
+  const MicroTable micro(prog, config);
   Tep tep(config, host, 0);
-  tep.setProgram(&prog);
+  tep.setProgram(&prog, &micro);
   TierRun r;
   try {
     tep.startRoutine(entry);
@@ -636,17 +637,17 @@ TEST(TepJitTier, AutoPromotesAtThresholdAlwaysCompilesFirstRun) {
   const auto config = archPlain8();
   jit::TierCache cache(&prog, &config, 1);
   // kAuto: below the threshold nothing compiles.
-  for (int i = 0; i < 9; ++i)
-    EXPECT_EQ(cache.dispatch(0, 0, jit::JitMode::kAuto, 10), nullptr);
+  for (int64_t i = 1; i < jit::kDefaultJitThreshold; ++i)
+    EXPECT_EQ(cache.dispatch(0, 0, jit::JitMode::kAuto), nullptr);
   EXPECT_EQ(cache.stateOf(0), jit::RoutineState::kNotCompiled);
-  EXPECT_NE(cache.dispatch(0, 0, jit::JitMode::kAuto, 10), nullptr);
+  EXPECT_NE(cache.dispatch(0, 0, jit::JitMode::kAuto), nullptr);
   EXPECT_EQ(cache.stateOf(0), jit::RoutineState::kNative);
-  EXPECT_EQ(cache.execCount(0), 10);
+  EXPECT_EQ(cache.execCount(0), jit::kDefaultJitThreshold);
 
   jit::TierCache always(&prog, &config, 1);
-  EXPECT_NE(always.dispatch(0, 0, jit::JitMode::kAlways, 1 << 20), nullptr);
+  EXPECT_NE(always.dispatch(0, 0, jit::JitMode::kAlways), nullptr);
   jit::TierCache off(&prog, &config, 1);
-  EXPECT_EQ(off.dispatch(0, 0, jit::JitMode::kOff, 0), nullptr);
+  EXPECT_EQ(off.dispatch(0, 0, jit::JitMode::kOff), nullptr);
   EXPECT_EQ(off.stateOf(0), jit::RoutineState::kNotCompiled);
 }
 
@@ -663,7 +664,7 @@ TEST(TepJitTier, RejectedRoutineStaysInterpreted) {
   if (jit::jitBackendAvailable()) {
     EXPECT_EQ(cache.stateOf(0), jit::RoutineState::kRejected);
   }
-  EXPECT_EQ(cache.dispatch(0, 0, jit::JitMode::kAlways, 0), nullptr);
+  EXPECT_EQ(cache.dispatch(0, 0, jit::JitMode::kAlways), nullptr);
 }
 
 // ------------------------------------------------- machine-level diffing
@@ -732,14 +733,14 @@ TEST(TepJitMachine, AutoThresholdPromotesHotRoutines) {
   const auto image = workloads::makeSmdFleetImage(/*numTeps=*/1);
   PscpMachine m(image);
   m.setJitMode(jit::JitMode::kAuto);
-  m.setJitThreshold(8);
   const std::vector<int> power{m.eventId("POWER")};
   const std::vector<int> none;
   CycleStats stats;
   m.configurationCycleIds(power, &stats);
-  // Drive the same routines repeatedly; past the threshold they go native.
+  // Drive the same routines repeatedly; past kDefaultJitThreshold runs
+  // they go native (the first SMD routine gets there near cycle 380).
   const std::vector<int> data{m.eventId("DATA_VALID")};
-  for (int i = 0; i < 200; ++i)
+  for (int64_t i = 0; i < 16 * jit::kDefaultJitThreshold; ++i)
     m.configurationCycleIds(i % 2 == 0 ? data : none, &stats);
   EXPECT_GT(m.jitInterpRuns(), 0);  // the cold runs before promotion
   EXPECT_GT(m.jitNativeRuns(), 0);  // the hot steady state
@@ -756,7 +757,6 @@ TEST(TepJitFleet, FleetJitMatchesInterpAcrossWorkersAndSoa) {
     fleet::FleetConfig config;
     config.workerThreads = workers;
     config.jitMode = mode;
-    config.jitThreshold = 4;
     fleet::Fleet fleet(image, config);
     const workloads::SmdPulseIds ids = workloads::resolveSmdPulseIds(fleet);
     EXPECT_TRUE(workloads::warmUpSmdFleet(fleet, kInstances, ids));
@@ -834,7 +834,6 @@ TEST(TepJitJournal, InterpreterRecordingVerifiesUnderJit) {
     obs::journal::ReplayOptions options;
     options.workerThreads = workers;
     options.jitMode = jit::JitMode::kAlways;
-    options.jitThreshold = 1;
     const obs::journal::ReplayResult result = replayer.run(options);
     ASSERT_TRUE(result.ok) << result.error;
     EXPECT_TRUE(result.verified)

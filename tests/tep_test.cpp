@@ -176,8 +176,9 @@ TEST(Assembler, Errors) {
 RunResult runOn(const hwlib::ArchConfig& cfg, SimpleHost& host, const std::string& src,
                 uint32_t* accOut = nullptr) {
   AsmProgram p = assemble(src);
+  const MicroTable micro(p, cfg);
   Tep tep(cfg, host);
-  tep.setProgram(&p);
+  tep.setProgram(&p, &micro);
   RunResult r = tep.run("main");
   if (accOut != nullptr) *accOut = tep.acc();
   return r;
@@ -403,8 +404,9 @@ TEST(TepMachine, PortsEventsConditions) {
       TRET
   )asm");
   hwlib::ArchConfig cfg = arch8();
+  const MicroTable micro(p, cfg);
   Tep tep(cfg, host);
-  tep.setProgram(&p);
+  tep.setProgram(&p, &micro);
   auto r = tep.run("main");
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(host.ports[0x12], 0x2Bu);
@@ -432,8 +434,9 @@ TEST(TepMachine, CustomInstructionExecutesFusedChain) {
       CUST 0
       TRET
   )asm");
+  const MicroTable micro(p, cfg);
   Tep tep(cfg, host);
-  tep.setProgram(&p);
+  tep.setProgram(&p, &micro);
   tep.run("main");
   EXPECT_EQ(tep.acc(), (10u + 3u) << 2);
   // Must be cheaper than the discrete ADD+SHL sequence.
@@ -456,8 +459,9 @@ TEST(TepMachine, SimulatedCyclesMatchMicrocodeModel) {
   int64_t expected = 0;
   for (const Instr& in : p.code) expected += cyclesFor(in, cfg);
   SimpleHost host;
+  const MicroTable micro(p, cfg);
   Tep tep(cfg, host);
-  tep.setProgram(&p);
+  tep.setProgram(&p, &micro);
   const auto r = tep.run("main");
   EXPECT_EQ(r.cycles, expected);
 }
@@ -470,8 +474,9 @@ TEST(TepMachine, RunAbortsAtCycleBudget) {
       JMP spin
   )asm");
   hwlib::ArchConfig cfg = arch8();
+  const MicroTable micro(p, cfg);
   Tep tep(cfg, host);
-  tep.setProgram(&p);
+  tep.setProgram(&p, &micro);
   const auto r = tep.run("main", 500);
   EXPECT_FALSE(r.completed);
   EXPECT_GE(r.cycles, 500);

@@ -124,8 +124,9 @@ TEST(Wcet, BoundsActualExecution) {
     app.loadImage(host);
     const auto& p = app.globalPlacement.at("x");
     host.writeWord(p.address, static_cast<uint32_t>(x), 2);
+    const tep::MicroTable micro(app.program, cfg);
     tep::Tep tep(cfg, host);
-    tep.setProgram(&app.program);
+    tep.setProgram(&app.program, &micro);
     const auto r = tep.run("r");
     ASSERT_TRUE(r.completed);
     EXPECT_LE(r.cycles, bound) << "x=" << x;
@@ -224,8 +225,9 @@ TEST(EventCycles, ViolationsDetectedAgainstPeriods) {
   // burden via a slower bound and the same cycle must violate.
   for (const auto& cyc : all)
     if (cyc.event == "TICK" && cyc.states.size() == 2 &&
-        cyc.states[0] == c.stateByName("A1"))
+        cyc.states[0] == c.stateByName("A1")) {
       EXPECT_FALSE(cyc.violates());
+    }
 
   auto c2 = statechart::parseChart(kChart);
   TransitionLengths lengths = explicitLengths(c2);
