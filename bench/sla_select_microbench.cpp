@@ -4,8 +4,8 @@
 // part spanning word boundaries). Verifies packed == reference on every
 // sampled CR vector before timing, prints a table, and writes
 // BENCH_sla_select.json. `--quick` shrinks the iteration counts for CI
-// smoke runs (timings then are indicative only; the >= 5x acceptance
-// check on the widened chart applies to full runs).
+// smoke runs. Either mode exits 1 when a chart's size differs from the
+// expected one or its speedup falls below its floor.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -52,6 +52,15 @@ struct Result {
   int crBits = 0;
   double referenceNs = 0.0;  ///< ns per select()
   double packedNs = 0.0;
+  double speedup = 0.0;
+};
+
+/// What a chart must show in every mode: its exact size, and a speedup
+/// no lower than 0.4x a 1-CPU quick-mode capture (2.34x on smd, 17.04x
+/// on wide72).
+struct Floor {
+  int transitions = 0;
+  int crBits = 0;
   double speedup = 0.0;
 };
 
@@ -129,6 +138,7 @@ int main(int argc, char** argv) {
               quick ? "quick" : "full", iterations);
 
   bool ok = true;
+  const Floor floors[] = {{25, 39, 0.936}, {72, 20, 6.816}};
   std::vector<Result> results;
   results.push_back(benchChart(
       "smd", statechart::parseChart(workloads::smdChartText()), iterations, &ok));
@@ -164,14 +174,22 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  if (!ok) return 1;
-  // Acceptance: the packed path must beat the reference by >= 5x on the
-  // widened chart. Quick (CI smoke) runs only report.
-  const double wideSpeedup = results.back().speedup;
-  if (!quick && wideSpeedup < 5.0) {
-    std::fprintf(stderr, "FAIL: wide-chart speedup %.2fx < 5x\n", wideSpeedup);
-    return 1;
+  for (size_t i = 0; i < results.size(); ++i) {
+    const Result& r = results[i];
+    const Floor& floor = floors[i];
+    std::printf("%s: speedup %.2fx (floor %.3fx), %d transitions / %d CR bits "
+                "(expected %d / %d)\n",
+                r.name.c_str(), r.speedup, floor.speedup, r.transitions, r.crBits,
+                floor.transitions, floor.crBits);
+    if (r.transitions != floor.transitions || r.crBits != floor.crBits) {
+      std::fprintf(stderr, "FAIL: %s chart size changed\n", r.name.c_str());
+      ok = false;
+    }
+    if (r.speedup < floor.speedup) {
+      std::fprintf(stderr, "FAIL: %s speedup %.2fx < floor %.3fx\n",
+                   r.name.c_str(), r.speedup, floor.speedup);
+      ok = false;
+    }
   }
-  std::printf("wide-chart speedup: %.1fx (target >= 5x)\n", wideSpeedup);
-  return 0;
+  return ok ? 0 : 1;
 }

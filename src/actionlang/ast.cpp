@@ -49,9 +49,16 @@ std::string Expr::str() const {
       return children[0]->str() + "[" + children[1]->str() + "]";
     case ExprKind::Unary:
       return std::string(unOpName(unOp)) + "(" + children[0]->str() + ")";
-    case ExprKind::Binary:
-      return "(" + children[0]->str() + " " + binOpName(binOp) + " " +
-             children[1]->str() + ")";
+    case ExprKind::Binary: {
+      std::string out = "(";
+      out += children[0]->str();
+      out += ' ';
+      out += binOpName(binOp);
+      out += ' ';
+      out += children[1]->str();
+      out += ')';
+      return out;
+    }
     case ExprKind::Call: {
       std::string out = name + "(";
       for (size_t i = 0; i < children.size(); ++i) {

@@ -20,6 +20,13 @@ using statechart::InterpreterState;
 using statechart::StateId;
 using statechart::TransitionId;
 
+/// Alphabet size up to which every event subset is an edge label; larger
+/// alphabets fall back to the empty set + singletons (and the result is
+/// marked event-set-incomplete, demoting Pass to Unknown).
+constexpr int kMaxEventSetBits = 5;
+/// Cap on uncertain-effect branch combinations per expansion.
+constexpr int kMaxChoiceFan = 32;
+
 // Observable valuation of one configuration cycle, abstract or concrete:
 // `state`/`cond` read the post-cycle configuration and condition values,
 // `event` reads the set sampled into the CR at that cycle's start.
@@ -175,7 +182,7 @@ class Checker {
     alphabet.erase(std::unique(alphabet.begin(), alphabet.end()), alphabet.end());
 
     const int n = static_cast<int>(alphabet.size());
-    if (n <= opt_.maxEventSetBits) {
+    if (n <= kMaxEventSetBits) {
       for (uint32_t mask = 0; mask < (1u << n); ++mask) {
         std::vector<std::string> set;
         for (int i = 0; i < n; ++i)
@@ -362,11 +369,11 @@ class Checker {
       uint64_t combos = 1;
       for (const PendingOp& op : ops) {
         combos *= op.options.size();
-        if (combos > static_cast<uint64_t>(opt_.maxChoiceFan)) break;
+        if (combos > static_cast<uint64_t>(kMaxChoiceFan)) break;
       }
       uint64_t limit = combos;
-      if (combos > static_cast<uint64_t>(opt_.maxChoiceFan)) {
-        limit = static_cast<uint64_t>(opt_.maxChoiceFan);
+      if (combos > static_cast<uint64_t>(kMaxChoiceFan)) {
+        limit = static_cast<uint64_t>(kMaxChoiceFan);
         run_.choicesComplete = false;
       }
       if (combos > 1) run_.modelExact = false;
@@ -555,27 +562,21 @@ class Checker {
     if (!image_) return;  // model-only mode: candidate stands unconfirmed
     Counterexample& cex = report->cex;
     std::vector<std::set<std::string>> samples;
-    if (opt_.confirm) {
-      cex.confirmed = runConcrete(p, cex, tep::jit::JitMode::kOff, &samples,
-                                  &cex.finalCrWords);
-      if (!cex.confirmed) {
-        report->spurious = true;
-        report->status = PropStatus::Unknown;
-        return;
-      }
-      cex.jitChecked = tep::jit::jitBackendAvailable();
-      if (cex.jitChecked)
-        cex.jitConfirmed =
-            runConcrete(p, cex, tep::jit::JitMode::kAlways, &samples, nullptr);
+    cex.confirmed = runConcrete(p, cex, tep::jit::JitMode::kOff, &samples,
+                                &cex.finalCrWords);
+    if (!cex.confirmed) {
+      report->spurious = true;
+      report->status = PropStatus::Unknown;
+      return;
     }
-    if (opt_.buildJournals) {
-      buildJournal(p, &cex);
-      if (opt_.verifyReplay) {
-        cex.interpVerified = verifyOneReplay(cex, tep::jit::JitMode::kOff);
-        if (opt_.verifyJit && tep::jit::jitBackendAvailable())
-          cex.jitVerified = verifyOneReplay(cex, tep::jit::JitMode::kAlways);
-      }
-    }
+    cex.jitChecked = tep::jit::jitBackendAvailable();
+    if (cex.jitChecked)
+      cex.jitConfirmed =
+          runConcrete(p, cex, tep::jit::JitMode::kAlways, &samples, nullptr);
+    buildJournal(p, &cex);
+    cex.interpVerified = verifyOneReplay(cex, tep::jit::JitMode::kOff);
+    if (cex.jitChecked)
+      cex.jitVerified = verifyOneReplay(cex, tep::jit::JitMode::kAlways);
   }
 
   // ------------------------------------------------------------- findings
@@ -588,9 +589,9 @@ class Checker {
                       opt_.maxDepth);
       else if (!eventSetsComplete_)
         what = strfmt("event alphabet wider than %d (singleton sets only)",
-                      opt_.maxEventSetBits);
+                      kMaxEventSetBits);
       else
-        what = strfmt("uncertainty branch fan over %d", opt_.maxChoiceFan);
+        what = strfmt("uncertainty branch fan over %d", kMaxChoiceFan);
       Finding f;
       f.code = kCodeCheckTruncated;
       f.severity = Severity::Note;

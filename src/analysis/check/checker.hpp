@@ -51,23 +51,6 @@ struct CheckOptions {
   int maxStates = 1 << 14;
   /// BFS depth (= counterexample length) cap, in configuration cycles.
   int maxDepth = 1024;
-  /// Alphabet size up to which every event subset is an edge label; larger
-  /// alphabets fall back to the empty set + singletons (and the result is
-  /// marked event-set-incomplete, demoting Pass to Unknown).
-  int maxEventSetBits = 5;
-  /// Cap on uncertain-effect branch combinations per expansion.
-  int maxChoiceFan = 32;
-  /// Replay each candidate counterexample on a concrete PscpMachine
-  /// (interpreter tier, then native tier) before reporting it. Candidates
-  /// the concrete machine refutes are reported PSCP-MC004 / Unknown.
-  bool confirm = true;
-  /// Lower each confirmed counterexample to a pscp-journal-v1 journal.
-  bool buildJournals = true;
-  /// Verify each built journal through the replay engine (interpreter).
-  bool verifyReplay = true;
-  /// Also verify under the native tier (skipped, not failed, when the JIT
-  /// backend is unavailable on this build/host).
-  bool verifyJit = true;
 };
 
 enum class PropStatus { Pass, Fail, Unknown };

@@ -370,7 +370,11 @@ void bindExpr(PropExpr* e, const statechart::Chart& chart,
 }
 
 [[nodiscard]] std::string renderKid(const PropExpr& parent, const PropExpr& kid) {
-  return needsParens(parent, kid) ? "(" + kid.str() + ")" : kid.str();
+  if (!needsParens(parent, kid)) return kid.str();
+  std::string out = "(";
+  out += kid.str();
+  out += ')';
+  return out;
 }
 
 }  // namespace
@@ -382,7 +386,11 @@ std::string PropExpr::str() const {
     case Kind::State: return "state " + name;
     case Kind::Cond: return "cond " + name;
     case Kind::Event: return "event " + name;
-    case Kind::Not: return "!" + renderKid(*this, kids[0]);
+    case Kind::Not: {
+      std::string out = "!";
+      out += renderKid(*this, kids[0]);
+      return out;
+    }
     case Kind::And:
       return renderKid(*this, kids[0]) + " && " + renderKid(*this, kids[1]);
     case Kind::Or:

@@ -18,6 +18,12 @@ constexpr uint64_t kFnvPrime = 1099511628211ull;
 constexpr char kBinaryMagic[8] = {'P', 'S', 'C', 'P', 'J', 'R', 'N', '1'};
 constexpr uint32_t kBinaryVersion = 1;
 
+// Up-front reservations: appends within these never allocate.
+constexpr size_t kReserveOps = size_t{1} << 16;
+constexpr size_t kReserveCheckpointInstances = size_t{1} << 12;
+constexpr size_t kReserveCrWords = size_t{1} << 13;
+constexpr size_t kReserveWarmEvents = size_t{1} << 10;
+
 std::string hexU64(uint64_t v) {
   char buf[19];
   std::snprintf(buf, sizeof(buf), "0x%016llx", static_cast<unsigned long long>(v));
@@ -223,10 +229,10 @@ bool opKindFromName(const std::string& name, OpKind* out) {
 
 Journal::Journal(JournalConfig config) : config_(config) {
   if (config_.checkpointInterval < 1) config_.checkpointInterval = 1;
-  ops_.reserve(config_.reserveOps);
-  checkpointInstances_.reserve(config_.reserveCheckpointInstances);
-  crWords_.reserve(config_.reserveCrWords);
-  warmEvents_.reserve(config_.reserveWarmEvents);
+  ops_.reserve(kReserveOps);
+  checkpointInstances_.reserve(kReserveCheckpointInstances);
+  crWords_.reserve(kReserveCrWords);
+  warmEvents_.reserve(kReserveWarmEvents);
   // One table row per checkpoint; bounded by the op reserve anyway.
   checkpointEpochs_.reserve(256);
   checkpointDigests_.reserve(256);
@@ -284,11 +290,9 @@ void Journal::addCheckpointInstance(int64_t instance, const BitVec& cr) {
   CheckpointInstance entry;
   entry.instance = instance;
   entry.digest = crDigest(cr);
-  if (config_.checkpointCrWords) {
-    entry.crOffset = static_cast<uint32_t>(crWords_.size());
-    entry.crWords = static_cast<uint32_t>(cr.wordCount());
-    for (size_t w = 0; w < cr.wordCount(); ++w) crWords_.push_back(cr.word(w));
-  }
+  entry.crOffset = static_cast<uint32_t>(crWords_.size());
+  entry.crWords = static_cast<uint32_t>(cr.wordCount());
+  for (size_t w = 0; w < cr.wordCount(); ++w) crWords_.push_back(cr.word(w));
   checkpointInstances_.push_back(entry);
   openDigest_ = foldInstanceDigest(openDigest_, static_cast<uint64_t>(instance),
                                    entry.digest);

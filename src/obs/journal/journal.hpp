@@ -31,10 +31,10 @@
 //
 // Allocation contract (mirrors the telemetry plane): a disarmed fleet
 // does no journal work at all; an armed fleet appends to grow-only
-// vectors whose capacity is reserved up front (JournalConfig::reserve*),
-// only ever from the control thread between epochs. Steady state within
-// the reserves is allocation-free — the counting-operator-new test armed
-// with a journal holds the epoch loop to zero.
+// vectors whose capacity is reserved at construction, only ever from
+// the control thread between epochs. Steady state within the reserves is
+// allocation-free — the counting-operator-new test armed with a journal
+// holds the epoch loop to zero.
 #pragma once
 
 #include <cstdint>
@@ -55,14 +55,6 @@ struct JournalConfig {
   /// bisection to an exact epoch wants; sparser is cheaper to record).
   /// An epoch-0 checkpoint of the post-setup state is always taken.
   int64_t checkpointInterval = 16;
-  /// Store each instance's raw CR words at every checkpoint (so a
-  /// divergence report can print both configurations, not just digests).
-  bool checkpointCrWords = true;
-  /// Up-front reservations: appends within these never allocate.
-  size_t reserveOps = size_t{1} << 16;
-  size_t reserveCheckpointInstances = size_t{1} << 12;
-  size_t reserveCrWords = size_t{1} << 13;
-  size_t reserveWarmEvents = size_t{1} << 10;
 };
 
 /// One logged control-plane operation. Fixed-width on purpose: the op
@@ -99,7 +91,7 @@ struct CheckpointInstance {
   int64_t instance = 0;
   uint64_t digest = 0;
   uint32_t crOffset = 0;  ///< into the journal's CR-word arena
-  uint32_t crWords = 0;   ///< 0 when JournalConfig::checkpointCrWords is off
+  uint32_t crWords = 0;   ///< 0 when a read-back entry carried no CR words
 };
 
 /// FNV-1a 64 over `len` bytes, chainable through `seed`.

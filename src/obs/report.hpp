@@ -20,7 +20,6 @@
 //             "instructions","critical_cycles"}]}
 // Transitions/states with zero calls are omitted; transitions are sorted
 // by descending cycles (then id) so diffs of two profiles line up.
-// bench_compare diffs these documents like any other BENCH_*.json.
 #pragma once
 
 #include <string>

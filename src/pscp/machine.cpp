@@ -94,7 +94,6 @@ PscpMachine::PscpMachine(std::shared_ptr<const ChartImage> image)
   exitedScratch_ = BitVec(static_cast<int>(chart_.stateCount()));
   groupInFlight_.assign(static_cast<size_t>(image_->exclusionGroupCount_), 0);
   for (StateId s : chart_.defaultCompletion(chart_.root())) applyActive(s, true);
-  activeSnapshotBits_ = activeBits_;
 
   image_->app_.loadImage(*this);
   for (int i = 0; i < arch_.numTeps; ++i) {
@@ -288,8 +287,9 @@ bool PscpMachine::testCondition(int index) {
 
 bool PscpMachine::testState(int index) {
   // STST reads the state part of the CR, which holds the configuration the
-  // cycle started with (updates are applied at cycle end).
-  return activeSnapshotBits_.test(index);
+  // cycle started with: applyActive runs only in step 5, after every
+  // routine of the cycle has retired.
+  return activeBits_.test(index);
 }
 
 bool PscpMachine::acquireExternalBus(int tepId) {
@@ -459,7 +459,6 @@ void PscpMachine::configurationCycleIds(const std::vector<int>& externalEventIds
   stats.cycles = 0;
   stats.busStallCycles = 0;
   stats.quiescent = false;
-  activeSnapshotBits_ = activeBits_;
   busStallsThisCycle_ = 0;
 
   // Quiescence memo: the CR decoded to nothing when last sampled without

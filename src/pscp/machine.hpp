@@ -334,8 +334,10 @@ class PscpMachine : public tep::TepHost {
   };
   std::vector<Timer> timers_;
 
-  BitVec activeBits_;          ///< the configuration as a bitset over StateIds
-  BitVec activeSnapshotBits_;  ///< config at cycle start (STST reads this)
+  /// The configuration as a bitset over StateIds. Written only at
+  /// construction and in the configuration update, so during a cycle it
+  /// holds the cycle-start configuration that STST reads.
+  BitVec activeBits_;
   /// The packed Configuration Register, maintained incrementally: event
   /// bits live only between sampling and SLA selection; condition bits
   /// track crConditions_; state fields track activeBits_.

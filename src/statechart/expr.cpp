@@ -117,7 +117,9 @@ std::string BoolExpr::str() const {
       for (size_t i = 0; i < kids_.size(); ++i) {
         if (i != 0) out += word;
         const bool paren = kids_[i].op_ == BoolOp::And || kids_[i].op_ == BoolOp::Or;
-        out += paren ? "(" + kids_[i].str() + ")" : kids_[i].str();
+        if (paren) out += '(';
+        out += kids_[i].str();
+        if (paren) out += ')';
       }
       return out;
     }

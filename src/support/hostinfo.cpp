@@ -71,8 +71,8 @@ JsonValue hostInfoJson(const HostInfo& info) {
   host.set("governor", JsonValue::makeString(info.governor));
   // Effective native-tier capability: the PSCP_JIT mode ("off" disables
   // even on capable hosts) or "unavailable" when the backend is compiled
-  // out / the host ISA is unsupported. This explains cross-host baseline
-  // drift, so bench_compare names it on mismatch.
+  // out / the host ISA is unsupported. A number measured on one tier
+  // says nothing about the other.
   host.set("jit", JsonValue::makeString(
                       tep::jit::jitBackendAvailable()
                           ? tep::jit::jitModeName(tep::jit::jitModeFromEnv())

@@ -1,9 +1,7 @@
 // Host-shape metadata for benchmark provenance. Every BENCH_*.json embeds
 // a "host" block (CPU model, logical/physical core counts, frequency
 // governor) so a number can be traced back to the machine that produced
-// it, and bench_compare can warn when a baseline captured on one host
-// shape is gated against a run from another — the single most common
-// source of phantom "regressions".
+// it: two runs from different host shapes do not measure the same thing.
 //
 // Best-effort, Linux-first: /proc/cpuinfo and sysfs cpufreq when present,
 // "unknown" otherwise. Never throws, never blocks on anything but two

@@ -198,25 +198,6 @@ class Parser {
   size_t at_ = 0;
 };
 
-void collectLeaves(const JsonValue& v, const std::string& path,
-                   std::vector<std::pair<std::string, double>>* out) {
-  switch (v.kind) {
-    case JsonValue::Kind::kNumber:
-      out->emplace_back(path, v.number);
-      break;
-    case JsonValue::Kind::kObject:
-      for (const auto& [key, member] : v.object)
-        collectLeaves(member, path.empty() ? key : path + "." + key, out);
-      break;
-    case JsonValue::Kind::kArray:
-      for (size_t i = 0; i < v.array.size(); ++i)
-        collectLeaves(v.array[i], strfmt("%s[%zu]", path.c_str(), i), out);
-      break;
-    default:
-      break;  // strings, booleans and nulls are not metrics
-  }
-}
-
 }  // namespace
 
 const JsonValue* JsonValue::find(const std::string& key) const {
@@ -233,12 +214,6 @@ const JsonValue* JsonValue::findPath(const std::string& dottedPath) const {
     at = at->find(part);
   }
   return at;
-}
-
-std::vector<std::pair<std::string, double>> JsonValue::numericLeaves() const {
-  std::vector<std::pair<std::string, double>> out;
-  collectLeaves(*this, "", &out);
-  return out;
 }
 
 std::string jsonEscape(const std::string& s) {

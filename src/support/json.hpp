@@ -1,8 +1,8 @@
 // Minimal JSON document model + recursive-descent parser.
 //
 // The repo emits JSON in several places (metrics dumps, Chrome traces,
-// BENCH_*.json, profile reports) but until bench_compare nothing needed to
-// *read* it back outside the tests. This is the reading half: a small
+// BENCH_*.json, profile reports); journals and flight-recorder dumps are
+// also *read* back. This is the reading half: a small
 // owning value tree, strict enough for the documents we produce (objects,
 // arrays, strings with the common escapes, numbers, booleans, null;
 // rejects trailing garbage), with object key order preserved so reports
@@ -38,10 +38,6 @@ class JsonValue {
   [[nodiscard]] const JsonValue* find(const std::string& key) const;
   /// find() chained over a '.'-separated path ("totals.machine_cycles").
   [[nodiscard]] const JsonValue* findPath(const std::string& dottedPath) const;
-
-  /// Every numeric leaf as (flattened path, value): object members join
-  /// with '.', array elements index as "[i]". Strings/bools are skipped.
-  [[nodiscard]] std::vector<std::pair<std::string, double>> numericLeaves() const;
 
   /// Serialize this value. `indent` > 0 pretty-prints with that many spaces
   /// per level; 0 emits the compact one-line form. Integral numbers print

@@ -34,13 +34,6 @@ std::string joinWith(const std::vector<std::string>& parts, std::string_view sep
   return out;
 }
 
-std::string toLower(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return out;
-}
-
 std::string toUpper(std::string_view s) {
   std::string out(s);
   std::transform(out.begin(), out.end(), out.begin(),

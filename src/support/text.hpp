@@ -11,7 +11,6 @@ namespace pscp {
 [[nodiscard]] std::vector<std::string> splitOn(std::string_view s, char sep);
 [[nodiscard]] std::string joinWith(const std::vector<std::string>& parts,
                                    std::string_view sep);
-[[nodiscard]] std::string toLower(std::string_view s);
 [[nodiscard]] std::string toUpper(std::string_view s);
 [[nodiscard]] bool isIdentifier(std::string_view s);
 

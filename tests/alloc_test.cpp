@@ -229,10 +229,10 @@ TEST(SteadyStateAllocations, FleetEpochLoopIsAllocationFreeWhenArmed) {
 }
 
 // The record/replay journal holds the bar too: armed appends are plain
-// pushes into vectors reserved at construction (JournalConfig::reserve*),
-// checkpoints write into the flat CR-word arena, and all of it happens on
-// the control thread after the epoch barrier — zero allocations across
-// the measured loop, checkpoints included.
+// pushes into vectors reserved at construction, checkpoints write into
+// the flat CR-word arena, and all of it happens on the control thread
+// after the epoch barrier — zero allocations across the measured loop,
+// checkpoints included.
 TEST(SteadyStateAllocations, FleetEpochLoopIsAllocationFreeWithJournalArmed) {
   const statechart::Chart chart = statechart::parseChart(kChart);
   const actionlang::Program actions = actionlang::parseActionSource(kActions);

@@ -2,8 +2,7 @@
 // configuration cycle's category sum equals the cycles the machine itself
 // reported — the profiler explains 100% of the run, by construction and
 // now by test), quantile estimates against the exact sorted-sample oracle,
-// TeeSink fan-out equivalence, the JSON parser, and the bench-regression
-// gate against injected-regression fixtures.
+// TeeSink fan-out equivalence, and the JSON parser.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +13,6 @@
 #include <vector>
 
 #include "actionlang/parser.hpp"
-#include "obs/bench_compare.hpp"
 #include "obs/metrics.hpp"
 #include "obs/percentile.hpp"
 #include "obs/profiler.hpp"
@@ -396,281 +394,6 @@ TEST(JsonParser, ParsesDocumentsAndRejectsGarbage) {
   EXPECT_FALSE(parseJson("{\"a\":}", &v, &error));
   EXPECT_FALSE(parseJson("[1,2", &v, &error));
   EXPECT_FALSE(parseJson("", &v, &error));
-}
-
-TEST(JsonParser, NumericLeavesFlattenWithDottedPaths) {
-  JsonValue v;
-  std::string error;
-  ASSERT_TRUE(parseJson(
-      R"({"top":3,"nest":{"x":1.5},"arr":[{"y":7},{"y":8}],"skip":"str"})", &v,
-      &error))
-      << error;
-  const auto leaves = v.numericLeaves();
-  std::map<std::string, double> m(leaves.begin(), leaves.end());
-  ASSERT_EQ(m.size(), 4u);
-  EXPECT_EQ(m.at("top"), 3.0);
-  EXPECT_EQ(m.at("nest.x"), 1.5);
-  EXPECT_EQ(m.at("arr[0].y"), 7.0);
-  EXPECT_EQ(m.at("arr[1].y"), 8.0);
-}
-
-// ---------------------------------------------------------- bench_compare
-
-JsonValue parseFixture(const std::string& text) {
-  JsonValue v;
-  std::string error;
-  EXPECT_TRUE(parseJson(text, &v, &error)) << error;
-  return v;
-}
-
-constexpr const char* kBaselineFixture =
-    R"({"benchmark":"sla_select","charts":[
-        {"name":"smd","transitions":54,"speedup":4.0,
-         "reference_ns_per_select":100.0,"packed_ns_per_select":25.0}]})";
-
-TEST(BenchCompare, InjectedTwoTimesRegressionGates) {
-  const JsonValue baseline = parseFixture(kBaselineFixture);
-  // Injected regression: speedup halves (the acceptance fixture).
-  const JsonValue current = parseFixture(
-      R"({"benchmark":"sla_select","charts":[
-          {"name":"smd","transitions":54,"speedup":2.0,
-           "reference_ns_per_select":100.0,"packed_ns_per_select":50.0}]})");
-  BenchCompareOptions options;
-  options.ignore = {"_ns_per_select"};
-  const BenchCompareResult r = compareBenchJson(baseline, current, options);
-  ASSERT_GT(r.regressions, 0);  // nonzero => tool exits 1
-  bool speedupFlagged = false;
-  for (const MetricDelta& d : r.deltas)
-    if (d.path == "charts[0].speedup") {
-      speedupFlagged = d.regression;
-      EXPECT_NEAR(d.change, -0.5, 1e-9);
-    }
-  EXPECT_TRUE(speedupFlagged);
-  EXPECT_NE(r.summaryText().find("REGRESSION"), std::string::npos);
-}
-
-TEST(BenchCompare, ToleranceAbsorbsSmallDrift) {
-  const JsonValue baseline = parseFixture(kBaselineFixture);
-  const JsonValue current = parseFixture(
-      R"({"benchmark":"sla_select","charts":[
-          {"name":"smd","transitions":54,"speedup":3.8,
-           "reference_ns_per_select":110.0,"packed_ns_per_select":27.0}]})");
-  BenchCompareOptions loose;  // default 25%
-  EXPECT_EQ(compareBenchJson(baseline, current, loose).regressions, 0);
-
-  BenchCompareOptions tight;
-  tight.tolerance = 0.01;
-  EXPECT_GT(compareBenchJson(baseline, current, tight).regressions, 0);
-}
-
-TEST(BenchCompare, IgnorePatternNeverGates) {
-  const JsonValue baseline = parseFixture(kBaselineFixture);
-  const JsonValue current = parseFixture(
-      R"({"benchmark":"sla_select","charts":[
-          {"name":"smd","transitions":54,"speedup":4.0,
-           "reference_ns_per_select":900.0,"packed_ns_per_select":900.0}]})");
-  BenchCompareOptions options;
-  options.ignore = {"_ns_per_select"};
-  const BenchCompareResult r = compareBenchJson(baseline, current, options);
-  EXPECT_EQ(r.regressions, 0);
-  for (const MetricDelta& d : r.deltas)
-    if (d.path.find("_ns_per_select") != std::string::npos) {
-      EXPECT_TRUE(d.ignored) << d.path;
-      EXPECT_FALSE(d.regression) << d.path;
-    }
-}
-
-TEST(BenchCompare, LongestPerMetricToleranceWins) {
-  const JsonValue baseline = parseFixture(R"({"a":{"speedup":4.0}})");
-  const JsonValue current = parseFixture(R"({"a":{"speedup":3.5}})");
-  BenchCompareOptions options;
-  options.tolerance = 0.01;  // would regress under the global tolerance
-  options.perMetricTolerance = {{"speedup", 0.02}, {"a.speedup", 0.5}};
-  const BenchCompareResult r = compareBenchJson(baseline, current, options);
-  ASSERT_EQ(r.deltas.size(), 1u);
-  EXPECT_EQ(r.deltas[0].tolerance, 0.5);
-  EXPECT_EQ(r.regressions, 0);
-}
-
-TEST(BenchCompare, ZeroBaselineGatesExactly) {
-  const JsonValue baseline = parseFixture(R"({"bus_stall_cycles":0,"speedup":0})");
-  const JsonValue worse = parseFixture(R"({"bus_stall_cycles":7,"speedup":2})");
-  const BenchCompareResult r = compareBenchJson(baseline, worse, {});
-  int regressed = 0;
-  for (const MetricDelta& d : r.deltas) {
-    if (d.path == "bus_stall_cycles") {
-      EXPECT_TRUE(d.regression);  // lower-is-better rose from zero
-    }
-    if (d.path == "speedup") {
-      EXPECT_FALSE(d.regression);  // higher-is-better rose from zero
-    }
-    regressed += d.regression ? 1 : 0;
-  }
-  EXPECT_EQ(regressed, r.regressions);
-  EXPECT_EQ(r.regressions, 1);
-}
-
-TEST(BenchCompare, OneSidedMetricsAreNotesNotRegressions) {
-  const JsonValue baseline = parseFixture(R"({"old_only":1,"shared":2})");
-  const JsonValue current = parseFixture(R"({"new_only":3,"shared":2})");
-  const BenchCompareResult r = compareBenchJson(baseline, current, {});
-  EXPECT_EQ(r.regressions, 0);
-  ASSERT_EQ(r.deltas.size(), 1u);
-  EXPECT_EQ(r.deltas[0].path, "shared");
-  ASSERT_EQ(r.notes.size(), 2u);
-}
-
-TEST(BenchCompare, HostMismatchWarnsButNeverGates) {
-  const JsonValue baseline = parseFixture(
-      R"({"host":{"cpu_model":"Xeon","logical_cpus":16,"physical_cores":8,
-          "governor":"performance"},"speedup":4.0})");
-  const JsonValue current = parseFixture(
-      R"({"host":{"cpu_model":"EPYC","logical_cpus":1,"physical_cores":1,
-          "governor":"unknown"},"speedup":4.0})");
-  const BenchCompareResult r = compareBenchJson(baseline, current, {});
-  EXPECT_TRUE(r.hostMismatch);
-  EXPECT_EQ(r.regressions, 0);
-  // host.* numeric leaves must never enter the gated delta set.
-  for (const MetricDelta& d : r.deltas)
-    EXPECT_NE(d.path.rfind("host.", 0), 0u) << d.path;
-  EXPECT_NE(r.summaryText().find("WARNING"), std::string::npos);
-  EXPECT_NE(r.summaryText().find("host"), std::string::npos);
-}
-
-TEST(BenchCompare, HostMismatchNamesCapabilityFields) {
-  // The warning names each differing member; jit is an execution
-  // capability, flagged as such (metrics not comparable), while governor
-  // drift is named without that flag.
-  const JsonValue baseline = parseFixture(
-      R"({"host":{"cpu_model":"Xeon","governor":"performance","jit":"auto"},
-          "speedup":4.0})");
-  const JsonValue current = parseFixture(
-      R"({"host":{"cpu_model":"Xeon","governor":"powersave",
-          "jit":"unavailable"},"speedup":4.0})");
-  const BenchCompareResult r = compareBenchJson(baseline, current, {});
-  EXPECT_TRUE(r.hostMismatch);
-  EXPECT_EQ(r.regressions, 0);
-  bool namedJit = false, namedGovernor = false, namedCpu = false;
-  for (const std::string& note : r.notes) {
-    if (note.find("jit baseline") != std::string::npos) {
-      namedJit = true;
-      EXPECT_NE(note.find("execution capability"), std::string::npos) << note;
-      EXPECT_NE(note.find("auto"), std::string::npos) << note;
-      EXPECT_NE(note.find("unavailable"), std::string::npos) << note;
-    }
-    if (note.find("governor") != std::string::npos) {
-      namedGovernor = true;
-      EXPECT_EQ(note.find("execution capability"), std::string::npos) << note;
-    }
-    if (note.find("cpu_model") != std::string::npos) namedCpu = true;
-  }
-  EXPECT_TRUE(namedJit);
-  EXPECT_TRUE(namedGovernor);
-  EXPECT_FALSE(namedCpu);  // matching members stay out of the warning
-}
-
-TEST(BenchCompare, MatchingHostIsSilent) {
-  const JsonValue baseline = parseFixture(
-      R"({"host":{"cpu_model":"Xeon","logical_cpus":16},"speedup":4.0})");
-  const JsonValue current = parseFixture(
-      R"({"host":{"cpu_model":"Xeon","logical_cpus":16},"speedup":4.0})");
-  const BenchCompareResult r = compareBenchJson(baseline, current, {});
-  EXPECT_FALSE(r.hostMismatch);
-  EXPECT_EQ(r.regressions, 0);
-  EXPECT_EQ(r.summaryText().find("WARNING"), std::string::npos);
-}
-
-TEST(BenchCompare, OneSidedHostIsNoteOnly) {
-  // Old baselines predate host capture: note it, don't warn or gate.
-  const JsonValue baseline = parseFixture(R"({"speedup":4.0})");
-  const JsonValue current = parseFixture(
-      R"({"host":{"cpu_model":"Xeon","logical_cpus":16},"speedup":4.0})");
-  const BenchCompareResult r = compareBenchJson(baseline, current, {});
-  EXPECT_FALSE(r.hostMismatch);
-  EXPECT_EQ(r.regressions, 0);
-  bool noted = false;
-  for (const std::string& note : r.notes)
-    noted = noted || note.find("host") != std::string::npos;
-  EXPECT_TRUE(noted);
-}
-
-TEST(BenchCompare, OversubscribedScalingMetricsAreSkipped) {
-  // A 4-thread sweep captured on a 1-hardware-thread host: its
-  // speedup/efficiency numbers are scheduler noise, so even a huge
-  // "regression" in them must not gate — while real throughput metrics
-  // in the same sweep still do.
-  const JsonValue baseline = parseFixture(
-      R"({"hardware_threads":1,"sweeps":[
-          {"threads":4,"config_cycles_per_sec":1000.0,
-           "speedup_vs_1t":1.0,"efficiency":0.25}]})");
-  const JsonValue current = parseFixture(
-      R"({"hardware_threads":1,"sweeps":[
-          {"threads":4,"config_cycles_per_sec":1000.0,
-           "speedup_vs_1t":0.2,"efficiency":0.05}]})");
-  const BenchCompareResult r = compareBenchJson(baseline, current, {});
-  EXPECT_EQ(r.regressions, 0);
-  bool speedupSkipped = false;
-  bool efficiencySkipped = false;
-  for (const MetricDelta& d : r.deltas) {
-    if (d.path == "sweeps[0].speedup_vs_1t") speedupSkipped = d.ignored;
-    if (d.path == "sweeps[0].efficiency") efficiencySkipped = d.ignored;
-  }
-  EXPECT_TRUE(speedupSkipped);
-  EXPECT_TRUE(efficiencySkipped);
-  bool noted = false;
-  for (const std::string& note : r.notes)
-    noted = noted || note.find("not gated") != std::string::npos;
-  EXPECT_TRUE(noted);
-
-  // Throughput in the same oversubscribed sweep still gates.
-  const JsonValue slower = parseFixture(
-      R"({"hardware_threads":1,"sweeps":[
-          {"threads":4,"config_cycles_per_sec":100.0,
-           "speedup_vs_1t":1.0,"efficiency":0.25}]})");
-  EXPECT_GT(compareBenchJson(baseline, slower, {}).regressions, 0);
-}
-
-TEST(BenchCompare, ScalingMetricsGateWhenHostHasTheThreads) {
-  const JsonValue baseline = parseFixture(
-      R"({"hardware_threads":8,"sweeps":[
-          {"threads":4,"speedup_vs_1t":3.0,"efficiency":0.75}]})");
-  const JsonValue current = parseFixture(
-      R"({"hardware_threads":8,"sweeps":[
-          {"threads":4,"speedup_vs_1t":1.0,"efficiency":0.25}]})");
-  const BenchCompareResult r = compareBenchJson(baseline, current, {});
-  EXPECT_GT(r.regressions, 0);
-  for (const MetricDelta& d : r.deltas)
-    if (d.path == "sweeps[0].speedup_vs_1t") {
-      EXPECT_TRUE(d.regression);
-    }
-}
-
-TEST(BenchCompare, CurrentHostOversubscriptionAlsoSkips) {
-  // Baseline captured on a big host, current run on a starved CI
-  // container: the current document's own numbers are the noisy ones.
-  const JsonValue baseline = parseFixture(
-      R"({"hardware_threads":8,"sweeps":[
-          {"threads":4,"speedup_vs_1t":3.0}]})");
-  const JsonValue current = parseFixture(
-      R"({"hardware_threads":2,"sweeps":[
-          {"threads":4,"speedup_vs_1t":0.9}]})");
-  BenchCompareOptions options;
-  // The hardware_threads leaf itself is provenance; CI ignores it too.
-  options.ignore = {"hardware_threads"};
-  const BenchCompareResult r = compareBenchJson(baseline, current, options);
-  EXPECT_EQ(r.regressions, 0);
-  for (const MetricDelta& d : r.deltas)
-    if (d.path == "sweeps[0].speedup_vs_1t") {
-      EXPECT_TRUE(d.ignored);
-    }
-}
-
-TEST(BenchCompare, DirectionHeuristic) {
-  EXPECT_EQ(metricDirection("charts[0].speedup"), MetricDirection::kHigherIsBetter);
-  EXPECT_EQ(metricDirection("totals.machine_cycles"), MetricDirection::kLowerIsBetter);
-  EXPECT_EQ(metricDirection("reference_ns_per_select"), MetricDirection::kLowerIsBetter);
-  EXPECT_EQ(metricDirection("charts[0].transitions"), MetricDirection::kTwoSided);
-  EXPECT_EQ(metricDirection("cr_bits"), MetricDirection::kTwoSided);
 }
 
 // --------------------------------------------------------- profile report

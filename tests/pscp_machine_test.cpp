@@ -183,6 +183,58 @@ TEST(PscpMachineBasics, PortWritesReachTheBus) {
   EXPECT_EQ(h.machine.outputPort("Drive"), 42u);
 }
 
+const char* kInStateChart = R"chart(
+chart InState;
+event GO;
+port Seen data out width 8 address 0x30;
+
+andstate Top {
+  orstate Left { contains Holding, Released; default Holding; }
+  orstate Right { contains Waiting, Probed; default Waiting; }
+}
+basicstate Holding { transition { target Released; label "GO/Leave()"; } }
+basicstate Released {}
+basicstate Waiting { transition { target Probed; label "GO/Probe()"; } }
+basicstate Probed {}
+)chart";
+
+const char* kInStateActions = R"code(
+uint:8 left;
+int:16 spin;
+
+void Leave() { left = 1; }
+
+// Spins first, so Leave() has retired on any TEP count before this asks
+// whether Holding, the state Leave's transition exits, is active.
+void Probe() {
+  int:16 i = 0;
+  while (i < 4) bound 4 { spin = spin + i; i = i + 1; }
+  if (in_state(Holding)) { write_port(Seen, 1); } else { write_port(Seen, 2); }
+}
+)code";
+
+// In one cycle transition A exits Holding while B's routine tests
+// in_state(Holding): STST reads the configuration the cycle started with,
+// so B sees Holding active on every TEP count and tier.
+TEST(PscpMachineBasics, InStateSeesCycleStartConfiguration) {
+  const statechart::Chart chart = statechart::parseChart(kInStateChart);
+  const actionlang::Program actions = actionlang::parseActionSource(kInStateActions);
+  using tep::jit::JitMode;
+  for (const int teps : {1, 2})
+    for (const JitMode mode : {JitMode::kOff, JitMode::kAlways}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "teps=" << teps << " jit=" << tep::jit::jitModeName(mode));
+      core::ReferenceSystem ref(chart, actions);
+      PscpMachine m(chart, actions, archOf(16, true, teps));
+      m.setJitMode(mode);
+      EXPECT_EQ(m.configurationCycle({"GO"}).fired.size(), 2u);
+      (void)ref.step({"GO"});
+      EXPECT_TRUE(m.isActive("Released"));
+      EXPECT_EQ(m.outputPort("Seen"), 1u);
+      EXPECT_EQ(m.outputPort("Seen"), ref.outputPort("Seen"));
+    }
+}
+
 // ------------------------------------------------------- equivalence sweep
 
 struct EquivParam {

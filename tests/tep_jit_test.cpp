@@ -716,6 +716,25 @@ TEST(TepJitMachine, SmdSingleTepJitMatchesInterpreter) {
   }
 }
 
+// Every SMD transition's routine lowers and emits: the whole workload can
+// run on the native tier at either TEP count.
+TEST(TepJitMachine, EverySmdRoutineCompilesNatively) {
+  SKIP_WITHOUT_BACKEND();
+  for (const int teps : {1, 2}) {
+    const auto image = workloads::makeSmdFleetImage(teps);
+    const int transitions = static_cast<int>(image->chart().transitions().size());
+    ASSERT_EQ(transitions, 25);
+    for (int t = 0; t < transitions; ++t) {
+      std::string reason;
+      EXPECT_TRUE(image->tierCache().precompile(t, image->routineEntry(t), &reason))
+          << "teps=" << teps << " T" << t << ": " << reason;
+    }
+    const jit::TierResidency res = image->tierCache().residency();
+    EXPECT_EQ(res.nativeRoutines, 25) << "teps=" << teps;
+    EXPECT_EQ(res.rejectedRoutines, 0) << "teps=" << teps;
+  }
+}
+
 TEST(TepJitMachine, SmdTwoTepMixedServiceMatchesInterpreter) {
   // With two TEPs only single-transition cycles are serial-equivalent;
   // the machine must interleave native and lockstep cycles and still

@@ -15,18 +15,13 @@
 //   --journal-out PREFIX  write each witness journal to PREFIX<prop>.json
 //   --max-states N        node bound (overrides the spec's `bound states`)
 //   --max-depth N         depth bound (overrides the spec's `bound depth`)
-//   --no-confirm          skip concrete-machine confirmation
-//   --no-journals         skip journal lowering
-//   --no-replay-verify    skip replay verification of built journals
-//   --no-jit-verify       skip the native-tier verification legs
-//   --expect-violations   force seeded-violation gate polarity (see below)
 //   --quiet               suppress the text report
 //
-// Exit code: the spec's `expect` declaration (or --expect-violations)
-// decides the gate polarity. Expecting pass: 0 iff no property failed.
-// Expecting violations: 0 iff at least one property failed AND its
-// counterexample survived the whole pipeline — machine-confirmed and
-// replay-verified on every tier that was checked. 2 on usage/parse errors.
+// Exit code: the spec's `expect` declaration decides the gate polarity.
+// Expecting pass: 0 iff no property failed. Expecting violations: 0 iff at
+// least one property failed AND its counterexample survived the whole
+// pipeline — machine-confirmed and replay-verified on every tier the
+// build provides. 2 on usage/parse errors.
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -49,9 +44,7 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s --chart FILE [--actions FILE] --spec FILE\n"
       "          [--json FILE] [--journal-out PREFIX]\n"
-      "          [--max-states N] [--max-depth N]\n"
-      "          [--no-confirm] [--no-journals] [--no-replay-verify]\n"
-      "          [--no-jit-verify] [--expect-violations] [--quiet]\n",
+      "          [--max-states N] [--max-depth N] [--quiet]\n",
       argv0);
   return 2;
 }
@@ -75,19 +68,11 @@ bool writeFileText(const std::string& path, const std::string& text) {
   return true;
 }
 
-/// A counterexample that survived every stage that ran: confirmed on the
-/// concrete machine, and replay-verified on each tier that was checked.
-bool witnessSolid(const analysis::check::Counterexample& cex,
-                  const analysis::check::CheckOptions& opt) {
-  if (opt.confirm && !cex.confirmed) return false;
-  if (opt.confirm && cex.jitChecked && !cex.jitConfirmed) return false;
-  if (opt.buildJournals) {
-    if (!cex.journalBuilt) return false;
-    if (opt.verifyReplay && !cex.interpVerified) return false;
-    if (opt.verifyReplay && opt.verifyJit && cex.jitChecked && !cex.jitVerified)
-      return false;
-  }
-  return true;
+/// A counterexample that survived every stage: confirmed on the concrete
+/// machine, and replay-verified on each tier that was checked.
+bool witnessSolid(const analysis::check::Counterexample& cex) {
+  if (!cex.confirmed || !cex.journalBuilt || !cex.interpVerified) return false;
+  return !cex.jitChecked || (cex.jitConfirmed && cex.jitVerified);
 }
 
 }  // namespace
@@ -98,7 +83,6 @@ int main(int argc, char** argv) {
   std::string specFile;
   std::string jsonFile;
   std::string journalPrefix;
-  bool expectViolationsFlag = false;
   bool quiet = false;
   analysis::check::CheckOptions options;
   int maxStatesOverride = -1;
@@ -120,11 +104,6 @@ int main(int argc, char** argv) {
     else if (arg == "--journal-out") journalPrefix = value("--journal-out");
     else if (arg == "--max-states") maxStatesOverride = std::atoi(value("--max-states"));
     else if (arg == "--max-depth") maxDepthOverride = std::atoi(value("--max-depth"));
-    else if (arg == "--no-confirm") options.confirm = false;
-    else if (arg == "--no-journals") options.buildJournals = false;
-    else if (arg == "--no-replay-verify") options.verifyReplay = false;
-    else if (arg == "--no-jit-verify") options.verifyJit = false;
-    else if (arg == "--expect-violations") expectViolationsFlag = true;
     else if (arg == "--quiet") quiet = true;
     else return usage(argv[0]);
   }
@@ -202,14 +181,13 @@ int main(int argc, char** argv) {
       }
     }
 
-    const bool expectViolations = expectViolationsFlag || spec.expectViolations;
-    if (!expectViolations) return result.failCount() == 0 ? 0 : 1;
+    if (!spec.expectViolations) return result.failCount() == 0 ? 0 : 1;
 
     // Seeded-violation gate: some property must fail with a witness that
     // survived confirmation and replay on every tier that was checked.
     for (const analysis::check::PropertyReport& p : result.properties)
       if (p.status == analysis::check::PropStatus::Fail &&
-          witnessSolid(p.cex, options))
+          witnessSolid(p.cex))
         return 0;
     if (!quiet)
       std::fprintf(stderr,

@@ -120,9 +120,11 @@ int runtimeCrossCheck(const pscp::statechart::Chart& chart,
     if (!collision) continue;
     ++observed;
     auto it = portName.find(key.second);
-    const std::string name = it != portName.end()
-                                 ? it->second
-                                 : "#" + std::to_string(key.second);
+    std::string name = "#";
+    if (it != portName.end())
+      name = it->second;
+    else
+      name += std::to_string(key.second);
     if (staticallyFlagged.count(name) == 0) {
       ++unflagged;
       std::fprintf(stderr,
