@@ -15,6 +15,9 @@ namespace {
 // Static empty event list for every non-first cycle of an epoch, so the
 // per-cycle call passes a reference without building a vector.
 const std::vector<int> kNoEvents;
+// Instances per work-stealing chunk: small enough to balance a shard
+// whose worker falls behind, large enough to keep cursor traffic low.
+constexpr size_t kStealChunk = 8;
 }  // namespace
 
 // ------------------------------------------------------- internal structs
@@ -132,7 +135,6 @@ Fleet::Fleet(ChartImagePtr image, FleetConfig config)
     : image_(std::move(image)), config_(config) {
   PSCP_ASSERT(image_ != nullptr);
   if (config_.workerThreads < 1) config_.workerThreads = 1;
-  if (config_.stealChunk < 1) config_.stealChunk = 1;
   workerCount_ = static_cast<size_t>(config_.workerThreads);
   workerMetrics_.resize(workerCount_);
   workerMetricRefs_.resize(workerCount_);
@@ -230,7 +232,8 @@ int Fleet::eventId(const std::string& eventName) const {
 }
 
 bool Fleet::inject(InstanceId id, int eventBit) {
-  if (!isLive(id)) return false;
+  if (!isLive(id) || eventBit < 0 || eventBit >= image_->layout().eventCount())
+    return false;
   Instance& inst = *instances_[static_cast<size_t>(id)];
   if (inst.queue.tryPush(eventBit)) return true;
   inst.dropped.fetch_add(1, std::memory_order_relaxed);
@@ -350,7 +353,7 @@ void Fleet::runWorkerEpoch(size_t worker, int cycles, int64_t epoch) {
     }
   }
 
-  const size_t chunk = config_.stealChunk;
+  const size_t chunk = kStealChunk;
   const size_t shardCount = shards_.size();
   // Own shard first, then sweep the others stealing leftover chunks.
   for (size_t offset = 0; offset < shardCount; ++offset) {
@@ -591,8 +594,9 @@ obs::MetricsRegistry Fleet::mergedMetrics() const {
   for (const auto& inst : instances_)
     if (inst != nullptr) dropped += inst->dropped.load(std::memory_order_relaxed);
   merged.counter("fleet.events_dropped") += dropped;
-  // Tier residency: per-instance routine-run split plus the image-wide
-  // compile cache (shared across every instance over the chart).
+  // Tier residency: the live instances' routine-run split (each adds up
+  // to that instance's fired transitions) plus the image-wide compile
+  // cache (shared across every instance over the chart).
   int64_t nativeRuns = 0;
   int64_t interpRuns = 0;
   for (const auto& inst : instances_) {

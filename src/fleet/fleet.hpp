@@ -11,14 +11,15 @@
 // Execution model
 //   - step(cycles) is one *epoch*: every live instance advances exactly
 //     `cycles` configuration cycles, then a barrier completes the epoch.
-//   - Instances are statically sharded across workers in contiguous
-//     blocks (by spawn order), so one worker walks one run of neighbouring
-//     instances instead of interleaving with every other shard. Within an
-//     epoch each worker drains its own shard in fixed-size chunks claimed
-//     through an atomic cursor, then steals remaining chunks from other
-//     shards — an oversized shard (instances with heavier charts, or a
-//     retire-skewed distribution) is finished by whoever has idle cycles,
-//     so the barrier waits for the slowest chunk, not the slowest shard.
+//   - Instances are statically sharded across workers in balanced
+//     contiguous blocks (by spawn order; shard sizes differ by at most
+//     one), so one worker walks one run of neighbouring instances instead
+//     of interleaving with every other shard. Within an epoch each worker
+//     drains its own shard in chunks of 8 instances claimed through an
+//     atomic cursor, then steals remaining chunks from other shards — a
+//     shard whose worker wakes late or runs busier instances is finished
+//     by whoever has idle cycles, so the barrier waits for the slowest
+//     chunk, not the slowest shard.
 //   - Every instance cycle is one PscpMachine::configurationCycleIds call.
 //     Idle instances — the dominant case for reactive populations, which
 //     are mostly quiescent between stimuli — cost no decode: the machine's
@@ -87,9 +88,6 @@ struct FleetConfig {
   int workerThreads = 1;
   /// Per-instance event-queue capacity (rounded up to a power of two).
   size_t eventQueueCapacity = 256;
-  /// Instances per work-stealing chunk. Smaller = finer load balance,
-  /// larger = less cursor traffic.
-  size_t stealChunk = 8;
   /// Keep per-instance port-write logs across epochs (drained from the
   /// machine each epoch; read/clear via portWrites()/clearPortWrites()).
   /// Off by default: a throughput fleet discards writes each epoch so
@@ -171,8 +169,9 @@ class Fleet {
   [[nodiscard]] int eventId(const std::string& eventName) const;
   /// Enqueue an external event for `id`'s next epoch. Lock-free; safe
   /// from any thread (one producer per instance at a time). Returns false
-  /// — and counts a drop — if the instance's queue is full or the id is
-  /// retired.
+  /// — and counts a drop — if the instance's queue is full; returns false
+  /// without a drop if the id is retired or `eventBit` is not an event bit
+  /// of the chart (outside [0, event count)).
   bool inject(InstanceId id, int eventBit);
   bool injectByName(InstanceId id, const std::string& eventName);
 
@@ -203,10 +202,10 @@ class Fleet {
   /// fleet.events_delivered, fleet.steal_chunks, fleet.epoch_tasks.
   [[nodiscard]] obs::MetricsRegistry mergedMetrics() const;
 
-  /// Native-tier residency of the shared chart image (routine counts,
-  /// compile time, per-tier run totals). Reads only atomics in the
-  /// per-image TierCache, so — unlike mergedMetrics() — it is safe to
-  /// call from a display thread while workers are stepping.
+  /// Native-tier residency of the shared chart image (routine counts and
+  /// compile time). Reads only atomics in the per-image TierCache, so —
+  /// unlike mergedMetrics() — it is safe to call from a display thread
+  /// while workers are stepping.
   [[nodiscard]] tep::jit::TierResidency tierResidency() const;
 
   // ------------------------------------------------------------ telemetry

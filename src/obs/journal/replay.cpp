@@ -1,6 +1,7 @@
 #include "obs/journal/replay.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 
 #include "support/diag.hpp"
@@ -85,6 +86,29 @@ ReplayResult Replayer::run(const ReplayOptions& options) const {
   std::vector<DeliveredSpan> delivered;  // traced instance, next epoch
   std::vector<int> warmBits;
 
+  // Every op is checked before it is applied, so a damaged or hostile
+  // journal ends in a diagnostic naming the op instead of tripping a
+  // fleet or machine precondition.
+  const int eventCount = image_->layout().eventCount();
+  const auto opIndex = [&](const Op& op) {
+    return static_cast<size_t>(&op - journal_->ops().data());
+  };
+  const auto notLive = [&](const Op& op) {
+    if (isLive(op.instance)) return false;
+    result.error = strfmt("%s op %zu targets instance %lld, which is not live",
+                          opKindName(op.kind), opIndex(op),
+                          static_cast<long long>(op.instance));
+    return true;
+  };
+  const auto notEvent = [&](const Op& op, int64_t bit) {
+    if (bit >= 0 && bit < eventCount) return false;
+    result.error = strfmt("%s op %zu delivers CR bit %lld, which is no event "
+                          "in this image (%d events)",
+                          opKindName(op.kind), opIndex(op),
+                          static_cast<long long>(bit), eventCount);
+    return true;
+  };
+
   for (const Op& op : journal_->ops()) {
     switch (op.kind) {
       case OpKind::kSpawn: {
@@ -108,15 +132,12 @@ ReplayResult Replayer::run(const ReplayOptions& options) const {
         break;
       }
       case OpKind::kRetire:
-        if (!isLive(op.instance)) {
-          result.error = strfmt("retire of non-live instance %lld",
-                                static_cast<long long>(op.instance));
-          return result;
-        }
+        if (notLive(op)) return result;
         fleet.retire(static_cast<InstanceId>(op.instance));
         live[static_cast<size_t>(op.instance)] = 0;
         break;
       case OpKind::kInject:
+        if (notLive(op) || notEvent(op, op.a)) return result;
         if (!fleet.inject(static_cast<InstanceId>(op.instance),
                           static_cast<int>(op.a))) {
           result.error = strfmt(
@@ -134,6 +155,13 @@ ReplayResult Replayer::run(const ReplayOptions& options) const {
       case OpKind::kStep: {
         if (options.stopAfterEpoch >= 0 && op.a > options.stopAfterEpoch)
           goto done;
+        if (op.b <= 0 || op.b > INT32_MAX) {
+          result.error = strfmt("step op %zu runs %lld cycles; a step runs "
+                                "1 to %d cycles",
+                                opIndex(op), static_cast<long long>(op.b),
+                                INT32_MAX);
+          return result;
+        }
         if (options.spanTracker != nullptr) {
           options.spanTracker->beginEpoch(op.a, delivered);
           delivered.clear();
@@ -202,10 +230,10 @@ ReplayResult Replayer::run(const ReplayOptions& options) const {
         break;
       }
       case OpKind::kSetPort:
+        if (notLive(op)) return result;
         if (image_->portSlot(op.a) < 0) {
           result.error = strfmt("port op %zu sets undeclared port address %lld",
-                                static_cast<size_t>(&op - journal_->ops().data()),
-                                static_cast<long long>(op.a));
+                                opIndex(op), static_cast<long long>(op.a));
           return result;
         }
         fleet.setInputPort(static_cast<InstanceId>(op.instance),
@@ -213,11 +241,12 @@ ReplayResult Replayer::run(const ReplayOptions& options) const {
                            static_cast<uint32_t>(op.b));
         break;
       case OpKind::kSetCondition: {
+        if (notLive(op)) return result;
         const auto it = conditionNames.find(static_cast<int>(op.a));
         if (it == conditionNames.end()) {
-          result.error = strfmt("set-condition references CR bit %lld, which "
-                                "is no condition in this image",
-                                static_cast<long long>(op.a));
+          result.error = strfmt("cond op %zu sets condition bit %lld, which is "
+                                "no condition in this image",
+                                opIndex(op), static_cast<long long>(op.a));
           return result;
         }
         fleet.setCondition(static_cast<InstanceId>(op.instance), it->second,
@@ -225,18 +254,22 @@ ReplayResult Replayer::run(const ReplayOptions& options) const {
         break;
       }
       case OpKind::kAddTimer: {
-        const auto it = eventNames.find(static_cast<int>(op.a));
-        if (it == eventNames.end()) {
-          result.error = strfmt("add-timer references CR bit %lld, which is "
-                                "no event in this image",
-                                static_cast<long long>(op.a));
+        if (notLive(op) || notEvent(op, op.a)) return result;
+        if (op.b <= 0) {
+          result.error = strfmt("timer op %zu has period %lld; a timer period "
+                                "must be positive",
+                                opIndex(op), static_cast<long long>(op.b));
           return result;
         }
-        fleet.addTimer(static_cast<InstanceId>(op.instance), it->second, op.b);
+        fleet.addTimer(static_cast<InstanceId>(op.instance),
+                       eventNames.at(static_cast<int>(op.a)), op.b);
         break;
       }
       case OpKind::kWarmCycle: {
+        if (notLive(op)) return result;
         const int32_t* bits = journal_->warmEvents(op);
+        for (int64_t i = 0; i < op.b; ++i)
+          if (notEvent(op, bits[i])) return result;
         warmBits.assign(bits, bits + op.b);
         fleet.warmCycle(static_cast<InstanceId>(op.instance), warmBits);
         break;

@@ -453,6 +453,10 @@ CycleStats PscpMachine::configurationCycleIds(
 
 void PscpMachine::configurationCycleIds(const std::vector<int>& externalEventIds,
                                         CycleStats* statsOut) {
+  for (const int id : externalEventIds)
+    if (id < 0 || id >= layout_.eventCount())
+      fail("PSCP: external event id %d is not an event bit (the chart has %d "
+           "events)", id, layout_.eventCount());
   ++configCycles_;
   CycleStats& stats = *statsOut;
   stats.fired.clear();
@@ -532,18 +536,121 @@ void PscpMachine::configurationCycleIds(const std::vector<int>& externalEventIds
     condDirty_[i].clear();
   }
 
-  // 4. Execute the Transition Address Table. Serial-equivalent cycles (a
-  //    single TEP, or a single selected transition) with no observer take
-  //    the tiered path, which may run compiled routines natively;
-  //    everything else runs the TEPs in lockstep on the microcode
-  //    interpreter with bus arbitration. Both paths produce bit-identical
-  //    CR/port/cycle behaviour.
-  int64_t cycles;
+  // 4. Execute the Transition Address Table. A serial-equivalent cycle (a
+  //    single TEP, or a single selected transition) with no observer runs
+  //    natively when every chosen routine has compiled code; every other
+  //    cycle runs the TEPs in lockstep on the microcode interpreter with
+  //    bus arbitration. Both produce bit-identical CR/port/cycle behaviour.
   const bool serialEquivalent = teps_.size() == 1 || chosen.size() == 1;
-  if (sink == nullptr && serialEquivalent &&
-      jitMode_ != tep::jit::JitMode::kOff && tep::jit::jitBackendAvailable()) {
-    cycles = runTatSerial(chosen, stats, base);
-  } else {
+  const int64_t cycles =
+      sink == nullptr && serialEquivalent && dispatchNative(chosen)
+          ? runTatSerial(chosen, stats, base)
+          : runTatLockstep(chosen, stats, base);
+
+  // 5. Configuration update: apply exits/enters of all fired transitions.
+  //    applyActive keeps the packed CR state fields in sync incrementally.
+  for (TransitionId t : chosen)
+    image_->exitSets_[static_cast<size_t>(t)].forEachSetBit(
+        [&](int s) { applyActive(static_cast<StateId>(s), false); });
+  for (TransitionId t : chosen)
+    image_->enterSets_[static_cast<size_t>(t)].forEachSetBit(
+        [&](int s) { applyActive(static_cast<StateId>(s), true); });
+
+  stats.cycles = cycles;
+  stats.busStallCycles = busStallsThisCycle_;
+  totalCycles_ += cycles;
+  totalBusStalls_ += busStallsThisCycle_;
+  machineTimeNow_ = totalCycles_;
+  if (sink != nullptr) {
+    std::vector<int> activeIds;
+    activeBits_.forEachSetBit([&](int s) { activeIds.push_back(s); });
+    sink->onConfigUpdate(activeIds, totalCycles_);
+    sink->onCycleEnd(cycleIndex, stats.cycles, stats.busStallCycles,
+                     static_cast<int>(stats.fired.size()), false, totalCycles_);
+  }
+}
+
+bool PscpMachine::dispatchNative(const std::vector<TransitionId>& chosen) {
+  if (jitMode_ == tep::jit::JitMode::kOff || !tep::jit::jitBackendAvailable())
+    return false;
+  tep::jit::TierCache& tier = image_->tierCache();
+  nativeScratch_.clear();
+  bool allNative = true;
+  for (TransitionId t : chosen) {
+    const tep::jit::CompiledFn fn =
+        tier.dispatch(t, image_->routineEntry_[static_cast<size_t>(t)], jitMode_);
+    allNative = allNative && fn != nullptr;
+    nativeScratch_.push_back(fn);
+  }
+  return allNative;
+}
+
+int64_t PscpMachine::runTatSerial(const std::vector<TransitionId>& chosen,
+                                  CycleStats& stats, int64_t base) {
+  // Serial twin of the lockstep loop for cycles where at most one routine
+  // is ever in flight and every routine has native code: the TAT drains
+  // FIFO on TEP 0 (exclusion groups cannot block with nothing else
+  // running). The cycle accounting reproduces the lockstep loop's sums
+  // exactly: SLA + per-TEP condition-cache fill up front, dispatch cost
+  // per routine, every machine cycle of the routine body (external wait
+  // states included), condition write-back after each retire.
+  namespace jit = tep::jit;
+  tep::Tep& core = *teps_[0];
+  const int64_t condCopy = conditionCopyCycles(arch_, layout_.conditionCount());
+  int64_t cycles = kSlaEvaluateCycles +
+                   static_cast<int64_t>(teps_.size()) * condCopy;
+  const int64_t maxMachineCycles = 4'000'000;
+  int64_t stepped = 0;  // the lockstep guard counts stepped cycles only
+  runningScratch_.assign(teps_.size(), -1);
+
+  for (size_t k = 0; k < chosen.size(); ++k) {
+    const TransitionId t = chosen[k];
+    cycles += kDispatchCyclesPerTransition;
+    runningScratch_[0] = t;
+    currentTep_ = 0;
+    jit::JitEnv env;
+    env.host = this;
+    env.config = &arch_;
+    env.tepId = core.id();
+    env.programSize = image_->app_.program.code.size();
+    env.budgetLimit = maxMachineCycles;
+    jit::JitContext ctx;
+    ctx.acc = core.acc();
+    ctx.op = core.op();
+    ctx.flagZ = core.flagZ() ? 1 : 0;
+    ctx.flagN = core.flagN() ? 1 : 0;
+    ctx.flagC = core.flagC() ? 1 : 0;
+    ctx.cycles = cycles;
+    // The interpreter's guard spans the whole configuration cycle but
+    // excludes scheduler overhead; express it as an absolute ceiling on
+    // the running cycle counter.
+    ctx.cycleBudget = (cycles - stepped) + maxMachineCycles;
+    ctx.timeBase = base;
+    ctx.machineTime = &machineTimeNow_;
+    ctx.env = &env;
+    const int32_t status = nativeScratch_[k](&ctx);
+    currentTep_ = -1;
+    runningScratch_[0] = -1;
+    if (status != 0)
+      throw Error(env.error.empty() ? std::string("PSCP: native tier fault")
+                                    : env.error);
+    stepped += ctx.cycles - cycles;
+    cycles = ctx.cycles;
+    core.setArchState(ctx.acc, ctx.op, ctx.flagZ != 0, ctx.flagN != 0,
+                      ctx.flagC != 0);
+    ++jitNativeRuns_;
+    condDirty_[0].forEachSetBit(
+        [&](int c) { setCrCondition(c, condCache_[0][static_cast<size_t>(c)] != 0); });
+    condDirty_[0].clear();
+    cycles += condCopy;
+    stats.fired.push_back(t);
+  }
+  return cycles;
+}
+
+int64_t PscpMachine::runTatLockstep(const std::vector<TransitionId>& chosen,
+                                    CycleStats& stats, int64_t base) {
+  obs::ObsSink* const sink = obs_.sink;
   // Dispatch from the Transition Address Table round-robin; mutual-
   // exclusion groups are never in flight on two TEPs at once (the
   // "additional decode logic" of Sec. 4).
@@ -551,9 +658,9 @@ void PscpMachine::configurationCycleIds(const std::vector<int>& externalEventIds
   table.assign(chosen.begin(), chosen.end());
   std::vector<TransitionId>& running = runningScratch_;
   running.assign(teps_.size(), -1);
-  cycles = kSlaEvaluateCycles +
-           static_cast<int64_t>(teps_.size()) *
-               conditionCopyCycles(arch_, layout_.conditionCount());
+  int64_t cycles = kSlaEvaluateCycles +
+                   static_cast<int64_t>(teps_.size()) *
+                       conditionCopyCycles(arch_, layout_.conditionCount());
 
   auto tryDispatch = [&](size_t tepIndex) {
     if (running[tepIndex] != -1 || table.empty()) return;
@@ -626,6 +733,7 @@ void PscpMachine::configurationCycleIds(const std::vector<int>& externalEventIds
         if (doneGroup >= 0) groupInFlight_[static_cast<size_t>(doneGroup)] = 0;
         cycles += conditionCopyCycles(arch_, layout_.conditionCount());
         stats.fired.push_back(done);
+        ++jitInterpRuns_;
         if (sink != nullptr) {
           obs::RoutineStats rs;
           rs.cycles = teps_[i]->cyclesExecuted() - dispatchCycles_[i];
@@ -640,113 +748,6 @@ void PscpMachine::configurationCycleIds(const std::vector<int>& externalEventIds
     if (++guard > maxMachineCycles)
       fail("PSCP configuration cycle exceeded %lld machine cycles",
            static_cast<long long>(maxMachineCycles));
-  }
-  }  // lockstep arm
-
-  // 5. Configuration update: apply exits/enters of all fired transitions.
-  //    applyActive keeps the packed CR state fields in sync incrementally.
-  for (TransitionId t : chosen)
-    image_->exitSets_[static_cast<size_t>(t)].forEachSetBit(
-        [&](int s) { applyActive(static_cast<StateId>(s), false); });
-  for (TransitionId t : chosen)
-    image_->enterSets_[static_cast<size_t>(t)].forEachSetBit(
-        [&](int s) { applyActive(static_cast<StateId>(s), true); });
-
-  stats.cycles = cycles;
-  stats.busStallCycles = busStallsThisCycle_;
-  totalCycles_ += cycles;
-  totalBusStalls_ += busStallsThisCycle_;
-  machineTimeNow_ = totalCycles_;
-  if (sink != nullptr) {
-    std::vector<int> activeIds;
-    activeBits_.forEachSetBit([&](int s) { activeIds.push_back(s); });
-    sink->onConfigUpdate(activeIds, totalCycles_);
-    sink->onCycleEnd(cycleIndex, stats.cycles, stats.busStallCycles,
-                     static_cast<int>(stats.fired.size()), false, totalCycles_);
-  }
-}
-
-int64_t PscpMachine::runTatSerial(const std::vector<TransitionId>& chosen,
-                                  CycleStats& stats, int64_t base) {
-  // Serial twin of the lockstep loop for cycles where at most one routine
-  // is ever in flight: the TAT drains FIFO on TEP 0 (exclusion groups
-  // cannot block with nothing else running), and each routine runs either
-  // as compiled native code or on the microcode interpreter. The cycle
-  // accounting reproduces the lockstep loop's sums exactly: SLA + per-TEP
-  // condition-cache fill up front, dispatch cost per routine, every
-  // machine cycle of the routine body (external wait states included),
-  // condition write-back after each retire.
-  namespace jit = tep::jit;
-  jit::TierCache& tier = image_->tierCache();
-  tep::Tep& core = *teps_[0];
-  const int64_t condCopy = conditionCopyCycles(arch_, layout_.conditionCount());
-  int64_t cycles = kSlaEvaluateCycles +
-                   static_cast<int64_t>(teps_.size()) * condCopy;
-  const int64_t maxMachineCycles = 4'000'000;
-  int64_t stepped = 0;  // the lockstep guard counts stepped cycles only
-  runningScratch_.assign(teps_.size(), -1);
-
-  for (TransitionId t : chosen) {
-    cycles += kDispatchCyclesPerTransition;
-    const int entry = image_->routineEntry_[static_cast<size_t>(t)];
-    runningScratch_[0] = t;
-    const jit::CompiledFn fn = tier.dispatch(t, entry, jitMode_);
-    currentTep_ = 0;
-    if (fn != nullptr) {
-      jit::JitEnv env;
-      env.host = this;
-      env.config = &arch_;
-      env.tepId = core.id();
-      env.programSize = image_->app_.program.code.size();
-      env.budgetLimit = maxMachineCycles;
-      jit::JitContext ctx;
-      ctx.acc = core.acc();
-      ctx.op = core.op();
-      ctx.flagZ = core.flagZ() ? 1 : 0;
-      ctx.flagN = core.flagN() ? 1 : 0;
-      ctx.flagC = core.flagC() ? 1 : 0;
-      ctx.cycles = cycles;
-      // The interpreter's guard spans the whole configuration cycle but
-      // excludes scheduler overhead; express it as an absolute ceiling on
-      // the running cycle counter.
-      ctx.cycleBudget = (cycles - stepped) + maxMachineCycles;
-      ctx.timeBase = base;
-      ctx.machineTime = &machineTimeNow_;
-      ctx.env = &env;
-      const int32_t status = fn(&ctx);
-      if (status != 0) {
-        currentTep_ = -1;
-        runningScratch_[0] = -1;
-        throw Error(env.error.empty() ? std::string("PSCP: native tier fault")
-                                      : env.error);
-      }
-      stepped += ctx.cycles - cycles;
-      cycles = ctx.cycles;
-      core.setArchState(ctx.acc, ctx.op, ctx.flagZ != 0, ctx.flagN != 0,
-                        ctx.flagC != 0);
-      tier.recordNativeRun(t);
-      ++jitNativeRuns_;
-    } else {
-      core.startRoutine(entry);
-      while (core.busy()) {
-        busOwner_ = -1;
-        machineTimeNow_ = base + cycles;
-        core.stepCycle();
-        ++cycles;
-        if (++stepped > maxMachineCycles)
-          fail("PSCP configuration cycle exceeded %lld machine cycles",
-               static_cast<long long>(maxMachineCycles));
-      }
-      tier.recordInterpRun(t);
-      ++jitInterpRuns_;
-    }
-    currentTep_ = -1;
-    runningScratch_[0] = -1;
-    condDirty_[0].forEachSetBit(
-        [&](int c) { setCrCondition(c, condCache_[0][static_cast<size_t>(c)] != 0); });
-    condDirty_[0].clear();
-    cycles += condCopy;
-    stats.fired.push_back(t);
   }
   return cycles;
 }

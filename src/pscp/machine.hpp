@@ -178,7 +178,8 @@ class PscpMachine : public tep::TepHost {
   /// Interned fast path: external events given as CR event bits (from
   /// eventId()). The string overload resolves names and delegates here;
   /// environment models that fire the same events millions of times should
-  /// intern once and call this.
+  /// intern once and call this. An id outside [0, event count) is a
+  /// runtime error, raised before the cycle touches any state.
   CycleStats configurationCycleIds(const std::vector<int>& externalEventIds);
 
   /// In-place twin of configurationCycleIds: clears and refills
@@ -195,16 +196,19 @@ class PscpMachine : public tep::TepHost {
   [[nodiscard]] const BitVec& crBits() const { return cr_; }
 
   // ----------------------------------------------------- tiered execution
-  // The native tier (src/tep/jit) runs compiled routines when the cycle is
-  // serial-equivalent (one TEP, or one selected transition) and no
-  // observer is attached; everything else stays on the microcode
-  // interpreter. Contract: CR, ports, fired order, cycle counts and error
-  // diagnostics are bit-identical between tiers (tests/tep_jit_test.cpp).
+  // The native tier (src/tep/jit) runs a cycle's routines when the cycle
+  // is serial-equivalent (one TEP, or one selected transition), no
+  // observer is attached, and every chosen routine has compiled code.
+  // Every other cycle runs on the lockstep loop, the one place that steps
+  // the microcode interpreter. Contract: CR, ports, fired order, cycle
+  // counts and error diagnostics are bit-identical between tiers
+  // (tests/tep_jit_test.cpp).
 
   /// Override the process-wide PSCP_JIT mode for this instance.
   void setJitMode(tep::jit::JitMode mode) { jitMode_ = mode; }
   [[nodiscard]] tep::jit::JitMode jitMode() const { return jitMode_; }
-  /// Routine dispatches this instance ran natively / on the interpreter.
+  /// Routines this instance ran natively / on the lockstep interpreter.
+  /// Their sum is the number of transitions the instance fired.
   [[nodiscard]] int64_t jitNativeRuns() const { return jitNativeRuns_; }
   [[nodiscard]] int64_t jitInterpRuns() const { return jitInterpRuns_; }
   /// Image-wide tier residency (shared compile cache).
@@ -310,13 +314,22 @@ class PscpMachine : public tep::TepHost {
   /// Conflict resolution over `selectScratch_` into `chosenScratch_`
   /// (identical policy to statechart::Interpreter::step), allocation-free.
   void resolveConflicts();
-  /// Execute the Transition Address Table serially on TEP 0, dispatching
-  /// each routine to the native tier when compiled (interpreter
-  /// micro-loop otherwise). Only called when the cycle is
-  /// serial-equivalent; returns the cycle count (same accounting as the
-  /// lockstep loop).
+  /// Dispatch every chosen routine to the tier cache (each call counts
+  /// toward kAuto promotion), collecting the entry points in
+  /// `nativeScratch_`. True when every routine has native code.
+  bool dispatchNative(const std::vector<statechart::TransitionId>& chosen);
+  /// Execute the Transition Address Table serially on TEP 0 as native
+  /// code, from the entry points dispatchNative collected. Only called
+  /// when the cycle is serial-equivalent; returns the cycle count (same
+  /// accounting as the lockstep loop).
   int64_t runTatSerial(const std::vector<statechart::TransitionId>& chosen,
                        CycleStats& stats, int64_t base);
+  /// Execute the Transition Address Table on the microcode interpreter:
+  /// every TEP advances one micro-op per machine cycle, with round-robin
+  /// dispatch, exclusion groups and external-bus arbitration. Returns the
+  /// cycle count.
+  int64_t runTatLockstep(const std::vector<statechart::TransitionId>& chosen,
+                         CycleStats& stats, int64_t base);
 
   std::shared_ptr<const ChartImage> image_;
   // Aliases into the image, so the cycle logic reads image data with the
@@ -356,13 +369,14 @@ class PscpMachine : public tep::TepHost {
 
   // Per-cycle scratch buffers, hoisted out of configurationCycleIds so the
   // steady-state step never allocates: sampled event bits, SLA selection,
-  // conflict-resolution output, the Transition Address Table FIFO, and the
-  // per-TEP running-transition slots.
+  // conflict-resolution output, the Transition Address Table FIFO, the
+  // per-TEP running-transition slots, and the native entry points.
   std::vector<int> eventScratch_;
   std::vector<statechart::TransitionId> selectScratch_;
   std::vector<statechart::TransitionId> chosenScratch_;
   std::vector<statechart::TransitionId> tatScratch_;
   std::vector<statechart::TransitionId> runningScratch_;
+  std::vector<tep::jit::CompiledFn> nativeScratch_;  ///< per chosen routine
   BitVec exitedScratch_;                 ///< resolveConflicts working set
   std::vector<uint8_t> groupInFlight_;   ///< by interned exclusion group id
 

@@ -11,6 +11,11 @@
 // charged by the memory ops themselves, so a lowered routine accounts the
 // exact same cycle total as the interpreter on every path.
 //
+// Lowering feeds the emitter directly: there is no IR optimizer. The
+// compiler's peephole pass (compiler/optimize.cpp) already removes
+// redundant jumps before assembly, and folding or dead-store passes here
+// showed no measured gain while each had to preserve the cycle ledger.
+//
 // Bit-identity contract: executing a lowered routine must produce the
 // same ACC/OP/Z/N/C, the same host side effects in the same order
 // (port/reg/memory writes, raised events, condition updates), the same
@@ -39,7 +44,7 @@ inline constexpr int kVregCount = 3;
 enum class IrOp : uint8_t {
   // Cost accounting. Every lowered ISA instruction begins with one of
   // these charging its static microprogram length; the op doubles as the
-  // branch-target anchor for its ISA index (never removed by cleanups).
+  // branch-target anchor for its ISA index.
   kAddCycles,
 
   // Data movement (no flags).
@@ -79,9 +84,7 @@ enum class IrOp : uint8_t {
   kCustom,     ///< dst = custom chain imm over (src1, src2); imm2 = chain
                ///< width; Z/N at that width
 
-  // Control flow. imm = target ISA instruction index; imm2 = extra cycles
-  // charged on the taken edge (jump threading folds skipped instructions'
-  // static costs here).
+  // Control flow. imm = target ISA instruction index.
   kJump, kJz, kJnz, kJn, kJc,
   kCall,  ///< shadow-stack call; overflow at depth 32
   kRet,   ///< shadow-stack return; underflow error on empty
@@ -90,9 +93,6 @@ enum class IrOp : uint8_t {
   // Error exit: "PC imm ran off the program". Reached by jumps to invalid
   // targets and by falling off the end of the instruction stream.
   kRunOff,
-
-  // Direct flag stores (constant folding residue; imm = 0/1).
-  kSetZ, kSetN, kSetC,
 };
 
 [[nodiscard]] const char* irOpName(IrOp op);
@@ -111,23 +111,12 @@ struct IrInst {
   [[nodiscard]] std::string str() const;
 };
 
-/// Cleanup-pass counters, reported by pscp_prof and asserted by tests.
-struct IrStats {
-  int isaInstructions = 0;
-  int loweredOps = 0;   ///< before cleanups
-  int finalOps = 0;     ///< after cleanups
-  int constFolded = 0;  ///< ops rewritten/removed by constant folding
-  int deadRemoved = 0;  ///< ops removed / flag writes cleared by DSE
-  int jumpsThreaded = 0;
-};
-
 /// A lowered routine. `code` is ordered by ascending ISA index; the
 /// kAddCycles op carrying `isa == i` anchors branch target `i`.
 struct IrRoutine {
   int entryIsa = 0;
   std::vector<IrInst> code;
   bool hasCalls = false;
-  IrStats stats;
 
   /// Offset in `code` of the anchor for ISA index `target`, or -1 when the
   /// target is not a lowered instruction (the executor emits a kRunOff
@@ -143,20 +132,16 @@ struct LowerResult {
   IrRoutine routine;
 };
 
-/// Bounds that keep compilation cheap and the emitted code small. A
-/// routine exceeding them is rejected (permanently interpreted), never
-/// mis-compiled.
-struct LowerLimits {
-  int maxIrOps = 16384;
-  int maxThreadingHops = 8;
-};
+/// Size bound that keeps compilation cheap and the emitted code small. A
+/// routine lowering to more ops is rejected (permanently interpreted),
+/// never mis-compiled.
+inline constexpr int kMaxIrOps = 16384;
 
-/// Lower the routine entered at ISA index `entry`, then run constant
-/// folding, dead-store elimination and jump threading. The program and
-/// config must describe the machine the routine will run on (costs come
-/// from the same microprograms the interpreter executes).
+/// Lower the routine entered at ISA index `entry` — every instruction
+/// reachable from it, in ascending ISA order. The program and config must
+/// describe the machine the routine will run on (costs come from the same
+/// microprograms the interpreter executes).
 [[nodiscard]] LowerResult lowerRoutine(const AsmProgram& program, int entry,
-                                       const hwlib::ArchConfig& config,
-                                       const LowerLimits& limits = {});
+                                       const hwlib::ArchConfig& config);
 
 }  // namespace pscp::tep::ir

@@ -118,12 +118,6 @@ class Asm {
     byte(0x89);
     mem(src, base, disp);
   }
-  void movByteMI(int base, int32_t disp, uint8_t imm) {  // mov byte [..], imm
-    rex(false, 0, 0, base);
-    byte(0xC6);
-    mem(0, base, disp);
-    byte(imm);
-  }
   void cmpByteMI(int base, int32_t disp, uint8_t imm) {  // cmp byte [..], imm
     rex(false, 7, 0, base);
     byte(0x80);
@@ -278,7 +272,7 @@ class RoutineEmitter {
   void emitCmp(const IrInst& in);
   void emitBranch(const IrInst& in);
   void emitCall(const IrInst& in);
-  void chargeAndBudget(const IrInst& in);
+  void budgetGuard(const IrInst& in);
 };
 
 int RoutineEmitter::targetLabel(int isaTarget) {
@@ -421,12 +415,10 @@ void RoutineEmitter::emitCmp(const IrInst& in) {
   }
 }
 
-/// Taken-edge bookkeeping shared by jumps and calls: charge threaded-away
-/// cycles, then trip the configuration-cycle guard on loop-capable edges
-/// (backward jumps and calls — forward straight-line code is bounded by
-/// its static cost and cannot run away).
-void RoutineEmitter::chargeAndBudget(const IrInst& in) {
-  if (in.imm2 != 0) a_.addR64I(kR13, in.imm2);
+/// Taken-edge guard shared by jumps and calls: trip the configuration-cycle
+/// budget on loop-capable edges (backward jumps and calls — forward
+/// straight-line code is bounded by its static cost and cannot run away).
+void RoutineEmitter::budgetGuard(const IrInst& in) {
   const bool loopCapable = in.op == IrOp::kCall || in.imm <= in.isa;
   if (loopCapable) {
     if (budgetFail_ < 0) budgetFail_ = a_.newLabel();
@@ -438,7 +430,7 @@ void RoutineEmitter::chargeAndBudget(const IrInst& in) {
 
 void RoutineEmitter::emitBranch(const IrInst& in) {
   if (in.op == IrOp::kJump) {
-    chargeAndBudget(in);
+    budgetGuard(in);
     a_.jmpLabel(targetLabel(in.imm));
     return;
   }
@@ -455,7 +447,7 @@ void RoutineEmitter::emitBranch(const IrInst& in) {
   const int skip = a_.newLabel();
   a_.cmpByteMI(kR14, flagOff, 0);
   a_.jccLabel(takenWhenSet ? kCcE : kCcNe, skip);  // inverted: fall through
-  chargeAndBudget(in);
+  budgetGuard(in);
   a_.jmpLabel(targetLabel(in.imm));
   a_.bind(skip);
 }
@@ -471,7 +463,7 @@ void RoutineEmitter::emitCall(const IrInst& in) {
   a_.movSibR64(true, kR14, kRax, kCtxCallStack, kRcx);
   a_.addRI(kRax, 1);
   a_.movMR(kR14, kCtxCallDepth, kRax);
-  chargeAndBudget(in);
+  budgetGuard(in);
   a_.jmpLabel(targetLabel(in.imm));
   a_.bind(cont);
 }
@@ -659,15 +651,6 @@ void RoutineEmitter::emitInst(const IrInst& in) {
       a_.jmpLabel(errExit_);
       break;
     }
-    case IrOp::kSetZ:
-      a_.movByteMI(kR14, kCtxFlagZ, in.imm != 0 ? 1 : 0);
-      break;
-    case IrOp::kSetN:
-      a_.movByteMI(kR14, kCtxFlagN, in.imm != 0 ? 1 : 0);
-      break;
-    case IrOp::kSetC:
-      a_.movByteMI(kR14, kCtxFlagC, in.imm != 0 ? 1 : 0);
-      break;
   }
 }
 

@@ -4,8 +4,8 @@
 // r13 = cycle counter, r14 = JitContext*. eax/ecx/edx are scratch. All
 // five pinned registers are callee-saved, so helper calls need no
 // spills; five pushes keep rsp 16-byte aligned at every call site.
-// Z/N/C live as bytes in the JitContext and are updated with setcc only
-// where the IR says the flag is (still) live.
+// Z/N/C live as bytes in the JitContext and are updated with setcc
+// wherever the IR op sets the flag.
 //
 // Control flow stays inside the emitted routine: TEP Call/Ret use a
 // shadow stack of native return addresses in the JitContext (depth 32,

@@ -136,23 +136,11 @@ bool TierCache::compileSlot(Slot& slot, int entry, std::string* reason) {
   return ok;
 }
 
-void TierCache::recordNativeRun(int transition) {
-  if (transition < 0 || transition >= count_) return;
-  slots_[transition].nativeRuns.fetch_add(1, std::memory_order_relaxed);
-}
-
-void TierCache::recordInterpRun(int transition) {
-  if (transition < 0 || transition >= count_) return;
-  slots_[transition].interpRuns.fetch_add(1, std::memory_order_relaxed);
-}
-
 TierResidency TierCache::residency() const {
   TierResidency r;
   r.compileMicros = compileMicros_.load(std::memory_order_relaxed);
   for (int i = 0; i < count_; ++i) {
     const Slot& slot = slots_[i];
-    r.nativeRuns += slot.nativeRuns.load(std::memory_order_relaxed);
-    r.interpRuns += slot.interpRuns.load(std::memory_order_relaxed);
     switch (static_cast<RoutineState>(slot.state.load(std::memory_order_acquire))) {
       case RoutineState::kNative:
         ++r.nativeRoutines;

@@ -10,6 +10,11 @@
 // decision, never a correctness one, because the interpreter is the
 // semantics.
 //
+// A machine asks for code only on serial-equivalent cycles (one TEP, or
+// one selected transition) and dispatches every chosen routine; the cycle
+// runs natively when all of them have code, and on the lockstep
+// interpreter otherwise (pscp/machine.hpp).
+//
 // The cache lives per ChartImage, so a fleet of thousands of instances
 // compiles each routine once and shares the read-execute pages; per-run
 // state (JitContext) is per machine, which keeps multi-worker stepping
@@ -62,14 +67,15 @@ enum class RoutineState : uint8_t { kNotCompiled, kCompiling, kNative, kRejected
 /// Stable display name ("interp", "compiling", "native", "rejected").
 [[nodiscard]] const char* routineStateName(RoutineState state);
 
-/// Tier residency summary (pscp_prof / pscp_top / fleet metrics).
+/// Tier residency summary (pscp_prof / pscp_top / fleet metrics): where
+/// each routine lives and what compiling cost. How often routines ran on
+/// each tier is counted per machine (PscpMachine::jitNativeRuns /
+/// jitInterpRuns), where the two counts add up to the fired transitions.
 struct TierResidency {
   int nativeRoutines = 0;
   int rejectedRoutines = 0;
   int interpretedRoutines = 0;  ///< seen at least once, still interpreted
   int64_t compileMicros = 0;
-  int64_t nativeRuns = 0;
-  int64_t interpRuns = 0;
 };
 
 /// Per-image compile cache, keyed by transition id. Thread-safe: the hot
@@ -82,15 +88,13 @@ class TierCache {
 
   /// Called per dispatch. Bumps the routine's execution counter, applies
   /// the promotion policy, and returns the native entry point when the
-  /// routine is (now) compiled — nullptr means "interpret this run".
+  /// routine is (now) compiled — nullptr means "no native code for this
+  /// run".
   [[nodiscard]] CompiledFn dispatch(int transition, int entry, JitMode mode);
 
   /// Force-compile a routine (profiler-seeded AOT). Returns false with
   /// `reason` when lowering/emission rejects it.
   bool precompile(int transition, int entry, std::string* reason = nullptr);
-
-  void recordNativeRun(int transition);
-  void recordInterpRun(int transition);
 
   [[nodiscard]] TierResidency residency() const;
   [[nodiscard]] RoutineState stateOf(int transition) const;
@@ -100,8 +104,6 @@ class TierCache {
   struct Slot {
     std::atomic<uint8_t> state{static_cast<uint8_t>(RoutineState::kNotCompiled)};
     std::atomic<int64_t> execs{0};
-    std::atomic<int64_t> nativeRuns{0};
-    std::atomic<int64_t> interpRuns{0};
     CodeBuf buf;
     std::atomic<CompiledFn> fn{nullptr};
   };

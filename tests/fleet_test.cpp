@@ -18,6 +18,7 @@
 #include "obs/sink.hpp"
 #include "pscp/machine.hpp"
 #include "statechart/parser.hpp"
+#include "support/diag.hpp"
 
 namespace pscp::fleet {
 namespace {
@@ -296,7 +297,6 @@ ScriptedRun runScriptedFleet(const Fleet::ChartImagePtr& image, int workers,
   FleetConfig config;
   config.workerThreads = workers;
   config.capturePortWrites = true;
-  config.stealChunk = 4;
   Fleet fleet(image, config);
   const std::vector<InstanceId> ids = fleet.spawnMany(instances);
   if (sink != nullptr)
@@ -430,7 +430,6 @@ TEST_F(FleetTest, SteppingMatchesFullDecodeMirrors) {
     FleetConfig config;
     config.workerThreads = workers;
     config.capturePortWrites = true;
-    config.stealChunk = 4;
     Fleet fleet(image_, config);
     const std::vector<InstanceId> ids = fleet.spawnMany(kInstances);
     const int go = fleet.eventId("GO");
@@ -516,14 +515,19 @@ TEST_F(FleetTest, SteppingMatchesFullDecodeMirrors) {
 }
 
 TEST_F(FleetTest, StealingFleetMatchesSingleThreadWithSkewedShards) {
-  // Retire most of one shard's round-robin partners so the remaining
-  // shards are unbalanced and stealing actually happens; results must
-  // still match the single-threaded run exactly.
-  auto runSkewed = [&](int workers) {
+  // Shards are balanced contiguous blocks (retirement only shrinks them
+  // evenly at the next rebuild), so chunks are stolen only from a worker
+  // that starts its epoch late. Skew the schedule for certain: shard 0's
+  // worker sleeps at the start of every epoch (armed telemetry), so the
+  // others steal its chunks. Results must still match the single-threaded
+  // run exactly.
+  auto runSkewed = [&](int workers, int64_t* stealChunks) {
     FleetConfig config;
     config.workerThreads = workers;
     config.capturePortWrites = true;
-    config.stealChunk = 1;
+    config.telemetry = true;
+    config.debugStallShard = workers > 1 ? 0 : -1;
+    config.debugStallMicros = 5000;
     Fleet fleet(image_, config);
     const std::vector<InstanceId> ids = fleet.spawnMany(48);
     for (size_t i = 0; i < ids.size(); ++i)
@@ -541,11 +545,50 @@ TEST_F(FleetTest, StealingFleetMatchesSingleThreadWithSkewedShards) {
     }
     std::vector<std::vector<machine::PortWrite>> logs;
     for (InstanceId id : live) logs.push_back(fleet.portWrites(id));
+    *stealChunks = fleet.mergedMetrics().value("fleet.steal_chunks");
     return logs;
   };
-  const auto base = runSkewed(1);
-  const auto threaded = runSkewed(4);
+  int64_t baseSteals = 0;
+  int64_t threadedSteals = 0;
+  const auto base = runSkewed(1, &baseSteals);
+  const auto threaded = runSkewed(4, &threadedSteals);
   ASSERT_EQ(base, threaded);
+  EXPECT_EQ(baseSteals, 0);
+  EXPECT_GT(threadedSteals, 0) << "no chunk was stolen: the test is vacuous";
+}
+
+TEST_F(FleetTest, InjectRejectsBitsThatAreNotEvents) {
+  // CR bits past the events hold conditions, then state fields. A bit
+  // injected as an event must be one of the events: anything else is
+  // refused before it reaches the queue (no drop counted), and the
+  // machine's interned API rejects it with a diagnostic naming the id.
+  Fleet fleet(image_);
+  const InstanceId id = fleet.spawn();
+  const sla::CrLayout& layout = image_->layout();
+  const int armed = layout.conditionBase() + layout.conditionBit("ARMED");
+  fleet.setCondition(id, "ARMED", true);
+  for (const int bit : {-1, armed, layout.totalBits(), 100000})
+    EXPECT_FALSE(fleet.inject(id, bit)) << "bit " << bit;
+  fleet.step(1);
+  const InstanceSnapshot snap = fleet.snapshot(id);
+  EXPECT_EQ(snap.eventsDelivered, 0);
+  EXPECT_EQ(snap.eventsDropped, 0);
+  machine::PscpMachine& m = fleet.machine(id);
+  EXPECT_TRUE(m.conditionValue("ARMED"));
+  EXPECT_TRUE(m.crBits().test(armed)) << "the CR must agree with the condition";
+
+  const int64_t cyclesBefore = m.configurationCycles();
+  for (const int bit : {-1, armed, 100000}) {
+    try {
+      (void)m.configurationCycleIds(std::vector<int>{bit});
+      ADD_FAILURE() << "bit " << bit << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(strfmt("id %d ", bit)), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(m.configurationCycles(), cyclesBefore);
+  EXPECT_TRUE(fleet.inject(id, fleet.eventId("GO")));
 }
 
 }  // namespace

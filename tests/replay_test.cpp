@@ -181,6 +181,96 @@ TEST(Replay, PortOpAtUndeclaredAddressIsADiagnostic) {
   }
 }
 
+// Hostile edits of a recorded journal, each applied to the first op of a
+// kind (or inserted right after the first spawn): every one must end in a
+// diagnostic naming the op, in both framings and at 1 and 4 workers —
+// never in a fleet or machine precondition.
+TEST(Replay, HostileOpsAreDiagnostics) {
+  Recording rec = recordSmdRun(2, 2, 1);
+  const sla::CrLayout& layout = rec.image->layout();
+  const int eventCount = layout.eventCount();
+  const int xPulse = layout.eventBit("X_PULSE");
+  JsonValue recorded;
+  std::string error;
+  ASSERT_TRUE(parseJson(rec.journal->dumpJson(), &recorded, &error)) << error;
+  ASSERT_EQ(recorded.find("ops")->array.front().find("op")->string, "spawn");
+
+  const auto number = [](double v) { return JsonValue::makeNumber(v); };
+  const auto events = [&](double bit) {
+    JsonValue list = JsonValue::makeArray();
+    list.array.push_back(number(bit));
+    return list;
+  };
+  const auto newOp = [](const char* kind) {
+    JsonValue op = JsonValue::makeObject();
+    op.set("op", JsonValue::makeString(kind));
+    return op;
+  };
+  struct Case {
+    std::string kind;      ///< op kind edited or inserted
+    bool insert;           ///< insert a new op instead of editing one
+    std::vector<std::pair<std::string, JsonValue>> fields;
+    std::string expect;    ///< diagnostic text besides "<kind> op <index> "
+  };
+  const std::vector<Case> cases = {
+      {"inject", false, {{"event", number(100000)}}, "CR bit 100000,"},
+      {"inject", false, {{"id", number(7)}}, "instance 7,"},
+      {"inject", false, {{"event", number(eventCount)}},
+       strfmt("CR bit %d, which is no event", eventCount)},
+      {"warm", false, {{"events", events(100000)}}, "CR bit 100000,"},
+      {"warm", false, {{"id", number(7)}}, "instance 7,"},
+      {"port", false, {{"id", number(7)}}, "instance 7,"},
+      {"step", false, {{"cycles", number(0)}}, "runs 0 cycles"},
+      {"timer", true,
+       {{"id", number(0)}, {"event", number(xPulse)}, {"period", number(0)}},
+       "period 0"},
+      {"timer", true,
+       {{"id", number(7)}, {"event", number(xPulse)}, {"period", number(5)}},
+       "instance 7,"},
+      {"timer", true,
+       {{"id", number(0)}, {"event", number(eventCount)}, {"period", number(5)}},
+       "which is no event"},
+      {"cond", true,
+       {{"id", number(7)}, {"bit", number(0)}, {"value", JsonValue::makeBool(true)}},
+       "instance 7,"},
+      {"cond", true,
+       {{"id", number(0)}, {"bit", number(1000)}, {"value", JsonValue::makeBool(true)}},
+       "condition bit 1000,"},
+      {"retire", true, {{"id", number(7)}}, "instance 7,"},
+  };
+  for (const Case& c : cases) {
+    JsonValue doc = recorded;
+    std::vector<JsonValue>* opsArray = nullptr;
+    for (auto& [key, value] : doc.object)
+      if (key == "ops") opsArray = &value.array;
+    ASSERT_NE(opsArray, nullptr);
+    std::vector<JsonValue>& ops = *opsArray;
+    size_t index = 1;
+    if (c.insert) {
+      ops.insert(ops.begin() + 1, newOp(c.kind.c_str()));
+    } else {
+      while (index < ops.size() && ops[index].find("op")->string != c.kind) ++index;
+      ASSERT_LT(index, ops.size()) << "the recording has a " << c.kind << " op";
+    }
+    for (const auto& [key, value] : c.fields) ops[index].set(key, value);
+    const std::string label = c.kind + " op " + std::to_string(index) + " ";
+    Journal json;
+    ASSERT_TRUE(Journal::parse(doc.dump(), &json, &error)) << error;
+    Journal binary;
+    ASSERT_TRUE(Journal::parse(json.dumpBinary(), &binary, &error)) << error;
+    for (const Journal* hostile : {&json, &binary}) {
+      for (const int workers : {1, 4}) {
+        ReplayOptions options;
+        options.workerThreads = workers;
+        const ReplayResult result = Replayer(hostile, rec.image).run(options);
+        EXPECT_FALSE(result.ok) << label << c.expect;
+        EXPECT_NE(result.error.find(label), std::string::npos) << result.error;
+        EXPECT_NE(result.error.find(c.expect), std::string::npos) << result.error;
+      }
+    }
+  }
+}
+
 TEST(Replay, BisectPinpointsTheExactCorruptedEpoch) {
   Recording rec = recordSmdRun(8, 20, 1);
   // Damage the journal: rewrite the first inject delivered at epoch 13

@@ -1,8 +1,6 @@
-// Unit tests for the three-address IR: lowering shape, static cost
-// accounting, and the cleanup passes (constant folding, dead-store
-// elimination, jump threading). Bit-identity of *execution* against the
-// interpreter is covered by tep_jit_test.cpp; these tests pin the IR
-// structure itself.
+// Unit tests for the three-address IR: lowering shape and static cost
+// accounting. Bit-identity of *execution* against the interpreter is
+// covered by tep_jit_test.cpp; these tests pin the IR structure itself.
 #include <gtest/gtest.h>
 
 #include "tep/ir.hpp"
@@ -49,8 +47,7 @@ TEST(TepIr, LowersStraightLineRoutineWithAnchors) {
   const LowerResult res = ir::lowerRoutine(prog, 0, arch16());
   ASSERT_TRUE(res.ok) << res.reason;
   const IrRoutine& r = res.routine;
-  EXPECT_EQ(r.stats.isaInstructions, 5);
-  // Every ISA instruction keeps its kAddCycles anchor through cleanups.
+  // Every ISA instruction lowers behind its own kAddCycles anchor.
   EXPECT_EQ(countOps(r, IrOp::kAddCycles), 5);
   for (int i = 0; i < 5; ++i) EXPECT_GE(r.anchorOf(i), 0) << "anchor " << i;
   EXPECT_EQ(r.anchorOf(5), -1);
@@ -80,92 +77,17 @@ TEST(TepIr, StaticCostMatchesMicrocodeLengths) {
   EXPECT_EQ(charged, expected);
 }
 
-TEST(TepIr, ConstantFoldingFoldsImmediateAlu) {
-  const auto prog = progOf({
-      {Opcode::LdaImm, 8, 6},
-      {Opcode::LdoImm, 8, 7},
-      {Opcode::Add, 8, 0},
-      {Opcode::Tret, 8, 0},
-  });
-  const LowerResult res = ir::lowerRoutine(prog, 0, arch16());
-  ASSERT_TRUE(res.ok) << res.reason;
-  const IrRoutine& r = res.routine;
-  EXPECT_GT(r.stats.constFolded, 0);
-  EXPECT_EQ(countOps(r, IrOp::kAdd), 0);
-  // The folded ACC value must appear as an immediate load of 13.
-  bool found = false;
-  for (const IrInst& i : r.code)
-    if (i.op == IrOp::kLoadImm && i.dst == ir::kVregAcc && i.imm == 13) found = true;
-  EXPECT_TRUE(found) << r.listing();
-}
-
-TEST(TepIr, FoldsKnownConditionalJumpToUnconditional) {
-  const auto prog = progOf({
-      {Opcode::LdaImm, 8, 5},
-      {Opcode::LdoImm, 8, 5},
-      {Opcode::Sub, 8, 0},   // ACC = 0, Z = 1
-      {Opcode::Jz, 8, 5},    // always taken
-      {Opcode::Outp, 8, 0},  // skipped
-      {Opcode::Tret, 8, 0},
-  });
-  const LowerResult res = ir::lowerRoutine(prog, 0, arch16());
-  ASSERT_TRUE(res.ok) << res.reason;
-  const IrRoutine& r = res.routine;
-  EXPECT_EQ(countOps(r, IrOp::kJz), 0) << r.listing();
-  EXPECT_GE(countOps(r, IrOp::kJump), 1);
-  EXPECT_GT(r.stats.constFolded, 0);
-}
-
-TEST(TepIr, DeadStoreEliminationDropsOverwrittenValue) {
-  const auto prog = progOf({
-      {Opcode::LdaImm, 16, 1},  // dead: overwritten before any use
-      {Opcode::LdaImm, 16, 2},
-      {Opcode::StaMem, 16, 0x40},
-      {Opcode::Tret, 8, 0},
-  });
-  const LowerResult res = ir::lowerRoutine(prog, 0, arch16());
-  ASSERT_TRUE(res.ok) << res.reason;
-  const IrRoutine& r = res.routine;
-  EXPECT_GT(r.stats.deadRemoved, 0);
-  bool deadLoad = false;
-  for (const IrInst& i : r.code)
-    if (i.op == IrOp::kLoadImm && i.imm == 1) deadLoad = true;
-  EXPECT_FALSE(deadLoad) << r.listing();
-  // The anchor of the dead instruction stays (cost + branch target).
-  EXPECT_EQ(countOps(r, IrOp::kAddCycles), 4);
-}
-
-TEST(TepIr, JumpThreadingCollapsesJumpChains) {
-  const auto config = arch16();
-  const auto prog = progOf({
-      {Opcode::Jmp, 8, 1},
-      {Opcode::Jmp, 8, 2},
-      {Opcode::Tret, 8, 0},
-  });
-  const LowerResult res = ir::lowerRoutine(prog, 0, config);
-  ASSERT_TRUE(res.ok) << res.reason;
-  const IrRoutine& r = res.routine;
-  EXPECT_GT(r.stats.jumpsThreaded, 0);
-  // The entry jump now lands on the Tret directly, carrying the skipped
-  // jump's static cost on its taken edge.
-  bool threaded = false;
-  for (const IrInst& i : r.code)
-    if (i.op == IrOp::kJump && i.isa == 0 && i.imm == 2) {
-      threaded = true;
-      EXPECT_EQ(i.imm2, cyclesFor(prog.code[1], config));
-    }
-  EXPECT_TRUE(threaded) << r.listing();
-}
-
 TEST(TepIr, DivisionIsNeverFolded) {
   const auto prog = progOf({
       {Opcode::LdaImm, 16, 10},
       {Opcode::LdoImm, 16, 0},
-      {Opcode::Div, 16, 0},  // would trap; must reach runtime unfolded
+      {Opcode::Div, 16, 0},  // traps at runtime with the interpreter's text
       {Opcode::Tret, 8, 0},
   });
   const LowerResult res = ir::lowerRoutine(prog, 0, arch16());
   ASSERT_TRUE(res.ok) << res.reason;
+  // Constant operands do not matter: the division lowers to its helper
+  // op, so division by zero fails at runtime like the interpreter.
   EXPECT_EQ(countOps(res.routine, IrOp::kDivMod), 1);
 }
 
@@ -180,12 +102,12 @@ TEST(TepIr, RejectsInvalidWidth) {
 }
 
 TEST(TepIr, RejectsOversizedRoutine) {
-  std::vector<Instr> code(64, {Opcode::Add, 32, 0});
+  // Each Add lowers to two ops (its anchor and the ALU op).
+  std::vector<Instr> code(ir::kMaxIrOps / 2 + 1, {Opcode::Add, 32, 0});
   code.push_back({Opcode::Tret, 8, 0});
-  ir::LowerLimits limits;
-  limits.maxIrOps = 16;
-  const LowerResult res = ir::lowerRoutine(progOf(std::move(code)), 0, arch16(), limits);
+  const LowerResult res = ir::lowerRoutine(progOf(std::move(code)), 0, arch16());
   EXPECT_FALSE(res.ok);
+  EXPECT_NE(res.reason.find("size limit"), std::string::npos) << res.reason;
 }
 
 TEST(TepIr, FallingOffTheProgramLowersToRunOff) {
@@ -198,8 +120,8 @@ TEST(TepIr, FallingOffTheProgramLowersToRunOff) {
 }
 
 TEST(TepIr, BackwardLoopKeepsConditionalBranch) {
-  // for (acc = 3; acc != 0; --acc) — the loop-carried value must defeat
-  // constant folding past the join point.
+  // for (acc = 3; acc != 0; --acc) — the loop lowers one-to-one: the
+  // backward branch and the loop body stay, each op once.
   const auto prog = progOf({
       {Opcode::LdaImm, 8, 3},
       {Opcode::LdoImm, 8, 1},

@@ -674,13 +674,15 @@ using machine::PscpMachine;
 
 /// Step `a` (reference tier) and `b` (tier under test) with the same
 /// pseudo-random event script and require identical observable behaviour
-/// every cycle.
+/// every cycle. Both machines must also account every fired transition
+/// to exactly one tier: native runs + interpreter runs == fired.
 void diffMachines(PscpMachine& a, PscpMachine& b, uint32_t seed, int cycles) {
   std::vector<int> eventIds;
   for (const char* name : {"POWER", "DATA_VALID", "X_PULSE", "Y_PULSE"})
     eventIds.push_back(a.eventId(name));
   Rng rng(seed);
   CycleStats sa, sb;
+  int64_t fired = 0;
   for (int cyc = 0; cyc < cycles; ++cyc) {
     std::vector<int> events;
     for (const int id : eventIds)
@@ -691,7 +693,13 @@ void diffMachines(PscpMachine& a, PscpMachine& b, uint32_t seed, int cycles) {
     ASSERT_EQ(sa.cycles, sb.cycles) << "cycle " << cyc;
     ASSERT_EQ(sa.busStallCycles, sb.busStallCycles) << "cycle " << cyc;
     ASSERT_EQ(sa.quiescent, sb.quiescent) << "cycle " << cyc;
+    fired += static_cast<int64_t>(sa.fired.size());
   }
+  EXPECT_GT(fired, 0);
+  for (const PscpMachine* m : {&a, &b})
+    EXPECT_EQ(m->jitNativeRuns() + m->jitInterpRuns(), fired)
+        << "jit=" << jit::jitModeName(m->jitMode()) << " native "
+        << m->jitNativeRuns() << " interp " << m->jitInterpRuns();
   EXPECT_EQ(a.totalCycles(), b.totalCycles());
   EXPECT_EQ(a.activeNames(), b.activeNames());
   ASSERT_EQ(a.portWrites().size(), b.portWrites().size());
@@ -700,19 +708,24 @@ void diffMachines(PscpMachine& a, PscpMachine& b, uint32_t seed, int cycles) {
 }
 
 TEST(TepJitMachine, SmdSingleTepJitMatchesInterpreter) {
-  const auto image = workloads::makeSmdFleetImage(/*numTeps=*/1);
-  PscpMachine interp(image);
-  interp.setJitMode(jit::JitMode::kOff);
-  PscpMachine native(image);
-  native.setJitMode(jit::JitMode::kAlways);
-  diffMachines(interp, native, 0xC0FFEE, 300);
-  if (jit::jitBackendAvailable()) {
-    // The native tier must actually have run — this test is vacuous
-    // otherwise.
-    EXPECT_GT(native.jitNativeRuns(), 0);
+  // kAuto on a fresh image promotes mid-run, so its machine mixes
+  // lockstep and native cycles; kAlways runs natively from the start.
+  for (const jit::JitMode mode : {jit::JitMode::kAuto, jit::JitMode::kAlways}) {
+    SCOPED_TRACE(jit::jitModeName(mode));
+    const auto image = workloads::makeSmdFleetImage(/*numTeps=*/1);
+    PscpMachine interp(image);
+    interp.setJitMode(jit::JitMode::kOff);
+    PscpMachine native(image);
+    native.setJitMode(mode);
+    diffMachines(interp, native, 0xC0FFEE, 300);
     EXPECT_EQ(interp.jitNativeRuns(), 0);
-    const jit::TierResidency res = native.tierResidency();
-    EXPECT_GT(res.nativeRoutines, 0);
+    if (mode == jit::JitMode::kAlways && jit::jitBackendAvailable()) {
+      // The native tier must actually have run — this test is vacuous
+      // otherwise.
+      EXPECT_GT(native.jitNativeRuns(), 0);
+      const jit::TierResidency res = native.tierResidency();
+      EXPECT_GT(res.nativeRoutines, 0);
+    }
   }
 }
 
@@ -739,12 +752,15 @@ TEST(TepJitMachine, SmdTwoTepMixedServiceMatchesInterpreter) {
   // With two TEPs only single-transition cycles are serial-equivalent;
   // the machine must interleave native and lockstep cycles and still
   // match the pure interpreter exactly.
-  const auto image = workloads::makeSmdFleetImage(/*numTeps=*/2);
-  PscpMachine interp(image);
-  interp.setJitMode(jit::JitMode::kOff);
-  PscpMachine native(image);
-  native.setJitMode(jit::JitMode::kAlways);
-  diffMachines(interp, native, 0xBEEF, 300);
+  for (const jit::JitMode mode : {jit::JitMode::kAuto, jit::JitMode::kAlways}) {
+    SCOPED_TRACE(jit::jitModeName(mode));
+    const auto image = workloads::makeSmdFleetImage(/*numTeps=*/2);
+    PscpMachine interp(image);
+    interp.setJitMode(jit::JitMode::kOff);
+    PscpMachine native(image);
+    native.setJitMode(mode);
+    diffMachines(interp, native, 0xBEEF, 300);
+  }
 }
 
 TEST(TepJitMachine, AutoThresholdPromotesHotRoutines) {

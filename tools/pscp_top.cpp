@@ -129,11 +129,9 @@ std::string renderDashboard(const obs::FleetHealth& health,
       static_cast<long long>(health.totalStealChunks()));
   out += strfmt(
       "tier:  jit=%s — %d native / %d interp / %d rejected routines, "
-      "%lld native runs, %lld interp runs, compile %s\n\n",
+      "compile %s\n\n",
       pscp::tep::jit::jitModeName(jitMode), tier.nativeRoutines,
       tier.interpretedRoutines, tier.rejectedRoutines,
-      static_cast<long long>(tier.nativeRuns),
-      static_cast<long long>(tier.interpRuns),
       nanosText(tier.compileMicros * 1000).c_str());
 
   std::vector<std::vector<std::string>> rows;
