@@ -1,10 +1,14 @@
 // Observability-overhead microbench: prove the armed telemetry plane
 // (flight recorder rings + health atomics) AND the armed record/replay
 // journal each cost < 3% of fleet stepping throughput. Runs the same SMD
-// steady-state duty cycle as bench/fleet_throughput in *interleaved*
-// rounds (disarmed, telemetry, journal, disarmed, ...) so slow drift —
-// thermal, frequency, noisy neighbours — hits every arm equally, then
-// reports ratios of median machine-cycles/sec.
+// steady-state duty cycle as bench/fleet_throughput on three fleets
+// (disarmed, telemetry, journal) that step the same epochs in turn, so
+// slow drift — thermal, frequency, noisy neighbours — hits every arm
+// alike. Rounds of fresh fleets repeat the run, and each arm is estimated
+// the way fleetbench estimates a workload: the fastest time of each
+// epoch over the rounds, summed. A throughput ratio is the disarmed sum
+// over the armed one, so an interference burst moves an arm only when it
+// hits the same epoch in every round.
 //
 // Emits BENCH_telemetry_overhead.json with `telemetry_throughput_ratio`
 // and `journal_throughput_ratio` (armed / disarmed; ~1.0 when the plane
@@ -14,9 +18,12 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,58 +37,87 @@ using namespace pscp;
 namespace {
 
 enum class Arm { kDisarmed, kTelemetry, kJournal };
+constexpr Arm kArms[] = {Arm::kDisarmed, Arm::kTelemetry, Arm::kJournal};
+constexpr size_t kArmCount = std::size(kArms);
 
 struct RoundResult {
-  double machineCyclesPerSec = 0.0;
+  std::vector<int64_t> epochNs;  ///< wall time of each timed epoch
+  int64_t machineCycles = 0;     ///< simulated over the timed epochs
   int64_t flightRecords = 0;
   int64_t journalOps = 0;
 };
 
-/// One timed round: fresh fleet, warm-up, `epochs` timed epochs.
-RoundResult runRound(const fleet::Fleet::ChartImagePtr& image, Arm arm,
-                     size_t instances, int threads, int epochs,
-                     int cyclesPerEpoch, bool* ok) {
-  fleet::FleetConfig config;
-  config.workerThreads = threads;
-  config.telemetry = arm == Arm::kTelemetry;
-  config.journal = arm == Arm::kJournal;
-  fleet::Fleet fleet(image, config);
-  const workloads::SmdPulseIds pulses = workloads::resolveSmdPulseIds(fleet);
-  if (!workloads::warmUpSmdFleet(fleet, instances, pulses)) {
-    std::fprintf(stderr, "FAIL: instance(s) did not reach Moving\n");
-    *ok = false;
+/// One timed round: a fresh fleet per arm, warm-up, then `epochs` timed
+/// epochs stepped arm after arm, so epoch e of every arm runs back to
+/// back and host speed drift within the round hits the arms alike.
+std::array<RoundResult, kArmCount> runRound(
+    const fleet::Fleet::ChartImagePtr& image, size_t instances, int threads,
+    int epochs, int cyclesPerEpoch, bool* ok) {
+  std::array<std::unique_ptr<fleet::Fleet>, kArmCount> fleets;
+  std::array<workloads::SmdPulseIds, kArmCount> pulses;
+  std::array<RoundResult, kArmCount> results;
+  for (size_t a = 0; a < kArmCount; ++a) {
+    fleet::FleetConfig config;
+    config.workerThreads = threads;
+    config.telemetry = kArms[a] == Arm::kTelemetry;
+    config.journal = kArms[a] == Arm::kJournal;
+    fleets[a] = std::make_unique<fleet::Fleet>(image, config);
+    pulses[a] = workloads::resolveSmdPulseIds(*fleets[a]);
+    if (!workloads::warmUpSmdFleet(*fleets[a], instances, pulses[a])) {
+      std::fprintf(stderr, "FAIL: instance(s) did not reach Moving\n");
+      *ok = false;
+    }
+    fleets[a]->step(cyclesPerEpoch);  // settle worker wake-up, untimed
+    results[a].epochNs.reserve(static_cast<size_t>(epochs));
+    results[a].machineCycles =
+        -fleets[a]->mergedMetrics().value("fleet.machine_cycles");
   }
-  fleet.step(cyclesPerEpoch);  // settle worker wake-up, untimed
-
-  const int64_t before = fleet.mergedMetrics().value("fleet.machine_cycles");
-  const auto start = std::chrono::steady_clock::now();
   for (int e = 0; e < epochs; ++e) {
-    workloads::injectSmdPulses(fleet, pulses);
-    fleet.step(cyclesPerEpoch);
+    for (size_t a = 0; a < kArmCount; ++a) {
+      const auto start = std::chrono::steady_clock::now();
+      workloads::injectSmdPulses(*fleets[a], pulses[a]);
+      fleets[a]->step(cyclesPerEpoch);
+      results[a].epochNs.push_back(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count());
+    }
   }
-  const auto end = std::chrono::steady_clock::now();
-  const int64_t after = fleet.mergedMetrics().value("fleet.machine_cycles");
-
-  RoundResult r;
-  const double seconds =
-      std::chrono::duration_cast<std::chrono::duration<double>>(end - start)
-          .count();
-  if (seconds > 0.0)
-    r.machineCyclesPerSec = static_cast<double>(after - before) / seconds;
-  if (arm == Arm::kTelemetry && fleet.flightRecorder() != nullptr)
-    r.flightRecords =
-        static_cast<int64_t>(fleet.flightRecorder()->snapshot().size());
-  if (arm == Arm::kJournal && fleet.journal() != nullptr)
-    r.journalOps = static_cast<int64_t>(fleet.journal()->ops().size());
-  return r;
+  for (size_t a = 0; a < kArmCount; ++a) {
+    const fleet::Fleet& fleet = *fleets[a];
+    RoundResult& r = results[a];
+    r.machineCycles += fleet.mergedMetrics().value("fleet.machine_cycles");
+    if (fleet.flightRecorder() != nullptr)
+      r.flightRecords =
+          static_cast<int64_t>(fleet.flightRecorder()->snapshot().size());
+    if (fleet.journal() != nullptr)
+      r.journalOps = static_cast<int64_t>(fleet.journal()->ops().size());
+  }
+  return results;
 }
 
-double median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  const size_t n = values.size();
-  return n == 0 ? 0.0
-                : (n % 2 == 1 ? values[n / 2]
-                              : 0.5 * (values[n / 2 - 1] + values[n / 2]));
+/// An arm's time for the epochs every round replays: each epoch's fastest
+/// reading over the arm's rounds, summed (fleetbench's estimator).
+int64_t fastestEpochsNs(const std::vector<RoundResult>& rounds) {
+  std::vector<int64_t> fastest;
+  for (const RoundResult& r : rounds) {
+    if (fastest.empty()) fastest = r.epochNs;
+    for (size_t i = 0; i < fastest.size() && i < r.epochNs.size(); ++i)
+      fastest[i] = std::min(fastest[i], r.epochNs[i]);
+  }
+  int64_t total = 0;
+  for (const int64_t ns : fastest) total += ns;
+  return total;
+}
+
+/// Machine cycles per second over an arm's fastest epochs. Every round
+/// simulates the same cycles, so any round's count serves.
+double machineCyclesPerSec(const std::vector<RoundResult>& rounds) {
+  const int64_t ns = fastestEpochsNs(rounds);
+  return rounds.empty() || ns <= 0
+             ? 0.0
+             : static_cast<double>(rounds.front().machineCycles) * 1e9 /
+                   static_cast<double>(ns);
 }
 
 }  // namespace
@@ -93,9 +129,8 @@ int main(int argc, char** argv) {
 
   const size_t instances = quick ? 64 : 256;
   const int threads = 1;  // overhead is per-worker; 1 thread isolates it
-  // Quick mode favours many short rounds: the median over 15 pairs is far
-  // more stable against scheduler interference on small/shared runners
-  // than 5 longer ones, at ~1s total.
+  // Quick mode favours many short rounds: more rounds give each epoch
+  // more chances at an undisturbed reading, at ~1s total.
   const int rounds = quick ? 15 : 9;
   const int epochs = quick ? 24 : 64;
   const int cyclesPerEpoch = 8;
@@ -107,41 +142,35 @@ int main(int argc, char** argv) {
 
   const auto image = workloads::makeSmdFleetImage();
   bool ok = true;
-  std::vector<double> off, tele, jour;
+  std::array<std::vector<RoundResult>, kArmCount> arms;
+  // One extra untimed leading round warms caches and the allocator.
+  (void)runRound(image, instances, threads, 4, cyclesPerEpoch, &ok);
+  for (int r = 0; r < rounds; ++r) {
+    std::array<RoundResult, kArmCount> round =
+        runRound(image, instances, threads, epochs, cyclesPerEpoch, &ok);
+    for (size_t a = 0; a < kArmCount; ++a) arms[a].push_back(std::move(round[a]));
+  }
+  const std::vector<RoundResult>& off = arms[0];
+  const std::vector<RoundResult>& tele = arms[1];
+  const std::vector<RoundResult>& jour = arms[2];
   int64_t flightRecords = 0;
   int64_t journalOps = 0;
-  // Interleaved arms: drift hits all three symmetrically. One extra
-  // untimed leading set warms caches and the allocator.
-  (void)runRound(image, Arm::kDisarmed, instances, threads, 4, cyclesPerEpoch, &ok);
-  (void)runRound(image, Arm::kTelemetry, instances, threads, 4, cyclesPerEpoch, &ok);
-  (void)runRound(image, Arm::kJournal, instances, threads, 4, cyclesPerEpoch, &ok);
-  for (int r = 0; r < rounds; ++r) {
-    off.push_back(runRound(image, Arm::kDisarmed, instances, threads, epochs,
-                           cyclesPerEpoch, &ok)
-                      .machineCyclesPerSec);
-    const RoundResult armed = runRound(image, Arm::kTelemetry, instances,
-                                       threads, epochs, cyclesPerEpoch, &ok);
-    tele.push_back(armed.machineCyclesPerSec);
-    flightRecords = std::max(flightRecords, armed.flightRecords);
-    const RoundResult journaled = runRound(image, Arm::kJournal, instances,
-                                           threads, epochs, cyclesPerEpoch, &ok);
-    jour.push_back(journaled.machineCyclesPerSec);
-    journalOps = std::max(journalOps, journaled.journalOps);
-  }
+  for (const RoundResult& r : tele) flightRecords = std::max(flightRecords, r.flightRecords);
+  for (const RoundResult& r : jour) journalOps = std::max(journalOps, r.journalOps);
 
-  const double offMedian = median(off);
-  const double onMedian = median(tele);
-  const double journalMedian = median(jour);
-  const double ratio = offMedian > 0.0 ? onMedian / offMedian : 0.0;
+  const double offRate = machineCyclesPerSec(off);
+  const double onRate = machineCyclesPerSec(tele);
+  const double journalRate = machineCyclesPerSec(jour);
+  const double ratio = offRate > 0.0 ? onRate / offRate : 0.0;
   const double overheadPct = 100.0 * (1.0 - ratio);
-  const double journalRatio = offMedian > 0.0 ? journalMedian / offMedian : 0.0;
+  const double journalRatio = offRate > 0.0 ? journalRate / offRate : 0.0;
   const double journalOverheadPct = 100.0 * (1.0 - journalRatio);
 
-  std::printf("| arm       | median mach cycles/s |\n");
-  std::printf("|-----------|----------------------|\n");
-  std::printf("| disarmed  | %20.0f |\n", offMedian);
-  std::printf("| telemetry | %20.0f |\n", onMedian);
-  std::printf("| journal   | %20.0f |\n", journalMedian);
+  std::printf("| arm       | fastest-epoch mach cycles/s |\n");
+  std::printf("|-----------|-----------------------------|\n");
+  std::printf("| disarmed  | %27.0f |\n", offRate);
+  std::printf("| telemetry | %27.0f |\n", onRate);
+  std::printf("| journal   | %27.0f |\n", journalRate);
   std::printf("\ntelemetry_throughput_ratio: %.4f (overhead %.2f%%, floor 0.97)\n",
               ratio, overheadPct);
   std::printf("journal_throughput_ratio: %.4f (overhead %.2f%%, floor 0.97)\n",
@@ -164,7 +193,7 @@ int main(int argc, char** argv) {
       "  \"overhead_pct\": %.2f,\n"
       "  \"journal_overhead_pct\": %.2f,\n"
       "  \"flight_records\": %lld,\n  \"journal_ops\": %lld\n}\n",
-      instances, rounds, offMedian, onMedian, journalMedian, ratio,
+      instances, rounds, offRate, onRate, journalRate, ratio,
       journalRatio, overheadPct, journalOverheadPct,
       static_cast<long long>(flightRecords),
       static_cast<long long>(journalOps));

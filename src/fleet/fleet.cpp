@@ -63,6 +63,7 @@ struct Fleet::WorkerLocal {
   int64_t configCycles = 0;
   int64_t quiescentCycles = 0;
   int64_t firedTransitions = 0;
+  int64_t jitNativeRuns = 0;
   int64_t busStallCycles = 0;
   int64_t eventsDelivered = 0;
   int64_t stealChunks = 0;
@@ -85,6 +86,7 @@ struct Fleet::WorkerMetricRefs {
   int64_t* configCycles = nullptr;
   int64_t* quiescentCycles = nullptr;
   int64_t* firedTransitions = nullptr;
+  int64_t* jitNativeRuns = nullptr;
   int64_t* busStallCycles = nullptr;
   int64_t* eventsDelivered = nullptr;
   int64_t* stealChunks = nullptr;
@@ -145,6 +147,7 @@ Fleet::Fleet(ChartImagePtr image, FleetConfig config)
     refs.configCycles = &reg.counter("fleet.config_cycles");
     refs.quiescentCycles = &reg.counter("fleet.quiescent_cycles");
     refs.firedTransitions = &reg.counter("fleet.fired_transitions");
+    refs.jitNativeRuns = &reg.counter("fleet.jit_native_routines");
     refs.busStallCycles = &reg.counter("fleet.bus_stall_cycles");
     refs.eventsDelivered = &reg.counter("fleet.events_delivered");
     refs.stealChunks = &reg.counter("fleet.steal_chunks");
@@ -282,6 +285,7 @@ void Fleet::stepInstance(Instance& inst, int cycles, WorkerLocal& local) {
 
   int64_t epochMachineCycles = 0;
   int64_t epochFired = 0;
+  const int64_t nativeBefore = inst.machine.jitNativeRuns();
   for (int c = 0; c < cycles; ++c) {
     inst.machine.configurationCycleIds(c == 0 ? inst.drained : kNoEvents,
                                        &inst.stats);
@@ -296,6 +300,7 @@ void Fleet::stepInstance(Instance& inst, int cycles, WorkerLocal& local) {
   }
   inst.firedTransitions += epochFired;
   local.firedTransitions += epochFired;
+  local.jitNativeRuns += inst.machine.jitNativeRuns() - nativeBefore;
   inst.machineCycles += epochMachineCycles;
   inst.configCycles += cycles;
   local.machineCycles += epochMachineCycles;
@@ -380,6 +385,7 @@ void Fleet::runWorkerEpoch(size_t worker, int cycles, int64_t epoch) {
   *refs.configCycles += local.configCycles;
   *refs.quiescentCycles += local.quiescentCycles;
   *refs.firedTransitions += local.firedTransitions;
+  *refs.jitNativeRuns += local.jitNativeRuns;
   *refs.busStallCycles += local.busStallCycles;
   *refs.eventsDelivered += local.eventsDelivered;
   *refs.stealChunks += local.stealChunks;
@@ -594,18 +600,12 @@ obs::MetricsRegistry Fleet::mergedMetrics() const {
   for (const auto& inst : instances_)
     if (inst != nullptr) dropped += inst->dropped.load(std::memory_order_relaxed);
   merged.counter("fleet.events_dropped") += dropped;
-  // Tier residency: the live instances' routine-run split (each adds up
-  // to that instance's fired transitions) plus the image-wide compile
-  // cache (shared across every instance over the chart).
-  int64_t nativeRuns = 0;
-  int64_t interpRuns = 0;
-  for (const auto& inst : instances_) {
-    if (inst == nullptr) continue;
-    nativeRuns += inst->machine.jitNativeRuns();
-    interpRuns += inst->machine.jitInterpRuns();
-  }
-  merged.counter("fleet.jit_native_routines") += nativeRuns;
-  merged.counter("fleet.jit_interp_routines") += interpRuns;
+  // Tier split over the epochs fleet.fired_transitions counts: the
+  // workers count native runs, and every other fired routine ran on the
+  // lockstep interpreter. Then the image-wide compile cache.
+  merged.counter("fleet.jit_interp_routines") +=
+      merged.value("fleet.fired_transitions") -
+      merged.value("fleet.jit_native_routines");
   const tep::jit::TierResidency tier = image_->tierCache().residency();
   merged.counter("fleet.jit_compiled_routines") += tier.nativeRoutines;
   merged.counter("fleet.jit_rejected_routines") += tier.rejectedRoutines;

@@ -95,8 +95,9 @@ struct FleetConfig {
   bool capturePortWrites = false;
 
   /// Native-tier mode applied to every instance (default: the process-wide
-  /// PSCP_JIT setting). Serial-equivalent configuration cycles then run
-  /// compiled TEP routines — bit-identical to the interpreter by contract
+  /// PSCP_JIT setting, `always` when unset). Serial-equivalent
+  /// configuration cycles then run each TEP routine compiled from its first
+  /// dispatch on — bit-identical to the interpreter by contract
   /// (tests/tep_jit_test.cpp diffs the two across worker counts), so this
   /// is purely a perf knob.
   tep::jit::JitMode jitMode = tep::jit::jitModeFromEnv();
@@ -199,7 +200,10 @@ class Fleet {
   /// Fold the per-worker metric registries into one report: counters
   /// fleet.config_cycles, fleet.machine_cycles, fleet.quiescent_cycles,
   /// fleet.fired_transitions, fleet.bus_stall_cycles,
-  /// fleet.events_delivered, fleet.steal_chunks, fleet.epoch_tasks.
+  /// fleet.events_delivered, fleet.steal_chunks, fleet.epoch_tasks, and
+  /// fleet.jit_native_routines + fleet.jit_interp_routines, which split
+  /// fleet.fired_transitions by tier over the same epochs (warm-up cycles
+  /// excluded, retired instances kept).
   [[nodiscard]] obs::MetricsRegistry mergedMetrics() const;
 
   /// Native-tier residency of the shared chart image (routine counts and

@@ -229,20 +229,4 @@ std::vector<StateProfile> Profiler::stateProfiles() const {
   return out;
 }
 
-std::vector<RoutineHotness> Profiler::routineHotness() const {
-  std::vector<RoutineHotness> out;
-  for (size_t t = 0; t < transitions_.size(); ++t) {
-    const TransitionProfile& p = transitions_[t];
-    if (p.calls == 0) continue;
-    out.push_back({static_cast<int>(t), p.calls, p.cycles});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const RoutineHotness& a, const RoutineHotness& b) {
-              if (a.cycles != b.cycles) return a.cycles > b.cycles;
-              if (a.calls != b.calls) return a.calls > b.calls;
-              return a.transition < b.transition;
-            });
-  return out;
-}
-
 }  // namespace pscp::obs

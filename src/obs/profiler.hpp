@@ -93,17 +93,6 @@ struct StateProfile {
   int64_t totalCycles = 0;
 };
 
-/// One row of the routine-hotness ranking: the stable tier-selection
-/// feed. `transition` is the interned TransitionId (== the TEP routine),
-/// `calls` the execution count, `cycles` the attributed TEP cycles
-/// (stalls and waits included — the cost a native tier would avoid
-/// re-paying, not just ALU work).
-struct RoutineHotness {
-  int transition = -1;
-  int64_t calls = 0;
-  int64_t cycles = 0;
-};
-
 struct TepProfile {
   int64_t busyCycles = 0;   ///< stepped cycles, incl. stalls and waits
   int64_t busStalls = 0;
@@ -147,12 +136,6 @@ class Profiler : public ObsSink {
   /// Per-state-region profiles with totals rolled up the state hierarchy
   /// (computed on demand from the accumulated self counts).
   [[nodiscard]] std::vector<StateProfile> stateProfiles() const;
-  /// Routine-hotness ranking, hottest first (by attributed cycles, ties
-  /// broken by calls then TransitionId, so the order is deterministic).
-  /// Routines that never ran are omitted. This is the stable profiler
-  /// query for hotness-driven tier selection and for ranking reports —
-  /// offline twin of the TierCache's live execution counters.
-  [[nodiscard]] std::vector<RoutineHotness> routineHotness() const;
   [[nodiscard]] const std::vector<TepProfile>& teps() const { return teps_; }
 
   // -------------------------------------------------- latency distributions

@@ -575,14 +575,13 @@ bool PscpMachine::dispatchNative(const std::vector<TransitionId>& chosen) {
     return false;
   tep::jit::TierCache& tier = image_->tierCache();
   nativeScratch_.clear();
-  bool allNative = true;
   for (TransitionId t : chosen) {
     const tep::jit::CompiledFn fn =
-        tier.dispatch(t, image_->routineEntry_[static_cast<size_t>(t)], jitMode_);
-    allNative = allNative && fn != nullptr;
+        tier.dispatch(t, image_->routineEntry_[static_cast<size_t>(t)]);
+    if (fn == nullptr) return false;
     nativeScratch_.push_back(fn);
   }
-  return allNative;
+  return true;
 }
 
 int64_t PscpMachine::runTatSerial(const std::vector<TransitionId>& chosen,

@@ -130,8 +130,7 @@ class ChartImage {
   [[nodiscard]] tep::jit::TierCache& tierCache() const { return *tier_; }
 
   /// Program entry index of the transition's TEP routine (what the
-  /// dispatcher jumps to, and what TierCache::precompile needs for
-  /// profiler-seeded ahead-of-time compilation).
+  /// dispatcher jumps to, and what TierCache::dispatch compiles from).
   [[nodiscard]] int routineEntry(int transition) const {
     return routineEntry_[static_cast<size_t>(transition)];
   }
@@ -199,10 +198,12 @@ class PscpMachine : public tep::TepHost {
   // The native tier (src/tep/jit) runs a cycle's routines when the cycle
   // is serial-equivalent (one TEP, or one selected transition), no
   // observer is attached, and every chosen routine has compiled code.
-  // Every other cycle runs on the lockstep loop, the one place that steps
-  // the microcode interpreter. Contract: CR, ports, fired order, cycle
-  // counts and error diagnostics are bit-identical between tiers
-  // (tests/tep_jit_test.cpp).
+  // Under kAlways a routine compiles on its first dispatch, so a serial
+  // cycle misses only on a rejected routine or one another thread is
+  // compiling. Every other cycle runs on the lockstep loop, the one place
+  // that steps the microcode interpreter. Contract: CR, ports, fired
+  // order, cycle counts and error diagnostics are bit-identical between
+  // tiers (tests/tep_jit_test.cpp).
 
   /// Override the process-wide PSCP_JIT mode for this instance.
   void setJitMode(tep::jit::JitMode mode) { jitMode_ = mode; }
@@ -314,9 +315,8 @@ class PscpMachine : public tep::TepHost {
   /// Conflict resolution over `selectScratch_` into `chosenScratch_`
   /// (identical policy to statechart::Interpreter::step), allocation-free.
   void resolveConflicts();
-  /// Dispatch every chosen routine to the tier cache (each call counts
-  /// toward kAuto promotion), collecting the entry points in
-  /// `nativeScratch_`. True when every routine has native code.
+  /// Dispatch the chosen routines to the tier cache, collecting the entry
+  /// points in `nativeScratch_`. True when every routine has native code.
   bool dispatchNative(const std::vector<statechart::TransitionId>& chosen);
   /// Execute the Transition Address Table serially on TEP 0 as native
   /// code, from the entry points dispatchNative collected. Only called

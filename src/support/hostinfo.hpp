@@ -27,7 +27,7 @@ struct HostInfo {
 
 /// The "host" block for BENCH_*.json:
 /// { "cpu_model": s, "logical_cpus": n, "physical_cores": n, "governor": s,
-///   "jit": "off"|"auto"|"always"|"unavailable" } — the last is the
+///   "jit": "off"|"always"|"unavailable" } — the last is the
 /// effective native-tier capability, so a number can be traced to the
 /// execution tier that produced it.
 [[nodiscard]] JsonValue hostInfoJson(const HostInfo& info = hostInfo());

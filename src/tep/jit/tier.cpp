@@ -11,18 +11,7 @@ namespace pscp::tep::jit {
 const char* jitModeName(JitMode mode) {
   switch (mode) {
     case JitMode::kOff: return "off";
-    case JitMode::kAuto: return "auto";
     case JitMode::kAlways: return "always";
-  }
-  return "?";
-}
-
-const char* routineStateName(RoutineState state) {
-  switch (state) {
-    case RoutineState::kNotCompiled: return "interp";
-    case RoutineState::kCompiling: return "compiling";
-    case RoutineState::kNative: return "native";
-    case RoutineState::kRejected: return "rejected";
   }
   return "?";
 }
@@ -30,8 +19,6 @@ const char* routineStateName(RoutineState state) {
 bool parseJitMode(const std::string& text, JitMode* out) {
   if (text == "off") {
     *out = JitMode::kOff;
-  } else if (text == "auto") {
-    *out = JitMode::kAuto;
   } else if (text == "always") {
     *out = JitMode::kAlways;
   } else {
@@ -42,9 +29,9 @@ bool parseJitMode(const std::string& text, JitMode* out) {
 
 JitMode jitModeFromEnv() {
   static const JitMode cached = [] {
-    JitMode mode = JitMode::kAuto;
+    JitMode mode = JitMode::kAlways;
     if (const char* env = std::getenv("PSCP_JIT")) {
-      if (!parseJitMode(env, &mode)) mode = JitMode::kAuto;
+      if (!parseJitMode(env, &mode)) mode = JitMode::kAlways;
     }
     return mode;
   }();
@@ -58,57 +45,39 @@ TierCache::TierCache(const AsmProgram* program, const hwlib::ArchConfig* config,
   if (count_ > 0) slots_ = std::make_unique<Slot[]>(static_cast<size_t>(count_));
 }
 
-CompiledFn TierCache::dispatch(int transition, int entry, JitMode mode) {
-  if (mode == JitMode::kOff || !jitBackendAvailable()) return nullptr;
-  if (transition < 0 || transition >= count_) return nullptr;
-  Slot& slot = slots_[transition];
-  const int64_t execs = slot.execs.fetch_add(1, std::memory_order_relaxed) + 1;
-  const auto state = static_cast<RoutineState>(slot.state.load(std::memory_order_acquire));
-  switch (state) {
-    case RoutineState::kNative:
-      return slot.fn.load(std::memory_order_acquire);
-    case RoutineState::kRejected:
-    case RoutineState::kCompiling:
-      return nullptr;
-    case RoutineState::kNotCompiled:
-      break;
-  }
-  if (mode == JitMode::kAuto && execs < kDefaultJitThreshold) return nullptr;
-  if (compileSlot(slot, entry, nullptr)) {
-    return slot.fn.load(std::memory_order_acquire);
-  }
-  return nullptr;
-}
-
-bool TierCache::precompile(int transition, int entry, std::string* reason) {
-  if (!jitBackendAvailable()) {
-    if (reason != nullptr) *reason = "native tier unavailable on this build";
-    return false;
-  }
+CompiledFn TierCache::dispatch(int transition, int entry, std::string* reason) {
   if (transition < 0 || transition >= count_) {
     if (reason != nullptr) *reason = "transition id out of range";
-    return false;
+    return nullptr;
   }
   Slot& slot = slots_[transition];
-  if (static_cast<RoutineState>(slot.state.load(std::memory_order_acquire)) ==
-      RoutineState::kNative) {
-    return true;
+  if (const CompiledFn fn = slot.fn.load(std::memory_order_acquire)) return fn;
+  if (!jitBackendAvailable()) {
+    if (reason != nullptr) *reason = "native tier unavailable on this build";
+    return nullptr;
+  }
+  const auto state = static_cast<RoutineState>(slot.state.load(std::memory_order_acquire));
+  if (state != RoutineState::kNotCompiled) {
+    // Rejected, or compiling on another thread: this run interprets
+    // rather than wait on the compile mutex.
+    if (reason != nullptr)
+      *reason = state == RoutineState::kRejected ? "rejected" : "compiling";
+    return nullptr;
   }
   return compileSlot(slot, entry, reason);
 }
 
-bool TierCache::compileSlot(Slot& slot, int entry, std::string* reason) {
+CompiledFn TierCache::compileSlot(Slot& slot, int entry, std::string* reason) {
   std::lock_guard<std::mutex> lock(compileMutex_);
   const auto state = static_cast<RoutineState>(slot.state.load(std::memory_order_acquire));
-  if (state == RoutineState::kNative) return true;
-  if (state == RoutineState::kRejected) {
-    if (reason != nullptr) *reason = "previously rejected";
-    return false;
+  if (state != RoutineState::kNotCompiled) {  // another thread finished first
+    if (state == RoutineState::kRejected && reason != nullptr) *reason = "rejected";
+    return slot.fn.load(std::memory_order_acquire);
   }
   slot.state.store(static_cast<uint8_t>(RoutineState::kCompiling),
                    std::memory_order_release);
   const auto t0 = std::chrono::steady_clock::now();
-  bool ok = false;
+  CompiledFn fn = nullptr;
   std::string why;
   ir::LowerResult lowered = ir::lowerRoutine(*program_, entry, *config_);
   if (!lowered.ok) {
@@ -117,23 +86,20 @@ bool TierCache::compileSlot(Slot& slot, int entry, std::string* reason) {
     EmitResult emitted = emitX64(lowered.routine);
     if (!emitted.ok) {
       why = "emit: " + emitted.error;
-    } else if (!slot.buf.install(emitted.code, &why)) {
-      // why already set by install()
-    } else {
-      slot.fn.store(reinterpret_cast<CompiledFn>(const_cast<void*>(slot.buf.entry())),
-                    std::memory_order_release);
-      ok = true;
+    } else if (slot.buf.install(emitted.code, &why)) {
+      fn = reinterpret_cast<CompiledFn>(const_cast<void*>(slot.buf.entry()));
+      slot.fn.store(fn, std::memory_order_release);
     }
   }
   const auto t1 = std::chrono::steady_clock::now();
   compileMicros_.fetch_add(
       std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count(),
       std::memory_order_relaxed);
-  slot.state.store(static_cast<uint8_t>(ok ? RoutineState::kNative
-                                           : RoutineState::kRejected),
+  slot.state.store(static_cast<uint8_t>(fn != nullptr ? RoutineState::kNative
+                                                      : RoutineState::kRejected),
                    std::memory_order_release);
-  if (!ok && reason != nullptr) *reason = why;
-  return ok;
+  if (fn == nullptr && reason != nullptr) *reason = why;
+  return fn;
 }
 
 TierResidency TierCache::residency() const {
@@ -150,22 +116,10 @@ TierResidency TierCache::residency() const {
         break;
       case RoutineState::kNotCompiled:
       case RoutineState::kCompiling:
-        if (slot.execs.load(std::memory_order_relaxed) > 0) ++r.interpretedRoutines;
         break;
     }
   }
   return r;
-}
-
-RoutineState TierCache::stateOf(int transition) const {
-  if (transition < 0 || transition >= count_) return RoutineState::kNotCompiled;
-  return static_cast<RoutineState>(
-      slots_[transition].state.load(std::memory_order_acquire));
-}
-
-int64_t TierCache::execCount(int transition) const {
-  if (transition < 0 || transition >= count_) return 0;
-  return slots_[transition].execs.load(std::memory_order_relaxed);
 }
 
 }  // namespace pscp::tep::jit

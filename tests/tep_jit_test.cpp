@@ -3,14 +3,15 @@
 // Three levels, each diffing the compiled tier against the microcode
 // interpreter (the reference semantics):
 //   1. Routine level — handwritten edge cases (microcode jumps, indirect
-//      array writes, width-boundary arithmetic, division by zero, call
-//      stack overflow/underflow, running off the program) plus seeded
-//      random-program fuzz over several architecture shapes. Compares
-//      ACC/OP/flags, exact cycle counts, every host side effect in order,
-//      and error messages byte for byte.
+//      array writes, width-boundary arithmetic, division by zero, custom
+//      instructions, call stack overflow/underflow, running off the
+//      program) plus seeded random-program fuzz over several architecture
+//      shapes. Compares ACC/OP/flags, exact cycle counts, every host side
+//      effect in order, and error messages byte for byte.
 //   2. Machine level — the SMD workload stepped with PSCP_JIT off vs
-//      always: fired transitions, cycle counts, port-write logs (values
-//      and timestamps) and active states must match on every cycle.
+//      always, and with a mid-run switch from off to always: fired
+//      transitions, cycle counts and the CR must match on every cycle,
+//      port-write logs (values and timestamps) and active states at the end.
 //   3. Fleet/journal level — a journal recorded under the interpreter
 //      must verify (CR digest checkpoints) when replayed with the native
 //      tier forced on, at 1 and 8 workers.
@@ -626,9 +627,65 @@ TEST(TepJitDiff, FuzzWithCrossingBranches) {
   }
 }
 
+// Custom instructions (paper Sec. 3.3) have two implementations: the
+// interpreter's CustomExec micro-op and the native tier's pscpJitCustom
+// helper. Every CustomOp runs against OP and against a constant, at chain
+// widths 8, 16 and 32, plus a multi-stage chain.
+TEST(TepJitDiff, CustomInstructions) {
+  SKIP_WITHOUT_BACKEND();
+  using hwlib::CustomOp;
+  const CustomOp ops[] = {CustomOp::Add, CustomOp::Sub, CustomOp::And,
+                          CustomOp::Or,  CustomOp::Xor, CustomOp::Shl,
+                          CustomOp::Shr, CustomOp::Sar, CustomOp::Neg,
+                          CustomOp::Not};
+  const auto konst = static_cast<int32_t>(0xA5A5A5A5);  // shift count 5
+  std::vector<hwlib::CustomInstr> customs;
+  for (const int width : {8, 16, 32}) {
+    for (const CustomOp op : ops) {
+      for (const bool useConst : {false, true}) {
+        hwlib::CustomInstr ci;
+        ci.width = width;
+        ci.steps = {{op, useConst, useConst ? konst : 0}};
+        customs.push_back(ci);
+      }
+    }
+    hwlib::CustomInstr chain;
+    chain.width = width;
+    chain.steps = {{CustomOp::Add, false, 0},
+                   {CustomOp::Shl, true, 3},
+                   {CustomOp::Xor, true, konst},
+                   {CustomOp::Sar, false, 0},
+                   {CustomOp::Sub, true, 0x81},
+                   {CustomOp::Not, false, 0}};
+    customs.push_back(chain);
+  }
+  const int32_t accs[] = {0, 1, 0x7F, 0x80, 0x8001, static_cast<int32_t>(0xFFFF),
+                          static_cast<int32_t>(0x80000000), -1};
+  const int32_t ops2[] = {0, 1, 5, 31, 0x80, -1};
+  for (auto config : allArchs()) {
+    config.customInstructions = customs;
+    for (size_t index = 0; index < customs.size(); ++index) {
+      for (const int32_t a : accs) {
+        for (const int32_t b : ops2) {
+          const auto prog = progOf({
+              {Opcode::LdaImm, 32, a},
+              {Opcode::LdoImm, 32, b},
+              {Opcode::Custom, customs[index].width, static_cast<int32_t>(index)},
+              {Opcode::Tret, 8, 0},
+          });
+          ASSERT_TRUE(diffRoutine(prog, 0, config, 7, "custom"));
+          ASSERT_FALSE(::testing::Test::HasFailure())
+              << "w" << config.dataWidth << " custom " << index << " a=" << a
+              << " b=" << b;
+        }
+      }
+    }
+  }
+}
+
 // ----------------------------------------------------- tier-cache policy
 
-TEST(TepJitTier, AutoPromotesAtThresholdAlwaysCompilesFirstRun) {
+TEST(TepJitTier, DispatchCompilesOnFirstRun) {
   SKIP_WITHOUT_BACKEND();
   const auto prog = progOf({
       {Opcode::LdaImm, 8, 1},
@@ -636,19 +693,11 @@ TEST(TepJitTier, AutoPromotesAtThresholdAlwaysCompilesFirstRun) {
   });
   const auto config = archPlain8();
   jit::TierCache cache(&prog, &config, 1);
-  // kAuto: below the threshold nothing compiles.
-  for (int64_t i = 1; i < jit::kDefaultJitThreshold; ++i)
-    EXPECT_EQ(cache.dispatch(0, 0, jit::JitMode::kAuto), nullptr);
-  EXPECT_EQ(cache.stateOf(0), jit::RoutineState::kNotCompiled);
-  EXPECT_NE(cache.dispatch(0, 0, jit::JitMode::kAuto), nullptr);
-  EXPECT_EQ(cache.stateOf(0), jit::RoutineState::kNative);
-  EXPECT_EQ(cache.execCount(0), jit::kDefaultJitThreshold);
-
-  jit::TierCache always(&prog, &config, 1);
-  EXPECT_NE(always.dispatch(0, 0, jit::JitMode::kAlways), nullptr);
-  jit::TierCache off(&prog, &config, 1);
-  EXPECT_EQ(off.dispatch(0, 0, jit::JitMode::kOff), nullptr);
-  EXPECT_EQ(off.stateOf(0), jit::RoutineState::kNotCompiled);
+  EXPECT_EQ(cache.residency().nativeRoutines, 0);
+  const jit::CompiledFn fn = cache.dispatch(0, 0);
+  EXPECT_NE(fn, nullptr);
+  EXPECT_EQ(cache.residency().nativeRoutines, 1);
+  EXPECT_EQ(cache.dispatch(0, 0), fn);
 }
 
 TEST(TepJitTier, RejectedRoutineStaysInterpreted) {
@@ -659,12 +708,12 @@ TEST(TepJitTier, RejectedRoutineStaysInterpreted) {
   const auto config = archPlain8();
   jit::TierCache cache(&prog, &config, 1);
   std::string reason;
-  EXPECT_FALSE(cache.precompile(0, 0, &reason));
+  EXPECT_EQ(cache.dispatch(0, 0, &reason), nullptr);
   EXPECT_FALSE(reason.empty());
   if (jit::jitBackendAvailable()) {
-    EXPECT_EQ(cache.stateOf(0), jit::RoutineState::kRejected);
+    EXPECT_EQ(cache.residency().rejectedRoutines, 1);
   }
-  EXPECT_EQ(cache.dispatch(0, 0, jit::JitMode::kAlways), nullptr);
+  EXPECT_EQ(cache.dispatch(0, 0), nullptr);
 }
 
 // ------------------------------------------------- machine-level diffing
@@ -675,8 +724,10 @@ using machine::PscpMachine;
 /// Step `a` (reference tier) and `b` (tier under test) with the same
 /// pseudo-random event script and require identical observable behaviour
 /// every cycle. Both machines must also account every fired transition
-/// to exactly one tier: native runs + interpreter runs == fired.
-void diffMachines(PscpMachine& a, PscpMachine& b, uint32_t seed, int cycles) {
+/// to exactly one tier: native runs + interpreter runs == fired. When
+/// `switchAt` >= 0, `b` switches to kAlways before that cycle.
+void diffMachines(PscpMachine& a, PscpMachine& b, uint32_t seed, int cycles,
+                  int switchAt = -1) {
   std::vector<int> eventIds;
   for (const char* name : {"POWER", "DATA_VALID", "X_PULSE", "Y_PULSE"})
     eventIds.push_back(a.eventId(name));
@@ -684,6 +735,7 @@ void diffMachines(PscpMachine& a, PscpMachine& b, uint32_t seed, int cycles) {
   CycleStats sa, sb;
   int64_t fired = 0;
   for (int cyc = 0; cyc < cycles; ++cyc) {
+    if (cyc == switchAt) b.setJitMode(jit::JitMode::kAlways);
     std::vector<int> events;
     for (const int id : eventIds)
       if (rng.chance(35)) events.push_back(id);
@@ -693,6 +745,7 @@ void diffMachines(PscpMachine& a, PscpMachine& b, uint32_t seed, int cycles) {
     ASSERT_EQ(sa.cycles, sb.cycles) << "cycle " << cyc;
     ASSERT_EQ(sa.busStallCycles, sb.busStallCycles) << "cycle " << cyc;
     ASSERT_EQ(sa.quiescent, sb.quiescent) << "cycle " << cyc;
+    ASSERT_TRUE(a.crBits() == b.crBits()) << "cycle " << cyc;
     fired += static_cast<int64_t>(sa.fired.size());
   }
   EXPECT_GT(fired, 0);
@@ -708,25 +761,34 @@ void diffMachines(PscpMachine& a, PscpMachine& b, uint32_t seed, int cycles) {
 }
 
 TEST(TepJitMachine, SmdSingleTepJitMatchesInterpreter) {
-  // kAuto on a fresh image promotes mid-run, so its machine mixes
-  // lockstep and native cycles; kAlways runs natively from the start.
-  for (const jit::JitMode mode : {jit::JitMode::kAuto, jit::JitMode::kAlways}) {
-    SCOPED_TRACE(jit::jitModeName(mode));
-    const auto image = workloads::makeSmdFleetImage(/*numTeps=*/1);
-    PscpMachine interp(image);
-    interp.setJitMode(jit::JitMode::kOff);
-    PscpMachine native(image);
-    native.setJitMode(mode);
-    diffMachines(interp, native, 0xC0FFEE, 300);
-    EXPECT_EQ(interp.jitNativeRuns(), 0);
-    if (mode == jit::JitMode::kAlways && jit::jitBackendAvailable()) {
-      // The native tier must actually have run — this test is vacuous
-      // otherwise.
-      EXPECT_GT(native.jitNativeRuns(), 0);
-      const jit::TierResidency res = native.tierResidency();
-      EXPECT_GT(res.nativeRoutines, 0);
-    }
+  const auto image = workloads::makeSmdFleetImage(/*numTeps=*/1);
+  PscpMachine interp(image);
+  interp.setJitMode(jit::JitMode::kOff);
+  PscpMachine native(image);
+  native.setJitMode(jit::JitMode::kAlways);
+  diffMachines(interp, native, 0xC0FFEE, 300);
+  EXPECT_EQ(interp.jitNativeRuns(), 0);
+  if (jit::jitBackendAvailable()) {
+    // The native tier must actually have run — this test is vacuous
+    // otherwise.
+    EXPECT_GT(native.jitNativeRuns(), 0);
+    const jit::TierResidency res = native.tierResidency();
+    EXPECT_GT(res.nativeRoutines, 0);
   }
+}
+
+// One machine that mixes tiers: it interprets until a mid-run switch to
+// kAlways, after which its serial cycles run natively.
+TEST(TepJitMachine, MidRunSwitchToNativeMatchesInterpreter) {
+  SKIP_WITHOUT_BACKEND();
+  const auto image = workloads::makeSmdFleetImage(/*numTeps=*/1);
+  PscpMachine interp(image);
+  interp.setJitMode(jit::JitMode::kOff);
+  PscpMachine mixed(image);
+  mixed.setJitMode(jit::JitMode::kOff);
+  diffMachines(interp, mixed, 0xC0FFEE, 300, /*switchAt=*/150);
+  EXPECT_GT(mixed.jitInterpRuns(), 0);
+  EXPECT_GT(mixed.jitNativeRuns(), 0);
 }
 
 // Every SMD transition's routine lowers and emits: the whole workload can
@@ -739,7 +801,8 @@ TEST(TepJitMachine, EverySmdRoutineCompilesNatively) {
     ASSERT_EQ(transitions, 25);
     for (int t = 0; t < transitions; ++t) {
       std::string reason;
-      EXPECT_TRUE(image->tierCache().precompile(t, image->routineEntry(t), &reason))
+      EXPECT_NE(image->tierCache().dispatch(t, image->routineEntry(t), &reason),
+                nullptr)
           << "teps=" << teps << " T" << t << ": " << reason;
     }
     const jit::TierResidency res = image->tierCache().residency();
@@ -752,33 +815,12 @@ TEST(TepJitMachine, SmdTwoTepMixedServiceMatchesInterpreter) {
   // With two TEPs only single-transition cycles are serial-equivalent;
   // the machine must interleave native and lockstep cycles and still
   // match the pure interpreter exactly.
-  for (const jit::JitMode mode : {jit::JitMode::kAuto, jit::JitMode::kAlways}) {
-    SCOPED_TRACE(jit::jitModeName(mode));
-    const auto image = workloads::makeSmdFleetImage(/*numTeps=*/2);
-    PscpMachine interp(image);
-    interp.setJitMode(jit::JitMode::kOff);
-    PscpMachine native(image);
-    native.setJitMode(mode);
-    diffMachines(interp, native, 0xBEEF, 300);
-  }
-}
-
-TEST(TepJitMachine, AutoThresholdPromotesHotRoutines) {
-  SKIP_WITHOUT_BACKEND();
-  const auto image = workloads::makeSmdFleetImage(/*numTeps=*/1);
-  PscpMachine m(image);
-  m.setJitMode(jit::JitMode::kAuto);
-  const std::vector<int> power{m.eventId("POWER")};
-  const std::vector<int> none;
-  CycleStats stats;
-  m.configurationCycleIds(power, &stats);
-  // Drive the same routines repeatedly; past kDefaultJitThreshold runs
-  // they go native (the first SMD routine gets there near cycle 380).
-  const std::vector<int> data{m.eventId("DATA_VALID")};
-  for (int64_t i = 0; i < 16 * jit::kDefaultJitThreshold; ++i)
-    m.configurationCycleIds(i % 2 == 0 ? data : none, &stats);
-  EXPECT_GT(m.jitInterpRuns(), 0);  // the cold runs before promotion
-  EXPECT_GT(m.jitNativeRuns(), 0);  // the hot steady state
+  const auto image = workloads::makeSmdFleetImage(/*numTeps=*/2);
+  PscpMachine interp(image);
+  interp.setJitMode(jit::JitMode::kOff);
+  PscpMachine native(image);
+  native.setJitMode(jit::JitMode::kAlways);
+  diffMachines(interp, native, 0xBEEF, 300);
 }
 
 // --------------------------------------------------- fleet-level diffing
@@ -836,6 +878,37 @@ TEST(TepJitFleet, TierMetricsSurfaceInMergedMetrics) {
   const obs::MetricsRegistry metrics = fleet.mergedMetrics();
   EXPECT_GT(metrics.value("fleet.jit_native_routines"), 0);
   EXPECT_GT(metrics.value("fleet.jit_compiled_routines"), 0);
+}
+
+// The merged tier split counts the routine runs fleet.fired_transitions
+// counts: epoch cycles only (not warm-up cycles) and retired instances
+// too.
+TEST(TepJitFleet, TierSplitAddsUpToFiredTransitions) {
+  const auto image = workloads::makeSmdFleetImage(/*numTeps=*/1);
+  for (const jit::JitMode mode : {jit::JitMode::kOff, jit::JitMode::kAlways}) {
+    SCOPED_TRACE(jit::jitModeName(mode));
+    fleet::FleetConfig config;
+    config.jitMode = mode;
+    fleet::Fleet fleet(image, config);
+    const workloads::SmdPulseIds ids = workloads::resolveSmdPulseIds(fleet);
+    ASSERT_TRUE(workloads::warmUpSmdFleet(fleet, 4, ids));
+    for (int e = 0; e < 6; ++e) {
+      fleet.step(2);
+      workloads::injectSmdPulses(fleet, ids);
+    }
+    fleet.retire(1);
+    fleet.step(2);
+    const obs::MetricsRegistry metrics = fleet.mergedMetrics();
+    const int64_t fired = metrics.value("fleet.fired_transitions");
+    const int64_t native = metrics.value("fleet.jit_native_routines");
+    EXPECT_GT(fired, 0);
+    EXPECT_EQ(native + metrics.value("fleet.jit_interp_routines"), fired);
+    if (mode == jit::JitMode::kOff || !jit::jitBackendAvailable()) {
+      EXPECT_EQ(native, 0);
+    } else {
+      EXPECT_GT(native, 0);
+    }
+  }
 }
 
 // ------------------------------------------------ journal replay diffing

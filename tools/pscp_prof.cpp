@@ -6,19 +6,17 @@
 // bounded each configuration cycle, latency percentiles, and the top
 // transitions/state regions by cost.
 //
-//   pscp_prof [--teps N] [--repeat R] [--top N] [--jit MODE] [--json FILE]
-//             [--quiet]
+//   pscp_prof [--teps N] [--repeat R] [--top N] [--json FILE] [--quiet]
 //
 //   --teps N     number of TEPs (default 2)
 //   --repeat R   repeat the move-command sequence R times (default 1)
 //   --top N      rows in the top-transition/state tables (default 10)
-//   --jit MODE   execution tier: off|auto|always (default: PSCP_JIT env)
 //   --json FILE  also write the machine-readable pscp-profile-v1 report
 //   --quiet      suppress the text report (self-check and JSON only)
 //
-// The report ends with the routine-hotness ranking (the profiler feed the
-// tier-selection policy keys on) and the native-tier residency: how many
-// routines ran compiled vs interpreted and what compilation cost.
+// The profiled run is pinned to the microcode interpreter: an attached
+// sink sees micro-level events (instruction retires, bus stalls) that
+// only the interpreter produces.
 //
 // Before reporting, the tool re-validates the profiler's exactness
 // invariant against the machine's own CycleStats: every configuration
@@ -41,8 +39,8 @@ namespace {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--teps N] [--repeat R] [--top N] [--jit MODE] "
-               "[--json FILE] [--quiet]\n",
+               "usage: %s [--teps N] [--repeat R] [--top N] [--json FILE] "
+               "[--quiet]\n",
                argv0);
   return 2;
 }
@@ -75,7 +73,6 @@ int main(int argc, char** argv) {
   int teps = 2;
   int repeat = 1;
   int top = 10;
-  tep::jit::JitMode jitMode = tep::jit::jitModeFromEnv();
   std::string jsonPath;
   bool quiet = false;
   for (int i = 1; i < argc; ++i) {
@@ -87,8 +84,6 @@ int main(int argc, char** argv) {
       repeat = std::atoi(argv[++i]);
     } else if (arg == "--top" && hasValue) {
       top = std::atoi(argv[++i]);
-    } else if (arg == "--jit" && hasValue) {
-      if (!tep::jit::parseJitMode(argv[++i], &jitMode)) return usage(argv[0]);
     } else if (arg == "--json" && hasValue) {
       jsonPath = argv[++i];
     } else if (arg == "--quiet") {
@@ -107,7 +102,6 @@ int main(int argc, char** argv) {
   arch.numTeps = teps;
   arch.registerFileSize = 12;
   machine::PscpMachine m(chart, actions, arch);
-  m.setJitMode(jitMode);
 
   obs::Profiler profiler;
   m.setObsOptions({&profiler});
@@ -139,52 +133,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // The profiled pass itself always runs interpreted: micro-level
-  // observability (per-instruction retire, bus stalls) only exists in the
-  // microcode tier, so an attached sink pins the machine there. The
-  // hotness ranking then seeds the compile cache — profiler-driven AOT,
-  // the offline half of the tier policy — which is what the residency
-  // report below describes.
-  if (jitMode != tep::jit::JitMode::kOff && tep::jit::jitBackendAvailable()) {
-    for (const obs::RoutineHotness& h : profiler.routineHotness()) {
-      std::string reason;
-      m.image().tierCache().precompile(h.transition,
-                                       m.image().routineEntry(h.transition),
-                                       &reason);
-    }
-  }
-
   if (!quiet) {
     obs::ReportOptions options;
     options.topN = top;
     std::fputs(obs::profileText(profiler, options).c_str(), stdout);
-
-    // Routine hotness: the ranking the tier-selection policy keys on.
-    std::printf("\nhot routines (tier-selection feed)\n");
-    std::printf("  %-32s %10s %12s %8s\n", "routine", "calls", "cycles", "tier");
-    const auto& names = profiler.meta().transitionNames;
-    int rows = 0;
-    for (const obs::RoutineHotness& h : profiler.routineHotness()) {
-      if (rows++ >= top) break;
-      const char* name = static_cast<size_t>(h.transition) < names.size()
-                             ? names[static_cast<size_t>(h.transition)].c_str()
-                             : "?";
-      const auto state = m.image().tierCache().stateOf(h.transition);
-      std::printf("  %-32s %10lld %12lld %8s\n", name,
-                  static_cast<long long>(h.calls),
-                  static_cast<long long>(h.cycles),
-                  tep::jit::routineStateName(state));
-    }
-
-    const tep::jit::TierResidency tier = m.tierResidency();
-    std::printf(
-        "\ntier residency after profile-seeded AOT (jit=%s): %d native, "
-        "%d rejected of %lld profiled routines; compile %.2f ms\n",
-        tep::jit::jitModeName(jitMode), tier.nativeRoutines,
-        tier.rejectedRoutines,
-        static_cast<long long>(profiler.routineHotness().size()),
-        static_cast<double>(tier.compileMicros) / 1000.0);
-
     std::printf("\nattribution audit: %lld/%lld cycles accounted (100.0%%)\n",
                 static_cast<long long>(attributed),
                 static_cast<long long>(statsCycles));

@@ -78,11 +78,11 @@ int usage(const char* argv0) {
       "usage: %s record --out PATH [--instances N] [--threads N] [--epochs N]\n"
       "          [--cycles N] [--checkpoint-interval N] [--binary]\n"
       "          [--faulty-epoch E]\n"
-      "       %s replay JOURNAL [--threads N] [--jit off|auto|always]\n"
+      "       %s replay JOURNAL [--threads N] [--jit off|always]\n"
       "          [--chart FILE [--actions FILE]]\n"
-      "       %s verify JOURNAL [--threads N] [--jit off|auto|always]\n"
+      "       %s verify JOURNAL [--threads N] [--jit off|always]\n"
       "          [--chart FILE [--actions FILE]]\n"
-      "       %s bisect JOURNAL [--threads N] [--jit off|auto|always]\n"
+      "       %s bisect JOURNAL [--threads N] [--jit off|always]\n"
       "          [--chart FILE [--actions FILE]]\n"
       "       %s trace JOURNAL --instance ID --out PATH\n",
       argv0, argv0, argv0, argv0, argv0);
@@ -114,7 +114,7 @@ bool parseOptions(int argc, char** argv, Options* opt) {
       opt->checkpointInterval = std::atoll(v);
     } else if (arg == "--jit" && (v = next())) {
       if (!tep::jit::parseJitMode(v, &opt->jitMode)) {
-        std::fprintf(stderr, "bad --jit mode: %s (off|auto|always)\n", v);
+        std::fprintf(stderr, "bad --jit mode: %s (off|always)\n", v);
         return false;
       }
     } else if (arg == "--chart" && (v = next())) {

@@ -128,10 +128,9 @@ std::string renderDashboard(const obs::FleetHealth& health,
       static_cast<long long>(health.totalEventsDropped()),
       static_cast<long long>(health.totalStealChunks()));
   out += strfmt(
-      "tier:  jit=%s — %d native / %d interp / %d rejected routines, "
-      "compile %s\n\n",
+      "tier:  jit=%s — %d native / %d rejected routines, compile %s\n\n",
       pscp::tep::jit::jitModeName(jitMode), tier.nativeRoutines,
-      tier.interpretedRoutines, tier.rejectedRoutines,
+      tier.rejectedRoutines,
       nanosText(tier.compileMicros * 1000).c_str());
 
   std::vector<std::vector<std::string>> rows;
