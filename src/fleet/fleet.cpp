@@ -12,9 +12,6 @@
 namespace pscp::fleet {
 
 namespace {
-// Static empty event list for every non-first cycle of an epoch, so the
-// per-cycle call passes a reference without building a vector.
-const std::vector<int> kNoEvents;
 // Instances per work-stealing chunk: small enough to balance a shard
 // whose worker falls behind, large enough to keep cursor traffic low.
 constexpr size_t kStealChunk = 8;
@@ -36,7 +33,7 @@ struct Fleet::Instance {
   // Worker-private per-epoch scratch (exactly one worker touches an
   // instance per epoch; the epoch barrier publishes writes between epochs).
   std::vector<int> drained;
-  machine::CycleStats stats;  ///< reused; fired kept allocated across cycles
+  machine::CycleStats stats;  ///< reused; fired kept allocated across epochs
   int64_t droppedSeen = 0;    ///< last `dropped` value folded into telemetry
 
   // Lifetime accounting (read by snapshot() between epochs).
@@ -283,28 +280,21 @@ void Fleet::stepInstance(Instance& inst, int cycles, WorkerLocal& local) {
   inst.eventsDelivered += drainedCount;
   local.eventsDelivered += drainedCount;
 
-  int64_t epochMachineCycles = 0;
-  int64_t epochFired = 0;
   const int64_t nativeBefore = inst.machine.jitNativeRuns();
-  for (int c = 0; c < cycles; ++c) {
-    inst.machine.configurationCycleIds(c == 0 ? inst.drained : kNoEvents,
-                                       &inst.stats);
-    epochMachineCycles += inst.stats.cycles;
-    inst.busStallCycles += inst.stats.busStallCycles;
-    epochFired += static_cast<int64_t>(inst.stats.fired.size());
-    local.busStallCycles += inst.stats.busStallCycles;
-    if (inst.stats.quiescent) {
-      ++inst.quiescentCycles;
-      ++local.quiescentCycles;
-    }
-  }
+  inst.machine.configurationCycleIds(inst.drained, &inst.stats, cycles);
+  const machine::CycleStats& stats = inst.stats;
+  const int64_t epochFired = static_cast<int64_t>(stats.fired.size());
+  inst.machineCycles += stats.cycles;
+  inst.configCycles += cycles;
+  inst.quiescentCycles += stats.quiescentCycles;
   inst.firedTransitions += epochFired;
+  inst.busStallCycles += stats.busStallCycles;
+  local.machineCycles += stats.cycles;
+  local.configCycles += cycles;
+  local.quiescentCycles += stats.quiescentCycles;
   local.firedTransitions += epochFired;
   local.jitNativeRuns += inst.machine.jitNativeRuns() - nativeBefore;
-  inst.machineCycles += epochMachineCycles;
-  inst.configCycles += cycles;
-  local.machineCycles += epochMachineCycles;
-  local.configCycles += cycles;
+  local.busStallCycles += stats.busStallCycles;
   local.instancesStepped += 1;
 
   if (local.ring != nullptr) {  // telemetry armed: the one extra branch
@@ -316,9 +306,10 @@ void Fleet::stepInstance(Instance& inst, int cycles, WorkerLocal& local) {
       local.ring->push(obs::FlightKind::kDrops, local.epoch,
                        static_cast<int64_t>(inst.id), droppedNow, 0, 0);
     }
-    local.ring->push(obs::FlightKind::kInstance, local.epoch,
-                     static_cast<int64_t>(inst.id), epochMachineCycles,
-                     epochFired, drainedCount);
+    if (drainedCount > 0 || epochFired > 0)
+      local.ring->push(obs::FlightKind::kInstance, local.epoch,
+                       static_cast<int64_t>(inst.id), stats.cycles, epochFired,
+                       drainedCount);
     for (const machine::PortWrite& w : inst.machine.portWrites()) {
       local.ring->push(obs::FlightKind::kPortWrite, local.epoch,
                        static_cast<int64_t>(inst.id), w.port,

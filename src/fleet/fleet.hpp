@@ -20,11 +20,13 @@
 //     shard whose worker wakes late or runs busier instances is finished
 //     by whoever has idle cycles, so the barrier waits for the slowest
 //     chunk, not the slowest shard.
-//   - Every instance cycle is one PscpMachine::configurationCycleIds call.
+//   - Every instance-epoch is one PscpMachine::configurationCycleIds call
+//     that steps all `cycles` configuration cycles and returns their sums.
 //     Idle instances — the dominant case for reactive populations, which
 //     are mostly quiescent between stimuli — cost no decode: the machine's
-//     quiescence memo answers an event-free cycle over a CR that already
-//     decoded to nothing (see pscp/machine.hpp).
+//     quiescence memo credits a stretch of event-free cycles over a CR
+//     that already decoded to nothing in one step, up to the first cycle
+//     a timer matures in (see pscp/machine.hpp).
 //   - Event injection goes through a per-instance bounded SPSC queue.
 //     Producers never take a lock and never touch the stepping hot loop;
 //     the worker drains the queue at the first cycle of the instance's

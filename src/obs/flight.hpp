@@ -41,7 +41,11 @@ enum class FlightKind : uint8_t {
   kEpochBegin = 1,  ///< a=cycles requested, b=live instances
   kEpochEnd = 2,    ///< a=wall ns, b=machine cycles, c=instances stepped,
                     ///< d=events delivered (this worker, this epoch)
-  kInstance = 3,    ///< a=instance id, b=machine cycles, c=fired, d=drained
+  /// a=instance id, b=machine cycles, c=fired, d=drained. Pushed only for
+  /// an instance-epoch that drained an event or fired a transition: an
+  /// idle instance leaves no record (kEpochEnd carries the shard totals),
+  /// so a mostly idle shard keeps more than its last epoch in the ring.
+  kInstance = 3,
   kSteal = 4,       ///< a=victim shard, b=chunk begin index, c=chunk size
   kPortWrite = 5,   ///< a=instance id, b=port address, c=value, d=config cycle
   kDrops = 6,       ///< a=instance id, b=cumulative dropped injections

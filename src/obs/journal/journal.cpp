@@ -1,5 +1,6 @@
 #include "obs/journal/journal.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,18 +38,37 @@ bool parseHexU64(const JsonValue* v, uint64_t* out) {
     *out = std::strtoull(v->string.c_str(), &end, 0);
     return end != nullptr && *end == '\0' && !v->string.empty();
   }
-  if (v->isNumber()) {
+  if (v->isNumber() && v->number >= 0 && v->number < 18446744073709551616.0 &&
+      std::trunc(v->number) == v->number) {
     *out = static_cast<uint64_t>(v->number);
     return true;
   }
   return false;
 }
 
+/// `v` as an int64: false unless it is a number with no fractional part
+/// within int64 range (a double-to-int64 cast of anything else is
+/// undefined or truncates).
+bool toInt64(const JsonValue& v, int64_t* out) {
+  constexpr double kTwoTo63 = 9223372036854775808.0;
+  if (!v.isNumber() || !(v.number >= -kTwoTo63 && v.number < kTwoTo63) ||
+      std::trunc(v.number) != v.number)
+    return false;
+  *out = static_cast<int64_t>(v.number);
+  return true;
+}
+
+/// A required integer field: false when `key` is absent or no int64.
 bool jsonInt(const JsonValue& obj, const char* key, int64_t* out) {
   const JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->isNumber()) return false;
-  *out = static_cast<int64_t>(v->number);
-  return true;
+  return v != nullptr && toInt64(*v, out);
+}
+
+/// An optional integer field: false only when `key` is present and no
+/// int64; an absent key leaves `*out` as it was.
+bool optionalJsonInt(const JsonValue& obj, const char* key, int64_t* out) {
+  const JsonValue* v = obj.find(key);
+  return v == nullptr || toInt64(*v, out);
 }
 
 // ---- binary framing helpers (little-endian, bounds-checked reader) ----
@@ -430,16 +450,18 @@ bool Journal::fromJson(const JsonValue& doc, Journal* out, std::string* error) {
     return fail("not a pscp-journal-v1 document");
 
   JournalConfig config;
-  int64_t interval = 0;
-  if (jsonInt(doc, "checkpoint_interval", &interval)) config.checkpointInterval = interval;
+  if (!optionalJsonInt(doc, "checkpoint_interval", &config.checkpointInterval))
+    return fail("malformed checkpoint_interval");
   Journal j(config);
   if (const JsonValue* chart = doc.find("chart"); chart != nullptr && chart->isString())
     j.chartName_ = chart->string;
   if (!parseHexU64(doc.find("image_hash"), &j.imageHash_))
     return fail("missing or malformed image_hash");
-  int64_t n = 0;
-  if (jsonInt(doc, "event_queue_capacity", &n)) j.eventQueueCapacity_ = n;
-  if (jsonInt(doc, "recorded_workers", &n)) j.recordedWorkers_ = static_cast<int>(n);
+  int64_t workers = j.recordedWorkers_;
+  if (!optionalJsonInt(doc, "event_queue_capacity", &j.eventQueueCapacity_) ||
+      !optionalJsonInt(doc, "recorded_workers", &workers))
+    return fail("malformed event_queue_capacity or recorded_workers");
+  j.recordedWorkers_ = static_cast<int>(workers);
   // v1 documents may also carry "recorded_soa" and "simd" (a stepping
   // mode and an SLA kernel name); like any unknown key they are ignored.
   if (const JsonValue* note = doc.find("note"); note != nullptr && note->isString())
@@ -455,7 +477,8 @@ bool Journal::fromJson(const JsonValue& doc, Journal* out, std::string* error) {
     if (name == nullptr || !name->isString() || !opKindFromName(name->string, &kind))
       return fail(strfmt("ops[%zu]: unknown op", index));
     int64_t id = -1, a = 0, b = 0;
-    jsonInt(o, "id", &id);
+    if (!optionalJsonInt(o, "id", &id))
+      return fail(strfmt("ops[%zu]: malformed id", index));
     switch (kind) {
       case OpKind::kSpawn:
         j.recordSpawn(id);
@@ -543,8 +566,12 @@ bool Journal::fromJson(const JsonValue& doc, Journal* out, std::string* error) {
           return fail(strfmt("ops[%zu]: malformed warm op", index));
         std::vector<int> bits;
         bits.reserve(events->array.size());
-        for (const JsonValue& e : events->array)
-          bits.push_back(static_cast<int>(e.number));
+        for (const JsonValue& e : events->array) {
+          int64_t bit = 0;
+          if (!toInt64(e, &bit) || bit < INT32_MIN || bit > INT32_MAX)
+            return fail(strfmt("ops[%zu]: malformed warm op", index));
+          bits.push_back(static_cast<int>(bit));
+        }
         j.recordWarmCycle(id, bits);
         break;
       }

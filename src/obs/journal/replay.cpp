@@ -255,14 +255,15 @@ ReplayResult Replayer::run(const ReplayOptions& options) const {
       }
       case OpKind::kAddTimer: {
         if (notLive(op) || notEvent(op, op.a)) return result;
-        if (op.b <= 0) {
-          result.error = strfmt("timer op %zu has period %lld; a timer period "
-                                "must be positive",
-                                opIndex(op), static_cast<long long>(op.b));
+        // The machine checks the period against its own clock and refuses
+        // one it cannot keep with an Error that names it.
+        try {
+          fleet.addTimer(static_cast<InstanceId>(op.instance),
+                         eventNames.at(static_cast<int>(op.a)), op.b);
+        } catch (const Error& e) {
+          result.error = strfmt("timer op %zu is refused: %s", opIndex(op), e.what());
           return result;
         }
-        fleet.addTimer(static_cast<InstanceId>(op.instance),
-                       eventNames.at(static_cast<int>(op.a)), op.b);
         break;
       }
       case OpKind::kWarmCycle: {

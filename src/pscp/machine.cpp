@@ -1,6 +1,7 @@
 #include "pscp/machine.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "pscp/sched_cost.hpp"
 #include "support/bits.hpp"
@@ -9,6 +10,14 @@ namespace pscp::machine {
 
 using statechart::StateId;
 using statechart::TransitionId;
+
+namespace {
+// The largest machine time; a timer whose next maturity would lie past it
+// never matures again.
+constexpr int64_t kMaxTime = std::numeric_limits<int64_t>::max();
+// The external events of every cycle after the first in a multi-cycle call.
+const std::vector<int> kNoEvents;
+}  // namespace
 
 // -------------------------------------------------------------- ChartImage
 
@@ -390,8 +399,12 @@ void PscpMachine::setGlobalValue(const std::string& name, int64_t value) {
 // ------------------------------------------------------------- cycle logic
 
 void PscpMachine::addTimer(const std::string& event, int64_t period) {
-  if (period <= 0) fail("timer period must be positive (got %lld)",
-                        static_cast<long long>(period));
+  if (period <= 0)
+    fail("timer period %lld is not positive", static_cast<long long>(period));
+  if (period > kMaxTime - totalCycles_)
+    fail("timer period %lld overflows machine time: added at cycle %lld, "
+         "its first maturity passes the largest int64",
+         static_cast<long long>(period), static_cast<long long>(totalCycles_));
   Timer t;
   t.eventBit = layout_.eventBit(event);
   t.period = period;
@@ -438,10 +451,17 @@ CycleStats PscpMachine::configurationCycle(
   return configurationCycleIds(ids);
 }
 
-bool PscpMachine::timerDue() const {
-  for (const Timer& t : timers_)
-    if (totalCycles_ >= t.nextFire) return true;
-  return false;
+int64_t PscpMachine::cyclesBeforeTimer() const {
+  int64_t cycles = kMaxTime;
+  for (const Timer& t : timers_) {
+    // Quiescent cycle j starts at totalCycles_ + j * kSlaEvaluateCycles;
+    // the first start at or past nextFire is cycle ceil(gap / SLA time).
+    const int64_t gap = t.nextFire - totalCycles_;
+    if (gap <= 0) return 0;
+    cycles = std::min(cycles, gap / kSlaEvaluateCycles +
+                                  (gap % kSlaEvaluateCycles != 0 ? 1 : 0));
+  }
+  return cycles;
 }
 
 CycleStats PscpMachine::configurationCycleIds(
@@ -452,33 +472,51 @@ CycleStats PscpMachine::configurationCycleIds(
 }
 
 void PscpMachine::configurationCycleIds(const std::vector<int>& externalEventIds,
-                                        CycleStats* statsOut) {
+                                        CycleStats* statsOut, int cycles) {
   for (const int id : externalEventIds)
     if (id < 0 || id >= layout_.eventCount())
       fail("PSCP: external event id %d is not an event bit (the chart has %d "
            "events)", id, layout_.eventCount());
-  ++configCycles_;
   CycleStats& stats = *statsOut;
   stats.fired.clear();
   stats.cycles = 0;
   stats.busStallCycles = 0;
+  stats.quiescentCycles = 0;
   stats.quiescent = false;
-  busStallsThisCycle_ = 0;
 
-  // Quiescence memo: the CR decoded to nothing when last sampled without
-  // events and has not been written since, and this cycle samples no
-  // events either (none external, none raised, no timer due) — so the SLA
-  // would select nothing again. An observer forces the decode it watches.
-  obs::ObsSink* const sink = obs_.sink;
-  if (quiescentMemo_ && externalEventIds.empty() && pendingEvents_.empty() &&
-      sink == nullptr && !timerDue()) {
-    stats.quiescent = true;
-    stats.cycles = kSlaEvaluateCycles;
-    totalCycles_ += stats.cycles;
-    machineTimeNow_ = totalCycles_;
-    return;
+  for (int c = 0; c < cycles;) {
+    const std::vector<int>& events = c == 0 ? externalEventIds : kNoEvents;
+    // Quiescence memo: the CR decoded to nothing when last sampled without
+    // events and has not been written since, and these cycles sample no
+    // events either (none external, none raised, no timer due) — so the
+    // SLA would select nothing in each of them. The stretch runs up to the
+    // first cycle that starts at a timer's maturity. An observer forces
+    // the decodes it watches.
+    if (quiescentMemo_ && events.empty() && pendingEvents_.empty() &&
+        obs_.sink == nullptr) {
+      const int64_t quiet = std::min<int64_t>(cycles - c, cyclesBeforeTimer());
+      if (quiet > 0) {
+        configCycles_ += quiet;
+        totalCycles_ += quiet * kSlaEvaluateCycles;
+        machineTimeNow_ = totalCycles_;
+        stats.cycles += quiet * kSlaEvaluateCycles;
+        stats.quiescentCycles += quiet;
+        stats.quiescent = true;
+        c += static_cast<int>(quiet);
+        continue;
+      }
+    }
+    decodeCycle(events, stats);
+    ++c;
   }
+}
 
+void PscpMachine::decodeCycle(const std::vector<int>& externalEventIds,
+                              CycleStats& stats) {
+  ++configCycles_;
+  busStallsThisCycle_ = 0;
+  const size_t firedBefore = stats.fired.size();
+  obs::ObsSink* const sink = obs_.sink;
   const int64_t cycleIndex = configCycles_ - 1;  // 0-based, for observers
   const int64_t base = totalCycles_;             // machine time at cycle start
   machineTimeNow_ = base;
@@ -498,8 +536,11 @@ void PscpMachine::configurationCycleIds(const std::vector<int>& externalEventIds
     if (totalCycles_ >= t.nextFire) {
       eventScratch_.push_back(t.eventBit);
       if (sink != nullptr) sink->onTimerFire(t.eventBit, base);
-      // Catch up without bursting: one event per cycle boundary.
-      while (t.nextFire <= totalCycles_) t.nextFire += t.period;
+      // Catch up without bursting: one event per cycle boundary, and the
+      // next maturity is the first period multiple past now — or never,
+      // when that lies past the largest machine time.
+      const int64_t ahead = t.period - (totalCycles_ - t.nextFire) % t.period;
+      t.nextFire = ahead > kMaxTime - totalCycles_ ? kMaxTime : totalCycles_ + ahead;
     }
   }
   for (int b : eventScratch_) cr_.set(b);
@@ -522,13 +563,15 @@ void PscpMachine::configurationCycleIds(const std::vector<int>& externalEventIds
     // literal may select once the sampled events are gone.
     if (eventScratch_.empty()) quiescentMemo_ = true;
     stats.quiescent = true;
-    stats.cycles = kSlaEvaluateCycles;
-    totalCycles_ += stats.cycles;
+    stats.quiescentCycles += 1;
+    stats.cycles += kSlaEvaluateCycles;
+    totalCycles_ += kSlaEvaluateCycles;
     machineTimeNow_ = totalCycles_;
     if (sink != nullptr)
-      sink->onCycleEnd(cycleIndex, stats.cycles, 0, 0, true, totalCycles_);
+      sink->onCycleEnd(cycleIndex, kSlaEvaluateCycles, 0, 0, true, totalCycles_);
     return;
   }
+  stats.quiescent = false;
 
   // 3. Fill the TEP condition caches from the CR (flat byte copy).
   for (size_t i = 0; i < teps_.size(); ++i) {
@@ -556,8 +599,8 @@ void PscpMachine::configurationCycleIds(const std::vector<int>& externalEventIds
     image_->enterSets_[static_cast<size_t>(t)].forEachSetBit(
         [&](int s) { applyActive(static_cast<StateId>(s), true); });
 
-  stats.cycles = cycles;
-  stats.busStallCycles = busStallsThisCycle_;
+  stats.cycles += cycles;
+  stats.busStallCycles += busStallsThisCycle_;
   totalCycles_ += cycles;
   totalBusStalls_ += busStallsThisCycle_;
   machineTimeNow_ = totalCycles_;
@@ -565,8 +608,9 @@ void PscpMachine::configurationCycleIds(const std::vector<int>& externalEventIds
     std::vector<int> activeIds;
     activeBits_.forEachSetBit([&](int s) { activeIds.push_back(s); });
     sink->onConfigUpdate(activeIds, totalCycles_);
-    sink->onCycleEnd(cycleIndex, stats.cycles, stats.busStallCycles,
-                     static_cast<int>(stats.fired.size()), false, totalCycles_);
+    sink->onCycleEnd(cycleIndex, cycles, busStallsThisCycle_,
+                     static_cast<int>(stats.fired.size() - firedBefore), false,
+                     totalCycles_);
   }
 }
 

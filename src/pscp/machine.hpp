@@ -40,16 +40,20 @@
 // instance by allocating mutable state only (memories, register banks,
 // port values, TEP cores); the compiler, the microcode decoder and SLA
 // synthesis run once per chart, not once per instance. Steady-state
-// stepping through configurationCycleIds(events, &stats) is allocation-
-// free: every per-cycle temporary is a member scratch buffer, so thousands
-// of instances stepped by a worker pool never serialize on the allocator.
+// stepping through configurationCycleIds(events, &stats, cycles) is
+// allocation-free: every per-cycle temporary is a member scratch buffer,
+// so thousands of instances stepped by a worker pool never serialize on
+// the allocator.
 //
 // Quiescence memo: the SLA is combinational logic over the CR, so what it
 // selects depends on the CR alone. Once a cycle sampled no events and
 // selected nothing, every later event-free cycle selects nothing too until
-// something writes the CR. The machine keeps that fact in one bit and
-// answers such cycles without a decode (see configurationCycleIds); an
-// attached observer bypasses it, so sinks still see every decode.
+// something writes the CR. The machine keeps that fact in one bit. One
+// configurationCycleIds call steps k configuration cycles (a fleet epoch)
+// and credits each stretch the memo answers in one step: nothing to
+// sample (no external event, none raised, no matured timer) means nothing
+// selected, so n such cycles are n quiescent cycles of SLA time. An
+// attached observer bypasses the memo, so sinks still see every decode.
 #pragma once
 
 #include <map>
@@ -87,11 +91,14 @@ struct PortWrite {
   [[nodiscard]] bool operator==(const PortWrite&) const = default;
 };
 
+/// What one configurationCycleIds call did, summed over the configuration
+/// cycles it stepped (one, unless the call asks for more).
 struct CycleStats {
   std::vector<statechart::TransitionId> fired;  ///< in dispatch order
-  int64_t cycles = 0;          ///< reference-clock cycles consumed
-  int64_t busStallCycles = 0;  ///< external-bus arbitration losses
-  bool quiescent = false;      ///< SLA selected nothing
+  int64_t cycles = 0;           ///< reference-clock cycles consumed
+  int64_t busStallCycles = 0;   ///< external-bus arbitration losses
+  int64_t quiescentCycles = 0;  ///< configuration cycles that selected nothing
+  bool quiescent = false;       ///< the last cycle selected nothing
 };
 
 /// The immutable per-chart compile product: CR layout, synthesized SLA,
@@ -181,14 +188,17 @@ class PscpMachine : public tep::TepHost {
   /// runtime error, raised before the cycle touches any state.
   CycleStats configurationCycleIds(const std::vector<int>& externalEventIds);
 
-  /// In-place twin of configurationCycleIds: clears and refills
-  /// `stats->fired` instead of returning a fresh CycleStats, so a caller
-  /// that reuses one stats object steps the machine without any heap
-  /// allocation in steady state (the fleet worker loop depends on this).
-  /// A cycle the quiescence memo answers costs no decode; its stats and
-  /// every counter are those the decode would have produced.
+  /// In-place form that steps `cycles` configuration cycles, sampling
+  /// `externalEventIds` at the first; `*stats` is reset and refilled with
+  /// the sums over all of them (its `fired` list keeps its capacity, so a
+  /// caller that reuses one stats object steps without any heap allocation
+  /// in steady state — the fleet worker loop depends on this). A stretch of
+  /// cycles the quiescence memo answers is credited at once and costs no
+  /// decode; it stops short of the first cycle whose start reaches a
+  /// timer's maturity, which decodes. Stats and every counter are those of
+  /// `cycles` one-cycle calls with the events passed to the first.
   void configurationCycleIds(const std::vector<int>& externalEventIds,
-                             CycleStats* stats);
+                             CycleStats* stats, int cycles = 1);
 
   /// The packed CR. Between cycles the event bits are always clear (they
   /// live only inside the decode window); journals digest these words.
@@ -220,7 +230,8 @@ class PscpMachine : public tep::TepHost {
   /// Hardware timer (paper Sec. 6 future work): raises `event` every
   /// `period` reference-clock cycles of machine time. Timer events are
   /// sampled into the CR at the next configuration-cycle boundary, like
-  /// any external event.
+  /// any external event. A period that is not positive, or whose first
+  /// maturity lies past the largest int64 machine time, is a runtime error.
   void addTimer(const std::string& event, int64_t period);
 
   /// Run cycles until quiescent (no enabled transitions and no pending
@@ -308,8 +319,12 @@ class PscpMachine : public tep::TepHost {
   /// Write one condition bit to both the byte array and the packed CR.
   /// Clears the quiescence memo.
   void setCrCondition(int index, bool value);
-  /// Some hardware timer has matured: the next cycle samples its event.
-  [[nodiscard]] bool timerDue() const;
+  /// How many quiescent configuration cycles can start before one starts
+  /// at or after a hardware timer's maturity (and so samples its event):
+  /// 0 when a timer is due now, INT64_MAX without timers.
+  [[nodiscard]] int64_t cyclesBeforeTimer() const;
+  /// One configuration cycle with a full decode, its sums added to `stats`.
+  void decodeCycle(const std::vector<int>& externalEventIds, CycleStats& stats);
   /// ports_ index of `address`; an undeclared one is a runtime error.
   [[nodiscard]] size_t declaredPortSlot(int address, const char* access) const;
   /// Conflict resolution over `selectScratch_` into `chosenScratch_`

@@ -178,6 +178,32 @@ TEST(SteadyStateAllocations, HotCycleLoopIsAllocationFree) {
   EXPECT_EQ(after - before, 0u)
       << "steady-state configuration cycles must not allocate";
   EXPECT_GT(machine.globalValue("watchTicks"), 1000);
+
+  // The k-cycle form: idle epochs of 16 cycles, collapsed by the
+  // quiescence memo until a TICK timer matures mid-stretch and cuts the
+  // collapse short with a decode that fires both self-loops.
+  const std::vector<int> noEvents;
+  const int64_t tickCycles = stats.cycles;  // one TICK cycle, both routines
+  machine.addTimer("TICK", 4 * tickCycles);
+  for (int i = 0; i < 64; ++i) {
+    machine.configurationCycleIds(noEvents, &stats, 16);
+    machine.clearPortWrites();
+  }
+  const int64_t watchTicksBefore = machine.globalValue("watchTicks");
+  int64_t quiescentCycles = 0;
+  const uint64_t epochsBefore = gAllocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 1000; ++i) {
+    machine.configurationCycleIds(noEvents, &stats, 16);
+    machine.clearPortWrites();
+    quiescentCycles += stats.quiescentCycles;
+  }
+  const uint64_t epochsAfter = gAllocations.load(std::memory_order_relaxed);
+
+  EXPECT_EQ(epochsAfter - epochsBefore, 0u)
+      << "steady-state k-cycle calls must not allocate";
+  EXPECT_GT(machine.globalValue("watchTicks") - watchTicksBefore, 100)
+      << "the timer must cut collapses short";
+  EXPECT_GT(quiescentCycles, 1000 * 8) << "most cycles must be collapsed";
 }
 
 // The fleet epoch loop holds the same bar — including with the telemetry

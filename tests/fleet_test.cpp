@@ -390,11 +390,9 @@ TEST_F(FleetTest, PortWriteLogsAreBitIdenticalAcrossWorkerCounts) {
                   std::to_string(workers) + " workers");
 }
 
-// The next two tests keep the names they had when they held the SoA
-// batched path to per-instance (AoS) stepping. That path is gone; the
-// fleet's idle fast path is now the quiescence memo, and the reference is
-// the same script on a fleet whose instances carry a sink (full decode).
-TEST_F(FleetTest, SoaBatchedSteppingIsBitIdenticalToAosStepping) {
+// A bare fleet collapses idle stretches through the quiescence memo; the
+// same script on a fleet whose instances carry a sink decodes every cycle.
+TEST_F(FleetTest, BareFleetMatchesObservedFleet) {
   NullObserver observer;
   for (const int workers : {1, 3})  // 37 instances leave partial steal chunks
     expectSameRun(runScriptedFleet(image_, workers, 37, 20),
@@ -402,7 +400,7 @@ TEST_F(FleetTest, SoaBatchedSteppingIsBitIdenticalToAosStepping) {
                   std::to_string(workers) + " workers");
 }
 
-TEST_F(FleetTest, RetirementHolesKeepSoaAndAosIdentical) {
+TEST_F(FleetTest, BareFleetMatchesObservedFleetAcrossRetirementHoles) {
   NullObserver observer;
   expectSameRun(runScriptedFleet(image_, 2, 24, 12, nullptr, 4),
                 runScriptedFleet(image_, 2, 24, 12, &observer, 4),
@@ -410,16 +408,17 @@ TEST_F(FleetTest, RetirementHolesKeepSoaAndAosIdentical) {
 }
 
 TEST_F(FleetTest, SteppingMatchesFullDecodeMirrors) {
-  // The fleet steps every instance through configurationCycleIds, where
-  // the quiescence memo answers idle cycles. Each instance has a
-  // standalone mirror with a sink attached, which decodes every cycle.
-  // Port logs, every snapshot counter and the active states must agree —
-  // across worker counts, retirement holes (shard rebuilds) and direct
-  // machine(id).setCondition writes between epochs. 37 instances leave
-  // partial steal chunks.
+  // The fleet steps each instance one epoch per configurationCycleIds
+  // call, which credits idle stretches from the quiescence memo at once.
+  // Each instance has a standalone mirror with a sink attached, stepped
+  // one cycle per call, which decodes every cycle. Port logs, every
+  // snapshot counter and the active states must agree — across worker
+  // counts, epoch lengths from 1 to 17 cycles, TICK timers on every third
+  // instance (a timer maturing inside an epoch cuts its collapse short),
+  // retirement holes (shard rebuilds) and direct machine(id).setCondition
+  // writes between epochs. 37 instances leave partial steal chunks.
   constexpr size_t kInstances = 37;
   constexpr int kEpochs = 24;
-  constexpr int kCycles = 3;
   struct Mirror {
     std::unique_ptr<machine::PscpMachine> machine;
     InstanceSnapshot counts;
@@ -441,6 +440,11 @@ TEST_F(FleetTest, SteppingMatchesFullDecodeMirrors) {
       mirrors[i].machine = std::make_unique<machine::PscpMachine>(image_);
       mirrors[i].machine->setObsOptions({&observer});
       rng[i] = 0xD1B54A32D192ED03ull * (i + 1);
+      if (i % 3 == 0) {
+        const int64_t period = 20 + 7 * static_cast<int64_t>(i);
+        fleet.addTimer(ids[i], "TICK", period);
+        mirrors[i].machine->addTimer("TICK", period);
+      }
     }
 
     const auto expectSame = [&](size_t i) {
@@ -457,7 +461,10 @@ TEST_F(FleetTest, SteppingMatchesFullDecodeMirrors) {
     int64_t quiescent = 0;
     std::vector<int> events;
     machine::CycleStats stats;
+    uint64_t epochRng = 0x2545F4914F6CDD1Dull;
     for (int epoch = 0; epoch < kEpochs; ++epoch) {
+      epochRng = epochRng * 6364136223846793005ull + 1442695040888963407ull;
+      const int cycles = 1 + static_cast<int>((epochRng >> 33) % 17);
       if (epoch == 8) {
         for (size_t i = 1; i < kInstances; i += 4) {
           expectSame(i);
@@ -490,7 +497,7 @@ TEST_F(FleetTest, SteppingMatchesFullDecodeMirrors) {
         }
         for (const int e : events) ASSERT_TRUE(fleet.inject(ids[i], e));
         mirrors[i].counts.eventsDelivered += static_cast<int64_t>(events.size());
-        for (int c = 0; c < kCycles; ++c) {
+        for (int c = 0; c < cycles; ++c) {
           m.configurationCycleIds(c == 0 ? events : std::vector<int>{}, &stats);
           InstanceSnapshot& counts = mirrors[i].counts;
           counts.machineCycles += stats.cycles;
@@ -502,13 +509,13 @@ TEST_F(FleetTest, SteppingMatchesFullDecodeMirrors) {
           if ((c > 0 || events.empty()) && !stats.fired.empty()) ++eventFreeFirings;
         }
       }
-      fleet.step(kCycles);
+      fleet.step(cycles);
     }
     for (size_t i = 0; i < kInstances; ++i)
       if (mirrors[i].machine != nullptr) expectSame(i);
     EXPECT_EQ(fleet.liveCount(), kInstances - 9);
     // The script must reach both sides of the memo: idle cycles it
-    // answers, and event-free firings a CR write made possible.
+    // answers, and event-free firings a CR write or a timer made possible.
     EXPECT_GT(quiescent, static_cast<int64_t>(kInstances * kEpochs));
     EXPECT_GT(eventFreeFirings, static_cast<int64_t>(kInstances));
   }

@@ -261,6 +261,29 @@ TEST_F(FlightFleetTest, ArmedFleetRecordsEpochAndInstanceActivity) {
   EXPECT_EQ(instances, 6 * 8);
 }
 
+TEST_F(FlightFleetTest, IdleInstanceEpochsLeaveNoInstanceRecord) {
+  // After the GO epoch only the even instances get a TICK each epoch; the
+  // odd ones drain nothing and fire nothing. Their instance-epochs leave
+  // no kInstance record, while the epoch-end records still count every
+  // instance's machine cycles.
+  auto f = makeArmedFleet(8, 1);
+  const int tick = f->eventId("TICK");
+  for (int e = 0; e < 4; ++e) {
+    for (fleet::InstanceId id = 0; id < 8; id += 2) f->inject(id, tick);
+    f->step(3);
+  }
+  std::vector<int> records(8, 0);
+  int64_t epochEndCycles = 0;
+  for (const FlightRecord& r : f->flightRecorder()->snapshot()) {
+    if (r.kind == FlightKind::kInstance && r.epoch > 1)
+      ++records[static_cast<size_t>(r.a)];
+    if (r.kind == FlightKind::kEpochEnd) epochEndCycles += r.b;
+  }
+  for (size_t i = 0; i < records.size(); ++i)
+    EXPECT_EQ(records[i], i % 2 == 0 ? 4 : 0) << "instance " << i;
+  EXPECT_EQ(epochEndCycles, f->mergedMetrics().value("fleet.machine_cycles"));
+}
+
 TEST_F(FlightFleetTest, DisarmedFleetHasNoRecorder) {
   fleet::FleetConfig config;
   fleet::Fleet f(image_, config);

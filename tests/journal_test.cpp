@@ -197,6 +197,52 @@ TEST(Journal, TruncatedOrGarbageBinaryIsRejected) {
   EXPECT_FALSE(Journal::parseBinary(mangled, &parsed, &error));
 }
 
+TEST(Journal, NonIntegerNumbersAreParseErrors) {
+  // Every integer field goes through a checked conversion: a number that
+  // has a fraction or lies outside int64 is a parse error, not a cast
+  // that truncates (2.5) or is undefined (1e300).
+  JsonValue sample;
+  std::string error;
+  ASSERT_TRUE(parseJson(makeSampleJournal().dumpJson(), &sample, &error)) << error;
+  struct Field {
+    const char* op;   ///< first op of this kind, or nullptr for the header
+    const char* key;
+  };
+  const std::vector<Field> fields = {
+      {nullptr, "checkpoint_interval"}, {nullptr, "event_queue_capacity"},
+      {nullptr, "recorded_workers"},    {"spawn", "id"},
+      {"inject", "event"},              {"inject", "epoch"},
+      {"step", "cycles"},               {"port", "value"},
+      {"cond", "bit"},                  {"timer", "period"},
+      {"warm", "events"}};
+  for (const Field& field : fields) {
+    for (const double bad : {1e300, -1e300, 2.5}) {
+      JsonValue doc = sample;
+      JsonValue value = JsonValue::makeNumber(bad);
+      if (std::string(field.key) == "events") {
+        value = JsonValue::makeArray();
+        value.array.push_back(JsonValue::makeNumber(bad));
+      }
+      JsonValue* target = &doc;
+      if (field.op != nullptr) {
+        target = nullptr;
+        for (auto& [key, ops] : doc.object)
+          if (key == "ops")
+            for (JsonValue& op : ops.array)
+              if (target == nullptr && op.find("op")->string == field.op)
+                target = &op;
+        ASSERT_NE(target, nullptr) << "the sample has a " << field.op << " op";
+      }
+      target->set(field.key, value);
+      Journal parsed;
+      error.clear();
+      EXPECT_FALSE(Journal::parse(doc.dump(), &parsed, &error))
+          << field.key << " = " << bad;
+      EXPECT_FALSE(error.empty()) << field.key << " = " << bad;
+    }
+  }
+}
+
 TEST(Journal, CrDigestSeesEveryBitAndTheWidth) {
   BitVec a(130);
   a.set(0);

@@ -10,6 +10,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "actionlang/parser.hpp"
@@ -558,6 +559,24 @@ struct MemoTrace {
   }
 };
 
+/// Every field of a CycleStats, compared (and printed) in one assertion.
+auto sums(const machine::CycleStats& s) {
+  return std::make_tuple(s.fired, s.cycles, s.busStallCycles, s.quiescentCycles,
+                         s.quiescent);
+}
+
+/// Two MemoProbe machines agree on machine time, timestamped port writes
+/// and everything the chart keeps.
+void expectSameState(const machine::PscpMachine& a, const machine::PscpMachine& b) {
+  EXPECT_EQ(a.totalCycles(), b.totalCycles());
+  EXPECT_EQ(a.configurationCycles(), b.configurationCycles());
+  EXPECT_EQ(a.activeNames(), b.activeNames());
+  EXPECT_EQ(a.portWrites(), b.portWrites());
+  EXPECT_EQ(a.conditionValue("ARMED"), b.conditionValue("ARMED"));
+  EXPECT_EQ(a.conditionValue("FLAG"), b.conditionValue("FLAG"));
+  EXPECT_EQ(a.globalValue("hits"), b.globalValue("hits"));
+}
+
 /// Run `drive` on a bare machine and on one with a NullObserver attached,
 /// require the two to agree on every cycle and all final state, then hand
 /// the bare run to `check`.
@@ -571,24 +590,9 @@ void expectBareMatchesObserved(const MemoProbe& probe, Drive drive, Check check)
   drive(observed);
 
   ASSERT_EQ(bare.cycles.size(), observed.cycles.size());
-  for (size_t i = 0; i < bare.cycles.size(); ++i) {
-    EXPECT_EQ(bare.cycles[i].fired, observed.cycles[i].fired) << "cycle " << i;
-    EXPECT_EQ(bare.cycles[i].cycles, observed.cycles[i].cycles) << "cycle " << i;
-    EXPECT_EQ(bare.cycles[i].busStallCycles, observed.cycles[i].busStallCycles)
-        << "cycle " << i;
-    EXPECT_EQ(bare.cycles[i].quiescent, observed.cycles[i].quiescent)
-        << "cycle " << i;
-  }
-  EXPECT_EQ(bare.machine.totalCycles(), observed.machine.totalCycles());
-  EXPECT_EQ(bare.machine.configurationCycles(),
-            observed.machine.configurationCycles());
-  EXPECT_EQ(bare.machine.activeNames(), observed.machine.activeNames());
-  EXPECT_EQ(bare.machine.portWrites(), observed.machine.portWrites());
-  EXPECT_EQ(bare.machine.conditionValue("ARMED"),
-            observed.machine.conditionValue("ARMED"));
-  EXPECT_EQ(bare.machine.conditionValue("FLAG"),
-            observed.machine.conditionValue("FLAG"));
-  EXPECT_EQ(bare.machine.globalValue("hits"), observed.machine.globalValue("hits"));
+  for (size_t i = 0; i < bare.cycles.size(); ++i)
+    EXPECT_EQ(sums(bare.cycles[i]), sums(observed.cycles[i])) << "cycle " << i;
+  expectSameState(bare.machine, observed.machine);
   check(bare);
 }
 
@@ -649,6 +653,92 @@ TEST(ObserverEffect, QuiescenceMemoMatchesObservedDecodeAtEveryInvalidation) {
     EXPECT_EQ(firedAt(tail + 11), 1u) << "[FLAG] after the write-back";
     EXPECT_TRUE(bare.machine.isActive("Flagged"));
   });
+}
+
+/// A bare machine stepped a whole epoch per call (the k-cycle form, which
+/// collapses memo stretches) beside an observed one stepped a cycle per
+/// call (which decodes every cycle). Every epoch's sums must agree.
+struct EpochPair {
+  machine::PscpMachine bare;
+  machine::PscpMachine observed;
+  std::vector<machine::CycleStats> lastEpoch;  ///< observed, one per cycle
+
+  EpochPair(const MemoProbe& probe, ObsSink* sink)
+      : bare(probe.image), observed(probe.image) {
+    observed.setObsOptions({sink});
+  }
+  template <typename Op>
+  void both(Op op) {
+    op(bare);
+    op(observed);
+  }
+  void step(int k, const std::vector<int>& events = {}) {
+    machine::CycleStats got;
+    bare.configurationCycleIds(events, &got, k);
+    machine::CycleStats want;
+    lastEpoch.assign(static_cast<size_t>(k), {});
+    for (size_t c = 0; c < lastEpoch.size(); ++c) {
+      machine::CycleStats& cycle = lastEpoch[c];
+      observed.configurationCycleIds(c == 0 ? events : std::vector<int>{}, &cycle);
+      want.fired.insert(want.fired.end(), cycle.fired.begin(), cycle.fired.end());
+      want.cycles += cycle.cycles;
+      want.busStallCycles += cycle.busStallCycles;
+      want.quiescentCycles += cycle.quiescentCycles;
+      want.quiescent = cycle.quiescent;
+    }
+    EXPECT_EQ(sums(got), sums(want)) << "epoch of " << k;
+  }
+};
+
+TEST(ObserverEffect, EpochStepsMatchObservedCycleByCycleStepping) {
+  // Epoch lengths 1-17 cross every way a memo stretch ends: a directly
+  // raised event, an external event, and a TMR timer whose routine (Count)
+  // writes a port. The timer matures one configuration cycle before, at
+  // and after the target epoch's k-th cycle start, and one machine cycle
+  // either side of it, so a collapse that runs one cycle past a maturity
+  // moves a timestamped port write.
+  const MemoProbe probe;
+  NullObserver observer;
+  for (int k = 1; k <= 17; ++k) {
+    for (const int offset : {-2, -1, 0, 1, 2}) {
+      SCOPED_TRACE(testing::Message() << "k " << k << ", offset " << offset);
+      EpochPair pair(probe, &observer);
+      const int go = pair.bare.eventId("GO");
+      pair.both([](machine::PscpMachine& m) { m.setCondition("ARMED", true); });
+      pair.step(k);  // [ARMED]/Disarm into Armed, then idle
+      pair.step(k);  // idle in Armed: the memo holds
+      ASSERT_TRUE(pair.lastEpoch.back().quiescent);
+      pair.both([](machine::PscpMachine& m) { m.raiseEvent(m.eventId("PING")); });
+      for (int e = 0; e < 3; ++e) pair.step(k);  // SetFlag, [FLAG]/Report
+      ASSERT_TRUE(pair.bare.isActive("Flagged"));
+      ASSERT_TRUE(pair.lastEpoch.back().quiescent);
+      pair.step(k, {go});  // into Spin, whose [FLAG] already holds
+      for (int e = 0; e < 2; ++e) pair.step(k);
+      ASSERT_TRUE(pair.bare.isActive("Flagged"));
+      ASSERT_TRUE(pair.lastEpoch.back().quiescent);
+
+      // Two idle cycles, then the target epoch: its cycle j starts 4 + 2j
+      // cycles after the timer is added, while nothing fires.
+      const int64_t period = 4 + 2 * (k - 1) + offset;
+      pair.both([&](machine::PscpMachine& m) { m.addTimer("TMR", period); });
+      pair.step(2);
+      pair.step(k);
+      // The first cycle whose start reaches the maturity fires Count (a
+      // negative `due` matured during the two idle cycles).
+      const int due = k - 1 + (offset > 0 ? 1 : offset / 2);
+      for (int j = 0; j < k && j <= due; ++j)
+        EXPECT_EQ(pair.lastEpoch[static_cast<size_t>(j)].fired.size(),
+                  j == due ? 1u : 0u)
+            << "cycle " << j;
+      pair.step(k);
+      if (due == k) {
+        EXPECT_EQ(pair.lastEpoch.front().fired.size(), 1u);
+      }
+      for (int e = 0; e < 4; ++e) pair.step(k);  // later maturities
+      expectSameState(pair.bare, pair.observed);
+      EXPECT_GE(pair.bare.globalValue("hits"), 2);
+    }
+  }
 }
 
 TEST(ObserverEffect, PortAndGlobalWritesLeaveTheMemoValid) {

@@ -206,37 +206,46 @@ TEST(Replay, HostileOpsAreDiagnostics) {
     op.set("op", JsonValue::makeString(kind));
     return op;
   };
+  // Where a case puts its op: over the first op of its kind, or new right
+  // after the first spawn (machine time 0) or after the last warm op.
+  enum Where { kEdit, kAfterSpawn, kAfterWarm };
   struct Case {
     std::string kind;      ///< op kind edited or inserted
-    bool insert;           ///< insert a new op instead of editing one
+    Where where;
     std::vector<std::pair<std::string, JsonValue>> fields;
     std::string expect;    ///< diagnostic text besides "<kind> op <index> "
   };
   const std::vector<Case> cases = {
-      {"inject", false, {{"event", number(100000)}}, "CR bit 100000,"},
-      {"inject", false, {{"id", number(7)}}, "instance 7,"},
-      {"inject", false, {{"event", number(eventCount)}},
+      {"inject", kEdit, {{"event", number(100000)}}, "CR bit 100000,"},
+      {"inject", kEdit, {{"id", number(7)}}, "instance 7,"},
+      {"inject", kEdit, {{"event", number(eventCount)}},
        strfmt("CR bit %d, which is no event", eventCount)},
-      {"warm", false, {{"events", events(100000)}}, "CR bit 100000,"},
-      {"warm", false, {{"id", number(7)}}, "instance 7,"},
-      {"port", false, {{"id", number(7)}}, "instance 7,"},
-      {"step", false, {{"cycles", number(0)}}, "runs 0 cycles"},
-      {"timer", true,
+      {"warm", kEdit, {{"events", events(100000)}}, "CR bit 100000,"},
+      {"warm", kEdit, {{"id", number(7)}}, "instance 7,"},
+      {"port", kEdit, {{"id", number(7)}}, "instance 7,"},
+      {"step", kEdit, {{"cycles", number(0)}}, "runs 0 cycles"},
+      {"timer", kAfterSpawn,
        {{"id", number(0)}, {"event", number(xPulse)}, {"period", number(0)}},
        "period 0"},
-      {"timer", true,
+      {"timer", kAfterSpawn,
        {{"id", number(7)}, {"event", number(xPulse)}, {"period", number(5)}},
        "instance 7,"},
-      {"timer", true,
+      {"timer", kAfterSpawn,
        {{"id", number(0)}, {"event", number(eventCount)}, {"period", number(5)}},
        "which is no event"},
-      {"cond", true,
+      {"cond", kAfterSpawn,
        {{"id", number(7)}, {"bit", number(0)}, {"value", JsonValue::makeBool(true)}},
        "instance 7,"},
-      {"cond", true,
+      {"cond", kAfterSpawn,
        {{"id", number(0)}, {"bit", number(1000)}, {"value", JsonValue::makeBool(true)}},
        "condition bit 1000,"},
-      {"retire", true, {{"id", number(7)}}, "instance 7,"},
+      {"retire", kAfterSpawn, {{"id", number(7)}}, "instance 7,"},
+      // 2^63 - 1024: a double exactly, and past int64 once added to the
+      // machine time the warm-up left.
+      {"timer", kAfterWarm,
+       {{"id", number(0)}, {"event", number(xPulse)},
+        {"period", number(9223372036854774784.0)}},
+       "period 9223372036854774784 overflows machine time"},
   };
   for (const Case& c : cases) {
     JsonValue doc = recorded;
@@ -246,11 +255,15 @@ TEST(Replay, HostileOpsAreDiagnostics) {
     ASSERT_NE(opsArray, nullptr);
     std::vector<JsonValue>& ops = *opsArray;
     size_t index = 1;
-    if (c.insert) {
-      ops.insert(ops.begin() + 1, newOp(c.kind.c_str()));
-    } else {
+    if (c.where == kEdit) {
       while (index < ops.size() && ops[index].find("op")->string != c.kind) ++index;
       ASSERT_LT(index, ops.size()) << "the recording has a " << c.kind << " op";
+    } else {
+      if (c.where == kAfterWarm)
+        for (size_t i = 0; i < ops.size(); ++i)
+          if (ops[i].find("op")->string == "warm") index = i + 1;
+      ops.insert(ops.begin() + static_cast<std::ptrdiff_t>(index),
+                 newOp(c.kind.c_str()));
     }
     for (const auto& [key, value] : c.fields) ops[index].set(key, value);
     const std::string label = c.kind + " op " + std::to_string(index) + " ";
