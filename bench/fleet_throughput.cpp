@@ -18,7 +18,9 @@
 // records the native-tier capability plus the seed and journal arming, so
 // any BENCH json can be tied back to a reproducible configuration. In any
 // mode, the run fails when a JIT-arm row runs less than 2.9496x faster
-// than the interpreter (0.4x a 1-CPU quick-mode capture of 7.374x). In full
+// than the interpreter (0.4x a 1-CPU quick-mode capture of 7.374x, taken
+// when the arm stepped a one-TEP machine; it now steps the paper's
+// two-TEP machine, where busy pairs run ahead and replay). In full
 // mode on a machine with >= 4 hardware threads, it also fails unless the
 // >= 256-instance sweep reaches >= 3x aggregate throughput at 4 threads.
 #include <benchmark/benchmark.h>
@@ -55,7 +57,7 @@ struct BenchOptions {
   /// The SMD duty cycle itself is deterministic; the seed tags the run, it
   /// does not vary it.
   int64_t seed = 0;
-  /// Run the native-tier A/B arm (interpreter vs JIT over the 1-TEP SMD
+  /// Run the native-tier A/B arm (interpreter vs JIT over the two-TEP SMD
   /// image). Defaults on; forced off when the backend is unavailable or
   /// PSCP_JIT=off, so interpreter-only hosts still produce a valid json.
   bool jit = true;
@@ -143,10 +145,11 @@ SweepResult runSweep(const fleet::Fleet::ChartImagePtr& image, size_t instances,
 }
 
 /// One arm of the JIT A/B: machine cycles per wall second over the
-/// single-TEP SMD image (every configuration cycle is serial-equivalent,
-/// so kAlways runs each routine natively). Two simulated cycles per
-/// epoch with a pulse pair injected every epoch keeps the duty cycle
-/// routine-dense — the tier being measured, not quiescent decode.
+/// two-TEP SMD image (its DeltaT pairs are hazard-free, so kAlways runs
+/// both routines natively and the lockstep loop replays them). Two
+/// simulated cycles per epoch with a pulse pair injected every epoch keeps
+/// the duty cycle routine-dense — the tier being measured, not quiescent
+/// decode.
 double runJitArm(const fleet::Fleet::ChartImagePtr& image, size_t instances,
                  int epochs, tep::jit::JitMode mode, bool* ok,
                  JitReference* residencyOut) {
@@ -251,13 +254,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Native-tier A/B: separate sweep over the single-TEP image so every
-  // configuration cycle is serial-equivalent and the kAlways arm runs
-  // each routine natively. Epoch count is its own knob — the arm's cost
-  // is per-routine wall time, not the main sweep's pool scaling.
+  // Native-tier A/B: a separate sweep over a fresh two-TEP image (its
+  // compile cost is the arm's alone). Epoch count is its own knob — the
+  // arm's cost is per-routine wall time, not the main sweep's pool
+  // scaling.
   std::vector<JitReference> jitRefs;
   if (opts.jit) {
-    const auto jitImage = workloads::makeSmdFleetImage(/*numTeps=*/1);
+    const auto jitImage = workloads::makeSmdFleetImage();
     const std::vector<size_t> jitInstances =
         opts.quick ? std::vector<size_t>{32} : std::vector<size_t>{64, 256};
     const int jitEpochs = opts.quick ? 200 : 400;

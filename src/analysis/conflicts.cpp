@@ -113,17 +113,6 @@ namespace {
   return out;
 }
 
-// Global resources are element-granular ("motors[0]"); a bare base name
-// means "some element" and collides with every element of that base.
-[[nodiscard]] std::string resourceBase(const std::string& r) {
-  const size_t at = r.find('[');
-  return at == std::string::npos ? r : r.substr(0, at);
-}
-
-[[nodiscard]] bool resourcesCollide(const std::string& a, const std::string& b) {
-  return a == b || resourceBase(a) == b || a == resourceBase(b);
-}
-
 [[nodiscard]] std::vector<std::string> setCollisions(const std::set<std::string>& a,
                                                      const std::set<std::string>& b) {
   std::vector<std::string> out;

@@ -217,11 +217,23 @@ class Walker {
   /// the chain's own base VarRef is handled by the caller.
   void walkAccessIndices(const Expr& e, const Env& env,
                          const std::set<std::string>& locals) {
-    if (e.kind == ExprKind::Index && e.children.size() > 1)
+    if (e.kind == ExprKind::Index && e.children.size() > 1) {
       walkExpr(*e.children[1], env, locals);
+      noteSubscript(e, env);
+    }
     if ((e.kind == ExprKind::Member || e.kind == ExprKind::Index) &&
         !e.children.empty() && e.children[0]->kind != ExprKind::VarRef)
       walkAccessIndices(*e.children[0], env, locals);
+  }
+
+  /// Compiled code does not bounds-check: a subscript that does not fold
+  /// to a constant inside the array under the binding may address any byte.
+  void noteSubscript(const Expr& index, const Env& env) {
+    const actionlang::TypePtr& array = index.children[0]->type;
+    const std::optional<int64_t> at = constantOf(*index.children[1], env);
+    if (array == nullptr || array->kind() != actionlang::TypeKind::Array ||
+        !at.has_value() || *at < 0 || *at >= array->arrayCount())
+      out_->subscriptsInRange = false;
   }
 
   void walkLvalue(const Expr& lhs, const Env& env, const std::set<std::string>& locals) {
@@ -415,6 +427,93 @@ EffectSet transitionEffects(const statechart::Transition& t,
   Walker walker(program, &out);
   for (const statechart::ActionCall& call : t.label.actions) walker.walkCall(call);
   return out;
+}
+
+std::string resourceBase(const std::string& resource) {
+  const size_t at = resource.find('[');
+  return at == std::string::npos ? resource : resource.substr(0, at);
+}
+
+bool resourcesCollide(const std::string& a, const std::string& b) {
+  return a == b || resourceBase(a) == b || a == resourceBase(b);
+}
+
+namespace {
+
+/// What one routine shares with a routine on another TEP: ports, and the
+/// external-RAM globals (TEP-local RAM and register banks are per TEP).
+struct SharedAccess {
+  std::set<std::string> portReads;
+  std::set<std::string> portWrites;
+  std::set<std::string> externalReads;
+  std::set<std::string> externalWrites;
+  bool allExternal = false;  ///< may read or write any external byte
+
+  [[nodiscard]] bool touchesExternal() const {
+    return allExternal || !externalReads.empty() || !externalWrites.empty();
+  }
+};
+
+[[nodiscard]] bool anyCollide(const std::set<std::string>& a,
+                              const std::set<std::string>& b) {
+  for (const std::string& ra : a)
+    for (const std::string& rb : b)
+      if (resourcesCollide(ra, rb)) return true;
+  return false;
+}
+
+[[nodiscard]] bool hazardous(const SharedAccess& a, const SharedAccess& b) {
+  for (const std::string& p : a.portWrites)
+    if (b.portReads.count(p) != 0) return true;
+  for (const std::string& p : b.portWrites)
+    if (a.portReads.count(p) != 0) return true;
+  if ((a.allExternal && b.touchesExternal()) || (b.allExternal && a.touchesExternal()))
+    return true;
+  return anyCollide(a.externalWrites, b.externalReads) ||
+         anyCollide(a.externalWrites, b.externalWrites) ||
+         anyCollide(b.externalWrites, a.externalReads);
+}
+
+}  // namespace
+
+std::vector<BitVec> replayHazards(const statechart::Chart& chart,
+                                  const actionlang::Program& program,
+                                  const compiler::CompiledApp& app,
+                                  const compiler::HardwareBinding& binding) {
+  const ReverseBinding reverse = makeReverse(binding);
+  const auto external = [&](const std::string& resource) {
+    const auto it = app.globalPlacement.find(resourceBase(resource));
+    return it != app.globalPlacement.end() &&
+           it->second.storageClass == compiler::kStorageExternal;
+  };
+  std::vector<SharedAccess> access;
+  access.reserve(chart.transitions().size());
+  for (const statechart::Transition& t : chart.transitions()) {
+    EffectSet e = transitionEffects(t, program);
+    // Like the race pass: the branch-blind code scan stands in for an
+    // incomplete AST walk (ports are immediate operands, so it sees them all).
+    const auto routine = app.transitionRoutine.find(t.id);
+    if (!e.astComplete && routine != app.transitionRoutine.end())
+      augmentFromRoutine(app.program, routine->second, reverse, &e, nullptr);
+    SharedAccess a;
+    a.portReads = e.portReads;
+    for (const auto& [port, value] : e.portWrites) a.portWrites.insert(port);
+    for (const std::string& g : e.globalReads)
+      if (external(g)) a.externalReads.insert(g);
+    for (const std::string& g : e.globalWrites)
+      if (external(g)) a.externalWrites.insert(g);
+    a.allExternal = !e.astComplete || !e.subscriptsInRange;
+    access.push_back(std::move(a));
+  }
+  const int n = static_cast<int>(access.size());
+  std::vector<BitVec> hazards(static_cast<size_t>(n), BitVec(n));
+  for (int t = 0; t < n; ++t)
+    for (int u = t + 1; u < n; ++u)
+      if (hazardous(access[static_cast<size_t>(t)], access[static_cast<size_t>(u)])) {
+        hazards[static_cast<size_t>(t)].set(u);
+        hazards[static_cast<size_t>(u)].set(t);
+      }
+  return hazards;
 }
 
 ReverseBinding makeReverse(const compiler::HardwareBinding& binding) {

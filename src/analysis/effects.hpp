@@ -23,7 +23,9 @@
 
 #include "actionlang/ast.hpp"
 #include "compiler/binding.hpp"
+#include "compiler/codegen.hpp"
 #include "statechart/chart.hpp"
+#include "support/bits.hpp"
 #include "tep/isa.hpp"
 
 namespace pscp::analysis {
@@ -57,6 +59,12 @@ struct EffectSet {
   /// code scan is not needed as a fallback.
   bool astComplete = true;
 
+  /// True when every array subscript the routine evaluates, on a global or
+  /// a local array, folds to an in-range constant under the call binding.
+  /// Compiled code does not bounds-check, so when this is false an access
+  /// may land on any byte of data memory, external RAM included.
+  bool subscriptsInRange = true;
+
   /// True when the summary is an exact model of the routine: the AST walk
   /// was complete, nothing was recorded under an unresolved branch, and
   /// every condition write has a known value. The checker's abstract step
@@ -74,6 +82,25 @@ struct EffectSet {
 /// names are skipped — the chart compiler rejects them separately.
 [[nodiscard]] EffectSet transitionEffects(const statechart::Transition& t,
                                           const actionlang::Program& program);
+
+/// Global resources are element-granular ("motors[0]"); a bare base name
+/// means "some element" and collides with every element of that base.
+[[nodiscard]] std::string resourceBase(const std::string& resource);
+[[nodiscard]] bool resourcesCollide(const std::string& a, const std::string& b);
+
+/// The pairs of transitions the native tier must not run ahead of the
+/// lockstep loop on two TEPs in one configuration cycle (pscp/machine.hpp):
+/// one routine writes a port the other reads, or both touch one external
+/// global and at least one writes it. A transition whose summary is
+/// incomplete, or whose subscripts do not all fold in range, touches all
+/// of external RAM. Condition writes (written back at retire) and raised
+/// events (replayed in lockstep order) never make a pair hazardous.
+/// Row t has bit u set when (t, u) is a hazard pair; the matrix is
+/// symmetric, indexed by TransitionId.
+[[nodiscard]] std::vector<BitVec> replayHazards(const statechart::Chart& chart,
+                                                const actionlang::Program& program,
+                                                const compiler::CompiledApp& app,
+                                                const compiler::HardwareBinding& binding);
 
 /// Index->name inversion of a HardwareBinding, for decoding CSET/EVSET/OUTP
 /// operands back to chart-level names.

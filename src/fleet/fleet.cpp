@@ -133,6 +133,9 @@ struct Fleet::Pool {
 Fleet::Fleet(ChartImagePtr image, FleetConfig config)
     : image_(std::move(image)), config_(config) {
   PSCP_ASSERT(image_ != nullptr);
+  if (config_.eventQueueCapacity > kMaxEventQueueCapacity)
+    fail("fleet: event queue capacity %zu exceeds the maximum of %zu",
+         config_.eventQueueCapacity, kMaxEventQueueCapacity);
   if (config_.workerThreads < 1) config_.workerThreads = 1;
   workerCount_ = static_cast<size_t>(config_.workerThreads);
   workerMetrics_.resize(workerCount_);

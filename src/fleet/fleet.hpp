@@ -88,7 +88,8 @@ struct FleetConfig {
   /// Worker threads stepping the fleet. 1 = run inline on the calling
   /// thread (no threads are spawned at all).
   int workerThreads = 1;
-  /// Per-instance event-queue capacity (rounded up to a power of two).
+  /// Per-instance event-queue capacity (rounded up to a power of two), at
+  /// most kMaxEventQueueCapacity: a larger one makes Fleet throw.
   size_t eventQueueCapacity = 256;
   /// Keep per-instance port-write logs across epochs (drained from the
   /// machine each epoch; read/clear via portWrites()/clearPortWrites()).

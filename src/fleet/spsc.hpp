@@ -21,6 +21,12 @@
 
 namespace pscp::fleet {
 
+/// The largest per-instance event queue a fleet builds: 4096 events,
+/// 16 KB of int32 CR bits per instance. FleetConfig::eventQueueCapacity
+/// above it is an error, and so is a journal's event_queue_capacity
+/// outside [0, kMaxEventQueueCapacity].
+inline constexpr size_t kMaxEventQueueCapacity = 4096;
+
 template <typename T>
 class SpscQueue {
  public:

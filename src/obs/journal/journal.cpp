@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "fleet/spsc.hpp"
 #include "pscp/machine.hpp"
 #include "support/diag.hpp"
 #include "tep/isa.hpp"
@@ -214,6 +215,13 @@ uint64_t imageContentHash(const machine::ChartImage& image) {
     foldU64(static_cast<uint64_t>(static_cast<uint32_t>(instr.operand)));
   }
   return h;
+}
+
+std::string eventQueueCapacityError(int64_t capacity) {
+  if (capacity >= 0 && capacity <= static_cast<int64_t>(fleet::kMaxEventQueueCapacity))
+    return {};
+  return strfmt("event_queue_capacity %lld is outside [0, %zu]",
+                static_cast<long long>(capacity), fleet::kMaxEventQueueCapacity);
 }
 
 // -------------------------------------------------------------- op kinds
@@ -461,6 +469,8 @@ bool Journal::fromJson(const JsonValue& doc, Journal* out, std::string* error) {
   if (!optionalJsonInt(doc, "event_queue_capacity", &j.eventQueueCapacity_) ||
       !optionalJsonInt(doc, "recorded_workers", &workers))
     return fail("malformed event_queue_capacity or recorded_workers");
+  if (std::string why = eventQueueCapacityError(j.eventQueueCapacity_); !why.empty())
+    return fail(std::move(why));
   j.recordedWorkers_ = static_cast<int>(workers);
   // v1 documents may also carry "recorded_soa" and "simd" (a stepping
   // mode and an SLA kernel name); like any unknown key they are ignored.
@@ -647,6 +657,10 @@ bool Journal::parseBinary(const std::string& bytes, Journal* out,
   j.chartName_ = r.str();
   j.imageHash_ = r.u64();
   j.eventQueueCapacity_ = r.i64();
+  if (std::string why = eventQueueCapacityError(j.eventQueueCapacity_); !why.empty()) {
+    if (error != nullptr) *error = std::move(why);
+    return false;
+  }
   j.config_.checkpointInterval = r.i64();
   j.recordedWorkers_ = static_cast<int>(r.u32());
   (void)r.u8();   // retired stepping-mode flag

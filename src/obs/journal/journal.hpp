@@ -113,6 +113,11 @@ inline constexpr uint64_t kFleetDigestSeed = 14695981039346656037ull;
 /// replays over the other.
 [[nodiscard]] uint64_t imageContentHash(const machine::ChartImage& image);
 
+/// Why a recorded event_queue_capacity cannot size a replay fleet's
+/// queues — it lies outside [0, fleet::kMaxEventQueueCapacity] — or ""
+/// when it can. Both parsers and Replayer::run check it.
+[[nodiscard]] std::string eventQueueCapacityError(int64_t capacity);
+
 class Journal {
  public:
   explicit Journal(JournalConfig config = {});

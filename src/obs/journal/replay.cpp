@@ -65,12 +65,22 @@ ReplayResult Replayer::run(const ReplayOptions& options) const {
     return result;
   }
 
+  // The parsers already reject a bad capacity; a journal built in memory
+  // is checked here, before the cast.
+  result.error = eventQueueCapacityError(journal_->eventQueueCapacity());
+  if (!result.error.empty()) return result;
+  if (maxInjectBurst_ > fleet::kMaxEventQueueCapacity) {
+    result.error = strfmt("an epoch injects %zu events into one instance, more "
+                          "than an event queue holds (%zu)",
+                          maxInjectBurst_, fleet::kMaxEventQueueCapacity);
+    return result;
+  }
   FleetConfig config;
   config.workerThreads = options.workerThreads;
   config.jitMode = options.jitMode;
-  config.eventQueueCapacity =
-      std::max<size_t>(static_cast<size_t>(journal_->eventQueueCapacity()),
-                       maxInjectBurst_ + 1);
+  // A queue of N slots holds N events.
+  config.eventQueueCapacity = std::max<size_t>(
+      static_cast<size_t>(journal_->eventQueueCapacity()), maxInjectBurst_);
   Fleet fleet(image_, config);
 
   const std::map<int, std::string> eventNames =

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "analysis/effects.hpp"
 #include "pscp/sched_cost.hpp"
 #include "support/bits.hpp"
 
@@ -15,6 +16,10 @@ namespace {
 // The largest machine time; a timer whose next maturity would lie past it
 // never matures again.
 constexpr int64_t kMaxTime = std::numeric_limits<int64_t>::max();
+// A log cursor step that is never reached.
+constexpr int64_t kNever = std::numeric_limits<int64_t>::max();
+// The lockstep loop's guard: machine cycles one TAT execution may step.
+constexpr int64_t kMaxMachineCycles = 4'000'000;
 // The external events of every cycle after the first in a multi-cycle call.
 const std::vector<int> kNoEvents;
 }  // namespace
@@ -71,6 +76,7 @@ ChartImage::ChartImage(const statechart::Chart& chart,
         app_.program.entryOf(app_.transitionRoutine.at(t.id)));
   }
   exclusionGroupCount_ = static_cast<int>(groupIds.size());
+  if (arch_.numTeps > 1) hazards_ = analysis::replayHazards(chart, actions, app_, binding_);
   tier_ = std::make_unique<tep::jit::TierCache>(
       &app_.program, &arch_, static_cast<int>(transitionCount));
 }
@@ -261,6 +267,10 @@ void PscpMachine::writePort(int address, uint32_t value) {
       PortWrite{address, value, cycleIndex, machineTimeNow_, currentTep_, running});
   if (obs_.sink != nullptr)
     obs_.sink->onPortWrite(address, value, cycleIndex, machineTimeNow_);
+}
+
+void PscpMachine::latchPort(int address, uint32_t value) {
+  ports_[declaredPortSlot(address, "TEP write to")] = value;
 }
 
 void PscpMachine::raiseEvent(int index) {
@@ -579,16 +589,10 @@ void PscpMachine::decodeCycle(const std::vector<int>& externalEventIds,
     condDirty_[i].clear();
   }
 
-  // 4. Execute the Transition Address Table. A serial-equivalent cycle (a
-  //    single TEP, or a single selected transition) with no observer runs
-  //    natively when every chosen routine has compiled code; every other
-  //    cycle runs the TEPs in lockstep on the microcode interpreter with
-  //    bus arbitration. Both produce bit-identical CR/port/cycle behaviour.
-  const bool serialEquivalent = teps_.size() == 1 || chosen.size() == 1;
-  const int64_t cycles =
-      sink == nullptr && serialEquivalent && dispatchNative(chosen)
-          ? runTatSerial(chosen, stats, base)
-          : runTatLockstep(chosen, stats, base);
+  // 4. Execute the Transition Address Table: the TEPs in lockstep with bus
+  //    arbitration, each routine on the microcode interpreter or replayed
+  //    from its native run (bit-identical CR/port/cycle behaviour).
+  const int64_t cycles = runTatLockstep(chosen, stats, base);
 
   // 5. Configuration update: apply exits/enters of all fired transitions.
   //    applyActive keeps the packed CR state fields in sync incrementally.
@@ -614,96 +618,202 @@ void PscpMachine::decodeCycle(const std::vector<int>& externalEventIds,
   }
 }
 
-bool PscpMachine::dispatchNative(const std::vector<TransitionId>& chosen) {
-  if (jitMode_ == tep::jit::JitMode::kOff || !tep::jit::jitBackendAvailable())
+bool PscpMachine::nativeAllowed(const std::vector<TransitionId>& chosen) const {
+  if (obs_.sink != nullptr || jitMode_ == tep::jit::JitMode::kOff ||
+      !tep::jit::jitBackendAvailable())
     return false;
-  tep::jit::TierCache& tier = image_->tierCache();
-  nativeScratch_.clear();
-  for (TransitionId t : chosen) {
-    const tep::jit::CompiledFn fn =
-        tier.dispatch(t, image_->routineEntry_[static_cast<size_t>(t)]);
-    if (fn == nullptr) return false;
-    nativeScratch_.push_back(fn);
+  for (size_t a = 0; a < chosen.size(); ++a)
+    for (size_t b = a + 1; b < chosen.size(); ++b)
+      if (image_->hazardPair(chosen[a], chosen[b])) return false;
+  return true;
+}
+
+bool PscpMachine::runAhead(Replay& replay, size_t tepIndex, TransitionId t,
+                           int64_t guard, bool contended) {
+  const tep::jit::CompiledFn fn =
+      image_->tierCache().dispatch(t, image_->routineEntry_[static_cast<size_t>(t)]);
+  if (fn == nullptr) return false;
+  tep::Tep& core = *teps_[tepIndex];
+  tep::jit::JitEnv env;
+  env.host = this;
+  env.config = &arch_;
+  env.tepId = core.id();
+  env.programSize = image_->app_.program.code.size();
+  env.budgetLimit = kMaxMachineCycles;
+  env.log = &replay.log;
+  env.logBus = contended;
+  tep::jit::JitContext ctx;
+  ctx.acc = core.acc();
+  ctx.op = core.op();
+  ctx.flagZ = core.flagZ() ? 1 : 0;
+  ctx.flagN = core.flagN() ? 1 : 0;
+  ctx.flagC = core.flagC() ? 1 : 0;
+  // A routine's steps start no earlier than the machine cycle it is
+  // dispatched in, so one longer than this cannot retire before the guard
+  // trips; its run stops here and the loop's guard raises the error.
+  ctx.cycleBudget = kMaxMachineCycles - guard + 2;
+  ctx.env = &env;
+  LogCursor& cursor = replay.cursors[tepIndex];
+  cursor.next = replay.log.size();
+  currentTep_ = static_cast<int>(tepIndex);
+  const int32_t status = fn(&ctx);
+  currentTep_ = -1;
+  // ACC/OP/flags carry over to the TEP's next routine, as on the interpreter.
+  core.setArchState(ctx.acc, ctx.op, ctx.flagZ != 0, ctx.flagN != 0, ctx.flagC != 0);
+  cursor.active = true;
+  cursor.step = 0;
+  cursor.busUntil = 0;
+  cursor.end = replay.log.size();
+  cursor.length = status == 0 ? ctx.cycles : kNever;
+  cursor.faultStep = kNever;
+  if (status != 0 && !env.overBudget) {
+    cursor.faultStep = tep::jit::faultStepOf(ctx);
+    cursor.fault = env.error.empty() ? std::string("PSCP: native tier fault")
+                                     : std::move(env.error);
   }
   return true;
 }
 
-int64_t PscpMachine::runTatSerial(const std::vector<TransitionId>& chosen,
-                                  CycleStats& stats, int64_t base) {
-  // Serial twin of the lockstep loop for cycles where at most one routine
-  // is ever in flight and every routine has native code: the TAT drains
-  // FIFO on TEP 0 (exclusion groups cannot block with nothing else
-  // running). The cycle accounting reproduces the lockstep loop's sums
-  // exactly: SLA + per-TEP condition-cache fill up front, dispatch cost
-  // per routine, every machine cycle of the routine body (external wait
-  // states included), condition write-back after each retire.
-  namespace jit = tep::jit;
-  tep::Tep& core = *teps_[0];
-  const int64_t condCopy = conditionCopyCycles(arch_, layout_.conditionCount());
-  int64_t cycles = kSlaEvaluateCycles +
-                   static_cast<int64_t>(teps_.size()) * condCopy;
-  const int64_t maxMachineCycles = 4'000'000;
-  int64_t stepped = 0;  // the lockstep guard counts stepped cycles only
-  runningScratch_.assign(teps_.size(), -1);
-
-  for (size_t k = 0; k < chosen.size(); ++k) {
-    const TransitionId t = chosen[k];
-    cycles += kDispatchCyclesPerTransition;
-    runningScratch_[0] = t;
-    currentTep_ = 0;
-    jit::JitEnv env;
-    env.host = this;
-    env.config = &arch_;
-    env.tepId = core.id();
-    env.programSize = image_->app_.program.code.size();
-    env.budgetLimit = maxMachineCycles;
-    jit::JitContext ctx;
-    ctx.acc = core.acc();
-    ctx.op = core.op();
-    ctx.flagZ = core.flagZ() ? 1 : 0;
-    ctx.flagN = core.flagN() ? 1 : 0;
-    ctx.flagC = core.flagC() ? 1 : 0;
-    ctx.cycles = cycles;
-    // The interpreter's guard spans the whole configuration cycle but
-    // excludes scheduler overhead; express it as an absolute ceiling on
-    // the running cycle counter.
-    ctx.cycleBudget = (cycles - stepped) + maxMachineCycles;
-    ctx.timeBase = base;
-    ctx.machineTime = &machineTimeNow_;
-    ctx.env = &env;
-    const int32_t status = nativeScratch_[k](&ctx);
-    currentTep_ = -1;
-    runningScratch_[0] = -1;
-    if (status != 0)
-      throw Error(env.error.empty() ? std::string("PSCP: native tier fault")
-                                    : env.error);
-    stepped += ctx.cycles - cycles;
-    cycles = ctx.cycles;
-    core.setArchState(ctx.acc, ctx.op, ctx.flagZ != 0, ctx.flagN != 0,
-                      ctx.flagC != 0);
-    ++jitNativeRuns_;
-    condDirty_[0].forEachSetBit(
-        [&](int c) { setCrCondition(c, condCache_[0][static_cast<size_t>(c)] != 0); });
-    condDirty_[0].clear();
-    cycles += condCopy;
-    stats.fired.push_back(t);
+bool PscpMachine::stepLogged(Replay& replay, size_t tepIndex) {
+  LogCursor& c = replay.cursors[tepIndex];
+  const int64_t s = c.step;
+  const tep::jit::TimedEffect* e = replay.log.data() + c.next;
+  if (c.next < c.end && e->step == s && e->kind == tep::jit::TimedEffect::Kind::kBus) {
+    c.busUntil = s + e->arg;
+    ++c.next;
+    ++e;
   }
-  return cycles;
+  if (s < c.busUntil && !acquireExternalBus(static_cast<int>(tepIndex))) return false;
+  for (; c.next < c.end && e->step == s; ++c.next, ++e) replayEffect(*e, tepIndex);
+  if (s == c.faultStep) throw Error(c.fault);
+  c.step = s + 1;
+  if (c.step != c.length) return false;
+  c.active = false;
+  return true;
+}
+
+int64_t PscpMachine::quietSteps(const Replay& replay) {
+  int64_t quiet = kNever;
+  for (const LogCursor& c : replay.cursors)
+    if (c.active) quiet = std::min(quiet, std::min(c.faultStep, c.length - 1) - c.step);
+  const size_t n = replay.cursors.size();
+  for (size_t a = 0; a < n; ++a)
+    for (size_t b = a + 1; b < n; ++b)
+      if (replay.cursors[a].active && replay.cursors[b].active)
+        quiet = firstSharedBusCycle(replay, replay.cursors[a], replay.cursors[b], quiet);
+  return quiet;
+}
+
+int64_t PscpMachine::firstSharedBusCycle(const Replay& replay, const LogCursor& a,
+                                         const LogCursor& b, int64_t limit) {
+  // A cursor's bus runs as cycle offsets from its current step: the run it
+  // is inside, then each logged run. Until a stall, every busy TEP takes
+  // one step per cycle, so offsets line the two cursors up cycle by cycle.
+  struct BusRuns {
+    const LogCursor& c;
+    const std::vector<tep::jit::TimedEffect>& log;
+    size_t k;
+    int64_t lo = 0;
+    int64_t hi = 0;
+    void next() {
+      while (k < c.end && log[k].kind != tep::jit::TimedEffect::Kind::kBus) ++k;
+      if (k == c.end) {
+        lo = hi = kNever;
+        return;
+      }
+      lo = log[k].step - c.step;
+      hi = lo + log[k].arg;
+      ++k;
+    }
+  };
+  BusRuns runs[2] = {{a, replay.log, a.next}, {b, replay.log, b.next}};
+  for (BusRuns& r : runs) {
+    if (r.c.step < r.c.busUntil)
+      r.hi = r.c.busUntil - r.c.step;
+    else
+      r.next();
+  }
+  while (runs[0].lo < limit && runs[1].lo < limit) {
+    const int64_t lo = std::max(runs[0].lo, runs[1].lo);
+    if (lo < std::min(runs[0].hi, runs[1].hi)) return lo;
+    runs[runs[0].hi <= runs[1].hi ? 0 : 1].next();
+  }
+  return limit;
+}
+
+void PscpMachine::skipSteps(Replay& replay, int64_t steps, int64_t cycles, int64_t base) {
+  const size_t n = replay.cursors.size();
+  while (true) {
+    // The next port write or raise any cursor passes: the earliest cycle,
+    // then the TEP visited first in it (no retire moves the visit order
+    // inside a stretch). Bus runs on the way need no replay.
+    size_t pick = n;
+    int64_t pickAt = steps;
+    size_t pickRank = n;
+    for (size_t i = 0; i < n; ++i) {
+      LogCursor& c = replay.cursors[i];
+      if (!c.active) continue;
+      for (; c.next < c.end && replay.log[c.next].step < c.step + steps &&
+             replay.log[c.next].kind == tep::jit::TimedEffect::Kind::kBus;
+           ++c.next)
+        c.busUntil = replay.log[c.next].step + replay.log[c.next].arg;
+      if (c.next == c.end || replay.log[c.next].step >= c.step + steps) continue;
+      const int64_t at = replay.log[c.next].step - c.step;
+      const size_t rank = (i + n - static_cast<size_t>((cycles + at) % static_cast<int64_t>(n))) % n;
+      if (at < pickAt || (at == pickAt && rank < pickRank)) {
+        pick = i;
+        pickAt = at;
+        pickRank = rank;
+      }
+    }
+    if (pick == n) break;
+    LogCursor& c = replay.cursors[pick];
+    machineTimeNow_ = base + cycles + pickAt;
+    replayEffect(replay.log[c.next], pick);
+    ++c.next;
+  }
+  for (LogCursor& c : replay.cursors)
+    if (c.active) c.step += steps;
+}
+
+void PscpMachine::replayEffect(const tep::jit::TimedEffect& e, size_t tepIndex) {
+  if (e.kind == tep::jit::TimedEffect::Kind::kPortWrite) {
+    currentTep_ = static_cast<int>(tepIndex);  // the PortWrite record's TEP
+    writePort(e.arg, e.value);
+    currentTep_ = -1;
+  } else {
+    raiseEvent(e.arg);
+  }
 }
 
 int64_t PscpMachine::runTatLockstep(const std::vector<TransitionId>& chosen,
                                     CycleStats& stats, int64_t base) {
   obs::ObsSink* const sink = obs_.sink;
+  const size_t tepCount = teps_.size();
   // Dispatch from the Transition Address Table round-robin; mutual-
   // exclusion groups are never in flight on two TEPs at once (the
   // "additional decode logic" of Sec. 4).
   std::vector<TransitionId>& table = tatScratch_;  // FIFO of pending transitions
   table.assign(chosen.begin(), chosen.end());
   std::vector<TransitionId>& running = runningScratch_;
-  running.assign(teps_.size(), -1);
-  int64_t cycles = kSlaEvaluateCycles +
-                   static_cast<int64_t>(teps_.size()) *
-                       conditionCopyCycles(arch_, layout_.conditionCount());
+  running.assign(tepCount, -1);
+  const int64_t condCopy = conditionCopyCycles(arch_, layout_.conditionCount());
+  int64_t cycles = kSlaEvaluateCycles + static_cast<int64_t>(tepCount) * condCopy;
+  // (cycles + k) % tepCount visits the TEPs from a rotating start; a mask
+  // does the modulo for the usual power-of-two TEP counts.
+  const bool powerOfTwo = (tepCount & (tepCount - 1)) == 0;
+  const auto rotationAt = [&](int64_t c) {
+    const auto u = static_cast<size_t>(c);
+    return powerOfTwo ? u & (tepCount - 1) : u % tepCount;
+  };
+  const bool native = nativeAllowed(chosen);
+  // A bus step can stall only while another routine is in flight.
+  const bool contended = tepCount > 1 && chosen.size() > 1;
+  static thread_local Replay replay;
+  replay.log.clear();
+  replay.cursors.resize(tepCount);
+  for (LogCursor& c : replay.cursors) c.active = false;
+  int64_t guard = 0;  // machine cycles stepped (the guard excludes overhead)
 
   auto tryDispatch = [&](size_t tepIndex) {
     if (running[tepIndex] != -1 || table.empty()) return;
@@ -715,7 +825,10 @@ int64_t PscpMachine::runTatLockstep(const std::vector<TransitionId>& chosen,
       table.erase(table.begin() + static_cast<std::ptrdiff_t>(j));
       running[tepIndex] = t;
       if (group >= 0) groupInFlight_[static_cast<size_t>(group)] = 1;
-      teps_[tepIndex]->startRoutine(image_->routineEntry_[static_cast<size_t>(t)]);
+      // A rejected routine, or one another thread is compiling right now,
+      // runs on the interpreter for this dispatch.
+      if (!native || !runAhead(replay, tepIndex, t, guard, contended))
+        teps_[tepIndex]->startRoutine(image_->routineEntry_[static_cast<size_t>(t)]);
       cycles += kDispatchCyclesPerTransition;
       if (sink != nullptr) {
         dispatchCycles_[tepIndex] = teps_[tepIndex]->cyclesExecuted();
@@ -728,69 +841,97 @@ int64_t PscpMachine::runTatLockstep(const std::vector<TransitionId>& chosen,
     }
   };
 
-  for (size_t i = 0; i < teps_.size(); ++i) tryDispatch(i);
+  for (size_t i = 0; i < tepCount; ++i) tryDispatch(i);
 
-  const int64_t maxMachineCycles = 4'000'000;
-  int64_t guard = 0;
   while (true) {
-    bool anyBusy = false;
-    for (size_t i = 0; i < teps_.size(); ++i)
-      if (teps_[i]->busy()) anyBusy = true;
-    if (!anyBusy && table.empty()) break;
-
-    if (!anyBusy && !table.empty()) {
+    size_t busy = 0;
+    bool interpreting = false;
+    for (size_t i = 0; i < tepCount; ++i) {
+      if (replay.cursors[i].active) {
+        ++busy;
+      } else if (teps_[i]->busy()) {
+        ++busy;
+        interpreting = true;
+      }
+    }
+    if (busy == 0) {
+      if (table.empty()) break;
       // All TEPs idle but exclusion groups blocked dispatch earlier: clear
       // finished groups and retry.
-      for (size_t i = 0; i < teps_.size(); ++i) tryDispatch(i);
-      if (std::none_of(teps_.begin(), teps_.end(),
-                       [](const auto& t) { return t->busy(); }))
+      for (size_t i = 0; i < tepCount; ++i) tryDispatch(i);
+      if (std::none_of(running.begin(), running.end(),
+                       [](TransitionId t) { return t != -1; }))
         fail("PSCP scheduler deadlock (mutual-exclusion groups)");
       continue;
     }
 
-    // One machine cycle: every busy TEP advances one microinstruction;
-    // the external bus has a single owner per cycle (rotating priority).
-    busOwner_ = -1;
-    machineTimeNow_ = base + cycles;
-    for (size_t k = 0; k < teps_.size(); ++k) {
-      const size_t i = (static_cast<size_t>(cycles) + k) % teps_.size();
-      if (!teps_[i]->busy()) continue;
-      currentTep_ = static_cast<int>(i);
-      teps_[i]->stepCycle();
-      currentTep_ = -1;
-      if (!teps_[i]->busy()) {
-        // Routine finished: write back this TEP's condition cache and free
-        // its exclusion group, then hand it the next transition.
-        const TransitionId done = running[i];
-        running[i] = -1;
-        if (sink != nullptr && condDirty_[i].any()) {
-          std::vector<std::pair<int, bool>> writes;
-          condDirty_[i].forEachSetBit(
-              [&](int c) { writes.emplace_back(c, condCache_[i][static_cast<size_t>(c)] != 0); });
-          sink->onCondWriteBack(static_cast<int>(i), writes, base + cycles);
-        }
-        condDirty_[i].forEachSetBit(
-            [&](int c) { setCrCondition(c, condCache_[i][static_cast<size_t>(c)] != 0); });
-        condDirty_[i].clear();
-        const int doneGroup = image_->exclusionGroup_[static_cast<size_t>(done)];
-        if (doneGroup >= 0) groupInFlight_[static_cast<size_t>(doneGroup)] = 0;
-        cycles += conditionCopyCycles(arch_, layout_.conditionCount());
-        stats.fired.push_back(done);
-        ++jitInterpRuns_;
-        if (sink != nullptr) {
-          obs::RoutineStats rs;
-          rs.cycles = teps_[i]->cyclesExecuted() - dispatchCycles_[i];
-          rs.instructions = teps_[i]->instructionsExecuted() - dispatchInstrs_[i];
-          rs.busStalls = teps_[i]->stallCycles() - dispatchStalls_[i];
-          sink->onRetire(static_cast<int>(i), done, rs, base + cycles);
-        }
-        tryDispatch(i);
+    // While every busy TEP is log-stepped, the machine cycles before the
+    // next one that needs arbitration or retires a routine are credited at
+    // once, replaying the port writes and raises on the way. The guard
+    // counts them.
+    if (!interpreting) {
+      const int64_t quiet = std::min(quietSteps(replay), kMaxMachineCycles + 1 - guard);
+      if (quiet > 0) {
+        skipSteps(replay, quiet, cycles, base);
+        cycles += quiet;
+        guard += quiet;
+        if (guard > kMaxMachineCycles)
+          fail("PSCP configuration cycle exceeded %lld machine cycles",
+               static_cast<long long>(kMaxMachineCycles));
       }
     }
+
+    // One machine cycle: every busy TEP advances one step; the external
+    // bus has a single owner per cycle (rotating priority). A retire bumps
+    // `cycles` mid-cycle, which moves the rest of this cycle's visit order.
+    busOwner_ = -1;
+    machineTimeNow_ = base + cycles;
+    size_t rotation = rotationAt(cycles);
+    for (size_t k = 0; k < tepCount; ++k) {
+      size_t i = rotation + k;
+      if (i >= tepCount) i -= tepCount;
+      const bool logged = replay.cursors[i].active;
+      if (logged) {
+        if (!stepLogged(replay, i)) continue;
+      } else {
+        if (!teps_[i]->busy()) continue;
+        currentTep_ = static_cast<int>(i);
+        teps_[i]->stepCycle();
+        currentTep_ = -1;
+        if (teps_[i]->busy()) continue;
+      }
+      // Routine finished: write back this TEP's condition cache and free
+      // its exclusion group, then hand it the next transition.
+      const TransitionId done = running[i];
+      running[i] = -1;
+      if (sink != nullptr && condDirty_[i].any()) {
+        std::vector<std::pair<int, bool>> writes;
+        condDirty_[i].forEachSetBit(
+            [&](int c) { writes.emplace_back(c, condCache_[i][static_cast<size_t>(c)] != 0); });
+        sink->onCondWriteBack(static_cast<int>(i), writes, base + cycles);
+      }
+      condDirty_[i].forEachSetBit(
+          [&](int c) { setCrCondition(c, condCache_[i][static_cast<size_t>(c)] != 0); });
+      condDirty_[i].clear();
+      const int doneGroup = image_->exclusionGroup_[static_cast<size_t>(done)];
+      if (doneGroup >= 0) groupInFlight_[static_cast<size_t>(doneGroup)] = 0;
+      cycles += condCopy;
+      stats.fired.push_back(done);
+      ++(logged ? jitNativeRuns_ : jitInterpRuns_);
+      if (sink != nullptr) {
+        obs::RoutineStats rs;
+        rs.cycles = teps_[i]->cyclesExecuted() - dispatchCycles_[i];
+        rs.instructions = teps_[i]->instructionsExecuted() - dispatchInstrs_[i];
+        rs.busStalls = teps_[i]->stallCycles() - dispatchStalls_[i];
+        sink->onRetire(static_cast<int>(i), done, rs, base + cycles);
+      }
+      tryDispatch(i);
+      rotation = rotationAt(cycles);
+    }
     ++cycles;
-    if (++guard > maxMachineCycles)
+    if (++guard > kMaxMachineCycles)
       fail("PSCP configuration cycle exceeded %lld machine cycles",
-           static_cast<long long>(maxMachineCycles));
+           static_cast<long long>(kMaxMachineCycles));
   }
   return cycles;
 }

@@ -42,8 +42,9 @@
 // synthesis run once per chart, not once per instance. Steady-state
 // stepping through configurationCycleIds(events, &stats, cycles) is
 // allocation-free: every per-cycle temporary is a member scratch buffer,
-// so thousands of instances stepped by a worker pool never serialize on
-// the allocator.
+// or per thread where it lives for one TAT execution (the native tier's
+// replay log), so thousands of instances stepped by a worker pool never
+// serialize on the allocator.
 //
 // Quiescence memo: the SLA is combinational logic over the CR, so what it
 // selects depends on the CR alone. Once a cycle sampled no events and
@@ -142,6 +143,14 @@ class ChartImage {
     return routineEntry_[static_cast<size_t>(transition)];
   }
 
+  /// True when the two transitions' routines may observe each other run
+  /// on two TEPs in one configuration cycle (analysis::replayHazards), so
+  /// a cycle choosing both stays on the microcode interpreter. Always
+  /// false on a one-TEP image, where routines run one after another.
+  [[nodiscard]] bool hazardPair(int a, int b) const {
+    return !hazards_.empty() && hazards_[static_cast<size_t>(a)].test(b);
+  }
+
  private:
   friend class PscpMachine;
 
@@ -162,6 +171,7 @@ class ChartImage {
   std::vector<int> scopeDepth_;    ///< depth of the transition's scope
   std::vector<int> exclusionGroup_;  ///< interned group id, -1 = none
   std::vector<int> routineEntry_;    ///< program entry index of t's routine
+  std::vector<BitVec> hazards_;      ///< replay hazard rows (multi-TEP only)
   int exclusionGroupCount_ = 0;
   std::unique_ptr<tep::jit::TierCache> tier_;
 };
@@ -205,15 +215,16 @@ class PscpMachine : public tep::TepHost {
   [[nodiscard]] const BitVec& crBits() const { return cr_; }
 
   // ----------------------------------------------------- tiered execution
-  // The native tier (src/tep/jit) runs a cycle's routines when the cycle
-  // is serial-equivalent (one TEP, or one selected transition), no
-  // observer is attached, and every chosen routine has compiled code.
-  // Under kAlways a routine compiles on its first dispatch, so a serial
-  // cycle misses only on a rejected routine or one another thread is
-  // compiling. Every other cycle runs on the lockstep loop, the one place
-  // that steps the microcode interpreter. Contract: CR, ports, fired
-  // order, cycle counts and error diagnostics are bit-identical between
-  // tiers (tests/tep_jit_test.cpp).
+  // The lockstep loop schedules every routine. A TEP slot is stepped either
+  // by the microcode interpreter or by a cursor over the timed shared
+  // effects (external-bus steps, port writes, raises, a fault, the length)
+  // its routine logged when it ran natively, to its end, at dispatch. A
+  // routine runs natively when no observer is attached, TierCache::dispatch
+  // has code for it (under kAlways it compiles on its first dispatch), and
+  // — on two or more TEPs — no two of the cycle's chosen transitions form
+  // a hazard pair (ChartImage::hazardPair). Contract: CR, ports, the
+  // port-write log, fired order, cycle and stall counts and error
+  // diagnostics are bit-identical between tiers (tests/tep_jit_test.cpp).
 
   /// Override the process-wide PSCP_JIT mode for this instance.
   void setJitMode(tep::jit::JitMode mode) { jitMode_ = mode; }
@@ -247,6 +258,9 @@ class PscpMachine : public tep::TepHost {
   [[nodiscard]] int64_t totalCycles() const { return totalCycles_; }
   [[nodiscard]] int64_t totalBusStalls() const { return totalBusStalls_; }
   [[nodiscard]] int64_t configurationCycles() const { return configCycles_; }
+  /// Events the TEPs raised since the last sampling, each once, in raise
+  /// order; the next configuration cycle samples them.
+  [[nodiscard]] const std::vector<int>& pendingEvents() const { return pendingEvents_; }
 
   // ---------------------------------------------------------- interned IDs
   /// CR event bit of a declared event (stable for the machine's lifetime).
@@ -305,6 +319,7 @@ class PscpMachine : public tep::TepHost {
   void writeReg(int index, uint32_t value) override;
   uint32_t readPort(int address) override;
   void writePort(int address, uint32_t value) override;
+  void latchPort(int address, uint32_t value) override;
   void raiseEvent(int index) override;
   void setCondition(int index, bool value) override;
   bool testCondition(int index) override;
@@ -330,21 +345,64 @@ class PscpMachine : public tep::TepHost {
   /// Conflict resolution over `selectScratch_` into `chosenScratch_`
   /// (identical policy to statechart::Interpreter::step), allocation-free.
   void resolveConflicts();
-  /// Dispatch the chosen routines to the tier cache, collecting the entry
-  /// points in `nativeScratch_`. True when every routine has native code.
-  bool dispatchNative(const std::vector<statechart::TransitionId>& chosen);
-  /// Execute the Transition Address Table serially on TEP 0 as native
-  /// code, from the entry points dispatchNative collected. Only called
-  /// when the cycle is serial-equivalent; returns the cycle count (same
-  /// accounting as the lockstep loop).
-  int64_t runTatSerial(const std::vector<statechart::TransitionId>& chosen,
-                       CycleStats& stats, int64_t base);
-  /// Execute the Transition Address Table on the microcode interpreter:
-  /// every TEP advances one micro-op per machine cycle, with round-robin
-  /// dispatch, exclusion groups and external-bus arbitration. Returns the
-  /// cycle count.
+  /// Execute the Transition Address Table: every busy TEP advances one
+  /// step per machine cycle, with round-robin dispatch, exclusion groups
+  /// and external-bus arbitration. Returns the cycle count.
   int64_t runTatLockstep(const std::vector<statechart::TransitionId>& chosen,
                          CycleStats& stats, int64_t base);
+  /// Whether this cycle's routines may run natively (see "tiered execution").
+  [[nodiscard]] bool nativeAllowed(const std::vector<statechart::TransitionId>& chosen) const;
+
+  /// Where a log-stepped TEP stands in the effects its routine logged.
+  /// Steps are the routine's local steps (stalls not counted), as the
+  /// interpreter would take them.
+  struct LogCursor {
+    bool active = false;
+    int64_t step = 0;      ///< steps taken
+    int64_t length = 0;    ///< steps to retire (never, when it faults or overruns)
+    int64_t busUntil = 0;  ///< steps below this need the external bus
+    int64_t faultStep = 0; ///< the step that raises `fault` (never: none)
+    size_t next = 0;       ///< its first unreplayed entry in the log
+    size_t end = 0;        ///< one past its last entry
+    std::string fault;
+  };
+  /// The native runs of one TAT execution: the timed shared effects they
+  /// logged (each run's entries contiguous, in step order) and a cursor per
+  /// TEP. It lives for one runTatLockstep call, so it is per thread, not
+  /// per machine: a fleet worker reuses one for every instance it steps
+  /// (allocation-free once grown) and instances carry no replay memory.
+  struct Replay {
+    std::vector<tep::jit::TimedEffect> log;
+    std::vector<LogCursor> cursors;
+  };
+
+  /// Run `t`'s routine natively to its end on TEP `tep` at its dispatch,
+  /// logging its timed shared effects, and point the TEP's cursor at them.
+  /// False when the tier cache has no code for it. `guard` counts the
+  /// loop's machine cycles so far; external-bus steps are logged only when
+  /// `contended` (another routine may be in flight).
+  bool runAhead(Replay& replay, size_t tep, statechart::TransitionId t, int64_t guard,
+                bool contended);
+  /// One machine cycle of a log-stepped TEP: win the bus if this step needs
+  /// it (else stall), replay the effects logged at this step, raise its
+  /// fault. True when the step was the routine's last.
+  bool stepLogged(Replay& replay, size_t tep);
+  /// Machine cycles the log-stepped TEPs can take at once: up to the first
+  /// one that retires or faults, or that two of them spend requesting the
+  /// external bus (only such a cycle can stall one).
+  [[nodiscard]] static int64_t quietSteps(const Replay& replay);
+  /// The first machine cycle, counted from now and below `limit`, in which
+  /// both cursors request the external bus; `limit` when there is none.
+  [[nodiscard]] static int64_t firstSharedBusCycle(const Replay& replay, const LogCursor& a,
+                                                   const LogCursor& b, int64_t limit);
+  /// Advance every log-stepped TEP by `steps` machine cycles, the first of
+  /// them cycle `cycles` of this TAT execution, replaying the port writes
+  /// and raises passed on the way: in machine-cycle order, and within one
+  /// cycle in the loop's visit order, each at its own machine time.
+  void skipSteps(Replay& replay, int64_t steps, int64_t cycles, int64_t base);
+  /// Perform a logged port write (with its PortWrite record) or raise, for
+  /// TEP `tep`, at the current machineTimeNow_.
+  void replayEffect(const tep::jit::TimedEffect& e, size_t tep);
 
   std::shared_ptr<const ChartImage> image_;
   // Aliases into the image, so the cycle logic reads image data with the
@@ -354,13 +412,37 @@ class PscpMachine : public tep::TepHost {
   const sla::CrLayout& layout_;
   const sla::Sla& sla_;
 
-  // Machine state.
+  // What a quiescent configuration cycle and the fleet's per-epoch
+  // bookkeeping touch, kept together: an idle fleet is memory-bound, and
+  // these few cache lines are all it reads of an instance.
   struct Timer {
     int eventBit = 0;
     int64_t period = 0;
     int64_t nextFire = 0;
   };
+  /// Set at the end of a cycle that sampled no events and selected
+  /// nothing: the CR as it stands decodes to nothing. Cleared by the only
+  /// writers of CR bits outside event sampling, applyActive and
+  /// setCrCondition.
+  bool quiescentMemo_ = false;
   std::vector<Timer> timers_;
+  /// Internal events raised since the last sampling, in raise order (the
+  /// dedup bitset pendingEventBits_ is below).
+  std::vector<int> pendingEvents_;
+  std::vector<PortWrite> portWrites_;
+  int64_t totalCycles_ = 0;
+  int64_t totalBusStalls_ = 0;
+  int64_t configCycles_ = 0;
+  // Tiered execution mode and per-instance tier counters.
+  tep::jit::JitMode jitMode_ = tep::jit::jitModeFromEnv();
+  int64_t jitNativeRuns_ = 0;
+  int64_t jitInterpRuns_ = 0;
+  // Observability. machineTimeNow_ tracks absolute machine time inside a
+  // configuration cycle (cycle base + local cycles) so TepHost callbacks
+  // (port writes, bus events) can be timestamped; it is pure bookkeeping
+  // and never feeds back into the cycle accounting.
+  obs::ObsOptions obs_;
+  int64_t machineTimeNow_ = 0;
 
   /// The configuration as a bitset over StateIds. Written only at
   /// construction and in the configuration update, so during a cycle it
@@ -372,26 +454,18 @@ class PscpMachine : public tep::TepHost {
   BitVec cr_;
   std::vector<int> fieldCode_;         ///< current code per state field
   std::vector<uint8_t> crConditions_;  ///< condition part, byte per bit
-  /// Internal events raised since the last sampling: a dedup bitset plus
-  /// the raise-ordered list (both reused across cycles, never freed).
+  /// Dedup bitset of pendingEvents_ (both reused across cycles, never freed).
   BitVec pendingEventBits_;
-  std::vector<int> pendingEvents_;
-  /// Set at the end of a cycle that sampled no events and selected
-  /// nothing: the CR as it stands decodes to nothing. Cleared by the only
-  /// writers of CR bits outside event sampling, applyActive and
-  /// setCrCondition.
-  bool quiescentMemo_ = false;
 
   // Per-cycle scratch buffers, hoisted out of configurationCycleIds so the
   // steady-state step never allocates: sampled event bits, SLA selection,
-  // conflict-resolution output, the Transition Address Table FIFO, the
-  // per-TEP running-transition slots, and the native entry points.
+  // conflict-resolution output, the Transition Address Table FIFO and the
+  // per-TEP running-transition slots.
   std::vector<int> eventScratch_;
   std::vector<statechart::TransitionId> selectScratch_;
   std::vector<statechart::TransitionId> chosenScratch_;
   std::vector<statechart::TransitionId> tatScratch_;
   std::vector<statechart::TransitionId> runningScratch_;
-  std::vector<tep::jit::CompiledFn> nativeScratch_;  ///< per chosen routine
   BitVec exitedScratch_;                 ///< resolveConflicts working set
   std::vector<uint8_t> groupInFlight_;   ///< by interned exclusion group id
 
@@ -405,7 +479,6 @@ class PscpMachine : public tep::TepHost {
   /// register files"): the compiler's register windows hold call frames.
   std::vector<std::vector<uint32_t>> regBanks_;
   std::vector<uint32_t> ports_;  ///< one per image port-map entry
-  std::vector<PortWrite> portWrites_;
 
   // TEP cores and their condition caches: flat byte arrays (index = CR
   // condition index) with a dirty bitmask per TEP; write-back walks the
@@ -418,23 +491,6 @@ class PscpMachine : public tep::TepHost {
   // External-bus arbitration (single owner per machine cycle).
   int busOwner_ = -1;
   int64_t busStallsThisCycle_ = 0;
-
-  // Statistics.
-  int64_t totalCycles_ = 0;
-  int64_t totalBusStalls_ = 0;
-  int64_t configCycles_ = 0;
-
-  // Tiered execution mode and per-instance tier counters.
-  tep::jit::JitMode jitMode_ = tep::jit::jitModeFromEnv();
-  int64_t jitNativeRuns_ = 0;
-  int64_t jitInterpRuns_ = 0;
-
-  // Observability. machineTimeNow_ tracks absolute machine time inside a
-  // configuration cycle (cycle base + local cycles) so TepHost callbacks
-  // (port writes, bus events) can be timestamped; it is pure bookkeeping
-  // and never feeds back into the cycle accounting.
-  obs::ObsOptions obs_;
-  int64_t machineTimeNow_ = 0;
 
   // Per-TEP counter snapshots at dispatch, for RoutineStats deltas.
   std::vector<int64_t> dispatchCycles_;

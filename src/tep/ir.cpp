@@ -189,14 +189,26 @@ void Lowerer::lowerInstr(int i, const Instr& in) {
   const uint32_t mask = maskBits(w);
   const int bytes = (w + 7) / 8;
   const int chunks = config.chunksFor(w);
-  const int32_t memPack = bytes | (chunks << 8);
+  const std::vector<MicroInstr> micro = microcodeFor(in, config);
 
   // Static microprogram cost, charged up front (the anchor op).
   IrInst cost;
   cost.op = IrOp::kAddCycles;
-  cost.imm = cyclesFor(in, config);
+  cost.imm = static_cast<int32_t>(micro.size());
   cost.isa = i;
   push(cost);
+
+  // The first micro-op `is` accepts, as its index minus the microprogram
+  // length: the step the interpreter performs it at, relative to the cycle
+  // count after the anchor charged the whole instruction (0: none).
+  auto skewOf = [&](auto is) {
+    size_t k = 0;
+    while (k < micro.size() && !is(micro[k].op)) ++k;
+    return static_cast<int32_t>(k) - cost.imm;
+  };
+  const int32_t lead = -skewOf(
+      [](MicroOp op) { return op == MicroOp::MemRead || op == MicroOp::MemWrite; });
+  const int32_t memPack = bytes | (chunks << 8) | (lead << 16);
 
   auto mk = [&](IrOp op) {
     IrInst n;
@@ -368,16 +380,14 @@ void Lowerer::lowerInstr(int i, const Instr& in) {
       IrInst n = mk(IrOp::kPortWrite);
       n.src1 = kVregAcc;
       n.imm = in.operand;
-      // The PortWrite micro-op is the last state of its microprogram; the
-      // instruction's full cost is charged before this op runs, so the
-      // interpreter-visible machine time is one cycle earlier.
-      n.imm2 = -1;
+      n.imm2 = skewOf([](MicroOp op) { return op == MicroOp::PortWrite; });
       push(n);
       break;
     }
     case Opcode::EvSet: {
       IrInst n = mk(IrOp::kEvSet);
       n.imm = in.operand;
+      n.imm2 = skewOf([](MicroOp op) { return op == MicroOp::EvSet; });
       push(n);
       break;
     }

@@ -64,9 +64,11 @@ enum class IrOp : uint8_t {
   kShl, kShr, kSar,  ///< shift by imm (& 31); interpreter semantics
 
   // Data memory. imm = static byte address (kLoad/kStore) — dynamic forms
-  // take it from src1. imm2 packs totalBytes | chunks<<8; the executor
-  // charges `chunks` wait cycles when the base address is external and
-  // surfaces unmapped-address errors exactly like the interpreter.
+  // take it from src1. imm2 packs totalBytes | chunks<<8 | lead<<16 (the
+  // micro-ops from the first memory micro-op to the instruction's end);
+  // the executor charges `chunks` wait cycles when the base address is
+  // external and surfaces unmapped-address errors exactly like the
+  // interpreter.
   kLoad,     ///< dst = mem[imm ..] & mask(width)
   kStore,    ///< mem[imm ..] = src1 & mask(width)
   kLoadAt,   ///< dst = mem[src1 ..] & mask(width)
@@ -76,8 +78,8 @@ enum class IrOp : uint8_t {
   kRegGet,     ///< dst = readReg(imm) & mask(width)
   kRegSet,     ///< writeReg(imm, src1 & mask(width))
   kPortRead,   ///< dst = readPort(imm) — unmasked, like the interpreter
-  kPortWrite,  ///< writePort(imm, src1 & mask); imm2 = micro-op time skew
-  kEvSet,      ///< raiseEvent(imm)
+  kPortWrite,  ///< writePort(imm, src1 & mask); imm2 = micro-op step skew
+  kEvSet,      ///< raiseEvent(imm); imm2 = micro-op step skew
   kCondSet,    ///< setCondition(imm, imm2 != 0)
   kCondTest,   ///< dst = testCondition(imm) ? 1 : 0; Z = !value
   kStateTest,  ///< dst = testState(imm) ? 1 : 0; Z = !value

@@ -585,8 +585,8 @@ void RoutineEmitter::emitInst(const IrInst& in) {
       break;
     }
     case IrOp::kEvSet: {
-      const int32_t imms[1] = {in.imm};
-      helperCall(reinterpret_cast<const void*>(&pscpJitEvSet), 1, imms, nullptr);
+      const int32_t imms[2] = {in.imm, in.imm2};
+      helperCall(reinterpret_cast<const void*>(&pscpJitEvSet), 2, imms, nullptr);
       break;
     }
     case IrOp::kCondSet: {

@@ -10,6 +10,42 @@ namespace {
 
 JitEnv* envOf(JitContext* ctx) { return ctx->env; }
 
+/// A data-memory operand's place in the interpreter's step sequence. The
+/// helper runs after its instruction's microprogram length was charged,
+/// so the first memory micro-op's step is `ctx->cycles - lead`; an
+/// external operand then takes two steps per chunk (wait state + access),
+/// both on the external bus, an internal one a single step.
+struct MemAccess {
+  MemAccess(JitContext* ctx, JitEnv* env, int32_t addr, int32_t packed)
+      : bytes(packed & 0xFF),
+        chunks((packed >> 8) & 0xFF),
+        bytesPerChunk(env->config->bytesPerWord()),
+        external(isExternalAddress(addr)),
+        firstStep(ctx->cycles - ((packed >> 16) & 0xFF)) {
+    // Externality is decided by the base address, like needsExternalBus(mar).
+    if (external && env->logBus)
+      env->log->push_back({static_cast<int32_t>(firstStep), 2 * chunks, 0,
+                           TimedEffect::Kind::kBus});
+  }
+
+  /// The step whose access touches byte `i` (where a fault on it lands).
+  [[nodiscard]] int64_t stepOfByte(int i) const {
+    const int chunk = i / bytesPerChunk;
+    return external ? firstStep + 2 * chunk + 1 : firstStep + chunk;
+  }
+
+  /// External accesses pay one wait state per chunk micro-op.
+  void charge(JitContext* ctx) const {
+    if (external) ctx->cycles += chunks;
+  }
+
+  int bytes;
+  int chunks;
+  int bytesPerChunk;
+  bool external;
+  int64_t firstStep;
+};
+
 /// Run `body`, trapping pscp::Error (and any other exception) into
 /// JitEnv::error so nothing unwinds through the emitted frame.
 template <typename Fn>
@@ -33,14 +69,17 @@ extern "C" {
 
 int32_t pscpJitLoad(JitContext* ctx, int32_t addr, int32_t packed) noexcept {
   return guarded(ctx, [&](JitEnv* env) {
-    const int bytes = packed & 0xFF;
-    const int chunks = (packed >> 8) & 0xFF;
+    const MemAccess access(ctx, env, addr, packed);
     uint32_t v = 0;
-    for (int i = 0; i < bytes; ++i)
-      v |= static_cast<uint32_t>(env->host->readByte(addr + i)) << (8 * i);
-    // External accesses pay one wait state per chunk micro-op; externality
-    // is decided by the base address, like needsExternalBus(mar).
-    if (isExternalAddress(addr)) ctx->cycles += chunks;
+    int i = 0;
+    try {
+      for (; i < access.bytes; ++i)
+        v |= static_cast<uint32_t>(env->host->readByte(addr + i)) << (8 * i);
+    } catch (const Error&) {
+      env->faultStep = access.stepOfByte(i);
+      throw;
+    }
+    access.charge(ctx);
     ctx->hvalue = v;
   });
 }
@@ -48,11 +87,16 @@ int32_t pscpJitLoad(JitContext* ctx, int32_t addr, int32_t packed) noexcept {
 int32_t pscpJitStore(JitContext* ctx, int32_t addr, uint32_t value,
                      int32_t packed) noexcept {
   return guarded(ctx, [&](JitEnv* env) {
-    const int bytes = packed & 0xFF;
-    const int chunks = (packed >> 8) & 0xFF;
-    for (int i = 0; i < bytes; ++i)
-      env->host->writeByte(addr + i, static_cast<uint8_t>((value >> (8 * i)) & 0xFF));
-    if (isExternalAddress(addr)) ctx->cycles += chunks;
+    const MemAccess access(ctx, env, addr, packed);
+    int i = 0;
+    try {
+      for (; i < access.bytes; ++i)
+        env->host->writeByte(addr + i, static_cast<uint8_t>((value >> (8 * i)) & 0xFF));
+    } catch (const Error&) {
+      env->faultStep = access.stepOfByte(i);
+      throw;
+    }
+    access.charge(ctx);
   });
 }
 
@@ -69,20 +113,21 @@ int32_t pscpJitPortRead(JitContext* ctx, int32_t port) noexcept {
 }
 
 int32_t pscpJitPortWrite(JitContext* ctx, int32_t port, uint32_t value,
-                         int32_t timeSkew) noexcept {
+                         int32_t skew) noexcept {
   return guarded(ctx, [&](JitEnv* env) {
-    // The embedder's machine clock must read exactly as it would at the
-    // PortWrite micro-op (the instruction's full cost is already charged,
-    // hence the negative skew) so logged port writes carry identical
-    // timestamps in both tiers.
-    if (ctx->machineTime != nullptr)
-      *ctx->machineTime = ctx->timeBase + ctx->cycles + timeSkew;
-    env->host->writePort(port, value);
+    // Latched now so the routine reads back its own write; the write
+    // itself (log record, timestamp) happens when the replay reaches it.
+    env->host->latchPort(port, value);
+    env->log->push_back({static_cast<int32_t>(ctx->cycles + skew), port, value,
+                         TimedEffect::Kind::kPortWrite});
   });
 }
 
-int32_t pscpJitEvSet(JitContext* ctx, int32_t index) noexcept {
-  return guarded(ctx, [&](JitEnv* env) { env->host->raiseEvent(index); });
+int32_t pscpJitEvSet(JitContext* ctx, int32_t index, int32_t skew) noexcept {
+  return guarded(ctx, [&](JitEnv* env) {
+    env->log->push_back(
+        {static_cast<int32_t>(ctx->cycles + skew), index, 0, TimedEffect::Kind::kRaise});
+  });
 }
 
 int32_t pscpJitCondSet(JitContext* ctx, int32_t index, int32_t value) noexcept {
@@ -176,6 +221,7 @@ int32_t pscpJitErrStackUnder(JitContext* ctx) noexcept {
 
 int32_t pscpJitErrBudget(JitContext* ctx) noexcept {
   guarded(ctx, [&](JitEnv* env) {
+    env->overBudget = true;
     fail("PSCP configuration cycle exceeded %lld machine cycles",
          static_cast<long long>(env->budgetLimit));
   });

@@ -9,16 +9,41 @@
 // code checks the status and exits through its error epilogue, after
 // which the embedder rethrows the stored message. Interpreter and native
 // tier therefore fail with byte-identical diagnostics.
+//
+// Timed effects: the helpers log the routine's shared effects —
+// external-bus steps, port writes, raises — each at the interpreter step
+// that performs it, instead of performing them, so a machine can run a
+// routine to its end at dispatch and replay only those effects in lockstep
+// with the other TEPs.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "hwlib/arch_config.hpp"
 #include "tep/machine.hpp"
 
 namespace pscp::tep::jit {
+
+/// One timed shared effect of a routine that ran natively ahead of the
+/// lockstep loop: what another TEP or the machine's logs could observe, at
+/// the local step (0-based, stalls not counted) where the microcode
+/// interpreter performs it. The machine replays these in lockstep order
+/// (pscp/machine.hpp); everything else a routine does stays TEP-private
+/// until write-back.
+struct TimedEffect {
+  enum class Kind : uint8_t {
+    kBus,        ///< `arg` consecutive steps that each need the external bus
+    kPortWrite,  ///< writePort(arg, value)
+    kRaise,      ///< raiseEvent(arg)
+  };
+  int32_t step = 0;
+  int32_t arg = 0;
+  uint32_t value = 0;
+  Kind kind = Kind::kBus;
+};
 
 /// Everything the helpers need from C++ land. Referenced (not owned) by
 /// JitContext::env; never read by emitted code directly.
@@ -29,10 +54,23 @@ struct JitEnv {
   size_t programSize = 0;
   int64_t budgetLimit = 0;  ///< configuration-cycle guard (machine cycles)
   std::string error;        ///< helper-captured diagnostic
+  /// Required. Port writes latch their value (TepHost::latchPort) and
+  /// raises touch nothing; both are appended here with their interpreter
+  /// step for the embedder to replay, and so is every external-bus access
+  /// when `logBus` is set (the machine clears it when no other routine can
+  /// be in flight to contend for the bus).
+  std::vector<TimedEffect>* log = nullptr;
+  bool logBus = true;
+  /// Step of the fault when a memory access failed part-way (its chunk's
+  /// access step); -1 means the fault is at the last step charged so far.
+  int64_t faultStep = -1;
+  bool overBudget = false;  ///< the budget guard, not a fault, stopped the run
 };
 
 /// The block emitted code addresses with fixed offsets (asserted below).
 /// Seeded by the embedder before a routine runs; read back afterwards.
+/// `cycles` counts the routine's local steps: seeded at 0, a routine that
+/// returns 0 has taken exactly `cycles` steps on the interpreter.
 struct JitContext {
   uint32_t acc = 0;          // +0
   uint32_t op = 0;           // +4
@@ -43,12 +81,10 @@ struct JitContext {
   uint32_t hvalue = 0;       // +12  helper value-return slot
   int64_t cycles = 0;        // +16  machine cycles consumed (running total)
   int64_t cycleBudget = 0;   // +24  error when a backward edge exceeds this
-  int64_t timeBase = 0;      // +32  machine time of cycle 0
-  int64_t* machineTime = nullptr;  // +40  embedder clock to update on port writes
-  JitEnv* env = nullptr;     // +48
-  int32_t callDepth = 0;     // +56
-  int32_t pad1 = 0;          // +60
-  uint64_t callStack[32] = {};  // +64  native return addresses
+  JitEnv* env = nullptr;     // +32
+  int32_t callDepth = 0;     // +40
+  int32_t pad1 = 0;          // +44
+  uint64_t callStack[32] = {};  // +48  native return addresses
 };
 
 inline constexpr int32_t kCtxAcc = 0;
@@ -59,8 +95,8 @@ inline constexpr int32_t kCtxFlagC = 10;
 inline constexpr int32_t kCtxHvalue = 12;
 inline constexpr int32_t kCtxCycles = 16;
 inline constexpr int32_t kCtxBudget = 24;
-inline constexpr int32_t kCtxCallDepth = 56;
-inline constexpr int32_t kCtxCallStack = 64;
+inline constexpr int32_t kCtxCallDepth = 40;
+inline constexpr int32_t kCtxCallStack = 48;
 
 static_assert(offsetof(JitContext, acc) == kCtxAcc);
 static_assert(offsetof(JitContext, op) == kCtxOp);
@@ -73,6 +109,12 @@ static_assert(offsetof(JitContext, cycleBudget) == kCtxBudget);
 static_assert(offsetof(JitContext, callDepth) == kCtxCallDepth);
 static_assert(offsetof(JitContext, callStack) == kCtxCallStack);
 
+/// The interpreter step at which a routine that returned nonzero (and did
+/// not stop at the budget guard) faults.
+[[nodiscard]] inline int64_t faultStepOf(const JitContext& ctx) {
+  return ctx.env->faultStep >= 0 ? ctx.env->faultStep : ctx.cycles - 1;
+}
+
 /// Signature of an emitted routine: run to TRET or error. Returns 0 on
 /// TRET, nonzero after an error epilogue (JitEnv::error holds the text).
 using CompiledFn = int32_t (*)(JitContext*);
@@ -81,9 +123,12 @@ using CompiledFn = int32_t (*)(JitContext*);
 //
 // SysV x86-64: ctx in rdi, scalar args in esi/edx/ecx/r8d. Status in eax
 // (0 ok); value results land in ctx->hvalue. `packed` for memory ops is
-// totalBytes | chunks<<8 — chunks wait cycles are charged onto
+// totalBytes | chunks<<8 | lead<<16 — chunks wait cycles are charged onto
 // ctx->cycles when the base address is external, exactly the
-// interpreter's per-chunk wait states.
+// interpreter's per-chunk wait states; `lead` is how many of the
+// instruction's (already charged) micro-ops run from its first memory
+// micro-op on, which places the access's steps. `skew` places an effect
+// the same way: its micro-op's index minus the microprogram length.
 
 extern "C" {
 int32_t pscpJitLoad(JitContext* ctx, int32_t addr, int32_t packed) noexcept;
@@ -93,8 +138,8 @@ int32_t pscpJitRegGet(JitContext* ctx, int32_t index) noexcept;
 int32_t pscpJitRegSet(JitContext* ctx, int32_t index, uint32_t value) noexcept;
 int32_t pscpJitPortRead(JitContext* ctx, int32_t port) noexcept;
 int32_t pscpJitPortWrite(JitContext* ctx, int32_t port, uint32_t value,
-                         int32_t timeSkew) noexcept;
-int32_t pscpJitEvSet(JitContext* ctx, int32_t index) noexcept;
+                         int32_t skew) noexcept;
+int32_t pscpJitEvSet(JitContext* ctx, int32_t index, int32_t skew) noexcept;
 int32_t pscpJitCondSet(JitContext* ctx, int32_t index, int32_t value) noexcept;
 int32_t pscpJitCondTest(JitContext* ctx, int32_t index) noexcept;
 int32_t pscpJitStateTest(JitContext* ctx, int32_t index) noexcept;

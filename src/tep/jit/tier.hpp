@@ -7,9 +7,10 @@
 // the interpreter forever — rejection is a performance decision, never a
 // correctness one, because the interpreter is the semantics.
 //
-// A machine asks for code only on serial-equivalent cycles (one TEP, or
-// one selected transition); the cycle runs natively when every chosen
-// routine has code, and on the lockstep interpreter otherwise
+// A machine asks for code at each dispatch of an unobserved cycle whose
+// routines pass its hazard gate; a routine with code runs natively to its
+// end and the lockstep loop replays its timed shared effects, a routine
+// without code runs on the interpreter for that dispatch
 // (pscp/machine.hpp).
 //
 // The cache lives per ChartImage, so a fleet of thousands of instances

@@ -42,6 +42,8 @@ uint32_t SimpleHost::readPort(int address) { return ports[address]; }
 
 void SimpleHost::writePort(int address, uint32_t value) { ports[address] = value; }
 
+void SimpleHost::latchPort(int address, uint32_t value) { ports[address] = value; }
+
 void SimpleHost::raiseEvent(int index) { raisedEvents.push_back(index); }
 
 void SimpleHost::setCondition(int index, bool value) { conditions[index] = value; }

@@ -40,6 +40,11 @@ class TepHost {
   // Port architecture.
   [[nodiscard]] virtual uint32_t readPort(int address) = 0;
   virtual void writePort(int address, uint32_t value) = 0;
+  /// Set a port's value without performing the write: the native tier
+  /// runs a routine ahead of the machine cycle its write belongs to and
+  /// replays the write there (pscp/machine.hpp), but the routine must read
+  /// back its own write at once. Fails like writePort on a bad address.
+  virtual void latchPort(int address, uint32_t value) = 0;
 
   // SLA / CR communication.
   virtual void raiseEvent(int index) = 0;
@@ -66,6 +71,7 @@ class SimpleHost : public TepHost {
   void writeReg(int index, uint32_t value) override;
   uint32_t readPort(int address) override;
   void writePort(int address, uint32_t value) override;
+  void latchPort(int address, uint32_t value) override;
   void raiseEvent(int index) override;
   void setCondition(int index, bool value) override;
   bool testCondition(int index) override;

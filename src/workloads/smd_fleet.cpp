@@ -8,7 +8,7 @@
 
 namespace pscp::workloads {
 
-std::shared_ptr<const machine::ChartImage> makeSmdFleetImage(int numTeps) {
+std::shared_ptr<const machine::ChartImage> makeSmdFleetImage(int numTeps, int dataWidth) {
   // ChartImage keeps references into the parsed chart and action program,
   // so both must outlive it: bundle them and hand out an aliasing
   // shared_ptr whose control block owns the bundle.
@@ -19,7 +19,7 @@ std::shared_ptr<const machine::ChartImage> makeSmdFleetImage(int numTeps) {
   };
   auto bundle = std::make_shared<Bundle>();
   hwlib::ArchConfig arch;
-  arch.dataWidth = 16;
+  arch.dataWidth = dataWidth;
   arch.numTeps = numTeps;
   arch.hasMulDiv = true;
   arch.hasComparator = true;

@@ -15,11 +15,13 @@ namespace pscp::workloads {
 
 /// Compile the SMD pickup-head chart against the paper's two-TEP,
 /// 16-bit arch shape (mul/div, comparator, two's complement, 12 regs).
-/// `numTeps` overrides the TEP count: 1 makes every configuration cycle
-/// serial-equivalent, which is what the native-tier (JIT) bench arm and
-/// the tier differential tests step.
+/// `numTeps` overrides the TEP count: the tier differential tests step
+/// 1, 2 and 3 TEPs (one TEP runs every routine after another; more run
+/// the DeltaT pairs side by side, contending for the external bus).
+/// `dataWidth` overrides the datapath: on 8 bits every 16-bit access
+/// takes two chunks.
 [[nodiscard]] std::shared_ptr<const machine::ChartImage> makeSmdFleetImage(
-    int numTeps = 2);
+    int numTeps = 2, int dataWidth = 16);
 
 /// Drive one machine from Off into Moving with a long trapezoidal move
 /// pending on both axes (command byte 255 -> 4080 steps per axis, which

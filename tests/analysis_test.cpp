@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
 
 #include "actionlang/parser.hpp"
 #include "analysis/analyzer.hpp"
@@ -479,6 +481,61 @@ void SetIt() { set_cond(C, 1); }
   ASSERT_EQ(e.condWrites.count("C"), 1u);
   ASSERT_TRUE(e.condWrites.at("C").has_value());
   EXPECT_EQ(*e.condWrites.at("C"), 1);
+}
+
+// The native tier's hazard matrix treats a routine whose subscripts do
+// not all fold to in-range constants as touching all of external RAM:
+// compiled code does not bounds-check.
+TEST(AnalysisEffects, SubscriptsOutsideAConstantRangeTouchAllExternalRam) {
+  const statechart::Chart chart = statechart::parseChart(R"chart(
+chart Subscripts;
+event GO;
+andstate Top {
+  orstate R0 { contains S0; default S0; }
+  orstate R1 { contains S1; default S1; }
+  orstate R2 { contains S2; default S2; }
+  orstate R3 { contains S3; default S3; }
+  orstate R4 { contains S4; default S4; }
+}
+basicstate S0 { transition { target S0; label "GO/Bump(1)"; } }
+basicstate S1 { transition { target S1; label "GO/Bump(2)"; } }
+basicstate S2 { transition { target S2; label "GO/Clear()"; } }
+basicstate S3 { transition { target S3; label "GO/Poke(7)"; } }
+basicstate S4 { transition { target S4; label "GO/Quiet()"; } }
+)chart");
+  const actionlang::Program program = actionlang::parseActionSource(R"act(
+int:16 table[4];
+void Bump(int:16 k) { table[k] = table[k] + 1; }
+void Clear() {
+  int:16 scratch[2];
+  int:16 i = 0;
+  while (i < 2) bound 2 { scratch[i] = 0; i = i + 1; }
+}
+void Poke(int:16 k) { int:16 scratch[2]; scratch[k] = 1; }
+void Quiet() { int:16 x = 1; }
+)act");
+  std::map<std::string, int> id;
+  for (const statechart::Transition& t : chart.transitions())
+    id[t.label.raw] = static_cast<int>(t.id);
+  const auto effects = [&](const char* label) {
+    return transitionEffects(chart.transition(id.at(label)), program);
+  };
+  EXPECT_TRUE(effects("GO/Bump(1)").subscriptsInRange);    // table[1]
+  EXPECT_FALSE(effects("GO/Clear()").subscriptsInRange);   // scratch[i]
+  EXPECT_FALSE(effects("GO/Poke(7)").subscriptsInRange);   // scratch[7] of 2
+  EXPECT_TRUE(effects("GO/Quiet()").subscriptsInRange);
+
+  hwlib::ArchConfig arch;
+  arch.numTeps = 2;
+  const machine::ChartImage image(chart, program, arch);
+  const auto hazard = [&](const char* a, const char* b) {
+    return image.hazardPair(id.at(a), id.at(b));
+  };
+  EXPECT_FALSE(hazard("GO/Bump(1)", "GO/Bump(2)"));  // different elements
+  EXPECT_TRUE(hazard("GO/Bump(1)", "GO/Clear()"));
+  EXPECT_TRUE(hazard("GO/Poke(7)", "GO/Bump(2)"));
+  EXPECT_TRUE(hazard("GO/Clear()", "GO/Poke(7)"));
+  EXPECT_FALSE(hazard("GO/Clear()", "GO/Quiet()"));  // Quiet touches no external RAM
 }
 
 // ---------------------------------------------------------------- reports

@@ -564,6 +564,20 @@ TEST_F(FleetTest, StealingFleetMatchesSingleThreadWithSkewedShards) {
   EXPECT_GT(threadedSteals, 0) << "no chunk was stolen: the test is vacuous";
 }
 
+TEST_F(FleetTest, EventQueueCapacityAboveTheMaximumIsAnError) {
+  FleetConfig config;
+  config.eventQueueCapacity = kMaxEventQueueCapacity;
+  Fleet largest(image_, config);
+  EXPECT_EQ(largest.machine(largest.spawn()).configurationCycles(), 0);
+  config.eventQueueCapacity = kMaxEventQueueCapacity + 1;
+  try {
+    Fleet fleet(image_, config);
+    ADD_FAILURE() << "capacity 4097 was accepted";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "fleet: event queue capacity 4097 exceeds the maximum of 4096");
+  }
+}
+
 TEST_F(FleetTest, InjectRejectsBitsThatAreNotEvents) {
   // CR bits past the events hold conditions, then state fields. A bit
   // injected as an event must be one of the events: anything else is

@@ -243,6 +243,39 @@ TEST(Journal, NonIntegerNumbersAreParseErrors) {
   }
 }
 
+TEST(Journal, EventQueueCapacityOutsideItsRangeIsAParseError) {
+  // A replay sizes its fleet's event queues from this field: a negative
+  // value once wrapped to a huge size_t and hung the queue's power-of-two
+  // rounding, a large one asked for gigabytes per instance.
+  JsonValue sample;
+  std::string error;
+  ASSERT_TRUE(parseJson(makeSampleJournal().dumpJson(), &sample, &error)) << error;
+  for (const int64_t capacity : {int64_t{-1}, int64_t{4097}, int64_t{1} << 40}) {
+    const std::string expect =
+        strfmt("event_queue_capacity %lld is outside [0, 4096]",
+               static_cast<long long>(capacity));
+    JsonValue doc = sample;
+    doc.set("event_queue_capacity", JsonValue::makeNumber(static_cast<double>(capacity)));
+    Journal parsed;
+    error.clear();
+    EXPECT_FALSE(Journal::parse(doc.dump(), &parsed, &error)) << capacity;
+    EXPECT_EQ(error, expect);
+    Journal hostile = makeSampleJournal();
+    hostile.setEventQueueCapacity(capacity);
+    error.clear();
+    EXPECT_FALSE(Journal::parseBinary(hostile.dumpBinary(), &parsed, &error)) << capacity;
+    EXPECT_EQ(error, expect);
+  }
+  for (const int64_t capacity : {int64_t{0}, int64_t{4096}}) {
+    Journal edge = makeSampleJournal();
+    edge.setEventQueueCapacity(capacity);
+    Journal parsed;
+    EXPECT_TRUE(Journal::parse(edge.dumpJson(), &parsed, &error)) << error;
+    EXPECT_TRUE(Journal::parseBinary(edge.dumpBinary(), &parsed, &error)) << error;
+    EXPECT_EQ(parsed.eventQueueCapacity(), capacity);
+  }
+}
+
 TEST(Journal, CrDigestSeesEveryBitAndTheWidth) {
   BitVec a(130);
   a.set(0);

@@ -282,6 +282,68 @@ TEST(Replay, HostileOpsAreDiagnostics) {
       }
     }
   }
+
+  // A hostile header: the event_queue_capacity that sizes the replay
+  // fleet's queues. Both framings refuse it at parse time, and a journal
+  // built in memory ends in the same diagnostic instead of a hang (-1) or
+  // a multi-gigabyte allocation (2^40).
+  for (const int64_t capacity : {int64_t{-1}, int64_t{4097}, int64_t{1} << 40}) {
+    const std::string expect = strfmt("event_queue_capacity %lld is outside [0, 4096]",
+                                      static_cast<long long>(capacity));
+    JsonValue doc = recorded;
+    doc.set("event_queue_capacity", number(static_cast<double>(capacity)));
+    Journal hostile;
+    error.clear();
+    EXPECT_FALSE(Journal::parse(doc.dump(), &hostile, &error)) << capacity;
+    EXPECT_EQ(error, expect);
+    ASSERT_TRUE(Journal::parse(rec.journal->dumpJson(), &hostile, &error)) << error;
+    hostile.setEventQueueCapacity(capacity);
+    error.clear();
+    Journal binary;
+    EXPECT_FALSE(Journal::parse(hostile.dumpBinary(), &binary, &error)) << capacity;
+    EXPECT_EQ(error, expect);
+    for (const int workers : {1, 4}) {
+      ReplayOptions options;
+      options.workerThreads = workers;
+      const ReplayResult result = Replayer(&hostile, rec.image).run(options);
+      EXPECT_FALSE(result.ok) << capacity;
+      EXPECT_EQ(result.error, expect);
+    }
+  }
+}
+
+// Replay enqueues an instance's whole epoch before stepping it, so the
+// longest inject run sizes the queues: up to the largest queue a fleet
+// builds it replays, one more is a diagnostic.
+TEST(Replay, InjectBurstUpToTheLargestQueueReplays) {
+  for (const size_t burst : {fleet::kMaxEventQueueCapacity, fleet::kMaxEventQueueCapacity + 1}) {
+    Recording rec = recordSmdRun(2, 2, 1);
+    std::vector<Op>& ops = rec.journal->mutableOps();
+    const auto first = std::find_if(ops.begin(), ops.end(),
+                                    [](const Op& op) { return op.kind == OpKind::kInject; });
+    ASSERT_NE(first, ops.end());
+    size_t run = 1;
+    while (first + run != ops.end() && first[run].kind == OpKind::kInject &&
+           first[run].instance == first->instance && first[run].b == first->b)
+      ++run;
+    // Copies of one event set the same CR bit, so the digests still match;
+    // a queue too small for the burst would reject a re-injection.
+    const Op copy = *first;
+    ops.insert(first, burst - run, copy);
+    for (const int workers : {1, 4}) {
+      ReplayOptions options;
+      options.workerThreads = workers;
+      const ReplayResult result = Replayer(rec.journal.get(), rec.image).run(options);
+      if (burst <= fleet::kMaxEventQueueCapacity) {
+        EXPECT_TRUE(result.ok) << result.error;
+      } else {
+        EXPECT_FALSE(result.ok);
+        EXPECT_EQ(result.error,
+                  "an epoch injects 4097 events into one instance, more than an event "
+                  "queue holds (4096)");
+      }
+    }
+  }
 }
 
 TEST(Replay, BisectPinpointsTheExactCorruptedEpoch) {

@@ -7,14 +7,20 @@
 //      instructions, call stack overflow/underflow, running off the
 //      program) plus seeded random-program fuzz over several architecture
 //      shapes. Compares ACC/OP/flags, exact cycle counts, every host side
-//      effect in order, and error messages byte for byte.
-//   2. Machine level — the SMD workload stepped with PSCP_JIT off vs
-//      always, and with a mid-run switch from off to always: fired
-//      transitions, cycle counts and the CR must match on every cycle,
-//      port-write logs (values and timestamps) and active states at the end.
-//   3. Fleet/journal level — a journal recorded under the interpreter
-//      must verify (CR digest checkpoints) when replayed with the native
-//      tier forced on, at 1 and 8 workers.
+//      effect in order, the step of every bus request, port write, raise
+//      and fault, and error messages byte for byte.
+//   2. Machine level — the SMD workload at 1, 2 and 3 TEPs (and at 2 on
+//      an 8-bit datapath) stepped with PSCP_JIT off vs always, and with a
+//      mid-run switch from off to always: fired transitions, cycle and
+//      stall counts, the CR and the pending events must match on every
+//      cycle, port-write logs (values and timestamps) and active states
+//      at the end. A two-AND-state chart covers the replay's edges
+//      (exclusion groups, three routines on two TEPs, a hazard pair,
+//      faults, one on a second chunk, and the machine-cycle guard).
+//   3. Fleet/journal level — at 1 and 2 TEPs, fleets diffed across worker
+//      counts, and a journal recorded under the interpreter must verify
+//      (CR digest checkpoints) when replayed with the native tier forced
+//      on, at 1 and 8 workers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "actionlang/parser.hpp"
 #include "fleet/fleet.hpp"
 #include "obs/journal/journal.hpp"
 #include "obs/journal/replay.hpp"
@@ -31,6 +38,7 @@
 #include "tep/jit/emit_x64.hpp"
 #include "tep/jit/runtime.hpp"
 #include "tep/jit/tier.hpp"
+#include "statechart/parser.hpp"
 #include "tep/machine.hpp"
 #include "workloads/smd_fleet.hpp"
 
@@ -60,10 +68,45 @@ struct TierRun {
   uint32_t acc = 0, op = 0;
   bool z = false, n = false, c = false;
   int64_t cycles = 0;
+  int64_t faultStep = -1;  ///< step the run faulted at (-1: no fault)
+  /// Every external-bus step, port write and raise, each with the step
+  /// that performs it ("12 bus", "13 port 64=5", "20 raise 3").
+  std::vector<std::string> timed;
+};
+
+std::string busAt(int64_t step) { return std::to_string(step) + " bus"; }
+
+std::string portAt(int64_t step, int port, uint32_t value) {
+  return std::to_string(step) + " port " + std::to_string(port) + "=" + std::to_string(value);
+}
+
+std::string raiseAt(int64_t step, int index) {
+  return std::to_string(step) + " raise " + std::to_string(index);
+}
+
+/// SimpleHost that notes each external-bus request, port write and raise
+/// at the interpreter step the harness is running.
+class TimedHost : public SimpleHost {
+ public:
+  bool acquireExternalBus(int /*tepId*/) override {
+    timed.push_back(busAt(step));
+    return true;
+  }
+  void writePort(int address, uint32_t value) override {
+    SimpleHost::writePort(address, value);
+    timed.push_back(portAt(step, address, value));
+  }
+  void raiseEvent(int index) override {
+    SimpleHost::raiseEvent(index);
+    timed.push_back(raiseAt(step, index));
+  }
+
+  int64_t step = 0;
+  std::vector<std::string> timed;
 };
 
 TierRun runInterp(const AsmProgram& prog, int entry,
-                  const hwlib::ArchConfig& config, SimpleHost& host,
+                  const hwlib::ArchConfig& config, TimedHost& host,
                   int64_t maxCycles) {
   const MicroTable micro(prog, config);
   Tep tep(config, host, 0);
@@ -71,7 +114,10 @@ TierRun runInterp(const AsmProgram& prog, int entry,
   TierRun r;
   try {
     tep.startRoutine(entry);
-    while (tep.busy() && tep.cyclesExecuted() < maxCycles) tep.stepCycle();
+    while (tep.busy() && tep.cyclesExecuted() < maxCycles) {
+      host.step = tep.cyclesExecuted();
+      tep.stepCycle();
+    }
     if (tep.busy()) {
       r.error = "interpreter cycle cap";
     } else {
@@ -79,6 +125,7 @@ TierRun runInterp(const AsmProgram& prog, int entry,
     }
   } catch (const Error& e) {
     r.error = e.what();
+    r.faultStep = host.step;
   }
   r.acc = tep.acc();
   r.op = tep.op();
@@ -86,12 +133,15 @@ TierRun runInterp(const AsmProgram& prog, int entry,
   r.n = tep.flagN();
   r.c = tep.flagC();
   r.cycles = tep.cyclesExecuted();
+  r.timed = std::move(host.timed);
   return r;
 }
 
-/// Compile and run natively. Returns false (with `reject` set) when the
-/// routine is rejected by lowering/emission — never an error, the caller
-/// just can't diff this case.
+/// Compile and run natively, then perform the logged port writes and
+/// raises on `host` in log order, as the machine's replay does. Returns
+/// false (with `reject` set) when the routine is rejected by
+/// lowering/emission — never an error, the caller just can't diff this
+/// case.
 bool runNative(const AsmProgram& prog, int entry,
                const hwlib::ArchConfig& config, SimpleHost& host,
                int64_t budget, TierRun* out, std::string* reject) {
@@ -111,15 +161,15 @@ bool runNative(const AsmProgram& prog, int entry,
     *reject = "install: " + err;
     return false;
   }
+  std::vector<jit::TimedEffect> log;
   jit::JitEnv env;
   env.host = &host;
   env.config = &config;
   env.tepId = 0;
   env.programSize = prog.code.size();
   env.budgetLimit = budget;
+  env.log = &log;
   jit::JitContext ctx;
-  int64_t timeSink = 0;
-  ctx.machineTime = &timeSink;
   ctx.cycleBudget = budget;
   ctx.env = &env;
   const auto fn =
@@ -130,6 +180,25 @@ bool runNative(const AsmProgram& prog, int entry,
     r.completed = true;
   } else {
     r.error = env.error;
+    if (!env.overBudget) r.faultStep = jit::faultStepOf(ctx);
+  }
+  // A bus run is logged whole at its access; steps past a fault never run.
+  const int64_t lastStep = r.faultStep >= 0 ? r.faultStep : INT64_MAX;
+  for (const jit::TimedEffect& e : log) {
+    switch (e.kind) {
+      case jit::TimedEffect::Kind::kBus:
+        for (int64_t s = e.step; s < e.step + e.arg && s <= lastStep; ++s)
+          r.timed.push_back(busAt(s));
+        break;
+      case jit::TimedEffect::Kind::kPortWrite:
+        host.writePort(e.arg, e.value);
+        r.timed.push_back(portAt(e.step, e.arg, e.value));
+        break;
+      case jit::TimedEffect::Kind::kRaise:
+        host.raiseEvent(e.arg);
+        r.timed.push_back(raiseAt(e.step, e.arg));
+        break;
+    }
   }
   r.acc = ctx.acc;
   r.op = ctx.op;
@@ -155,12 +224,13 @@ void seedHost(SimpleHost& host, Rng& rng) {
 }
 
 /// Run `prog` on both tiers over identically seeded hosts and require
-/// bit-identical outcomes. Returns false when the native tier rejected
-/// the routine (callers assert how often that may happen).
+/// bit-identical outcomes, down to the step of every bus request, port
+/// write and raise and of a fault. Returns false when the native tier
+/// rejected the routine (callers assert how often that may happen).
 bool diffRoutine(const AsmProgram& prog, int entry,
                  const hwlib::ArchConfig& config, uint32_t hostSeed,
                  const std::string& label) {
-  SimpleHost interpHost;
+  TimedHost interpHost;
   SimpleHost nativeHost;
   {
     Rng a(hostSeed);
@@ -176,6 +246,8 @@ bool diffRoutine(const AsmProgram& prog, int entry,
 
   EXPECT_EQ(interp.completed, native.completed) << label;
   EXPECT_EQ(interp.error, native.error) << label;
+  EXPECT_EQ(interp.faultStep, native.faultStep) << label;
+  EXPECT_EQ(interp.timed, native.timed) << label;
   if (interp.completed && native.completed) {
     EXPECT_EQ(interp.acc, native.acc) << label;
     EXPECT_EQ(interp.op, native.op) << label;
@@ -435,6 +507,41 @@ TEST(TepJitDiff, ErrorPathsMatchByteForByte) {
                               {Opcode::Tret, 8, 0},
                           }),
                           0, config, 1, "unmapped"));
+}
+
+// A multi-byte access whose first bytes map and whose last does not
+// faults at the step of the chunk that touches the unmapped byte; the bus
+// steps of the chunks before it, and of an earlier access, line up too.
+TEST(TepJitDiff, FaultOnALaterChunkLandsOnItsStep) {
+  SKIP_WITHOUT_BACKEND();
+  const int32_t end = kExternalBase + kExternalSize;  // first unmapped byte
+  for (const auto& config : allArchs()) {
+    for (const int width : {16, 32}) {
+      for (int32_t addr = end - width / 8 + 1; addr < end; ++addr) {
+        const std::string at = " w" + std::to_string(config.dataWidth) + " " +
+                               std::to_string(width) + "-bit @" + std::to_string(addr);
+        ASSERT_TRUE(diffRoutine(progOf({
+                                    {Opcode::LdaMem, width, 0x4010},
+                                    {Opcode::Outp, 8, 1},
+                                    {Opcode::LdaMem, width, addr},
+                                    {Opcode::Tret, 8, 0},
+                                }),
+                                0, config, 7, "load" + at));
+        ASSERT_TRUE(diffRoutine(progOf({
+                                    {Opcode::LdaImm, width, 0x1234},
+                                    {Opcode::StaMem, width, addr},
+                                    {Opcode::Tret, 8, 0},
+                                }),
+                                0, config, 7, "store" + at));
+        ASSERT_TRUE(diffRoutine(progOf({
+                                    {Opcode::LdoImm, 16, addr},
+                                    {Opcode::LdaInd, width, 0},
+                                    {Opcode::Tret, 8, 0},
+                                }),
+                                0, config, 7, "indirect" + at));
+      }
+    }
+  }
 }
 
 TEST(TepJitDiff, BudgetExhaustionUsesInterpreterMessage) {
@@ -721,44 +828,67 @@ TEST(TepJitTier, RejectedRoutineStaysInterpreted) {
 using machine::CycleStats;
 using machine::PscpMachine;
 
+/// What a diffMachines run saw on the machine under test.
+struct DiffTotals {
+  int64_t fired = 0;
+  int64_t multiRoutineNative = 0;  ///< native runs in cycles firing >= 2
+  int64_t busStalls = 0;
+};
+
 /// Step `a` (reference tier) and `b` (tier under test) with the same
-/// pseudo-random event script and require identical observable behaviour
+/// pseudo-random event script — each of `eventNames` joins a cycle with
+/// probability `percent` — and require identical observable behaviour
 /// every cycle. Both machines must also account every fired transition
 /// to exactly one tier: native runs + interpreter runs == fired. When
 /// `switchAt` >= 0, `b` switches to kAlways before that cycle.
-void diffMachines(PscpMachine& a, PscpMachine& b, uint32_t seed, int cycles,
-                  int switchAt = -1) {
+DiffTotals diffMachines(PscpMachine& a, PscpMachine& b, uint32_t seed, int cycles,
+                        const std::vector<const char*>& eventNames, int percent,
+                        int switchAt = -1) {
   std::vector<int> eventIds;
-  for (const char* name : {"POWER", "DATA_VALID", "X_PULSE", "Y_PULSE"})
-    eventIds.push_back(a.eventId(name));
+  for (const char* name : eventNames) eventIds.push_back(a.eventId(name));
   Rng rng(seed);
   CycleStats sa, sb;
-  int64_t fired = 0;
+  DiffTotals totals;
+  const int64_t firedBefore[2] = {a.jitNativeRuns() + a.jitInterpRuns(),
+                                  b.jitNativeRuns() + b.jitInterpRuns()};
+  const size_t writesBefore = a.portWrites().size();
+  EXPECT_EQ(writesBefore, b.portWrites().size());
   for (int cyc = 0; cyc < cycles; ++cyc) {
     if (cyc == switchAt) b.setJitMode(jit::JitMode::kAlways);
     std::vector<int> events;
     for (const int id : eventIds)
-      if (rng.chance(35)) events.push_back(id);
+      if (rng.chance(percent)) events.push_back(id);
+    const int64_t nativeBefore = b.jitNativeRuns();
     a.configurationCycleIds(events, &sa);
     b.configurationCycleIds(events, &sb);
-    ASSERT_EQ(sa.fired, sb.fired) << "cycle " << cyc;
-    ASSERT_EQ(sa.cycles, sb.cycles) << "cycle " << cyc;
-    ASSERT_EQ(sa.busStallCycles, sb.busStallCycles) << "cycle " << cyc;
-    ASSERT_EQ(sa.quiescent, sb.quiescent) << "cycle " << cyc;
-    ASSERT_TRUE(a.crBits() == b.crBits()) << "cycle " << cyc;
-    fired += static_cast<int64_t>(sa.fired.size());
+    EXPECT_EQ(sa.fired, sb.fired) << "cycle " << cyc;
+    EXPECT_EQ(sa.cycles, sb.cycles) << "cycle " << cyc;
+    EXPECT_EQ(sa.busStallCycles, sb.busStallCycles) << "cycle " << cyc;
+    EXPECT_EQ(sa.quiescent, sb.quiescent) << "cycle " << cyc;
+    EXPECT_TRUE(a.crBits() == b.crBits()) << "cycle " << cyc;
+    EXPECT_EQ(a.pendingEvents(), b.pendingEvents()) << "cycle " << cyc;
+    if (::testing::Test::HasFailure()) return totals;
+    totals.fired += static_cast<int64_t>(sa.fired.size());
+    totals.busStalls += sb.busStallCycles;
+    if (sb.fired.size() >= 2) totals.multiRoutineNative += b.jitNativeRuns() - nativeBefore;
   }
-  EXPECT_GT(fired, 0);
-  for (const PscpMachine* m : {&a, &b})
-    EXPECT_EQ(m->jitNativeRuns() + m->jitInterpRuns(), fired)
-        << "jit=" << jit::jitModeName(m->jitMode()) << " native "
-        << m->jitNativeRuns() << " interp " << m->jitInterpRuns();
+  EXPECT_GT(totals.fired, 0);
+  const PscpMachine* machines[2] = {&a, &b};
+  for (int m = 0; m < 2; ++m)
+    EXPECT_EQ(machines[m]->jitNativeRuns() + machines[m]->jitInterpRuns() - firedBefore[m],
+              totals.fired)
+        << "jit=" << jit::jitModeName(machines[m]->jitMode()) << " native "
+        << machines[m]->jitNativeRuns() << " interp " << machines[m]->jitInterpRuns();
   EXPECT_EQ(a.totalCycles(), b.totalCycles());
+  EXPECT_EQ(a.totalBusStalls(), b.totalBusStalls());
   EXPECT_EQ(a.activeNames(), b.activeNames());
-  ASSERT_EQ(a.portWrites().size(), b.portWrites().size());
-  for (size_t i = 0; i < a.portWrites().size(); ++i)
-    EXPECT_EQ(a.portWrites()[i], b.portWrites()[i]) << "port write " << i;
+  EXPECT_EQ(a.portWrites(), b.portWrites());
+  return totals;
 }
+
+// The random script the SMD diffs have always used: power-up, command
+// bytes and X/Y pulses, each in about a third of the cycles.
+const std::vector<const char*> kSmdScript = {"POWER", "DATA_VALID", "X_PULSE", "Y_PULSE"};
 
 TEST(TepJitMachine, SmdSingleTepJitMatchesInterpreter) {
   const auto image = workloads::makeSmdFleetImage(/*numTeps=*/1);
@@ -766,7 +896,7 @@ TEST(TepJitMachine, SmdSingleTepJitMatchesInterpreter) {
   interp.setJitMode(jit::JitMode::kOff);
   PscpMachine native(image);
   native.setJitMode(jit::JitMode::kAlways);
-  diffMachines(interp, native, 0xC0FFEE, 300);
+  diffMachines(interp, native, 0xC0FFEE, 300, kSmdScript, 35);
   EXPECT_EQ(interp.jitNativeRuns(), 0);
   if (jit::jitBackendAvailable()) {
     // The native tier must actually have run — this test is vacuous
@@ -786,7 +916,7 @@ TEST(TepJitMachine, MidRunSwitchToNativeMatchesInterpreter) {
   interp.setJitMode(jit::JitMode::kOff);
   PscpMachine mixed(image);
   mixed.setJitMode(jit::JitMode::kOff);
-  diffMachines(interp, mixed, 0xC0FFEE, 300, /*switchAt=*/150);
+  diffMachines(interp, mixed, 0xC0FFEE, 300, kSmdScript, 35, /*switchAt=*/150);
   EXPECT_GT(mixed.jitInterpRuns(), 0);
   EXPECT_GT(mixed.jitNativeRuns(), 0);
 }
@@ -812,83 +942,447 @@ TEST(TepJitMachine, EverySmdRoutineCompilesNatively) {
 }
 
 TEST(TepJitMachine, SmdTwoTepMixedServiceMatchesInterpreter) {
-  // With two TEPs only single-transition cycles are serial-equivalent;
-  // the machine must interleave native and lockstep cycles and still
-  // match the pure interpreter exactly.
+  // The power-up/command script on two TEPs: single routines, pairs and
+  // the three StartMotor routines of the Moving entry.
   const auto image = workloads::makeSmdFleetImage(/*numTeps=*/2);
   PscpMachine interp(image);
   interp.setJitMode(jit::JitMode::kOff);
   PscpMachine native(image);
   native.setJitMode(jit::JitMode::kAlways);
-  diffMachines(interp, native, 0xBEEF, 300);
+  diffMachines(interp, native, 0xBEEF, 300, kSmdScript, 35);
+}
+
+// The paper's duty cycle at 2 and 3 TEPs: warmed into Moving, X/Y/PHI
+// pulses land in the same cycles, so DeltaT routines run side by side and
+// contend for the external bus. The replay must reproduce every stall,
+// retire and port write, and it must actually be the replay that ran.
+TEST(TepJitMachine, SmdPulsePairsReplayMatchesInterpreter) {
+  // On the 8-bit datapath every 16-bit access takes two chunks.
+  for (const auto& [teps, width] : {std::pair{2, 16}, {3, 16}, {2, 8}}) {
+    SCOPED_TRACE("teps " + std::to_string(teps) + " width " + std::to_string(width));
+    const auto image = workloads::makeSmdFleetImage(teps, width);
+    PscpMachine interp(image);
+    interp.setJitMode(jit::JitMode::kOff);
+    PscpMachine native(image);
+    native.setJitMode(jit::JitMode::kAlways);
+    for (PscpMachine* m : {&interp, &native})
+      ASSERT_TRUE(workloads::warmUpSmdInstance(*m, m->eventId("DATA_VALID")));
+    const DiffTotals totals =
+        diffMachines(interp, native, 0x5EED + static_cast<uint32_t>(teps), 400,
+                     {"X_PULSE", "Y_PULSE", "PHI_PULSE"}, 70);
+    EXPECT_GT(totals.busStalls, 0);
+    if (jit::jitBackendAvailable()) {
+      EXPECT_GT(totals.multiRoutineNative, 0);
+    }
+  }
+}
+
+// ------------------------------------------------ replay edge cases
+
+// Two AND states: Run = Left | Right, and Left holds Pair = P1 | P2, so a
+// cycle can choose three routines for two TEPs. Right's transitions are
+// the shallowest, so they take TEP 0 first. Both work routines move
+// external globals (bus contention), write port Out, raise an event and
+// leave a condition for the third routine to read from whichever cache
+// it lands on; WorkB and Small share exclusion group g. ClashA/ClashB are
+// a hazard pair (both write `shared`). Edge reads edge[] at a subscript
+// from port Idx, so it may touch all of external RAM; Peek touches none,
+// so the two are no hazard pair. The datapath holds the two
+// conditions in one word: write-back costs one cycle, so a retire with
+// nothing left to dispatch bumps the visit order by one.
+const char* kReplayChart = R"chart(
+chart Replay;
+event GO; event A; event B; event C; event H; event Z; event Y; event W;
+event DONE_A; event DONE_B; event F;
+condition CA; condition CB;
+port Out  data out width 16 address 0x40;
+port Out2 data out width 16 address 0x42;
+port Den  data in  width 16 address 0x44;
+port Idx  data in  width 16 address 0x46;
+
+orstate Top { contains Idle, Run; default Idle; }
+basicstate Idle {
+  transition { target Run; label "GO"; }
+}
+andstate Run {
+  orstate Left { contains Pair; default Pair; }
+  orstate Right { contains M; default M; }
+}
+andstate Pair {
+  orstate P1 { contains A1; default A1; }
+  orstate P2 { contains B1; default B1; }
+}
+basicstate M {
+  transition { target M; label "C/Small()"; exclusion g; }
+  transition { target M; label "Y/Small()"; }
+  transition { target M; label "DONE_A/Tally()"; }
+}
+basicstate A1 {
+  transition { target A1; label "A/WorkA()"; }
+  transition { target A1; label "H/ClashA()"; }
+  transition { target A1; label "Z/Divide()"; }
+  transition { target A1; label "Y/DivideLate()"; }
+  transition { target A1; label "W/Spin()"; }
+  transition { target A1; label "F/Edge()"; }
+}
+basicstate B1 {
+  transition { target B1; label "B/WorkB()"; exclusion g; }
+  transition { target B1; label "DONE_B/WorkB()"; exclusion g; }
+  transition { target B1; label "H/ClashB()"; }
+  transition { target B1; label "Z/Divide()"; }
+  transition { target B1; label "Y/Long()"; }
+  transition { target B1; label "W/WorkB()"; }
+  transition { target B1; label "F/Peek()"; }
+}
+)chart";
+
+const char* kReplayActions = R"code(
+int:16 a[4];
+int:16 b[4];
+int:16 shared;
+int:16 tally;
+int:8 pad;
+int:16 edge[2];
+
+void WorkA() {
+  a[0] = a[0] + 1;
+  a[1] = a[0] * 3;
+  a[2] = a[1] - a[3];
+  write_port(Out, a[2]);
+  set_cond(CA, 1);
+  raise(DONE_A);
+  a[3] = a[3] + a[0];
+}
+
+void WorkB() {
+  b[0] = b[0] + 5;
+  write_port(Out, b[0]);
+  b[1] = b[0] + b[2];
+  raise(DONE_B);
+  b[2] = b[1] - 1;
+  write_port(Out2, b[2]);
+}
+
+void Small() {
+  tally = tally + 1;
+  write_port(Out, tally);
+  set_cond(CB, test_cond(CA));
+}
+
+void Tally() { tally = tally + 10; }
+void ClashA() { shared = shared + 1; }
+void ClashB() { shared = shared * 2 + 1; }
+
+void Divide() {
+  int:16 q = 1000 / read_port(Den);
+  write_port(Out2, q);
+}
+
+void DivideLate() {
+  a[1] = a[1] + 1;
+  a[2] = a[2] + a[1];
+  a[0] = 1000 / read_port(Den);
+}
+
+void Long() {
+  int:16 i = 0;
+  while (i < 6) bound 6 {
+    b[3] = b[3] + i;
+    write_port(Out2, b[3]);
+    i = i + 1;
+  }
+}
+
+void Spin() {
+  write_port(Out, 7);
+  int:16 go = 0;
+  while (go == 0) bound 1 { go = go * 2; }
+}
+
+void Edge() {
+  write_port(Out, b[1]);
+  write_port(Out, b[2] + b[3]);
+  write_port(Out, edge[read_port(Idx)]);
+}
+
+void Peek() {
+  write_port(Out2, 1);
+  int:16 i = 0;
+  while (i < 8) bound 8 {
+    write_port(Out2, read_port(Den) + i);
+    i = i + 1;
+  }
+}
+)code";
+
+struct ReplayChart {
+  statechart::Chart chart = statechart::parseChart(kReplayChart);
+  actionlang::Program actions = actionlang::parseActionSource(kReplayActions);
+
+  /// On the 8-bit datapath every int:16 access takes two chunks.
+  std::shared_ptr<const machine::ChartImage> image(int teps, int dataWidth = 16) const {
+    hwlib::ArchConfig arch;
+    arch.dataWidth = dataWidth;
+    arch.numTeps = teps;
+    arch.hasMulDiv = true;
+    return std::make_shared<const machine::ChartImage>(chart, actions, arch);
+  }
+};
+
+/// An interpreter machine and a native one over one image, both in Run.
+struct TierPair {
+  explicit TierPair(const std::shared_ptr<const machine::ChartImage>& image)
+      : interp(image), native(image) {
+    interp.setJitMode(jit::JitMode::kOff);
+    native.setJitMode(jit::JitMode::kAlways);
+    for (PscpMachine* m : {&interp, &native}) {
+      m->configurationCycle({"GO"});
+      m->clearPortWrites();
+    }
+  }
+
+  /// Step both with `events`; returns each machine's error text ("" when
+  /// the cycle completed).
+  std::pair<std::string, std::string> step(const std::set<std::string>& events) {
+    std::string errors[2];
+    PscpMachine* machines[2] = {&interp, &native};
+    for (int m = 0; m < 2; ++m) {
+      try {
+        machines[m]->configurationCycle(events);
+      } catch (const Error& e) {
+        errors[m] = e.what();
+      }
+    }
+    return {errors[0], errors[1]};
+  }
+
+  /// What both tiers must agree on after a fault: the error, the counters,
+  /// the CR and the port-write log (memory and port values may differ).
+  void expectSameFault(const std::pair<std::string, std::string>& errors,
+                       const std::string& expected) {
+    EXPECT_EQ(errors.first, expected);
+    EXPECT_EQ(errors.second, expected);
+    EXPECT_EQ(interp.configurationCycles(), native.configurationCycles());
+    EXPECT_EQ(interp.totalCycles(), native.totalCycles());
+    EXPECT_EQ(interp.totalBusStalls(), native.totalBusStalls());
+    EXPECT_EQ(interp.jitInterpRuns(), native.jitNativeRuns() + native.jitInterpRuns());
+    EXPECT_TRUE(interp.crBits() == native.crBits());
+    EXPECT_EQ(interp.pendingEvents(), native.pendingEvents());
+    EXPECT_EQ(interp.portWrites(), native.portWrites());
+  }
+
+  PscpMachine interp;
+  PscpMachine native;
+};
+
+// Random mixes of the work, exclusion-group, hazard and raise-driven
+// transitions at 2 and 3 TEPs, and at 2 on the 8-bit datapath: every
+// cycle must match the interpreter.
+TEST(TepJitReplay, TwoAndStatesMatchInterpreter) {
+  const ReplayChart rc;
+  for (const auto& [teps, width] : {std::pair{2, 16}, {3, 16}, {2, 8}}) {
+    SCOPED_TRACE("teps " + std::to_string(teps) + " width " + std::to_string(width));
+    TierPair pair(rc.image(teps, width));
+    const DiffTotals totals = diffMachines(pair.interp, pair.native, 0xA11 + teps, 300,
+                                           {"A", "B", "C", "H"}, 50);
+    EXPECT_GT(totals.busStalls, 0);
+    if (jit::jitBackendAvailable()) {
+      EXPECT_GT(totals.multiRoutineNative, 0);
+    }
+  }
+}
+
+// Three routines over two TEPs: Small takes TEP 0, WorkA TEP 1, WorkB
+// waits on group g until Small retires, then runs on TEP 0 and reads
+// TEP 0's condition cache. WorkA's retire finds nothing to dispatch, so
+// the rest of that machine cycle visits TEP 1 again and skips TEP 0.
+TEST(TepJitReplay, ThreeRoutinesOverTwoTepsRunNatively) {
+  SKIP_WITHOUT_BACKEND();
+  const ReplayChart rc;
+  TierPair pair(rc.image(2));
+  for (int round = 0; round < 3; ++round) {
+    const int64_t native = pair.native.jitNativeRuns();
+    const auto errors = pair.step({"A", "B", "C"});
+    ASSERT_EQ(errors.first, "");
+    ASSERT_EQ(errors.second, "");
+    EXPECT_EQ(pair.native.jitNativeRuns() - native, 3) << "round " << round;
+    EXPECT_TRUE(pair.interp.crBits() == pair.native.crBits()) << "round " << round;
+    EXPECT_EQ(pair.interp.pendingEvents(), pair.native.pendingEvents()) << "round " << round;
+    EXPECT_EQ(pair.interp.totalCycles(), pair.native.totalCycles()) << "round " << round;
+    EXPECT_EQ(pair.interp.portWrites(), pair.native.portWrites()) << "round " << round;
+    // The raises fire DONE_A/DONE_B routines in the next cycle.
+    ASSERT_EQ(pair.step({}), std::make_pair(std::string(), std::string()));
+    EXPECT_TRUE(pair.interp.crBits() == pair.native.crBits()) << "round " << round;
+  }
+  EXPECT_GT(pair.native.totalBusStalls(), 0);
+  EXPECT_EQ(pair.interp.totalBusStalls(), pair.native.totalBusStalls());
+  EXPECT_EQ(pair.interp.outputPort("Out"), pair.native.outputPort("Out"));
+  EXPECT_EQ(pair.interp.outputPort("Out2"), pair.native.outputPort("Out2"));
+  EXPECT_EQ(pair.interp.conditionValue("CB"), pair.native.conditionValue("CB"));
+  for (const char* g : {"tally", "shared"})
+    EXPECT_EQ(pair.interp.globalValue(g), pair.native.globalValue(g)) << g;
+}
+
+// ClashA and ClashB both write the external global `shared`: the cycle
+// choosing both stays on the interpreter, routine for routine.
+TEST(TepJitReplay, HazardPairStaysOnInterpreter) {
+  const ReplayChart rc;
+  const auto image = rc.image(2);
+  const auto& transitions = rc.chart.transitions();
+  auto idOf = [&](const char* label) {
+    for (const statechart::Transition& t : transitions)
+      if (t.label.raw == label) return static_cast<int>(t.id);
+    ADD_FAILURE() << label;
+    return 0;
+  };
+  EXPECT_TRUE(image->hazardPair(idOf("H/ClashA()"), idOf("H/ClashB()")));
+  EXPECT_FALSE(image->hazardPair(idOf("A/WorkA()"), idOf("B/WorkB()")));
+  EXPECT_FALSE(image->hazardPair(idOf("A/WorkA()"), idOf("C/Small()")));
+  EXPECT_FALSE(rc.image(1)->hazardPair(idOf("H/ClashA()"), idOf("H/ClashB()")));
+
+  TierPair pair(image);
+  const int64_t native = pair.native.jitNativeRuns();
+  const int64_t interp = pair.native.jitInterpRuns();
+  const CycleStats stats = pair.native.configurationCycle({"H"});
+  pair.interp.configurationCycle({"H"});
+  ASSERT_EQ(stats.fired.size(), 2u);
+  EXPECT_EQ(pair.native.jitInterpRuns() - interp, 2);
+  EXPECT_EQ(pair.native.jitNativeRuns(), native);
+  EXPECT_EQ(pair.interp.globalValue("shared"), pair.native.globalValue("shared"));
+  if (jit::jitBackendAvailable()) {
+    pair.native.configurationCycle({"A", "B"});
+    EXPECT_EQ(pair.native.jitNativeRuns() - native, 2);
+  }
+}
+
+// Both TEPs divide by zero in the same machine cycle: the first TEP the
+// loop visits raises, with the interpreter's text.
+TEST(TepJitReplay, DivisionByZeroOnBothTepsMatchesInterpreter) {
+  const ReplayChart rc;
+  TierPair pair(rc.image(2));
+  pair.step({"A", "B"});  // some history in the log, the CR and the caches
+  pair.interp.setInputPort("Den", 0);
+  pair.native.setInputPort("Den", 0);
+  const auto errors = pair.step({"Z"});
+  ASSERT_NE(errors.first, "");
+  EXPECT_NE(errors.first.find("division by zero"), std::string::npos) << errors.first;
+  pair.expectSameFault(errors, errors.first);
+}
+
+// DivideLate faults on TEP 1 while Long is mid-routine on TEP 0 (it took
+// TEP 0 when Small retired there): Small's retire and the port writes
+// Long made before the fault must match.
+TEST(TepJitReplay, FaultWhileOtherTepIsMidRoutineMatchesInterpreter) {
+  const ReplayChart rc;
+  TierPair pair(rc.image(2));
+  pair.interp.setInputPort("Den", 0);
+  pair.native.setInputPort("Den", 0);
+  const int64_t native = pair.native.jitNativeRuns();
+  const auto errors = pair.step({"Y"});
+  EXPECT_EQ(errors.first, "TEP1: division by zero at PC " +
+                              errors.first.substr(errors.first.rfind(' ') + 1));
+  pair.expectSameFault(errors, errors.first);
+  EXPECT_FALSE(pair.interp.portWrites().empty());
+  if (jit::jitBackendAvailable()) {
+    EXPECT_EQ(pair.native.jitNativeRuns() - native, 1);
+  }
+}
+
+// Edge reads edge[Idx] with Idx aimed at the last mapped byte, so the
+// element's second byte is unmapped: on the 8-bit datapath the fault is
+// on the access's second chunk. Peek writes Out2 on the other TEP while
+// Edge runs; both run natively.
+TEST(TepJitReplay, FaultOnASecondChunkMatchesInterpreter) {
+  const ReplayChart rc;
+  for (const int width : {16, 8}) {
+    SCOPED_TRACE(width);
+    TierPair pair(rc.image(2, width));
+    // Some history, then the DONE_A/DONE_B routines it raised.
+    for (const std::set<std::string>& events : {std::set<std::string>{"A", "B"}, {}})
+      ASSERT_EQ(pair.step(events), std::make_pair(std::string(), std::string()));
+    const int32_t lastByte = kExternalBase + kExternalSize - 1;
+    const int32_t edge = pair.native.app().globalPlacement.at("edge").address;
+    ASSERT_EQ((lastByte - edge) % 2, 0) << "edge[] must start at an odd address";
+    for (PscpMachine* m : {&pair.interp, &pair.native})
+      m->setInputPort("Idx", static_cast<uint32_t>((lastByte - edge) / 2));
+    const int64_t interp = pair.native.jitInterpRuns();
+    const size_t writes = pair.interp.portWrites().size();
+    const auto errors = pair.step({"F"});
+    pair.expectSameFault(errors, "PSCP: data read from unmapped address 0x8000");
+    // Edge's first two writes and some of Peek's land before the fault.
+    EXPECT_GT(pair.interp.portWrites().size(), writes + 2);
+    if (jit::jitBackendAvailable()) {
+      EXPECT_EQ(pair.native.jitInterpRuns(), interp);
+    }
+  }
+}
+
+// Spin never ends: both tiers stop at the lockstep loop's guard with the
+// same text, after WorkB retired on the other TEP.
+TEST(TepJitReplay, MachineCycleGuardMatchesInterpreter) {
+  const ReplayChart rc;
+  TierPair pair(rc.image(2));
+  const int64_t native = pair.native.jitNativeRuns();
+  const auto errors = pair.step({"W"});
+  pair.expectSameFault(errors, "PSCP configuration cycle exceeded 4000000 machine cycles");
+  if (jit::jitBackendAvailable()) {
+    EXPECT_EQ(pair.native.jitNativeRuns() - native, 1);
+  }
 }
 
 // --------------------------------------------------- fleet-level diffing
 
-TEST(TepJitFleet, FleetJitMatchesInterpAcrossWorkersAndSoa) {
-  const auto image = workloads::makeSmdFleetImage(/*numTeps=*/1);
+// The fleet suites step the paper's two-TEP machine (busy pairs run
+// ahead natively and replay in the lockstep loop) and the one-TEP side arm.
+
+TEST(TepJitFleet, FleetJitMatchesInterpAcrossWorkers) {
   constexpr size_t kInstances = 12;
   constexpr int kEpochs = 20;
-
-  auto runFleet = [&](jit::JitMode mode, int workers) {
-    fleet::FleetConfig config;
-    config.workerThreads = workers;
-    config.jitMode = mode;
-    fleet::Fleet fleet(image, config);
-    const workloads::SmdPulseIds ids = workloads::resolveSmdPulseIds(fleet);
-    EXPECT_TRUE(workloads::warmUpSmdFleet(fleet, kInstances, ids));
-    for (int e = 0; e < kEpochs; ++e) {
+  for (const int teps : {1, 2}) {
+    SCOPED_TRACE(teps);
+    const auto image = workloads::makeSmdFleetImage(teps);
+    auto runFleet = [&](jit::JitMode mode, int workers) {
+      fleet::FleetConfig config;
+      config.workerThreads = workers;
+      config.jitMode = mode;
+      fleet::Fleet fleet(image, config);
+      const workloads::SmdPulseIds ids = workloads::resolveSmdPulseIds(fleet);
+      EXPECT_TRUE(workloads::warmUpSmdFleet(fleet, kInstances, ids));
+      for (int e = 0; e < kEpochs; ++e) {
+        fleet.step(2);
+        workloads::injectSmdPulses(fleet, ids);
+      }
       fleet.step(2);
-      workloads::injectSmdPulses(fleet, ids);
-    }
-    fleet.step(2);
-    std::vector<fleet::InstanceSnapshot> snaps;
-    for (size_t i = 0; i < kInstances; ++i)
-      snaps.push_back(fleet.snapshot(static_cast<fleet::InstanceId>(i)));
-    return snaps;
-  };
+      std::vector<fleet::InstanceSnapshot> snaps;
+      for (size_t i = 0; i < kInstances; ++i)
+        snaps.push_back(fleet.snapshot(static_cast<fleet::InstanceId>(i)));
+      return snaps;
+    };
 
-  const auto reference = runFleet(jit::JitMode::kOff, 1);
-  for (const int workers : {1, 8}) {
-    const auto got = runFleet(jit::JitMode::kAlways, workers);
-    ASSERT_EQ(got.size(), reference.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].machineCycles, reference[i].machineCycles)
-          << "instance " << i << " workers=" << workers;
-      EXPECT_EQ(got[i].configCycles, reference[i].configCycles) << i;
-      EXPECT_EQ(got[i].firedTransitions, reference[i].firedTransitions) << i;
-      EXPECT_EQ(got[i].quiescentCycles, reference[i].quiescentCycles) << i;
-      EXPECT_EQ(got[i].activeStates, reference[i].activeStates) << i;
+    const auto reference = runFleet(jit::JitMode::kOff, 1);
+    for (const int workers : {1, 8}) {
+      const auto got = runFleet(jit::JitMode::kAlways, workers);
+      ASSERT_EQ(got.size(), reference.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].machineCycles, reference[i].machineCycles)
+            << "instance " << i << " workers=" << workers;
+        EXPECT_EQ(got[i].configCycles, reference[i].configCycles) << i;
+        EXPECT_EQ(got[i].firedTransitions, reference[i].firedTransitions) << i;
+        EXPECT_EQ(got[i].quiescentCycles, reference[i].quiescentCycles) << i;
+        EXPECT_EQ(got[i].busStallCycles, reference[i].busStallCycles) << i;
+        EXPECT_EQ(got[i].activeStates, reference[i].activeStates) << i;
+      }
     }
   }
 }
 
 TEST(TepJitFleet, TierMetricsSurfaceInMergedMetrics) {
   SKIP_WITHOUT_BACKEND();
-  const auto image = workloads::makeSmdFleetImage(/*numTeps=*/1);
-  fleet::FleetConfig config;
-  config.jitMode = jit::JitMode::kAlways;
-  fleet::Fleet fleet(image, config);
-  const workloads::SmdPulseIds ids = workloads::resolveSmdPulseIds(fleet);
-  ASSERT_TRUE(workloads::warmUpSmdFleet(fleet, 4, ids));
-  for (int e = 0; e < 6; ++e) {
-    fleet.step(2);
-    workloads::injectSmdPulses(fleet, ids);
-  }
-  const obs::MetricsRegistry metrics = fleet.mergedMetrics();
-  EXPECT_GT(metrics.value("fleet.jit_native_routines"), 0);
-  EXPECT_GT(metrics.value("fleet.jit_compiled_routines"), 0);
-}
-
-// The merged tier split counts the routine runs fleet.fired_transitions
-// counts: epoch cycles only (not warm-up cycles) and retired instances
-// too.
-TEST(TepJitFleet, TierSplitAddsUpToFiredTransitions) {
-  const auto image = workloads::makeSmdFleetImage(/*numTeps=*/1);
-  for (const jit::JitMode mode : {jit::JitMode::kOff, jit::JitMode::kAlways}) {
-    SCOPED_TRACE(jit::jitModeName(mode));
+  for (const int teps : {1, 2}) {
+    SCOPED_TRACE(teps);
+    const auto image = workloads::makeSmdFleetImage(teps);
     fleet::FleetConfig config;
-    config.jitMode = mode;
+    config.jitMode = jit::JitMode::kAlways;
     fleet::Fleet fleet(image, config);
     const workloads::SmdPulseIds ids = workloads::resolveSmdPulseIds(fleet);
     ASSERT_TRUE(workloads::warmUpSmdFleet(fleet, 4, ids));
@@ -896,17 +1390,41 @@ TEST(TepJitFleet, TierSplitAddsUpToFiredTransitions) {
       fleet.step(2);
       workloads::injectSmdPulses(fleet, ids);
     }
-    fleet.retire(1);
-    fleet.step(2);
     const obs::MetricsRegistry metrics = fleet.mergedMetrics();
-    const int64_t fired = metrics.value("fleet.fired_transitions");
-    const int64_t native = metrics.value("fleet.jit_native_routines");
-    EXPECT_GT(fired, 0);
-    EXPECT_EQ(native + metrics.value("fleet.jit_interp_routines"), fired);
-    if (mode == jit::JitMode::kOff || !jit::jitBackendAvailable()) {
-      EXPECT_EQ(native, 0);
-    } else {
-      EXPECT_GT(native, 0);
+    EXPECT_GT(metrics.value("fleet.jit_native_routines"), 0);
+    EXPECT_GT(metrics.value("fleet.jit_compiled_routines"), 0);
+  }
+}
+
+// The merged tier split counts the routine runs fleet.fired_transitions
+// counts: epoch cycles only (not warm-up cycles) and retired instances
+// too.
+TEST(TepJitFleet, TierSplitAddsUpToFiredTransitions) {
+  for (const int teps : {1, 2}) {
+    const auto image = workloads::makeSmdFleetImage(teps);
+    for (const jit::JitMode mode : {jit::JitMode::kOff, jit::JitMode::kAlways}) {
+      SCOPED_TRACE(std::string(jit::jitModeName(mode)) + " teps=" + std::to_string(teps));
+      fleet::FleetConfig config;
+      config.jitMode = mode;
+      fleet::Fleet fleet(image, config);
+      const workloads::SmdPulseIds ids = workloads::resolveSmdPulseIds(fleet);
+      ASSERT_TRUE(workloads::warmUpSmdFleet(fleet, 4, ids));
+      for (int e = 0; e < 6; ++e) {
+        fleet.step(2);
+        workloads::injectSmdPulses(fleet, ids);
+      }
+      fleet.retire(1);
+      fleet.step(2);
+      const obs::MetricsRegistry metrics = fleet.mergedMetrics();
+      const int64_t fired = metrics.value("fleet.fired_transitions");
+      const int64_t native = metrics.value("fleet.jit_native_routines");
+      EXPECT_GT(fired, 0);
+      EXPECT_EQ(native + metrics.value("fleet.jit_interp_routines"), fired);
+      if (mode == jit::JitMode::kOff || !jit::jitBackendAvailable()) {
+        EXPECT_EQ(native, 0);
+      } else {
+        EXPECT_EQ(native, fired);  // every SMD pair is hazard-free
+      }
     }
   }
 }
@@ -916,38 +1434,41 @@ TEST(TepJitFleet, TierSplitAddsUpToFiredTransitions) {
 TEST(TepJitJournal, InterpreterRecordingVerifiesUnderJit) {
   // Record the SMD duty cycle under the interpreter, then verify the CR
   // digest checkpoints replaying with the native tier forced on — across
-  // worker counts.
-  const auto image = workloads::makeSmdFleetImage(/*numTeps=*/1);
-  fleet::FleetConfig config;
-  config.journal = true;
-  config.journalConfig.checkpointInterval = 4;
-  config.jitMode = jit::JitMode::kOff;
-  fleet::Fleet fleet(image, config);
-  const workloads::SmdPulseIds ids = workloads::resolveSmdPulseIds(fleet);
-  ASSERT_TRUE(workloads::warmUpSmdFleet(fleet, 8, ids));
-  for (int e = 0; e < 16; ++e) {
+  // worker counts, on both machine shapes.
+  for (const int teps : {1, 2}) {
+    SCOPED_TRACE(teps);
+    const auto image = workloads::makeSmdFleetImage(teps);
+    fleet::FleetConfig config;
+    config.journal = true;
+    config.journalConfig.checkpointInterval = 4;
+    config.jitMode = jit::JitMode::kOff;
+    fleet::Fleet fleet(image, config);
+    const workloads::SmdPulseIds ids = workloads::resolveSmdPulseIds(fleet);
+    ASSERT_TRUE(workloads::warmUpSmdFleet(fleet, 8, ids));
+    for (int e = 0; e < 16; ++e) {
+      fleet.step(2);
+      workloads::injectSmdPulses(fleet, ids);
+    }
     fleet.step(2);
-    workloads::injectSmdPulses(fleet, ids);
-  }
-  fleet.step(2);
 
-  obs::journal::Journal journal;
-  std::string error;
-  ASSERT_TRUE(
-      obs::journal::Journal::parse(fleet.journal()->dumpJson(), &journal, &error))
-      << error;
+    obs::journal::Journal journal;
+    std::string error;
+    ASSERT_TRUE(
+        obs::journal::Journal::parse(fleet.journal()->dumpJson(), &journal, &error))
+        << error;
 
-  const obs::journal::Replayer replayer(&journal, image);
-  for (const int workers : {1, 8}) {
-    obs::journal::ReplayOptions options;
-    options.workerThreads = workers;
-    options.jitMode = jit::JitMode::kAlways;
-    const obs::journal::ReplayResult result = replayer.run(options);
-    ASSERT_TRUE(result.ok) << result.error;
-    EXPECT_TRUE(result.verified)
-        << "workers=" << workers << " first mismatch at epoch "
-        << result.firstMismatch.epoch;
-    EXPECT_GT(result.checkpointsChecked, 0);
+    const obs::journal::Replayer replayer(&journal, image);
+    for (const int workers : {1, 8}) {
+      obs::journal::ReplayOptions options;
+      options.workerThreads = workers;
+      options.jitMode = jit::JitMode::kAlways;
+      const obs::journal::ReplayResult result = replayer.run(options);
+      ASSERT_TRUE(result.ok) << result.error;
+      EXPECT_TRUE(result.verified)
+          << "workers=" << workers << " first mismatch at epoch "
+          << result.firstMismatch.epoch;
+      EXPECT_GT(result.checkpointsChecked, 0);
+    }
   }
 }
 
