@@ -16,13 +16,15 @@
 // Prints a markdown table (cycles/sec, speedup vs 1 thread, scaling
 // efficiency) and writes BENCH_fleet_throughput.json; the host block
 // records the native-tier capability plus the seed and journal arming, so
-// any BENCH json can be tied back to a reproducible configuration. In any
-// mode, the run fails when a JIT-arm row runs less than 2.9496x faster
-// than the interpreter (0.4x a 1-CPU quick-mode capture of 7.374x, taken
-// when the arm stepped a one-TEP machine; it now steps the paper's
-// two-TEP machine, where busy pairs run ahead and replay). In full
-// mode on a machine with >= 4 hardware threads, it also fails unless the
-// >= 256-instance sweep reaches >= 3x aggregate throughput at 4 threads.
+// any BENCH json can be tied back to a reproducible configuration. The JIT
+// arm steps a one-TEP SMD image (each routine runs natively on its own)
+// and the paper's two-TEP image (busy pairs run ahead and the lockstep
+// loop replays them); each row carries its TEP count. In any mode, the
+// run fails when a JIT-arm row of either image runs less than 2.9496x
+// faster than the interpreter (0.4x a 1-CPU quick-mode capture of 7.374x
+// on the one-TEP machine). In full mode on a machine with >= 4 hardware
+// threads, it also fails unless the >= 256-instance sweep reaches >= 3x
+// aggregate throughput at 4 threads.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -57,8 +59,8 @@ struct BenchOptions {
   /// The SMD duty cycle itself is deterministic; the seed tags the run, it
   /// does not vary it.
   int64_t seed = 0;
-  /// Run the native-tier A/B arm (interpreter vs JIT over the two-TEP SMD
-  /// image). Defaults on; forced off when the backend is unavailable or
+  /// Run the native-tier A/B arm (interpreter vs JIT over the one- and
+  /// two-TEP SMD images). Defaults on; forced off when the backend is unavailable or
   /// PSCP_JIT=off, so interpreter-only hosts still produce a valid json.
   bool jit = true;
 };
@@ -82,6 +84,7 @@ struct SweepResult {
 /// simulate the identical cycle stream (bit-identity is enforced by the
 /// tier tests), so the ratio isolates the execution-tier win.
 struct JitReference {
+  int teps = 0;
   size_t instances = 0;
   double interpMachRate = 0.0;
   double jitMachRate = 0.0;
@@ -144,8 +147,8 @@ SweepResult runSweep(const fleet::Fleet::ChartImagePtr& image, size_t instances,
   return r;
 }
 
-/// One arm of the JIT A/B: machine cycles per wall second over the
-/// two-TEP SMD image (its DeltaT pairs are hazard-free, so kAlways runs
+/// One arm of the JIT A/B: machine cycles per wall second over an SMD
+/// image (on two TEPs its DeltaT pairs are hazard-free, so kAlways runs
 /// both routines natively and the lockstep loop replays them). Two
 /// simulated cycles per epoch with a pulse pair injected every epoch keeps
 /// the duty cycle routine-dense — the tier being measured, not quiescent
@@ -254,26 +257,29 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Native-tier A/B: a separate sweep over a fresh two-TEP image (its
-  // compile cost is the arm's alone). Epoch count is its own knob — the
-  // arm's cost is per-routine wall time, not the main sweep's pool
-  // scaling.
+  // Native-tier A/B: a separate sweep over a fresh one-TEP and a fresh
+  // two-TEP image (each compile cost is its arm's alone). Epoch count is
+  // its own knob — the arm's cost is per-routine wall time, not the main
+  // sweep's pool scaling.
   std::vector<JitReference> jitRefs;
   if (opts.jit) {
-    const auto jitImage = workloads::makeSmdFleetImage();
     const std::vector<size_t> jitInstances =
         opts.quick ? std::vector<size_t>{32} : std::vector<size_t>{64, 256};
     const int jitEpochs = opts.quick ? 200 : 400;
-    for (size_t instances : jitInstances) {
-      JitReference ref;
-      ref.instances = instances;
-      ref.interpMachRate = runJitArm(jitImage, instances, jitEpochs,
-                                     tep::jit::JitMode::kOff, &ok, nullptr);
-      ref.jitMachRate = runJitArm(jitImage, instances, jitEpochs,
-                                  tep::jit::JitMode::kAlways, &ok, &ref);
-      if (ref.interpMachRate > 0.0 && ref.jitMachRate > 0.0)
-        ref.jitSpeedup = ref.jitMachRate / ref.interpMachRate;
-      jitRefs.push_back(ref);
+    for (const int teps : {1, 2}) {
+      const auto jitImage = workloads::makeSmdFleetImage(teps);
+      for (size_t instances : jitInstances) {
+        JitReference ref;
+        ref.teps = teps;
+        ref.instances = instances;
+        ref.interpMachRate = runJitArm(jitImage, instances, jitEpochs,
+                                       tep::jit::JitMode::kOff, &ok, nullptr);
+        ref.jitMachRate = runJitArm(jitImage, instances, jitEpochs,
+                                    tep::jit::JitMode::kAlways, &ok, &ref);
+        if (ref.interpMachRate > 0.0 && ref.jitMachRate > 0.0)
+          ref.jitSpeedup = ref.jitMachRate / ref.interpMachRate;
+        jitRefs.push_back(ref);
+      }
     }
   }
 
@@ -284,11 +290,11 @@ int main(int argc, char** argv) {
                 r.instances, r.threads, r.configCyclesPerSec, r.machineCyclesPerSec,
                 r.speedup, 100.0 * r.efficiency);
   if (!jitRefs.empty()) {
-    std::printf("\n| instances | interp mach/s | jit mach/s | jit speedup | compiled | compile ms |\n");
-    std::printf("|-----------|---------------|------------|-------------|----------|------------|\n");
+    std::printf("\n| teps | instances | interp mach/s | jit mach/s | jit speedup | compiled | compile ms |\n");
+    std::printf("|------|-----------|---------------|------------|-------------|----------|------------|\n");
     for (const JitReference& ref : jitRefs)
-      std::printf("| %9zu | %13.0f | %10.0f | %10.2fx | %8lld | %10.2f |\n",
-                  ref.instances, ref.interpMachRate, ref.jitMachRate,
+      std::printf("| %4d | %9zu | %13.0f | %10.0f | %10.2fx | %8lld | %10.2f |\n",
+                  ref.teps, ref.instances, ref.interpMachRate, ref.jitMachRate,
                   ref.jitSpeedup, static_cast<long long>(ref.compiledRoutines),
                   ref.compileMs);
   }
@@ -314,13 +320,13 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < jitRefs.size(); ++i) {
     const JitReference& ref = jitRefs[i];
     json += strfmt(
-        "    {\"instances\": %zu, \"threads\": 1, "
+        "    {\"teps\": %d, \"instances\": %zu, \"threads\": 1, "
         "\"interp_machine_cycles_per_sec\": %.0f, "
         "\"jit_machine_cycles_per_sec\": %.0f, "
         "\"jit_speedup_vs_interp\": %.3f, \"jit_compiled_routines\": %lld, "
         "\"jit_compile_ms\": %.3f}%s\n",
-        ref.instances, ref.interpMachRate, ref.jitMachRate, ref.jitSpeedup,
-        static_cast<long long>(ref.compiledRoutines), ref.compileMs,
+        ref.teps, ref.instances, ref.interpMachRate, ref.jitMachRate,
+        ref.jitSpeedup, static_cast<long long>(ref.compiledRoutines), ref.compileMs,
         i + 1 < jitRefs.size() ? "," : "");
   }
   json += "  ]\n}\n";
@@ -334,11 +340,11 @@ int main(int argc, char** argv) {
     ok = false;
   }
   for (const JitReference& ref : jitRefs) {
-    std::printf("jit speedup (i=%zu): %.2fx (floor %.4fx)\n", ref.instances,
-                ref.jitSpeedup, kJitSpeedupFloor);
+    std::printf("jit speedup (teps=%d i=%zu): %.2fx (floor %.4fx)\n", ref.teps,
+                ref.instances, ref.jitSpeedup, kJitSpeedupFloor);
     if (ref.jitSpeedup < kJitSpeedupFloor) {
-      std::fprintf(stderr, "FAIL: jit speedup %.2fx < floor %.4fx (i=%zu)\n",
-                   ref.jitSpeedup, kJitSpeedupFloor, ref.instances);
+      std::fprintf(stderr, "FAIL: jit speedup %.2fx < floor %.4fx (teps=%d i=%zu)\n",
+                   ref.jitSpeedup, kJitSpeedupFloor, ref.teps, ref.instances);
       ok = false;
     }
   }

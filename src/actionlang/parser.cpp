@@ -1,5 +1,6 @@
 #include "actionlang/parser.hpp"
 
+#include <algorithm>
 #include <map>
 
 #include "actionlang/lexer.hpp"
@@ -91,7 +92,9 @@ class Parser {
 
   /// Optional `[N]` array suffix on a declarator.
   TypePtr parseArraySuffix(TypePtr base) {
-    while (accept(TokKind::LBracket)) {
+    for (int dims = 1; peek().kind == TokKind::LBracket; ++dims) {
+      checkNesting(dims, peek().loc, "array type");
+      take();
       const Token n = expect(TokKind::Number);
       expect(TokKind::RBracket);
       base = Type::arrayType(std::move(base), static_cast<int>(n.value));
@@ -181,6 +184,7 @@ class Parser {
   }
 
   void parseInitializer(std::vector<int64_t>& out) {
+    const NestingGuard guard(exprDepth_, peek().loc, "initializer");
     if (accept(TokKind::LBrace)) {
       for (;;) {
         parseInitializer(out);
@@ -244,6 +248,7 @@ class Parser {
 
   StmtPtr parseStmt() {
     const SourceLoc loc = peek().loc;
+    const NestingGuard guard(stmtDepth_, loc, "statement");
     auto stmt = std::make_unique<Stmt>();
     stmt->loc = loc;
     switch (peek().kind) {
@@ -310,7 +315,23 @@ class Parser {
   }
 
   // ----------------------------------------------------------- expressions
-  ExprPtr parseExpr() { return parseBinary(0); }
+  /// A parsed subexpression and its nesting depth (see kMaxNesting): 1 for
+  /// an atom, one more per operator or parenthesized group above it. The
+  /// operator and postfix loops build left-deep chains without recursing,
+  /// so depths are carried up from the children; parseUnary's guard bounds
+  /// the recursion itself.
+  struct Sub {
+    ExprPtr expr;
+    int depth = 1;
+  };
+
+  /// `e` one level above its deepest child, `childDepth` deep.
+  static Sub nest(ExprPtr e, int childDepth) {
+    checkNesting(childDepth + 1, e->loc, "expression");
+    return {std::move(e), childDepth + 1};
+  }
+
+  ExprPtr parseExpr() { return parseBinary(0).expr; }
 
   /// Precedence-climbing over binary operators (C precedence order).
   static int precedenceOf(TokKind k) {
@@ -361,24 +382,25 @@ class Parser {
     }
   }
 
-  ExprPtr parseBinary(int minPrec) {
-    ExprPtr lhs = parseUnary();
+  Sub parseBinary(int minPrec) {
+    Sub lhs = parseUnary();
     for (;;) {
       const int prec = precedenceOf(peek().kind);
       if (prec == 0 || prec < minPrec) return lhs;
       const Token op = take();
-      ExprPtr rhs = parseBinary(prec + 1);
+      Sub rhs = parseBinary(prec + 1);
       auto e = std::make_unique<Expr>();
       e->kind = ExprKind::Binary;
       e->binOp = binOpFor(op.kind);
       e->loc = op.loc;
-      e->children.push_back(std::move(lhs));
-      e->children.push_back(std::move(rhs));
-      lhs = std::move(e);
+      e->children.push_back(std::move(lhs.expr));
+      e->children.push_back(std::move(rhs.expr));
+      lhs = nest(std::move(e), std::max(lhs.depth, rhs.depth));
     }
   }
 
-  ExprPtr parseUnary() {
+  Sub parseUnary() {
+    const NestingGuard guard(exprDepth_, peek().loc, "expression");
     const Token& t = peek();
     UnOp op;
     switch (t.kind) {
@@ -393,12 +415,13 @@ class Parser {
     e->kind = ExprKind::Unary;
     e->unOp = op;
     e->loc = opTok.loc;
-    e->children.push_back(parseUnary());
-    return e;
+    Sub operand = parseUnary();
+    e->children.push_back(std::move(operand.expr));
+    return nest(std::move(e), operand.depth);
   }
 
-  ExprPtr parsePostfix() {
-    ExprPtr e = parsePrimary();
+  Sub parsePostfix() {
+    Sub e = parsePrimary();
     for (;;) {
       if (accept(TokKind::Dot)) {
         const Token f = expect(TokKind::Ident);
@@ -406,31 +429,34 @@ class Parser {
         m->kind = ExprKind::Member;
         m->name = f.text;
         m->loc = f.loc;
-        m->children.push_back(std::move(e));
-        e = std::move(m);
+        m->children.push_back(std::move(e.expr));
+        e = nest(std::move(m), e.depth);
       } else if (peek().kind == TokKind::LBracket) {
         const Token br = take();
         auto ix = std::make_unique<Expr>();
         ix->kind = ExprKind::Index;
         ix->loc = br.loc;
-        ix->children.push_back(std::move(e));
-        ix->children.push_back(parseExpr());
+        ix->children.push_back(std::move(e.expr));
+        Sub index = parseBinary(0);
+        ix->children.push_back(std::move(index.expr));
         expect(TokKind::RBracket);
-        e = std::move(ix);
+        e = nest(std::move(ix), std::max(e.depth, index.depth));
       } else {
         return e;
       }
     }
   }
 
-  ExprPtr parsePrimary() {
+  Sub parsePrimary() {
     const Token t = take();
     switch (t.kind) {
       case TokKind::Number:
-        return makeIntLit(t.value, t.loc);
+        return {makeIntLit(t.value, t.loc)};
       case TokKind::LParen: {
-        ExprPtr e = parseExpr();
+        Sub e = parseBinary(0);
         expect(TokKind::RParen);
+        checkNesting(e.depth + 1, t.loc, "expression");
+        ++e.depth;
         return e;
       }
       case TokKind::Ident: {
@@ -440,16 +466,19 @@ class Parser {
           call->kind = ExprKind::Call;
           call->name = t.text;
           call->loc = t.loc;
+          int depth = 0;
           if (peek().kind != TokKind::RParen) {
             for (;;) {
-              call->children.push_back(parseExpr());
+              Sub arg = parseBinary(0);
+              depth = std::max(depth, arg.depth);
+              call->children.push_back(std::move(arg.expr));
               if (!accept(TokKind::Comma)) break;
             }
           }
           expect(TokKind::RParen);
-          return call;
+          return nest(std::move(call), depth);
         }
-        return makeVarRef(t.text, t.loc);
+        return {makeVarRef(t.text, t.loc)};
       }
       default:
         failAt(t.loc, "expected expression, found '%s'", t.text.c_str());
@@ -459,6 +488,8 @@ class Parser {
   std::vector<Token> toks_;
   size_t pos_ = 0;
   Program program_;
+  int stmtDepth_ = 0;  // statements open around the current one
+  int exprDepth_ = 0;  // parseUnary (and initializer) calls open
 };
 
 }  // namespace

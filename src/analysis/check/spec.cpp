@@ -1,5 +1,6 @@
 #include "analysis/check/spec.hpp"
 
+#include <algorithm>
 #include <cctype>
 
 namespace pscp::analysis::check {
@@ -238,96 +239,114 @@ class Parser {
     spec->properties.push_back(std::move(prop));
   }
 
-  PropExpr parseExpr() {  // implies, right associative
-    PropExpr lhs = parseOr();
-    if (eatPunct("->")) {
-      PropExpr node;
-      node.kind = PropExpr::Kind::Implies;
-      node.loc = lhs.loc;
-      node.kids.push_back(std::move(lhs));
-      node.kids.push_back(parseExpr());
-      return node;
-    }
-    return lhs;
+  /// A parsed subexpression and its nesting depth (see kMaxNesting): 1 for
+  /// an atom, one more per operator or parenthesized group above it. The
+  /// `&&`/`||` loops build left-deep chains without recursing, so depths
+  /// are carried up from the children; parseUnary's guard bounds the
+  /// recursion itself.
+  struct Sub {
+    PropExpr expr;
+    int depth = 1;
+  };
+
+  /// `node` one level above its deepest child, `childDepth` deep.
+  static Sub nest(PropExpr node, int childDepth) {
+    checkNesting(childDepth + 1, node.loc, "spec expression");
+    return {std::move(node), childDepth + 1};
   }
 
-  PropExpr parseOr() {
-    PropExpr lhs = parseAnd();
+  /// A `kind` node over `lhs` and `rhs`, located at `lhs`.
+  static Sub binary(PropExpr::Kind kind, Sub lhs, Sub rhs) {
+    PropExpr node;
+    node.kind = kind;
+    node.loc = lhs.expr.loc;
+    node.kids.push_back(std::move(lhs.expr));
+    node.kids.push_back(std::move(rhs.expr));
+    return nest(std::move(node), std::max(lhs.depth, rhs.depth));
+  }
+
+  PropExpr parseExpr() { return parseImplies().expr; }
+
+  Sub parseImplies() {  // right associative
+    Sub lhs = parseOr();
+    if (!eatPunct("->")) return lhs;
+    const NestingGuard guard(depth_, cur_.loc, "spec expression");
+    Sub rhs = parseImplies();
+    return binary(PropExpr::Kind::Implies, std::move(lhs), std::move(rhs));
+  }
+
+  Sub parseOr() {
+    Sub lhs = parseAnd();
     while (atPunct("||") || atIdent("or")) {
       bump();
-      PropExpr node;
-      node.kind = PropExpr::Kind::Or;
-      node.loc = lhs.loc;
-      node.kids.push_back(std::move(lhs));
-      node.kids.push_back(parseAnd());
-      lhs = std::move(node);
+      lhs = binary(PropExpr::Kind::Or, std::move(lhs), parseAnd());
     }
     return lhs;
   }
 
-  PropExpr parseAnd() {
-    PropExpr lhs = parseUnary();
+  Sub parseAnd() {
+    Sub lhs = parseUnary();
     while (atPunct("&&") || atIdent("and")) {
       bump();
-      PropExpr node;
-      node.kind = PropExpr::Kind::And;
-      node.loc = lhs.loc;
-      node.kids.push_back(std::move(lhs));
-      node.kids.push_back(parseUnary());
-      lhs = std::move(node);
+      lhs = binary(PropExpr::Kind::And, std::move(lhs), parseUnary());
     }
     return lhs;
   }
 
-  PropExpr parseUnary() {
+  Sub parseUnary() {
+    const NestingGuard guard(depth_, cur_.loc, "spec expression");
     if (atPunct("!") || atIdent("not")) {
       const SourceLoc loc = cur_.loc;
       bump();
+      Sub operand = parseUnary();
       PropExpr node;
       node.kind = PropExpr::Kind::Not;
       node.loc = loc;
-      node.kids.push_back(parseUnary());
-      return node;
+      node.kids.push_back(std::move(operand.expr));
+      return nest(std::move(node), operand.depth);
     }
     return parsePrimary();
   }
 
-  PropExpr parsePrimary() {
+  Sub parsePrimary() {
     PropExpr node;
     node.loc = cur_.loc;
     if (eatPunct("(")) {
-      node = parseExpr();
+      Sub inner = parseImplies();
       expectPunct(")");
-      return node;
+      checkNesting(inner.depth + 1, node.loc, "spec expression");
+      ++inner.depth;
+      return inner;
     }
     if (eatIdent("true")) {
       node.kind = PropExpr::Kind::True;
-      return node;
+      return {std::move(node)};
     }
     if (eatIdent("false")) {
       node.kind = PropExpr::Kind::False;
-      return node;
+      return {std::move(node)};
     }
     if (eatIdent("state")) {
       node.kind = PropExpr::Kind::State;
       node.name = expectIdent("state name");
-      return node;
+      return {std::move(node)};
     }
     if (eatIdent("cond")) {
       node.kind = PropExpr::Kind::Cond;
       node.name = expectIdent("condition name");
-      return node;
+      return {std::move(node)};
     }
     if (eatIdent("event")) {
       node.kind = PropExpr::Kind::Event;
       node.name = expectIdent("event name");
-      return node;
+      return {std::move(node)};
     }
     fail("expected an atom ('state'/'cond'/'event' NAME, true, false, or a "
          "parenthesized expression)");
   }
 
   Lexer lexer_;
+  int depth_ = 0;  // parseUnary and `->` right-hand sides open
   Token cur_;
 };
 

@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "support/diag.hpp"
 
@@ -53,7 +54,7 @@ struct Fleet::Shard {
 };
 
 /// Per-epoch, per-worker accumulator: plain int64s bumped in the hot loop
-/// and flushed through cached registry pointers once per epoch, so the
+/// and flushed into the worker's WorkerCounters once per epoch, so the
 /// stepping path touches no map, no string and no allocator.
 struct Fleet::WorkerLocal {
   int64_t machineCycles = 0;
@@ -75,40 +76,30 @@ struct Fleet::WorkerLocal {
   int64_t portWrites = 0;
 };
 
-/// Registry references resolved once at construction: the per-epoch flush
-/// must not do string-keyed map lookups (they allocate — the steady-state
-/// counting-operator-new test holds the fleet to zero).
-struct Fleet::WorkerMetricRefs {
-  int64_t* machineCycles = nullptr;
-  int64_t* configCycles = nullptr;
-  int64_t* quiescentCycles = nullptr;
-  int64_t* firedTransitions = nullptr;
-  int64_t* jitNativeRuns = nullptr;
-  int64_t* busStallCycles = nullptr;
-  int64_t* eventsDelivered = nullptr;
-  int64_t* stealChunks = nullptr;
-  int64_t* epochTasks = nullptr;
-};
-
-/// One cacheline-aligned block of health atomics per worker. Only the
-/// owning worker writes (plain read-modify-write on relaxed atomics, no
-/// CAS needed); any thread reads at any time via healthSnapshot().
-struct Fleet::ShardTelemetry {
+/// One cacheline-aligned block of counters per worker, allocated whether
+/// or not telemetry is armed. Only the owning worker writes (load + store
+/// on relaxed atomics, no CAS needed), once per epoch; any thread reads at
+/// any time. mergedMetrics() and healthSnapshot() both read these fields.
+struct Fleet::WorkerCounters {
   alignas(64) std::atomic<int64_t> epochs{0};
+  std::atomic<int64_t> machineCycles{0};
+  std::atomic<int64_t> configCycles{0};
+  std::atomic<int64_t> quiescentCycles{0};
+  std::atomic<int64_t> firedTransitions{0};
+  std::atomic<int64_t> jitNativeRuns{0};
+  std::atomic<int64_t> busStallCycles{0};
+  std::atomic<int64_t> eventsDelivered{0};
+  std::atomic<int64_t> stealChunks{0};
+  std::atomic<int64_t> instancesStepped{0};
+  // Written only when telemetry is armed.
   std::atomic<int64_t> epochStartNanos{0};  ///< 0 when no epoch in flight
   std::atomic<int64_t> lastEpochNanos{0};
   std::atomic<int64_t> ewmaEpochNanos{0};
   std::atomic<int64_t> minEpochNanos{0};
   std::atomic<int64_t> maxEpochNanos{0};
   std::atomic<int64_t> sumEpochNanos{0};
-  std::atomic<int64_t> machineCycles{0};
-  std::atomic<int64_t> configCycles{0};
-  std::atomic<int64_t> firedTransitions{0};
-  std::atomic<int64_t> eventsDelivered{0};
-  std::atomic<int64_t> eventsDropped{0};
-  std::atomic<int64_t> stealChunks{0};
+  std::atomic<int64_t> eventsDropped{0};  ///< drop deltas seen at drain time
   std::atomic<int64_t> queueDepthHwm{0};
-  std::atomic<int64_t> instancesStepped{0};
   std::atomic<int64_t> portWrites{0};
   std::atomic<int64_t> epochNanosCounts[obs::kEpochNanosBucketCount] = {};
 };
@@ -138,26 +129,11 @@ Fleet::Fleet(ChartImagePtr image, FleetConfig config)
          config_.eventQueueCapacity, kMaxEventQueueCapacity);
   if (config_.workerThreads < 1) config_.workerThreads = 1;
   workerCount_ = static_cast<size_t>(config_.workerThreads);
-  workerMetrics_.resize(workerCount_);
-  workerMetricRefs_.resize(workerCount_);
-  for (size_t w = 0; w < workerCount_; ++w) {
-    obs::MetricsRegistry& reg = workerMetrics_[w];
-    WorkerMetricRefs& refs = workerMetricRefs_[w];
-    refs.machineCycles = &reg.counter("fleet.machine_cycles");
-    refs.configCycles = &reg.counter("fleet.config_cycles");
-    refs.quiescentCycles = &reg.counter("fleet.quiescent_cycles");
-    refs.firedTransitions = &reg.counter("fleet.fired_transitions");
-    refs.jitNativeRuns = &reg.counter("fleet.jit_native_routines");
-    refs.busStallCycles = &reg.counter("fleet.bus_stall_cycles");
-    refs.eventsDelivered = &reg.counter("fleet.events_delivered");
-    refs.stealChunks = &reg.counter("fleet.steal_chunks");
-    refs.epochTasks = &reg.counter("fleet.epoch_tasks");
-  }
+  counters_ = std::make_unique<WorkerCounters[]>(workerCount_);
   if (config_.telemetry) {
     if (config_.flightRecordsPerShard < 1) config_.flightRecordsPerShard = 1;
     flight_ = std::make_unique<obs::FlightRecorder>(
         workerCount_, config_.flightRecordsPerShard);
-    shardTelemetry_ = std::make_unique<ShardTelemetry[]>(workerCount_);
   }
   if (config_.journal) {
     journal_ = std::make_unique<obs::journal::Journal>(config_.journalConfig);
@@ -207,7 +183,7 @@ std::vector<InstanceId> Fleet::spawnMany(size_t count) {
 }
 
 void Fleet::retire(InstanceId id) {
-  liveInstance(id);  // asserts liveness
+  retiredDrops_ += liveInstance(id).dropped.load(std::memory_order_relaxed);
   instances_[static_cast<size_t>(id)].reset();
   liveCount_.fetch_sub(1, std::memory_order_relaxed);
   shardsDirty_ = true;
@@ -329,7 +305,7 @@ void Fleet::stepInstance(Instance& inst, int cycles, WorkerLocal& local) {
 }
 
 void Fleet::runWorkerEpoch(size_t worker, int cycles, int64_t epoch) {
-  const WorkerMetricRefs& refs = workerMetricRefs_[worker];
+  WorkerCounters& block = counters_[worker];
   WorkerLocal local;
 
   const bool armed = flight_ != nullptr;
@@ -338,8 +314,7 @@ void Fleet::runWorkerEpoch(size_t worker, int cycles, int64_t epoch) {
     local.ring = &flight_->ring(worker);
     local.epoch = epoch;
     epochStart = obs::nowMonotonicNanos();
-    shardTelemetry_[worker].epochStartNanos.store(epochStart,
-                                                  std::memory_order_relaxed);
+    block.epochStartNanos.store(epochStart, std::memory_order_relaxed);
     local.ring->push(obs::FlightKind::kEpochBegin, epoch, cycles,
                      static_cast<int64_t>(liveCount_.load(std::memory_order_relaxed)),
                      0, 0);
@@ -375,58 +350,48 @@ void Fleet::runWorkerEpoch(size_t worker, int cycles, int64_t epoch) {
     }
   }
 
-  *refs.machineCycles += local.machineCycles;
-  *refs.configCycles += local.configCycles;
-  *refs.quiescentCycles += local.quiescentCycles;
-  *refs.firedTransitions += local.firedTransitions;
-  *refs.jitNativeRuns += local.jitNativeRuns;
-  *refs.busStallCycles += local.busStallCycles;
-  *refs.eventsDelivered += local.eventsDelivered;
-  *refs.stealChunks += local.stealChunks;
-  *refs.epochTasks += 1;
-
+  // Single-writer block: load/compute/store on relaxed atomics is safe;
+  // concurrent readers see any consistent-enough interleaving.
+  const auto bump = [](std::atomic<int64_t>& a, int64_t delta) {
+    a.store(a.load(std::memory_order_relaxed) + delta, std::memory_order_relaxed);
+  };
   if (armed) {
     const int64_t durNanos = obs::nowMonotonicNanos() - epochStart;
-    ShardTelemetry& st = shardTelemetry_[worker];
-    // Single-writer block: load/compute/store on relaxed atomics is safe;
-    // concurrent readers see any consistent-enough interleaving.
-    const auto bump = [](std::atomic<int64_t>& a, int64_t delta) {
-      a.store(a.load(std::memory_order_relaxed) + delta,
-              std::memory_order_relaxed);
-    };
-    st.epochStartNanos.store(0, std::memory_order_relaxed);
-    st.lastEpochNanos.store(durNanos, std::memory_order_relaxed);
-    const int64_t prevEwma = st.ewmaEpochNanos.load(std::memory_order_relaxed);
-    st.ewmaEpochNanos.store(
+    block.epochStartNanos.store(0, std::memory_order_relaxed);
+    block.lastEpochNanos.store(durNanos, std::memory_order_relaxed);
+    const int64_t prevEwma = block.ewmaEpochNanos.load(std::memory_order_relaxed);
+    block.ewmaEpochNanos.store(
         prevEwma == 0 ? durNanos : prevEwma + (durNanos - prevEwma) / 8,
         std::memory_order_relaxed);
-    const int64_t prevMin = st.minEpochNanos.load(std::memory_order_relaxed);
-    const int64_t epochsSoFar = st.epochs.load(std::memory_order_relaxed);
-    if (epochsSoFar == 0 || durNanos < prevMin)
-      st.minEpochNanos.store(durNanos, std::memory_order_relaxed);
-    if (durNanos > st.maxEpochNanos.load(std::memory_order_relaxed))
-      st.maxEpochNanos.store(durNanos, std::memory_order_relaxed);
-    bump(st.sumEpochNanos, durNanos);
+    const int64_t prevMin = block.minEpochNanos.load(std::memory_order_relaxed);
+    if (block.epochs.load(std::memory_order_relaxed) == 0 || durNanos < prevMin)
+      block.minEpochNanos.store(durNanos, std::memory_order_relaxed);
+    if (durNanos > block.maxEpochNanos.load(std::memory_order_relaxed))
+      block.maxEpochNanos.store(durNanos, std::memory_order_relaxed);
+    bump(block.sumEpochNanos, durNanos);
     const std::vector<int64_t>& bounds = obs::epochNanosBounds();
     const size_t bucket = static_cast<size_t>(
         std::lower_bound(bounds.begin(), bounds.end(), durNanos) -
         bounds.begin());
-    bump(st.epochNanosCounts[bucket], 1);
-    bump(st.machineCycles, local.machineCycles);
-    bump(st.configCycles, local.configCycles);
-    bump(st.firedTransitions, local.firedTransitions);
-    bump(st.eventsDelivered, local.eventsDelivered);
-    bump(st.eventsDropped, local.drops);
-    bump(st.stealChunks, local.stealChunks);
-    if (local.queueDepthHwm > st.queueDepthHwm.load(std::memory_order_relaxed))
-      st.queueDepthHwm.store(local.queueDepthHwm, std::memory_order_relaxed);
-    bump(st.instancesStepped, local.instancesStepped);
-    bump(st.portWrites, local.portWrites);
-    bump(st.epochs, 1);
+    bump(block.epochNanosCounts[bucket], 1);
+    bump(block.eventsDropped, local.drops);
+    if (local.queueDepthHwm > block.queueDepthHwm.load(std::memory_order_relaxed))
+      block.queueDepthHwm.store(local.queueDepthHwm, std::memory_order_relaxed);
+    bump(block.portWrites, local.portWrites);
     local.ring->push(obs::FlightKind::kEpochEnd, epoch, durNanos,
                      local.machineCycles, local.instancesStepped,
                      local.eventsDelivered);
   }
+  bump(block.machineCycles, local.machineCycles);
+  bump(block.configCycles, local.configCycles);
+  bump(block.quiescentCycles, local.quiescentCycles);
+  bump(block.firedTransitions, local.firedTransitions);
+  bump(block.jitNativeRuns, local.jitNativeRuns);
+  bump(block.busStallCycles, local.busStallCycles);
+  bump(block.eventsDelivered, local.eventsDelivered);
+  bump(block.stealChunks, local.stealChunks);
+  bump(block.instancesStepped, local.instancesStepped);
+  bump(block.epochs, 1);
 }
 
 void Fleet::workerLoop(size_t worker) {
@@ -585,15 +550,31 @@ const std::vector<machine::PortWrite>& Fleet::portWrites(InstanceId id) const {
 void Fleet::clearPortWrites(InstanceId id) { liveInstance(id).portLog.clear(); }
 
 obs::MetricsRegistry Fleet::mergedMetrics() const {
+  // Each counter the workers flush, by name and block field.
+  static constexpr std::pair<const char*, std::atomic<int64_t> WorkerCounters::*>
+      kBlockCounters[] = {
+          {"fleet.machine_cycles", &WorkerCounters::machineCycles},
+          {"fleet.config_cycles", &WorkerCounters::configCycles},
+          {"fleet.quiescent_cycles", &WorkerCounters::quiescentCycles},
+          {"fleet.fired_transitions", &WorkerCounters::firedTransitions},
+          {"fleet.jit_native_routines", &WorkerCounters::jitNativeRuns},
+          {"fleet.bus_stall_cycles", &WorkerCounters::busStallCycles},
+          {"fleet.events_delivered", &WorkerCounters::eventsDelivered},
+          {"fleet.steal_chunks", &WorkerCounters::stealChunks},
+          {"fleet.epoch_tasks", &WorkerCounters::epochs},
+      };
   obs::MetricsRegistry merged;
-  for (const obs::MetricsRegistry& reg : workerMetrics_) merged.mergeFrom(reg);
+  for (const auto& [name, field] : kBlockCounters) {
+    int64_t& total = merged.counter(name);
+    for (size_t w = 0; w < workerCount_; ++w)
+      total += (counters_[w].*field).load(std::memory_order_relaxed);
+  }
   // Producer-side drop counts live on the instances (they are bumped by
-  // inject() callers, not workers); fold the live ones in here. Retired
-  // instances take their drop counts with them.
-  int64_t dropped = 0;
+  // inject() callers, not workers): the live ones plus the retired total.
+  int64_t& dropped = merged.counter("fleet.events_dropped");
+  dropped = retiredDrops_;
   for (const auto& inst : instances_)
     if (inst != nullptr) dropped += inst->dropped.load(std::memory_order_relaxed);
-  merged.counter("fleet.events_dropped") += dropped;
   // Tier split over the epochs fleet.fired_transitions counts: the
   // workers count native runs, and every other fired routine ran on the
   // lockstep interpreter. Then the image-wide compile cache.
@@ -627,32 +608,32 @@ obs::FleetHealth Fleet::healthSnapshot() const {
   if (!h.telemetryEnabled) return h;
   h.shards.resize(workerCount_);
   for (size_t w = 0; w < workerCount_; ++w) {
-    const ShardTelemetry& st = shardTelemetry_[w];
+    const WorkerCounters& block = counters_[w];
     obs::ShardHealth& s = h.shards[w];
     const auto get = [](const std::atomic<int64_t>& a) {
       return a.load(std::memory_order_relaxed);
     };
     s.shard = static_cast<int>(w);
-    s.epochs = get(st.epochs);
-    s.lastEpochNanos = get(st.lastEpochNanos);
-    s.ewmaEpochNanos = get(st.ewmaEpochNanos);
-    s.minEpochNanos = get(st.minEpochNanos);
-    s.maxEpochNanos = get(st.maxEpochNanos);
-    s.sumEpochNanos = get(st.sumEpochNanos);
-    const int64_t start = get(st.epochStartNanos);
+    s.epochs = get(block.epochs);
+    s.lastEpochNanos = get(block.lastEpochNanos);
+    s.ewmaEpochNanos = get(block.ewmaEpochNanos);
+    s.minEpochNanos = get(block.minEpochNanos);
+    s.maxEpochNanos = get(block.maxEpochNanos);
+    s.sumEpochNanos = get(block.sumEpochNanos);
+    const int64_t start = get(block.epochStartNanos);
     s.inFlightNanos = start > 0 ? h.capturedAtNanos - start : 0;
-    s.machineCycles = get(st.machineCycles);
-    s.configCycles = get(st.configCycles);
-    s.firedTransitions = get(st.firedTransitions);
-    s.eventsDelivered = get(st.eventsDelivered);
-    s.eventsDropped = get(st.eventsDropped);
-    s.stealChunks = get(st.stealChunks);
-    s.queueDepthHwm = get(st.queueDepthHwm);
-    s.instancesStepped = get(st.instancesStepped);
-    s.portWrites = get(st.portWrites);
+    s.machineCycles = get(block.machineCycles);
+    s.configCycles = get(block.configCycles);
+    s.firedTransitions = get(block.firedTransitions);
+    s.eventsDelivered = get(block.eventsDelivered);
+    s.eventsDropped = get(block.eventsDropped);
+    s.stealChunks = get(block.stealChunks);
+    s.queueDepthHwm = get(block.queueDepthHwm);
+    s.instancesStepped = get(block.instancesStepped);
+    s.portWrites = get(block.portWrites);
     s.epochNanosCounts.resize(obs::kEpochNanosBucketCount);
     for (size_t b = 0; b < obs::kEpochNanosBucketCount; ++b)
-      s.epochNanosCounts[b] = get(st.epochNanosCounts[b]);
+      s.epochNanosCounts[b] = get(block.epochNanosCounts[b]);
   }
   return h;
 }

@@ -48,15 +48,21 @@
 // safe from any thread at any time, including mid-epoch: it reads only
 // atomics and the flight rings' seqlocked slots.
 //
-// Telemetry plane (FleetConfig::telemetry): when armed, every worker keeps
-// a flight-recorder ring (recent epoch/instance/steal/port activity, see
-// obs/flight.hpp) and a cacheline-private block of health atomics (epoch
-// latency EWMA/min/max/histogram, queue high-water, drop and steal
-// counters, see obs/health.hpp) updated at epoch boundaries. When
-// disarmed (the default), the hot loop does zero telemetry work beyond
-// one predictable null check per instance step — no virtual calls, no
-// clock reads, no atomic traffic — which the counting-operator-new test
-// and the telemetry_overhead bench both enforce.
+// Counters: every worker owns one cacheline-aligned block of single-writer
+// relaxed atomics, flushed once per epoch from the worker's plain sums.
+// The block is the only home of the fleet's epoch counters: mergedMetrics()
+// sums the blocks by name and healthSnapshot() reads the same fields, so
+// the two views agree by construction.
+//
+// Telemetry plane (FleetConfig::telemetry): when armed, every worker also
+// keeps a flight-recorder ring (recent epoch/instance/steal/port activity,
+// see obs/flight.hpp) and fills the armed-only fields of its block (epoch
+// latency EWMA/min/max/histogram, queue high-water, drain-time drops and
+// port writes, see obs/health.hpp). When disarmed (the default), the hot
+// loop does zero telemetry work beyond one predictable null check per
+// instance step — no virtual calls, no clock reads — which the
+// counting-operator-new test and the telemetry_overhead bench both
+// enforce.
 //
 // Record/replay journal (FleetConfig::journal): when armed, every
 // control-plane op and every delivered event is appended to a
@@ -105,9 +111,10 @@ struct FleetConfig {
   /// is purely a perf knob.
   tep::jit::JitMode jitMode = tep::jit::jitModeFromEnv();
 
-  /// Arm the telemetry plane: per-shard flight-recorder rings plus live
-  /// health counters (see header comment). Off by default — a disarmed
-  /// fleet pays one predictable branch per instance step and nothing else.
+  /// Arm the telemetry plane: per-shard flight-recorder rings plus the
+  /// armed-only fields of each worker's counter block (see header
+  /// comment). Off by default — a disarmed fleet pays one predictable
+  /// branch per instance step and nothing else.
   bool telemetry = false;
   /// Flight-ring capacity per shard (records; rounded up to a power of
   /// two). 1024 records ≈ the last few dozen epochs of a busy shard.
@@ -200,13 +207,14 @@ class Fleet {
   [[nodiscard]] const std::vector<machine::PortWrite>& portWrites(InstanceId id) const;
   void clearPortWrites(InstanceId id);
 
-  /// Fold the per-worker metric registries into one report: counters
+  /// Sum the per-worker counter blocks into one report: counters
   /// fleet.config_cycles, fleet.machine_cycles, fleet.quiescent_cycles,
   /// fleet.fired_transitions, fleet.bus_stall_cycles,
-  /// fleet.events_delivered, fleet.steal_chunks, fleet.epoch_tasks, and
-  /// fleet.jit_native_routines + fleet.jit_interp_routines, which split
-  /// fleet.fired_transitions by tier over the same epochs (warm-up cycles
-  /// excluded, retired instances kept).
+  /// fleet.events_delivered, fleet.events_dropped, fleet.steal_chunks,
+  /// fleet.epoch_tasks, and fleet.jit_native_routines +
+  /// fleet.jit_interp_routines, which split fleet.fired_transitions by
+  /// tier over the same epochs (warm-up cycles excluded, retired instances
+  /// kept). With telemetry armed, healthToMetrics() adds the health plane.
   [[nodiscard]] obs::MetricsRegistry mergedMetrics() const;
 
   /// Native-tier residency of the shared chart image (routine counts and
@@ -263,9 +271,8 @@ class Fleet {
  private:
   struct Instance;
   struct Shard;
-  struct WorkerLocal;      // per-epoch accumulator, flushed to a registry
-  struct WorkerMetricRefs; // cached registry pointers (no lookups per epoch)
-  struct ShardTelemetry;   // cacheline-private health atomics per worker
+  struct WorkerLocal;     // per-epoch accumulator, flushed to the block
+  struct WorkerCounters;  // cacheline-aligned counter atomics per worker
 
   Instance& liveInstance(InstanceId id);
   [[nodiscard]] const Instance& liveInstance(InstanceId id) const;
@@ -284,12 +291,11 @@ class Fleet {
   bool shardsDirty_ = true;
   std::atomic<int64_t> epochs_{0};  // written by control thread only
 
-  std::vector<obs::MetricsRegistry> workerMetrics_;  // one per worker
-  std::vector<WorkerMetricRefs> workerMetricRefs_;   // parallel to the above
+  std::unique_ptr<WorkerCounters[]> counters_;  // one block per worker
+  int64_t retiredDrops_ = 0;  // drop counts of retired instances
 
-  // Telemetry plane (null / empty when config_.telemetry is false).
+  // Telemetry plane (null when config_.telemetry is false).
   std::unique_ptr<obs::FlightRecorder> flight_;
-  std::unique_ptr<ShardTelemetry[]> shardTelemetry_;
 
   // Record/replay journal (null when config_.journal is false). Appended
   // on the control thread only; see journalEpoch()/takeCheckpoint().

@@ -132,26 +132,29 @@ std::vector<HealthAnomaly> detectAnomalies(const FleetHealth& health,
 
 void healthToMetrics(const FleetHealth& health, MetricsRegistry* out) {
   if (!health.telemetryEnabled) return;
-  Histogram epochHist;
+  std::vector<int64_t> counts(kEpochNanosBucketCount, 0);
+  int64_t epochs = 0;
+  int64_t sum = 0;
+  int64_t min = 0;
+  int64_t max = 0;
   int64_t queueHwm = 0;
   int64_t portWrites = 0;
-  int64_t dropped = 0;
   for (const ShardHealth& s : health.shards) {
     if (s.epochs > 0) {
-      epochHist.merge(Histogram::fromCounts(epochNanosBounds(),
-                                            s.epochNanosCounts, s.sumEpochNanos,
-                                            s.minEpochNanos, s.maxEpochNanos));
+      for (size_t b = 0; b < counts.size(); ++b) counts[b] += s.epochNanosCounts[b];
+      min = epochs == 0 ? s.minEpochNanos : std::min(min, s.minEpochNanos);
+      max = std::max(max, s.maxEpochNanos);
+      sum += s.sumEpochNanos;
+      epochs += s.epochs;
     }
     queueHwm = std::max(queueHwm, s.queueDepthHwm);
     portWrites += s.portWrites;
-    dropped += s.eventsDropped;
   }
-  if (!epochHist.empty())
-    out->histogram("fleet.epoch_nanos", epochNanosBounds()).merge(epochHist);
-  out->counter("fleet.queue_depth_hwm") =
-      std::max(out->value("fleet.queue_depth_hwm"), queueHwm);
-  out->counter("fleet.telemetry_port_writes") += portWrites;
-  out->counter("fleet.events_dropped_observed") += dropped;
+  if (epochs > 0)
+    out->histogram("fleet.epoch_nanos", epochNanosBounds()) =
+        Histogram::fromCounts(epochNanosBounds(), counts, sum, min, max);
+  out->counter("fleet.queue_depth_hwm") = queueHwm;
+  out->counter("fleet.telemetry_port_writes") = portWrites;
 }
 
 // ------------------------------------------------------- pscp-telemetry-v1

@@ -1,11 +1,12 @@
 // Continuous fleet health: plain snapshot structs filled from the fleet's
-// per-shard atomic telemetry blocks, a stall/imbalance detector over them,
+// per-worker atomic counter blocks, a stall/imbalance detector over them,
 // and the versioned `pscp-telemetry-v1` JSON surface that tools/pscp_top
 // serves.
 //
 // The design splits responsibilities:
-//   - src/fleet owns the *hot* side: per-shard cacheline-aligned atomics
-//     bumped by the owning worker at epoch boundaries (never per cycle).
+//   - src/fleet owns the *hot* side: one cacheline-aligned block of
+//     atomics per worker, bumped by the owning worker at epoch boundaries
+//     (never per cycle). The same block feeds Fleet::mergedMetrics().
 //   - this header owns the *cold* side: FleetHealth, a value-type snapshot
 //     any thread can take at any time with relaxed loads (no locks, no
 //     stop-the-world merge), plus everything computed over it.
@@ -30,7 +31,7 @@ namespace pscp::obs {
 
 /// Shared bucket bounds (ns) for per-shard epoch-latency histograms:
 /// 1µs .. 10s, roughly 1-2-5 per decade. Fixed so the fleet's atomic
-/// bucket arrays have a static size and snapshots can merge.
+/// bucket arrays have a static size and shards' counts can be summed.
 [[nodiscard]] const std::vector<int64_t>& epochNanosBounds();
 /// epochNanosBounds().size() + 1 (the overflow bucket), as a compile-time
 /// size for the fleet's per-shard atomic count arrays.
@@ -104,12 +105,12 @@ struct AnomalyThresholds {
 [[nodiscard]] std::vector<HealthAnomaly> detectAnomalies(
     const FleetHealth& health, const AnomalyThresholds& thresholds = {});
 
-/// Publish a snapshot into a MetricsRegistry: per-epoch latency histogram
-/// "fleet.epoch_nanos" (rebuilt from the atomic bucket counts via
-/// Histogram::fromCounts), plus counters fleet.queue_depth_hwm,
-/// fleet.telemetry_port_writes and fleet.events_dropped_observed. This is
-/// how the periodic lock-free snapshot path feeds the same reporting
-/// surface as the stop-the-world mergedMetrics() fold.
+/// Publish a snapshot's armed-only data into a MetricsRegistry: the
+/// per-epoch latency histogram "fleet.epoch_nanos" (the shards' bucket
+/// counts summed, rebuilt once via Histogram::fromCounts), plus counters
+/// fleet.queue_depth_hwm and fleet.telemetry_port_writes. Fleet::
+/// mergedMetrics() calls it on an armed fleet, so the health plane and the
+/// fleet counters share one reporting surface.
 void healthToMetrics(const FleetHealth& health, MetricsRegistry* out);
 
 // ------------------------------------------------------ pscp-telemetry-v1

@@ -81,36 +81,6 @@ double Histogram::quantile(double q) const {
          fraction * static_cast<double>(range.hi - range.lo);
 }
 
-void Histogram::merge(const Histogram& other) {
-  if (&other == this) {  // self-merge: fold an identical copy of the samples
-    count_ *= 2;
-    sum_ *= 2;
-    for (int64_t& c : counts_) c *= 2;
-    return;  // min/max/bounds unchanged; empty self-merge is a no-op
-  }
-  if (other.count_ == 0) {
-    // Stats-wise a no-op, but a default-constructed target still adopts
-    // the source's bucket layout so later merges have matching bounds.
-    if (bounds_.empty() && counts_.empty() && !other.bounds_.empty()) {
-      bounds_ = other.bounds_;
-      counts_.assign(bounds_.size() + 1, 0);
-    }
-    return;
-  }
-  if (count_ == 0 && bounds_.empty() && counts_.empty()) {
-    *this = other;  // default-constructed target adopts the source wholesale
-    return;
-  }
-  if (counts_.empty()) counts_.assign(bounds_.size() + 1, 0);
-  PSCP_ASSERT(bounds_ == other.bounds_ &&
-              "Histogram::merge requires identical bucket bounds");
-  min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
-  max_ = count_ == 0 ? other.max_ : std::max(max_, other.max_);
-  count_ += other.count_;
-  sum_ += other.sum_;
-  for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-}
-
 Histogram Histogram::fromCounts(std::vector<int64_t> bucketBounds,
                                 const std::vector<int64_t>& counts, int64_t sum,
                                 int64_t min, int64_t max) {
@@ -130,11 +100,6 @@ Histogram Histogram::fromCounts(std::vector<int64_t> bucketBounds,
     h.max_ = max;
   }
   return h;
-}
-
-void MetricsRegistry::mergeFrom(const MetricsRegistry& other) {
-  for (const auto& [name, value] : other.counters_) counters_[name] += value;
-  for (const auto& [name, h] : other.histograms_) histograms_[name].merge(h);
 }
 
 int64_t& MetricsRegistry::counter(const std::string& name) {

@@ -52,22 +52,9 @@ class Histogram {
   /// Exact-vs-bucketed error is bounded by that bracket's width.
   [[nodiscard]] double quantile(double q) const;
 
-  /// Fold another histogram's samples into this one. Requires identical
-  /// bucket bounds unless one side is empty. Edge cases are all defined:
-  ///   - empty `other`: no-op on the stats; a default-constructed *this
-  ///     still adopts `other`'s bounds (so a registry target picks up the
-  ///     bucket layout even before the first sample arrives);
-  ///   - default-constructed *this with a non-empty `other`: adopts
-  ///     `other` wholesale (bounds and samples);
-  ///   - self-merge (&other == this): folds an identical copy, i.e.
-  ///     count/sum/bucket counts double while min/max/bounds are
-  ///     unchanged; an empty self-merge is a no-op.
-  /// The fleet merges per-worker registries this way.
-  void merge(const Histogram& other);
-
   /// Rebuild a histogram from externally maintained bucket counts (the
-  /// fleet's lock-free telemetry blocks keep per-shard atomic bucket
-  /// arrays; snapshots re-enter the reporting stack through here).
+  /// fleet's per-worker counter blocks keep atomic bucket arrays; health
+  /// snapshots re-enter the reporting stack through here).
   /// `counts` must have bounds.size() + 1 entries; `sum`/`min`/`max` are
   /// the tracked aggregate stats for the same samples. An all-zero counts
   /// array yields an empty histogram with the given bounds.
@@ -114,11 +101,6 @@ class MetricsRegistry {
   [[nodiscard]] const std::map<std::string, Histogram>& histograms() const {
     return histograms_;
   }
-
-  /// Fold another registry into this one: counters add, histograms merge
-  /// (same-name histograms must share bucket bounds). Used to combine the
-  /// per-worker registries of a fleet into one report on demand.
-  void mergeFrom(const MetricsRegistry& other);
 
   /// Aligned plain-text report (counters first, then histograms).
   [[nodiscard]] std::string dumpText() const;

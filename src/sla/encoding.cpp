@@ -79,15 +79,6 @@ std::pair<int, int> CrLayout::stateCode(StateId s) const {
   return it->second;
 }
 
-std::vector<int> CrLayout::stateFieldBits(StateId s) const {
-  const auto [fieldIndex, code] = stateCode(s);
-  (void)code;
-  const StateField& f = fields_[static_cast<size_t>(fieldIndex)];
-  std::vector<int> bits;
-  for (int i = 0; i < f.width; ++i) bits.push_back(stateBase() + f.baseBit + i);
-  return bits;
-}
-
 std::string CrLayout::describe(const Chart& chart) const {
   std::string out = strfmt("CR: %d bits (%d events, %d conditions, %d state bits)\n",
                            totalBits(), eventCount(), conditionCount(),

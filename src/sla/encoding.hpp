@@ -60,9 +60,6 @@ class CrLayout {
   [[nodiscard]] int stateBase() const { return eventCount() + conditionCount(); }
   [[nodiscard]] int totalBits() const { return totalBits_; }
 
-  /// Bits of the state field that `s` belongs to, as absolute CR indices.
-  [[nodiscard]] std::vector<int> stateFieldBits(statechart::StateId s) const;
-
   [[nodiscard]] std::string describe(const statechart::Chart& chart) const;
 
  private:

@@ -30,6 +30,8 @@ class LabelLexer {
     failAt(loc_, "label \"%s\": %s", std::string(src_).c_str(), msg.c_str());
   }
 
+  [[nodiscard]] const SourceLoc& loc() const { return loc_; }
+
  private:
   void advance() {
     while (pos_ < src_.size() && std::isspace(static_cast<unsigned char>(src_[pos_])) != 0)
@@ -126,7 +128,10 @@ class LabelParser {
     return e;
   }
 
+  // Chains flatten into one n-ary node, so only parseNot's recursion (a
+  // `not` or a parenthesized group) nests the tree.
   BoolExpr parseNot() {
+    const NestingGuard guard(depth_, lex_.loc(), "label expression");
     if (isNotKeyword()) {
       lex_.take();
       return BoolExpr::negate(parseNot());
@@ -174,6 +179,7 @@ class LabelParser {
   }
 
   LabelLexer lex_;
+  int depth_ = 0;
 };
 
 }  // namespace

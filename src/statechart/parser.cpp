@@ -229,6 +229,7 @@ class ChartParser {
   }
 
   void parseState(ParsedState* parent) {
+    const NestingGuard guard(depth_, lex_.peek().loc, "state");
     const Token kw = lex_.take();
     ParsedState st;
     st.kind = kindFromKeyword(kw.text);
@@ -390,7 +391,8 @@ class ChartParser {
     for (const ConditionDecl& c : conditions_) chart.declareCondition(c);
 
     // Create states parents-first via DFS from the top-level (unparented)
-    // states, in declaration order.
+    // states, in declaration order. `contains` lists nest states without
+    // nesting their declarations, so the hierarchy's depth is checked here.
     std::map<std::string, StateId> ids;
     std::vector<std::string> pending;
     for (auto it = order_.rbegin(); it != order_.rend(); ++it)
@@ -405,6 +407,7 @@ class ChartParser {
       const ParsedState& st = parsed_.at(name);
       const StateId parent =
           parentOf.count(name) != 0 ? ids.at(parentOf.at(name)) : chart.root();
+      checkNesting(chart.depth(parent) + 1, st.loc, "state");
       ids[name] = chart.addState(name, st.kind, parent);
       chart.state(ids[name]).loc = st.loc;
       for (auto it = st.contains.rbegin(); it != st.contains.rend(); ++it)
@@ -443,6 +446,7 @@ class ChartParser {
   }
 
   Lexer lex_;
+  int depth_ = 0;  // state declarations open
   std::string file_;
   std::string chartName_;
   std::map<std::string, ParsedState> parsed_;

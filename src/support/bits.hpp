@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "support/diag.hpp"
@@ -153,39 +152,6 @@ class BitVec {
  private:
   int bits_ = 0;
   std::vector<uint64_t> words_;
-};
-
-/// A value tagged with its bit width — the unit of data everywhere in the
-/// modelled hardware (buses, registers, ports). Stored zero-extended.
-class Word {
- public:
-  Word() = default;
-  Word(uint32_t value, int width) : width_(checkWidth(width)), value_(truncBits(value, width)) {}
-
-  [[nodiscard]] uint32_t raw() const { return value_; }
-  [[nodiscard]] int width() const { return width_; }
-  [[nodiscard]] int32_t asSigned() const { return signExtend(value_, width_); }
-  [[nodiscard]] bool bit(int i) const { return ((value_ >> i) & 1u) != 0; }
-  [[nodiscard]] bool isZero() const { return value_ == 0; }
-
-  /// Re-width (truncating or zero-extending) — models a bus resize.
-  [[nodiscard]] Word resized(int width) const { return Word(value_, width); }
-
-  [[nodiscard]] std::string binary() const;  ///< e.g. "001011"
-  [[nodiscard]] std::string hex() const;     ///< e.g. "0x2B"
-
-  friend bool operator==(const Word& a, const Word& b) {
-    return a.width_ == b.width_ && a.value_ == b.value_;
-  }
-
- private:
-  static int checkWidth(int width) {
-    PSCP_ASSERT(width >= 1 && width <= kMaxWidth);
-    return width;
-  }
-
-  int width_ = 1;
-  uint32_t value_ = 0;
 };
 
 }  // namespace pscp

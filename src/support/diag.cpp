@@ -62,6 +62,11 @@ void failAt(const SourceLoc& loc, const char* fmt, ...) {
   throw Error(loc, std::move(msg));
 }
 
+void checkNesting(int depth, const SourceLoc& loc, const char* what) {
+  if (depth > kMaxNesting)
+    failAt(loc, "%s nested deeper than %d levels", what, kMaxNesting);
+}
+
 namespace detail {
 
 void assertFail(const char* cond, const char* file, int line) {

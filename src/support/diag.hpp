@@ -40,6 +40,36 @@ class Error : public std::runtime_error {
 [[noreturn, gnu::format(printf, 2, 3)]] void failAt(const SourceLoc& loc,
                                                     const char* fmt, ...);
 
+/// Deepest nesting the text front ends accept: action expressions and
+/// statements, transition-label and spec expressions, and the chart's state
+/// hierarchy. An atom, a top-level statement and a top-level state are one
+/// level deep; each enclosing parenthesized group, operator, statement or
+/// state adds one. An operator chain nests its left operand one level per
+/// operator where the parser builds a left-deep tree. Later passes recurse
+/// over these trees, so the bound is what keeps hostile input off the end
+/// of the stack (and the hierarchy passes out of cubic time).
+inline constexpr int kMaxNesting = 256;
+
+/// A located parse error when `depth` exceeds kMaxNesting; `what` names
+/// the construct ("expression", "statement", "state").
+void checkNesting(int depth, const SourceLoc& loc, const char* what);
+
+/// One level of nesting on `depth` for the guard's scope (checked as
+/// checkNesting does before the level is counted).
+class NestingGuard {
+ public:
+  NestingGuard(int& depth, const SourceLoc& loc, const char* what) : depth_(depth) {
+    checkNesting(depth_ + 1, loc, what);
+    ++depth_;
+  }
+  ~NestingGuard() { --depth_; }
+  NestingGuard(const NestingGuard&) = delete;
+  NestingGuard& operator=(const NestingGuard&) = delete;
+
+ private:
+  int& depth_;
+};
+
 namespace detail {
 [[noreturn]] void assertFail(const char* cond, const char* file, int line);
 }  // namespace detail

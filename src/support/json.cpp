@@ -127,8 +127,17 @@ class Parser {
     skipWs();
     if (atEnd()) return fail("unexpected end of document");
     switch (peek()) {
-      case '{': return object(out);
-      case '[': return array(out);
+      case '{':
+      case '[': {
+        // Containers recurse; kMaxNesting keeps a hostile document (a
+        // journal, say) off the end of the stack.
+        if (depth_ == kMaxNesting)
+          return fail(strfmt("value nested deeper than %d levels", kMaxNesting).c_str());
+        ++depth_;
+        const bool ok = peek() == '{' ? object(out) : array(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         out->kind = JsonValue::Kind::kString;
         return string(&out->string);
@@ -196,6 +205,7 @@ class Parser {
   const std::string& text_;
   std::string* error_;
   size_t at_ = 0;
+  int depth_ = 0;  // containers open
 };
 
 }  // namespace

@@ -40,7 +40,6 @@ class CodeBuf {
 
   [[nodiscard]] const void* entry() const { return base_; }
   [[nodiscard]] size_t size() const { return size_; }
-  [[nodiscard]] bool installed() const { return base_ != nullptr; }
 
  private:
   void release() noexcept;

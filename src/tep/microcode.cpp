@@ -2,55 +2,6 @@
 
 namespace pscp::tep {
 
-const char* microOpName(MicroOp op) {
-  switch (op) {
-    case MicroOp::IFetch: return "ifetch";
-    case MicroOp::IFetchOp: return "ifetch_op";
-    case MicroOp::MarLoad: return "mar_load";
-    case MicroOp::MarFromOp: return "op>mar";
-    case MicroOp::MarFromOpDisp: return "op+d>mar";
-    case MicroOp::MemRead: return "mem_read";
-    case MicroOp::MemWrite: return "mem_write";
-    case MicroOp::Decode: return "decode";
-    case MicroOp::MdrToAcc: return "mdr>acc";
-    case MicroOp::AccToMdr: return "acc>mdr";
-    case MicroOp::MdrToOp: return "mdr>op";
-    case MicroOp::AccToOp: return "acc>op";
-    case MicroOp::AccLoadImm: return "acc_imm";
-    case MicroOp::OpLoadImm: return "op_imm";
-    case MicroOp::RegToAcc: return "reg>acc";
-    case MicroOp::AccToReg: return "acc>reg";
-    case MicroOp::RegToOp: return "reg>op";
-    case MicroOp::PortRead: return "port_rd";
-    case MicroOp::PortWrite: return "port_wr";
-    case MicroOp::EvSet: return "ev_set";
-    case MicroOp::CondSet: return "cond_set";
-    case MicroOp::CondClr: return "cond_clr";
-    case MicroOp::CondTest: return "cond_tst";
-    case MicroOp::StateTest: return "state_tst";
-    case MicroOp::Tret: return "tret";
-    case MicroOp::CostOnly: return "wait";
-    case MicroOp::AluChunk: return "alu";
-    case MicroOp::MulStep: return "mul_step";
-    case MicroOp::DivStep: return "div_step";
-    case MicroOp::MulExec: return "mul";
-    case MicroOp::DivExec: return "div";
-    case MicroOp::ModExec: return "mod";
-    case MicroOp::CmpExec: return "cmp";
-    case MicroOp::CustomExec: return "custom";
-    case MicroOp::ShiftStep: return "shift_step";
-    case MicroOp::ShiftExec: return "shift";
-    case MicroOp::Jump: return "jmp";
-    case MicroOp::JumpZ: return "jz";
-    case MicroOp::JumpNZ: return "jnz";
-    case MicroOp::JumpN: return "jn";
-    case MicroOp::JumpC: return "jc";
-    case MicroOp::CallPush: return "call";
-    case MicroOp::RetPop: return "ret";
-  }
-  return "?";
-}
-
 int32_t packAlu(AluSub sub, int chunk, bool last) {
   return static_cast<int32_t>(sub) | (chunk << 8) | (last ? (1 << 15) : 0);
 }

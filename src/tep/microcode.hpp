@@ -59,8 +59,6 @@ enum class MicroOp : uint8_t {
   CallPush, RetPop,
 };
 
-[[nodiscard]] const char* microOpName(MicroOp op);
-
 /// ALU sub-operations selected by the AluChunk control bits.
 enum class AluSub : uint8_t { Add, Sub, And, Or, Xor, Not, Neg, Inc };
 

@@ -361,5 +361,83 @@ TEST(ActionInterp, NegativeArrayIndexThrows) {
   EXPECT_THROW(interp.call("get", {4}), Error);
 }
 
+// --------------------------------------------------------------- nesting
+
+std::string repeat(const std::string& s, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+/// `count` copies of `term` joined by `op`.
+std::string chain(const std::string& term, const std::string& op, int count) {
+  return term + repeat(op + term, count - 1);
+}
+
+/// The message of the Error parsing `src` throws, or "" when it parses.
+std::string parseError(const std::string& src) {
+  try {
+    (void)parseActionSource(src);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ActionParser, NestingPastTheBoundIsALocatedError) {
+  constexpr int kHostile = 20000;
+  const std::string expr = "expression nested deeper than 256 levels";
+  for (const std::string& rhs : {chain("1", " + ", kHostile),
+                                 repeat("- ", kHostile) + "1",
+                                 repeat("(", kHostile) + "1" + repeat(")", kHostile),
+                                 "a" + repeat("[0]", kHostile),
+                                 chain("1", " + ", kMaxNesting + 1),
+                                 repeat("(", kMaxNesting - 1) + "x + x" +
+                                     repeat(")", kMaxNesting - 1)}) {
+    const std::string msg = parseError("int:16 a[1]; int:16 x; void f() { x = " + rhs + "; }");
+    EXPECT_NE(msg.find(expr), std::string::npos) << msg.substr(0, 200);
+    EXPECT_NE(msg.find("<actions>:1:"), std::string::npos) << msg.substr(0, 200);
+  }
+  const std::string stmt = "statement nested deeper than 256 levels";
+  for (const std::string& body :
+       {repeat("if (x) ", kHostile) + "x = 1;",
+        repeat("{ ", kHostile) + repeat("} ", kHostile),
+        repeat("while (x) bound 1 ", kHostile) + "x = 1;"}) {
+    const std::string msg = parseError("int:16 x; void f() { " + body + " }");
+    EXPECT_NE(msg.find(stmt), std::string::npos) << msg.substr(0, 200);
+  }
+  EXPECT_NE(parseError("int:16 g" + repeat("[1]", kHostile) + ";")
+                .find("array type nested deeper than 256 levels"),
+            std::string::npos);
+  EXPECT_NE(parseError("int:16 g[1] = " + repeat("{", kHostile) + "1" +
+                       repeat("}", kHostile) + ";")
+                .find("initializer nested deeper than 256 levels"),
+            std::string::npos);
+}
+
+TEST(ActionParser, NestingAtTheBoundIsAccepted) {
+  // Each of these is exactly kMaxNesting levels deep, and the later passes
+  // (checker, interpreter) recurse over it.
+  RecordingEnv env;
+  const int inner = kMaxNesting - 1;
+  Program p = parseActionSource(
+      "int:16 x;\n"
+      "int:16 sum() { x = 1; return " + chain("x", " + ", kMaxNesting) + "; }\n"
+      "int:16 neg() { return " + repeat("- ", inner) + "1; }\n"
+      "int:16 par() { return " + repeat("(", inner) + "7" + repeat(")", inner) + "; }\n"
+      "int:16 sum2() { x = 2; return " + repeat("(", inner - 1) + "x + x" +
+      repeat(")", inner - 1) + "; }\n"
+      "int:16 ifs() { x = 0; " + repeat("if (1) ", inner) + "x = 3; return x; }\n"
+      "int:16 blocks() { " + repeat("{ ", inner) + "x = 4;" + repeat(" }", inner) +
+      " return x; }\n");
+  Interp interp(p, env);
+  EXPECT_EQ(interp.call("sum"), kMaxNesting);
+  EXPECT_EQ(interp.call("neg"), -1);
+  EXPECT_EQ(interp.call("par"), 7);
+  EXPECT_EQ(interp.call("sum2"), 4);
+  EXPECT_EQ(interp.call("ifs"), 3);
+  EXPECT_EQ(interp.call("blocks"), 4);
+}
+
 }  // namespace
 }  // namespace pscp::actionlang

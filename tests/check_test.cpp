@@ -411,5 +411,64 @@ TEST(CheckReport, TextNamesEveryPropertyAndStatus) {
   EXPECT_NE(text.find("PSCP-MC001"), std::string::npos);
 }
 
+// ---------------------------------------------------------------- nesting
+
+std::string repeat(const std::string& s, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+/// `count` copies of `term` joined by `op`.
+std::string chain(const std::string& term, const std::string& op, int count) {
+  return term + repeat(op + term, count - 1);
+}
+
+TEST(CheckSpec, NestingPastTheBoundIsALocatedError) {
+  constexpr int kHostile = 20000;
+  for (const std::string& expr :
+       {repeat("(", kHostile) + "state A" + repeat(")", kHostile),
+        repeat("!", kHostile) + "state A", chain("state A", " || ", kHostile),
+        chain("state A", " && ", kHostile), chain("state A", " -> ", kHostile),
+        chain("state A", " || ", kMaxNesting + 1),
+        repeat("(", kMaxNesting - 1) + "state A || state A" +
+            repeat(")", kMaxNesting - 1)}) {
+    std::string msg;
+    try {
+      (void)parseSpec("invariant deep: " + expr + ";", "deep.spec");
+    } catch (const Error& e) {
+      msg = e.what();
+    }
+    EXPECT_NE(msg.find("deep.spec:1:"), std::string::npos) << msg.substr(0, 200);
+    EXPECT_NE(msg.find("spec expression nested deeper than 256 levels"),
+              std::string::npos)
+        << msg.substr(0, 200);
+  }
+}
+
+TEST(CheckSpec, NestingAtTheBoundIsAccepted) {
+  const statechart::Chart chart = statechart::parseChart(R"chart(
+chart Bind;
+event GO;
+orstate Top { contains A, B; default A; }
+basicstate A { transition { target B; label "GO"; } }
+basicstate B { transition { target A; label "GO"; } }
+)chart");
+  SpecFile spec = parseSpec(
+      "spec Bind;\n"
+      "invariant parens: " + repeat("(", kMaxNesting - 2) + "state A || state B" +
+          repeat(")", kMaxNesting - 2) + ";\n"
+      "invariant nots: " + repeat("!", kMaxNesting - 1) + "state A;\n"
+      "invariant ors: " + chain("state A", " || ", kMaxNesting - 1) + " || state B;\n"
+      "invariant implies: " + chain("state A", " -> ", kMaxNesting) + ";\n",
+      "deep.spec");
+  bindSpec(&spec, chart);
+  ASSERT_EQ(spec.properties.size(), 4u);
+  // The rendering recurses over every level and reparses to the same tree.
+  const SpecFile again =
+      parseSpec("invariant p: " + spec.properties[2].expr.str() + ";", "t.spec");
+  EXPECT_EQ(again.properties[0].expr.str(), spec.properties[2].expr.str());
+}
+
 }  // namespace
 }  // namespace pscp::analysis::check

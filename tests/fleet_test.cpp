@@ -207,43 +207,30 @@ TEST_F(FleetTest, FullQueueRejectsAndCountsDrops) {
   EXPECT_FALSE(fleet.inject(12345, tick)) << "unknown id is a soft failure";
 }
 
+TEST_F(FleetTest, RetiredInstancesKeepTheirDropCounts) {
+  for (const bool telemetry : {false, true}) {
+    FleetConfig config;
+    config.eventQueueCapacity = 2;
+    config.telemetry = telemetry;
+    Fleet fleet(image_, config);
+    const InstanceId id = fleet.spawn();
+    fleet.spawn();
+    const int tick = fleet.eventId("TICK");
+    for (int i = 0; i < 5; ++i) fleet.inject(id, tick);
+    fleet.step(1);
+    EXPECT_EQ(fleet.mergedMetrics().value("fleet.events_dropped"), 3);
+    fleet.retire(id);
+    fleet.step(1);
+    const obs::MetricsRegistry merged = fleet.mergedMetrics();
+    EXPECT_EQ(merged.value("fleet.events_dropped"), 3) << "telemetry " << telemetry;
+    EXPECT_EQ(merged.value("fleet.events_delivered"), 2);
+    if (telemetry) {
+      EXPECT_EQ(fleet.healthSnapshot().totalEventsDropped(), 3);
+    }
+  }
+}
+
 // --------------------------------------------------------------- metrics
-
-TEST(HistogramMerge, CombinesCountsAndExtremes) {
-  obs::Histogram a({10, 20, 30});
-  obs::Histogram b({10, 20, 30});
-  a.record(5);
-  a.record(25);
-  b.record(15);
-  b.record(100);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 4);
-  EXPECT_EQ(a.sum(), 145);
-  EXPECT_EQ(a.min(), 5);
-  EXPECT_EQ(a.max(), 100);
-  EXPECT_EQ(a.counts(), (std::vector<int64_t>{1, 1, 1, 1}));
-
-  obs::Histogram empty;
-  empty.merge(a);  // default-constructed target adopts the source
-  EXPECT_EQ(empty.count(), 4);
-  EXPECT_EQ(empty.bounds(), a.bounds());
-  a.merge(obs::Histogram({10, 20, 30}));  // merging an empty source: no-op
-  EXPECT_EQ(a.count(), 4);
-}
-
-TEST(MetricsMerge, RegistriesFoldCountersAndHistograms) {
-  obs::MetricsRegistry a;
-  obs::MetricsRegistry b;
-  a.counter("x") = 3;
-  b.counter("x") = 4;
-  b.counter("y") = 1;
-  a.histogram("h", {5, 10}).record(7);
-  b.histogram("h", {5, 10}).record(2);
-  a.mergeFrom(b);
-  EXPECT_EQ(a.value("x"), 7);
-  EXPECT_EQ(a.value("y"), 1);
-  EXPECT_EQ(a.findHistogram("h")->count(), 2);
-}
 
 TEST_F(FleetTest, MergedMetricsAgreeWithPerInstanceSnapshots) {
   FleetConfig config;

@@ -222,53 +222,6 @@ TEST(Metrics, HistogramBucketsAndStats) {
   EXPECT_EQ(&reg.histogram("lat", {1}), &h);
 }
 
-TEST(Metrics, HistogramMergeEdgeCases) {
-  // Merging an empty source is stats-wise a no-op...
-  Histogram target({10, 100});
-  target.record(50);
-  const Histogram emptySameBounds({10, 100});
-  target.merge(emptySameBounds);
-  EXPECT_EQ(target.count(), 1);
-  EXPECT_EQ(target.min(), 50);
-  EXPECT_EQ(target.max(), 50);
-
-  // ...but a default-constructed target adopts the source's bucket layout
-  // so later merges have matching bounds.
-  Histogram adopting;
-  adopting.merge(emptySameBounds);
-  EXPECT_EQ(adopting.bounds(), emptySameBounds.bounds());
-  EXPECT_TRUE(adopting.empty());
-  adopting.merge(target);  // now compatible
-  EXPECT_EQ(adopting.count(), 1);
-
-  // A default-constructed target adopts a non-empty source wholesale.
-  Histogram wholesale;
-  wholesale.merge(target);
-  EXPECT_EQ(wholesale.count(), 1);
-  EXPECT_EQ(wholesale.min(), 50);
-  EXPECT_EQ(wholesale.bounds(), target.bounds());
-
-  // Self-merge folds an identical copy of the samples: count/sum/buckets
-  // double, min/max/bounds unchanged.
-  Histogram self({10, 100});
-  self.record(5);
-  self.record(50);
-  self.merge(self);
-  EXPECT_EQ(self.count(), 4);
-  EXPECT_EQ(self.sum(), 110);
-  EXPECT_EQ(self.min(), 5);
-  EXPECT_EQ(self.max(), 50);
-  EXPECT_EQ(self.counts()[0], 2);
-  EXPECT_EQ(self.counts()[1], 2);
-
-  // Empty self-merge stays empty (regression: must not trip the
-  // matching-bounds assert or fabricate samples).
-  Histogram emptySelf({1, 2});
-  emptySelf.merge(emptySelf);
-  EXPECT_TRUE(emptySelf.empty());
-  EXPECT_EQ(emptySelf.quantile(0.5), 0.0);
-}
-
 TEST(Metrics, HistogramFromCountsRebuildsSnapshot) {
   // fromCounts is how the fleet's atomic bucket arrays re-enter the
   // registry reporting stack: it must agree with a recorded histogram.

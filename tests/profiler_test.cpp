@@ -396,6 +396,23 @@ TEST(JsonParser, ParsesDocumentsAndRejectsGarbage) {
   EXPECT_FALSE(parseJson("", &v, &error));
 }
 
+TEST(JsonParser, NestingIsBounded) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<size_t>(depth), '[') +
+           std::string(static_cast<size_t>(depth), ']');
+  };
+  JsonValue v;
+  std::string error;
+  EXPECT_FALSE(parseJson(nested(200000), &v, &error));
+  EXPECT_NE(error.find("value nested deeper than 256 levels"), std::string::npos)
+      << error;
+  error.clear();
+  EXPECT_FALSE(parseJson("{\"a\":" + nested(kMaxNesting) + "}", &v, &error));
+  EXPECT_FALSE(error.empty());
+  ASSERT_TRUE(parseJson(nested(kMaxNesting), &v, &error)) << error;
+  EXPECT_TRUE(v.isArray());
+}
+
 // --------------------------------------------------------- profile report
 
 TEST(ProfileReport, JsonParsesAndCategoriesSumToTotal) {

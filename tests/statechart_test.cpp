@@ -404,5 +404,80 @@ TEST(Semantics, TransitionIntoParallelStateEntersAllComponents) {
   EXPECT_FALSE(interp.isActive("L1"));
 }
 
+// --------------------------------------------------------------- nesting
+
+std::string repeat(const std::string& s, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+/// The message of the Error `parse` throws, or "" when it returns.
+template <typename Parse>
+std::string errorOf(Parse&& parse) {
+  try {
+    parse();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// A chart whose leaf sits `depth` or-states deep, nested by declaration
+/// or, with `byContains`, by a chain of flat `contains` lists.
+std::string nestedChart(int depth, bool byContains) {
+  std::string out = "chart Deep;\nevent GO;\n";
+  if (byContains) {
+    for (int i = 0; i < depth; ++i)
+      out += strfmt("orstate S%d { contains %s; }\n", i,
+                    i + 1 < depth ? strfmt("S%d", i + 1).c_str() : "Leaf");
+    return out + "basicstate Leaf { transition { target Leaf; label \"GO\"; } }\n";
+  }
+  for (int i = 0; i < depth; ++i) out += strfmt("orstate S%d {\n", i);
+  out += "basicstate Leaf { transition { target Leaf; label \"GO\"; } }\n";
+  return out + repeat("}\n", depth);
+}
+
+TEST(LabelParser, NestingPastTheBoundIsALocatedError) {
+  constexpr int kHostile = 20000;
+  const SourceLoc loc{"deep.chart", 7, 3};
+  for (const std::string& label :
+       {"[" + repeat("(", kHostile) + "A" + repeat(")", kHostile) + "]",
+        repeat("not ", kHostile) + "A",
+        "[" + repeat("(", kMaxNesting) + "A" + repeat(")", kMaxNesting) + "]"}) {
+    const std::string msg = errorOf([&] { (void)parseLabel(label, loc); });
+    EXPECT_EQ(msg, "deep.chart:7:3: label expression nested deeper than 256 levels");
+  }
+}
+
+TEST(LabelParser, NestingAtTheBoundIsAccepted) {
+  const int inner = kMaxNesting - 1;
+  const Label parens =
+      parseLabel("[" + repeat("(", inner) + "A or B" + repeat(")", inner) + "]");
+  EXPECT_EQ(parens.guard.str(), "A or B");
+  const Label negations = parseLabel(repeat("not ", inner) + "E");
+  EXPECT_FALSE(negations.trigger.eval([](const std::string&) { return true; }));
+}
+
+TEST(ChartParser, StateHierarchyPastTheBoundIsALocatedError) {
+  for (const bool byContains : {false, true}) {
+    for (const int depth : {20000, kMaxNesting + 1}) {
+      const std::string msg =
+          errorOf([&] { (void)parseChart(nestedChart(depth, byContains), "deep.chart"); });
+      EXPECT_NE(msg.find("deep.chart:"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("state nested deeper than 256 levels"), std::string::npos)
+          << msg;
+    }
+  }
+}
+
+TEST(ChartParser, StateHierarchyAtTheBoundIsAccepted) {
+  // The leaf is the kMaxNesting-th level; S0 is the first.
+  for (const bool byContains : {false, true}) {
+    const Chart chart = parseChart(nestedChart(kMaxNesting - 1, byContains));
+    EXPECT_EQ(chart.depth(chart.stateByName("Leaf")), kMaxNesting);
+  }
+}
+
 }  // namespace
 }  // namespace pscp::statechart

@@ -89,13 +89,6 @@ TEST(BitVec, BoolsRoundTripAndEquality) {
   EXPECT_FALSE(v == w);
 }
 
-TEST(Word, RoundTrip) {
-  Word w(0x2B, 6);
-  EXPECT_EQ(w.binary(), "101011");
-  EXPECT_EQ(w.raw(), 0x2Bu);
-  EXPECT_EQ(w.resized(4).raw(), 0xBu);
-}
-
 TEST(Text, TrimSplitJoin) {
   EXPECT_EQ(trim("  a b  "), "a b");
   auto parts = splitOn("a,b,,c", ',');
