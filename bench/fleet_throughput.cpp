@@ -19,7 +19,11 @@
 // any BENCH json can be tied back to a reproducible configuration. The JIT
 // arm steps a one-TEP SMD image (each routine runs natively on its own)
 // and the paper's two-TEP image (busy pairs run ahead and the lockstep
-// loop replays them); each row carries its TEP count. In any mode, the
+// loop replays them); each row carries its TEP count. A row steps an
+// interpreter fleet and a native fleet epoch by epoch in turn, over
+// several rounds of fresh fleets, and times each arm as the sum of its
+// fastest reading of each epoch (telemetry_overhead's estimator), so one
+// noisy stretch of host time cannot decide the ratio. In any mode, the
 // run fails when a JIT-arm row of either image runs less than 2.9496x
 // faster than the interpreter (0.4x a 1-CPU quick-mode capture of 7.374x
 // on the one-TEP machine). In full mode on a machine with >= 4 hardware
@@ -27,6 +31,8 @@
 // aggregate throughput at 4 threads.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -79,10 +85,11 @@ struct SweepResult {
 };
 
 /// Native-tier A/B at one instance count: the same routine-dense duty
-/// cycle stepped once with the interpreter and once with the JIT forced
-/// on. Rates are machine (simulated) cycles per wall second — both arms
-/// simulate the identical cycle stream (bit-identity is enforced by the
-/// tier tests), so the ratio isolates the execution-tier win.
+/// cycle stepped with the interpreter and with the JIT forced on. Rates
+/// are machine (simulated) cycles per wall second over each arm's fastest
+/// epochs — both arms simulate the identical cycle stream (bit-identity is
+/// enforced by the tier tests), so the ratio isolates the execution-tier
+/// win.
 struct JitReference {
   int teps = 0;
   size_t instances = 0;
@@ -147,52 +154,83 @@ SweepResult runSweep(const fleet::Fleet::ChartImagePtr& image, size_t instances,
   return r;
 }
 
-/// One arm of the JIT A/B: machine cycles per wall second over an SMD
-/// image (on two TEPs its DeltaT pairs are hazard-free, so kAlways runs
-/// both routines natively and the lockstep loop replays them). Two
-/// simulated cycles per epoch with a pulse pair injected every epoch keeps
-/// the duty cycle routine-dense — the tier being measured, not quiescent
-/// decode.
-double runJitArm(const fleet::Fleet::ChartImagePtr& image, size_t instances,
-                 int epochs, tep::jit::JitMode mode, bool* ok,
-                 JitReference* residencyOut) {
-  fleet::FleetConfig config;
-  config.workerThreads = 1;
-  config.jitMode = mode;
-  fleet::Fleet fleet(image, config);
-  const workloads::SmdPulseIds pulses = workloads::resolveSmdPulseIds(fleet);
-  if (!workloads::warmUpSmdFleet(fleet, instances, pulses)) {
-    std::fprintf(stderr, "FAIL: jit arm i=%zu instance(s) did not reach Moving\n",
-                 instances);
-    *ok = false;
-  }
-  fleet.step(2);  // settle + compile warm-up outside the timed window
-  const int64_t cyclesBefore = fleet.mergedMetrics().value("fleet.machine_cycles");
+/// The JIT A/B's two arms, in stepping order.
+constexpr std::array<tep::jit::JitMode, 2> kJitArms = {tep::jit::JitMode::kOff,
+                                                        tep::jit::JitMode::kAlways};
 
-  const auto start = std::chrono::steady_clock::now();
-  for (int e = 0; e < epochs; ++e) {
-    workloads::injectSmdPulses(fleet, pulses);
-    fleet.step(2);
-  }
-  const auto end = std::chrono::steady_clock::now();
-  const double seconds =
-      std::chrono::duration_cast<std::chrono::duration<double>>(end - start).count();
+/// One arm's part of a JIT A/B round.
+struct JitArmRound {
+  std::vector<int64_t> epochNs;  ///< wall time of each timed epoch
+  int64_t machineCycles = 0;     ///< simulated over the timed epochs
+};
 
-  const obs::MetricsRegistry metrics = fleet.mergedMetrics();
-  const int64_t timedCycles = metrics.value("fleet.machine_cycles") - cyclesBefore;
-  if (mode == tep::jit::JitMode::kAlways && residencyOut != nullptr) {
-    const tep::jit::TierResidency tier = fleet.tierResidency();
-    residencyOut->compiledRoutines = tier.nativeRoutines;
-    residencyOut->compileMs = static_cast<double>(tier.compileMicros) / 1000.0;
-    if (tep::jit::jitBackendAvailable() &&
-        metrics.value("fleet.jit_native_routines") <= 0) {
-      std::fprintf(stderr, "FAIL: jit arm i=%zu executed no native routines\n",
+/// One round of the JIT A/B over an SMD image (on two TEPs its DeltaT
+/// pairs are hazard-free, so kAlways runs both routines natively and the
+/// lockstep loop replays them): a fresh fleet per arm, warmed alike, then
+/// `epochs` timed epochs stepped arm after arm, so epoch e of both arms
+/// runs back to back and host speed drift within the round hits them
+/// alike. Two simulated cycles per epoch with a pulse pair injected every
+/// epoch keeps the duty cycle routine-dense — the tier being measured, not
+/// quiescent decode.
+std::array<JitArmRound, 2> runJitRound(const fleet::Fleet::ChartImagePtr& image,
+                                       size_t instances, int epochs, bool* ok,
+                                       JitReference* residencyOut) {
+  std::array<std::unique_ptr<fleet::Fleet>, 2> fleets;
+  std::array<workloads::SmdPulseIds, 2> pulses;
+  std::array<JitArmRound, 2> results;
+  for (size_t a = 0; a < kJitArms.size(); ++a) {
+    fleet::FleetConfig config;
+    config.workerThreads = 1;
+    config.jitMode = kJitArms[a];
+    fleets[a] = std::make_unique<fleet::Fleet>(image, config);
+    pulses[a] = workloads::resolveSmdPulseIds(*fleets[a]);
+    if (!workloads::warmUpSmdFleet(*fleets[a], instances, pulses[a])) {
+      std::fprintf(stderr, "FAIL: jit arm i=%zu instance(s) did not reach Moving\n",
                    instances);
       *ok = false;
     }
+    fleets[a]->step(2);  // settle + compile warm-up outside the timed window
+    results[a].epochNs.reserve(static_cast<size_t>(epochs));
+    results[a].machineCycles = -fleets[a]->mergedMetrics().value("fleet.machine_cycles");
   }
-  if (seconds <= 0.0) return 0.0;
-  return static_cast<double>(timedCycles) / seconds;
+  for (int e = 0; e < epochs; ++e) {
+    for (size_t a = 0; a < kJitArms.size(); ++a) {
+      const auto start = std::chrono::steady_clock::now();
+      workloads::injectSmdPulses(*fleets[a], pulses[a]);
+      fleets[a]->step(2);
+      results[a].epochNs.push_back(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                       std::chrono::steady_clock::now() - start)
+                                       .count());
+    }
+  }
+  for (size_t a = 0; a < kJitArms.size(); ++a)
+    results[a].machineCycles += fleets[a]->mergedMetrics().value("fleet.machine_cycles");
+
+  const fleet::Fleet& native = *fleets[1];
+  const tep::jit::TierResidency tier = native.tierResidency();
+  residencyOut->compiledRoutines = tier.nativeRoutines;
+  residencyOut->compileMs = static_cast<double>(tier.compileMicros) / 1000.0;
+  if (tep::jit::jitBackendAvailable() &&
+      native.mergedMetrics().value("fleet.jit_native_routines") <= 0) {
+    std::fprintf(stderr, "FAIL: jit arm i=%zu executed no native routines\n", instances);
+    *ok = false;
+  }
+  return results;
+}
+
+/// Machine cycles per second over an arm's rounds: each epoch's fastest
+/// reading over the rounds, summed. Every round simulates the same cycles,
+/// so any round's count serves.
+double fastestEpochsRate(const std::vector<JitArmRound>& rounds) {
+  std::vector<int64_t> fastest = rounds.front().epochNs;
+  for (const JitArmRound& r : rounds)
+    for (size_t i = 0; i < fastest.size() && i < r.epochNs.size(); ++i)
+      fastest[i] = std::min(fastest[i], r.epochNs[i]);
+  int64_t ns = 0;
+  for (const int64_t t : fastest) ns += t;
+  return ns <= 0 ? 0.0
+                 : static_cast<double>(rounds.front().machineCycles) * 1e9 /
+                       static_cast<double>(ns);
 }
 
 }  // namespace
@@ -258,24 +296,30 @@ int main(int argc, char** argv) {
   }
 
   // Native-tier A/B: a separate sweep over a fresh one-TEP and a fresh
-  // two-TEP image (each compile cost is its arm's alone). Epoch count is
-  // its own knob — the arm's cost is per-routine wall time, not the main
-  // sweep's pool scaling.
+  // two-TEP image (each compile cost is its arm's alone). Rounds and
+  // epochs are their own knobs — the arm's cost is per-routine wall time,
+  // not the main sweep's pool scaling; more rounds give each epoch more
+  // readings to take the fastest of.
   std::vector<JitReference> jitRefs;
   if (opts.jit) {
     const std::vector<size_t> jitInstances =
         opts.quick ? std::vector<size_t>{32} : std::vector<size_t>{64, 256};
-    const int jitEpochs = opts.quick ? 200 : 400;
+    const int jitRounds = opts.quick ? 20 : 8;
+    const int jitEpochs = opts.quick ? 50 : 100;
     for (const int teps : {1, 2}) {
       const auto jitImage = workloads::makeSmdFleetImage(teps);
       for (size_t instances : jitInstances) {
         JitReference ref;
         ref.teps = teps;
         ref.instances = instances;
-        ref.interpMachRate = runJitArm(jitImage, instances, jitEpochs,
-                                       tep::jit::JitMode::kOff, &ok, nullptr);
-        ref.jitMachRate = runJitArm(jitImage, instances, jitEpochs,
-                                    tep::jit::JitMode::kAlways, &ok, &ref);
+        std::array<std::vector<JitArmRound>, 2> arms;
+        for (int r = 0; r < jitRounds; ++r) {
+          std::array<JitArmRound, 2> round =
+              runJitRound(jitImage, instances, jitEpochs, &ok, &ref);
+          for (size_t a = 0; a < arms.size(); ++a) arms[a].push_back(std::move(round[a]));
+        }
+        ref.interpMachRate = fastestEpochsRate(arms[0]);
+        ref.jitMachRate = fastestEpochsRate(arms[1]);
         if (ref.interpMachRate > 0.0 && ref.jitMachRate > 0.0)
           ref.jitSpeedup = ref.jitMachRate / ref.interpMachRate;
         jitRefs.push_back(ref);

@@ -20,6 +20,14 @@ int64_t wrapConstant(int64_t v, const TypePtr& t) {
   return t->isSigned() ? signExtend(raw, t->width()) : static_cast<int64_t>(raw);
 }
 
+/// The smallest signed width (1..32) that holds `v`: the type of a literal,
+/// and of an operator over constants alone.
+int constantWidth(int64_t v) {
+  int width = 1;
+  while (width < 32 && (v < -(1ll << (width - 1)) || v >= (1ll << (width - 1)))) ++width;
+  return width;
+}
+
 /// Width/signedness promotion for binary arithmetic: widest operand wins,
 /// signed wins (the ASIP datapath is sized to the widest live value).
 TypePtr promote(const TypePtr& a, const TypePtr& b) {
@@ -189,23 +197,15 @@ class Checker {
       case ExprKind::IntLit: {
         // Literals adopt the smallest signed width that represents them;
         // promotion widens them in context.
-        const int64_t v = e.value;
-        int width = 1;
-        while (width < 32 && (v < -(1ll << (width - 1)) || v >= (1ll << (width - 1))))
-          ++width;
-        e.type = Type::intType(width, true);
-        e.constant = v;
+        e.type = Type::intType(constantWidth(e.value), true);
+        e.constant = e.value;
         return;
       }
       case ExprKind::VarRef: {
         auto ec = program_.enumConstants.find(e.name);
         if (ec != program_.enumConstants.end()) {
           e.constant = ec->second;
-          int width = 1;
-          const int64_t v = ec->second;
-          while (width < 32 && (v < -(1ll << (width - 1)) || v >= (1ll << (width - 1))))
-            ++width;
-          e.type = Type::intType(width, true);
+          e.type = Type::intType(constantWidth(ec->second), true);
           return;
         }
         TypePtr t = lookupVar(e.name);
@@ -245,11 +245,14 @@ class Checker {
                                           : Type::intType(t->width(), t->isSigned());
         if (e.children[0]->constant.has_value()) {
           const int64_t v = *e.children[0]->constant;
-          switch (e.unOp) {
-            case UnOp::Neg: e.constant = wrapConstant(-v, e.type); break;
-            case UnOp::BitNot: e.constant = wrapConstant(~v, e.type); break;
-            case UnOp::LogNot: e.constant = (v == 0) ? 1 : 0; break;
+          if (e.unOp == UnOp::LogNot) {
+            e.constant = (v == 0) ? 1 : 0;
+            return;
           }
+          // Widened when the exact value needs it: -(0 - 2) is 2, not -2.
+          const int64_t exact = e.unOp == UnOp::Neg ? -v : ~v;
+          e.type = Type::intType(std::max(t->width(), constantWidth(exact)), true);
+          e.constant = wrapConstant(exact, e.type);
         }
         return;
       }
@@ -289,28 +292,34 @@ class Checker {
 
   void foldBinary(Expr& e) {
     if (!e.children[0]->constant || !e.children[1]->constant) return;
-    // Operand constants are already in canonical form for their own types;
-    // compute in 64-bit then wrap the result to this node's type so the
-    // fold matches execution exactly.
+    // Operand constants are already in canonical form for their own types.
+    // Arithmetic over constants alone is exact: the node takes the smallest
+    // signed width that holds the 64-bit result, as a literal would, so
+    // `1 + 1` is 2 rather than wrapping at the operands' width before any
+    // context widens it (beyond 32 bits it wraps like the datapath).
     const int64_t a = *e.children[0]->constant;
     const int64_t b = *e.children[1]->constant;
+    const auto exact = [&](int64_t v) {
+      e.type = Type::intType(constantWidth(v), true);
+      e.constant = wrapConstant(v, e.type);
+    };
     switch (e.binOp) {
-      case BinOp::Add: e.constant = wrapConstant(a + b, e.type); break;
-      case BinOp::Sub: e.constant = wrapConstant(a - b, e.type); break;
-      case BinOp::Mul: e.constant = wrapConstant(a * b, e.type); break;
+      case BinOp::Add: exact(a + b); break;
+      case BinOp::Sub: exact(a - b); break;
+      case BinOp::Mul: exact(a * b); break;
       case BinOp::Div:
         if (b == 0) failAt(e.loc, "constant division by zero");
-        e.constant = wrapConstant(a / b, e.type);
+        exact(a / b);
         break;
       case BinOp::Mod:
         if (b == 0) failAt(e.loc, "constant modulo by zero");
-        e.constant = wrapConstant(a % b, e.type);
+        exact(a % b);
         break;
-      case BinOp::And: e.constant = wrapConstant(a & b, e.type); break;
-      case BinOp::Or: e.constant = wrapConstant(a | b, e.type); break;
-      case BinOp::Xor: e.constant = wrapConstant(a ^ b, e.type); break;
-      case BinOp::Shl: e.constant = wrapConstant(a << (b & 31), e.type); break;
-      case BinOp::Shr: e.constant = wrapConstant(a >> (b & 31), e.type); break;
+      case BinOp::And: exact(a & b); break;
+      case BinOp::Or: exact(a | b); break;
+      case BinOp::Xor: exact(a ^ b); break;
+      case BinOp::Shl: exact(static_cast<int64_t>(static_cast<uint64_t>(a) << (b & 31))); break;
+      case BinOp::Shr: exact(a >> (b & 31)); break;
       case BinOp::Eq: e.constant = (a == b) ? 1 : 0; break;
       case BinOp::Ne: e.constant = (a != b) ? 1 : 0; break;
       case BinOp::Lt: e.constant = (a < b) ? 1 : 0; break;

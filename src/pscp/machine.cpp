@@ -96,11 +96,8 @@ PscpMachine::PscpMachine(std::shared_ptr<const ChartImage> image)
       arch_(image_->arch_),
       layout_(image_->layout_),
       sla_(image_->sla_),
-      externalMem_(tep::kExternalSize, 0),
+      memory_(arch_.numTeps, image_->app_.internalBytesUsed, image_->app_.externalBytesUsed),
       ports_(image_->portAddresses_.size(), 0) {
-  internalBanks_.assign(static_cast<size_t>(arch_.numTeps),
-                        std::vector<uint8_t>(tep::kExternalBase, 0));
-  regBanks_.assign(static_cast<size_t>(arch_.numTeps), std::vector<uint32_t>(16, 0));
   crConditions_.assign(static_cast<size_t>(layout_.conditionCount()), 0);
   cr_ = BitVec(layout_.totalBits());
   fieldCode_.assign(layout_.stateFields().size(), 0);
@@ -203,47 +200,26 @@ void PscpMachine::setCrCondition(int index, bool value) {
 
 // ----------------------------------------------------------------- TepHost
 
+tep::MemView PscpMachine::memView(int tepId) { return memory_.view(tepId); }
+
 uint8_t PscpMachine::readByte(int32_t addr) {
-  if (addr >= 0 && addr < tep::kExternalBase) {
-    // TEP-local bank; outside any TEP (loader/observers), bank 0.
-    const size_t bank = currentTep_ >= 0 ? static_cast<size_t>(currentTep_) : 0;
-    return internalBanks_[bank][static_cast<size_t>(addr)];
-  }
-  if (tep::isExternalAddress(addr) && addr < tep::kExternalBase + tep::kExternalSize)
-    return externalMem_[static_cast<size_t>(addr - tep::kExternalBase)];
-  fail("PSCP: data read from unmapped address 0x%X", addr);
+  if (!tep::DataMemory::mapped(addr)) fail("PSCP: data read from unmapped address 0x%X", addr);
+  // TEP-local bank; outside any TEP (loader/observers), bank 0.
+  return memory_.read(std::max(currentTep_, 0), addr);
 }
 
 void PscpMachine::writeByte(int32_t addr, uint8_t value) {
-  if (addr >= 0 && addr < tep::kExternalBase) {
-    if (currentTep_ >= 0) {
-      internalBanks_[static_cast<size_t>(currentTep_)][static_cast<size_t>(addr)] = value;
-    } else {
-      // Loader writes (initial data image) broadcast to every bank.
-      for (auto& bank : internalBanks_) bank[static_cast<size_t>(addr)] = value;
-    }
+  if (!tep::DataMemory::mapped(addr)) fail("PSCP: data write to unmapped address 0x%X", addr);
+  if (currentTep_ >= 0 || tep::isExternalAddress(addr)) {
+    memory_.write(std::max(currentTep_, 0), addr, value);
     return;
   }
-  if (tep::isExternalAddress(addr) && addr < tep::kExternalBase + tep::kExternalSize) {
-    externalMem_[static_cast<size_t>(addr - tep::kExternalBase)] = value;
-    return;
-  }
-  fail("PSCP: data write to unmapped address 0x%X", addr);
-}
-
-uint32_t PscpMachine::readReg(int index) {
-  PSCP_ASSERT(index >= 0 && index < 16);
-  const size_t bank = currentTep_ >= 0 ? static_cast<size_t>(currentTep_) : 0;
-  return regBanks_[bank][static_cast<size_t>(index)];
+  // Loader writes (initial data image) broadcast to every internal bank.
+  for (int bank = 0; bank < arch_.numTeps; ++bank) memory_.write(bank, addr, value);
 }
 
 void PscpMachine::writeReg(int index, uint32_t value) {
-  PSCP_ASSERT(index >= 0 && index < 16);
-  if (currentTep_ >= 0) {
-    regBanks_[static_cast<size_t>(currentTep_)][static_cast<size_t>(index)] = value;
-    return;
-  }
-  for (auto& bank : regBanks_) bank[static_cast<size_t>(index)] = value;  // loader
+  for (int bank = 0; bank < arch_.numTeps; ++bank) memory_.setReg(bank, index, value);
 }
 
 size_t PscpMachine::declaredPortSlot(int address, const char* access) const {
@@ -377,13 +353,11 @@ int64_t PscpMachine::globalValue(const std::string& name) const {
   PSCP_ASSERT(g != nullptr);
   uint32_t raw = 0;
   if (p.storageClass == compiler::kStorageRegister) {
-    raw = regBanks_[0][static_cast<size_t>(p.address)];
+    raw = memory_.reg(0, p.address);
   } else {
     const int bytes = g->type->byteSize();
     for (int i = 0; i < bytes; ++i)
-      raw |= static_cast<uint32_t>(
-                 const_cast<PscpMachine*>(this)->readByte(p.address + i))
-             << (8 * i);
+      raw |= static_cast<uint32_t>(memory_.read(0, p.address + i)) << (8 * i);
   }
   const int w = g->type->width();
   return g->type->isSigned() ? signExtend(truncBits(raw, w), w)
@@ -395,9 +369,7 @@ void PscpMachine::setGlobalValue(const std::string& name, int64_t value) {
   const actionlang::GlobalVar* g = image_->actions_.findGlobal(name);
   PSCP_ASSERT(g != nullptr);
   if (p.storageClass == compiler::kStorageRegister) {
-    for (auto& bank : regBanks_)
-      bank[static_cast<size_t>(p.address)] =
-          truncBits(static_cast<uint32_t>(value), g->type->width());
+    writeReg(p.address, truncBits(static_cast<uint32_t>(value), g->type->width()));
     return;
   }
   const int bytes = g->type->byteSize();
@@ -653,6 +625,7 @@ bool PscpMachine::runAhead(Replay& replay, size_t tepIndex, TransitionId t,
   // trips; its run stops here and the loop's guard raises the error.
   ctx.cycleBudget = kMaxMachineCycles - guard + 2;
   ctx.env = &env;
+  ctx.mem = memory_.view(static_cast<int>(tepIndex));
   LogCursor& cursor = replay.cursors[tepIndex];
   cursor.next = replay.log.size();
   currentTep_ = static_cast<int>(tepIndex);

@@ -37,14 +37,14 @@
 // program and its microprogram table, the port map, the per-transition
 // exit/enter bitsets — lives in a ChartImage, an immutable compile product
 // that any number of machines share via shared_ptr. A fleet spawns its Nth
-// instance by allocating mutable state only (memories, register banks,
-// port values, TEP cores); the compiler, the microcode decoder and SLA
-// synthesis run once per chart, not once per instance. Steady-state
-// stepping through configurationCycleIds(events, &stats, cycles) is
-// allocation-free: every per-cycle temporary is a member scratch buffer,
-// or per thread where it lives for one TAT execution (the native tier's
-// replay log), so thousands of instances stepped by a worker pool never
-// serialize on the allocator.
+// instance by allocating mutable state only (data memory sized from the
+// image's layout, port values, TEP cores); the compiler, the microcode
+// decoder and SLA synthesis run once per chart, not once per instance.
+// Steady-state stepping through configurationCycleIds(events, &stats,
+// cycles) is allocation-free: every per-cycle temporary is a member
+// scratch buffer, or per thread where it lives for one TAT execution (the
+// native tier's replay log), so thousands of instances stepped by a worker
+// pool never serialize on the allocator.
 //
 // Quiescence memo: the SLA is combinational logic over the CR, so what it
 // selects depends on the CR alone. Once a cycle sampled no events and
@@ -313,9 +313,9 @@ class PscpMachine : public tep::TepHost {
   [[nodiscard]] const hwlib::ArchConfig& arch() const { return arch_; }
 
   // ---------------------------------------------------- TepHost interface
+  tep::MemView memView(int tepId) override;
   uint8_t readByte(int32_t addr) override;
   void writeByte(int32_t addr, uint8_t value) override;
-  uint32_t readReg(int index) override;
   void writeReg(int index, uint32_t value) override;
   uint32_t readPort(int address) override;
   void writePort(int address, uint32_t value) override;
@@ -471,13 +471,13 @@ class PscpMachine : public tep::TepHost {
 
   // Memory / registers / ports. Internal RAM is the TEP-local memory of
   // Fig. 1 — one bank per TEP (function frames and expression temporaries
-  // land there, so parallel TEPs never race on them); external RAM and the
-  // register bank are shared.
-  std::vector<std::vector<uint8_t>> internalBanks_;
-  std::vector<uint8_t> externalMem_;
-  /// Register files are per TEP too ("units with or without associated
-  /// register files"): the compiler's register windows hold call frames.
-  std::vector<std::vector<uint32_t>> regBanks_;
+  // land there, so parallel TEPs never race on them); external RAM is
+  // shared. Register files are per TEP too ("units with or without
+  // associated register files"): the compiler's register windows hold call
+  // frames. All of it is one allocation sized from the image's layout (the
+  // TEP cores and native code read it in place); a write past the layout
+  // allocates that bank's tail.
+  tep::DataMemory memory_;
   std::vector<uint32_t> ports_;  ///< one per image port-map entry
 
   // TEP cores and their condition caches: flat byte arrays (index = CR

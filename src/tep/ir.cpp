@@ -267,6 +267,13 @@ void Lowerer::lowerInstr(int i, const Instr& in) {
     n.imm = in.operand;
     push(n);
   };
+  // Native code indexes the register file unchecked; a register outside it
+  // keeps the routine on the interpreter, which reports the fault.
+  auto registerInRange = [&] {
+    if (in.operand >= 0 && in.operand < kRegisterCount) return true;
+    reason = strfmt("isa %d: register %d outside the register file", i, in.operand);
+    return false;
+  };
 
   switch (in.op) {
     case Opcode::Nop:
@@ -288,6 +295,7 @@ void Lowerer::lowerInstr(int i, const Instr& in) {
     case Opcode::StaIdx: memIndirect(false, in.operand); break;
     case Opcode::LdaReg:
     case Opcode::LdoReg: {
+      if (!registerInRange()) break;
       IrInst n = mk(IrOp::kRegGet);
       n.dst = in.op == Opcode::LdaReg ? kVregAcc : kVregOp;
       n.imm = in.operand;
@@ -295,6 +303,7 @@ void Lowerer::lowerInstr(int i, const Instr& in) {
       break;
     }
     case Opcode::StaReg: {
+      if (!registerInRange()) break;
       IrInst n = mk(IrOp::kRegSet);
       n.src1 = kVregAcc;
       n.imm = in.operand;

@@ -74,9 +74,10 @@ enum class IrOp : uint8_t {
   kLoadAt,   ///< dst = mem[src1 ..] & mask(width)
   kStoreAt,  ///< mem[src1 ..] = src2 & mask(width)
 
-  // Register bank / ports / CR (host calls; order-preserving).
-  kRegGet,     ///< dst = readReg(imm) & mask(width)
-  kRegSet,     ///< writeReg(imm, src1 & mask(width))
+  // Register file (in place; imm in [0, kRegisterCount)), then ports and
+  // CR (host calls; order-preserving).
+  kRegGet,     ///< dst = reg[imm] & mask(width)
+  kRegSet,     ///< reg[imm] = src1 & mask(width)
   kPortRead,   ///< dst = readPort(imm) — unmasked, like the interpreter
   kPortWrite,  ///< writePort(imm, src1 & mask); imm2 = micro-op step skew
   kEvSet,      ///< raiseEvent(imm); imm2 = micro-op step skew

@@ -81,6 +81,10 @@ inline constexpr int32_t kExternalSize = 0x4000;
   return addr >= kExternalBase;
 }
 
+/// Entries of a TEP register file (the largest ArchConfig::registerFileSize);
+/// register operands index it.
+inline constexpr int kRegisterCount = 16;
+
 /// Designer-asserted iteration bound for a loop region [begin, end) of the
 /// instruction stream — carried from the action language's `while ... bound
 /// N` through codegen so the static WCET analysis can bound back edges.

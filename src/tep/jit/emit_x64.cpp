@@ -23,6 +23,7 @@ constexpr int kR8 = 8, kR12 = 12, kR13 = 13, kR14 = 14, kR15 = 15;
 
 // Condition codes (for setcc 0F 90+cc / jcc 0F 80+cc).
 constexpr uint8_t kCcB = 0x2;   // below / carry set
+constexpr uint8_t kCcA = 0x7;   // above (unsigned)
 constexpr uint8_t kCcE = 0x4;   // equal / zero
 constexpr uint8_t kCcNe = 0x5;  // not equal
 constexpr uint8_t kCcS = 0x8;   // sign set
@@ -117,6 +118,37 @@ class Asm {
     rex(true, src, 0, base);
     byte(0x89);
     mem(src, base, disp);
+  }
+  void cmpM64I(int base, int32_t disp, int32_t imm) {  // cmp qword [..], imm32
+    rex(true, 7, 0, base);
+    byte(0x81);
+    mem(7, base, disp);
+    i32(imm);
+  }
+  /// Move between r32 and the `bytes`-wide cell at [base + index + disp]
+  /// (no index when `index` < 0): loads zero-extend, stores write the low
+  /// bytes (a byte store takes al/cl/dl/bl only).
+  void movCell(bool store, int bytes, int r, int base, int index, int32_t disp) {
+    PSCP_ASSERT(bytes == 1 || bytes == 2 || bytes == 4);
+    PSCP_ASSERT(!(store && bytes == 1 && r >= 4));
+    if (store && bytes == 2) byte(0x66);
+    rex(false, r, index >= 0 ? index : 0, base);
+    if (store) {
+      byte(bytes == 1 ? 0x88 : 0x89);
+    } else if (bytes == 4) {
+      byte(0x8B);
+    } else {
+      byte(0x0F);
+      byte(bytes == 1 ? 0xB6 : 0xB7);
+    }
+    if (index < 0) {
+      mem(r, base, disp);
+      return;
+    }
+    PSCP_ASSERT((base & 7) != 5 && (index & 7) != 4);
+    modrm(2, r, 4);  // rm=100 -> SIB follows
+    byte(static_cast<uint8_t>(((index & 7) << 3) | (base & 7)));
+    i32(disp);
   }
   void cmpByteMI(int base, int32_t disp, uint8_t imm) {  // cmp byte [..], imm
     rex(false, 7, 0, base);
@@ -266,6 +298,7 @@ class RoutineEmitter {
   void helperCall(const void* fn, int nargs, const int32_t* immArgs,
                   const int* regArgs);
   void finishValueFlags(const IrInst& in, int w);
+  void inlineInternal(const IrInst& in, bool store, int r, int done);
   void emitInst(const IrInst& in);
   void emitAlu(const IrInst& in);
   void emitShift(const IrInst& in);
@@ -323,6 +356,42 @@ void RoutineEmitter::finishValueFlags(const IrInst& in, int w) {
     }
   }
   if (in.dst >= 0) a_.movRR(vregReg(in.dst), kRax);
+}
+
+/// Bytes a memory op moves when it may take the inline internal path (1,
+/// 2 or 4, and for a static address one inside the internal range), else 0.
+int inlineBytes(const IrInst& in) {
+  const int bytes = in.imm2 & 0xFF;
+  if (bytes != 1 && bytes != 2 && bytes != 4) return 0;
+  const bool dynamic = in.op == IrOp::kLoadAt || in.op == IrOp::kStoreAt;
+  if (!dynamic && (in.imm < 0 || in.imm > kExternalBase - bytes)) return 0;
+  return bytes;
+}
+
+/// The inline internal path of a load or store: one bounds check that the
+/// access's bytes lie wholly inside the TEP's in-layout internal bank, then
+/// `r` moves to or from the cell and control jumps to `done`. Anything else
+/// (tail, straddling, external, unmapped, 3-byte) falls through to the
+/// helper call the caller emits next.
+void RoutineEmitter::inlineInternal(const IrInst& in, bool store, int r, int done) {
+  const int bytes = inlineBytes(in);
+  if (bytes == 0) return;
+  const bool dynamic = in.op == IrOp::kLoadAt || in.op == IrOp::kStoreAt;
+  const int slow = a_.newLabel();
+  if (dynamic) {
+    // Zero-extended, a negative address is far above any bank size.
+    a_.movRR(kRax, kR15);
+    a_.addR64I(kRax, bytes);
+    a_.cmpR64M(kRax, kR14, kCtxInternalSize);
+    a_.jccLabel(kCcA, slow);
+  } else {
+    a_.cmpM64I(kR14, kCtxInternalSize, in.imm + bytes);
+    a_.jccLabel(kCcB, slow);
+  }
+  a_.movRM64(kRcx, kR14, kCtxInternal);
+  a_.movCell(store, bytes, r, kRcx, dynamic ? kR15 : -1, dynamic ? 0 : in.imm);
+  a_.jmpLabel(done);
+  a_.bind(slow);
 }
 
 void RoutineEmitter::emitAlu(const IrInst& in) {
@@ -518,10 +587,13 @@ void RoutineEmitter::emitInst(const IrInst& in) {
     }
     case IrOp::kLoad:
     case IrOp::kLoadAt: {
+      const int done = a_.newLabel();
+      inlineInternal(in, false, kRax, done);
       const int32_t imms[2] = {in.imm, in.imm2};
       const int regs[2] = {in.op == IrOp::kLoadAt ? vregReg(in.src1) : -1, -1};
       helperCall(reinterpret_cast<const void*>(&pscpJitLoad), 2, imms, regs);
       a_.movRM(kRax, kR14, kCtxHvalue);
+      a_.bind(done);
       if (in.width < 32) a_.andRI(kRax, m);
       a_.movRR(vregReg(in.dst), kRax);
       break;
@@ -531,6 +603,8 @@ void RoutineEmitter::emitInst(const IrInst& in) {
       const int valueVreg = in.op == IrOp::kStoreAt ? in.src2 : in.src1;
       a_.movRR(kRdx, vregReg(valueVreg));
       if (in.width < 32) a_.andRI(kRdx, m);
+      const int done = a_.newLabel();
+      inlineInternal(in, true, kRdx, done);
       // Arg 1 (edx) is already in place; helperCall skips it via reg -2.
       const int32_t imms[3] = {in.imm, 0, in.imm2};
       const int regs[3] = {in.op == IrOp::kStoreAt ? vregReg(in.src1) : -1, -2, -1};
@@ -551,24 +625,23 @@ void RoutineEmitter::emitInst(const IrInst& in) {
       a_.testRR(kRax, kRax);
       a_.jccLabel(kCcNe, errExit_);
       a_.movRM64(kR13, kR14, kCtxCycles);
+      a_.bind(done);
       break;
     }
-    case IrOp::kRegGet: {
-      const int32_t imms[1] = {in.imm};
-      helperCall(reinterpret_cast<const void*>(&pscpJitRegGet), 1, imms, nullptr);
-      a_.movRM(kRax, kR14, kCtxHvalue);
-      if (in.width < 32) a_.andRI(kRax, m);
-      a_.movRR(vregReg(in.dst), kRax);
+    case IrOp::kRegGet:
+      // Lowering keeps the index inside the register file.
+      PSCP_ASSERT(in.imm >= 0 && in.imm < kRegisterCount);
+      a_.movRM64(kRax, kR14, kCtxRegs);
+      a_.movRM(vregReg(in.dst), kRax, 4 * in.imm);
+      if (in.width < 32) a_.andRI(vregReg(in.dst), m);
       break;
-    }
-    case IrOp::kRegSet: {
+    case IrOp::kRegSet:
+      PSCP_ASSERT(in.imm >= 0 && in.imm < kRegisterCount);
       a_.movRR(kRdx, vregReg(in.src1));
       if (in.width < 32) a_.andRI(kRdx, m);
-      const int32_t imms[2] = {in.imm, 0};
-      const int regs[2] = {-1, kRdx};
-      helperCall(reinterpret_cast<const void*>(&pscpJitRegSet), 2, imms, regs);
+      a_.movRM64(kRax, kR14, kCtxRegs);
+      a_.movMR(kRax, 4 * in.imm, kRdx);
       break;
-    }
     case IrOp::kPortRead: {
       const int32_t imms[1] = {in.imm};
       helperCall(reinterpret_cast<const void*>(&pscpJitPortRead), 1, imms, nullptr);

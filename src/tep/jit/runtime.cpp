@@ -73,8 +73,11 @@ int32_t pscpJitLoad(JitContext* ctx, int32_t addr, int32_t packed) noexcept {
     uint32_t v = 0;
     int i = 0;
     try {
-      for (; i < access.bytes; ++i)
-        v |= static_cast<uint32_t>(env->host->readByte(addr + i)) << (8 * i);
+      for (; i < access.bytes; ++i) {
+        const uint8_t* cell = ctx->mem.byteAt(addr + i);
+        v |= static_cast<uint32_t>(cell != nullptr ? *cell : env->host->readByte(addr + i))
+             << (8 * i);
+      }
     } catch (const Error&) {
       env->faultStep = access.stepOfByte(i);
       throw;
@@ -90,22 +93,19 @@ int32_t pscpJitStore(JitContext* ctx, int32_t addr, uint32_t value,
     const MemAccess access(ctx, env, addr, packed);
     int i = 0;
     try {
-      for (; i < access.bytes; ++i)
-        env->host->writeByte(addr + i, static_cast<uint8_t>((value >> (8 * i)) & 0xFF));
+      for (; i < access.bytes; ++i) {
+        const auto byte = static_cast<uint8_t>((value >> (8 * i)) & 0xFF);
+        if (uint8_t* cell = ctx->mem.byteAt(addr + i))
+          *cell = byte;
+        else
+          env->host->writeByte(addr + i, byte);
+      }
     } catch (const Error&) {
       env->faultStep = access.stepOfByte(i);
       throw;
     }
     access.charge(ctx);
   });
-}
-
-int32_t pscpJitRegGet(JitContext* ctx, int32_t index) noexcept {
-  return guarded(ctx, [&](JitEnv* env) { ctx->hvalue = env->host->readReg(index); });
-}
-
-int32_t pscpJitRegSet(JitContext* ctx, int32_t index, uint32_t value) noexcept {
-  return guarded(ctx, [&](JitEnv* env) { env->host->writeReg(index, value); });
 }
 
 int32_t pscpJitPortRead(JitContext* ctx, int32_t port) noexcept {

@@ -1,7 +1,11 @@
 // Native-tier runtime contract: the JitContext block shared between
 // emitted x86-64 code and the embedder, and the extern "C" helper bridge
-// the emitted code calls for everything that touches the host (memory,
-// ports, register bank, CR) or can fail.
+// the emitted code calls for everything it does not do in place. Emitted
+// code reads and writes the register file, and internal loads and stores
+// of 1, 2 or 4 bytes that lie inside the layout, through the context's
+// MemView; the helpers serve every other memory access (the external bank
+// in place, tail and unmapped bytes through the host), the ports, the CR,
+// division and custom instructions, and the error exits.
 //
 // Error discipline: emitted code has no unwind tables, so C++ exceptions
 // must never cross a JIT frame. Every helper catches pscp::Error, stores
@@ -84,7 +88,10 @@ struct JitContext {
   JitEnv* env = nullptr;     // +32
   int32_t callDepth = 0;     // +40
   int32_t pad1 = 0;          // +44
-  uint64_t callStack[32] = {};  // +48  native return addresses
+  MemView mem;               // +48  the TEP's registers and in-layout memory
+  /// +88  native return addresses; entries at or above callDepth are never
+  /// read, so the stack is left uninitialized (a run need not clear it).
+  uint64_t callStack[32];
 };
 
 inline constexpr int32_t kCtxAcc = 0;
@@ -96,7 +103,10 @@ inline constexpr int32_t kCtxHvalue = 12;
 inline constexpr int32_t kCtxCycles = 16;
 inline constexpr int32_t kCtxBudget = 24;
 inline constexpr int32_t kCtxCallDepth = 40;
-inline constexpr int32_t kCtxCallStack = 48;
+inline constexpr int32_t kCtxRegs = 48;
+inline constexpr int32_t kCtxInternal = 56;
+inline constexpr int32_t kCtxInternalSize = 72;
+inline constexpr int32_t kCtxCallStack = 88;
 
 static_assert(offsetof(JitContext, acc) == kCtxAcc);
 static_assert(offsetof(JitContext, op) == kCtxOp);
@@ -107,6 +117,10 @@ static_assert(offsetof(JitContext, hvalue) == kCtxHvalue);
 static_assert(offsetof(JitContext, cycles) == kCtxCycles);
 static_assert(offsetof(JitContext, cycleBudget) == kCtxBudget);
 static_assert(offsetof(JitContext, callDepth) == kCtxCallDepth);
+static_assert(offsetof(JitContext, mem) + offsetof(MemView, regs) == kCtxRegs);
+static_assert(offsetof(JitContext, mem) + offsetof(MemView, internal) == kCtxInternal);
+static_assert(offsetof(JitContext, mem) + offsetof(MemView, internalSize) ==
+              kCtxInternalSize);
 static_assert(offsetof(JitContext, callStack) == kCtxCallStack);
 
 /// The interpreter step at which a routine that returned nonzero (and did
@@ -134,8 +148,6 @@ extern "C" {
 int32_t pscpJitLoad(JitContext* ctx, int32_t addr, int32_t packed) noexcept;
 int32_t pscpJitStore(JitContext* ctx, int32_t addr, uint32_t value,
                      int32_t packed) noexcept;
-int32_t pscpJitRegGet(JitContext* ctx, int32_t index) noexcept;
-int32_t pscpJitRegSet(JitContext* ctx, int32_t index, uint32_t value) noexcept;
 int32_t pscpJitPortRead(JitContext* ctx, int32_t port) noexcept;
 int32_t pscpJitPortWrite(JitContext* ctx, int32_t port, uint32_t value,
                          int32_t skew) noexcept;

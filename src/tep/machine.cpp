@@ -4,39 +4,102 @@
 
 namespace pscp::tep {
 
+// ------------------------------------------------------------- DataMemory
+
+DataMemory::DataMemory(int teps, int32_t internalBytes, int32_t externalBytes)
+    : teps_(teps),
+      internalBytes_(internalBytes),
+      externalBytes_(externalBytes),
+      tails_(static_cast<size_t>(teps) + 1) {
+  PSCP_ASSERT(teps >= 1 && internalBytes >= 0 && internalBytes <= kExternalBase &&
+              externalBytes >= 0 && externalBytes <= kExternalSize);
+  const size_t bytes = static_cast<size_t>(teps) * static_cast<size_t>(internalBytes) +
+                       static_cast<size_t>(externalBytes);
+  const size_t words = static_cast<size_t>(teps) * kRegisterCount + (bytes + 3) / 4;
+  block_ = std::make_unique<uint32_t[]>(words);  // zeroed
+}
+
+uint8_t* DataMemory::internalBank(int tep) const {
+  return reinterpret_cast<uint8_t*>(block_.get() + static_cast<size_t>(teps_) * kRegisterCount) +
+         static_cast<size_t>(tep) * static_cast<size_t>(internalBytes_);
+}
+
+uint8_t* DataMemory::externalBank() const { return internalBank(teps_); }
+
+MemView DataMemory::view(int tep) const {
+  PSCP_ASSERT(tep >= 0 && tep < teps_);
+  MemView v;
+  v.regs = block_.get() + static_cast<size_t>(tep) * kRegisterCount;
+  v.internal = internalBank(tep);
+  v.external = externalBank();
+  v.internalSize = static_cast<uint64_t>(internalBytes_);
+  v.externalSize = static_cast<uint64_t>(externalBytes_);
+  return v;
+}
+
+DataMemory::TailSlot DataMemory::tailSlot(int tep, int32_t addr) const {
+  if (addr < kExternalBase)
+    return {static_cast<size_t>(tep), static_cast<size_t>(addr - internalBytes_)};
+  return {static_cast<size_t>(teps_),
+          static_cast<size_t>(addr - kExternalBase - externalBytes_)};
+}
+
+uint8_t DataMemory::read(int tep, int32_t addr) const {
+  PSCP_ASSERT(mapped(addr));
+  if (const uint8_t* cell = view(tep).byteAt(addr)) return *cell;
+  const TailSlot slot = tailSlot(tep, addr);
+  const std::unique_ptr<uint8_t[]>& tail = tails_[slot.bank];
+  return tail != nullptr ? tail[slot.offset] : 0;
+}
+
+void DataMemory::write(int tep, int32_t addr, uint8_t value) {
+  PSCP_ASSERT(mapped(addr));
+  if (uint8_t* cell = view(tep).byteAt(addr)) {
+    *cell = value;
+    return;
+  }
+  const TailSlot slot = tailSlot(tep, addr);
+  std::unique_ptr<uint8_t[]>& tail = tails_[slot.bank];
+  if (tail == nullptr)
+    tail = std::make_unique<uint8_t[]>(static_cast<size_t>(
+        slot.bank < static_cast<size_t>(teps_) ? kExternalBase - internalBytes_
+                                               : kExternalSize - externalBytes_));
+  tail[slot.offset] = value;
+}
+
+uint32_t DataMemory::reg(int tep, int index) const {
+  PSCP_ASSERT(tep >= 0 && tep < teps_ && index >= 0 && index < kRegisterCount);
+  return block_[static_cast<size_t>(tep) * kRegisterCount + static_cast<size_t>(index)];
+}
+
+void DataMemory::setReg(int tep, int index, uint32_t value) {
+  PSCP_ASSERT(tep >= 0 && tep < teps_ && index >= 0 && index < kRegisterCount);
+  block_[static_cast<size_t>(tep) * kRegisterCount + static_cast<size_t>(index)] = value;
+}
+
 // ------------------------------------------------------------- SimpleHost
 
-SimpleHost::SimpleHost()
-    : internal_(kExternalBase, 0), external_(kExternalSize, 0), regs_(16, 0) {}
+SimpleHost::SimpleHost(int32_t internalBytes, int32_t externalBytes)
+    : memory_(1, internalBytes, externalBytes) {}
+
+MemView SimpleHost::memView(int tepId) {
+  (void)tepId;
+  return memory_.view(0);
+}
 
 uint8_t SimpleHost::readByte(int32_t addr) {
-  if (addr >= 0 && addr < kExternalBase) return internal_[static_cast<size_t>(addr)];
-  if (isExternalAddress(addr) && addr < kExternalBase + kExternalSize)
-    return external_[static_cast<size_t>(addr - kExternalBase)];
-  fail("data read from unmapped address 0x%X", addr);
+  if (!DataMemory::mapped(addr)) fail("data read from unmapped address 0x%X", addr);
+  return memory_.read(0, addr);
 }
 
 void SimpleHost::writeByte(int32_t addr, uint8_t value) {
-  if (addr >= 0 && addr < kExternalBase) {
-    internal_[static_cast<size_t>(addr)] = value;
-    return;
-  }
-  if (isExternalAddress(addr) && addr < kExternalBase + kExternalSize) {
-    external_[static_cast<size_t>(addr - kExternalBase)] = value;
-    return;
-  }
-  fail("data write to unmapped address 0x%X", addr);
+  if (!DataMemory::mapped(addr)) fail("data write to unmapped address 0x%X", addr);
+  memory_.write(0, addr, value);
 }
 
-uint32_t SimpleHost::readReg(int index) {
-  PSCP_ASSERT(index >= 0 && index < static_cast<int>(regs_.size()));
-  return regs_[static_cast<size_t>(index)];
-}
+uint32_t SimpleHost::readReg(int index) const { return memory_.reg(0, index); }
 
-void SimpleHost::writeReg(int index, uint32_t value) {
-  PSCP_ASSERT(index >= 0 && index < static_cast<int>(regs_.size()));
-  regs_[static_cast<size_t>(index)] = value;
-}
+void SimpleHost::writeReg(int index, uint32_t value) { memory_.setReg(0, index, value); }
 
 uint32_t SimpleHost::readPort(int address) { return ports[address]; }
 
@@ -67,7 +130,7 @@ void SimpleHost::writeWord(int32_t addr, uint32_t value, int bytes) {
 // -------------------------------------------------------------------- Tep
 
 Tep::Tep(const hwlib::ArchConfig& config, TepHost& host, int id)
-    : config_(config), host_(host), id_(id) {
+    : config_(config), host_(host), id_(id), mem_(host.memView(id)) {
   config_.validate();
   callStack_.reserve(32);
 }
@@ -131,6 +194,13 @@ void Tep::stepCycle() {
     if (sink_ != nullptr) sink_->onInstrRetire(id_, obsNow());
     if (busy_) beginInstruction();
   }
+}
+
+uint32_t& Tep::reg(int index) {
+  if (index < 0 || index >= kRegisterCount)
+    fail("TEP%d: register %d outside the %d-entry register file at PC %d", id_, index,
+         kRegisterCount, pc_ - 1);
+  return mem_.regs[index];
 }
 
 void Tep::applyFlags(uint32_t result, int width) {
@@ -198,7 +268,9 @@ void Tep::execMicroOp(const MicroInstr& mi) {
       const int chunk = mi.arg;
       const int base = chunk * bpw;
       for (int i = 0; i < bpw && base + i < totalBytes; ++i) {
-        const uint32_t byte = host_.readByte(mar_ + base + i);
+        const int32_t addr = mar_ + base + i;
+        const uint8_t* cell = mem_.byteAt(addr);
+        const uint32_t byte = cell != nullptr ? *cell : host_.readByte(addr);
         mdr_ &= ~(0xFFu << (8 * (base + i)));
         mdr_ |= byte << (8 * (base + i));
       }
@@ -207,9 +279,14 @@ void Tep::execMicroOp(const MicroInstr& mi) {
     case MicroOp::MemWrite: {
       const int chunk = mi.arg;
       const int base = chunk * bpw;
-      for (int i = 0; i < bpw && base + i < totalBytes; ++i)
-        host_.writeByte(mar_ + base + i,
-                        static_cast<uint8_t>((mdr_ >> (8 * (base + i))) & 0xFF));
+      for (int i = 0; i < bpw && base + i < totalBytes; ++i) {
+        const int32_t addr = mar_ + base + i;
+        const auto byte = static_cast<uint8_t>((mdr_ >> (8 * (base + i))) & 0xFF);
+        if (uint8_t* cell = mem_.byteAt(addr))
+          *cell = byte;
+        else
+          host_.writeByte(addr, byte);
+      }
       break;
     }
     case MicroOp::MdrToAcc:
@@ -233,13 +310,13 @@ void Tep::execMicroOp(const MicroInstr& mi) {
         op_ = static_cast<uint32_t>(current_.operand) & mask;
       break;
     case MicroOp::RegToAcc:
-      acc_ = host_.readReg(current_.operand) & mask;
+      acc_ = reg(current_.operand) & mask;
       break;
     case MicroOp::RegToOp:
-      op_ = host_.readReg(current_.operand) & mask;
+      op_ = reg(current_.operand) & mask;
       break;
     case MicroOp::AccToReg:
-      host_.writeReg(current_.operand, acc_ & mask);
+      reg(current_.operand) = acc_ & mask;
       break;
 
     case MicroOp::AluChunk: {

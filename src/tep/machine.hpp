@@ -5,15 +5,18 @@
 // simulated cycle counts, the static WCET analysis, and the area model all
 // derive from the same microprograms.
 //
-// The TEP communicates with the rest of the PSCP through a TepHost:
-// shared data memory (main memory + register bank), the port architecture,
-// and the CR (events / conditions / states). External-memory accesses take
-// an extra wait state and must win the shared external bus for that cycle;
-// with several TEPs this is where bus contention appears.
+// The TEP communicates with the rest of the PSCP through a TepHost: data
+// memory (its register file, its internal bank and the shared external
+// bank), the port architecture, and the CR (events / conditions /
+// states). The core reads registers and in-layout memory in place through
+// the host's MemView and calls the host only for the rest. External-memory
+// accesses take an extra wait state and must win the shared external bus
+// for that cycle; with several TEPs this is where bus contention appears.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,18 +26,90 @@
 
 namespace pscp::tep {
 
+/// What a TEP core, and the native code run on its behalf, read and write
+/// in place: the TEP's register file, the in-layout prefix of its internal
+/// bank, and that of the shared external bank. Raw pointers plus sizes,
+/// valid for the lifetime of the DataMemory they view.
+struct MemView {
+  uint32_t* regs = nullptr;      ///< kRegisterCount entries
+  uint8_t* internal = nullptr;   ///< addresses [0, internalSize)
+  uint8_t* external = nullptr;   ///< addresses kExternalBase + [0, externalSize)
+  uint64_t internalSize = 0;
+  uint64_t externalSize = 0;
+
+  /// The in-layout byte at `addr`, or null when the host serves it: a byte
+  /// in a bank's tail, or an unmapped address.
+  [[nodiscard]] uint8_t* byteAt(int32_t addr) const {
+    const auto a = static_cast<uint32_t>(addr);
+    if (a < internalSize) return internal + a;
+    const uint32_t e = a - static_cast<uint32_t>(kExternalBase);
+    return e < externalSize ? external + e : nullptr;
+  }
+};
+
+/// A PSCP instance's TEP data memory, sized from its compiled layout
+/// (CompiledApp::{internal,external}BytesUsed): per TEP a register file and
+/// an internal bank, and one external bank all TEPs share, in a single
+/// allocation. A mapped address past a bank's layout lives in that bank's
+/// tail, allocated on the first write there; unwritten tail bytes read as
+/// 0 and allocate nothing. The in-layout prefix never moves, so a view
+/// stays valid for the memory's lifetime.
+class DataMemory {
+ public:
+  DataMemory(int teps, int32_t internalBytes, int32_t externalBytes);
+
+  /// True for an address in either bank's range, [0, kExternalBase +
+  /// kExternalSize); every other address is unmapped.
+  [[nodiscard]] static bool mapped(int32_t addr) {
+    return addr >= 0 && addr < kExternalBase + kExternalSize;
+  }
+
+  /// TEP `tep`'s view: its register file and internal bank, the external
+  /// bank.
+  [[nodiscard]] MemView view(int tep) const;
+  /// Mapped byte `addr` as TEP `tep` sees it (its own internal bank).
+  [[nodiscard]] uint8_t read(int tep, int32_t addr) const;
+  void write(int tep, int32_t addr, uint8_t value);
+  [[nodiscard]] uint32_t reg(int tep, int index) const;
+  void setReg(int tep, int index, uint32_t value);
+
+ private:
+  [[nodiscard]] uint8_t* internalBank(int tep) const;
+  [[nodiscard]] uint8_t* externalBank() const;
+  /// Tail slot of mapped address `addr` past its bank's layout, for TEP
+  /// `tep`: the bank (TEP index, or `teps_` for the external bank) and the
+  /// byte's offset in that bank's tail.
+  struct TailSlot {
+    size_t bank;
+    size_t offset;
+  };
+  [[nodiscard]] TailSlot tailSlot(int tep, int32_t addr) const;
+
+  int teps_;
+  int32_t internalBytes_;
+  int32_t externalBytes_;
+  /// The register files, then the internal banks, then the external bank.
+  std::unique_ptr<uint32_t[]> block_;
+  /// Per bank, its tail past the layout; null until written.
+  std::vector<std::unique_ptr<uint8_t[]>> tails_;
+};
+
 /// Everything outside the TEP core: memory, ports, CR. One host is shared
 /// by all TEPs of a PSCP instance.
 class TepHost {
  public:
   virtual ~TepHost() = default;
 
-  // Data memory, byte granularity (internal below kExternalBase).
+  /// TEP `tepId`'s in-place view of its registers and in-layout memory.
+  [[nodiscard]] virtual MemView memView(int tepId) = 0;
+
+  // Data memory at byte granularity (internal below kExternalBase), for
+  // what the view does not cover: tail bytes, unmapped addresses (a
+  // runtime error) and the loader.
   [[nodiscard]] virtual uint8_t readByte(int32_t addr) = 0;
   virtual void writeByte(int32_t addr, uint8_t value) = 0;
 
-  // Shared register bank (storage-promotion target).
-  [[nodiscard]] virtual uint32_t readReg(int index) = 0;
+  /// The loader's register writes (storage-promoted globals).
   virtual void writeReg(int index, uint32_t value) = 0;
 
   // Port architecture.
@@ -60,15 +135,19 @@ class TepHost {
   }
 };
 
-/// Self-contained host for unit tests and single-TEP runs.
+/// Self-contained host for unit tests and single-TEP runs. Its banks
+/// default to the whole address range; smaller sizes model a compiled
+/// layout, with tails past it.
 class SimpleHost : public TepHost {
  public:
-  SimpleHost();
+  explicit SimpleHost(int32_t internalBytes = kExternalBase,
+                      int32_t externalBytes = kExternalSize);
 
+  MemView memView(int tepId) override;
   uint8_t readByte(int32_t addr) override;
   void writeByte(int32_t addr, uint8_t value) override;
-  uint32_t readReg(int index) override;
   void writeReg(int index, uint32_t value) override;
+  [[nodiscard]] uint32_t readReg(int index) const;
   uint32_t readPort(int address) override;
   void writePort(int address, uint32_t value) override;
   void latchPort(int address, uint32_t value) override;
@@ -87,9 +166,7 @@ class SimpleHost : public TepHost {
   std::map<int, bool> states;
 
  private:
-  std::vector<uint8_t> internal_;
-  std::vector<uint8_t> external_;
-  std::vector<uint32_t> regs_;
+  DataMemory memory_;
 };
 
 struct RunResult {
@@ -154,10 +231,13 @@ class Tep {
   void execMicroOp(const MicroInstr& mi);
   void aluExec(AluSub sub, bool last);
   void applyFlags(uint32_t result, int width);
+  /// Register `index` of this TEP's file; outside it, a runtime error.
+  [[nodiscard]] uint32_t& reg(int index);
 
   const hwlib::ArchConfig& config_;
   TepHost& host_;
   int id_ = 0;
+  MemView mem_;
   const AsmProgram* program_ = nullptr;
   const MicroTable* micro_ = nullptr;
 

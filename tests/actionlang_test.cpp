@@ -2,6 +2,8 @@
 
 #include "actionlang/interp.hpp"
 #include "actionlang/parser.hpp"
+#include "pscp/machine.hpp"
+#include "statechart/parser.hpp"
 
 namespace pscp::actionlang {
 namespace {
@@ -162,6 +164,85 @@ TEST(ActionTypes, MixedWidthArithmetic) {
   const TypePtr& th = p.function("h").body[0]->expr->type;
   EXPECT_EQ(th->width(), 8);
   EXPECT_TRUE(th->isSigned());
+}
+
+// Arithmetic on constants alone is exact: the operator takes the smallest
+// signed width holding its value, as a literal does, instead of wrapping
+// at its operands' width before any context widens it. The same folds
+// reach both backends (the compiled routine below, on both tiers).
+std::string sumOfOnes(int terms) {
+  std::string sum = "1";
+  for (int i = 1; i < terms; ++i) sum += " + 1";
+  return sum;
+}
+
+const std::string kConstantFolds = R"code(
+  int:16 y = 3;
+  int:16 two; int:16 x; int:16 ypair; int:16 yquad; int:16 shifted; int:16 many;
+  int:16 unneg;
+  int:16 fTwo() { return 1 + 1; }
+  void fStore() { x = 100 + 100; }
+  int:16 fPair() { return y + (1 + 1); }
+  int:16 fQuad() { return y * (2 * 2); }
+  int:16 fShift() { return 1 << 4; }
+  int:16 fMany() { return )code" + sumOfOnes(200) + R"code(; }
+  int:16 fUnneg() { return -(0 - 2); }
+  void Fold() {
+    two = 1 + 1;
+    x = 100 + 100;
+    ypair = y + (1 + 1);
+    yquad = y * (2 * 2);
+    shifted = 1 << 4;
+    many = )code" + sumOfOnes(200) + R"code(;
+    unneg = -(0 - 2);
+  }
+)code";
+
+TEST(ActionTypes, ConstantExpressionsFoldExactly) {
+  RecordingEnv env;
+  Program p = parseActionSource(kConstantFolds);
+  EXPECT_EQ(p.function("fTwo").body[0]->expr->type->width(), 3);
+  EXPECT_EQ(p.function("fShift").body[0]->expr->type->width(), 6);
+  Interp interp(p, env);
+  EXPECT_EQ(interp.call("fTwo"), 2);
+  interp.call("fStore");
+  EXPECT_EQ(interp.globalValue("x"), 200);
+  EXPECT_EQ(interp.call("fPair"), 5);
+  EXPECT_EQ(interp.call("fQuad"), 12);
+  EXPECT_EQ(interp.call("fShift"), 16);
+  EXPECT_EQ(interp.call("fMany"), 200);
+  EXPECT_EQ(interp.call("fUnneg"), 2);
+}
+
+TEST(ActionTypes, ConstantExpressionsFoldExactlyOnBothTiers) {
+  const statechart::Chart chart = statechart::parseChart(R"chart(
+    chart Folds;
+    event GO;
+    orstate Top { contains Idle, Done; default Idle; }
+    basicstate Idle { transition { target Done; label "GO/Fold()"; } }
+    basicstate Done { }
+  )chart");
+  const Program actions = parseActionSource(kConstantFolds);
+  for (const tep::jit::JitMode mode : {tep::jit::JitMode::kOff, tep::jit::JitMode::kAlways}) {
+    SCOPED_TRACE(tep::jit::jitModeName(mode));
+    hwlib::ArchConfig arch;
+    arch.dataWidth = 16;
+    arch.hasMulDiv = true;
+    machine::PscpMachine m(chart, actions, arch);
+    m.setJitMode(mode);
+    m.configurationCycle({"GO"});
+    ASSERT_TRUE(m.isActive("Done"));
+    EXPECT_EQ(m.globalValue("two"), 2);
+    EXPECT_EQ(m.globalValue("x"), 200);
+    EXPECT_EQ(m.globalValue("ypair"), 5);
+    EXPECT_EQ(m.globalValue("yquad"), 12);
+    EXPECT_EQ(m.globalValue("shifted"), 16);
+    EXPECT_EQ(m.globalValue("many"), 200);
+    EXPECT_EQ(m.globalValue("unneg"), 2);
+    if (mode == tep::jit::JitMode::kAlways && tep::jit::jitBackendAvailable()) {
+      EXPECT_EQ(m.jitNativeRuns(), 1);
+    }
+  }
 }
 
 TEST(ActionTypes, MixedWidthRuntimeValues) {

@@ -17,6 +17,7 @@
 #include "fleet/fleet.hpp"
 #include "pscp/machine.hpp"
 #include "statechart/parser.hpp"
+#include "workloads/smd_fleet.hpp"
 
 namespace {
 std::atomic<uint64_t> gAllocations{0};
@@ -339,6 +340,44 @@ TEST(SteadyStateAllocations, FarPortAddressCostsOnePortSlot) {
   }
   const uint64_t bytes = gAllocatedBytes.load(std::memory_order_relaxed) - before;
   EXPECT_LT(bytes, uint64_t{1} << 20) << bytes << " bytes";
+}
+
+// An instance's data memory is sized from the compiled layout (SMD uses
+// 688 B of internal RAM per TEP and 113 B of external RAM), so spawning a
+// machine over a built image stays far below the three 16 KB banks a
+// fixed-size memory would take.
+TEST(SteadyStateAllocations, SmdMachineSpawnIsSizedFromTheLayout) {
+  const auto image = workloads::makeSmdFleetImage();
+  const uint64_t before = gAllocatedBytes.load(std::memory_order_relaxed);
+  { const PscpMachine machine(image); }
+  const uint64_t bytes = gAllocatedBytes.load(std::memory_order_relaxed) - before;
+  EXPECT_LT(bytes, uint64_t{8} << 10) << bytes << " bytes";
+}
+
+// A bank's tail past the layout is allocated once, by the first write
+// there; reads of unwritten tail bytes see 0 and allocate nothing.
+TEST(SteadyStateAllocations, TailIsAllocatedOnItsFirstWrite) {
+  tep::DataMemory memory(2, 0x100, 0x10);
+  for (const int32_t tail : {0x100, tep::kExternalBase + 0x10}) {
+    SCOPED_TRACE(tail);
+    const uint64_t reads = gAllocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(memory.read(1, tail + 5), 0);
+    EXPECT_EQ(gAllocations.load(std::memory_order_relaxed) - reads, 0u);
+
+    const uint64_t first = gAllocations.load(std::memory_order_relaxed);
+    memory.write(1, tail, 0xAB);
+    EXPECT_EQ(gAllocations.load(std::memory_order_relaxed) - first, 1u);
+
+    const uint64_t later = gAllocations.load(std::memory_order_relaxed);
+    memory.write(1, tail + 1, 0xCD);
+    memory.write(1, tail + 0x80, 0xEF);
+    EXPECT_EQ(memory.read(1, tail), 0xAB);
+    EXPECT_EQ(memory.read(1, tail + 0x80), 0xEF);
+    EXPECT_EQ(gAllocations.load(std::memory_order_relaxed) - later, 0u);
+  }
+  // TEP 1's internal tail is its own; the external one is shared.
+  EXPECT_EQ(memory.read(0, 0x100), 0);
+  EXPECT_EQ(memory.read(0, tep::kExternalBase + 0x10), 0xAB);
 }
 
 }  // namespace

@@ -6,9 +6,11 @@
 //      array writes, width-boundary arithmetic, division by zero, custom
 //      instructions, call stack overflow/underflow, running off the
 //      program) plus seeded random-program fuzz over several architecture
-//      shapes. Compares ACC/OP/flags, exact cycle counts, every host side
-//      effect in order, the step of every bus request, port write, raise
-//      and fault, and error messages byte for byte.
+//      shapes, each over full-size memory banks and over banks sized like
+//      a small layout (in-layout, tail and straddling bytes). Compares
+//      ACC/OP/flags, exact cycle counts, every host side effect in order,
+//      the step of every bus request, port write, raise and fault, and
+//      error messages byte for byte.
 //   2. Machine level — the SMD workload at 1, 2 and 3 TEPs (and at 2 on
 //      an 8-bit datapath) stepped with PSCP_JIT off vs always, and with a
 //      mid-run switch from off to always: fired transitions, cycle and
@@ -16,7 +18,9 @@
 //      cycle, port-write logs (values and timestamps) and active states
 //      at the end. A two-AND-state chart covers the replay's edges
 //      (exclusion groups, three routines on two TEPs, a hazard pair,
-//      faults, one on a second chunk, and the machine-cycle guard).
+//      faults, one on a second chunk, and the machine-cycle guard), and a
+//      layout chart's subscripts reach past the layout, straddle its end
+//      and leave the address map.
 //   3. Fleet/journal level — at 1 and 2 TEPs, fleets diffed across worker
 //      counts, and a journal recorded under the interpreter must verify
 //      (CR digest checkpoints) when replayed with the native tier forced
@@ -24,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -88,6 +93,8 @@ std::string raiseAt(int64_t step, int index) {
 /// at the interpreter step the harness is running.
 class TimedHost : public SimpleHost {
  public:
+  using SimpleHost::SimpleHost;
+
   bool acquireExternalBus(int /*tepId*/) override {
     timed.push_back(busAt(step));
     return true;
@@ -172,6 +179,7 @@ bool runNative(const AsmProgram& prog, int entry,
   jit::JitContext ctx;
   ctx.cycleBudget = budget;
   ctx.env = &env;
+  ctx.mem = host.memView(0);
   const auto fn =
       reinterpret_cast<jit::CompiledFn>(const_cast<void*>(buf.entry()));
   const int32_t status = fn(&ctx);
@@ -211,8 +219,23 @@ bool runNative(const AsmProgram& prog, int entry,
 }
 
 // Addresses the generated programs may touch; the diff compares exactly
-// these bytes on both hosts.
-const int32_t kAddrPool[] = {0x10, 0x40, 0x100, 0x3F0, 0x4000, 0x4010, 0x4100};
+// these bytes on both hosts. Over the small-layout hosts below, 0x10, 0x40
+// and 0x4000 lie inside the layout, 0x100, 0x3F0, 0x4010 and 0x4100 in a
+// bank's tail, and a word at 0xFF or 0x400F straddles a bank's boundary.
+const int32_t kAddrPool[] = {0x10,   0x40,   0xFF,   0x100, 0x3F0,
+                             0x4000, 0x400F, 0x4010, 0x4100};
+constexpr int kAddrPoolSize = static_cast<int>(std::size(kAddrPool));
+
+/// Bank sizes the routine diffs run over: full-size banks, where every
+/// mapped address is in place, and banks sized like a small compiled
+/// layout, so the pool also reaches tail and straddling bytes.
+struct HostShape {
+  int32_t internalBytes;
+  int32_t externalBytes;
+  const char* name;
+};
+const HostShape kHostShapes[] = {{kExternalBase, kExternalSize, "full-size banks"},
+                                 {0x100, 0x10, "small layout"}};
 
 void seedHost(SimpleHost& host, Rng& rng) {
   for (const int32_t addr : kAddrPool)
@@ -223,15 +246,14 @@ void seedHost(SimpleHost& host, Rng& rng) {
   for (int s = 0; s < 4; ++s) host.states[s] = rng.chance(50);
 }
 
-/// Run `prog` on both tiers over identically seeded hosts and require
-/// bit-identical outcomes, down to the step of every bus request, port
-/// write and raise and of a fault. Returns false when the native tier
+/// Run `prog` on both tiers over identically seeded hosts of one shape and
+/// require bit-identical outcomes, down to the step of every bus request,
+/// port write and raise and of a fault. Returns false when the native tier
 /// rejected the routine (callers assert how often that may happen).
-bool diffRoutine(const AsmProgram& prog, int entry,
-                 const hwlib::ArchConfig& config, uint32_t hostSeed,
-                 const std::string& label) {
-  TimedHost interpHost;
-  SimpleHost nativeHost;
+bool diffRoutineOn(const AsmProgram& prog, int entry, const hwlib::ArchConfig& config,
+                   uint32_t hostSeed, const HostShape& shape, const std::string& label) {
+  TimedHost interpHost(shape.internalBytes, shape.externalBytes);
+  SimpleHost nativeHost(shape.internalBytes, shape.externalBytes);
   {
     Rng a(hostSeed);
     seedHost(interpHost, a);
@@ -264,6 +286,16 @@ bool diffRoutine(const AsmProgram& prog, int entry,
     EXPECT_EQ(interpHost.raisedEvents, nativeHost.raisedEvents) << label;
     EXPECT_EQ(interpHost.conditions, nativeHost.conditions) << label;
   }
+  return true;
+}
+
+/// diffRoutineOn over every host shape.
+bool diffRoutine(const AsmProgram& prog, int entry,
+                 const hwlib::ArchConfig& config, uint32_t hostSeed,
+                 const std::string& label) {
+  for (const HostShape& shape : kHostShapes)
+    if (!diffRoutineOn(prog, entry, config, hostSeed, shape, label + " (" + shape.name + ")"))
+      return false;
   return true;
 }
 
@@ -608,9 +640,9 @@ AsmProgram genProgram(Rng& rng) {
     switch (rng.below(24)) {
       case 0: in = {Opcode::LdaImm, w, imm}; break;
       case 1: in = {Opcode::LdoImm, w, imm}; break;
-      case 2: in = {Opcode::LdaMem, w, kAddrPool[rng.below(7)]}; break;
-      case 3: in = {Opcode::LdoMem, w, kAddrPool[rng.below(7)]}; break;
-      case 4: in = {Opcode::StaMem, w, kAddrPool[rng.below(7)]}; break;
+      case 2: in = {Opcode::LdaMem, w, kAddrPool[rng.below(kAddrPoolSize)]}; break;
+      case 3: in = {Opcode::LdoMem, w, kAddrPool[rng.below(kAddrPoolSize)]}; break;
+      case 4: in = {Opcode::StaMem, w, kAddrPool[rng.below(kAddrPoolSize)]}; break;
       case 5: in = {Opcode::LdaReg, w, rng.below(8)}; break;
       case 6: in = {Opcode::StaReg, w, rng.below(8)}; break;
       case 7: in = {Opcode::LdoReg, w, rng.below(8)}; break;
@@ -654,7 +686,7 @@ AsmProgram genProgram(Rng& rng) {
       case 21: in = {Opcode::STst, 8, rng.below(4)}; break;
       case 22: {
         // Indirect/indexed over a safe pointer: OP is loaded just before.
-        prog.code.push_back({Opcode::LdoImm, 16, kAddrPool[rng.below(7)]});
+        prog.code.push_back({Opcode::LdoImm, 16, kAddrPool[rng.below(kAddrPoolSize)]});
         const Opcode ind[] = {Opcode::LdaInd, Opcode::StaInd, Opcode::LdaIdx,
                               Opcode::StaIdx};
         const Opcode pick = ind[rng.below(4)];
@@ -821,6 +853,26 @@ TEST(TepJitTier, RejectedRoutineStaysInterpreted) {
     EXPECT_EQ(cache.residency().rejectedRoutines, 1);
   }
   EXPECT_EQ(cache.dispatch(0, 0), nullptr);
+}
+
+// Native code indexes the register file unchecked, so lowering rejects a
+// register operand outside it and the routine stays on the interpreter,
+// which reports the fault as a runtime diagnostic.
+TEST(TepJitTier, RegisterOutsideTheFileStaysInterpreted) {
+  for (const Opcode op : {Opcode::LdaReg, Opcode::LdoReg, Opcode::StaReg}) {
+    for (const int32_t reg : {16, -1}) {
+      SCOPED_TRACE(std::string(opcodeMnemonic(op)) + " r" + std::to_string(reg));
+      const auto prog = progOf({{Opcode::LdaImm, 8, 1}, {op, 8, reg}, {Opcode::Tret, 8, 0}});
+      const ir::LowerResult low = ir::lowerRoutine(prog, 0, archPlain8());
+      EXPECT_FALSE(low.ok);
+      EXPECT_EQ(low.reason,
+                "isa 1: register " + std::to_string(reg) + " outside the register file");
+      TimedHost host;
+      const TierRun run = runInterp(prog, 0, archPlain8(), host, 100);
+      EXPECT_EQ(run.error, "TEP0: register " + std::to_string(reg) +
+                               " outside the 16-entry register file at PC 1");
+    }
+  }
 }
 
 // ------------------------------------------------- machine-level diffing
@@ -1327,6 +1379,142 @@ TEST(TepJitReplay, MachineCycleGuardMatchesInterpreter) {
   pair.expectSameFault(errors, "PSCP configuration cycle exceeded 4000000 machine cycles");
   if (jit::jitBackendAvailable()) {
     EXPECT_EQ(pair.native.jitNativeRuns() - native, 1);
+  }
+}
+
+// ------------------------------------------------ layout boundary
+
+// Each instance's banks are sized from the layout, so a subscript read from
+// a port can reach past it: Poke stores to and loads from ibuf[I] (an
+// internal global) and PokeX the same on xbuf[I] (an external one), each
+// reading the value back into a global and writing it to port Out.
+const char* kLayoutChart = R"chart(
+chart Layout;
+event GO; event P; event Q;
+port I   data in  width 16 address 0x10;
+port V   data in  width 16 address 0x12;
+port Out data out width 16 address 0x14;
+
+orstate Top { contains Idle, Run; default Idle; }
+basicstate Idle {
+  transition { target Run; label "GO"; }
+}
+andstate Run {
+  orstate L { contains A; default A; }
+  orstate R { contains B; default B; }
+}
+basicstate A { transition { target A; label "P/Poke()"; } }
+basicstate B { transition { target B; label "Q/PokeX()"; } }
+)chart";
+
+const char* kLayoutActions = R"code(
+int:16 ibuf[4];
+int:8 ipad;
+int:16 xbuf[4];
+int:8 xpad;
+int:16 igot;
+int:16 xgot;
+
+void Poke() {
+  ibuf[read_port(I)] = read_port(V);
+  igot = ibuf[read_port(I)];
+  write_port(Out, igot);
+}
+
+void PokeX() {
+  xbuf[read_port(I)] = read_port(V) + 1;
+  xgot = xbuf[read_port(I)];
+  write_port(Out, xgot);
+}
+)code";
+
+struct LayoutChart {
+  statechart::Chart chart = statechart::parseChart(kLayoutChart);
+  actionlang::Program actions = [] {
+    actionlang::Program p = actionlang::parseActionSource(kLayoutActions);
+    // ipad and xpad set each layout's parity: a straddling element then
+    // starts on the layout's last byte.
+    for (const char* name : {"ibuf", "ipad"})
+      p.findGlobal(name)->storageClass = compiler::kStorageInternal;
+    return p;
+  }();
+
+  std::shared_ptr<const machine::ChartImage> image(int teps) const {
+    hwlib::ArchConfig arch;
+    arch.dataWidth = 16;
+    arch.numTeps = teps;
+    return std::make_shared<const machine::ChartImage>(chart, actions, arch);
+  }
+};
+
+/// The subscript that puts element I of the int:16 array at `base` on
+/// byte address `target` (16-bit wrap, like the generated address).
+uint32_t subscriptAt(int32_t base, int32_t target) {
+  return static_cast<uint32_t>((target - base) / 2) & 0xFFFF;
+}
+
+// In layout, past it (the tail), straddling its end, and unmapped, at 1
+// and 2 TEPs: every cycle matches the interpreter, the unmapped subscript
+// fails with the same text on both tiers, and a tail write reads back.
+TEST(TepJitLayout, SubscriptsAcrossTheLayoutMatchInterpreter) {
+  const LayoutChart lc;
+  for (const int teps : {1, 2}) {
+    const auto image = lc.image(teps);
+    const compiler::CompiledApp& app = image->app();
+    const int32_t ibuf = app.globalPlacement.at("ibuf").address;
+    const int32_t xbuf = app.globalPlacement.at("xbuf").address;
+    const int32_t internalEnd = app.internalBytesUsed;
+    const int32_t externalEnd = kExternalBase + app.externalBytesUsed;
+    ASSERT_LT(internalEnd, 0x200);
+    ASSERT_LT(externalEnd, kExternalBase + 0x200);
+    // A straddling element starts on the layout's last byte.
+    ASSERT_EQ((internalEnd - 1 - ibuf) % 2, 0) << "ibuf parity";
+    ASSERT_EQ((externalEnd - 1 - xbuf) % 2, 0) << "xbuf parity";
+    struct Case {
+      const char* name;
+      uint32_t internalIndex;
+      uint32_t externalIndex;
+    };
+    const Case cases[] = {
+        {"in layout", 1, 1},
+        {"tail", subscriptAt(ibuf, 0x3000), subscriptAt(xbuf, 0x7000)},
+        {"straddling", subscriptAt(ibuf, internalEnd - 1), subscriptAt(xbuf, externalEnd - 1)},
+    };
+    for (const Case& c : cases) {
+      SCOPED_TRACE("teps " + std::to_string(teps) + " " + c.name);
+      for (const bool external : {false, true}) {
+        PscpMachine interp(image);
+        interp.setJitMode(jit::JitMode::kOff);
+        PscpMachine native(image);
+        native.setJitMode(jit::JitMode::kAlways);
+        for (PscpMachine* m : {&interp, &native}) {
+          m->configurationCycle({"GO"});
+          m->setInputPort("I", external ? c.externalIndex : c.internalIndex);
+          m->setInputPort("V", 0x1234);
+        }
+        diffMachines(interp, native, 0x1A + static_cast<uint32_t>(teps), 40,
+                     {external ? "Q" : "P"}, 60);
+        const char* got = external ? "xgot" : "igot";
+        for (PscpMachine* m : {&interp, &native})
+          EXPECT_EQ(m->globalValue(got), external ? 0x1235 : 0x1234) << got;
+        if (jit::jitBackendAvailable()) {
+          EXPECT_GT(native.jitNativeRuns(), 0);
+        }
+      }
+    }
+    // Unmapped: both subscripts land above external RAM. The store faults
+    // first, on both tiers, with the interpreter's text.
+    for (const bool external : {false, true}) {
+      SCOPED_TRACE("teps " + std::to_string(teps) + (external ? " xbuf" : " ibuf"));
+      TierPair pair(image);
+      const int32_t base = external ? xbuf : ibuf;
+      for (PscpMachine* m : {&pair.interp, &pair.native}) {
+        m->setInputPort("I", subscriptAt(base, 0x9000));
+        m->setInputPort("V", 7);
+      }
+      const auto errors = pair.step({external ? "Q" : "P"});
+      pair.expectSameFault(errors, "PSCP: data write to unmapped address 0x9000");
+    }
   }
 }
 
