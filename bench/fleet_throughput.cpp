@@ -24,9 +24,11 @@
 // several rounds of fresh fleets, and times each arm as the sum of its
 // fastest reading of each epoch (telemetry_overhead's estimator), so one
 // noisy stretch of host time cannot decide the ratio. In any mode, the
-// run fails when a JIT-arm row of either image runs less than 2.9496x
-// faster than the interpreter (0.4x a 1-CPU quick-mode capture of 7.374x
-// on the one-TEP machine). In full mode on a machine with >= 4 hardware
+// run fails when a JIT-arm row runs less than its image's floor faster
+// than the interpreter: 5.9x on the one-TEP image and 4.0x on the two-TEP
+// one, about 0.7x the medians of 10 quick runs on a 4-vCPU Xeon (8.46x and
+// 5.77x), so a native tier 3x slower (4.0-4.4x and 3.1-3.3x) fails both.
+// In full mode on a machine with >= 4 hardware
 // threads, it also fails unless the >= 256-instance sweep reaches >= 3x
 // aggregate throughput at 4 threads.
 #include <benchmark/benchmark.h>
@@ -52,8 +54,9 @@ using namespace pscp;
 
 namespace {
 
-/// Lowest JIT-vs-interpreter speedup a JIT-arm row may show, in any mode.
-constexpr double kJitSpeedupFloor = 2.9496;
+/// Lowest JIT-vs-interpreter speedup a JIT-arm row may show, in any mode,
+/// by the image's TEP count (see the header comment).
+double jitSpeedupFloor(int teps) { return teps == 1 ? 5.9 : 4.0; }
 
 struct BenchOptions {
   bool quick = false;
@@ -384,11 +387,12 @@ int main(int argc, char** argv) {
     ok = false;
   }
   for (const JitReference& ref : jitRefs) {
-    std::printf("jit speedup (teps=%d i=%zu): %.2fx (floor %.4fx)\n", ref.teps,
-                ref.instances, ref.jitSpeedup, kJitSpeedupFloor);
-    if (ref.jitSpeedup < kJitSpeedupFloor) {
-      std::fprintf(stderr, "FAIL: jit speedup %.2fx < floor %.4fx (teps=%d i=%zu)\n",
-                   ref.jitSpeedup, kJitSpeedupFloor, ref.teps, ref.instances);
+    const double floor = jitSpeedupFloor(ref.teps);
+    std::printf("jit speedup (teps=%d i=%zu): %.2fx (floor %.1fx)\n", ref.teps,
+                ref.instances, ref.jitSpeedup, floor);
+    if (ref.jitSpeedup < floor) {
+      std::fprintf(stderr, "FAIL: jit speedup %.2fx < floor %.1fx (teps=%d i=%zu)\n",
+                   ref.jitSpeedup, floor, ref.teps, ref.instances);
       ok = false;
     }
   }

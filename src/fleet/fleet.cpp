@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <utility>
 
+#include "pscp/sched_cost.hpp"
 #include "support/diag.hpp"
 
 namespace pscp::fleet {
@@ -16,6 +19,12 @@ namespace {
 // Instances per work-stealing chunk: small enough to balance a shard
 // whose worker falls behind, large enough to keep cursor traffic low.
 constexpr size_t kStealChunk = 8;
+/// A sleeper's wake cycle when no timer bounds its credit.
+constexpr int64_t kNever = std::numeric_limits<int64_t>::max();
+
+/// The wake and awake bitmaps hold one bit per InstanceId.
+constexpr size_t wordOf(InstanceId id) { return static_cast<size_t>(id / 64); }
+constexpr uint64_t bitOf(InstanceId id) { return uint64_t{1} << (id % 64); }
 }  // namespace
 
 // ------------------------------------------------------- internal structs
@@ -42,7 +51,8 @@ struct Fleet::Instance {
   machine::CycleStats stats;  ///< reused; fired kept allocated across epochs
   int64_t droppedSeen = 0;    ///< last `dropped` value folded into telemetry
 
-  // Lifetime accounting (read by snapshot() between epochs).
+  // Lifetime accounting (read by snapshot() between epochs; a sleeper's
+  // stands at `sleptAt` until creditSleeper brings it to the clock).
   int64_t machineCycles = 0;
   int64_t configCycles = 0;
   int64_t quiescentCycles = 0;
@@ -50,12 +60,35 @@ struct Fleet::Instance {
   int64_t busStallCycles = 0;
   int64_t eventsDelivered = 0;
 
+  // Sleep state (control thread only, between epochs). A sleeper is not
+  // stepped: its machine stands at fleet cycle `sleptAt`. One with a timer
+  // has a calendar entry at the cycle its credit runs out.
+  bool asleep = false;
+  int64_t sleptAt = 0;
+  int64_t calendarKey = kNever;  ///< wake cycle of its newest calendar entry
+
   std::vector<machine::PortWrite> portLog;  ///< when capturePortWrites
 };
 
+/// A balanced contiguous block of the live instances, by id. Each epoch
+/// steps its awake members only, from `stepList`.
 struct Fleet::Shard {
-  std::vector<Instance*> members;
+  size_t members = 0;
+  InstanceId endId = 0;  ///< past its last member's id (the previous shard's when empty)
+  std::vector<Instance*> stepList;  ///< this epoch's members to step, by ascending id
+  /// stepList[i]'s stepInstance result: the cycles it may sleep (0: stays
+  /// awake). Kept beside the list so putting instances to sleep after the
+  /// barrier touches only those that sleep.
+  std::vector<int64_t> credits;
   alignas(64) std::atomic<size_t> cursor{0};
+};
+
+/// A sleeper's calendar entry: the fleet cycle its credit runs out at.
+struct Fleet::CalendarEntry {
+  int64_t wakeAt = 0;
+  InstanceId id = 0;
+  /// Heap order: std heaps keep the greatest first, so the soonest wins.
+  bool operator<(const CalendarEntry& other) const { return wakeAt > other.wakeAt; }
 };
 
 /// Per-epoch, per-worker accumulator: plain int64s bumped in the hot loop
@@ -70,7 +103,7 @@ struct Fleet::WorkerLocal {
   int64_t busStallCycles = 0;
   int64_t eventsDelivered = 0;
   int64_t stealChunks = 0;
-  int64_t instancesStepped = 0;
+  int64_t instancesStepped = 0;  ///< awake instances stepped
 
   // Telemetry (ring == nullptr when the plane is disarmed: the hot loop's
   // single predictable check).
@@ -95,7 +128,8 @@ struct Fleet::WorkerCounters {
   std::atomic<int64_t> busStallCycles{0};
   std::atomic<int64_t> eventsDelivered{0};
   std::atomic<int64_t> stealChunks{0};
-  std::atomic<int64_t> instancesStepped{0};
+  std::atomic<int64_t> instancesStepped{0};   ///< instances stepped (awake)
+  std::atomic<int64_t> sleepingInstances{0};  ///< the shard's sleepers, last epoch
   // Written only when telemetry is armed.
   std::atomic<int64_t> epochStartNanos{0};  ///< 0 when no epoch in flight
   std::atomic<int64_t> lastEpochNanos{0};
@@ -174,6 +208,11 @@ InstanceId Fleet::spawn() {
   instances_.push_back(
       std::make_unique<Instance>(image_, id, config_.eventQueueCapacity));
   instances_.back()->machine.setJitMode(config_.jitMode);
+  if (wordOf(id) >= awakeBits_.size()) {
+    awakeBits_.resize(wordOf(id) + 1, 0);
+    wakeBits_.resize(wordOf(id) + 1, 0);
+  }
+  awakeBits_[wordOf(id)] |= bitOf(id);
   liveCount_.fetch_add(1, std::memory_order_relaxed);
   shardsDirty_ = true;
   if (journal_ != nullptr) journal_->recordSpawn(static_cast<int64_t>(id));
@@ -219,9 +258,15 @@ bool Fleet::inject(InstanceId id, int eventBit) {
   if (!isLive(id) || eventBit < 0 || eventBit >= image_->layout().eventCount())
     return false;
   Instance& inst = *instances_[static_cast<size_t>(id)];
-  if (inst.queue.tryPush(eventBit)) return true;
-  inst.dropped.fetch_add(1, std::memory_order_relaxed);
-  return false;
+  if (!inst.queue.tryPush(eventBit)) {
+    inst.dropped.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+  // Wake the instance after the push, on every push: the step that clears
+  // this bit (acquire) then drains the event, so none waits in a sleeper.
+  std::atomic_ref<uint64_t>(wakeBits_[wordOf(id)])
+      .fetch_or(bitOf(id), std::memory_order_release);
+  return true;
 }
 
 bool Fleet::injectByName(InstanceId id, const std::string& eventName) {
@@ -238,24 +283,26 @@ void Fleet::rebuildShards() {
   // Contiguous block placement (cache-aware): shard w owns a consecutive
   // run of live instances, stepped in spawn order by one worker —
   // round-robin placement would interleave every shard through memory.
-  std::vector<Instance*> live;
-  live.reserve(instances_.size());
-  for (const auto& inst : instances_)
-    if (inst != nullptr) live.push_back(inst.get());
-  const size_t base = live.size() / workerCount_;
-  const size_t extra = live.size() % workerCount_;
-  size_t next = 0;
+  const size_t live = liveCount_.load(std::memory_order_relaxed);
+  const size_t base = live / workerCount_;
+  const size_t extra = live % workerCount_;
+  InstanceId id = 0;
   for (size_t w = 0; w < workerCount_; ++w) {
-    const size_t take = base + (w < extra ? 1 : 0);
     Shard& shard = *shards_[w];
-    shard.members.assign(live.begin() + static_cast<ptrdiff_t>(next),
-                         live.begin() + static_cast<ptrdiff_t>(next + take));
-    next += take;
+    shard.members = base + (w < extra ? 1 : 0);
+    for (size_t taken = 0; taken < shard.members; ++id)
+      if (instances_[static_cast<size_t>(id)] != nullptr) ++taken;
+    shard.endId = id;
+    shard.stepList.reserve(shard.members);
+    shard.credits.reserve(shard.members);
   }
+  // Room for one entry per instance plus as many superseded ones, so the
+  // calendar compacts instead of growing in steady state.
+  calendar_.reserve(2 * live + 64);
   shardsDirty_ = false;
 }
 
-void Fleet::stepInstance(Instance& inst, int cycles, WorkerLocal& local) {
+int64_t Fleet::stepInstance(Instance& inst, int cycles, WorkerLocal& local) {
   // Deliver everything injected before this epoch at its first cycle.
   inst.drained.clear();
   int32_t event = 0;
@@ -307,6 +354,9 @@ void Fleet::stepInstance(Instance& inst, int cycles, WorkerLocal& local) {
     inst.portLog.insert(inst.portLog.end(), writes.begin(), writes.end());
   }
   inst.machine.clearPortWrites();
+  // An instance that fired is likely to fire again soon (a busy one fires
+  // every epoch), so it sleeps only after an epoch that fired nothing.
+  return epochFired == 0 ? inst.machine.quiescentCredit() : 0;
 }
 
 void Fleet::runWorkerEpoch(size_t worker, int cycles, int64_t epoch) {
@@ -340,10 +390,10 @@ void Fleet::runWorkerEpoch(size_t worker, int cycles, int64_t epoch) {
     Shard& shard = *shards_[victim];
     for (;;) {
       const size_t begin = shard.cursor.fetch_add(chunk, std::memory_order_relaxed);
-      if (begin >= shard.members.size()) break;
-      const size_t end = std::min(begin + chunk, shard.members.size());
+      if (begin >= shard.stepList.size()) break;
+      const size_t end = std::min(begin + chunk, shard.stepList.size());
       for (size_t i = begin; i < end; ++i)
-        stepInstance(*shard.members[i], cycles, local);
+        shard.credits[i] = stepInstance(*shard.stepList[i], cycles, local);
       if (offset != 0) {
         ++local.stealChunks;
         if (local.ring != nullptr)
@@ -354,6 +404,15 @@ void Fleet::runWorkerEpoch(size_t worker, int cycles, int64_t epoch) {
       }
     }
   }
+
+  // The own shard's sleepers ran `cycles` quiescent cycles each, which
+  // creditSleeper gives their machines when they wake or are read; the
+  // counters take them now, so they are exact after every epoch.
+  const Shard& own = *shards_[worker];
+  const int64_t sleepers = static_cast<int64_t>(own.members - own.stepList.size());
+  local.configCycles += sleepers * cycles;
+  local.quiescentCycles += sleepers * cycles;
+  local.machineCycles += sleepers * cycles * machine::kSlaEvaluateCycles;
 
   // Single-writer block: load/compute/store on relaxed atomics is safe;
   // concurrent readers see any consistent-enough interleaving.
@@ -396,6 +455,7 @@ void Fleet::runWorkerEpoch(size_t worker, int cycles, int64_t epoch) {
   bump(block.eventsDelivered, local.eventsDelivered);
   bump(block.stealChunks, local.stealChunks);
   bump(block.instancesStepped, local.instancesStepped);
+  block.sleepingInstances.store(sleepers, std::memory_order_relaxed);
   bump(block.epochs, 1);
 }
 
@@ -421,14 +481,16 @@ void Fleet::workerLoop(size_t worker) {
 }
 
 void Fleet::step(int cycles) {
-  PSCP_ASSERT(cycles > 0);
+  if (cycles <= 0)
+    fail("fleet: step(%d) runs no configuration cycle; an epoch runs 1 to %d",
+         cycles, std::numeric_limits<int>::max());
   if (shardsDirty_) rebuildShards();
-  for (auto& shard : shards_) shard->cursor.store(0, std::memory_order_relaxed);
   const int64_t epoch = epochs_.load(std::memory_order_relaxed) + 1;
   // Epoch-0 checkpoint: the post-setup state (after spawn/port/condition/
   // timer/warm-up ops, before any epoch) anchors replay verification.
   if (journal_ != nullptr && epoch == 1) takeCheckpoint(0);
   epochs_.store(epoch, std::memory_order_relaxed);
+  buildStepLists(cycles);
   if (pool_ == nullptr) {
     runWorkerEpoch(0, cycles, epoch);
   } else {
@@ -440,25 +502,117 @@ void Fleet::step(int cycles) {
     pool_->start.notify_all();
     pool_->done.wait(lk, [&] { return pool_->running == 0; });
   }
-  if (journal_ != nullptr) journalEpoch(epoch, cycles);
+  clock_ += cycles;
+  finishEpoch(epoch, cycles);
+}
+
+// ------------------------------------------------------------- sleep/wake
+
+void Fleet::creditSleeper(Instance& inst) const {
+  if (!inst.asleep || inst.sleptAt == clock_) return;
+  const int64_t cycles = clock_ - inst.sleptAt;
+  // The calendar wakes a sleeper before its credit runs out.
+  PSCP_ASSERT(cycles <= inst.machine.quiescentCredit());
+  inst.machineCycles += inst.machine.creditQuiescent(cycles);
+  inst.configCycles += cycles;
+  inst.quiescentCycles += cycles;
+  inst.sleptAt = clock_;
+}
+
+void Fleet::wake(Instance& inst) {
+  creditSleeper(inst);
+  if (!inst.asleep) return;
+  inst.asleep = false;
+  awakeBits_[wordOf(inst.id)] |= bitOf(inst.id);
+}
+
+void Fleet::fallAsleep(Instance& inst, int64_t credit) {
+  inst.asleep = true;
+  awakeBits_[wordOf(inst.id)] &= ~bitOf(inst.id);
+  inst.sleptAt = clock_;
+  const int64_t wakeAt = credit >= kNever - clock_ ? kNever : clock_ + credit;
+  if (wakeAt == kNever || inst.calendarKey == wakeAt) return;
+  if (calendar_.size() == calendar_.capacity()) {
+    // Drop superseded entries (a later sleep or a retire replaced them).
+    std::erase_if(calendar_, [&](const CalendarEntry& e) {
+      return !isLive(e.id) ||
+             instances_[static_cast<size_t>(e.id)]->calendarKey != e.wakeAt;
+    });
+    std::make_heap(calendar_.begin(), calendar_.end());
+  }
+  inst.calendarKey = wakeAt;
+  calendar_.push_back({wakeAt, inst.id});
+  std::push_heap(calendar_.begin(), calendar_.end());
+}
+
+void Fleet::buildStepLists(int cycles) {
+  // Sleepers whose credit runs out inside this epoch's cycles wake now;
+  // stepInstance then credits the rest of their stretch and decodes the
+  // cycle their timer matures in. Every entry is at or past the clock.
+  while (!calendar_.empty() && calendar_.front().wakeAt - clock_ < cycles) {
+    const CalendarEntry due = calendar_.front();
+    std::pop_heap(calendar_.begin(), calendar_.end());
+    calendar_.pop_back();
+    if (!isLive(due.id)) continue;
+    Instance& inst = *instances_[static_cast<size_t>(due.id)];
+    if (inst.calendarKey != due.wakeAt) continue;  // superseded
+    inst.calendarKey = kNever;
+    wake(inst);
+  }
+  for (auto& shard : shards_) {
+    shard->stepList.clear();
+    shard->cursor.store(0, std::memory_order_relaxed);
+  }
+  // Awake and woken instances in ascending id order, each into its shard.
+  // They stay awake until finishEpoch puts them to sleep. Only a woken
+  // sleeper is touched here; an awake instance's bit is all it takes.
+  size_t s = 0;
+  for (size_t w = 0; w < awakeBits_.size(); ++w) {
+    const uint64_t awake = awakeBits_[w];
+    std::atomic_ref<uint64_t> injected(wakeBits_[w]);
+    if (injected.load(std::memory_order_relaxed) != 0)
+      awakeBits_[w] |= injected.exchange(0, std::memory_order_acquire);
+    for (uint64_t bits = awakeBits_[w]; bits != 0; bits &= bits - 1) {
+      const InstanceId id = w * 64 + static_cast<InstanceId>(std::countr_zero(bits));
+      if (!isLive(id)) {  // retired since it was last stepped
+        awakeBits_[w] &= ~bitOf(id);
+        continue;
+      }
+      Instance& inst = *instances_[static_cast<size_t>(id)];
+      if ((awake & bitOf(id)) == 0) wake(inst);
+      while (id >= shards_[s]->endId) ++s;
+      shards_[s]->stepList.push_back(&inst);
+    }
+  }
+  for (auto& shard : shards_) shard->credits.resize(shard->stepList.size());
 }
 
 // ---------------------------------------------------------- record/replay
 
-// Post-barrier capture: each instance's `drained` scratch still holds
-// exactly the events its machine consumed this epoch (it is cleared at the
-// *start* of the next epoch), and the barrier happens-before this control
-// thread read. Logging delivery instead of injection is what makes the
-// journal deterministic — whether a racing producer's event landed in this
-// epoch or the next was decided by the drain, and the journal records the
-// outcome. Span ids are assigned here in instance-ascending, queue order,
-// the same order a replay re-injects, so they are stable across runs.
-void Fleet::journalEpoch(int64_t epoch, int cycles) {
-  for (const auto& inst : instances_) {
-    if (inst == nullptr) continue;
-    for (const int event : inst->drained)
-      journal_->recordInject(static_cast<int64_t>(inst->id), event, epoch);
+// Post-barrier capture over the stepped instances, in ascending id order
+// (shards are contiguous id ranges, their step lists ascending). Each
+// stepped instance's `drained` scratch still holds exactly the events its
+// machine consumed this epoch (it is cleared at the *start* of its next
+// stepped epoch, so a sleeper's is stale and never read), and the barrier
+// happens-before this control-thread read. Logging delivery instead of
+// injection is what makes the journal deterministic — whether a racing
+// producer's event landed in this epoch or the next was decided by the
+// drain, and the journal records the outcome. Span ids are assigned here
+// in instance-ascending, queue order, the same order a replay re-injects,
+// so they are stable across runs. The same walk puts each stepped
+// instance whose machine can credit the coming cycles to sleep; the rest
+// stay awake for the next epoch.
+void Fleet::finishEpoch(int64_t epoch, int cycles) {
+  for (const auto& shard : shards_) {
+    for (size_t i = 0; i < shard->stepList.size(); ++i) {
+      Instance& inst = *shard->stepList[i];
+      if (journal_ != nullptr)
+        for (const int event : inst.drained)
+          journal_->recordInject(static_cast<int64_t>(inst.id), event, epoch);
+      if (shard->credits[i] > 0) fallAsleep(inst, shard->credits[i]);
+    }
   }
+  if (journal_ == nullptr) return;
   journal_->recordStep(epoch, cycles);
   if (epoch % journal_->config().checkpointInterval == 0) takeCheckpoint(epoch);
 }
@@ -497,6 +651,7 @@ void Fleet::setInputPort(InstanceId id, int portAddress, uint32_t value) {
 void Fleet::setCondition(InstanceId id, const std::string& conditionName,
                          bool value) {
   Instance& inst = liveInstance(id);
+  wake(inst);
   inst.machine.setCondition(conditionName, value);
   if (journal_ != nullptr)
     journal_->recordSetCondition(static_cast<int64_t>(id),
@@ -507,6 +662,7 @@ void Fleet::setCondition(InstanceId id, const std::string& conditionName,
 void Fleet::addTimer(InstanceId id, const std::string& eventName,
                      int64_t period) {
   Instance& inst = liveInstance(id);
+  wake(inst);  // first: the timer's first maturity is read off the machine clock
   inst.machine.addTimer(eventName, period);
   if (journal_ != nullptr)
     journal_->recordAddTimer(static_cast<int64_t>(id),
@@ -515,6 +671,7 @@ void Fleet::addTimer(InstanceId id, const std::string& eventName,
 
 void Fleet::warmCycle(InstanceId id, const std::vector<int>& eventBits) {
   Instance& inst = liveInstance(id);
+  wake(inst);
   inst.machine.configurationCycleIds(eventBits, &inst.stats);
   if (config_.capturePortWrites) {
     const std::vector<machine::PortWrite>& writes = inst.machine.portWrites();
@@ -527,14 +684,25 @@ void Fleet::warmCycle(InstanceId id, const std::vector<int>& eventBits) {
 
 // ------------------------------------------------------------- inspection
 
-machine::PscpMachine& Fleet::machine(InstanceId id) { return liveInstance(id).machine; }
+machine::PscpMachine& Fleet::machine(InstanceId id) {
+  Instance& inst = liveInstance(id);
+  wake(inst);
+  return inst.machine;
+}
 
 const machine::PscpMachine& Fleet::machine(InstanceId id) const {
-  return liveInstance(id).machine;
+  return creditedInstance(id).machine;
+}
+
+Fleet::Instance& Fleet::creditedInstance(InstanceId id) const {
+  PSCP_ASSERT(isLive(id) && "unknown or retired fleet instance id");
+  Instance& inst = *instances_[static_cast<size_t>(id)];
+  creditSleeper(inst);
+  return inst;
 }
 
 InstanceSnapshot Fleet::snapshot(InstanceId id) const {
-  const Instance& inst = liveInstance(id);
+  const Instance& inst = creditedInstance(id);
   InstanceSnapshot s;
   s.id = inst.id;
   s.machineCycles = inst.machineCycles;
@@ -567,6 +735,7 @@ obs::MetricsRegistry Fleet::mergedMetrics() const {
           {"fleet.events_delivered", &WorkerCounters::eventsDelivered},
           {"fleet.steal_chunks", &WorkerCounters::stealChunks},
           {"fleet.epoch_tasks", &WorkerCounters::epochs},
+          {"fleet.sleeping_instances", &WorkerCounters::sleepingInstances},
       };
   obs::MetricsRegistry merged;
   for (const auto& [name, field] : kBlockCounters) {
@@ -635,6 +804,7 @@ obs::FleetHealth Fleet::healthSnapshot() const {
     s.stealChunks = get(block.stealChunks);
     s.queueDepthHwm = get(block.queueDepthHwm);
     s.instancesStepped = get(block.instancesStepped);
+    s.sleepingInstances = get(block.sleepingInstances);
     s.portWrites = get(block.portWrites);
     s.epochNanosCounts.resize(obs::kEpochNanosBucketCount);
     for (size_t b = 0; b < obs::kEpochNanosBucketCount; ++b)

@@ -11,27 +11,50 @@
 // Execution model
 //   - step(cycles) is one *epoch*: every live instance advances exactly
 //     `cycles` configuration cycles, then a barrier completes the epoch.
+//     The fleet keeps a configuration-cycle clock, the running sum of the
+//     steps' `cycles`; epochs may differ in length, so sleep and wake are
+//     keyed on that clock, never on epoch numbers.
 //   - Instances are statically sharded across workers in balanced
 //     contiguous blocks (by spawn order; shard sizes differ by at most
 //     one), so one worker walks one run of neighbouring instances instead
 //     of interleaving with every other shard. Within an epoch each worker
-//     drains its own shard in chunks of 8 instances claimed through an
-//     atomic cursor, then steals remaining chunks from other shards — a
+//     steps its own shard's awake instances in chunks of 8 claimed through
+//     an atomic cursor, then steals remaining chunks from other shards — a
 //     shard whose worker wakes late or runs busier instances is finished
 //     by whoever has idle cycles, so the barrier waits for the slowest
 //     chunk, not the slowest shard.
-//   - Every instance-epoch is one PscpMachine::configurationCycleIds call
-//     that steps all `cycles` configuration cycles and returns their sums.
-//     Idle instances — the dominant case for reactive populations, which
-//     are mostly quiescent between stimuli — cost no decode: the machine's
+//   - Every stepped instance-epoch is one PscpMachine::configurationCycleIds
+//     call that steps all `cycles` configuration cycles and returns their
+//     sums; stepInstance is the one stepping path. The machine's
 //     quiescence memo credits a stretch of event-free cycles over a CR
-//     that already decoded to nothing in one step, up to the first cycle
-//     a timer matures in (see pscp/machine.hpp).
+//     that already decoded to nothing in one step, up to the first cycle a
+//     timer matures in (see pscp/machine.hpp).
+//   - Idle instances — the dominant case for reactive populations, which
+//     are mostly quiescent between stimuli — cost nothing per epoch: they
+//     sleep. After an epoch that fired nothing, an instance whose machine
+//     can credit the coming cycles with no decode (PscpMachine::
+//     quiescentCredit: memo held, nothing pending, no sink) stops being
+//     visited. Its machine and counters are credited those cycles in
+//     closed form when it wakes or when anything reads it, and the epoch
+//     counters add sleepers x cycles at once, so mergedMetrics() is exact
+//     after every epoch. A sleeper
+//     wakes, and is stepped from the next epoch on, when
+//       * an event is injected into it;
+//       * its credit runs out inside an epoch, i.e. a timer matures
+//         (sleepers with a timer sit in a calendar keyed on that clock
+//         cycle; the epoch steps it through the maturity);
+//       * setCondition, addTimer, warmCycle or the non-const machine(id)
+//         is called on it (each credits it first).
+//     setInputPort does not wake it: ports are not in the CR. Each epoch
+//     steps the awake and woken instances in ascending id order, so the
+//     journal is the same as if every instance were stepped.
 //   - Event injection goes through a per-instance bounded SPSC queue.
 //     Producers never take a lock and never touch the stepping hot loop;
-//     the worker drains the queue at the first cycle of the instance's
-//     next epoch. Injections that happen-before step() are therefore
-//     delivered at that epoch's first cycle, in injection order.
+//     after the push, inject() sets the instance's bit in a wake bitmap
+//     (one release fetch_or), which step() exchanges (acquire) before the
+//     epoch, and the worker drains the queue at the first cycle of the
+//     instance's next epoch. Injections that happen-before step() are
+//     therefore delivered at that epoch's first cycle, in injection order.
 //
 // Determinism: an instance's trajectory is a function of its event
 // script alone. Machines share only the immutable ChartImage, every
@@ -41,12 +64,16 @@
 // The fleet test suite asserts this at 1, 2 and 8 workers.
 //
 // Thread contract: Fleet's control surface (spawn/retire/step/snapshot/
-// mergedMetrics/machine) is single-threaded — call it from one thread,
-// between epochs. inject()/injectByName() are safe from any thread at any
-// time (one producer per instance at a time), and the telemetry surface —
-// healthSnapshot(), flightRecorder() snapshots, writeFlightDump() — is
-// safe from any thread at any time, including mid-epoch: it reads only
-// atomics and the flight rings' seqlocked slots.
+// mergedMetrics/machine and the journaled setters) is single-threaded —
+// call it from one thread, between epochs. A machine(id) reference may be
+// used only until the next step(): fetching it is what credits and wakes
+// the instance, so fetch it again after each epoch. inject()/
+// injectByName() are safe from any thread at any time (one producer per
+// instance at a time) except during spawn(), which may reallocate the
+// instance table, and so is epochs(). The telemetry surface — healthSnapshot(),
+// flightRecorder() snapshots, writeFlightDump() — is safe from any thread
+// at any time, including mid-epoch: it reads only atomics and the flight
+// rings' seqlocked slots.
 //
 // Counters: every worker owns one cacheline-aligned block of single-writer
 // relaxed atomics, flushed once per epoch from the worker's plain sums.
@@ -187,17 +214,22 @@ class Fleet {
   bool injectByName(InstanceId id, const std::string& eventName);
 
   // ------------------------------------------------------------- stepping
-  /// Advance every live instance by `cycles` configuration cycles.
+  /// Advance every live instance by `cycles` configuration cycles: steps
+  /// the awake ones, credits the sleepers. `cycles` below 1 is an error
+  /// that leaves the fleet untouched.
   void step(int cycles = 1);
   [[nodiscard]] int64_t epochs() const {
     return epochs_.load(std::memory_order_relaxed);
   }
 
   // ----------------------------------------------------------- inspection
-  /// Direct access to an instance's machine (between epochs only).
-  /// Mutating it is safe for stepping — every CR write clears the
-  /// machine's quiescence memo — but is not journaled: replayable runs
-  /// use the wrappers below.
+  /// Direct access to an instance's machine (between epochs only). The
+  /// non-const form credits a sleeper and wakes it, so mutating the
+  /// machine is safe for stepping — every CR write clears the machine's
+  /// quiescence memo — until the next step(); fetch it again after that.
+  /// Direct writes are not journaled: replayable runs use the wrappers
+  /// below. The const form and snapshot() credit a sleeper without waking
+  /// it, so both show counters up to the fleet's clock.
   [[nodiscard]] machine::PscpMachine& machine(InstanceId id);
   [[nodiscard]] const machine::PscpMachine& machine(InstanceId id) const;
   [[nodiscard]] InstanceSnapshot snapshot(InstanceId id) const;
@@ -211,7 +243,8 @@ class Fleet {
   /// fleet.config_cycles, fleet.machine_cycles, fleet.quiescent_cycles,
   /// fleet.fired_transitions, fleet.bus_stall_cycles,
   /// fleet.events_delivered, fleet.events_dropped, fleet.steal_chunks,
-  /// fleet.epoch_tasks, and fleet.jit_native_routines +
+  /// fleet.epoch_tasks, fleet.sleeping_instances (the instances the last
+  /// epoch credited without stepping), and fleet.jit_native_routines +
   /// fleet.jit_interp_routines, which split fleet.fired_transitions by
   /// tier over the same epochs (warm-up cycles excluded, retired instances
   /// kept). With telemetry armed, healthToMetrics() adds the health plane.
@@ -253,7 +286,7 @@ class Fleet {
   /// PscpMachine calls through machine(id), but logged so a replay
   /// reproduces them. Replayable runs must route all pre-/inter-epoch
   /// machine mutation through these — direct machine() writes are
-  /// invisible to the journal.
+  /// invisible to the journal. All but setInputPort wake a sleeper.
   void setInputPort(InstanceId id, const std::string& portName, uint32_t value);
   void setInputPort(InstanceId id, int portAddress, uint32_t value);
   void setCondition(InstanceId id, const std::string& conditionName, bool value);
@@ -271,15 +304,30 @@ class Fleet {
  private:
   struct Instance;
   struct Shard;
+  struct CalendarEntry;   // a sleeper's wake cycle, in the calendar heap
   struct WorkerLocal;     // per-epoch accumulator, flushed to the block
   struct WorkerCounters;  // cacheline-aligned counter atomics per worker
 
   Instance& liveInstance(InstanceId id);
   [[nodiscard]] const Instance& liveInstance(InstanceId id) const;
+  /// The live instance, a sleeper credited up to the clock (still asleep).
+  Instance& creditedInstance(InstanceId id) const;
   void rebuildShards();
+  /// Wake the calendar's due sleepers, then fill each shard's step list
+  /// from the awake bitmap and the exchanged wake bitmap.
+  void buildStepLists(int cycles);
   void runWorkerEpoch(size_t worker, int cycles, int64_t epoch);
-  void stepInstance(Instance& inst, int cycles, WorkerLocal& local);
+  /// Step one instance through the epoch; returns the cycles it may sleep
+  /// after it (0: it stays awake).
+  int64_t stepInstance(Instance& inst, int cycles, WorkerLocal& local);
   void workerLoop(size_t worker);
+
+  /// Bring a sleeper's machine and counters to the clock in closed form.
+  void creditSleeper(Instance& inst) const;
+  /// Credit a sleeper and step it from the next epoch on.
+  void wake(Instance& inst);
+  /// Put a stepped instance to sleep at the clock for `credit` cycles.
+  void fallAsleep(Instance& inst, int64_t credit);
 
   ChartImagePtr image_;
   FleetConfig config_;
@@ -294,13 +342,22 @@ class Fleet {
   std::unique_ptr<WorkerCounters[]> counters_;  // one block per worker
   int64_t retiredDrops_ = 0;  // drop counts of retired instances
 
+  // Activity (control thread only, except wakeBits_). The clock counts
+  // the configuration cycles of all epochs so far.
+  int64_t clock_ = 0;
+  std::vector<uint64_t> awakeBits_;  // by InstanceId: awake, stepped each epoch
+  std::vector<uint64_t> wakeBits_;   // by InstanceId: set by inject (atomic_ref)
+  std::vector<CalendarEntry> calendar_;  // min-heap of sleepers' wake cycles
+
   // Telemetry plane (null when config_.telemetry is false).
   std::unique_ptr<obs::FlightRecorder> flight_;
 
   // Record/replay journal (null when config_.journal is false). Appended
-  // on the control thread only; see journalEpoch()/takeCheckpoint().
+  // on the control thread only; see finishEpoch()/takeCheckpoint().
   std::unique_ptr<obs::journal::Journal> journal_;
-  void journalEpoch(int64_t epoch, int cycles);
+  /// After the barrier: journal the stepped instances' deliveries and put
+  /// those that can credit the coming cycles to sleep.
+  void finishEpoch(int64_t epoch, int cycles);
   void takeCheckpoint(int64_t epoch);
 
   // Epoch barrier (only used when workerCount_ > 1).

@@ -45,6 +45,12 @@ int64_t FleetHealth::totalStealChunks() const {
   return total;
 }
 
+int64_t FleetHealth::totalSleepingInstances() const {
+  int64_t total = 0;
+  for (const ShardHealth& s : shards) total += s.sleepingInstances;
+  return total;
+}
+
 const char* anomalyKindName(HealthAnomaly::Kind kind) {
   switch (kind) {
     case HealthAnomaly::Kind::kStall:
@@ -181,6 +187,7 @@ JsonValue shardToJson(const ShardHealth& s) {
   obj.set("steal_chunks", num(s.stealChunks));
   obj.set("queue_depth_hwm", num(s.queueDepthHwm));
   obj.set("instances_stepped", num(s.instancesStepped));
+  obj.set("sleeping_instances", num(s.sleepingInstances));
   obj.set("port_writes", num(s.portWrites));
   JsonValue hist = JsonValue::makeObject();
   JsonValue bounds = JsonValue::makeArray();
@@ -266,7 +273,7 @@ bool validateTelemetryV1(const JsonValue& doc, std::string* error) {
           "max_epoch_ns", "in_flight_ns", "machine_cycles", "config_cycles",
           "fired_transitions", "events_delivered", "events_dropped",
           "steal_chunks", "queue_depth_hwm", "instances_stepped",
-          "port_writes"}) {
+          "sleeping_instances", "port_writes"}) {
       const JsonValue* v = s.find(key);
       if (v == nullptr || !v->isNumber())
         return fail(strfmt("shards[%zu] lacks numeric \"%s\"", i, key));

@@ -55,7 +55,8 @@ struct ShardHealth {
   int64_t eventsDropped = 0;    ///< drop deltas observed at drain time
   int64_t stealChunks = 0;
   int64_t queueDepthHwm = 0;    ///< deepest SPSC queue seen at drain
-  int64_t instancesStepped = 0;
+  int64_t instancesStepped = 0;   ///< instances stepped (awake), summed over epochs
+  int64_t sleepingInstances = 0;  ///< sleepers the last epoch credited unstepped
   int64_t portWrites = 0;
   std::vector<int64_t> epochNanosCounts;  ///< epochNanosBounds().size() + 1
 };
@@ -72,6 +73,7 @@ struct FleetHealth {
   [[nodiscard]] int64_t totalMachineCycles() const;
   [[nodiscard]] int64_t totalEventsDropped() const;
   [[nodiscard]] int64_t totalStealChunks() const;
+  [[nodiscard]] int64_t totalSleepingInstances() const;
 };
 
 struct HealthAnomaly {
@@ -121,7 +123,7 @@ void healthToMetrics(const FleetHealth& health, MetricsRegistry* out);
 //   "shards": [ { shard, epochs, last_epoch_ns, ewma_epoch_ns, min_epoch_ns,
 //     max_epoch_ns, in_flight_ns, machine_cycles, config_cycles,
 //     fired_transitions, events_delivered, events_dropped, steal_chunks,
-//     queue_depth_hwm, instances_stepped, port_writes,
+//     queue_depth_hwm, instances_stepped, sleeping_instances, port_writes,
 //     epoch_ns_hist: { bounds: [...], counts: [...] } } ],
 //   "anomalies": [ { kind, shard, severity, detail } ]
 // }

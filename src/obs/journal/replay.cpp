@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <utility>
 
 #include "support/diag.hpp"
 
@@ -204,8 +205,9 @@ ReplayResult Replayer::run(const ReplayOptions& options) const {
                 static_cast<long long>(entry.instance));
             return result;
           }
+          // The const view credits a sleeper without waking it.
           const machine::PscpMachine& m =
-              fleet.machine(static_cast<InstanceId>(entry.instance));
+              std::as_const(fleet).machine(static_cast<InstanceId>(entry.instance));
           const uint64_t replayedDigest = crDigest(m.crBits());
           folded = foldInstanceDigest(
               folded, static_cast<uint64_t>(entry.instance), replayedDigest);
@@ -294,7 +296,7 @@ done:
   uint64_t folded = kFleetDigestSeed;
   for (size_t id = 0; id < live.size(); ++id) {
     if (live[id] == 0) continue;
-    const machine::PscpMachine& m = fleet.machine(static_cast<InstanceId>(id));
+    const machine::PscpMachine& m = std::as_const(fleet).machine(static_cast<InstanceId>(id));
     folded = foldInstanceDigest(folded, static_cast<uint64_t>(id),
                                 crDigest(m.crBits()));
     if (options.captureFinalCr) {

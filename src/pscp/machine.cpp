@@ -474,14 +474,10 @@ void PscpMachine::configurationCycleIds(const std::vector<int>& externalEventIds
     // SLA would select nothing in each of them. The stretch runs up to the
     // first cycle that starts at a timer's maturity. An observer forces
     // the decodes it watches.
-    if (quiescentMemo_ && events.empty() && pendingEvents_.empty() &&
-        obs_.sink == nullptr) {
-      const int64_t quiet = std::min<int64_t>(cycles - c, cyclesBeforeTimer());
+    if (events.empty()) {
+      const int64_t quiet = std::min<int64_t>(cycles - c, quiescentCredit());
       if (quiet > 0) {
-        configCycles_ += quiet;
-        totalCycles_ += quiet * kSlaEvaluateCycles;
-        machineTimeNow_ = totalCycles_;
-        stats.cycles += quiet * kSlaEvaluateCycles;
+        stats.cycles += creditQuiescent(quiet);
         stats.quiescentCycles += quiet;
         stats.quiescent = true;
         c += static_cast<int>(quiet);

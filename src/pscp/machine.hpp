@@ -55,6 +55,9 @@
 // sample (no external event, none raised, no matured timer) means nothing
 // selected, so n such cycles are n quiescent cycles of SLA time. An
 // attached observer bypasses the memo, so sinks still see every decode.
+// quiescentCredit() says how many coming cycles the memo answers and
+// creditQuiescent() steps them in closed form; a fleet uses the pair to
+// let an idle instance sleep through epochs without being visited.
 #pragma once
 
 #include <map>
@@ -65,6 +68,7 @@
 
 #include "compiler/codegen.hpp"
 #include "obs/sink.hpp"
+#include "pscp/sched_cost.hpp"
 #include "sla/sla.hpp"
 #include "statechart/semantics.hpp"
 #include "support/bits.hpp"
@@ -209,6 +213,28 @@ class PscpMachine : public tep::TepHost {
   /// `cycles` one-cycle calls with the events passed to the first.
   void configurationCycleIds(const std::vector<int>& externalEventIds,
                              CycleStats* stats, int cycles = 1);
+
+  /// Configuration cycles from now that the quiescence memo answers with no
+  /// decode, provided none of them gets an external event: 0 unless the
+  /// memo holds, no raised event is pending and no sink is attached; then
+  /// cyclesBeforeTimer(), INT64_MAX without timers. A fleet puts an
+  /// instance to sleep for this many cycles.
+  [[nodiscard]] int64_t quiescentCredit() const {
+    if (!quiescentMemo_ || !pendingEvents_.empty() || obs_.sink != nullptr) return 0;
+    return cyclesBeforeTimer();
+  }
+  /// Step `cycles` event-free configuration cycles in closed form: each is
+  /// one quiescent cycle of kSlaEvaluateCycles machine time, exactly what
+  /// its full decode would count. `cycles` must not exceed
+  /// quiescentCredit(). The memo stretch of configurationCycleIds and a
+  /// fleet waking a sleeper both credit through it. Returns the machine
+  /// cycles credited.
+  int64_t creditQuiescent(int64_t cycles) {
+    configCycles_ += cycles;
+    totalCycles_ += cycles * kSlaEvaluateCycles;
+    machineTimeNow_ = totalCycles_;
+    return cycles * kSlaEvaluateCycles;
+  }
 
   /// The packed CR. Between cycles the event bits are always clear (they
   /// live only inside the decode window); journals digest these words.

@@ -1,5 +1,6 @@
 #include "workloads/smd_fleet.hpp"
 
+#include <utility>
 #include <vector>
 
 #include "actionlang/parser.hpp"
@@ -69,7 +70,7 @@ bool warmUpSmdFleet(fleet::Fleet& fleet, size_t instances,
     fleet.warmCycle(id, power);                          // Off -> Idle1
     for (int i = 0; i < 4; ++i) fleet.warmCycle(id, data);  // ... -> NoData
     for (int i = 0; i < 4; ++i) fleet.warmCycle(id, none);  // ... -> Start*
-    const machine::PscpMachine& m = fleet.machine(id);
+    const machine::PscpMachine& m = std::as_const(fleet).machine(id);
     ok = m.isActive("RunX") && m.isActive("RunY") && m.isActive("RunPhi") && ok;
   }
   injectSmdPulses(fleet, ids);

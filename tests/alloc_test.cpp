@@ -312,6 +312,71 @@ TEST(SteadyStateAllocations, FleetEpochLoopIsAllocationFreeWithJournalArmed) {
   EXPECT_GE(f.journal()->checkpointCount(), 50u);
 }
 
+// Sleeping holds the bar too: a telemetry- and journal-armed fleet whose
+// instances sleep, wake by their timers and wake by sparse injections
+// steps 1000 epochs without allocating. The step lists and the calendar
+// are sized when the shards are built. Instance 0 has a far timer and a
+// TICK every other epoch, so it fires, sleeps after the next epoch and is
+// woken again, and each sleep supersedes its calendar entry: the calendar
+// drops superseded entries in place instead of growing.
+TEST(SteadyStateAllocations, SleepingFleetEpochsAreAllocationFreeWhenArmed) {
+  const statechart::Chart chart = statechart::parseChart(kChart);
+  const actionlang::Program actions = actionlang::parseActionSource(kActions);
+  hwlib::ArchConfig arch;
+  arch.numTeps = 2;
+  arch.dataWidth = 16;
+  arch.hasMulDiv = true;
+  arch.hasComparator = true;
+  arch.registerFileSize = 12;
+  const auto image = std::make_shared<const ChartImage>(chart, actions, arch);
+
+  fleet::FleetConfig config;
+  config.workerThreads = 1;
+  config.telemetry = true;
+  config.flightRecordsPerShard = 128;
+  config.journal = true;
+  fleet::Fleet f(image, config);
+  const std::vector<fleet::InstanceId> ids = f.spawnMany(16);
+  const int go = f.eventId("GO");
+  const int tick = f.eventId("TICK");
+  for (fleet::InstanceId id : ids) {
+    f.setCondition(id, "ARMED", true);
+    f.setInputPort(id, "Sense", 0u);
+    f.inject(id, go);
+    if (id % 4 == 0)
+      f.addTimer(id, "TICK", id == 0 ? int64_t{1} << 40 : 37 + 8 * static_cast<int64_t>(id));
+  }
+  // Sparse: one instance in three epochs gets a TICK, round robin.
+  int64_t epoch = 0;
+  const auto stepSparse = [&] {
+    if (epoch % 2 == 0) f.inject(ids[0], tick);
+    if (epoch % 3 == 0) f.inject(ids[static_cast<size_t>(epoch / 3) % ids.size()], tick);
+    f.step(1 + static_cast<int>(epoch % 7));
+    ++epoch;
+  };
+  // Warm-up grows every buffer to steady state: first TICKs into every
+  // instance in every epoch, so timers also mature in cycles that sample
+  // an injection, then one period of the sparse pattern.
+  for (int e = 0; e < 336; ++e) {
+    for (fleet::InstanceId id : ids) f.inject(id, tick);
+    f.step(1 + e % 7);
+  }
+  for (int e = 0; e < 336; ++e) stepSparse();
+  const int64_t timedTicks = f.machine(ids[4]).globalValue("watchTicks");
+
+  const int64_t steppedBefore = f.healthSnapshot().shards[0].instancesStepped;
+  const uint64_t before = gAllocations.load(std::memory_order_relaxed);
+  for (int e = 0; e < 1000; ++e) stepSparse();
+  const uint64_t after = gAllocations.load(std::memory_order_relaxed);
+
+  EXPECT_EQ(after - before, 0u) << "sleeping fleet epochs must not allocate";
+  EXPECT_LT(f.healthSnapshot().shards[0].instancesStepped - steppedBefore, 16 * 1000 / 3)
+      << "the idle instances must sleep";
+  // Instance 4 is injected every 48 epochs; its timer fires far more often.
+  EXPECT_GT(f.machine(ids[4]).globalValue("watchTicks") - timedTicks, 100)
+      << "timers must wake their sleepers";
+}
+
 const char* kFarPortChart = R"chart(
 chart FarPort;
 event GO;

@@ -4,16 +4,25 @@
 // worker threads step the fleet, and identical to standalone machines that
 // decode every cycle.
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <signal.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <ctime>
+#include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "actionlang/parser.hpp"
 #include "fleet/fleet.hpp"
 #include "fleet/spsc.hpp"
+#include "obs/journal/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
 #include "pscp/machine.hpp"
@@ -395,22 +404,33 @@ TEST_F(FleetTest, BareFleetMatchesObservedFleetAcrossRetirementHoles) {
 }
 
 TEST_F(FleetTest, SteppingMatchesFullDecodeMirrors) {
-  // The fleet steps each instance one epoch per configurationCycleIds
-  // call, which credits idle stretches from the quiescence memo at once.
-  // Each instance has a standalone mirror with a sink attached, stepped
-  // one cycle per call, which decodes every cycle. Port logs, every
-  // snapshot counter and the active states must agree — across worker
-  // counts, epoch lengths from 1 to 17 cycles, TICK timers on every third
-  // instance (a timer maturing inside an epoch cuts its collapse short),
-  // retirement holes (shard rebuilds) and direct machine(id).setCondition
-  // writes between epochs. 37 instances leave partial steal chunks.
+  // The fleet steps each awake instance one epoch per configurationCycleIds
+  // call, which credits idle stretches from the quiescence memo at once,
+  // and credits each sleeper in closed form when it wakes or is read. Each
+  // instance has a standalone mirror with a sink attached, stepped one
+  // cycle per call, which decodes every cycle. Port logs, every snapshot
+  // counter and the active states must agree — across worker counts,
+  // epoch lengths from 1 to 17 cycles, TICK timers on every third instance
+  // (a timer maturing inside an epoch cuts its collapse short), retirement
+  // holes (shard rebuilds) and direct machine(id).setCondition writes
+  // between epochs. Every fourth instance rests for stretches of four
+  // epochs, in which nothing touches its machine, so it sleeps. A sleeper
+  // wakes by an injection, its own timer, Fleet::addTimer, warmCycle, or a
+  // machine(id).setCondition when its stretch ends; one is retired asleep;
+  // and reads through snapshot and the const machine(id) are checked
+  // against the mirrors while they sleep. 37 instances leave partial
+  // steal chunks.
   constexpr size_t kInstances = 37;
   constexpr int kEpochs = 24;
+  constexpr size_t kRetiredAsleep = 35;  // rests in epochs 20-23
   struct Mirror {
     std::unique_ptr<machine::PscpMachine> machine;
     InstanceSnapshot counts;
   };
   NullObserver observer;
+  const auto resting = [](size_t i, int epoch) {
+    return i % 4 == 3 && (epoch / 4) % 2 == 1;
+  };
 
   for (const int workers : {1, 3}) {
     FleetConfig config;
@@ -446,6 +466,7 @@ TEST_F(FleetTest, SteppingMatchesFullDecodeMirrors) {
 
     int64_t eventFreeFirings = 0;
     int64_t quiescent = 0;
+    int64_t mostAsleep = 0;
     std::vector<int> events;
     machine::CycleStats stats;
     uint64_t epochRng = 0x2545F4914F6CDD1Dull;
@@ -459,22 +480,42 @@ TEST_F(FleetTest, SteppingMatchesFullDecodeMirrors) {
           mirrors[i].machine.reset();
         }
       }
+      if (epoch == 22) {  // a sleeper since epoch 20, retired asleep
+        expectSame(kRetiredAsleep);
+        fleet.retire(ids[kRetiredAsleep]);
+        mirrors[kRetiredAsleep].machine.reset();
+      }
       for (size_t i = 0; i < kInstances; ++i) {
         if (mirrors[i].machine == nullptr) continue;
         machine::PscpMachine& m = *mirrors[i].machine;
         uint64_t& s = rng[i];
         s = s * 6364136223846793005ull + 1442695040888963407ull;
         const uint32_t roll = static_cast<uint32_t>(s >> 33) % 100;
-        if (roll % 3 == 0) {  // a direct CR write, between epochs
+        const bool rests = resting(i, epoch);
+        if (rests && epoch % 8 == 6 && i % 8 == 7) {
+          // A timer added to a sleeper matures from its credited clock.
+          fleet.addTimer(ids[i], "TICK", 30 + static_cast<int64_t>(i));
+          m.addTimer("TICK", 30 + static_cast<int64_t>(i));
+        }
+        if (rests && epoch == 14 && i % 8 == 3) {
+          const std::vector<int> warm{tick};
+          fleet.warmCycle(ids[i], warm);
+          m.configurationCycleIds(warm, &stats);
+        }
+        if (!rests && roll % 3 == 0) {  // a direct CR write, between epochs
           const bool armed = (s >> 20) % 2 == 0;
           fleet.machine(ids[i]).setCondition("ARMED", armed);
           m.setCondition("ARMED", armed);
         }
-        const uint32_t sense = static_cast<uint32_t>((s >> 16) & 3);
-        fleet.machine(ids[i]).setInputPort("Sense", sense);
-        m.setInputPort("Sense", sense);
+        if (!rests) {
+          const uint32_t sense = static_cast<uint32_t>((s >> 16) & 3);
+          fleet.machine(ids[i]).setInputPort("Sense", sense);
+          m.setInputPort("Sense", sense);
+        }
         events.clear();
-        if (roll < 20) {
+        if (rests && roll >= 15) {
+          // Nothing arrives: the instance sleeps through the epoch.
+        } else if (roll < 20) {
           events.push_back(go);
         } else if (roll < 45) {
           events.push_back(tick);
@@ -497,15 +538,306 @@ TEST_F(FleetTest, SteppingMatchesFullDecodeMirrors) {
         }
       }
       fleet.step(cycles);
+      mostAsleep = std::max(mostAsleep,
+                            fleet.mergedMetrics().value("fleet.sleeping_instances"));
+      // Reads of resting instances at a stretch's end credit them without
+      // waking them.
+      for (size_t i = 3; i < kInstances && epoch % 4 == 3; i += 4) {
+        if (mirrors[i].machine == nullptr || !resting(i, epoch)) continue;
+        expectSame(i);
+        const machine::PscpMachine& got = std::as_const(fleet).machine(ids[i]);
+        EXPECT_EQ(got.configurationCycles(), mirrors[i].machine->configurationCycles())
+            << "instance " << i;
+        EXPECT_EQ(got.totalCycles(), mirrors[i].machine->totalCycles()) << "instance " << i;
+      }
     }
     for (size_t i = 0; i < kInstances; ++i)
       if (mirrors[i].machine != nullptr) expectSame(i);
-    EXPECT_EQ(fleet.liveCount(), kInstances - 9);
+    EXPECT_EQ(fleet.liveCount(), kInstances - 10);
     // The script must reach both sides of the memo: idle cycles it
-    // answers, and event-free firings a CR write or a timer made possible.
+    // answers, and event-free firings a CR write or a timer made possible;
+    // and instances must have slept.
     EXPECT_GT(quiescent, static_cast<int64_t>(kInstances * kEpochs));
     EXPECT_GT(eventFreeFirings, static_cast<int64_t>(kInstances));
+    EXPECT_GT(mostAsleep, 0) << "no instance slept: the test is vacuous";
   }
+}
+
+TEST_F(FleetTest, SleepersCrossInt32MaxSteps) {
+  // A sleep can outlast INT32_MAX cycles, so the credit is int64 end to
+  // end. Two armed instances go idle in Active with TICK timers and are
+  // asleep before the first of three step(INT32_MAX) calls. One timer
+  // matures inside the second step (1.5 steps of two-cycle quiescent
+  // cycles), waking its sleeper there after INT32_MAX cycles asleep; the
+  // other lies past all three steps, so its instance sleeps through them
+  // and is credited three steps' cycles on the final read. Mirrors stepped
+  // by the same calls must agree on every counter, the states and the
+  // globals.
+  constexpr int kMax = std::numeric_limits<int>::max();
+  const int64_t periods[] = {3 * int64_t{kMax}, 16 * int64_t{kMax}};
+  Fleet fleet(image_);
+  const std::vector<int> go{fleet.eventId("GO")};
+  const std::vector<int> none;
+  machine::CycleStats stats;
+  for (const int64_t period : periods) {
+    const InstanceId id = fleet.spawn();
+    fleet.setCondition(id, "ARMED", true);
+    fleet.warmCycle(id, go);
+    fleet.addTimer(id, "TICK", period);
+  }
+  std::vector<std::unique_ptr<machine::PscpMachine>> mirrors;
+  std::vector<InstanceSnapshot> counts(2);
+  for (const int64_t period : periods) {
+    mirrors.push_back(std::make_unique<machine::PscpMachine>(image_));
+    mirrors.back()->setCondition("ARMED", true);
+    mirrors.back()->configurationCycleIds(go, &stats);
+    mirrors.back()->addTimer("TICK", period);
+  }
+  int64_t mostAsleep = 0;
+  // Two short epochs settle them (the first fires Init's pause), then
+  // three long ones.
+  for (const int cycles : {4, 4, kMax, kMax, kMax}) {
+    fleet.step(cycles);
+    mostAsleep = std::max(mostAsleep, fleet.mergedMetrics().value("fleet.sleeping_instances"));
+    for (size_t i = 0; i < mirrors.size(); ++i) {
+      mirrors[i]->configurationCycleIds(none, &stats, cycles);
+      counts[i].machineCycles += stats.cycles;
+      counts[i].configCycles += cycles;
+      counts[i].quiescentCycles += stats.quiescentCycles;
+      counts[i].firedTransitions += static_cast<int64_t>(stats.fired.size());
+      counts[i].busStallCycles += stats.busStallCycles;
+    }
+  }
+  EXPECT_EQ(mostAsleep, 2);
+  int64_t configCycles = 0;
+  for (size_t i = 0; i < mirrors.size(); ++i) {
+    const InstanceSnapshot got = fleet.snapshot(i);
+    EXPECT_EQ(counters(got), counters(counts[i])) << "instance " << i;
+    EXPECT_EQ(got.activeStates, mirrors[i]->activeNames()) << "instance " << i;
+    const machine::PscpMachine& m = std::as_const(fleet).machine(i);
+    EXPECT_EQ(m.totalCycles(), mirrors[i]->totalCycles()) << "instance " << i;
+    EXPECT_EQ(m.globalValue("count"), mirrors[i]->globalValue("count")) << "instance " << i;
+    configCycles += got.configCycles;
+  }
+  EXPECT_GT(counts[0].firedTransitions, counts[1].firedTransitions)
+      << "the near timer must fire";
+  EXPECT_EQ(fleet.mergedMetrics().value("fleet.config_cycles"), configCycles);
+}
+
+TEST_F(FleetTest, AddTimerOnASleeperCountsFromItsCreditedClock) {
+  // A timer's first maturity is read off the machine clock, so the fleet
+  // credits a sleeper before adding one. An instance idle in Active sleeps
+  // through a 100-cycle epoch; a 100-machine-cycle TICK timer added then
+  // matures 50 cycles later, not at once, exactly as on a mirror.
+  Fleet fleet(image_);
+  const InstanceId id = fleet.spawn();
+  machine::PscpMachine mirror(image_);
+  const std::vector<int> go{fleet.eventId("GO")};
+  const std::vector<int> none;
+  machine::CycleStats stats;
+  fleet.setCondition(id, "ARMED", true);
+  fleet.warmCycle(id, go);
+  mirror.setCondition("ARMED", true);
+  mirror.configurationCycleIds(go, &stats);
+  int64_t mirrorFired = 0;
+  const auto stepBoth = [&](int cycles) {
+    fleet.step(cycles);
+    mirror.configurationCycleIds(none, &stats, cycles);
+    mirrorFired += static_cast<int64_t>(stats.fired.size());
+  };
+  stepBoth(4);    // fires Init's pause
+  stepBoth(100);  // fires nothing: the instance falls asleep after it
+  stepBoth(100);  // asleep throughout, its 100 cycles not yet credited
+  ASSERT_EQ(fleet.mergedMetrics().value("fleet.sleeping_instances"), 1);
+  fleet.addTimer(id, "TICK", 100);
+  mirror.addTimer("TICK", 100);
+  for (const int cycles : {10, 30, 9, 1, 20}) {
+    stepBoth(cycles);
+    EXPECT_EQ(fleet.snapshot(id).firedTransitions, mirrorFired) << "after " << cycles;
+  }
+  EXPECT_EQ(std::as_const(fleet).machine(id).globalValue("count"),
+            mirror.globalValue("count"));
+  EXPECT_GT(mirrorFired, 1) << "the timer must have fired";
+}
+
+/// Counts the decodes it is shown.
+class CountingObserver final : public obs::ObsSink {
+ public:
+  void onCycleBegin(int64_t, int64_t) override { ++decodes; }
+  int64_t decodes = 0;
+};
+
+TEST_F(FleetTest, OnlyACreditableMachineSleeps) {
+  // A machine can credit coming cycles only while its quiescence memo
+  // holds, no raised event is pending and no sink is attached; without a
+  // timer the credit is unbounded, with one it ends at the maturity. A
+  // fleet instance sleeps only after an epoch that fired nothing.
+  machine::PscpMachine m(image_);
+  const std::vector<int> none;
+  machine::CycleStats stats;
+  EXPECT_EQ(m.quiescentCredit(), 0) << "no decode has set the memo yet";
+  m.configurationCycleIds(none, &stats);
+  EXPECT_EQ(m.quiescentCredit(), std::numeric_limits<int64_t>::max());
+  m.raiseEvent(m.eventId("STOP"));
+  EXPECT_EQ(m.quiescentCredit(), 0) << "a pending event must be sampled";
+  m.configurationCycleIds(none, &stats);
+  m.addTimer("TICK", 9);
+  EXPECT_EQ(m.quiescentCredit(), 5) << "quiescent cycles start 2 machine cycles apart";
+  CountingObserver sink;
+  m.setObsOptions({&sink});
+  EXPECT_EQ(m.quiescentCredit(), 0) << "a sink is promised every decode";
+
+  // In a fleet, an instance with a sink never sleeps: the sink sees every
+  // cycle. Its idle neighbour sleeps; a raise through machine(id) wakes it.
+  Fleet fleet(image_);
+  const InstanceId watched = fleet.spawn();
+  const InstanceId idle = fleet.spawn();
+  CountingObserver observer;
+  fleet.machine(watched).setObsOptions({&observer});
+  for (int epoch = 0; epoch < 4; ++epoch) fleet.step(3);
+  EXPECT_EQ(observer.decodes, 12);
+  EXPECT_EQ(fleet.mergedMetrics().value("fleet.sleeping_instances"), 1);
+  fleet.setCondition(idle, "ARMED", true);
+  fleet.machine(idle).raiseEvent(fleet.eventId("GO"));
+  fleet.step(2);
+  EXPECT_TRUE(std::as_const(fleet).machine(idle).isActive("Counting"));
+  // GO runs Init, which clears ARMED, so the watch region pauses next cycle.
+  EXPECT_EQ(fleet.snapshot(idle).firedTransitions, 2);
+}
+
+TEST_F(FleetTest, JournalRecordsEachDeliveryOnce) {
+  // A sleeper's drained scratch still holds the events of the last epoch
+  // it was stepped in; the journal must log them for that epoch only.
+  FleetConfig config;
+  config.journal = true;
+  Fleet fleet(image_, config);
+  const std::vector<InstanceId> ids = fleet.spawnMany(3);
+  fleet.inject(ids[1], fleet.eventId("TICK"));
+  fleet.step(2);
+  fleet.step(3);
+  fleet.inject(ids[2], fleet.eventId("GO"));
+  fleet.step(1);
+  fleet.step(4);
+  EXPECT_GT(fleet.mergedMetrics().value("fleet.sleeping_instances"), 0);
+  std::vector<std::pair<int64_t, int64_t>> delivered;  // instance, epoch
+  for (const obs::journal::Op& op : fleet.journal()->ops())
+    if (op.kind == obs::journal::OpKind::kInject) delivered.emplace_back(op.instance, op.b);
+  EXPECT_EQ(delivered, (std::vector<std::pair<int64_t, int64_t>>{{1, 1}, {2, 3}}));
+}
+
+/// Spin for `micros` in a signal handler: only clock_gettime, which is
+/// async-signal-safe.
+void spinFor(int64_t micros) {
+  timespec start{};
+  timespec now{};
+  clock_gettime(CLOCK_MONOTONIC, &start);
+  do {
+    clock_gettime(CLOCK_MONOTONIC, &now);
+  } while ((now.tv_sec - start.tv_sec) * 1000000 + (now.tv_nsec - start.tv_nsec) / 1000 <
+           micros);
+}
+
+TEST_F(FleetTest, InjectingIntoSleepersWhilePooledFleetStepsLosesNoEvent) {
+  // A producer thread injects into sleeping instances while a 4-worker
+  // fleet steps one-cycle epochs. A helper stalls the producer for 100 us
+  // every 50 us at whatever instruction it is on (a signal whose handler
+  // spins), the way preemption would, inside inject() too. Every event
+  // must be delivered exactly once, and within two epochs of the one that
+  // was running when its inject returned (the journal records arrival
+  // epochs; the step's relaxed look at a wake word may pass its store of
+  // the epoch number, hence two): a wake bit raised before the push would
+  // let a stalled push land after its instance was stepped and went back
+  // to sleep, and the event would wait for the producer's next pass over
+  // that instance, or for ever after its last.
+  // GO selects nothing while ARMED is clear, so each delivery puts its
+  // instance straight back to sleep.
+  constexpr size_t kInstances = 128;
+  constexpr int kPasses = 24;
+  FleetConfig config;
+  config.workerThreads = 4;
+  config.journal = true;
+  Fleet fleet(image_, config);
+  const std::vector<InstanceId> ids = fleet.spawnMany(kInstances);
+  fleet.step(1);
+  fleet.step(1);
+  ASSERT_EQ(fleet.mergedMetrics().value("fleet.sleeping_instances"),
+            static_cast<int64_t>(kInstances));
+  const int go = fleet.eventId("GO");
+
+  struct sigaction stall{};
+  struct sigaction previous{};
+  stall.sa_handler = [](int) { spinFor(100); };
+  sigemptyset(&stall.sa_mask);
+  ASSERT_EQ(sigaction(SIGUSR1, &stall, &previous), 0);
+
+  // Written by the producer only, read after it joins.
+  std::vector<std::vector<int64_t>> returnedIn(kInstances);
+  int64_t injected = 0;
+  int64_t refused = 0;
+  std::atomic<bool> done{false};
+  std::thread producer([&] {
+    for (int pass = 0; pass < kPasses; ++pass) {
+      for (size_t k = 0; k < kInstances; ++k) {
+        const size_t i = (k * 37 + static_cast<size_t>(pass)) % kInstances;
+        ++injected;
+        if (fleet.inject(ids[i], go))
+          returnedIn[i].push_back(fleet.epochs());
+        else
+          ++refused;
+        spinFor(1);  // a pass spans many epochs
+      }
+    }
+    done.store(true, std::memory_order_release);
+  });
+  const pthread_t target = producer.native_handle();
+  std::thread staller([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      pthread_kill(target, SIGUSR1);
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+  while (!done.load(std::memory_order_acquire)) fleet.step(1);
+  staller.join();
+  producer.join();
+  sigaction(SIGUSR1, &previous, nullptr);
+  fleet.step(1);
+  fleet.step(1);
+
+  const obs::MetricsRegistry merged = fleet.mergedMetrics();
+  EXPECT_EQ(merged.value("fleet.events_delivered") + merged.value("fleet.events_dropped"),
+            injected);
+  EXPECT_EQ(merged.value("fleet.events_dropped"), refused);
+  EXPECT_EQ(merged.value("fleet.sleeping_instances"), static_cast<int64_t>(kInstances));
+  std::vector<size_t> next(kInstances, 0);
+  int64_t late = 0;
+  for (const obs::journal::Op& op : fleet.journal()->ops()) {
+    if (op.kind != obs::journal::OpKind::kInject) continue;
+    const size_t i = static_cast<size_t>(op.instance);
+    ASSERT_LT(next[i], returnedIn[i].size()) << "instance " << i << " got an extra event";
+    if (op.b > returnedIn[i][next[i]] + 2) ++late;
+    ++next[i];
+  }
+  for (size_t i = 0; i < kInstances; ++i)
+    EXPECT_EQ(next[i], returnedIn[i].size()) << "instance " << i << " lost an event";
+  EXPECT_EQ(late, 0) << "events waited in a sleeper's queue";
+}
+
+TEST_F(FleetTest, StepWithoutCyclesIsAnError) {
+  Fleet fleet(image_);
+  fleet.spawn();
+  fleet.step(1);
+  for (const int cycles : {0, -3}) {
+    try {
+      fleet.step(cycles);
+      ADD_FAILURE() << "step(" << cycles << ") was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(strfmt("step(%d)", cycles)), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(fleet.epochs(), 1);
+  }
+  fleet.step(1);
+  EXPECT_EQ(fleet.snapshot(0).configCycles, 2);
 }
 
 TEST_F(FleetTest, StealingFleetMatchesSingleThreadWithSkewedShards) {

@@ -3,8 +3,9 @@
 // steady-state duty cycle the benches run), steps it on a driver thread,
 // and renders per-shard health from lock-free snapshots on the main
 // thread: epoch latency (last/EWMA/max + p50/p99 from the per-shard
-// histogram), machine cycles, queue high-water, steals, drops, and any
-// anomalies the stall/imbalance detector raises.
+// histogram), machine cycles, queue high-water, steals, drops, the
+// awake/sleeping split of the last epoch, and any anomalies the
+// stall/imbalance detector raises.
 //
 //   pscp_top                         # live dashboard until Ctrl-C / duration
 //   pscp_top --json                  # one pscp-telemetry-v1 snapshot, stdout
@@ -16,6 +17,7 @@
 // The dashboard reads only Fleet::healthSnapshot() and the flight rings —
 // both safe mid-epoch — so it observes a stalled epoch *while* it stalls,
 // which is the whole point of a live plane over post-mortem metrics.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -127,6 +129,10 @@ std::string renderDashboard(const obs::FleetHealth& health,
       static_cast<long long>(health.totalMachineCycles()),
       static_cast<long long>(health.totalEventsDropped()),
       static_cast<long long>(health.totalStealChunks()));
+  const int64_t sleeping = health.totalSleepingInstances();
+  out += strfmt("sleep: %lld awake, %lld sleeping instances (last epoch)\n",
+                static_cast<long long>(std::max<int64_t>(health.liveInstances - sleeping, 0)),
+                static_cast<long long>(sleeping));
   out += strfmt(
       "tier:  jit=%s — %d native / %d rejected routines, compile %s\n\n",
       pscp::tep::jit::jitModeName(jitMode), tier.nativeRoutines,
