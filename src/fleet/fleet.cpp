@@ -101,6 +101,10 @@ struct Fleet::WorkerLocal {
   int64_t firedTransitions = 0;
   int64_t jitNativeRuns = 0;
   int64_t busStallCycles = 0;
+  int64_t decodes = 0;
+  int64_t decodeMemoHits = 0;
+  int64_t lockstepRuns = 0;
+  int64_t scheduleReplays = 0;
   int64_t eventsDelivered = 0;
   int64_t stealChunks = 0;
   int64_t instancesStepped = 0;  ///< awake instances stepped
@@ -126,6 +130,10 @@ struct Fleet::WorkerCounters {
   std::atomic<int64_t> firedTransitions{0};
   std::atomic<int64_t> jitNativeRuns{0};
   std::atomic<int64_t> busStallCycles{0};
+  std::atomic<int64_t> decodes{0};          ///< configuration cycles that decoded
+  std::atomic<int64_t> decodeMemoHits{0};   ///< of which the decode memo answered
+  std::atomic<int64_t> lockstepRuns{0};     ///< configuration cycles that ran a TAT
+  std::atomic<int64_t> scheduleReplays{0};  ///< of which the schedule memo replayed
   std::atomic<int64_t> eventsDelivered{0};
   std::atomic<int64_t> stealChunks{0};
   std::atomic<int64_t> instancesStepped{0};   ///< instances stepped (awake)
@@ -326,6 +334,10 @@ int64_t Fleet::stepInstance(Instance& inst, int cycles, WorkerLocal& local) {
   local.firedTransitions += epochFired;
   local.jitNativeRuns += inst.machine.jitNativeRuns() - nativeBefore;
   local.busStallCycles += stats.busStallCycles;
+  local.decodes += stats.decodes;
+  local.decodeMemoHits += stats.decodeMemoHits;
+  local.lockstepRuns += stats.lockstepRuns;
+  local.scheduleReplays += stats.scheduleReplays;
   local.instancesStepped += 1;
 
   if (local.ring != nullptr) {  // telemetry armed: the one extra branch
@@ -449,12 +461,20 @@ void Fleet::runWorkerEpoch(size_t worker, int cycles, int64_t epoch) {
   bump(block.machineCycles, local.machineCycles);
   bump(block.configCycles, local.configCycles);
   bump(block.quiescentCycles, local.quiescentCycles);
-  bump(block.firedTransitions, local.firedTransitions);
-  bump(block.jitNativeRuns, local.jitNativeRuns);
-  bump(block.busStallCycles, local.busStallCycles);
-  bump(block.eventsDelivered, local.eventsDelivered);
-  bump(block.stealChunks, local.stealChunks);
-  bump(block.instancesStepped, local.instancesStepped);
+  if (local.instancesStepped > 0) {
+    // Only stepped instances feed these: an epoch whose instances all
+    // sleep, the common idle case, leaves them as they are.
+    bump(block.firedTransitions, local.firedTransitions);
+    bump(block.jitNativeRuns, local.jitNativeRuns);
+    bump(block.busStallCycles, local.busStallCycles);
+    bump(block.decodes, local.decodes);
+    bump(block.decodeMemoHits, local.decodeMemoHits);
+    bump(block.lockstepRuns, local.lockstepRuns);
+    bump(block.scheduleReplays, local.scheduleReplays);
+    bump(block.eventsDelivered, local.eventsDelivered);
+    bump(block.stealChunks, local.stealChunks);
+    bump(block.instancesStepped, local.instancesStepped);
+  }
   block.sleepingInstances.store(sleepers, std::memory_order_relaxed);
   bump(block.epochs, 1);
 }
@@ -732,6 +752,10 @@ obs::MetricsRegistry Fleet::mergedMetrics() const {
           {"fleet.fired_transitions", &WorkerCounters::firedTransitions},
           {"fleet.jit_native_routines", &WorkerCounters::jitNativeRuns},
           {"fleet.bus_stall_cycles", &WorkerCounters::busStallCycles},
+          {"fleet.decodes", &WorkerCounters::decodes},
+          {"fleet.decode_memo_hits", &WorkerCounters::decodeMemoHits},
+          {"fleet.lockstep_runs", &WorkerCounters::lockstepRuns},
+          {"fleet.schedule_replays", &WorkerCounters::scheduleReplays},
           {"fleet.events_delivered", &WorkerCounters::eventsDelivered},
           {"fleet.steal_chunks", &WorkerCounters::stealChunks},
           {"fleet.epoch_tasks", &WorkerCounters::epochs},
@@ -805,6 +829,10 @@ obs::FleetHealth Fleet::healthSnapshot() const {
     s.queueDepthHwm = get(block.queueDepthHwm);
     s.instancesStepped = get(block.instancesStepped);
     s.sleepingInstances = get(block.sleepingInstances);
+    s.decodes = get(block.decodes);
+    s.decodeMemoHits = get(block.decodeMemoHits);
+    s.lockstepRuns = get(block.lockstepRuns);
+    s.scheduleReplays = get(block.scheduleReplays);
     s.portWrites = get(block.portWrites);
     s.epochNanosCounts.resize(obs::kEpochNanosBucketCount);
     for (size_t b = 0; b < obs::kEpochNanosBucketCount; ++b)

@@ -25,10 +25,10 @@
 //     chunk, not the slowest shard.
 //   - Every stepped instance-epoch is one PscpMachine::configurationCycleIds
 //     call that steps all `cycles` configuration cycles and returns their
-//     sums; stepInstance is the one stepping path. The machine's
-//     quiescence memo credits a stretch of event-free cycles over a CR
-//     that already decoded to nothing in one step, up to the first cycle a
-//     timer matures in (see pscp/machine.hpp).
+//     sums; stepInstance is the one stepping path. The machine's decode
+//     memo credits a stretch of event-free cycles over a CR that already
+//     decoded to nothing in one step, up to the first cycle a timer
+//     matures in (see pscp/machine.hpp).
 //   - Idle instances — the dominant case for reactive populations, which
 //     are mostly quiescent between stimuli — cost nothing per epoch: they
 //     sleep. After an epoch that fired nothing, an instance whose machine
@@ -225,8 +225,9 @@ class Fleet {
   // ----------------------------------------------------------- inspection
   /// Direct access to an instance's machine (between epochs only). The
   /// non-const form credits a sleeper and wakes it, so mutating the
-  /// machine is safe for stepping — every CR write clears the machine's
-  /// quiescence memo — until the next step(); fetch it again after that.
+  /// machine is safe for stepping — the machine's decode memo is keyed on
+  /// the CR, so a CR write is seen at the next decode — until the next
+  /// step(); fetch it again after that.
   /// Direct writes are not journaled: replayable runs use the wrappers
   /// below. The const form and snapshot() credit a sleeper without waking
   /// it, so both show counters up to the fleet's clock.
@@ -244,7 +245,12 @@ class Fleet {
   /// fleet.fired_transitions, fleet.bus_stall_cycles,
   /// fleet.events_delivered, fleet.events_dropped, fleet.steal_chunks,
   /// fleet.epoch_tasks, fleet.sleeping_instances (the instances the last
-  /// epoch credited without stepping), and fleet.jit_native_routines +
+  /// epoch credited without stepping), fleet.decodes and
+  /// fleet.decode_memo_hits (configuration cycles that decoded, and of
+  /// those the ones the machine's decode memo answered),
+  /// fleet.lockstep_runs and fleet.schedule_replays (cycles that ran a
+  /// TAT, and of those the ones the schedule memo replayed), and
+  /// fleet.jit_native_routines +
   /// fleet.jit_interp_routines, which split fleet.fired_transitions by
   /// tier over the same epochs (warm-up cycles excluded, retired instances
   /// kept). With telemetry armed, healthToMetrics() adds the health plane.

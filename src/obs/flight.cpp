@@ -60,23 +60,6 @@ FlightRing::FlightRing(size_t capacity) {
   mask_ = cap - 1;
 }
 
-void FlightRing::push(FlightKind kind, int64_t epoch, int64_t a, int64_t b,
-                      int64_t c, int64_t d) {
-  const uint64_t n = next_.load(std::memory_order_relaxed);
-  Slot& slot = slots_[static_cast<size_t>(n) & mask_];
-  // Mark the slot in-progress before touching the payload, publish after:
-  // a reader that races sees seq != 2n+2 and skips the slot.
-  slot.seq.store(2 * n + 1, std::memory_order_release);
-  slot.kind.store(static_cast<uint8_t>(kind), std::memory_order_relaxed);
-  slot.epoch.store(epoch, std::memory_order_relaxed);
-  slot.a.store(a, std::memory_order_relaxed);
-  slot.b.store(b, std::memory_order_relaxed);
-  slot.c.store(c, std::memory_order_relaxed);
-  slot.d.store(d, std::memory_order_relaxed);
-  slot.seq.store(2 * n + 2, std::memory_order_release);
-  next_.store(n + 1, std::memory_order_release);
-}
-
 void FlightRing::snapshot(int32_t shard, std::vector<FlightRecord>* out) const {
   const uint64_t end = next_.load(std::memory_order_acquire);
   const uint64_t cap = static_cast<uint64_t>(mask_) + 1;

@@ -82,9 +82,24 @@ class FlightRing {
     return next_.load(std::memory_order_acquire);
   }
 
-  /// Writer side (exactly one thread). Never allocates, never blocks.
+  /// Writer side (exactly one thread). Never allocates, never blocks, and
+  /// writes one cache line (inline: the armed fleet pushes per instance).
   void push(FlightKind kind, int64_t epoch, int64_t a, int64_t b, int64_t c,
-            int64_t d);
+            int64_t d) {
+    const uint64_t n = next_.load(std::memory_order_relaxed);
+    Slot& slot = slots_[static_cast<size_t>(n) & mask_];
+    // Mark the slot in-progress before touching the payload, publish after:
+    // a reader that races sees seq != 2n+2 and skips the slot.
+    slot.seq.store(2 * n + 1, std::memory_order_release);
+    slot.kind.store(static_cast<uint8_t>(kind), std::memory_order_relaxed);
+    slot.epoch.store(epoch, std::memory_order_relaxed);
+    slot.a.store(a, std::memory_order_relaxed);
+    slot.b.store(b, std::memory_order_relaxed);
+    slot.c.store(c, std::memory_order_relaxed);
+    slot.d.store(d, std::memory_order_relaxed);
+    slot.seq.store(2 * n + 2, std::memory_order_release);
+    next_.store(n + 1, std::memory_order_release);
+  }
 
   /// Append the published records still resident in the ring to `out`,
   /// oldest first, tagging each with `shard`. Safe from any thread at any
@@ -92,7 +107,8 @@ class FlightRing {
   void snapshot(int32_t shard, std::vector<FlightRecord>* out) const;
 
  private:
-  struct Slot {
+  /// One record per cache line.
+  struct alignas(64) Slot {
     std::atomic<uint64_t> seq{0};  ///< 2n+1 writing, 2n+2 published
     std::atomic<uint8_t> kind{0};
     std::atomic<int64_t> epoch{0};

@@ -51,6 +51,12 @@ int64_t FleetHealth::totalSleepingInstances() const {
   return total;
 }
 
+int64_t FleetHealth::total(int64_t ShardHealth::*field) const {
+  int64_t sum = 0;
+  for (const ShardHealth& s : shards) sum += s.*field;
+  return sum;
+}
+
 const char* anomalyKindName(HealthAnomaly::Kind kind) {
   switch (kind) {
     case HealthAnomaly::Kind::kStall:
@@ -188,6 +194,10 @@ JsonValue shardToJson(const ShardHealth& s) {
   obj.set("queue_depth_hwm", num(s.queueDepthHwm));
   obj.set("instances_stepped", num(s.instancesStepped));
   obj.set("sleeping_instances", num(s.sleepingInstances));
+  obj.set("decodes", num(s.decodes));
+  obj.set("decode_memo_hits", num(s.decodeMemoHits));
+  obj.set("lockstep_runs", num(s.lockstepRuns));
+  obj.set("schedule_replays", num(s.scheduleReplays));
   obj.set("port_writes", num(s.portWrites));
   JsonValue hist = JsonValue::makeObject();
   JsonValue bounds = JsonValue::makeArray();
@@ -273,7 +283,8 @@ bool validateTelemetryV1(const JsonValue& doc, std::string* error) {
           "max_epoch_ns", "in_flight_ns", "machine_cycles", "config_cycles",
           "fired_transitions", "events_delivered", "events_dropped",
           "steal_chunks", "queue_depth_hwm", "instances_stepped",
-          "sleeping_instances", "port_writes"}) {
+          "sleeping_instances", "decodes", "decode_memo_hits", "lockstep_runs",
+          "schedule_replays", "port_writes"}) {
       const JsonValue* v = s.find(key);
       if (v == nullptr || !v->isNumber())
         return fail(strfmt("shards[%zu] lacks numeric \"%s\"", i, key));

@@ -57,6 +57,10 @@ struct ShardHealth {
   int64_t queueDepthHwm = 0;    ///< deepest SPSC queue seen at drain
   int64_t instancesStepped = 0;   ///< instances stepped (awake), summed over epochs
   int64_t sleepingInstances = 0;  ///< sleepers the last epoch credited unstepped
+  int64_t decodes = 0;            ///< configuration cycles that decoded
+  int64_t decodeMemoHits = 0;     ///< of which the decode memo answered
+  int64_t lockstepRuns = 0;       ///< configuration cycles that ran a TAT
+  int64_t scheduleReplays = 0;    ///< of which the schedule memo replayed
   int64_t portWrites = 0;
   std::vector<int64_t> epochNanosCounts;  ///< epochNanosBounds().size() + 1
 };
@@ -74,6 +78,8 @@ struct FleetHealth {
   [[nodiscard]] int64_t totalEventsDropped() const;
   [[nodiscard]] int64_t totalStealChunks() const;
   [[nodiscard]] int64_t totalSleepingInstances() const;
+  /// The shards' sum of any counter, e.g. total(&ShardHealth::decodes).
+  [[nodiscard]] int64_t total(int64_t ShardHealth::*field) const;
 };
 
 struct HealthAnomaly {
@@ -123,7 +129,8 @@ void healthToMetrics(const FleetHealth& health, MetricsRegistry* out);
 //   "shards": [ { shard, epochs, last_epoch_ns, ewma_epoch_ns, min_epoch_ns,
 //     max_epoch_ns, in_flight_ns, machine_cycles, config_cycles,
 //     fired_transitions, events_delivered, events_dropped, steal_chunks,
-//     queue_depth_hwm, instances_stepped, sleeping_instances, port_writes,
+//     queue_depth_hwm, instances_stepped, sleeping_instances, decodes,
+//     decode_memo_hits, lockstep_runs, schedule_replays, port_writes,
 //     epoch_ns_hist: { bounds: [...], counts: [...] } } ],
 //   "anomalies": [ { kind, shard, severity, detail } ]
 // }

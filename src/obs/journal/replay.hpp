@@ -61,7 +61,7 @@ struct ReplayOptions {
   /// machine at spawn (tee a TraceRecorder and the SpanTracker; see
   /// obs/tee.hpp). `spanTracker` is primed before every step with the
   /// spans delivered to that instance. Attaching a sink makes the traced
-  /// instance decode every cycle (it bypasses the quiescence memo) — still
+  /// instance decode every cycle (it bypasses the decode memo) — still
   /// bit-identical by the obs contract.
   ObsSink* traceSink = nullptr;
   SpanTracker* spanTracker = nullptr;

@@ -103,21 +103,13 @@ PscpMachine::PscpMachine(std::shared_ptr<const ChartImage> image)
   fieldCode_.assign(layout_.stateFields().size(), 0);
   activeBits_ = BitVec(static_cast<int>(chart_.stateCount()));
   pendingEventBits_ = BitVec(layout_.eventCount());
-  exitedScratch_ = BitVec(static_cast<int>(chart_.stateCount()));
-  groupInFlight_.assign(static_cast<size_t>(image_->exclusionGroupCount_), 0);
   for (StateId s : chart_.defaultCompletion(chart_.root())) applyActive(s, true);
 
   image_->app_.loadImage(*this);
   for (int i = 0; i < arch_.numTeps; ++i) {
     teps_.push_back(std::make_unique<tep::Tep>(arch_, *this, i));
     teps_.back()->setProgram(&image_->app_.program, &image_->micro_);
-    condCache_.emplace_back(static_cast<size_t>(layout_.conditionCount()), 0);
-    condDirty_.emplace_back(layout_.conditionCount());
   }
-  runningScratch_.assign(teps_.size(), -1);
-  dispatchCycles_.assign(static_cast<size_t>(arch_.numTeps), 0);
-  dispatchInstrs_.assign(static_cast<size_t>(arch_.numTeps), 0);
-  dispatchStalls_.assign(static_cast<size_t>(arch_.numTeps), 0);
 }
 
 PscpMachine::PscpMachine(const statechart::Chart& chart,
@@ -170,11 +162,15 @@ void PscpMachine::setObsOptions(const obs::ObsOptions& options) {
 
 PscpMachine::~PscpMachine() = default;
 
+PscpMachine::CycleScratch& PscpMachine::scratch() {
+  static thread_local CycleScratch s;
+  return s;
+}
+
 // --------------------------------------------------- incremental CR upkeep
 
 void PscpMachine::applyActive(StateId s, bool active) {
   if (activeBits_.test(static_cast<int>(s)) == active) return;
-  quiescentMemo_ = false;
   activeBits_.set(static_cast<int>(s), active);
   if (s == chart_.root()) return;  // the root has no CR code
   const auto [fieldIndex, code] = layout_.stateCode(s);
@@ -195,7 +191,16 @@ void PscpMachine::setCrCondition(int index, bool value) {
   PSCP_ASSERT(index >= 0 && index < static_cast<int>(crConditions_.size()));
   crConditions_[static_cast<size_t>(index)] = value ? 1 : 0;
   cr_.set(layout_.conditionBase() + index, value);
-  quiescentMemo_ = false;
+}
+
+bool PscpMachine::keyStatesAreCr(const DecodeEntry& entry) const {
+  // The state fields are the CR's top bits, from stateBase() on.
+  const auto first = static_cast<size_t>(layout_.stateBase()) / 64;
+  const uint64_t firstMask = ~uint64_t{0} << (layout_.stateBase() % 64);
+  for (size_t w = first; w < cr_.wordCount(); ++w)
+    if (((entry.words[w] ^ cr_.word(w)) & (w == first ? firstMask : ~uint64_t{0})) != 0)
+      return false;
+  return true;
 }
 
 // ----------------------------------------------------------------- TepHost
@@ -235,10 +240,9 @@ uint32_t PscpMachine::readPort(int address) {
 void PscpMachine::writePort(int address, uint32_t value) {
   ports_[declaredPortSlot(address, "TEP write to")] = value;
   const int64_t cycleIndex = configCycles_ > 0 ? configCycles_ - 1 : 0;
+  // A TEP writes only inside a TAT execution, on the thread running it.
   const statechart::TransitionId running =
-      (currentTep_ >= 0 && currentTep_ < static_cast<int>(runningScratch_.size()))
-          ? runningScratch_[static_cast<size_t>(currentTep_)]
-          : -1;
+      currentTep_ >= 0 ? scratch().running[static_cast<size_t>(currentTep_)] : -1;
   portWrites_.push_back(
       PortWrite{address, value, cycleIndex, machineTimeNow_, currentTep_, running});
   if (obs_.sink != nullptr)
@@ -260,11 +264,11 @@ void PscpMachine::setCondition(int index, bool value) {
   // TEPs write their local condition cache; the write-back at routine end
   // moves it to the CR. Writes from outside any TEP hit the CR directly.
   if (currentTep_ >= 0) {
-    PSCP_ASSERT(index >= 0 &&
-                index < static_cast<int>(condCache_[static_cast<size_t>(currentTep_)].size()));
-    condCache_[static_cast<size_t>(currentTep_)][static_cast<size_t>(index)] =
-        value ? 1 : 0;
-    condDirty_[static_cast<size_t>(currentTep_)].set(index);
+    CycleScratch& s = scratch();
+    const auto tep = static_cast<size_t>(currentTep_);
+    PSCP_ASSERT(index >= 0 && index < static_cast<int>(s.condCache[tep].size()));
+    s.condCache[tep][static_cast<size_t>(index)] = value ? 1 : 0;
+    s.condDirty[tep].set(index);
     return;
   }
   setCrCondition(index, value);
@@ -272,9 +276,9 @@ void PscpMachine::setCondition(int index, bool value) {
 
 bool PscpMachine::testCondition(int index) {
   if (currentTep_ >= 0) {
-    PSCP_ASSERT(index >= 0 &&
-                index < static_cast<int>(condCache_[static_cast<size_t>(currentTep_)].size()));
-    return condCache_[static_cast<size_t>(currentTep_)][static_cast<size_t>(index)] != 0;
+    const std::vector<uint8_t>& cache = scratch().condCache[static_cast<size_t>(currentTep_)];
+    PSCP_ASSERT(index >= 0 && index < static_cast<int>(cache.size()));
+    return cache[static_cast<size_t>(index)] != 0;
   }
   PSCP_ASSERT(index >= 0 && index < static_cast<int>(crConditions_.size()));
   return crConditions_[static_cast<size_t>(index)] != 0;
@@ -394,15 +398,15 @@ void PscpMachine::addTimer(const std::string& event, int64_t period) {
   timers_.push_back(t);
 }
 
-void PscpMachine::resolveConflicts() {
+void PscpMachine::resolveConflicts(CycleScratch& s) {
   // Identical policy to statechart::Interpreter::step — outer scope first,
   // then declaration order; drop transitions whose exit sets overlap. The
   // exit sets are the bitsets precomputed in the image, so this runs
   // without allocating per transition. The order is by (scope depth, id);
-  // selectScratch_ arrives sorted by id, so an in-place insertion sort by
+  // the selection arrives sorted by id, so an in-place insertion sort by
   // depth keeps ties in id order without std::stable_sort's temp buffer.
   const std::vector<int>& depth = image_->scopeDepth_;
-  std::vector<TransitionId>& order = selectScratch_;
+  std::vector<TransitionId>& order = s.select;
   for (size_t i = 1; i < order.size(); ++i) {
     const TransitionId t = order[i];
     const int dt = depth[static_cast<size_t>(t)];
@@ -413,20 +417,21 @@ void PscpMachine::resolveConflicts() {
     }
     order[j] = t;
   }
-  chosenScratch_.clear();
-  exitedScratch_.clear();
+  s.chosen.clear();
+  s.exited.assign(activeBits_.size());
   for (TransitionId t : order) {
     const statechart::Transition& tr = chart_.transition(t);
-    if (exitedScratch_.test(static_cast<int>(tr.source))) continue;
+    if (s.exited.test(static_cast<int>(tr.source))) continue;
     const BitVec& exits = image_->exitSets_[static_cast<size_t>(t)];
-    if (exits.intersects(exitedScratch_)) continue;
-    exitedScratch_.orWithAnd(exits, activeBits_);  // mark only actually-active exits
-    chosenScratch_.push_back(t);
+    if (exits.intersects(s.exited)) continue;
+    s.exited.orWithAnd(exits, activeBits_);  // mark only actually-active exits
+    s.chosen.push_back(t);
   }
 }
 
 CycleStats PscpMachine::configurationCycle(
     const std::set<std::string>& externalEvents) {
+  refuseIfFaulted();
   std::vector<int> ids;
   ids.reserve(externalEvents.size());
   for (const std::string& name : externalEvents) ids.push_back(layout_.eventBit(name));
@@ -453,8 +458,15 @@ CycleStats PscpMachine::configurationCycleIds(
   return stats;
 }
 
+void PscpMachine::refuseIfFaulted() const {
+  if (faulted_)
+    fail("PSCP: the machine faulted in configuration cycle %lld and steps no further",
+         static_cast<long long>(configCycles_ - 1));
+}
+
 void PscpMachine::configurationCycleIds(const std::vector<int>& externalEventIds,
                                         CycleStats* statsOut, int cycles) {
+  refuseIfFaulted();
   for (const int id : externalEventIds)
     if (id < 0 || id >= layout_.eventCount())
       fail("PSCP: external event id %d is not an event bit (the chart has %d "
@@ -464,28 +476,37 @@ void PscpMachine::configurationCycleIds(const std::vector<int>& externalEventIds
   stats.cycles = 0;
   stats.busStallCycles = 0;
   stats.quiescentCycles = 0;
+  stats.decodes = 0;
+  stats.decodeMemoHits = 0;
+  stats.lockstepRuns = 0;
+  stats.scheduleReplays = 0;
   stats.quiescent = false;
 
-  for (int c = 0; c < cycles;) {
-    const std::vector<int>& events = c == 0 ? externalEventIds : kNoEvents;
-    // Quiescence memo: the CR decoded to nothing when last sampled without
-    // events and has not been written since, and these cycles sample no
-    // events either (none external, none raised, no timer due) — so the
-    // SLA would select nothing in each of them. The stretch runs up to the
-    // first cycle that starts at a timer's maturity. An observer forces
-    // the decodes it watches.
-    if (events.empty()) {
-      const int64_t quiet = std::min<int64_t>(cycles - c, quiescentCredit());
-      if (quiet > 0) {
-        stats.cycles += creditQuiescent(quiet);
-        stats.quiescentCycles += quiet;
-        stats.quiescent = true;
-        c += static_cast<int>(quiet);
-        continue;
+  try {
+    for (int c = 0; c < cycles;) {
+      const std::vector<int>& events = c == 0 ? externalEventIds : kNoEvents;
+      // The empty case of the decode memo: the CR as it stands decoded to
+      // nothing when sampled without events, and these cycles sample no
+      // events either (none external, none raised, no timer due) — so the
+      // SLA would select nothing in each of them. The stretch runs up to
+      // the first cycle that starts at a timer's maturity. An observer
+      // forces the decodes it watches.
+      if (events.empty()) {
+        const int64_t quiet = std::min<int64_t>(cycles - c, quiescentCredit());
+        if (quiet > 0) {
+          stats.cycles += creditQuiescent(quiet);
+          stats.quiescentCycles += quiet;
+          stats.quiescent = true;
+          c += static_cast<int>(quiet);
+          continue;
+        }
       }
+      decodeCycle(events, stats);
+      ++c;
     }
-    decodeCycle(events, stats);
-    ++c;
+  } catch (...) {
+    faulted_ = true;
+    throw;
   }
 }
 
@@ -499,20 +520,20 @@ void PscpMachine::decodeCycle(const std::vector<int>& externalEventIds,
   const int64_t base = totalCycles_;             // machine time at cycle start
   machineTimeNow_ = base;
   if (sink != nullptr) sink->onCycleBegin(cycleIndex, base);
+  CycleScratch& s = scratch();
 
   // 1. Sample events into the CR: external + those the TEPs raised last
   //    cycle + matured hardware timers. Events live for exactly this cycle
-  //    (their CR bits are cleared again right after the SLA decode).
-  eventScratch_.clear();
-  eventScratch_.insert(eventScratch_.end(), pendingEvents_.begin(),
-                       pendingEvents_.end());
+  //    (their CR bits are cleared again right after the decode).
+  std::vector<int>& events = s.events;
+  events.clear();
+  events.insert(events.end(), pendingEvents_.begin(), pendingEvents_.end());
   pendingEvents_.clear();
   pendingEventBits_.clear();
-  eventScratch_.insert(eventScratch_.end(), externalEventIds.begin(),
-                       externalEventIds.end());
+  events.insert(events.end(), externalEventIds.begin(), externalEventIds.end());
   for (Timer& t : timers_) {
     if (totalCycles_ >= t.nextFire) {
-      eventScratch_.push_back(t.eventBit);
+      events.push_back(t.eventBit);
       if (sink != nullptr) sink->onTimerFire(t.eventBit, base);
       // Catch up without bursting: one event per cycle boundary, and the
       // next maturity is the first period multiple past now — or never,
@@ -521,25 +542,44 @@ void PscpMachine::decodeCycle(const std::vector<int>& externalEventIds,
       t.nextFire = ahead > kMaxTime - totalCycles_ ? kMaxTime : totalCycles_ + ahead;
     }
   }
-  for (int b : eventScratch_) cr_.set(b);
+  for (int b : events) cr_.set(b);
 
-  // 2. SLA selects enabled transitions; scheduler resolves conflicts.
-  if (sink != nullptr) sink->onCrSampled(cr_, base);
-  sla::SelectStats selectStats;
-  sla_.selectInto(cr_, selectScratch_, sink != nullptr ? &selectStats : nullptr);
-  for (int b : eventScratch_) cr_.reset(b);  // events are consumed by the decode
-  std::vector<int> selectedIds;  // copied before resolveConflicts reorders
-  if (sink != nullptr) selectedIds.assign(selectScratch_.begin(), selectScratch_.end());
-  resolveConflicts();
-  const std::vector<TransitionId>& chosen = chosenScratch_;
-  if (sink != nullptr) {
-    std::vector<int> chosenIds(chosen.begin(), chosen.end());
-    sink->onSlaSelect(selectedIds, chosenIds, selectStats.termsEvaluated, base);
+  // 2. Decode: the SLA selects enabled transitions and the scheduler
+  //    resolves conflicts — or the memo entry of this kind of decode holds
+  //    the sampled CR and answers with its chosen set. An observed cycle
+  //    neither reads nor writes the memo.
+  ++stats.decodes;
+  DecodeEntry& memo = decodeMemo_[events.empty() ? 0 : 1];
+  const size_t keyWords = cr_.wordCount();
+  const bool hit = sink == nullptr && memo.filled && keyIsCr(memo);
+  std::vector<TransitionId>& chosen = s.chosen;
+  if (hit) {
+    ++stats.decodeMemoHits;
+    chosen.assign(memo.words.begin() + static_cast<std::ptrdiff_t>(keyWords),
+                  memo.words.end());
+    for (int b : events) cr_.reset(b);
+  } else {
+    if (sink != nullptr) sink->onCrSampled(cr_, base);
+    sla::SelectStats selectStats;
+    sla_.selectInto(cr_, s.select, sink != nullptr ? &selectStats : nullptr);
+    if (sink == nullptr) {
+      memo.words.resize(keyWords);
+      for (size_t w = 0; w < keyWords; ++w) memo.words[w] = cr_.word(w);
+    }
+    for (int b : events) cr_.reset(b);  // events are consumed by the decode
+    std::vector<int> selectedIds;  // copied before resolveConflicts reorders
+    if (sink != nullptr) selectedIds.assign(s.select.begin(), s.select.end());
+    resolveConflicts(s);
+    if (sink != nullptr) {
+      std::vector<int> chosenIds(chosen.begin(), chosen.end());
+      sink->onSlaSelect(selectedIds, chosenIds, selectStats.termsEvaluated, base);
+    } else {
+      memo.words.insert(memo.words.end(), chosen.begin(), chosen.end());
+      memo.filled = true;
+      memo.sameConfig = -1;
+    }
   }
   if (chosen.empty()) {
-    // Only an event-free decode speaks for the bare CR: a negated event
-    // literal may select once the sampled events are gone.
-    if (eventScratch_.empty()) quiescentMemo_ = true;
     stats.quiescent = true;
     stats.quiescentCycles += 1;
     stats.cycles += kSlaEvaluateCycles;
@@ -550,26 +590,40 @@ void PscpMachine::decodeCycle(const std::vector<int>& externalEventIds,
     return;
   }
   stats.quiescent = false;
+  ++stats.lockstepRuns;
 
-  // 3. Fill the TEP condition caches from the CR (flat byte copy).
-  for (size_t i = 0; i < teps_.size(); ++i) {
-    condCache_[i] = crConditions_;
-    condDirty_[i].clear();
+  // 3. Fill the TEP condition caches from the CR (flat byte copy). The
+  //    scratch only grows, so a thread that steps images with different
+  //    TEP counts keeps every cache's storage.
+  const size_t tepCount = teps_.size();
+  if (s.condCache.size() < tepCount) {
+    s.condCache.resize(tepCount);
+    s.condDirty.resize(tepCount);
+  }
+  for (size_t i = 0; i < tepCount; ++i) {
+    s.condCache[i] = crConditions_;
+    s.condDirty[i].assign(layout_.conditionCount());
   }
 
   // 4. Execute the Transition Address Table: the TEPs in lockstep with bus
   //    arbitration, each routine on the microcode interpreter or replayed
   //    from its native run (bit-identical CR/port/cycle behaviour).
-  const int64_t cycles = runTatLockstep(chosen, stats, base);
+  const int64_t cycles = runTatLockstep(s, stats, base);
 
-  // 5. Configuration update: apply exits/enters of all fired transitions.
-  //    applyActive keeps the packed CR state fields in sync incrementally.
-  for (TransitionId t : chosen)
-    image_->exitSets_[static_cast<size_t>(t)].forEachSetBit(
-        [&](int s) { applyActive(static_cast<StateId>(s), false); });
-  for (TransitionId t : chosen)
-    image_->enterSets_[static_cast<size_t>(t)].forEachSetBit(
-        [&](int s) { applyActive(static_cast<StateId>(s), true); });
+  // 5. Configuration update: apply exits/enters of all fired transitions,
+  //    unless the memo knows they leave the configuration as they found
+  //    it. applyActive keeps the packed CR state fields in sync
+  //    incrementally; the key's state fields are the configuration the
+  //    update started from.
+  if (!hit || memo.sameConfig != 1) {
+    for (TransitionId t : chosen)
+      image_->exitSets_[static_cast<size_t>(t)].forEachSetBit(
+          [&](int st) { applyActive(static_cast<StateId>(st), false); });
+    for (TransitionId t : chosen)
+      image_->enterSets_[static_cast<size_t>(t)].forEachSetBit(
+          [&](int st) { applyActive(static_cast<StateId>(st), true); });
+    if (sink == nullptr && memo.sameConfig < 0) memo.sameConfig = keyStatesAreCr(memo) ? 1 : 0;
+  }
 
   stats.cycles += cycles;
   stats.busStallCycles += busStallsThisCycle_;
@@ -578,7 +632,7 @@ void PscpMachine::decodeCycle(const std::vector<int>& externalEventIds,
   machineTimeNow_ = totalCycles_;
   if (sink != nullptr) {
     std::vector<int> activeIds;
-    activeBits_.forEachSetBit([&](int s) { activeIds.push_back(s); });
+    activeBits_.forEachSetBit([&](int st) { activeIds.push_back(st); });
     sink->onConfigUpdate(activeIds, totalCycles_);
     sink->onCycleEnd(cycleIndex, cycles, busStallsThisCycle_,
                      static_cast<int>(stats.fired.size() - firedBefore), false,
@@ -623,7 +677,8 @@ bool PscpMachine::runAhead(Replay& replay, size_t tepIndex, TransitionId t,
   ctx.env = &env;
   ctx.mem = memory_.view(static_cast<int>(tepIndex));
   LogCursor& cursor = replay.cursors[tepIndex];
-  cursor.next = replay.log.size();
+  cursor.begin = replay.log.size();
+  cursor.next = cursor.begin;
   currentTep_ = static_cast<int>(tepIndex);
   const int32_t status = fn(&ctx);
   currentTep_ = -1;
@@ -653,7 +708,7 @@ bool PscpMachine::stepLogged(Replay& replay, size_t tepIndex) {
     ++e;
   }
   if (s < c.busUntil && !acquireExternalBus(static_cast<int>(tepIndex))) return false;
-  for (; c.next < c.end && e->step == s; ++c.next, ++e) replayEffect(*e, tepIndex);
+  for (; c.next < c.end && e->step == s; ++c.next, ++e) replayEffect(replay, c.next, tepIndex);
   if (s == c.faultStep) throw Error(c.fault);
   c.step = s + 1;
   if (c.step != c.length) return false;
@@ -738,14 +793,20 @@ void PscpMachine::skipSteps(Replay& replay, int64_t steps, int64_t cycles, int64
     if (pick == n) break;
     LogCursor& c = replay.cursors[pick];
     machineTimeNow_ = base + cycles + pickAt;
-    replayEffect(replay.log[c.next], pick);
+    replayEffect(replay, c.next, pick);
     ++c.next;
   }
   for (LogCursor& c : replay.cursors)
     if (c.active) c.step += steps;
 }
 
-void PscpMachine::replayEffect(const tep::jit::TimedEffect& e, size_t tepIndex) {
+void PscpMachine::replayEffect(Replay& replay, size_t entry, size_t tepIndex) {
+  if (replay.recording)
+    replay.steps.push_back(
+        {static_cast<int32_t>(tepIndex),
+         static_cast<int32_t>(entry - replay.cursors[tepIndex].begin),
+         machineTimeNow_ - replay.base});
+  const tep::jit::TimedEffect& e = replay.log[entry];
   if (e.kind == tep::jit::TimedEffect::Kind::kPortWrite) {
     currentTep_ = static_cast<int>(tepIndex);  // the PortWrite record's TEP
     writePort(e.arg, e.value);
@@ -755,17 +816,23 @@ void PscpMachine::replayEffect(const tep::jit::TimedEffect& e, size_t tepIndex) 
   }
 }
 
-int64_t PscpMachine::runTatLockstep(const std::vector<TransitionId>& chosen,
-                                    CycleStats& stats, int64_t base) {
+int64_t PscpMachine::runTatLockstep(CycleScratch& s, CycleStats& stats, int64_t base) {
   obs::ObsSink* const sink = obs_.sink;
+  const std::vector<TransitionId>& chosen = s.chosen;
   const size_t tepCount = teps_.size();
   // Dispatch from the Transition Address Table round-robin; mutual-
   // exclusion groups are never in flight on two TEPs at once (the
   // "additional decode logic" of Sec. 4).
-  std::vector<TransitionId>& table = tatScratch_;  // FIFO of pending transitions
+  std::vector<TransitionId>& table = s.table;  // FIFO of pending transitions
   table.assign(chosen.begin(), chosen.end());
-  std::vector<TransitionId>& running = runningScratch_;
+  std::vector<TransitionId>& running = s.running;
   running.assign(tepCount, -1);
+  s.groupInFlight.assign(static_cast<size_t>(image_->exclusionGroupCount_), 0);
+  if (sink != nullptr) {
+    s.dispatchCycles.resize(tepCount);
+    s.dispatchInstrs.resize(tepCount);
+    s.dispatchStalls.resize(tepCount);
+  }
   const int64_t condCopy = conditionCopyCycles(arch_, layout_.conditionCount());
   int64_t cycles = kSlaEvaluateCycles + static_cast<int64_t>(tepCount) * condCopy;
   // (cycles + k) % tepCount visits the TEPs from a rotating start; a mask
@@ -778,10 +845,11 @@ int64_t PscpMachine::runTatLockstep(const std::vector<TransitionId>& chosen,
   const bool native = nativeAllowed(chosen);
   // A bus step can stall only while another routine is in flight.
   const bool contended = tepCount > 1 && chosen.size() > 1;
-  static thread_local Replay replay;
+  Replay& replay = s.replay;
   replay.log.clear();
   replay.cursors.resize(tepCount);
   for (LogCursor& c : replay.cursors) c.active = false;
+  replay.recording = false;
   int64_t guard = 0;  // machine cycles stepped (the guard excludes overhead)
 
   auto tryDispatch = [&](size_t tepIndex) {
@@ -789,28 +857,100 @@ int64_t PscpMachine::runTatLockstep(const std::vector<TransitionId>& chosen,
     // Find the first pending transition whose exclusion group is free.
     for (size_t j = 0; j < table.size(); ++j) {
       const int group = image_->exclusionGroup_[static_cast<size_t>(table[j])];
-      if (group >= 0 && groupInFlight_[static_cast<size_t>(group)] != 0) continue;
+      if (group >= 0 && s.groupInFlight[static_cast<size_t>(group)] != 0) continue;
       const TransitionId t = table[j];
       table.erase(table.begin() + static_cast<std::ptrdiff_t>(j));
       running[tepIndex] = t;
-      if (group >= 0) groupInFlight_[static_cast<size_t>(group)] = 1;
+      if (group >= 0) s.groupInFlight[static_cast<size_t>(group)] = 1;
       // A rejected routine, or one another thread is compiling right now,
       // runs on the interpreter for this dispatch.
       if (!native || !runAhead(replay, tepIndex, t, guard, contended))
         teps_[tepIndex]->startRoutine(image_->routineEntry_[static_cast<size_t>(t)]);
       cycles += kDispatchCyclesPerTransition;
       if (sink != nullptr) {
-        dispatchCycles_[tepIndex] = teps_[tepIndex]->cyclesExecuted();
-        dispatchInstrs_[tepIndex] = teps_[tepIndex]->instructionsExecuted();
-        dispatchStalls_[tepIndex] = teps_[tepIndex]->stallCycles();
+        s.dispatchCycles[tepIndex] = teps_[tepIndex]->cyclesExecuted();
+        s.dispatchInstrs[tepIndex] = teps_[tepIndex]->instructionsExecuted();
+        s.dispatchStalls[tepIndex] = teps_[tepIndex]->stallCycles();
         sink->onDispatch(static_cast<int>(tepIndex), t,
                          static_cast<int>(table.size()), base + cycles);
       }
       break;
     }
   };
+  // A routine on TEP i finished: write its condition cache back to the CR,
+  // free its exclusion group and fire it.
+  auto finish = [&](size_t i, bool logged) {
+    const TransitionId done = running[i];
+    running[i] = -1;
+    BitVec& dirty = s.condDirty[i];
+    const std::vector<uint8_t>& cache = s.condCache[i];
+    if (sink != nullptr && dirty.any()) {
+      std::vector<std::pair<int, bool>> writes;
+      dirty.forEachSetBit(
+          [&](int c) { writes.emplace_back(c, cache[static_cast<size_t>(c)] != 0); });
+      sink->onCondWriteBack(static_cast<int>(i), writes, base + cycles);
+    }
+    dirty.forEachSetBit([&](int c) { setCrCondition(c, cache[static_cast<size_t>(c)] != 0); });
+    dirty.clear();
+    const int doneGroup = image_->exclusionGroup_[static_cast<size_t>(done)];
+    if (doneGroup >= 0) s.groupInFlight[static_cast<size_t>(doneGroup)] = 0;
+    stats.fired.push_back(done);
+    ++(logged ? jitNativeRuns_ : jitInterpRuns_);
+    return done;
+  };
 
   for (size_t i = 0; i < tepCount; ++i) tryDispatch(i);
+
+  // The schedule memo. When the first round dispatched every routine and
+  // each ran natively to its end, what the loop does next depends only on
+  // the TEP count, the cycle count so far, the write-back cost and each
+  // slot's logged timing (never on an effect's value, the instance or the
+  // image), so the loop's recorded output for the same key replays exactly.
+  bool allNative = native && table.empty();
+  for (size_t i = 0; allNative && i < tepCount; ++i)
+    allNative = running[i] == -1 ||
+                (replay.cursors[i].active && replay.cursors[i].length != kNever);
+  if (allNative) {
+    std::vector<uint64_t>& key = s.scheduleKey;
+    key.clear();
+    key.push_back(tepCount);
+    key.push_back(static_cast<uint64_t>(cycles));
+    key.push_back(static_cast<uint64_t>(condCopy));
+    for (size_t i = 0; i < tepCount; ++i) {
+      if (running[i] == -1) {
+        key.push_back(~uint64_t{0});  // idle slot
+        continue;
+      }
+      const LogCursor& c = replay.cursors[i];
+      key.push_back(static_cast<uint64_t>(c.length));
+      key.push_back(c.end - c.begin);
+      for (size_t k = c.begin; k < c.end; ++k) {
+        const tep::jit::TimedEffect& e = replay.log[k];
+        key.push_back((static_cast<uint64_t>(static_cast<uint32_t>(e.step)) << 8) |
+                      static_cast<uint64_t>(e.kind));
+        key.push_back(static_cast<uint32_t>(e.arg));
+      }
+    }
+    const ScheduleMemo& memo = s.schedule;
+    if (key == memo.key) {
+      ++stats.scheduleReplays;
+      for (const ScheduleStep& step : memo.steps) {
+        const auto i = static_cast<size_t>(step.tep);
+        if (step.entry == ScheduleStep::kRetire) {
+          finish(i, true);
+          continue;
+        }
+        machineTimeNow_ = base + step.time;
+        replayEffect(replay, replay.cursors[i].begin + static_cast<size_t>(step.entry), i);
+      }
+      busStallsThisCycle_ += memo.stalls;
+      return memo.cycles;
+    }
+    replay.recording = true;
+    replay.base = base;
+    replay.steps.clear();
+  }
+  const int64_t stallsBefore = busStallsThisCycle_;
 
   while (true) {
     size_t busy = 0;
@@ -869,29 +1009,16 @@ int64_t PscpMachine::runTatLockstep(const std::vector<TransitionId>& chosen,
         currentTep_ = -1;
         if (teps_[i]->busy()) continue;
       }
-      // Routine finished: write back this TEP's condition cache and free
-      // its exclusion group, then hand it the next transition.
-      const TransitionId done = running[i];
-      running[i] = -1;
-      if (sink != nullptr && condDirty_[i].any()) {
-        std::vector<std::pair<int, bool>> writes;
-        condDirty_[i].forEachSetBit(
-            [&](int c) { writes.emplace_back(c, condCache_[i][static_cast<size_t>(c)] != 0); });
-        sink->onCondWriteBack(static_cast<int>(i), writes, base + cycles);
-      }
-      condDirty_[i].forEachSetBit(
-          [&](int c) { setCrCondition(c, condCache_[i][static_cast<size_t>(c)] != 0); });
-      condDirty_[i].clear();
-      const int doneGroup = image_->exclusionGroup_[static_cast<size_t>(done)];
-      if (doneGroup >= 0) groupInFlight_[static_cast<size_t>(doneGroup)] = 0;
+      // Routine finished: write back, then hand the TEP the next transition.
+      if (replay.recording)
+        replay.steps.push_back({static_cast<int32_t>(i), ScheduleStep::kRetire, 0});
+      const TransitionId done = finish(i, logged);
       cycles += condCopy;
-      stats.fired.push_back(done);
-      ++(logged ? jitNativeRuns_ : jitInterpRuns_);
       if (sink != nullptr) {
         obs::RoutineStats rs;
-        rs.cycles = teps_[i]->cyclesExecuted() - dispatchCycles_[i];
-        rs.instructions = teps_[i]->instructionsExecuted() - dispatchInstrs_[i];
-        rs.busStalls = teps_[i]->stallCycles() - dispatchStalls_[i];
+        rs.cycles = teps_[i]->cyclesExecuted() - s.dispatchCycles[i];
+        rs.instructions = teps_[i]->instructionsExecuted() - s.dispatchInstrs[i];
+        rs.busStalls = teps_[i]->stallCycles() - s.dispatchStalls[i];
         sink->onRetire(static_cast<int>(i), done, rs, base + cycles);
       }
       tryDispatch(i);
@@ -901,6 +1028,15 @@ int64_t PscpMachine::runTatLockstep(const std::vector<TransitionId>& chosen,
     if (++guard > kMaxMachineCycles)
       fail("PSCP configuration cycle exceeded %lld machine cycles",
            static_cast<long long>(kMaxMachineCycles));
+  }
+  if (replay.recording) {
+    // The loop ran to its end: its output is the memo's entry for this key.
+    replay.recording = false;
+    ScheduleMemo& memo = s.schedule;
+    memo.key.swap(s.scheduleKey);
+    memo.steps.swap(replay.steps);
+    memo.cycles = cycles;
+    memo.stalls = busStallsThisCycle_ - stallsBefore;
   }
   return cycles;
 }

@@ -41,23 +41,35 @@
 // image's layout, port values, TEP cores); the compiler, the microcode
 // decoder and SLA synthesis run once per chart, not once per instance.
 // Steady-state stepping through configurationCycleIds(events, &stats,
-// cycles) is allocation-free: every per-cycle temporary is a member
-// scratch buffer, or per thread where it lives for one TAT execution (the
-// native tier's replay log), so thousands of instances stepped by a worker
-// pool never serialize on the allocator.
+// cycles) is allocation-free. A machine keeps only state that outlives a
+// configuration cycle; every per-cycle temporary (sampled events, the SLA
+// selection, the TAT, the condition caches, the native tier's replay log)
+// is per thread, so a fleet worker reuses one set for every instance it
+// steps and thousands of instances never serialize on the allocator.
 //
-// Quiescence memo: the SLA is combinational logic over the CR, so what it
-// selects depends on the CR alone. Once a cycle sampled no events and
-// selected nothing, every later event-free cycle selects nothing too until
-// something writes the CR. The machine keeps that fact in one bit. One
-// configurationCycleIds call steps k configuration cycles (a fleet epoch)
-// and credits each stretch the memo answers in one step: nothing to
-// sample (no external event, none raised, no matured timer) means nothing
-// selected, so n such cycles are n quiescent cycles of SLA time. An
-// attached observer bypasses the memo, so sinks still see every decode.
-// quiescentCredit() says how many coming cycles the memo answers and
-// creditQuiescent() steps them in closed form; a fleet uses the pair to
-// let an idle instance sleep through epochs without being visited.
+// Decode memo: the SLA is two-level logic over the CR, and conflict
+// resolution reads only the configuration, which the CR's state fields
+// encode, so the chosen set is a function of the sampled CR. The machine
+// keeps two entries keyed on the sampled CR words, one for decodes that
+// sampled no events and one for those that did; each holds the chosen set
+// and whether the configuration update left the configuration as it found
+// it. A hit skips the SLA, conflict resolution and (when the entry says
+// so) the update. Its empty case is the quiescence rule: when the
+// event-free entry's key is the CR as it stands and it chose nothing, every
+// coming event-free cycle selects nothing. One configurationCycleIds call
+// steps k configuration cycles (a fleet epoch) and credits each such
+// stretch in one step: nothing to sample (no external event, none raised,
+// no matured timer) means nothing selected, so n such cycles are n
+// quiescent cycles of SLA time. quiescentCredit() says how many coming
+// cycles that covers and creditQuiescent() steps them in closed form; a
+// fleet uses the pair to let an idle instance sleep through epochs without
+// being visited. An attached observer bypasses the memo, so sinks still
+// see every decode.
+//
+// Fault latch: an error that escapes a configuration cycle leaves the
+// machine as the fault left it (a TEP mid-routine, the update not run) and
+// latches it; every later step is refused with a diagnostic naming the
+// faulted cycle.
 #pragma once
 
 #include <map>
@@ -103,6 +115,10 @@ struct CycleStats {
   int64_t cycles = 0;           ///< reference-clock cycles consumed
   int64_t busStallCycles = 0;   ///< external-bus arbitration losses
   int64_t quiescentCycles = 0;  ///< configuration cycles that selected nothing
+  int64_t decodes = 0;          ///< configuration cycles that ran a decode
+  int64_t decodeMemoHits = 0;   ///< of which the decode memo answered
+  int64_t lockstepRuns = 0;     ///< configuration cycles that ran a TAT
+  int64_t scheduleReplays = 0;  ///< of which the schedule memo replayed
   bool quiescent = false;       ///< the last cycle selected nothing
 };
 
@@ -207,22 +223,30 @@ class PscpMachine : public tep::TepHost {
   /// the sums over all of them (its `fired` list keeps its capacity, so a
   /// caller that reuses one stats object steps without any heap allocation
   /// in steady state — the fleet worker loop depends on this). A stretch of
-  /// cycles the quiescence memo answers is credited at once and costs no
+  /// cycles quiescentCredit() covers is credited at once and costs no
   /// decode; it stops short of the first cycle whose start reaches a
   /// timer's maturity, which decodes. Stats and every counter are those of
-  /// `cycles` one-cycle calls with the events passed to the first.
+  /// `cycles` one-cycle calls with the events passed to the first, except
+  /// the decode and memo counts, which count the work actually done.
   void configurationCycleIds(const std::vector<int>& externalEventIds,
                              CycleStats* stats, int cycles = 1);
 
-  /// Configuration cycles from now that the quiescence memo answers with no
-  /// decode, provided none of them gets an external event: 0 unless the
-  /// memo holds, no raised event is pending and no sink is attached; then
-  /// cyclesBeforeTimer(), INT64_MAX without timers. A fleet puts an
-  /// instance to sleep for this many cycles.
+  /// Configuration cycles from now that select nothing with no decode,
+  /// provided none of them gets an external event: 0 unless the event-free
+  /// decode memo entry is the CR as it stands and chose nothing, no raised
+  /// event is pending and no sink is attached; then cyclesBeforeTimer(),
+  /// INT64_MAX without timers. A fleet puts an instance to sleep for this
+  /// many cycles.
   [[nodiscard]] int64_t quiescentCredit() const {
-    if (!quiescentMemo_ || !pendingEvents_.empty() || obs_.sink != nullptr) return 0;
+    if (obs_.sink != nullptr || !pendingEvents_.empty()) return 0;
+    const DecodeEntry& quiet = decodeMemo_[0];
+    if (!quiet.filled || quiet.words.size() != cr_.wordCount() || !keyIsCr(quiet))
+      return 0;
     return cyclesBeforeTimer();
   }
+  /// True once an error escaped a configuration cycle: every later step is
+  /// refused (see "Fault latch" above).
+  [[nodiscard]] bool faulted() const { return faulted_; }
   /// Step `cycles` event-free configuration cycles in closed form: each is
   /// one quiescent cycle of kSlaEvaluateCycles machine time, exactly what
   /// its full decode would count. `cycles` must not exceed
@@ -321,8 +345,8 @@ class PscpMachine : public tep::TepHost {
   /// Attach/detach observability (opt-in; see src/obs). With the default
   /// (null sink) options the machine's behaviour and timing are
   /// bit-identical to an unobserved machine, and a non-null sink only
-  /// observes — it never changes CycleStats. An attached sink bypasses the
-  /// quiescence memo, so it sees every decode.
+  /// observes — it never changes CycleStats beyond the memo counts. An
+  /// attached sink bypasses the decode memo, so it sees every decode.
   void setObsOptions(const obs::ObsOptions& options);
   [[nodiscard]] const obs::ObsOptions& obsOptions() const { return obs_; }
   /// The naming context a sink receives at attach (also usable directly).
@@ -354,30 +378,41 @@ class PscpMachine : public tep::TepHost {
 
  private:
   /// Insert/remove `s` from the configuration, keeping the packed activity
-  /// bitset and the CR state field incrementally in sync. Clears the
-  /// quiescence memo.
+  /// bitset and the CR state field incrementally in sync.
   void applyActive(statechart::StateId s, bool active);
   /// Write one condition bit to both the byte array and the packed CR.
-  /// Clears the quiescence memo.
   void setCrCondition(int index, bool value);
   /// How many quiescent configuration cycles can start before one starts
   /// at or after a hardware timer's maturity (and so samples its event):
   /// 0 when a timer is due now, INT64_MAX without timers.
   [[nodiscard]] int64_t cyclesBeforeTimer() const;
-  /// One configuration cycle with a full decode, its sums added to `stats`.
+  /// Throw the latch diagnostic when an earlier cycle faulted.
+  void refuseIfFaulted() const;
+  /// One configuration cycle with a decode (from the memo or the SLA), its
+  /// sums added to `stats`.
   void decodeCycle(const std::vector<int>& externalEventIds, CycleStats& stats);
   /// ports_ index of `address`; an undeclared one is a runtime error.
   [[nodiscard]] size_t declaredPortSlot(int address, const char* access) const;
-  /// Conflict resolution over `selectScratch_` into `chosenScratch_`
-  /// (identical policy to statechart::Interpreter::step), allocation-free.
-  void resolveConflicts();
-  /// Execute the Transition Address Table: every busy TEP advances one
-  /// step per machine cycle, with round-robin dispatch, exclusion groups
-  /// and external-bus arbitration. Returns the cycle count.
-  int64_t runTatLockstep(const std::vector<statechart::TransitionId>& chosen,
-                         CycleStats& stats, int64_t base);
-  /// Whether this cycle's routines may run natively (see "tiered execution").
-  [[nodiscard]] bool nativeAllowed(const std::vector<statechart::TransitionId>& chosen) const;
+
+  /// One decode memo entry: a sampled CR and what it decodes to.
+  struct DecodeEntry {
+    /// The key's CR words (events, conditions, state fields as sampled),
+    /// then the chosen set in dispatch order, one id per word: one
+    /// allocation per entry.
+    std::vector<uint64_t> words;
+    /// Whether the configuration update leaves the configuration as it
+    /// found it: -1 until an update over this key has run, then 0 or 1.
+    int8_t sameConfig = -1;
+    bool filled = false;
+  };
+  /// True when `entry`'s key words are cr_'s words.
+  [[nodiscard]] bool keyIsCr(const DecodeEntry& entry) const {
+    for (size_t w = 0; w < cr_.wordCount(); ++w)
+      if (entry.words[w] != cr_.word(w)) return false;
+    return true;
+  }
+  /// True when `entry`'s key and cr_ agree on the state fields.
+  [[nodiscard]] bool keyStatesAreCr(const DecodeEntry& entry) const;
 
   /// Where a log-stepped TEP stands in the effects its routine logged.
   /// Steps are the routine's local steps (stalls not counted), as the
@@ -388,19 +423,77 @@ class PscpMachine : public tep::TepHost {
     int64_t length = 0;    ///< steps to retire (never, when it faults or overruns)
     int64_t busUntil = 0;  ///< steps below this need the external bus
     int64_t faultStep = 0; ///< the step that raises `fault` (never: none)
+    size_t begin = 0;      ///< its run's first entry in the log
     size_t next = 0;       ///< its first unreplayed entry in the log
     size_t end = 0;        ///< one past its last entry
     std::string fault;
   };
+  /// One step of the lockstep loop's output: a replayed effect (entry
+  /// `entry` of TEP `tep`'s run, at machine time `time` from the cycle
+  /// base), or TEP `tep`'s routine retiring (entry kRetire).
+  struct ScheduleStep {
+    static constexpr int32_t kRetire = -1;
+    int32_t tep = 0;
+    int32_t entry = 0;
+    int64_t time = 0;
+  };
   /// The native runs of one TAT execution: the timed shared effects they
   /// logged (each run's entries contiguous, in step order) and a cursor per
-  /// TEP. It lives for one runTatLockstep call, so it is per thread, not
-  /// per machine: a fleet worker reuses one for every instance it steps
-  /// (allocation-free once grown) and instances carry no replay memory.
+  /// TEP. When `recording`, the loop appends its output to `steps`.
   struct Replay {
     std::vector<tep::jit::TimedEffect> log;
     std::vector<LogCursor> cursors;
+    bool recording = false;
+    int64_t base = 0;  ///< the cycle's machine time at its start
+    std::vector<ScheduleStep> steps;
   };
+  /// The schedule memo: the lockstep loop's output for the last all-native
+  /// TAT it ran to its end, keyed on everything the loop read (TEP count,
+  /// start cycle, write-back cost, and per TEP slot idle or the routine's
+  /// length and each logged entry's step, kind and argument).
+  struct ScheduleMemo {
+    std::vector<uint64_t> key;  ///< empty: no entry
+    std::vector<ScheduleStep> steps;
+    int64_t cycles = 0;  ///< the loop's final cycle count
+    int64_t stalls = 0;  ///< bus stalls the loop counted
+  };
+  /// Everything a configuration cycle works with that no machine state
+  /// outlives. It is per thread, not per machine: a fleet worker reuses one
+  /// for every instance it steps (allocation-free once grown, also across
+  /// images), and instances carry no scratch.
+  struct CycleScratch {
+    std::vector<int> events;                         ///< sampled event bits
+    std::vector<statechart::TransitionId> select;    ///< SLA selection, by id
+    std::vector<statechart::TransitionId> chosen;    ///< conflict-resolved
+    std::vector<statechart::TransitionId> table;     ///< the TAT FIFO
+    std::vector<statechart::TransitionId> running;   ///< per TEP, -1 idle
+    BitVec exited;                                   ///< resolveConflicts working set
+    std::vector<uint8_t> groupInFlight;              ///< by interned exclusion group
+    /// The TEP condition caches: a full copy of the CR's condition part
+    /// per TEP, with the entries written since dispatch.
+    std::vector<std::vector<uint8_t>> condCache;
+    std::vector<BitVec> condDirty;
+    // Per-TEP counter snapshots at dispatch, for RoutineStats deltas.
+    std::vector<int64_t> dispatchCycles;
+    std::vector<int64_t> dispatchInstrs;
+    std::vector<int64_t> dispatchStalls;
+    Replay replay;
+    ScheduleMemo schedule;
+    std::vector<uint64_t> scheduleKey;  ///< the key being looked up
+  };
+  /// The calling thread's cycle scratch.
+  static CycleScratch& scratch();
+
+  /// Conflict resolution over `s.select` into `s.chosen` (identical policy
+  /// to statechart::Interpreter::step), allocation-free.
+  void resolveConflicts(CycleScratch& s);
+  /// Execute the Transition Address Table: every busy TEP advances one
+  /// step per machine cycle, with round-robin dispatch, exclusion groups
+  /// and external-bus arbitration. Returns the cycle count. An all-native
+  /// TAT whose timing the schedule memo holds replays the memo instead.
+  int64_t runTatLockstep(CycleScratch& s, CycleStats& stats, int64_t base);
+  /// Whether this cycle's routines may run natively (see "tiered execution").
+  [[nodiscard]] bool nativeAllowed(const std::vector<statechart::TransitionId>& chosen) const;
 
   /// Run `t`'s routine natively to its end on TEP `tep` at its dispatch,
   /// logging its timed shared effects, and point the TEP's cursor at them.
@@ -426,9 +519,10 @@ class PscpMachine : public tep::TepHost {
   /// and raises passed on the way: in machine-cycle order, and within one
   /// cycle in the loop's visit order, each at its own machine time.
   void skipSteps(Replay& replay, int64_t steps, int64_t cycles, int64_t base);
-  /// Perform a logged port write (with its PortWrite record) or raise, for
-  /// TEP `tep`, at the current machineTimeNow_.
-  void replayEffect(const tep::jit::TimedEffect& e, size_t tep);
+  /// Perform log entry `entry`, a port write (with its PortWrite record) or
+  /// a raise, for TEP `tep` at the current machineTimeNow_; record it when
+  /// the loop is recording.
+  void replayEffect(Replay& replay, size_t entry, size_t tep);
 
   std::shared_ptr<const ChartImage> image_;
   // Aliases into the image, so the cycle logic reads image data with the
@@ -446,11 +540,8 @@ class PscpMachine : public tep::TepHost {
     int64_t period = 0;
     int64_t nextFire = 0;
   };
-  /// Set at the end of a cycle that sampled no events and selected
-  /// nothing: the CR as it stands decodes to nothing. Cleared by the only
-  /// writers of CR bits outside event sampling, applyActive and
-  /// setCrCondition.
-  bool quiescentMemo_ = false;
+  /// Set when an error escaped a configuration cycle (the fault latch).
+  bool faulted_ = false;
   std::vector<Timer> timers_;
   /// Internal events raised since the last sampling, in raise order (the
   /// dedup bitset pendingEventBits_ is below).
@@ -482,18 +573,11 @@ class PscpMachine : public tep::TepHost {
   std::vector<uint8_t> crConditions_;  ///< condition part, byte per bit
   /// Dedup bitset of pendingEvents_ (both reused across cycles, never freed).
   BitVec pendingEventBits_;
-
-  // Per-cycle scratch buffers, hoisted out of configurationCycleIds so the
-  // steady-state step never allocates: sampled event bits, SLA selection,
-  // conflict-resolution output, the Transition Address Table FIFO and the
-  // per-TEP running-transition slots.
-  std::vector<int> eventScratch_;
-  std::vector<statechart::TransitionId> selectScratch_;
-  std::vector<statechart::TransitionId> chosenScratch_;
-  std::vector<statechart::TransitionId> tatScratch_;
-  std::vector<statechart::TransitionId> runningScratch_;
-  BitVec exitedScratch_;                 ///< resolveConflicts working set
-  std::vector<uint8_t> groupInFlight_;   ///< by interned exclusion group id
+  /// The decode memo: [0] the last decode that sampled no events, [1] the
+  /// last one that sampled events. Only [0] speaks for the bare CR between
+  /// cycles (a negated event literal may select once the sampled events
+  /// are gone), so quiescentCredit() reads [0] alone.
+  DecodeEntry decodeMemo_[2];
 
   // Memory / registers / ports. Internal RAM is the TEP-local memory of
   // Fig. 1 — one bank per TEP (function frames and expression temporaries
@@ -506,22 +590,13 @@ class PscpMachine : public tep::TepHost {
   tep::DataMemory memory_;
   std::vector<uint32_t> ports_;  ///< one per image port-map entry
 
-  // TEP cores and their condition caches: flat byte arrays (index = CR
-  // condition index) with a dirty bitmask per TEP; write-back walks the
-  // mask in ascending index order.
+  // TEP cores (their condition caches are per thread, in CycleScratch).
   std::vector<std::unique_ptr<tep::Tep>> teps_;
-  std::vector<std::vector<uint8_t>> condCache_;  ///< full copy per TEP
-  std::vector<BitVec> condDirty_;                ///< written entries
   int currentTep_ = -1;
 
   // External-bus arbitration (single owner per machine cycle).
   int busOwner_ = -1;
   int64_t busStallsThisCycle_ = 0;
-
-  // Per-TEP counter snapshots at dispatch, for RoutineStats deltas.
-  std::vector<int64_t> dispatchCycles_;
-  std::vector<int64_t> dispatchInstrs_;
-  std::vector<int64_t> dispatchStalls_;
 };
 
 }  // namespace pscp::machine

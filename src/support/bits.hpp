@@ -87,6 +87,13 @@ class BitVec {
   }
   void reset(int i) { set(i, false); }
   void clear() { std::fill(words_.begin(), words_.end(), 0); }
+  /// Become `bits` clear bits, reusing the word storage (allocation-free
+  /// once it has held that many words).
+  void assign(int bits) {
+    PSCP_ASSERT(bits >= 0);
+    bits_ = bits;
+    words_.assign((static_cast<size_t>(bits) + 63) / 64, 0);
+  }
 
   [[nodiscard]] bool any() const {
     for (uint64_t w : words_)

@@ -188,7 +188,7 @@ TEST(SteadyStateAllocations, HotCycleLoopIsAllocationFree) {
   }
 
   // The k-cycle form: idle epochs of 16 cycles, collapsed by the
-  // quiescence memo until a TICK timer matures mid-stretch and cuts the
+  // decode memo's empty case until a TICK timer matures mid-stretch and cuts the
   // collapse short with a decode that fires both self-loops.
   const std::vector<int> noEvents;
   const int64_t tickCycles = stats.cycles;  // one TICK cycle, both routines
@@ -260,6 +260,47 @@ TEST(SteadyStateAllocations, FleetEpochLoopIsAllocationFreeWhenArmed) {
   EXPECT_EQ(after - before, 0u)
       << "armed fleet epochs must not allocate in steady state";
   EXPECT_GT(f.flightRecorder()->ring(0).pushed(), 200u);
+}
+
+// Both memos hold the bar across images: the cycle scratch and the schedule
+// memo are per thread, so one thread stepping SMD fleets at 2 and at 3 TEPs
+// in turn resizes them between images, within the capacity warm-up grew.
+TEST(SteadyStateAllocations, TwoImagesSteppedInTurnAreAllocationFree) {
+  fleet::Fleet fleets[2] = {fleet::Fleet(workloads::makeSmdFleetImage(2)),
+                            fleet::Fleet(workloads::makeSmdFleetImage(3))};
+  workloads::SmdPulseIds pulses[2];
+  int phi[2] = {0, 0};
+  for (int f = 0; f < 2; ++f) {
+    pulses[f] = workloads::resolveSmdPulseIds(fleets[f]);
+    phi[f] = fleets[f].eventId("PHI_PULSE");
+    ASSERT_TRUE(workloads::warmUpSmdFleet(fleets[f], 8, pulses[f]));
+  }
+  // Every third instance-epoch adds a PHI pulse: three routines, which the
+  // 2-TEP image runs in two rounds and the 3-TEP image in one.
+  const auto epoch = [&](int e) {
+    for (int f = 0; f < 2; ++f) {
+      for (fleet::InstanceId id = 0; id < 8; ++id) {
+        fleets[f].inject(id, pulses[f].xPulse);
+        fleets[f].inject(id, pulses[f].yPulse);
+        if ((static_cast<int>(id) + e) % 3 == 0) fleets[f].inject(id, phi[f]);
+      }
+      fleets[f].step(4);
+    }
+  };
+  for (int e = 0; e < 100; ++e) epoch(e);
+
+  const uint64_t before = gAllocations.load(std::memory_order_relaxed);
+  for (int e = 100; e < 400; ++e) epoch(e);
+  const uint64_t after = gAllocations.load(std::memory_order_relaxed);
+
+  EXPECT_EQ(after - before, 0u) << "fleets over two images stepped in turn must not allocate";
+  for (const fleet::Fleet& f : fleets) {
+    const obs::MetricsRegistry merged = f.mergedMetrics();
+    EXPECT_GT(merged.value("fleet.decode_memo_hits"), 0);
+    if (merged.value("fleet.jit_native_routines") > 0) {
+      EXPECT_GT(merged.value("fleet.schedule_replays"), 0);
+    }
+  }
 }
 
 // The record/replay journal holds the bar too: armed appends are plain

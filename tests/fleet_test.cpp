@@ -28,6 +28,7 @@
 #include "pscp/machine.hpp"
 #include "statechart/parser.hpp"
 #include "support/diag.hpp"
+#include "workloads/smd_fleet.hpp"
 
 namespace pscp::fleet {
 namespace {
@@ -280,8 +281,8 @@ struct ScriptedRun {
   std::vector<InstanceSnapshot> snapshots;
 };
 
-/// Observes nothing. Attaching it to a machine only takes the quiescence
-/// memo away, so that machine runs the full SLA decode every cycle.
+/// Observes nothing. Attaching it to a machine only takes the decode memo
+/// away, so that machine runs the full SLA decode every cycle.
 class NullObserver final : public obs::ObsSink {};
 
 /// `sink`, when set, is attached to every instance, so the fleet decodes
@@ -386,7 +387,7 @@ TEST_F(FleetTest, PortWriteLogsAreBitIdenticalAcrossWorkerCounts) {
                   std::to_string(workers) + " workers");
 }
 
-// A bare fleet collapses idle stretches through the quiescence memo; the
+// A bare fleet collapses idle stretches through the decode memo; the
 // same script on a fleet whose instances carry a sink decodes every cycle.
 TEST_F(FleetTest, BareFleetMatchesObservedFleet) {
   NullObserver observer;
@@ -405,7 +406,7 @@ TEST_F(FleetTest, BareFleetMatchesObservedFleetAcrossRetirementHoles) {
 
 TEST_F(FleetTest, SteppingMatchesFullDecodeMirrors) {
   // The fleet steps each awake instance one epoch per configurationCycleIds
-  // call, which credits idle stretches from the quiescence memo at once,
+  // call, which credits idle stretches from the decode memo at once,
   // and credits each sleeper in closed form when it wakes or is read. Each
   // instance has a standalone mirror with a sink attached, stepped one
   // cycle per call, which decodes every cycle. Port logs, every snapshot
@@ -668,8 +669,8 @@ class CountingObserver final : public obs::ObsSink {
 };
 
 TEST_F(FleetTest, OnlyACreditableMachineSleeps) {
-  // A machine can credit coming cycles only while its quiescence memo
-  // holds, no raised event is pending and no sink is attached; without a
+  // A machine can credit coming cycles only while its decode memo
+  // answers the CR with nothing, no raised event is pending and no sink is attached; without a
   // timer the credit is unbounded, with one it ends at the maturity. A
   // fleet instance sleeps only after an epoch that fired nothing.
   machine::PscpMachine m(image_);
@@ -928,7 +929,159 @@ TEST_F(FleetTest, InjectRejectsBitsThatAreNotEvents) {
     }
   }
   EXPECT_EQ(m.configurationCycles(), cyclesBefore);
+  // The check throws before the cycle touches any state, so the machine
+  // is not latched: it keeps stepping.
+  EXPECT_FALSE(m.faulted());
   EXPECT_TRUE(fleet.inject(id, fleet.eventId("GO")));
+  fleet.step(1);
+  EXPECT_EQ(fleet.snapshot(id).eventsDelivered, 1);
+  EXPECT_EQ(fleet.snapshot(id).configCycles, cyclesBefore + 1);
+}
+
+// ----------------------------------------------------------------- memos
+
+/// An SMD fleet warmed into Moving and driven by a per-instance LCG: each
+/// epoch an instance gets an X/Y pulse pair, one of them, all three axes'
+/// pulses, or nothing, so its TATs vary in routines and in timing (the
+/// velocity profile changes DeltaT's path).
+class SmdScriptFleet {
+ public:
+  SmdScriptFleet(const Fleet::ChartImagePtr& image, int workers, size_t instances)
+      : fleet_(image, config(workers)) {
+    const workloads::SmdPulseIds pulses = workloads::resolveSmdPulseIds(fleet_);
+    EXPECT_TRUE(workloads::warmUpSmdFleet(fleet_, instances, pulses));
+    events_ = {pulses.xPulse, pulses.yPulse, fleet_.eventId("PHI_PULSE")};
+    rng_.resize(instances);
+    for (size_t i = 0; i < instances; ++i) rng_[i] = 0x2545F4914F6CDD1Dull * (i + 1);
+  }
+
+  void step() {
+    for (size_t i = 0; i < rng_.size(); ++i) {
+      uint64_t& s = rng_[i];
+      s = s * 6364136223846793005ull + 1442695040888963407ull;
+      const uint32_t roll = static_cast<uint32_t>(s >> 33) % 100;
+      const InstanceId id = i;
+      if (roll < 65 || roll >= 90) fleet_.inject(id, events_[0]);
+      if (roll < 50 || roll >= 80) fleet_.inject(id, events_[1]);
+      if (roll >= 90) fleet_.inject(id, events_[2]);
+    }
+    fleet_.step(4);
+  }
+
+  [[nodiscard]] ScriptedRun capture() const {
+    ScriptedRun run;
+    for (InstanceId id = 0; id < rng_.size(); ++id) {
+      run.portLogs.push_back(fleet_.portWrites(id));
+      run.snapshots.push_back(fleet_.snapshot(id));
+    }
+    return run;
+  }
+
+  [[nodiscard]] int64_t metric(const char* name) const {
+    return fleet_.mergedMetrics().value(name);
+  }
+
+ private:
+  static FleetConfig config(int workers) {
+    FleetConfig c;
+    c.workerThreads = workers;
+    c.capturePortWrites = true;
+    return c;
+  }
+
+  Fleet fleet_;
+  std::vector<int> events_;
+  std::vector<uint64_t> rng_;
+};
+
+/// Both memos must have answered: no memo test passes without hits.
+void expectMemoHits(const SmdScriptFleet& fleet) {
+  EXPECT_GT(fleet.metric("fleet.decode_memo_hits"), 0);
+  EXPECT_LE(fleet.metric("fleet.decode_memo_hits"), fleet.metric("fleet.decodes"));
+  EXPECT_LE(fleet.metric("fleet.schedule_replays"), fleet.metric("fleet.lockstep_runs"));
+  if (tep::jit::jitBackendAvailable() && fleet.metric("fleet.jit_native_routines") > 0) {
+    EXPECT_GT(fleet.metric("fleet.schedule_replays"), 0);
+  }
+}
+
+// The schedule memo lives per thread and is keyed on timing alone, so one
+// thread stepping fleets over two images (SMD at 2 and at 3 TEPs) in turn
+// shares it between them. Each fleet must step exactly as it does alone.
+TEST(FleetMemo, TwoImagesSteppedInTurnMatchEachSteppedAlone) {
+  const Fleet::ChartImagePtr images[2] = {workloads::makeSmdFleetImage(2),
+                                          workloads::makeSmdFleetImage(3)};
+  constexpr size_t kInstances = 12;
+  constexpr int kEpochs = 60;
+  ScriptedRun alone[2];
+  for (int f = 0; f < 2; ++f) {
+    SmdScriptFleet fleet(images[f], 1, kInstances);
+    for (int e = 0; e < kEpochs; ++e) fleet.step();
+    alone[f] = fleet.capture();
+  }
+  SmdScriptFleet a(images[0], 1, kInstances);
+  SmdScriptFleet b(images[1], 1, kInstances);
+  for (int e = 0; e < kEpochs; ++e) {
+    a.step();
+    b.step();
+  }
+  expectSameRun(a.capture(), alone[0], "2 TEPs, in turn");
+  expectSameRun(b.capture(), alone[1], "3 TEPs, in turn");
+  expectMemoHits(a);
+  expectMemoHits(b);
+}
+
+// Pooled workers each keep their own schedule memo; a busy fleet at 4
+// workers must match the same fleet at 1.
+TEST(FleetMemo, BusyPooledFleetMatchesOneWorker) {
+  const Fleet::ChartImagePtr image = workloads::makeSmdFleetImage(2);
+  constexpr size_t kInstances = 40;
+  SmdScriptFleet inline1(image, 1, kInstances);
+  SmdScriptFleet pooled(image, 4, kInstances);
+  for (int e = 0; e < 40; ++e) {
+    inline1.step();
+    pooled.step();
+  }
+  expectSameRun(pooled.capture(), inline1.capture(), "4 workers");
+  expectMemoHits(pooled);
+}
+
+// A runtime fault escapes the inline epoch that hit it; the faulted
+// machine is latched, so the next epoch fails at once with the latch
+// diagnostic naming the cycle that faulted.
+TEST(FleetFault, StepAfterAFaultFailsWithTheLatchDiagnostic) {
+  const statechart::Chart chart = statechart::parseChart(R"chart(
+chart Div;
+event GO;
+port Den data in width 16 address 0x10;
+port Out data out width 16 address 0x12;
+orstate Top { contains S; default S; }
+basicstate S { transition { target S; label "GO/Div()"; } }
+)chart");
+  const actionlang::Program actions =
+      actionlang::parseActionSource("void Div() { write_port(Out, 100 / read_port(Den)); }");
+  hwlib::ArchConfig arch;
+  arch.numTeps = 2;
+  arch.hasMulDiv = true;
+  const auto image = std::make_shared<const machine::ChartImage>(chart, actions, arch);
+  Fleet fleet(image);
+  const std::vector<InstanceId> ids = fleet.spawnMany(4);
+  for (InstanceId id : ids) fleet.setInputPort(id, "Den", id == 2 ? 0u : 5u);
+  for (InstanceId id : ids) fleet.injectByName(id, "GO");
+  try {
+    fleet.step(2);
+    ADD_FAILURE() << "the division by zero did not escape the epoch";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("division by zero"), std::string::npos) << e.what();
+  }
+  EXPECT_TRUE(std::as_const(fleet).machine(ids[2]).faulted());
+  for (InstanceId id : ids) fleet.injectByName(id, "GO");
+  try {
+    fleet.step(2);
+    ADD_FAILURE() << "the faulted instance stepped again";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(),
+                 "PSCP: the machine faulted in configuration cycle 0 and steps no further");
+  }
 }
 
 }  // namespace

@@ -339,7 +339,9 @@ TEST_F(FlightFleetTest, SnapshotWhileSteppingNeverTearsRecords) {
     }
   });
 
-  for (int e = 0; e < 200; ++e) {
+  // Step until the reader has taken a snapshot mid-run: a fast fleet can
+  // finish 200 epochs before the reader thread is first scheduled.
+  for (int e = 0; e < 200 || snapshots.load(std::memory_order_relaxed) == 0; ++e) {
     tickAll(*f, tick);
     f->step(1);
   }

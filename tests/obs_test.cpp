@@ -3,7 +3,7 @@
 // recursive-descent JSON reader, the VCD is structurally checked), and the
 // observer-effect regression — attaching a recorder must not change a
 // single cycle of the simulated machine, even though it takes the machine
-// off its quiescence memo.
+// off its decode memo.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -436,7 +436,7 @@ TEST(ObserverEffect, NullSinkOptionsAreInert) {
   EXPECT_EQ(a.fired, b.fired);
 }
 
-// ----------------------------------------------------- quiescence memo
+// -------------------------------------------------------- decode memo
 // An unobserved machine answers an event-free cycle over an unchanged,
 // already-quiescent CR from its memo; an observed one decodes every
 // cycle. This chart's idle stretches end through every kind of CR writer:
@@ -723,6 +723,147 @@ TEST(ObserverEffect, PortAndGlobalWritesLeaveTheMemoValid) {
     EXPECT_EQ(writes[0].value, 0u);
     EXPECT_EQ(writes[1].value, 12u);
   });
+}
+
+// The decode memo answers a sampled CR that recurs with the chosen set and
+// the configuration-update verdict it recorded for it. In this chart GO
+// fires a composite self-loop on Outer: over Inner1 (Outer's default) it
+// leaves the configuration as it found it, over Inner2 it changes it.
+// [FLAG] moves Inner1 to Inner2 in an event-free decode, [SPIN]/Count is
+// an event-free self-loop that leaves the CR as it found it, and AUX is a
+// condition no guard reads.
+const char* kDecodeMemoChart = R"chart(
+chart DecodeMemo;
+event GO;
+condition FLAG; condition SPIN; condition AUX;
+port Out data out width 8 address 0x21;
+
+orstate Top { contains Outer; default Outer; }
+orstate Outer {
+  contains Inner1, Inner2;
+  default Inner1;
+  transition { target Outer; label "GO/Count()"; }
+}
+basicstate Inner1 {
+  transition { target Inner2; label "[FLAG]"; }
+}
+basicstate Inner2 {
+  transition { target Inner2; label "[SPIN]/Count()"; }
+}
+)chart";
+
+const char* kDecodeMemoActions = R"code(
+int:16 hits;
+void Count() { hits = hits + 1; write_port(Out, hits); }
+)code";
+
+TEST(ObserverEffect, DecodeMemoAnswersARecurringCrExactly) {
+  const statechart::Chart chart = statechart::parseChart(kDecodeMemoChart);
+  const actionlang::Program actions = actionlang::parseActionSource(kDecodeMemoActions);
+  const auto image = std::make_shared<const machine::ChartImage>(chart, actions, SmdRun::arch(2));
+  struct Run {
+    machine::PscpMachine machine;
+    std::vector<machine::CycleStats> cycles;
+    explicit Run(const std::shared_ptr<const machine::ChartImage>& img) : machine(img) {}
+    void step(const std::vector<int>& events = {}) {
+      cycles.emplace_back();
+      machine.configurationCycleIds(events, &cycles.back());
+    }
+  };
+  const auto drive = [](Run& r) {
+    machine::PscpMachine& m = r.machine;
+    const std::vector<int> go{m.eventId("GO")};
+    r.step();
+    r.step();    // 1: idle in Inner1, credited
+    r.step(go);  // 2: GO over Inner1 leaves the configuration as it found it
+    m.setCondition("AUX", true);
+    r.step();  // 3: a new CR, decoded
+    m.setCondition("AUX", false);
+    r.step(go);  // 4: the CR of cycle 2 recurs after a condition write
+    r.step();    // 5
+    m.setCondition("FLAG", true);
+    r.step();    // 6: [FLAG] into Inner2, an event-free decode that selects
+    r.step();    // 7: idle in Inner2
+    r.step(go);  // 8: GO over Inner2 re-enters Inner1, a new configuration
+    r.step();    // 9: [FLAG] again (cycle 7 replaced cycle 6's entry)
+    r.step(go);  // 10: the CR of cycle 8 recurs after a configuration change
+    r.step();    // 11: [FLAG] again, after the event-free decode of cycle 9
+    m.setCondition("SPIN", true);
+    for (int i = 0; i < 4; ++i) r.step();  // 12-15: [SPIN]/Count every cycle
+  };
+  Run bare(image);
+  drive(bare);
+  Run observed(image);
+  NullObserver observer;
+  observed.machine.setObsOptions({&observer});
+  drive(observed);
+
+  ASSERT_EQ(bare.cycles.size(), observed.cycles.size());
+  for (size_t i = 0; i < bare.cycles.size(); ++i) {
+    EXPECT_EQ(sums(bare.cycles[i]), sums(observed.cycles[i])) << "cycle " << i;
+    EXPECT_EQ(observed.cycles[i].decodes, 1) << "cycle " << i << ": observed decodes";
+    EXPECT_EQ(observed.cycles[i].decodeMemoHits, 0) << "cycle " << i << ": a sink bypasses the memo";
+  }
+  EXPECT_EQ(bare.machine.activeNames(), observed.machine.activeNames());
+  EXPECT_EQ(bare.machine.portWrites(), observed.machine.portWrites());
+  EXPECT_EQ(bare.machine.globalValue("hits"), observed.machine.globalValue("hits"));
+  EXPECT_TRUE(bare.machine.crBits() == observed.machine.crBits());
+
+  // The drive must reach each recurrence through the memo.
+  const auto hitAt = [&](size_t i) { return bare.cycles[i].decodeMemoHits; };
+  EXPECT_EQ(bare.cycles[1].decodes, 0) << "idle in Inner1 is credited";
+  EXPECT_EQ(hitAt(4), 1) << "after a condition write";
+  EXPECT_EQ(hitAt(10), 1) << "after a configuration change";
+  EXPECT_EQ(hitAt(11), 1) << "after an event-free decode that selected";
+  for (size_t i = 13; i < 16; ++i) {
+    EXPECT_EQ(hitAt(i), 1) << "cycle " << i;
+    EXPECT_EQ(bare.cycles[i].fired.size(), 1u) << "cycle " << i << ": [SPIN] fires";
+  }
+  EXPECT_TRUE(bare.machine.isActive("Inner2"));
+  EXPECT_EQ(bare.machine.globalValue("hits"), 8);
+}
+
+/// Counts the decodes a sink sees.
+class DecodeCounter final : public ObsSink {
+ public:
+  void onCrSampled(const BitVec&, int64_t) override { ++sampled; }
+  void onSlaSelect(const std::vector<int>&, const std::vector<int>& chosen, int64_t,
+                   int64_t) override {
+    ++selects;
+    chose += static_cast<int64_t>(chosen.size());
+  }
+  int64_t sampled = 0;
+  int64_t selects = 0;
+  int64_t chose = 0;
+};
+
+TEST(ObserverEffect, SinkAttachedOverAFilledMemoSeesEveryDecode) {
+  // Bare cycles fill both memo entries with CRs that recur below; once a
+  // sink is attached, every cycle decodes in front of it all the same.
+  const statechart::Chart chart = statechart::parseChart(kDecodeMemoChart);
+  const actionlang::Program actions = actionlang::parseActionSource(kDecodeMemoActions);
+  machine::PscpMachine m(
+      std::make_shared<const machine::ChartImage>(chart, actions, SmdRun::arch(2)));
+  const std::vector<int> go{m.eventId("GO")};
+  m.setCondition("SPIN", true);
+  m.setCondition("FLAG", true);
+  machine::CycleStats stats;
+  m.configurationCycleIds({}, &stats, 3);  // [FLAG] into Inner2, then [SPIN]
+  m.configurationCycleIds(go, &stats);     // back to Inner1
+  m.configurationCycleIds({}, &stats, 3);
+  m.configurationCycleIds(go, &stats);
+  m.configurationCycleIds({}, &stats, 3);
+  ASSERT_GT(stats.decodeMemoHits, 0);
+
+  DecodeCounter counter;
+  m.setObsOptions({&counter});
+  m.configurationCycleIds(go, &stats);
+  m.configurationCycleIds({}, &stats, 3);
+  EXPECT_EQ(stats.decodes, 3);
+  EXPECT_EQ(stats.decodeMemoHits, 0);
+  EXPECT_EQ(counter.sampled, 4);
+  EXPECT_EQ(counter.selects, 4);
+  EXPECT_EQ(counter.chose, 4);  // GO, [FLAG], then [SPIN] twice
 }
 
 // ----------------------------------------------- reference-system observer

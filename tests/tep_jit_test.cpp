@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -885,6 +886,8 @@ struct DiffTotals {
   int64_t fired = 0;
   int64_t multiRoutineNative = 0;  ///< native runs in cycles firing >= 2
   int64_t busStalls = 0;
+  int64_t decodeMemoHits = 0;
+  int64_t scheduleReplays = 0;
 };
 
 /// Step `a` (reference tier) and `b` (tier under test) with the same
@@ -922,6 +925,8 @@ DiffTotals diffMachines(PscpMachine& a, PscpMachine& b, uint32_t seed, int cycle
     if (::testing::Test::HasFailure()) return totals;
     totals.fired += static_cast<int64_t>(sa.fired.size());
     totals.busStalls += sb.busStallCycles;
+    totals.decodeMemoHits += sb.decodeMemoHits;
+    totals.scheduleReplays += sb.scheduleReplays;
     if (sb.fired.size() >= 2) totals.multiRoutineNative += b.jitNativeRuns() - nativeBefore;
   }
   EXPECT_GT(totals.fired, 0);
@@ -1023,8 +1028,10 @@ TEST(TepJitMachine, SmdPulsePairsReplayMatchesInterpreter) {
         diffMachines(interp, native, 0x5EED + static_cast<uint32_t>(teps), 400,
                      {"X_PULSE", "Y_PULSE", "PHI_PULSE"}, 70);
     EXPECT_GT(totals.busStalls, 0);
+    EXPECT_GT(totals.decodeMemoHits, 0);
     if (jit::jitBackendAvailable()) {
       EXPECT_GT(totals.multiRoutineNative, 0);
+      EXPECT_GT(totals.scheduleReplays, 0);
     }
   }
 }
@@ -1238,6 +1245,7 @@ TEST(TepJitReplay, TwoAndStatesMatchInterpreter) {
     const DiffTotals totals = diffMachines(pair.interp, pair.native, 0xA11 + teps, 300,
                                            {"A", "B", "C", "H"}, 50);
     EXPECT_GT(totals.busStalls, 0);
+    EXPECT_GT(totals.decodeMemoHits, 0);
     if (jit::jitBackendAvailable()) {
       EXPECT_GT(totals.multiRoutineNative, 0);
     }
@@ -1321,6 +1329,59 @@ TEST(TepJitReplay, DivisionByZeroOnBothTepsMatchesInterpreter) {
   pair.expectSameFault(errors, errors.first);
 }
 
+// A fault latches the machine on either tier: every later step is refused
+// with a diagnostic naming the faulted cycle, and leaves the counters, the
+// CR and the port-write log as the fault left them.
+TEST(TepJitReplay, FaultedMachineRefusesToStep) {
+  const ReplayChart rc;
+  TierPair pair(rc.image(2));
+  pair.step({"A", "B"});
+  for (PscpMachine* m : {&pair.interp, &pair.native}) {
+    EXPECT_FALSE(m->faulted());
+    m->setInputPort("Den", 0);
+  }
+  const auto errors = pair.step({"Z"});
+  ASSERT_NE(errors.first.find("division by zero"), std::string::npos) << errors.first;
+  pair.expectSameFault(errors, errors.first);
+  const std::string latch =
+      strfmt("PSCP: the machine faulted in configuration cycle %lld and steps no further",
+             static_cast<long long>(pair.interp.configurationCycles() - 1));
+  for (PscpMachine* m : {&pair.interp, &pair.native}) {
+    SCOPED_TRACE(jit::jitModeName(m->jitMode()));
+    EXPECT_TRUE(m->faulted());
+    const int64_t cycles = m->totalCycles();
+    const int64_t configCycles = m->configurationCycles();
+    const int64_t stalls = m->totalBusStalls();
+    const BitVec cr = m->crBits();
+    const std::vector<machine::PortWrite> writes = m->portWrites();
+    const std::vector<int> pending = m->pendingEvents();
+    const std::vector<std::function<void()>> steps = {
+        [&] { m->configurationCycle({}); },
+        [&] { m->configurationCycle({"A", "B"}); },
+        [&] { (void)m->configurationCycleIds(std::vector<int>{m->eventId("A")}); },
+        [&] {
+          CycleStats stats;
+          m->configurationCycleIds({}, &stats, 4);
+        },
+        [&] { (void)m->runToQuiescence({"A"}); },
+    };
+    for (size_t i = 0; i < steps.size(); ++i) {
+      try {
+        steps[i]();
+        ADD_FAILURE() << "step " << i << " was not refused";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.what(), latch) << "step " << i;
+      }
+    }
+    EXPECT_EQ(m->totalCycles(), cycles);
+    EXPECT_EQ(m->configurationCycles(), configCycles);
+    EXPECT_EQ(m->totalBusStalls(), stalls);
+    EXPECT_TRUE(m->crBits() == cr);
+    EXPECT_EQ(m->portWrites(), writes);
+    EXPECT_EQ(m->pendingEvents(), pending);
+  }
+}
+
 // DivideLate faults on TEP 1 while Long is mid-routine on TEP 0 (it took
 // TEP 0 when Small retired there): Small's retire and the port writes
 // Long made before the fault must match.
@@ -1379,6 +1440,104 @@ TEST(TepJitReplay, MachineCycleGuardMatchesInterpreter) {
   pair.expectSameFault(errors, "PSCP configuration cycle exceeded 4000000 machine cycles");
   if (jit::jitBackendAvailable()) {
     EXPECT_EQ(pair.native.jitNativeRuns() - native, 1);
+  }
+}
+
+// The schedule memo's key must hold each bus run's length and each port
+// write's step. ShortBus, LongBus and EarlyWrite each take 44 steps with a
+// bus run at step 14. ShortBus reads a 16-bit external global (a 2-step
+// bus run) and writes port Out at step 39; LongBus reads a 32-bit one (4
+// steps) and writes at step 39; EarlyWrite is ShortBus with the write at
+// step 26. On the other TEP, Other's second bus run starts at step 16, so
+// it contends with LongBus's run only. P, Q and S come in pairs: the
+// second of a pair replays the first, and the first follows a TAT whose
+// timing differs from its own in one bus length or one write step.
+const char* kBusRunChart = R"chart(
+chart BusRuns;
+event P; event Q; event S;
+port Out  data out width 16 address 0x40;
+port Out2 data out width 16 address 0x42;
+orstate Top { contains Run; default Run; }
+andstate Run {
+  orstate L { contains La; default La; }
+  orstate R { contains Ra; default Ra; }
+}
+basicstate La {
+  transition { target La; label "P/ShortBus()"; }
+  transition { target La; label "Q/LongBus()"; }
+  transition { target La; label "S/EarlyWrite()"; }
+}
+basicstate Ra {
+  transition { target Ra; label "P/Other()"; }
+  transition { target Ra; label "Q/Other()"; }
+  transition { target Ra; label "S/Other()"; }
+}
+)chart";
+
+const char* kBusRunActions = R"code(
+int:16 narrow;
+int:32 wide;
+int:16 other;
+
+void ShortBus() {
+  int:32 k = 1;
+  int:16 x = narrow;
+  x = x + 1;
+  write_port(Out, x);
+}
+
+void LongBus() {
+  int:32 k = 1;
+  int:32 y = wide;
+  int:32 z = 1;
+  write_port(Out, y);
+}
+
+void EarlyWrite() {
+  int:32 k = 1;
+  int:16 x = narrow;
+  write_port(Out, x);
+  x = x + 1;
+}
+
+void Other() {
+  other = other + 1;
+  write_port(Out2, other);
+}
+)code";
+
+TEST(TepJitReplay, ScheduleMemoKeysBusLengthsAndEffectSteps) {
+  const statechart::Chart chart = statechart::parseChart(kBusRunChart);
+  const actionlang::Program actions = actionlang::parseActionSource(kBusRunActions);
+  hwlib::ArchConfig arch;
+  arch.dataWidth = 16;
+  arch.numTeps = 2;
+  arch.hasMulDiv = true;
+  const auto image = std::make_shared<const machine::ChartImage>(chart, actions, arch);
+  PscpMachine interp(image);
+  interp.setJitMode(jit::JitMode::kOff);
+  PscpMachine native(image);
+  native.setJitMode(jit::JitMode::kAlways);
+  const std::vector<int> scripts[3] = {
+      {native.eventId("P")}, {native.eventId("Q")}, {native.eventId("S")}};
+  int64_t stalls[3] = {0, 0, 0};
+  int64_t replays = 0;
+  CycleStats sa, sb;
+  for (int cycle = 0; cycle < 18; ++cycle) {
+    const std::vector<int>& events = scripts[cycle / 2 % 3];
+    interp.configurationCycleIds(events, &sa);
+    native.configurationCycleIds(events, &sb);
+    ASSERT_EQ(sa.fired, sb.fired) << "cycle " << cycle;
+    ASSERT_EQ(sa.cycles, sb.cycles) << "cycle " << cycle;
+    ASSERT_EQ(sa.busStallCycles, sb.busStallCycles) << "cycle " << cycle;
+    ASSERT_EQ(interp.portWrites(), native.portWrites()) << "cycle " << cycle;
+    stalls[cycle / 2 % 3] = sa.busStallCycles;
+    replays += sb.scheduleReplays;
+  }
+  EXPECT_NE(stalls[0], stalls[1]) << "the two bus-run lengths must contend differently";
+  if (jit::jitBackendAvailable()) {
+    EXPECT_EQ(native.jitInterpRuns(), 0);
+    EXPECT_GT(replays, 0);
   }
 }
 

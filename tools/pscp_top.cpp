@@ -4,8 +4,8 @@
 // and renders per-shard health from lock-free snapshots on the main
 // thread: epoch latency (last/EWMA/max + p50/p99 from the per-shard
 // histogram), machine cycles, queue high-water, steals, drops, the
-// awake/sleeping split of the last epoch, and any anomalies the
-// stall/imbalance detector raises.
+// awake/sleeping split of the last epoch, the decode and schedule memos'
+// hit shares, and any anomalies the stall/imbalance detector raises.
 //
 //   pscp_top                         # live dashboard until Ctrl-C / duration
 //   pscp_top --json                  # one pscp-telemetry-v1 snapshot, stdout
@@ -133,6 +133,18 @@ std::string renderDashboard(const obs::FleetHealth& health,
   out += strfmt("sleep: %lld awake, %lld sleeping instances (last epoch)\n",
                 static_cast<long long>(std::max<int64_t>(health.liveInstances - sleeping, 0)),
                 static_cast<long long>(sleeping));
+  const auto share = [](int64_t part, int64_t whole) {
+    return whole > 0 ? 100.0 * static_cast<double>(part) / static_cast<double>(whole) : 0.0;
+  };
+  const int64_t decodes = health.total(&obs::ShardHealth::decodes);
+  const int64_t lockstepRuns = health.total(&obs::ShardHealth::lockstepRuns);
+  out += strfmt(
+      "memo:  %.1f%% of %lld decodes from the decode memo, %.1f%% of %lld TATs "
+      "replayed from the schedule memo\n",
+      share(health.total(&obs::ShardHealth::decodeMemoHits), decodes),
+      static_cast<long long>(decodes),
+      share(health.total(&obs::ShardHealth::scheduleReplays), lockstepRuns),
+      static_cast<long long>(lockstepRuns));
   out += strfmt(
       "tier:  jit=%s — %d native / %d rejected routines, compile %s\n\n",
       pscp::tep::jit::jitModeName(jitMode), tier.nativeRoutines,
