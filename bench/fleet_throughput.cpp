@@ -1,10 +1,17 @@
 // Fleet throughput bench: aggregate configuration-cycles/sec for N SMD
-// pickup-head instances stepped by a worker pool, swept over instance
-// count x thread count. Every instance is driven into its Moving
-// AND-state (both X and Y axes running a long trapezoidal move) with
-// hardware timers firing the Table-2 pulse streams, so steady state mixes
-// real TEP work (DeltaT on two TEPs per cycle) with quiescent decode
-// cycles — the reactive-system duty cycle the fleet exists to scale.
+// pickup-head instances stepped by 1, 2, 4 (and 8) workers, swept over
+// instance count. Every instance is driven into its Moving AND-state
+// (both X and Y axes running a long trapezoidal move). On the busy rows
+// each instance takes an X and a Y step pulse every epoch, so steady
+// state mixes real TEP work (DeltaT on two TEPs per cycle) with quiescent
+// decode cycles — the reactive-system duty cycle the fleet exists to
+// scale. The idle row pulses nothing: its 1024 instances all sleep, and
+// the epoch is the fleet's fixed cost, barrier included.
+//
+// A row steps one fleet per worker count epoch by epoch in turn, over
+// several rounds of fresh fleets, and times each as the sum of its
+// fastest reading of each epoch (the JIT rows' estimator, below), so one
+// noisy stretch of host time cannot decide a ratio.
 //
 // Flags:
 //   --quick          shrink the sweep for CI smoke runs
@@ -13,7 +20,7 @@
 //                    here it marks the run's numbers as journal-inclusive)
 //   --seed N         workload seed, recorded verbatim for provenance
 //
-// Prints a markdown table (cycles/sec, speedup vs 1 thread, scaling
+// Prints a markdown table (cycles/sec, speedup vs 1 worker, scaling
 // efficiency) and writes BENCH_fleet_throughput.json; the host block
 // records the native-tier capability plus the seed and journal arming, so
 // any BENCH json can be tied back to a reproducible configuration. The JIT
@@ -29,8 +36,8 @@
 // one, about 0.7x the medians of 20 quick runs on a 4-vCPU Xeon (13.2x and
 // 11.3x), so a native tier 3x slower (5.1-5.4x and 4.6-4.8x) fails both.
 // In full mode on a machine with >= 4 hardware
-// threads, it also fails unless the >= 256-instance sweep reaches >= 3x
-// aggregate throughput at 4 threads.
+// threads, it also fails unless a >= 256-instance busy row reaches >= 3x
+// aggregate throughput at 4 workers.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -76,14 +83,11 @@ struct BenchOptions {
 
 struct SweepResult {
   size_t instances = 0;
+  bool idle = false;  ///< no pulses: every instance sleeps
   int threads = 0;
-  int64_t configCycles = 0;
-  int64_t machineCycles = 0;
-  int64_t firedTransitions = 0;
-  double seconds = 0.0;
   double configCyclesPerSec = 0.0;
   double machineCyclesPerSec = 0.0;
-  double speedup = 1.0;     ///< vs the 1-thread run at the same instance count
+  double speedup = 1.0;     ///< vs the 1-worker fleet of the same row
   double efficiency = 1.0;  ///< speedup / threads
 };
 
@@ -103,111 +107,155 @@ struct JitReference {
   double compileMs = 0.0;
 };
 
-SweepResult runSweep(const fleet::Fleet::ChartImagePtr& image, size_t instances,
-                     int threads, int epochs, int cyclesPerEpoch,
-                     const BenchOptions& opts, bool* ok) {
-  fleet::FleetConfig config;
-  config.workerThreads = threads;
-  config.journal = opts.journal;
-  fleet::Fleet fleet(image, config);
-  // Per epoch every instance receives one X and one Y step pulse through
-  // its SPSC queue (delivered at the epoch's first cycle: both DeltaT
-  // routines run in parallel on the two TEPs, the remaining cycles are
-  // quiescent decode — the reactive duty cycle). 4080 commanded steps per
-  // axis outlast any bench window, so the move never completes.
-  const workloads::SmdPulseIds pulses = workloads::resolveSmdPulseIds(fleet);
-  if (!workloads::warmUpSmdFleet(fleet, instances, pulses)) {
-    std::fprintf(stderr, "FAIL: sweep i=%zu t=%d instance(s) did not reach Moving\n",
-                 instances, threads);
-    *ok = false;
-  }
-  fleet.step(cyclesPerEpoch);  // one untimed epoch settles worker wake-up
+/// One arm's part of a round: the wall time of each timed epoch, and the
+/// cycles those epochs simulated.
+struct ArmRound {
+  std::vector<int64_t> epochNs;
+  int64_t configCycles = 0;
+  int64_t machineCycles = 0;
+};
 
-  const auto start = std::chrono::steady_clock::now();
+/// Time `epochs` epochs of every fleet, arm after arm within each epoch,
+/// so epoch e of all arms runs back to back and host speed drift within
+/// the round hits them alike. `drive` (the pulse injection) runs inside
+/// each arm's timed epoch, before its step.
+template <typename Drive>
+std::vector<ArmRound> stepArmsInTurn(const std::vector<std::unique_ptr<fleet::Fleet>>& fleets,
+                                     int epochs, int cyclesPerEpoch, Drive drive) {
+  std::vector<ArmRound> arms(fleets.size());
+  const auto addCycles = [&](int sign) {
+    for (size_t a = 0; a < fleets.size(); ++a) {
+      const obs::MetricsRegistry metrics = fleets[a]->mergedMetrics();
+      arms[a].configCycles += sign * metrics.value("fleet.config_cycles");
+      arms[a].machineCycles += sign * metrics.value("fleet.machine_cycles");
+    }
+  };
+  addCycles(-1);
+  for (ArmRound& arm : arms) arm.epochNs.reserve(static_cast<size_t>(epochs));
   for (int e = 0; e < epochs; ++e) {
-    workloads::injectSmdPulses(fleet, pulses);
-    fleet.step(cyclesPerEpoch);
+    for (size_t a = 0; a < fleets.size(); ++a) {
+      const auto start = std::chrono::steady_clock::now();
+      drive(a);
+      fleets[a]->step(cyclesPerEpoch);
+      arms[a].epochNs.push_back(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                    std::chrono::steady_clock::now() - start)
+                                    .count());
+    }
   }
-  const auto end = std::chrono::steady_clock::now();
+  addCycles(1);
+  return arms;
+}
 
-  const obs::MetricsRegistry metrics = fleet.mergedMetrics();
-  SweepResult r;
-  r.instances = instances;
-  r.threads = threads;
-  // Subtract nothing for the settle epoch: counters cover it too, so scale
-  // by the timed share of epochs instead.
-  const double timedShare =
-      static_cast<double>(epochs) / static_cast<double>(epochs + 1);
-  r.configCycles = static_cast<int64_t>(
-      static_cast<double>(metrics.value("fleet.config_cycles")) * timedShare);
-  r.machineCycles = static_cast<int64_t>(
-      static_cast<double>(metrics.value("fleet.machine_cycles")) * timedShare);
-  r.firedTransitions = metrics.value("fleet.fired_transitions");
-  r.seconds =
-      std::chrono::duration_cast<std::chrono::duration<double>>(end - start).count();
-  if (r.seconds > 0.0) {
-    r.configCyclesPerSec = static_cast<double>(r.configCycles) / r.seconds;
-    r.machineCyclesPerSec = static_cast<double>(r.machineCycles) / r.seconds;
+/// Sum over the epochs of each epoch's fastest reading across rounds.
+/// Every round simulates the same cycles, so any round's count goes with it.
+int64_t fastestEpochsNanos(const std::vector<ArmRound>& rounds) {
+  std::vector<int64_t> fastest = rounds.front().epochNs;
+  for (const ArmRound& r : rounds)
+    for (size_t i = 0; i < fastest.size() && i < r.epochNs.size(); ++i)
+      fastest[i] = std::min(fastest[i], r.epochNs[i]);
+  int64_t ns = 0;
+  for (const int64_t t : fastest) ns += t;
+  return ns;
+}
+
+double perSecond(int64_t count, int64_t ns) {
+  return ns <= 0 ? 0.0 : static_cast<double>(count) * 1e9 / static_cast<double>(ns);
+}
+
+/// One sweep row: `instances` SMD heads at every worker count, stepped in
+/// turn over `rounds` rounds of fresh fleets. A busy row pulses every
+/// instance every epoch; an idle row lets the first pulse pair drain and
+/// then steps sleepers only.
+std::vector<SweepResult> runSweepRow(const fleet::Fleet::ChartImagePtr& image,
+                                     size_t instances, bool idle,
+                                     const std::vector<int>& threadCounts, int rounds,
+                                     int epochs, int cyclesPerEpoch,
+                                     const BenchOptions& opts, bool* ok) {
+  std::vector<std::vector<ArmRound>> arms(threadCounts.size());
+  for (int r = 0; r < rounds; ++r) {
+    std::vector<std::unique_ptr<fleet::Fleet>> fleets;
+    std::vector<workloads::SmdPulseIds> pulses;
+    for (const int threads : threadCounts) {
+      fleet::FleetConfig config;
+      config.workerThreads = threads;
+      config.journal = opts.journal;
+      fleets.push_back(std::make_unique<fleet::Fleet>(image, config));
+      fleet::Fleet& fleet = *fleets.back();
+      pulses.push_back(workloads::resolveSmdPulseIds(fleet));
+      if (!workloads::warmUpSmdFleet(fleet, instances, pulses.back())) {
+        std::fprintf(stderr, "FAIL: sweep i=%zu t=%d instance(s) did not reach Moving\n",
+                     instances, threads);
+        *ok = false;
+      }
+      // Settle outside the timed window: deliver the warm-up's pulses
+      // and, on the idle row, let every instance fall asleep.
+      for (int e = 0; e < (idle ? 3 : 1); ++e) fleet.step(cyclesPerEpoch);
+    }
+    std::vector<ArmRound> round =
+        stepArmsInTurn(fleets, epochs, cyclesPerEpoch, [&](size_t a) {
+          if (!idle) workloads::injectSmdPulses(*fleets[a], pulses[a]);
+        });
+    for (size_t a = 0; a < fleets.size(); ++a) {
+      const obs::MetricsRegistry metrics = fleets[a]->mergedMetrics();
+      const bool shaped =
+          idle ? metrics.value("fleet.sleeping_instances") == static_cast<int64_t>(instances)
+               : metrics.value("fleet.fired_transitions") > 0;
+      if (!shaped) {
+        std::fprintf(stderr, "FAIL: sweep i=%zu t=%d %s\n", instances, threadCounts[a],
+                     idle ? "has instances awake" : "fired no transitions");
+        *ok = false;
+      }
+      arms[a].push_back(std::move(round[a]));
+    }
   }
-  if (r.firedTransitions <= 0) {
-    std::fprintf(stderr, "FAIL: sweep i=%zu t=%d fired no transitions\n",
-                 instances, threads);
-    *ok = false;
+  std::vector<SweepResult> results;
+  for (size_t a = 0; a < threadCounts.size(); ++a) {
+    const int64_t ns = fastestEpochsNanos(arms[a]);
+    SweepResult r;
+    r.instances = instances;
+    r.idle = idle;
+    r.threads = threadCounts[a];
+    r.configCyclesPerSec = perSecond(arms[a].front().configCycles, ns);
+    r.machineCyclesPerSec = perSecond(arms[a].front().machineCycles, ns);
+    if (!results.empty() && results.front().configCyclesPerSec > 0.0) {
+      r.speedup = r.configCyclesPerSec / results.front().configCyclesPerSec;
+      r.efficiency = r.speedup / r.threads;
+    }
+    results.push_back(r);
   }
-  return r;
+  return results;
 }
 
 /// The JIT A/B's two arms, in stepping order.
 constexpr std::array<tep::jit::JitMode, 2> kJitArms = {tep::jit::JitMode::kOff,
                                                         tep::jit::JitMode::kAlways};
 
-/// One arm's part of a JIT A/B round.
-struct JitArmRound {
-  std::vector<int64_t> epochNs;  ///< wall time of each timed epoch
-  int64_t machineCycles = 0;     ///< simulated over the timed epochs
-};
-
 /// One round of the JIT A/B over an SMD image (on two TEPs its DeltaT
 /// pairs are hazard-free, so kAlways runs both routines natively and the
 /// lockstep loop replays them): a fresh fleet per arm, warmed alike, then
-/// `epochs` timed epochs stepped arm after arm, so epoch e of both arms
-/// runs back to back and host speed drift within the round hits them
-/// alike. Two simulated cycles per epoch with a pulse pair injected every
-/// epoch keeps the duty cycle routine-dense — the tier being measured, not
-/// quiescent decode.
-std::array<JitArmRound, 2> runJitRound(const fleet::Fleet::ChartImagePtr& image,
-                                       size_t instances, int epochs, bool* ok,
-                                       JitReference* residencyOut) {
-  std::array<std::unique_ptr<fleet::Fleet>, 2> fleets;
-  std::array<workloads::SmdPulseIds, 2> pulses;
-  std::array<JitArmRound, 2> results;
-  for (size_t a = 0; a < kJitArms.size(); ++a) {
+/// `epochs` timed epochs stepped in turn. Two simulated cycles per epoch
+/// with a pulse pair injected every epoch keeps the duty cycle
+/// routine-dense — the tier being measured, not quiescent decode.
+std::vector<ArmRound> runJitRound(const fleet::Fleet::ChartImagePtr& image,
+                                  size_t instances, int epochs, bool* ok,
+                                  JitReference* residencyOut) {
+  std::vector<std::unique_ptr<fleet::Fleet>> fleets;
+  std::vector<workloads::SmdPulseIds> pulses;
+  for (const tep::jit::JitMode mode : kJitArms) {
     fleet::FleetConfig config;
     config.workerThreads = 1;
-    config.jitMode = kJitArms[a];
-    fleets[a] = std::make_unique<fleet::Fleet>(image, config);
-    pulses[a] = workloads::resolveSmdPulseIds(*fleets[a]);
-    if (!workloads::warmUpSmdFleet(*fleets[a], instances, pulses[a])) {
+    config.jitMode = mode;
+    fleets.push_back(std::make_unique<fleet::Fleet>(image, config));
+    pulses.push_back(workloads::resolveSmdPulseIds(*fleets.back()));
+    if (!workloads::warmUpSmdFleet(*fleets.back(), instances, pulses.back())) {
       std::fprintf(stderr, "FAIL: jit arm i=%zu instance(s) did not reach Moving\n",
                    instances);
       *ok = false;
     }
-    fleets[a]->step(2);  // settle + compile warm-up outside the timed window
-    results[a].epochNs.reserve(static_cast<size_t>(epochs));
-    results[a].machineCycles = -fleets[a]->mergedMetrics().value("fleet.machine_cycles");
+    fleets.back()->step(2);  // settle + compile warm-up outside the timed window
   }
-  for (int e = 0; e < epochs; ++e) {
-    for (size_t a = 0; a < kJitArms.size(); ++a) {
-      const auto start = std::chrono::steady_clock::now();
-      workloads::injectSmdPulses(*fleets[a], pulses[a]);
-      fleets[a]->step(2);
-      results[a].epochNs.push_back(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                       std::chrono::steady_clock::now() - start)
-                                       .count());
-    }
-  }
-  for (size_t a = 0; a < kJitArms.size(); ++a)
-    results[a].machineCycles += fleets[a]->mergedMetrics().value("fleet.machine_cycles");
+  std::vector<ArmRound> results = stepArmsInTurn(
+      fleets, epochs, 2, [&](size_t a) { workloads::injectSmdPulses(*fleets[a], pulses[a]); });
 
   const fleet::Fleet& native = *fleets[1];
   const tep::jit::TierResidency tier = native.tierResidency();
@@ -221,19 +269,9 @@ std::array<JitArmRound, 2> runJitRound(const fleet::Fleet::ChartImagePtr& image,
   return results;
 }
 
-/// Machine cycles per second over an arm's rounds: each epoch's fastest
-/// reading over the rounds, summed. Every round simulates the same cycles,
-/// so any round's count serves.
-double fastestEpochsRate(const std::vector<JitArmRound>& rounds) {
-  std::vector<int64_t> fastest = rounds.front().epochNs;
-  for (const JitArmRound& r : rounds)
-    for (size_t i = 0; i < fastest.size() && i < r.epochNs.size(); ++i)
-      fastest[i] = std::min(fastest[i], r.epochNs[i]);
-  int64_t ns = 0;
-  for (const int64_t t : fastest) ns += t;
-  return ns <= 0 ? 0.0
-                 : static_cast<double>(rounds.front().machineCycles) * 1e9 /
-                       static_cast<double>(ns);
+/// Machine cycles per second over an arm's rounds, by their fastest epochs.
+double fastestEpochsRate(const std::vector<ArmRound>& rounds) {
+  return perSecond(rounds.front().machineCycles, fastestEpochsNanos(rounds));
 }
 
 }  // namespace
@@ -265,38 +303,31 @@ int main(int argc, char** argv) {
       tep::jit::jitModeFromEnv() == tep::jit::JitMode::kOff)
     opts.jit = false;
 
-  const std::vector<size_t> instanceCounts =
+  const std::vector<size_t> busyInstanceCounts =
       opts.quick ? std::vector<size_t>{32, 128} : std::vector<size_t>{64, 256, 1024};
+  constexpr size_t kIdleInstances = 1024;
   const std::vector<int> threadCounts =
       opts.quick ? std::vector<int>{1, 2, 4} : std::vector<int>{1, 2, 4, 8};
-  // Quick mode still needs a timed window of tens of milliseconds per
-  // sweep: a 4-epoch window is single-digit ms and its derived ratios
-  // (speedup) swing 2x run to run, which no gate tolerance survives.
-  const int epochs = opts.quick ? 16 : 12;
+  const int rounds = opts.quick ? 3 : 5;
+  const int epochs = opts.quick ? 16 : 24;
   const int cyclesPerEpoch = opts.quick ? 8 : 16;
   const unsigned hwThreads = std::thread::hardware_concurrency();
 
   std::printf("=== Fleet throughput: SMD instances x worker threads ===\n");
-  std::printf("(%s mode, %d epochs x %d cycles, %u hardware threads)\n\n",
-              opts.quick ? "quick" : "full", epochs, cyclesPerEpoch, hwThreads);
+  std::printf("(%s mode, %d rounds of %d epochs x %d cycles, %u hardware threads)\n\n",
+              opts.quick ? "quick" : "full", rounds, epochs, cyclesPerEpoch, hwThreads);
 
   const auto image = workloads::makeSmdFleetImage();
 
   bool ok = true;
   std::vector<SweepResult> results;
-  for (size_t instances : instanceCounts) {
-    double oneThreadRate = 0.0;
-    for (int threads : threadCounts) {
-      SweepResult r =
-          runSweep(image, instances, threads, epochs, cyclesPerEpoch, opts, &ok);
-      if (threads == 1) oneThreadRate = r.configCyclesPerSec;
-      if (oneThreadRate > 0.0 && r.configCyclesPerSec > 0.0) {
-        r.speedup = r.configCyclesPerSec / oneThreadRate;
-        r.efficiency = r.speedup / threads;
-      }
-      results.push_back(r);
-    }
-  }
+  const auto addRow = [&](size_t instances, bool idle) {
+    const std::vector<SweepResult> row = runSweepRow(
+        image, instances, idle, threadCounts, rounds, epochs, cyclesPerEpoch, opts, &ok);
+    results.insert(results.end(), row.begin(), row.end());
+  };
+  for (const size_t instances : busyInstanceCounts) addRow(instances, false);
+  addRow(kIdleInstances, true);
 
   // Native-tier A/B: a separate sweep over a fresh one-TEP and a fresh
   // two-TEP image (each compile cost is its arm's alone). Rounds and
@@ -315,10 +346,9 @@ int main(int argc, char** argv) {
         JitReference ref;
         ref.teps = teps;
         ref.instances = instances;
-        std::array<std::vector<JitArmRound>, 2> arms;
+        std::array<std::vector<ArmRound>, 2> arms;
         for (int r = 0; r < jitRounds; ++r) {
-          std::array<JitArmRound, 2> round =
-              runJitRound(jitImage, instances, jitEpochs, &ok, &ref);
+          std::vector<ArmRound> round = runJitRound(jitImage, instances, jitEpochs, &ok, &ref);
           for (size_t a = 0; a < arms.size(); ++a) arms[a].push_back(std::move(round[a]));
         }
         ref.interpMachRate = fastestEpochsRate(arms[0]);
@@ -330,12 +360,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("| instances | threads | cfg cycles/s | mach cycles/s | speedup | efficiency |\n");
-  std::printf("|-----------|---------|--------------|---------------|---------|------------|\n");
+  std::printf("| load | instances | threads | cfg cycles/s | mach cycles/s | speedup | efficiency |\n");
+  std::printf("|------|-----------|---------|--------------|---------------|---------|------------|\n");
   for (const SweepResult& r : results)
-    std::printf("| %9zu | %7d | %12.0f | %13.0f | %6.2fx | %9.2f%% |\n",
-                r.instances, r.threads, r.configCyclesPerSec, r.machineCyclesPerSec,
-                r.speedup, 100.0 * r.efficiency);
+    std::printf("| %4s | %9zu | %7d | %12.0f | %13.0f | %6.2fx | %9.2f%% |\n",
+                r.idle ? "idle" : "busy", r.instances, r.threads, r.configCyclesPerSec,
+                r.machineCyclesPerSec, r.speedup, 100.0 * r.efficiency);
   if (!jitRefs.empty()) {
     std::printf("\n| teps | instances | interp mach/s | jit mach/s | jit speedup | compiled | compile ms |\n");
     std::printf("|------|-----------|---------------|------------|-------------|----------|------------|\n");
@@ -357,10 +387,11 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < results.size(); ++i) {
     const SweepResult& r = results[i];
     json += strfmt(
-        "    {\"instances\": %zu, \"threads\": %d, "
+        "    {\"load\": \"%s\", \"instances\": %zu, \"threads\": %d, "
         "\"config_cycles_per_sec\": %.0f, \"machine_cycles_per_sec\": %.0f, "
         "\"speedup_vs_1t\": %.3f, \"efficiency\": %.3f}%s\n",
-        r.instances, r.threads, r.configCyclesPerSec, r.machineCyclesPerSec,
+        r.idle ? "idle" : "busy", r.instances, r.threads, r.configCyclesPerSec,
+        r.machineCyclesPerSec,
         r.speedup, r.efficiency, i + 1 < results.size() ? "," : "");
   }
   json += "  ],\n  \"jit_reference\": [\n";
@@ -399,17 +430,17 @@ int main(int argc, char** argv) {
   if (!ok) return 1;
 
   // Acceptance (full runs on parallel hardware only): >= 3x aggregate
-  // throughput at 4 threads for a >= 256-instance fleet.
+  // throughput at 4 workers for a >= 256-instance busy fleet.
   if (!opts.quick && hwThreads >= 4) {
     double best = 0.0;
     for (const SweepResult& r : results)
-      if (r.instances >= 256 && r.threads == 4) best = std::max(best, r.speedup);
+      if (!r.idle && r.instances >= 256 && r.threads == 4) best = std::max(best, r.speedup);
     if (best < 3.0) {
-      std::fprintf(stderr, "FAIL: 4-thread speedup %.2fx < 3x (>=256 instances)\n",
+      std::fprintf(stderr, "FAIL: 4-thread speedup %.2fx < 3x (>=256 busy instances)\n",
                    best);
       return 1;
     }
-    std::printf("4-thread speedup (>=256 instances): %.2fx (target >= 3x)\n", best);
+    std::printf("4-thread speedup (>=256 busy instances): %.2fx (target >= 3x)\n", best);
   } else if (!opts.quick) {
     std::printf("note: %u hardware thread(s) — 4-thread acceptance check skipped\n",
                 hwThreads);

@@ -4,9 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
-#include <condition_variable>
 #include <limits>
-#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -16,7 +14,7 @@
 namespace pscp::fleet {
 
 namespace {
-// Instances per work-stealing chunk: small enough to balance a shard
+// Instances per work-stealing chunk: small enough to balance a range
 // whose worker falls behind, large enough to keep cursor traffic low.
 constexpr size_t kStealChunk = 8;
 /// A sleeper's wake cycle when no timer bounds its credit.
@@ -70,17 +68,12 @@ struct Fleet::Instance {
   std::vector<machine::PortWrite> portLog;  ///< when capturePortWrites
 };
 
-/// A balanced contiguous block of the live instances, by id. Each epoch
-/// steps its awake members only, from `stepList`.
-struct Fleet::Shard {
-  size_t members = 0;
-  InstanceId endId = 0;  ///< past its last member's id (the previous shard's when empty)
-  std::vector<Instance*> stepList;  ///< this epoch's members to step, by ascending id
-  /// stepList[i]'s stepInstance result: the cycles it may sleep (0: stays
-  /// awake). Kept beside the list so putting instances to sleep after the
-  /// barrier touches only those that sleep.
-  std::vector<int64_t> credits;
-  alignas(64) std::atomic<size_t> cursor{0};
+/// One worker's range of the step list: the next unclaimed index, which
+/// its owner and any thief claim chunks from, and the end, on their own
+/// cache line.
+struct Fleet::RangeCursor {
+  alignas(64) std::atomic<size_t> next{0};
+  size_t end = 0;
 };
 
 /// A sleeper's calendar entry: the fleet cycle its credit runs out at.
@@ -137,7 +130,7 @@ struct Fleet::WorkerCounters {
   std::atomic<int64_t> eventsDelivered{0};
   std::atomic<int64_t> stealChunks{0};
   std::atomic<int64_t> instancesStepped{0};   ///< instances stepped (awake)
-  std::atomic<int64_t> sleepingInstances{0};  ///< the shard's sleepers, last epoch
+  std::atomic<int64_t> sleepingInstances{0};  ///< last epoch's sleepers (worker 0 only)
   // Written only when telemetry is armed.
   std::atomic<int64_t> epochStartNanos{0};  ///< 0 when no epoch in flight
   std::atomic<int64_t> lastEpochNanos{0};
@@ -151,21 +144,6 @@ struct Fleet::WorkerCounters {
   std::atomic<int64_t> epochNanosCounts[obs::kEpochNanosBucketCount] = {};
 };
 
-/// The epoch barrier: workers park on a condition variable and run one
-/// epoch each time the generation counter advances; the caller waits for
-/// the last worker to check in.
-struct Fleet::Pool {
-  std::mutex mu;
-  std::condition_variable start;
-  std::condition_variable done;
-  uint64_t generation = 0;
-  int cyclesThisEpoch = 0;
-  int64_t epochThisGeneration = 0;
-  size_t running = 0;
-  bool stop = false;
-  std::vector<std::thread> threads;
-};
-
 // ----------------------------------------------------------------- Fleet
 
 Fleet::Fleet(ChartImagePtr image, FleetConfig config)
@@ -177,6 +155,8 @@ Fleet::Fleet(ChartImagePtr image, FleetConfig config)
   if (config_.workerThreads < 1) config_.workerThreads = 1;
   workerCount_ = static_cast<size_t>(config_.workerThreads);
   counters_ = std::make_unique<WorkerCounters[]>(workerCount_);
+  cursors_ = std::make_unique<RangeCursor[]>(workerCount_);
+  errors_.resize(workerCount_);
   if (config_.telemetry) {
     if (config_.flightRecordsPerShard < 1) config_.flightRecordsPerShard = 1;
     flight_ = std::make_unique<obs::FlightRecorder>(
@@ -190,23 +170,23 @@ Fleet::Fleet(ChartImagePtr image, FleetConfig config)
         static_cast<int64_t>(config_.eventQueueCapacity));
     journal_->setRecordedWorkers(config_.workerThreads);
   }
-  if (workerCount_ > 1) {
-    pool_ = std::make_unique<Pool>();
-    pool_->threads.reserve(workerCount_);
-    for (size_t w = 0; w < workerCount_; ++w)
-      pool_->threads.emplace_back([this, w] { workerLoop(w); });
+  helpers_.reserve(workerCount_ - 1);
+  try {
+    for (size_t w = 1; w < workerCount_; ++w)
+      helpers_.emplace_back([this, w] { helperLoop(w); });
+  } catch (...) {
+    joinHelpers();  // the ones that started, before the members go
+    throw;
   }
 }
 
-Fleet::~Fleet() {
-  if (pool_ != nullptr) {
-    {
-      std::lock_guard<std::mutex> lk(pool_->mu);
-      pool_->stop = true;
-    }
-    pool_->start.notify_all();
-    for (std::thread& t : pool_->threads) t.join();
-  }
+Fleet::~Fleet() { joinHelpers(); }
+
+void Fleet::joinHelpers() {
+  stop_ = true;
+  generation_.fetch_add(1, std::memory_order_release);
+  generation_.notify_all();
+  for (std::thread& t : helpers_) t.join();
 }
 
 // -------------------------------------------------------------- lifecycle
@@ -222,7 +202,6 @@ InstanceId Fleet::spawn() {
   }
   awakeBits_[wordOf(id)] |= bitOf(id);
   liveCount_.fetch_add(1, std::memory_order_relaxed);
-  shardsDirty_ = true;
   if (journal_ != nullptr) journal_->recordSpawn(static_cast<int64_t>(id));
   return id;
 }
@@ -238,7 +217,6 @@ void Fleet::retire(InstanceId id) {
   retiredDrops_ += liveInstance(id).dropped.load(std::memory_order_relaxed);
   instances_[static_cast<size_t>(id)].reset();
   liveCount_.fetch_sub(1, std::memory_order_relaxed);
-  shardsDirty_ = true;
   if (journal_ != nullptr) journal_->recordRetire(static_cast<int64_t>(id));
 }
 
@@ -282,33 +260,6 @@ bool Fleet::injectByName(InstanceId id, const std::string& eventName) {
 }
 
 // --------------------------------------------------------------- stepping
-
-void Fleet::rebuildShards() {
-  shards_.clear();
-  shards_.reserve(workerCount_);
-  for (size_t w = 0; w < workerCount_; ++w)
-    shards_.push_back(std::make_unique<Shard>());
-  // Contiguous block placement (cache-aware): shard w owns a consecutive
-  // run of live instances, stepped in spawn order by one worker —
-  // round-robin placement would interleave every shard through memory.
-  const size_t live = liveCount_.load(std::memory_order_relaxed);
-  const size_t base = live / workerCount_;
-  const size_t extra = live % workerCount_;
-  InstanceId id = 0;
-  for (size_t w = 0; w < workerCount_; ++w) {
-    Shard& shard = *shards_[w];
-    shard.members = base + (w < extra ? 1 : 0);
-    for (size_t taken = 0; taken < shard.members; ++id)
-      if (instances_[static_cast<size_t>(id)] != nullptr) ++taken;
-    shard.endId = id;
-    shard.stepList.reserve(shard.members);
-    shard.credits.reserve(shard.members);
-  }
-  // Room for one entry per instance plus as many superseded ones, so the
-  // calendar compacts instead of growing in steady state.
-  calendar_.reserve(2 * live + 64);
-  shardsDirty_ = false;
-}
 
 int64_t Fleet::stepInstance(Instance& inst, int cycles, WorkerLocal& local) {
   // Deliver everything injected before this epoch at its first cycle.
@@ -371,7 +322,7 @@ int64_t Fleet::stepInstance(Instance& inst, int cycles, WorkerLocal& local) {
   return epochFired == 0 ? inst.machine.quiescentCredit() : 0;
 }
 
-void Fleet::runWorkerEpoch(size_t worker, int cycles, int64_t epoch) {
+void Fleet::runWorkerEpoch(size_t worker, int cycles, int64_t epoch) noexcept {
   WorkerCounters& block = counters_[worker];
   WorkerLocal local;
 
@@ -394,34 +345,43 @@ void Fleet::runWorkerEpoch(size_t worker, int cycles, int64_t epoch) {
     }
   }
 
-  const size_t chunk = kStealChunk;
-  const size_t shardCount = shards_.size();
-  // Own shard first, then sweep the others stealing leftover chunks.
-  for (size_t offset = 0; offset < shardCount; ++offset) {
-    const size_t victim = (worker + offset) % shardCount;
-    Shard& shard = *shards_[victim];
-    for (;;) {
-      const size_t begin = shard.cursor.fetch_add(chunk, std::memory_order_relaxed);
-      if (begin >= shard.stepList.size()) break;
-      const size_t end = std::min(begin + chunk, shard.stepList.size());
-      for (size_t i = begin; i < end; ++i)
-        shard.credits[i] = stepInstance(*shard.stepList[i], cycles, local);
-      if (offset != 0) {
-        ++local.stealChunks;
-        if (local.ring != nullptr)
-          local.ring->push(obs::FlightKind::kSteal, epoch,
-                           static_cast<int64_t>(victim),
-                           static_cast<int64_t>(begin),
-                           static_cast<int64_t>(end - begin), 0);
+  // Own range first, then sweep the others stealing leftover chunks.
+  try {
+    size_t victim = worker;
+    for (size_t offset = 0; offset < workerCount_; ++offset) {
+      RangeCursor& range = cursors_[victim];
+      for (;;) {
+        const size_t begin = range.next.fetch_add(kStealChunk, std::memory_order_relaxed);
+        if (begin >= range.end) break;
+        const size_t end = std::min(begin + kStealChunk, range.end);
+        for (size_t i = begin; i < end; ++i)
+          credits_[i] = stepInstance(*stepList_[i], cycles, local);
+        if (offset != 0) {
+          ++local.stealChunks;
+          if (local.ring != nullptr)
+            local.ring->push(obs::FlightKind::kSteal, epoch,
+                             static_cast<int64_t>(victim),
+                             static_cast<int64_t>(begin),
+                             static_cast<int64_t>(end - begin), 0);
+        }
       }
+      if (++victim == workerCount_) victim = 0;
     }
+  } catch (...) {
+    // The epoch ends where it threw; its counters stay unflushed, as the
+    // fleet's clock stays where it was.
+    block.epochStartNanos.store(0, std::memory_order_relaxed);
+    errors_[worker] = std::current_exception();
+    return;
   }
 
-  // The own shard's sleepers ran `cycles` quiescent cycles each, which
-  // creditSleeper gives their machines when they wake or are read; the
-  // counters take them now, so they are exact after every epoch.
-  const Shard& own = *shards_[worker];
-  const int64_t sleepers = static_cast<int64_t>(own.members - own.stepList.size());
+  // The sleepers ran `cycles` quiescent cycles each, which creditSleeper
+  // gives their machines when they wake or are read; worker 0's counters
+  // take them now, so the sums are exact after every epoch.
+  const int64_t sleepers =
+      worker == 0
+          ? static_cast<int64_t>(liveCount_.load(std::memory_order_relaxed) - stepList_.size())
+          : 0;
   local.configCycles += sleepers * cycles;
   local.quiescentCycles += sleepers * cycles;
   local.machineCycles += sleepers * cycles * machine::kSlaEvaluateCycles;
@@ -479,24 +439,15 @@ void Fleet::runWorkerEpoch(size_t worker, int cycles, int64_t epoch) {
   bump(block.epochs, 1);
 }
 
-void Fleet::workerLoop(size_t worker) {
-  uint64_t seen = 0;
-  for (;;) {
-    int cycles = 0;
-    int64_t epoch = 0;
-    {
-      std::unique_lock<std::mutex> lk(pool_->mu);
-      pool_->start.wait(lk, [&] { return pool_->stop || pool_->generation != seen; });
-      if (pool_->stop) return;
-      seen = pool_->generation;
-      cycles = pool_->cyclesThisEpoch;
-      epoch = pool_->epochThisGeneration;
-    }
-    runWorkerEpoch(worker, cycles, epoch);
-    {
-      std::lock_guard<std::mutex> lk(pool_->mu);
-      if (--pool_->running == 0) pool_->done.notify_all();
-    }
+void Fleet::helperLoop(size_t worker) {
+  // The constructor starts the helpers before any bump, so generation 0
+  // is the one every helper has seen.
+  for (uint32_t seen = 0;;) {
+    generation_.wait(seen, std::memory_order_acquire);
+    seen = generation_.load(std::memory_order_acquire);
+    if (stop_) return;
+    runWorkerEpoch(worker, epochCycles_, epochs_.load(std::memory_order_relaxed));
+    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) pending_.notify_one();
   }
 }
 
@@ -504,23 +455,32 @@ void Fleet::step(int cycles) {
   if (cycles <= 0)
     fail("fleet: step(%d) runs no configuration cycle; an epoch runs 1 to %d",
          cycles, std::numeric_limits<int>::max());
-  if (shardsDirty_) rebuildShards();
   const int64_t epoch = epochs_.load(std::memory_order_relaxed) + 1;
   // Epoch-0 checkpoint: the post-setup state (after spawn/port/condition/
   // timer/warm-up ops, before any epoch) anchors replay verification.
   if (journal_ != nullptr && epoch == 1) takeCheckpoint(0);
   epochs_.store(epoch, std::memory_order_relaxed);
   buildStepLists(cycles);
-  if (pool_ == nullptr) {
-    runWorkerEpoch(0, cycles, epoch);
-  } else {
-    std::unique_lock<std::mutex> lk(pool_->mu);
-    pool_->cyclesThisEpoch = cycles;
-    pool_->epochThisGeneration = epoch;
-    pool_->running = workerCount_;
-    ++pool_->generation;
-    pool_->start.notify_all();
-    pool_->done.wait(lk, [&] { return pool_->running == 0; });
+  // Release the helpers into the epoch, run worker 0's share here, then
+  // wait for every helper: the bump publishes the step list and its
+  // ranges, and the last decrement publishes every worker's steps. With
+  // no helpers there is no one to release, and pending_ stays 0.
+  if (!helpers_.empty()) {
+    epochCycles_ = cycles;
+    pending_.store(static_cast<uint32_t>(helpers_.size()), std::memory_order_relaxed);
+    generation_.fetch_add(1, std::memory_order_release);
+    generation_.notify_all();
+  }
+  runWorkerEpoch(0, cycles, epoch);
+  for (uint32_t left = pending_.load(std::memory_order_acquire); left != 0;
+       left = pending_.load(std::memory_order_acquire))
+    pending_.wait(left, std::memory_order_acquire);
+  const auto failed = std::find_if(errors_.begin(), errors_.end(),
+                                   [](const std::exception_ptr& e) { return bool(e); });
+  if (failed != errors_.end()) {
+    const std::exception_ptr error = *failed;
+    std::fill(errors_.begin(), errors_.end(), nullptr);
+    std::rethrow_exception(error);
   }
   clock_ += cycles;
   finishEpoch(epoch, cycles);
@@ -566,6 +526,15 @@ void Fleet::fallAsleep(Instance& inst, int64_t credit) {
 }
 
 void Fleet::buildStepLists(int cycles) {
+  // Room for every live instance, and in the calendar for one entry per
+  // instance plus as many superseded ones, so the calendar compacts
+  // instead of growing in steady state. Only a fleet that grew reserves.
+  const size_t live = liveCount_.load(std::memory_order_relaxed);
+  if (stepList_.capacity() < live) {
+    stepList_.reserve(live);
+    credits_.reserve(live);
+    calendar_.reserve(2 * live + 64);
+  }
   // Sleepers whose credit runs out inside this epoch's cycles wake now;
   // stepInstance then credits the rest of their stretch and decodes the
   // cycle their timer matures in. Every entry is at or past the clock.
@@ -579,14 +548,10 @@ void Fleet::buildStepLists(int cycles) {
     inst.calendarKey = kNever;
     wake(inst);
   }
-  for (auto& shard : shards_) {
-    shard->stepList.clear();
-    shard->cursor.store(0, std::memory_order_relaxed);
-  }
-  // Awake and woken instances in ascending id order, each into its shard.
-  // They stay awake until finishEpoch puts them to sleep. Only a woken
-  // sleeper is touched here; an awake instance's bit is all it takes.
-  size_t s = 0;
+  // Awake and woken instances in ascending id order. They stay awake
+  // until finishEpoch puts them to sleep. Only a woken sleeper is touched
+  // here; an awake instance's bit is all it takes.
+  stepList_.clear();
   for (size_t w = 0; w < awakeBits_.size(); ++w) {
     const uint64_t awake = awakeBits_[w];
     std::atomic_ref<uint64_t> injected(wakeBits_[w]);
@@ -600,17 +565,24 @@ void Fleet::buildStepLists(int cycles) {
       }
       Instance& inst = *instances_[static_cast<size_t>(id)];
       if ((awake & bitOf(id)) == 0) wake(inst);
-      while (id >= shards_[s]->endId) ++s;
-      shards_[s]->stepList.push_back(&inst);
+      stepList_.push_back(&inst);
     }
   }
-  for (auto& shard : shards_) shard->credits.resize(shard->stepList.size());
+  credits_.resize(stepList_.size());
+  // Worker w's range is [n*w/N, n*(w+1)/N): balanced by awake count. The
+  // last range ends at n without a division, so one worker divides never.
+  const size_t n = stepList_.size();
+  for (size_t w = 0, begin = 0; w < workerCount_; ++w) {
+    cursors_[w].next.store(begin, std::memory_order_relaxed);
+    cursors_[w].end = w + 1 == workerCount_ ? n : n * (w + 1) / workerCount_;
+    begin = cursors_[w].end;
+  }
 }
 
 // ---------------------------------------------------------- record/replay
 
 // Post-barrier capture over the stepped instances, in ascending id order
-// (shards are contiguous id ranges, their step lists ascending). Each
+// (the step list's order, whichever worker stepped each). Each
 // stepped instance's `drained` scratch still holds exactly the events its
 // machine consumed this epoch (it is cleared at the *start* of its next
 // stepped epoch, so a sleeper's is stale and never read), and the barrier
@@ -623,14 +595,12 @@ void Fleet::buildStepLists(int cycles) {
 // instance whose machine can credit the coming cycles to sleep; the rest
 // stay awake for the next epoch.
 void Fleet::finishEpoch(int64_t epoch, int cycles) {
-  for (const auto& shard : shards_) {
-    for (size_t i = 0; i < shard->stepList.size(); ++i) {
-      Instance& inst = *shard->stepList[i];
-      if (journal_ != nullptr)
-        for (const int event : inst.drained)
-          journal_->recordInject(static_cast<int64_t>(inst.id), event, epoch);
-      if (shard->credits[i] > 0) fallAsleep(inst, shard->credits[i]);
-    }
+  for (size_t i = 0; i < stepList_.size(); ++i) {
+    Instance& inst = *stepList_[i];
+    if (journal_ != nullptr)
+      for (const int event : inst.drained)
+        journal_->recordInject(static_cast<int64_t>(inst.id), event, epoch);
+    if (credits_[i] > 0) fallAsleep(inst, credits_[i]);
   }
   if (journal_ == nullptr) return;
   journal_->recordStep(epoch, cycles);

@@ -1,4 +1,4 @@
-// Sharded multi-instance fleet engine (scaling the PSCP model out).
+// Multi-instance fleet engine (scaling the PSCP model out).
 //
 // One PscpMachine simulates one chip. A reactive-systems deployment —
 // the paper's target domain — runs *populations* of them: every elevator
@@ -6,7 +6,7 @@
 // statechart instance over the same compiled chart. The Fleet owns N
 // independent PscpMachine instances spawned from one shared ChartImage
 // (compile once, instantiate thousands) and steps them in batches across
-// a fixed-size worker-thread pool.
+// a fixed set of workers.
 //
 // Execution model
 //   - step(cycles) is one *epoch*: every live instance advances exactly
@@ -14,15 +14,25 @@
 //     The fleet keeps a configuration-cycle clock, the running sum of the
 //     steps' `cycles`; epochs may differ in length, so sleep and wake are
 //     keyed on that clock, never on epoch numbers.
-//   - Instances are statically sharded across workers in balanced
-//     contiguous blocks (by spawn order; shard sizes differ by at most
-//     one), so one worker walks one run of neighbouring instances instead
-//     of interleaving with every other shard. Within an epoch each worker
-//     steps its own shard's awake instances in chunks of 8 claimed through
-//     an atomic cursor, then steals remaining chunks from other shards — a
-//     shard whose worker wakes late or runs busier instances is finished
-//     by whoever has idle cycles, so the barrier waits for the slowest
-//     chunk, not the slowest shard.
+//   - Worker 0 is the thread that calls step(); workers 1..N-1 are helper
+//     threads the fleet starts at construction. Every epoch runs the same
+//     way at any worker count: step() builds one step list (the awake
+//     instances, by ascending id) and cuts it into N balanced contiguous
+//     ranges, worker w's being [n*w/N, n*(w+1)/N). Each worker steps its
+//     own range in chunks of 8 claimed through the range's atomic cursor,
+//     then steals remaining chunks from the other ranges — a range whose
+//     worker wakes late or runs busier instances is finished by whoever
+//     has idle cycles, so the barrier waits for the slowest chunk, not the
+//     slowest range. Contiguous ranges keep one worker on one run of
+//     neighbouring instances instead of interleaving with every other.
+//   - The barrier is two 32-bit atomics: step() bumps a generation counter
+//     that releases the helpers, runs worker 0's epoch itself, and waits
+//     for a pending-helper count to reach zero.
+//   - A worker whose epoch throws (a machine fault, say) stops its own
+//     epoch; the others finish theirs. After the barrier, step() rethrows
+//     the error of the lowest-numbered worker that failed, without
+//     advancing the clock. The faulted machine is latched, so the next
+//     step throws the latch diagnostic (see PscpMachine::faulted).
 //   - Every stepped instance-epoch is one PscpMachine::configurationCycleIds
 //     call that steps all `cycles` configuration cycles and returns their
 //     sums; stepInstance is the one stepping path. The machine's decode
@@ -65,7 +75,8 @@
 //
 // Thread contract: Fleet's control surface (spawn/retire/step/snapshot/
 // mergedMetrics/machine and the journaled setters) is single-threaded —
-// call it from one thread, between epochs. A machine(id) reference may be
+// call it from one thread, between epochs; that thread is worker 0 for
+// the length of each step(). A machine(id) reference may be
 // used only until the next step(): fetching it is what credits and wakes
 // the instance, so fetch it again after each epoch. inject()/
 // injectByName() are safe from any thread at any time (one producer per
@@ -76,16 +87,18 @@
 // rings' seqlocked slots.
 //
 // Counters: every worker owns one cacheline-aligned block of single-writer
-// relaxed atomics, flushed once per epoch from the worker's plain sums.
+// relaxed atomics, flushed once per epoch from the worker's plain sums;
+// worker 0's block also carries the epoch's sleepers.
 // The block is the only home of the fleet's epoch counters: mergedMetrics()
 // sums the blocks by name and healthSnapshot() reads the same fields, so
 // the two views agree by construction.
 //
 // Telemetry plane (FleetConfig::telemetry): when armed, every worker also
-// keeps a flight-recorder ring (recent epoch/instance/steal/port activity,
-// see obs/flight.hpp) and fills the armed-only fields of its block (epoch
-// latency EWMA/min/max/histogram, queue high-water, drain-time drops and
-// port writes, see obs/health.hpp). When disarmed (the default), the hot
+// keeps a flight-recorder ring, shard w being worker w (recent epoch/
+// instance/steal/port activity, see obs/flight.hpp), and fills the
+// armed-only fields of its block (epoch latency EWMA/min/max/histogram,
+// queue high-water, drain-time drops and port writes, see
+// obs/health.hpp). When disarmed (the default), the hot
 // loop does zero telemetry work beyond one predictable null check per
 // instance step — no virtual calls, no clock reads — which the
 // counting-operator-new test and the telemetry_overhead bench both
@@ -100,8 +113,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fleet/spsc.hpp"
@@ -118,8 +133,8 @@ namespace pscp::fleet {
 using InstanceId = uint64_t;
 
 struct FleetConfig {
-  /// Worker threads stepping the fleet. 1 = run inline on the calling
-  /// thread (no threads are spawned at all).
+  /// Workers stepping the fleet: the calling thread plus workerThreads-1
+  /// helper threads the fleet starts (1: the calling thread alone).
   int workerThreads = 1;
   /// Per-instance event-queue capacity (rounded up to a power of two), at
   /// most kMaxEventQueueCapacity: a larger one makes Fleet throw.
@@ -159,10 +174,11 @@ struct FleetConfig {
   bool journal = false;
   obs::journal::JournalConfig journalConfig;
 
-  /// Fault injection for telemetry tests and demos: the worker owning
-  /// shard `debugStallShard` sleeps `debugStallMicros` at the start of
-  /// every epoch, which the stall/skew detector must surface. Ignored
-  /// unless telemetry is armed. Not for production use.
+  /// Fault injection for telemetry tests and demos: worker
+  /// `debugStallShard` (0: the thread that calls step()) sleeps
+  /// `debugStallMicros` at the start of every epoch, which the stall/skew
+  /// detector must surface. Ignored unless telemetry is armed. Not for
+  /// production use.
   int debugStallShard = -1;
   int64_t debugStallMicros = 0;
 };
@@ -309,7 +325,7 @@ class Fleet {
 
  private:
   struct Instance;
-  struct Shard;
+  struct RangeCursor;     // next unclaimed index of one worker's range
   struct CalendarEntry;   // a sleeper's wake cycle, in the calendar heap
   struct WorkerLocal;     // per-epoch accumulator, flushed to the block
   struct WorkerCounters;  // cacheline-aligned counter atomics per worker
@@ -318,15 +334,19 @@ class Fleet {
   [[nodiscard]] const Instance& liveInstance(InstanceId id) const;
   /// The live instance, a sleeper credited up to the clock (still asleep).
   Instance& creditedInstance(InstanceId id) const;
-  void rebuildShards();
-  /// Wake the calendar's due sleepers, then fill each shard's step list
-  /// from the awake bitmap and the exchanged wake bitmap.
+  /// Wake the calendar's due sleepers, fill the step list from the awake
+  /// bitmap and the exchanged wake bitmap, and cut it into the workers'
+  /// ranges.
   void buildStepLists(int cycles);
-  void runWorkerEpoch(size_t worker, int cycles, int64_t epoch);
+  /// One worker's share of the epoch. An error a step throws ends it and
+  /// is kept in errors_[worker] for step() to rethrow.
+  void runWorkerEpoch(size_t worker, int cycles, int64_t epoch) noexcept;
   /// Step one instance through the epoch; returns the cycles it may sleep
   /// after it (0: it stays awake).
   int64_t stepInstance(Instance& inst, int cycles, WorkerLocal& local);
-  void workerLoop(size_t worker);
+  void helperLoop(size_t worker);
+  /// Stop the helper threads and join them.
+  void joinHelpers();
 
   /// Bring a sleeper's machine and counters to the clock in closed form.
   void creditSleeper(Instance& inst) const;
@@ -341,9 +361,13 @@ class Fleet {
 
   std::vector<std::unique_ptr<Instance>> instances_;  // index == InstanceId
   std::atomic<size_t> liveCount_{0};  // written by control thread only
-  std::vector<std::unique_ptr<Shard>> shards_;
-  bool shardsDirty_ = true;
   std::atomic<int64_t> epochs_{0};  // written by control thread only
+
+  // The epoch's work: the instances to step by ascending id, each one's
+  // stepInstance result beside it, and one cursor per worker range.
+  std::vector<Instance*> stepList_;
+  std::vector<int64_t> credits_;
+  std::unique_ptr<RangeCursor[]> cursors_;
 
   std::unique_ptr<WorkerCounters[]> counters_;  // one block per worker
   int64_t retiredDrops_ = 0;  // drop counts of retired instances
@@ -366,9 +390,15 @@ class Fleet {
   void finishEpoch(int64_t epoch, int cycles);
   void takeCheckpoint(int64_t epoch);
 
-  // Epoch barrier (only used when workerCount_ > 1).
-  struct Pool;
-  std::unique_ptr<Pool> pool_;
+  // Epoch barrier. step() sets pending_ to the helper count and bumps
+  // generation_ (release); each helper runs the epoch the bump announced
+  // and decrements pending_ (acq_rel). stop_ is set before the last bump.
+  std::atomic<uint32_t> generation_{0};
+  std::atomic<uint32_t> pending_{0};
+  bool stop_ = false;
+  int epochCycles_ = 0;
+  std::vector<std::exception_ptr> errors_;  // by worker, rethrown by step()
+  std::vector<std::thread> helpers_;        // workers 1..N-1
 };
 
 }  // namespace pscp::fleet

@@ -46,7 +46,8 @@ enum class FlightKind : uint8_t {
   /// idle instance leaves no record (kEpochEnd carries the shard totals),
   /// so a mostly idle shard keeps more than its last epoch in the ring.
   kInstance = 3,
-  kSteal = 4,       ///< a=victim shard, b=chunk begin index, c=chunk size
+  kSteal = 4,       ///< a=victim shard (its range), b=chunk begin as an
+                    ///< index into the epoch's step list, c=chunk size
   kPortWrite = 5,   ///< a=instance id, b=port address, c=value, d=config cycle
   kDrops = 6,       ///< a=instance id, b=cumulative dropped injections
 };

@@ -27,30 +27,6 @@ const std::vector<int64_t>& epochNanosBounds() {
   return kBounds;
 }
 
-int64_t FleetHealth::totalMachineCycles() const {
-  int64_t total = 0;
-  for (const ShardHealth& s : shards) total += s.machineCycles;
-  return total;
-}
-
-int64_t FleetHealth::totalEventsDropped() const {
-  int64_t total = 0;
-  for (const ShardHealth& s : shards) total += s.eventsDropped;
-  return total;
-}
-
-int64_t FleetHealth::totalStealChunks() const {
-  int64_t total = 0;
-  for (const ShardHealth& s : shards) total += s.stealChunks;
-  return total;
-}
-
-int64_t FleetHealth::totalSleepingInstances() const {
-  int64_t total = 0;
-  for (const ShardHealth& s : shards) total += s.sleepingInstances;
-  return total;
-}
-
 int64_t FleetHealth::total(int64_t ShardHealth::*field) const {
   int64_t sum = 0;
   for (const ShardHealth& s : shards) sum += s.*field;
@@ -226,9 +202,9 @@ JsonValue telemetrySnapshotJson(const FleetHealth& health,
   fleet.set("live_instances", num(health.liveInstances));
   fleet.set("worker_threads", num(health.workerThreads));
   fleet.set("telemetry_enabled", JsonValue::makeBool(health.telemetryEnabled));
-  fleet.set("machine_cycles", num(health.totalMachineCycles()));
-  fleet.set("events_dropped", num(health.totalEventsDropped()));
-  fleet.set("steal_chunks", num(health.totalStealChunks()));
+  fleet.set("machine_cycles", num(health.total(&ShardHealth::machineCycles)));
+  fleet.set("events_dropped", num(health.total(&ShardHealth::eventsDropped)));
+  fleet.set("steal_chunks", num(health.total(&ShardHealth::stealChunks)));
   doc.set("fleet", std::move(fleet));
 
   JsonValue shards = JsonValue::makeArray();

@@ -74,10 +74,6 @@ struct FleetHealth {
   int workerThreads = 0;
   std::vector<ShardHealth> shards;  ///< empty when telemetry is off
 
-  [[nodiscard]] int64_t totalMachineCycles() const;
-  [[nodiscard]] int64_t totalEventsDropped() const;
-  [[nodiscard]] int64_t totalStealChunks() const;
-  [[nodiscard]] int64_t totalSleepingInstances() const;
   /// The shards' sum of any counter, e.g. total(&ShardHealth::decodes).
   [[nodiscard]] int64_t total(int64_t ShardHealth::*field) const;
 };

@@ -177,7 +177,13 @@ ReplayResult Replayer::run(const ReplayOptions& options) const {
           options.spanTracker->beginEpoch(op.a, delivered);
           delivered.clear();
         }
-        fleet.step(static_cast<int>(op.b));
+        // A machine fault in the epoch is the replay's outcome, not a crash.
+        try {
+          fleet.step(static_cast<int>(op.b));
+        } catch (const Error& e) {
+          result.error = strfmt("step op %zu faulted: %s", opIndex(op), e.what());
+          return result;
+        }
         ++result.epochsReplayed;
         result.finalEpoch = op.a;
         break;

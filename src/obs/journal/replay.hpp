@@ -86,7 +86,7 @@ struct CheckpointMismatch {
 };
 
 struct ReplayResult {
-  bool ok = false;        ///< ops applied cleanly (image matched, ids lined up)
+  bool ok = false;        ///< ops applied cleanly (image matched, ids lined up, no step faulted)
   bool verified = true;   ///< every checked checkpoint matched
   std::string error;      ///< set when !ok
   int64_t epochsReplayed = 0;

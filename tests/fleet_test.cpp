@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "actionlang/parser.hpp"
+#include "div_chart.hpp"
 #include "fleet/fleet.hpp"
 #include "fleet/spsc.hpp"
 #include "obs/journal/journal.hpp"
@@ -235,40 +236,53 @@ TEST_F(FleetTest, RetiredInstancesKeepTheirDropCounts) {
     EXPECT_EQ(merged.value("fleet.events_dropped"), 3) << "telemetry " << telemetry;
     EXPECT_EQ(merged.value("fleet.events_delivered"), 2);
     if (telemetry) {
-      EXPECT_EQ(fleet.healthSnapshot().totalEventsDropped(), 3);
+      EXPECT_EQ(fleet.healthSnapshot().total(&obs::ShardHealth::eventsDropped), 3);
     }
   }
 }
 
 // --------------------------------------------------------------- metrics
 
+// Sleepers are credited to worker 0's counters alone: the merged counters
+// equal the instances' own at every worker count, after every epoch, over
+// epochs where some instances sleep and the rest are stepped.
 TEST_F(FleetTest, MergedMetricsAgreeWithPerInstanceSnapshots) {
-  FleetConfig config;
-  config.workerThreads = 2;
-  Fleet fleet(image_, config);
-  const std::vector<InstanceId> ids = fleet.spawnMany(10);
-  for (InstanceId id : ids) {
-    fleet.machine(id).setCondition("ARMED", true);
-    fleet.injectByName(id, "GO");
+  for (const int workers : {1, 2, 4}) {
+    FleetConfig config;
+    config.workerThreads = workers;
+    Fleet fleet(image_, config);
+    const std::vector<InstanceId> ids = fleet.spawnMany(40);
+    int64_t mostAsleep = 0;
+    for (int epoch = 0; epoch < 12; ++epoch) {
+      // A rotating third are armed and driven; the rest have nothing to do.
+      for (InstanceId id : ids) {
+        if ((id + static_cast<InstanceId>(epoch)) % 3 != 0) continue;
+        fleet.setCondition(id, "ARMED", true);
+        fleet.injectByName(id, epoch % 4 == 0 ? "GO" : "TICK");
+      }
+      fleet.step(1 + epoch % 3);
+      const obs::MetricsRegistry merged = fleet.mergedMetrics();
+      mostAsleep = std::max(mostAsleep, merged.value("fleet.sleeping_instances"));
+      InstanceSnapshot sum;
+      for (InstanceId id : ids) {
+        const InstanceSnapshot snap = fleet.snapshot(id);
+        sum.configCycles += snap.configCycles;
+        sum.quiescentCycles += snap.quiescentCycles;
+        sum.machineCycles += snap.machineCycles;
+        sum.firedTransitions += snap.firedTransitions;
+        sum.eventsDelivered += snap.eventsDelivered;
+      }
+      const std::string where =
+          std::to_string(workers) + " workers, epoch " + std::to_string(epoch);
+      ASSERT_EQ(merged.value("fleet.config_cycles"), sum.configCycles) << where;
+      ASSERT_EQ(merged.value("fleet.quiescent_cycles"), sum.quiescentCycles) << where;
+      ASSERT_EQ(merged.value("fleet.machine_cycles"), sum.machineCycles) << where;
+      ASSERT_EQ(merged.value("fleet.fired_transitions"), sum.firedTransitions) << where;
+      ASSERT_EQ(merged.value("fleet.events_delivered"), sum.eventsDelivered) << where;
+    }
+    EXPECT_GT(fleet.mergedMetrics().value("fleet.fired_transitions"), 0) << workers;
+    EXPECT_GT(mostAsleep, 0) << workers << " workers: no instance slept";
   }
-  for (int epoch = 0; epoch < 5; ++epoch) {
-    for (InstanceId id : ids) fleet.injectByName(id, "TICK");
-    fleet.step(2);
-  }
-  const obs::MetricsRegistry merged = fleet.mergedMetrics();
-  int64_t configCycles = 0;
-  int64_t fired = 0;
-  int64_t delivered = 0;
-  for (InstanceId id : ids) {
-    const InstanceSnapshot snap = fleet.snapshot(id);
-    configCycles += snap.configCycles;
-    fired += snap.firedTransitions;
-    delivered += snap.eventsDelivered;
-  }
-  EXPECT_EQ(merged.value("fleet.config_cycles"), configCycles);
-  EXPECT_EQ(merged.value("fleet.fired_transitions"), fired);
-  EXPECT_EQ(merged.value("fleet.events_delivered"), delivered);
-  EXPECT_GT(fired, 0);
 }
 
 // ----------------------------------------------------------- determinism
@@ -823,6 +837,52 @@ TEST_F(FleetTest, InjectingIntoSleepersWhilePooledFleetStepsLosesNoEvent) {
   EXPECT_EQ(late, 0) << "events waited in a sleeper's queue";
 }
 
+// Eight workers and three awake instances leave most ranges empty; the
+// run must match one worker's, through epochs where every instance sleeps.
+TEST_F(FleetTest, MoreWorkersThanAwakeInstancesMatchesOneWorker) {
+  constexpr size_t kInstances = 24;
+  const auto run = [&](int workers) {
+    FleetConfig config;
+    config.workerThreads = workers;
+    config.capturePortWrites = true;
+    Fleet fleet(image_, config);
+    const std::vector<InstanceId> ids = fleet.spawnMany(kInstances);
+    fleet.step(1);  // steps every instance, then puts it to sleep
+    fleet.step(1);
+    EXPECT_EQ(fleet.mergedMetrics().value("fleet.sleeping_instances"),
+              static_cast<int64_t>(kInstances));
+    for (int epoch = 0; epoch < 16; ++epoch) {
+      if (epoch < 10) {
+        // Three instances, spread over the id space, take GO and TICKs and
+        // leave through STOP, which writes their count to the Drive port.
+        for (size_t k = 0; k < 3; ++k) {
+          const InstanceId id = ids[(k * 9 + static_cast<size_t>(epoch) * 5) % kInstances];
+          fleet.setCondition(id, "ARMED", true);
+          fleet.setInputPort(id, "Sense", static_cast<uint32_t>(1 + k));
+          fleet.injectByName(id, "GO");
+          fleet.injectByName(id, "TICK");
+          fleet.injectByName(id, "STOP");
+        }
+      }
+      fleet.step(2);
+      // Awake: this epoch's three and the last epoch's, which fired.
+      const int64_t sleeping = fleet.mergedMetrics().value("fleet.sleeping_instances");
+      if (epoch < 10) {
+        EXPECT_GE(sleeping, static_cast<int64_t>(kInstances - 6));
+      } else if (epoch >= 12) {
+        EXPECT_EQ(sleeping, static_cast<int64_t>(kInstances));
+      }
+    }
+    ScriptedRun result;
+    for (InstanceId id : ids) {
+      result.portLogs.push_back(fleet.portWrites(id));
+      result.snapshots.push_back(fleet.snapshot(id));
+    }
+    return result;
+  };
+  expectSameRun(run(8), run(1), "8 workers");
+}
+
 TEST_F(FleetTest, StepWithoutCyclesIsAnError) {
   Fleet fleet(image_);
   fleet.spawn();
@@ -1045,43 +1105,130 @@ TEST(FleetMemo, BusyPooledFleetMatchesOneWorker) {
   expectMemoHits(pooled);
 }
 
+// ----------------------------------------------------------------- faults
+
+/// A Div fleet of `instances`, each with GO queued, the ones in `zeros`
+/// dividing by zero.
+std::unique_ptr<Fleet> divFleet(FleetConfig config, size_t instances,
+                                const std::vector<InstanceId>& zeros) {
+  auto fleet = std::make_unique<Fleet>(testcharts::divImage(), config);
+  for (InstanceId id : fleet->spawnMany(instances)) {
+    const bool zero = std::find(zeros.begin(), zeros.end(), id) != zeros.end();
+    fleet->setInputPort(id, "Den", zero ? 0u : 5u);
+    fleet->injectByName(id, "GO");
+  }
+  return fleet;
+}
+
+/// The text step() throws, or "" when it returns.
+std::string stepError(Fleet& fleet, int cycles) {
+  try {
+    fleet.step(cycles);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
 // A runtime fault escapes the inline epoch that hit it; the faulted
 // machine is latched, so the next epoch fails at once with the latch
 // diagnostic naming the cycle that faulted.
 TEST(FleetFault, StepAfterAFaultFailsWithTheLatchDiagnostic) {
-  const statechart::Chart chart = statechart::parseChart(R"chart(
-chart Div;
-event GO;
-port Den data in width 16 address 0x10;
-port Out data out width 16 address 0x12;
-orstate Top { contains S; default S; }
-basicstate S { transition { target S; label "GO/Div()"; } }
-)chart");
-  const actionlang::Program actions =
-      actionlang::parseActionSource("void Div() { write_port(Out, 100 / read_port(Den)); }");
-  hwlib::ArchConfig arch;
-  arch.numTeps = 2;
-  arch.hasMulDiv = true;
-  const auto image = std::make_shared<const machine::ChartImage>(chart, actions, arch);
-  Fleet fleet(image);
-  const std::vector<InstanceId> ids = fleet.spawnMany(4);
-  for (InstanceId id : ids) fleet.setInputPort(id, "Den", id == 2 ? 0u : 5u);
-  for (InstanceId id : ids) fleet.injectByName(id, "GO");
+  const std::unique_ptr<Fleet> fleet = divFleet({}, 4, {2});
   try {
-    fleet.step(2);
+    fleet->step(2);
     ADD_FAILURE() << "the division by zero did not escape the epoch";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("division by zero"), std::string::npos) << e.what();
   }
-  EXPECT_TRUE(std::as_const(fleet).machine(ids[2]).faulted());
-  for (InstanceId id : ids) fleet.injectByName(id, "GO");
+  EXPECT_TRUE(std::as_const(*fleet).machine(2).faulted());
+  for (InstanceId id = 0; id < 4; ++id) fleet->injectByName(id, "GO");
   try {
-    fleet.step(2);
+    fleet->step(2);
     ADD_FAILURE() << "the faulted instance stepped again";
   } catch (const Error& e) {
     EXPECT_STREQ(e.what(),
                  "PSCP: the machine faulted in configuration cycle 0 and steps no further");
   }
+}
+
+// Whichever worker steps the faulting instance, its error reaches the
+// caller of step(), and the fleet stays usable for the latch and for its
+// own destruction.
+TEST(FleetFault, PooledStepThrowsTheInstanceError) {
+  for (const int workers : {1, 2, 8}) {
+    FleetConfig config;
+    config.workerThreads = workers;
+    const std::unique_ptr<Fleet> fleet = divFleet(config, 8, {3});
+    const std::string what = stepError(*fleet, 2);
+    EXPECT_NE(what.find("TEP0: division by zero at PC 8"), std::string::npos)
+        << workers << " workers: " << what;
+    EXPECT_EQ(fleet->epochs(), 1);
+    EXPECT_TRUE(std::as_const(*fleet).machine(3).faulted());
+    EXPECT_EQ(stepError(*fleet, 2),
+              "PSCP: the machine faulted in configuration cycle 0 and steps no further")
+        << workers << " workers";
+  }
+}
+
+// step() rethrows only after every worker has finished the epoch. The
+// ranges of 8 instances on 2 workers are [0, 4) and [4, 8), each claimed
+// as one chunk; the fault sits in one range and the other range's worker
+// starts late. With the fault in worker 0's range, the stalled helper's
+// range is stepped by the time the error arrives; with it in the helper's
+// range and worker 0 stalled, the helper's error is the one step() throws.
+TEST(FleetFault, EveryWorkerFinishesBeforeTheErrorIsRethrown) {
+  for (const int stalled : {1, 0}) {
+    FleetConfig config;
+    config.workerThreads = 2;
+    config.telemetry = true;
+    config.debugStallShard = stalled;
+    config.debugStallMicros = 20000;
+    const std::unique_ptr<Fleet> fleet = divFleet(config, 8, {stalled == 1 ? 0u : 5u});
+    EXPECT_NE(stepError(*fleet, 2).find("division by zero"), std::string::npos)
+        << "stalled worker " << stalled;
+    const InstanceId rangeBegin = 4 * static_cast<InstanceId>(stalled);
+    for (InstanceId id = rangeBegin; id < rangeBegin + 4; ++id)
+      EXPECT_EQ(fleet->snapshot(id).configCycles, 2)
+          << "instance " << id << ", stalled worker " << stalled;
+  }
+}
+
+// ---------------------------------------------------------------- barrier
+
+// A helper checks in only after its epoch: step() returns with every
+// worker's counters flushed and no epoch in flight, even when one helper
+// starts each epoch late.
+TEST_F(FleetTest, StepReturnsAfterEveryWorkerFinishedItsEpoch) {
+  constexpr int kWorkers = 4;
+  FleetConfig config;
+  config.workerThreads = kWorkers;
+  config.telemetry = true;
+  config.debugStallShard = kWorkers - 1;
+  config.debugStallMicros = 2000;
+  Fleet fleet(image_, config);
+  const std::vector<InstanceId> ids = fleet.spawnMany(16);
+  for (InstanceId id : ids) fleet.setCondition(id, "ARMED", true);
+  for (int epoch = 1; epoch <= 6; ++epoch) {
+    for (InstanceId id : ids) fleet.injectByName(id, epoch == 1 ? "GO" : "TICK");
+    fleet.step(2);
+    EXPECT_EQ(fleet.mergedMetrics().value("fleet.epoch_tasks"), kWorkers * epoch);
+    const obs::FleetHealth health = fleet.healthSnapshot();
+    for (const obs::ShardHealth& shard : health.shards) {
+      EXPECT_EQ(shard.epochs, epoch) << "worker " << shard.shard;
+      EXPECT_EQ(shard.inFlightNanos, 0) << "worker " << shard.shard;
+    }
+  }
+}
+
+// Helpers start at construction and stop at destruction, with or without
+// an epoch in between, and after an epoch that threw.
+TEST(FleetBarrier, EightWorkerFleetsShutDown) {
+  FleetConfig config;
+  config.workerThreads = 8;
+  { Fleet idle(testcharts::divImage(), config); }
+  const std::unique_ptr<Fleet> faulted = divFleet(config, 8, {6});
+  EXPECT_NE(stepError(*faulted, 1), "");
 }
 
 }  // namespace

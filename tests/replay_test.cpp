@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "div_chart.hpp"
 #include "fleet/fleet.hpp"
 #include "obs/journal/journal.hpp"
 #include "obs/journal/replay.hpp"
@@ -308,6 +309,49 @@ TEST(Replay, HostileOpsAreDiagnostics) {
       const ReplayResult result = Replayer(&hostile, rec.image).run(options);
       EXPECT_FALSE(result.ok) << capacity;
       EXPECT_EQ(result.error, expect);
+    }
+  }
+}
+
+// A journal whose replay faults a machine ends in a diagnostic naming the
+// step op, at any worker count and on either tier: recorded with every
+// Den = 5, then edited so instance 3 divides by zero in the first epoch.
+TEST(Replay, FaultingStepIsADiagnostic) {
+  Journal recorded;
+  const auto image = testcharts::divImage();
+  {
+    fleet::FleetConfig config;
+    config.journal = true;
+    fleet::Fleet fleet(image, config);
+    for (const fleet::InstanceId id : fleet.spawnMany(8)) fleet.setInputPort(id, "Den", 5);
+    for (int epoch = 0; epoch < 3; ++epoch) {
+      for (fleet::InstanceId id = 0; id < 8; ++id) fleet.injectByName(id, "GO");
+      fleet.step(2);
+    }
+    std::string error;
+    ASSERT_TRUE(Journal::parse(fleet.journal()->dumpJson(), &recorded, &error)) << error;
+  }
+  std::vector<Op>& ops = recorded.mutableOps();
+  const auto port = std::find_if(ops.begin(), ops.end(), [](const Op& op) {
+    return op.kind == OpKind::kSetPort && op.instance == 3;
+  });
+  ASSERT_NE(port, ops.end());
+  port->b = 0;
+  const auto step = std::find_if(ops.begin(), ops.end(),
+                                 [](const Op& op) { return op.kind == OpKind::kStep; });
+  ASSERT_NE(step, ops.end());
+  const std::string expect =
+      strfmt("step op %zu faulted: ", static_cast<size_t>(step - ops.begin()));
+  for (const tep::jit::JitMode tier : {tep::jit::JitMode::kOff, tep::jit::JitMode::kAlways}) {
+    for (const int workers : {1, 8}) {
+      ReplayOptions options;
+      options.workerThreads = workers;
+      options.jitMode = tier;
+      const ReplayResult result = Replayer(&recorded, image).run(options);
+      EXPECT_FALSE(result.ok) << workers << " workers";
+      EXPECT_EQ(result.error.rfind(expect, 0), 0u) << result.error;
+      EXPECT_NE(result.error.find("division by zero"), std::string::npos) << result.error;
+      EXPECT_EQ(result.epochsReplayed, 0);
     }
   }
 }

@@ -114,7 +114,7 @@ TEST_F(TelemetryFleetTest, SnapshotAgreesWithMergedMetrics) {
   ASSERT_EQ(health.shards.size(), 1u);
 
   const MetricsRegistry merged = f->mergedMetrics();
-  EXPECT_EQ(health.totalMachineCycles(), merged.value("fleet.machine_cycles"));
+  EXPECT_EQ(health.total(&ShardHealth::machineCycles), merged.value("fleet.machine_cycles"));
   EXPECT_EQ(health.shards[0].eventsDelivered,
             merged.value("fleet.events_delivered"));
   EXPECT_EQ(health.shards[0].configCycles, merged.value("fleet.config_cycles"));

@@ -126,10 +126,10 @@ std::string renderDashboard(const obs::FleetHealth& health,
       static_cast<long long>(health.epochs), elapsedSec);
   out += strfmt(
       "fleet: %lld machine cycles, %lld drops, %lld steal chunks\n",
-      static_cast<long long>(health.totalMachineCycles()),
-      static_cast<long long>(health.totalEventsDropped()),
-      static_cast<long long>(health.totalStealChunks()));
-  const int64_t sleeping = health.totalSleepingInstances();
+      static_cast<long long>(health.total(&obs::ShardHealth::machineCycles)),
+      static_cast<long long>(health.total(&obs::ShardHealth::eventsDropped)),
+      static_cast<long long>(health.total(&obs::ShardHealth::stealChunks)));
+  const int64_t sleeping = health.total(&obs::ShardHealth::sleepingInstances);
   out += strfmt("sleep: %lld awake, %lld sleeping instances (last epoch)\n",
                 static_cast<long long>(std::max<int64_t>(health.liveInstances - sleeping, 0)),
                 static_cast<long long>(sleeping));
