@@ -272,9 +272,12 @@ int64_t Interp::evalIntrinsic(const Expr& e, Frame& frame) {
   if (e.name == "read_port")
     return static_cast<int64_t>(env_.readPort(hardwareNameOf(*e.children[0], frame)));
   if (e.name == "write_port") {
+    // The intrinsic takes a uint:16, so the machine writes the value's low
+    // 16 bits (a 16-bit Outp); the reference writes the same.
+    static const TypePtr kPortValue = Type::intType(16, false);
     const int64_t v = evalExpr(*e.children[1], frame);
     env_.writePort(hardwareNameOf(*e.children[0], frame),
-                   static_cast<uint32_t>(v));
+                   static_cast<uint32_t>(wrapToType(v, kPortValue)));
     return 0;
   }
   if (e.name == "in_state")

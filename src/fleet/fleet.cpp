@@ -597,9 +597,9 @@ void Fleet::buildStepLists(int cycles) {
 void Fleet::finishEpoch(int64_t epoch, int cycles) {
   for (size_t i = 0; i < stepList_.size(); ++i) {
     Instance& inst = *stepList_[i];
-    if (journal_ != nullptr)
-      for (const int event : inst.drained)
-        journal_->recordInject(static_cast<int64_t>(inst.id), event, epoch);
+    if (journal_ != nullptr && !inst.drained.empty())
+      journal_->recordDeliveries(static_cast<int64_t>(inst.id), inst.drained.data(),
+                                 inst.drained.size(), epoch);
     if (credits_[i] > 0) fallAsleep(inst, credits_[i]);
   }
   if (journal_ == nullptr) return;

@@ -275,13 +275,6 @@ void Journal::recordRetire(int64_t instance) {
   ops_.push_back({OpKind::kRetire, instance, 0, 0, 0});
 }
 
-uint64_t Journal::recordInject(int64_t instance, int eventBit, int64_t epoch) {
-  const uint64_t span = ++nextSpan_;
-  ops_.push_back({OpKind::kInject, instance, eventBit, epoch,
-                  static_cast<int64_t>(span)});
-  return span;
-}
-
 void Journal::recordStep(int64_t epoch, int cycles) {
   ops_.push_back({OpKind::kStep, -1, epoch, cycles, 0});
 }

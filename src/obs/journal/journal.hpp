@@ -37,6 +37,7 @@
 // holds the epoch loop to zero.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -143,8 +144,17 @@ class Journal {
   // All control-thread-only, called by Fleet between epochs.
   void recordSpawn(int64_t instance);
   void recordRetire(int64_t instance);
-  /// Returns the delivered event's span id (1-based, strictly increasing).
-  uint64_t recordInject(int64_t instance, int eventBit, int64_t epoch);
+  /// One kInject op per event of the `count` delivered to `instance` in
+  /// `epoch`, in order, each with the next span id (1-based, strictly
+  /// increasing): one capacity check per batch and no call per event, for
+  /// the fleet's per-epoch capture.
+  void recordDeliveries(int64_t instance, const int* events, size_t count, int64_t epoch) {
+    if (ops_.capacity() - ops_.size() < count)
+      ops_.reserve(std::max(ops_.size() + count, 2 * ops_.capacity()));
+    for (size_t i = 0; i < count; ++i)
+      ops_.push_back({OpKind::kInject, instance, events[i], epoch,
+                      static_cast<int64_t>(++nextSpan_)});
+  }
   void recordStep(int64_t epoch, int cycles);
   void recordSetPort(int64_t instance, int portAddress, uint32_t value);
   void recordSetCondition(int64_t instance, int conditionBit, bool value);

@@ -78,14 +78,11 @@ ChartImage::ChartImage(const statechart::Chart& chart,
   exclusionGroupCount_ = static_cast<int>(groupIds.size());
   if (arch_.numTeps > 1) hazards_ = analysis::replayHazards(chart, actions, app_, binding_);
   tier_ = std::make_unique<tep::jit::TierCache>(
-      &app_.program, &arch_, static_cast<int>(transitionCount));
+      &app_.program, &arch_, static_cast<int>(transitionCount), &portAddresses_);
 }
 
 int ChartImage::portSlot(int64_t address) const {
-  const auto it =
-      std::lower_bound(portAddresses_.begin(), portAddresses_.end(), address);
-  if (it == portAddresses_.end() || *it != address) return -1;
-  return static_cast<int>(it - portAddresses_.begin());
+  return tep::portSlotOf(portAddresses_, address);
 }
 
 // ------------------------------------------------------------- PscpMachine
@@ -663,7 +660,6 @@ bool PscpMachine::runAhead(Replay& replay, size_t tepIndex, TransitionId t,
   env.programSize = image_->app_.program.code.size();
   env.budgetLimit = kMaxMachineCycles;
   env.log = &replay.log;
-  env.logBus = contended;
   tep::jit::JitContext ctx;
   ctx.acc = core.acc();
   ctx.op = core.op();
@@ -676,12 +672,17 @@ bool PscpMachine::runAhead(Replay& replay, size_t tepIndex, TransitionId t,
   ctx.cycleBudget = kMaxMachineCycles - guard + 2;
   ctx.env = &env;
   ctx.mem = memory_.view(static_cast<int>(tepIndex));
+  ctx.logAt = replay.log.tail();
+  ctx.logEnd = replay.log.limit();
+  ctx.ports = ports_.data();
+  ctx.logBus = contended ? 1 : 0;
   LogCursor& cursor = replay.cursors[tepIndex];
   cursor.begin = replay.log.size();
   cursor.next = cursor.begin;
   currentTep_ = static_cast<int>(tepIndex);
   const int32_t status = fn(&ctx);
   currentTep_ = -1;
+  replay.log.setTail(ctx.logAt);
   // ACC/OP/flags carry over to the TEP's next routine, as on the interpreter.
   core.setArchState(ctx.acc, ctx.op, ctx.flagZ != 0, ctx.flagN != 0, ctx.flagC != 0);
   cursor.active = true;
@@ -735,7 +736,7 @@ int64_t PscpMachine::firstSharedBusCycle(const Replay& replay, const LogCursor& 
   // one step per cycle, so offsets line the two cursors up cycle by cycle.
   struct BusRuns {
     const LogCursor& c;
-    const std::vector<tep::jit::TimedEffect>& log;
+    const tep::jit::EffectLog& log;
     size_t k;
     int64_t lo = 0;
     int64_t hi = 0;

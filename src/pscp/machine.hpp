@@ -441,7 +441,7 @@ class PscpMachine : public tep::TepHost {
   /// logged (each run's entries contiguous, in step order) and a cursor per
   /// TEP. When `recording`, the loop appends its output to `steps`.
   struct Replay {
-    std::vector<tep::jit::TimedEffect> log;
+    tep::jit::EffectLog log;
     std::vector<LogCursor> cursors;
     bool recording = false;
     int64_t base = 0;  ///< the cycle's machine time at its start

@@ -23,6 +23,7 @@ constexpr int kR8 = 8, kR12 = 12, kR13 = 13, kR14 = 14, kR15 = 15;
 
 // Condition codes (for setcc 0F 90+cc / jcc 0F 80+cc).
 constexpr uint8_t kCcB = 0x2;   // below / carry set
+constexpr uint8_t kCcAe = 0x3;  // above or equal (unsigned)
 constexpr uint8_t kCcA = 0x7;   // above (unsigned)
 constexpr uint8_t kCcE = 0x4;   // equal / zero
 constexpr uint8_t kCcNe = 0x5;  // not equal
@@ -119,6 +120,12 @@ class Asm {
     byte(0x89);
     mem(src, base, disp);
   }
+  void movMI(int base, int32_t disp, int32_t imm) {  // mov dword [base+disp], imm32
+    rex(false, 0, 0, base);
+    byte(0xC7);
+    mem(0, base, disp);
+    i32(imm);
+  }
   void cmpM64I(int base, int32_t disp, int32_t imm) {  // cmp qword [..], imm32
     rex(true, 7, 0, base);
     byte(0x81);
@@ -198,6 +205,9 @@ class Asm {
 
   void notR(int r) { rex(false, 0, 0, r); byte(0xF7); modrm(3, 2, r); }
   void negR(int r) { rex(false, 0, 0, r); byte(0xF7); modrm(3, 3, r); }
+  void divR(int r) { rex(false, 0, 0, r); byte(0xF7); modrm(3, 6, r); }   // edx:eax / r
+  void idivR(int r) { rex(false, 0, 0, r); byte(0xF7); modrm(3, 7, r); }  // signed
+  void cdq() { byte(0x99); }  // edx = sign of eax
   void imulRR(int dst, int src) {
     rex(false, dst, 0, src);
     byte(0x0F);
@@ -281,12 +291,14 @@ class Asm {
 
 class RoutineEmitter {
  public:
-  explicit RoutineEmitter(const IrRoutine& r) : r_(r) {}
+  RoutineEmitter(const IrRoutine& r, const std::vector<int>& portAddresses)
+      : r_(r), portAddresses_(portAddresses) {}
 
   EmitResult run();
 
  private:
   const IrRoutine& r_;
+  const std::vector<int>& portAddresses_;
   Asm a_;
   std::map<int, int> anchorLabel_;  ///< ISA index -> label
   std::map<int, int> runoffLabel_;  ///< invalid target -> stub label
@@ -298,9 +310,12 @@ class RoutineEmitter {
   void helperCall(const void* fn, int nargs, const int32_t* immArgs,
                   const int* regArgs);
   void finishValueFlags(const IrInst& in, int w);
-  void inlineInternal(const IrInst& in, bool store, int r, int done);
+  void logRoom(int full);
+  void appendEffect(int32_t stepOffset, int32_t arg, int valueReg, TimedEffect::Kind kind);
+  void inlineMemory(const IrInst& in, bool store, int r, int done);
   void emitInst(const IrInst& in);
   void emitAlu(const IrInst& in);
+  void emitDivMod(const IrInst& in);
   void emitShift(const IrInst& in);
   void emitCmp(const IrInst& in);
   void emitBranch(const IrInst& in);
@@ -358,39 +373,94 @@ void RoutineEmitter::finishValueFlags(const IrInst& in, int w) {
   if (in.dst >= 0) a_.movRR(vregReg(in.dst), kRax);
 }
 
-/// Bytes a memory op moves when it may take the inline internal path (1,
-/// 2 or 4, and for a static address one inside the internal range), else 0.
-int inlineBytes(const IrInst& in) {
-  const int bytes = in.imm2 & 0xFF;
-  if (bytes != 1 && bytes != 2 && bytes != 4) return 0;
-  const bool dynamic = in.op == IrOp::kLoadAt || in.op == IrOp::kStoreAt;
-  if (!dynamic && (in.imm < 0 || in.imm > kExternalBase - bytes)) return 0;
-  return bytes;
+/// rax = the effect log's cursor; jump to `full` when it has no room for
+/// one more entry (the helper the caller emits there grows the log).
+void RoutineEmitter::logRoom(int full) {
+  a_.movRM64(kRax, kR14, kCtxLogAt);
+  a_.cmpR64M(kRax, kR14, kCtxLogEnd);
+  a_.jccLabel(kCcAe, full);
 }
 
-/// The inline internal path of a load or store: one bounds check that the
-/// access's bytes lie wholly inside the TEP's in-layout internal bank, then
-/// `r` moves to or from the cell and control jumps to `done`. Anything else
-/// (tail, straddling, external, unmapped, 3-byte) falls through to the
-/// helper call the caller emits next.
-void RoutineEmitter::inlineInternal(const IrInst& in, bool store, int r, int done) {
-  const int bytes = inlineBytes(in);
-  if (bytes == 0) return;
+/// Write a timed effect at the cursor in rax (checked by logRoom) and
+/// advance the cursor: step r13 + `stepOffset`, `arg`, the value in
+/// `valueReg` (0 when < 0) and `kind`. Clobbers ecx.
+void RoutineEmitter::appendEffect(int32_t stepOffset, int32_t arg, int valueReg,
+                                  TimedEffect::Kind kind) {
+  a_.movRR(kRcx, kR13);
+  if (stepOffset != 0) a_.addRI(kRcx, stepOffset);
+  a_.movMR(kRax, kEffectStep, kRcx);
+  a_.movMI(kRax, kEffectArg, arg);
+  if (valueReg >= 0)
+    a_.movMR(kRax, kEffectValue, valueReg);
+  else
+    a_.movMI(kRax, kEffectValue, 0);
+  a_.movMI(kRax, kEffectKind, static_cast<int32_t>(kind));
+  a_.addR64I(kRax, kEffectSize);
+  a_.movMR64(kR14, kCtxLogAt, kRax);
+}
+
+/// The inline paths of a load or store of 1, 2 or 4 bytes: one bounds
+/// check that the access's bytes lie wholly inside the in-layout prefix of
+/// a bank, then `r` moves to or from the cell and control jumps to `done`.
+/// An access to the external bank first appends its bus entry, when logBus
+/// is set, and afterwards pays one wait state per chunk, as the helper
+/// does. A static address is checked against its own bank only, a dynamic
+/// one (in r15) against the internal bank, then the external one. Anything
+/// else (tail, straddling, unmapped, 3-byte, or a bus entry that finds the
+/// log full) falls through to the helper call the caller emits next. eax
+/// and ecx are scratch, so a stored value must be in edx.
+void RoutineEmitter::inlineMemory(const IrInst& in, bool store, int r, int done) {
+  const int bytes = in.imm2 & 0xFF;
+  if (bytes != 1 && bytes != 2 && bytes != 4) return;
   const bool dynamic = in.op == IrOp::kLoadAt || in.op == IrOp::kStoreAt;
+  const bool internal = dynamic || (in.imm >= 0 && in.imm <= kExternalBase - bytes);
+  const bool external =
+      dynamic || (in.imm >= kExternalBase && in.imm <= kExternalBase + kExternalSize - bytes);
+  if (!internal && !external) return;
   const int slow = a_.newLabel();
-  if (dynamic) {
-    // Zero-extended, a negative address is far above any bank size.
-    a_.movRR(kRax, kR15);
-    a_.addR64I(kRax, bytes);
-    a_.cmpR64M(kRax, kR14, kCtxInternalSize);
-    a_.jccLabel(kCcA, slow);
-  } else {
-    a_.cmpM64I(kR14, kCtxInternalSize, in.imm + bytes);
-    a_.jccLabel(kCcB, slow);
+  if (internal) {
+    const int miss = dynamic ? a_.newLabel() : slow;
+    if (dynamic) {
+      // Zero-extended, a negative address is far above any bank size.
+      a_.movRR(kRax, kR15);
+      a_.addR64I(kRax, bytes);
+      a_.cmpR64M(kRax, kR14, kCtxInternalSize);
+      a_.jccLabel(kCcA, miss);
+    } else {
+      a_.cmpM64I(kR14, kCtxInternalSize, in.imm + bytes);
+      a_.jccLabel(kCcB, miss);
+    }
+    a_.movRM64(kRcx, kR14, kCtxInternal);
+    a_.movCell(store, bytes, r, kRcx, dynamic ? kR15 : -1, dynamic ? 0 : in.imm);
+    a_.jmpLabel(done);
+    if (dynamic) a_.bind(miss);
   }
-  a_.movRM64(kRcx, kR14, kCtxInternal);
-  a_.movCell(store, bytes, r, kRcx, dynamic ? kR15 : -1, dynamic ? 0 : in.imm);
-  a_.jmpLabel(done);
+  if (external) {
+    if (dynamic) {
+      // Below kExternalBase the 32-bit difference wraps far above any size.
+      a_.movRR(kRax, kR15);
+      a_.addRI(kRax, -kExternalBase);
+      a_.addR64I(kRax, bytes);
+      a_.cmpR64M(kRax, kR14, kCtxExternalSize);
+      a_.jccLabel(kCcA, slow);
+    } else {
+      a_.cmpM64I(kR14, kCtxExternalSize, in.imm - kExternalBase + bytes);
+      a_.jccLabel(kCcB, slow);
+    }
+    const int chunks = (in.imm2 >> 8) & 0xFF;
+    const int lead = (in.imm2 >> 16) & 0xFF;
+    const int unlogged = a_.newLabel();
+    a_.cmpByteMI(kR14, kCtxLogBus, 0);
+    a_.jccLabel(kCcE, unlogged);
+    logRoom(slow);
+    appendEffect(-lead, 2 * chunks, -1, TimedEffect::Kind::kBus);
+    a_.bind(unlogged);
+    a_.movRM64(kRcx, kR14, kCtxExternal);
+    a_.movCell(store, bytes, r, kRcx, dynamic ? kR15 : -1,
+               dynamic ? -kExternalBase : in.imm - kExternalBase);
+    a_.addR64I(kR13, chunks);
+    a_.jmpLabel(done);
+  }
   a_.bind(slow);
 }
 
@@ -429,6 +499,55 @@ void RoutineEmitter::emitAlu(const IrInst& in) {
       a_.setccM(kCcB, kR14, kCtxFlagC);
     }
   }
+  finishValueFlags(in, w);
+}
+
+/// Division in place at every width, on the operands masked (unsigned) or
+/// sign-extended (signed) to the width. A masked zero divisor, and
+/// INT32_MIN / -1 at width 32 (the host instruction traps), take the
+/// helper, which raises the interpreter's diagnostic or wraps.
+void RoutineEmitter::emitDivMod(const IrInst& in) {
+  const int w = in.width;
+  const int slow = a_.newLabel();
+  const int done = a_.newLabel();
+  a_.movRR(kRax, vregReg(in.src1));
+  a_.movRR(kRcx, vregReg(in.src2));
+  if (w < 32)
+    a_.andRI(kRcx, maskBits(w));
+  else
+    a_.testRR(kRcx, kRcx);
+  a_.jccLabel(kCcE, slow);
+  if (in.signedOp) {
+    if (w < 32) {
+      const auto shift = static_cast<uint8_t>(32 - w);
+      a_.shlRI(kRax, shift);
+      a_.sarRI(kRax, shift);
+      a_.shlRI(kRcx, shift);
+      a_.sarRI(kRcx, shift);
+    } else {
+      const int fits = a_.newLabel();
+      a_.aluRI(7 /*cmp*/, kRcx, -1);
+      a_.jccLabel(kCcNe, fits);
+      a_.aluRI(7 /*cmp*/, kRax, INT32_MIN);
+      a_.jccLabel(kCcE, slow);
+      a_.bind(fits);
+    }
+    a_.cdq();
+    a_.idivR(kRcx);
+  } else {
+    if (w < 32) a_.andRI(kRax, maskBits(w));
+    a_.xorRR(kRdx, kRdx);
+    a_.divR(kRcx);
+  }
+  if (!in.isDiv) a_.movRR(kRax, kRdx);
+  a_.jmpLabel(done);
+  a_.bind(slow);
+  const int32_t packed = in.width | (in.signedOp ? 1 << 8 : 0) | (in.isDiv ? 1 << 9 : 0);
+  const int32_t imms[4] = {0, 0, packed, in.imm};
+  const int regs[4] = {vregReg(in.src1), vregReg(in.src2), -1, -1};
+  helperCall(reinterpret_cast<const void*>(&pscpJitDivMod), 4, imms, regs);
+  a_.movRM(kRax, kR14, kCtxHvalue);
+  a_.bind(done);
   finishValueFlags(in, w);
 }
 
@@ -575,20 +694,13 @@ void RoutineEmitter::emitInst(const IrInst& in) {
     case IrOp::kCmp:
       emitCmp(in);
       break;
-    case IrOp::kDivMod: {
-      const int32_t packed = in.width | (in.signedOp ? 1 << 8 : 0) |
-                             (in.isDiv ? 1 << 9 : 0);
-      const int32_t imms[4] = {0, 0, packed, in.imm};
-      const int regs[4] = {vregReg(in.src1), vregReg(in.src2), -1, -1};
-      helperCall(reinterpret_cast<const void*>(&pscpJitDivMod), 4, imms, regs);
-      a_.movRM(kRax, kR14, kCtxHvalue);
-      finishValueFlags(in, in.width);
+    case IrOp::kDivMod:
+      emitDivMod(in);
       break;
-    }
     case IrOp::kLoad:
     case IrOp::kLoadAt: {
       const int done = a_.newLabel();
-      inlineInternal(in, false, kRax, done);
+      inlineMemory(in, false, kRax, done);
       const int32_t imms[2] = {in.imm, in.imm2};
       const int regs[2] = {in.op == IrOp::kLoadAt ? vregReg(in.src1) : -1, -1};
       helperCall(reinterpret_cast<const void*>(&pscpJitLoad), 2, imms, regs);
@@ -604,27 +716,11 @@ void RoutineEmitter::emitInst(const IrInst& in) {
       a_.movRR(kRdx, vregReg(valueVreg));
       if (in.width < 32) a_.andRI(kRdx, m);
       const int done = a_.newLabel();
-      inlineInternal(in, true, kRdx, done);
-      // Arg 1 (edx) is already in place; helperCall skips it via reg -2.
+      inlineMemory(in, true, kRdx, done);
+      // The value (arg 2, edx) is already in place.
       const int32_t imms[3] = {in.imm, 0, in.imm2};
-      const int regs[3] = {in.op == IrOp::kStoreAt ? vregReg(in.src1) : -1, -2, -1};
-      // -2 sentinel: leave the register untouched.
-      static constexpr int kArgReg[4] = {kRsi, kRdx, kRcx, kR8};
-      a_.movMR64(kR14, kCtxCycles, kR13);
-      a_.movRR64(kRdi, kR14);
-      for (int i = 0; i < 3; ++i) {
-        if (regs[i] == -2) continue;
-        if (regs[i] >= 0)
-          a_.movRR(kArgReg[i], regs[i]);
-        else
-          a_.movRI(kArgReg[i], static_cast<uint32_t>(imms[i]));
-      }
-      a_.movRI64(kRax, reinterpret_cast<uint64_t>(
-                           reinterpret_cast<const void*>(&pscpJitStore)));
-      a_.callR64(kRax);
-      a_.testRR(kRax, kRax);
-      a_.jccLabel(kCcNe, errExit_);
-      a_.movRM64(kR13, kR14, kCtxCycles);
+      const int regs[3] = {in.op == IrOp::kStoreAt ? vregReg(in.src1) : -1, kRdx, -1};
+      helperCall(reinterpret_cast<const void*>(&pscpJitStore), 3, imms, regs);
       a_.bind(done);
       break;
     }
@@ -643,6 +739,11 @@ void RoutineEmitter::emitInst(const IrInst& in) {
       a_.movMR(kRax, 4 * in.imm, kRdx);
       break;
     case IrOp::kPortRead: {
+      if (const int slot = portSlotOf(portAddresses_, in.imm); slot >= 0) {
+        a_.movRM64(kRax, kR14, kCtxPorts);
+        a_.movRM(vregReg(in.dst), kRax, 4 * slot);
+        break;
+      }
       const int32_t imms[1] = {in.imm};
       helperCall(reinterpret_cast<const void*>(&pscpJitPortRead), 1, imms, nullptr);
       // PortRead loads ACC unmasked, exactly like the interpreter.
@@ -652,14 +753,34 @@ void RoutineEmitter::emitInst(const IrInst& in) {
     case IrOp::kPortWrite: {
       a_.movRR(kRdx, vregReg(in.src1));
       if (in.width < 32) a_.andRI(kRdx, m);
+      const int done = a_.newLabel();
+      if (const int slot = portSlotOf(portAddresses_, in.imm); slot >= 0) {
+        // Latched now so the routine reads back its own write; the write
+        // itself happens when the replay reaches its entry.
+        const int full = a_.newLabel();
+        logRoom(full);
+        a_.movRM64(kRcx, kR14, kCtxPorts);
+        a_.movMR(kRcx, 4 * slot, kRdx);
+        appendEffect(in.imm2, in.imm, kRdx, TimedEffect::Kind::kPortWrite);
+        a_.jmpLabel(done);
+        a_.bind(full);
+      }
       const int32_t imms[3] = {in.imm, 0, in.imm2};
       const int regs[3] = {-1, kRdx, -1};
       helperCall(reinterpret_cast<const void*>(&pscpJitPortWrite), 3, imms, regs);
+      a_.bind(done);
       break;
     }
     case IrOp::kEvSet: {
+      const int full = a_.newLabel();
+      const int done = a_.newLabel();
+      logRoom(full);
+      appendEffect(in.imm2, in.imm, -1, TimedEffect::Kind::kRaise);
+      a_.jmpLabel(done);
+      a_.bind(full);
       const int32_t imms[2] = {in.imm, in.imm2};
       helperCall(reinterpret_cast<const void*>(&pscpJitEvSet), 2, imms, nullptr);
+      a_.bind(done);
       break;
     }
     case IrOp::kCondSet: {
@@ -824,8 +945,8 @@ EmitResult RoutineEmitter::run() {
 
 }  // namespace
 
-EmitResult emitX64(const ir::IrRoutine& routine) {
-  return RoutineEmitter(routine).run();
+EmitResult emitX64(const ir::IrRoutine& routine, const std::vector<int>& portAddresses) {
+  return RoutineEmitter(routine, portAddresses).run();
 }
 
 }  // namespace pscp::tep::jit
@@ -834,8 +955,9 @@ EmitResult emitX64(const ir::IrRoutine& routine) {
 
 namespace pscp::tep::jit {
 
-EmitResult emitX64(const ir::IrRoutine& routine) {
+EmitResult emitX64(const ir::IrRoutine& routine, const std::vector<int>& portAddresses) {
   (void)routine;
+  (void)portAddresses;
   EmitResult res;
   res.error = "native tier unavailable on this build";
   return res;

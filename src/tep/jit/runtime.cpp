@@ -1,14 +1,37 @@
 #include "tep/jit/runtime.hpp"
 
+#include <algorithm>
+
 #include "support/bits.hpp"
 #include "support/diag.hpp"
 #include "tep/isa.hpp"
 
 namespace pscp::tep::jit {
 
+void EffectLog::grow() {
+  const size_t capacity = std::max(kInitialCapacity, 2 * capacity_);
+  auto data = std::make_unique<TimedEffect[]>(capacity);
+  std::copy_n(data_.get(), size_, data.get());
+  data_ = std::move(data);
+  capacity_ = capacity;
+}
+
 namespace {
 
 JitEnv* envOf(JitContext* ctx) { return ctx->env; }
+
+/// Append `e` at the context's log cursor, growing the log when it is full
+/// (the emitted code's room check sent the effect here).
+void appendEffect(JitContext* ctx, const TimedEffect& e) {
+  if (ctx->logAt == ctx->logEnd) {
+    EffectLog& log = *ctx->env->log;
+    log.setTail(ctx->logAt);
+    log.grow();
+    ctx->logAt = log.tail();
+    ctx->logEnd = log.limit();
+  }
+  *ctx->logAt++ = e;
+}
 
 /// A data-memory operand's place in the interpreter's step sequence. The
 /// helper runs after its instruction's microprogram length was charged,
@@ -23,9 +46,9 @@ struct MemAccess {
         external(isExternalAddress(addr)),
         firstStep(ctx->cycles - ((packed >> 16) & 0xFF)) {
     // Externality is decided by the base address, like needsExternalBus(mar).
-    if (external && env->logBus)
-      env->log->push_back({static_cast<int32_t>(firstStep), 2 * chunks, 0,
-                           TimedEffect::Kind::kBus});
+    if (external && ctx->logBus != 0)
+      appendEffect(ctx, {static_cast<int32_t>(firstStep), 2 * chunks, 0,
+                         TimedEffect::Kind::kBus});
   }
 
   /// The step whose access touches byte `i` (where a fault on it lands).
@@ -118,15 +141,15 @@ int32_t pscpJitPortWrite(JitContext* ctx, int32_t port, uint32_t value,
     // Latched now so the routine reads back its own write; the write
     // itself (log record, timestamp) happens when the replay reaches it.
     env->host->latchPort(port, value);
-    env->log->push_back({static_cast<int32_t>(ctx->cycles + skew), port, value,
-                         TimedEffect::Kind::kPortWrite});
+    appendEffect(ctx, {static_cast<int32_t>(ctx->cycles + skew), port, value,
+                       TimedEffect::Kind::kPortWrite});
   });
 }
 
 int32_t pscpJitEvSet(JitContext* ctx, int32_t index, int32_t skew) noexcept {
-  return guarded(ctx, [&](JitEnv* env) {
-    env->log->push_back(
-        {static_cast<int32_t>(ctx->cycles + skew), index, 0, TimedEffect::Kind::kRaise});
+  return guarded(ctx, [&](JitEnv*) {
+    appendEffect(ctx,
+                 {static_cast<int32_t>(ctx->cycles + skew), index, 0, TimedEffect::Kind::kRaise});
   });
 }
 
@@ -157,8 +180,9 @@ int32_t pscpJitDivMod(JitContext* ctx, uint32_t a, uint32_t b, int32_t packed,
       fail("TEP%d: division by zero at PC %d", env->tepId, pc);
     uint32_t result = 0;
     if (isSigned) {
-      const int32_t sa = signExtend(a & mask, w);
-      const int32_t sb = signExtend(b & mask, w);
+      // In 64 bits: INT32_MIN / -1 wraps to INT32_MIN (remainder 0).
+      const int64_t sa = signExtend(a & mask, w);
+      const int64_t sb = signExtend(b & mask, w);
       result = static_cast<uint32_t>(isDiv ? sa / sb : sa % sb);
     } else {
       const uint32_t ua = a & mask;

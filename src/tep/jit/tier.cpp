@@ -39,8 +39,11 @@ JitMode jitModeFromEnv() {
 }
 
 TierCache::TierCache(const AsmProgram* program, const hwlib::ArchConfig* config,
-                     int transitionCount)
-    : program_(program), config_(config), count_(transitionCount) {
+                     int transitionCount, const std::vector<int>* portAddresses)
+    : program_(program),
+      config_(config),
+      portAddresses_(portAddresses),
+      count_(transitionCount) {
   PSCP_ASSERT(transitionCount >= 0);
   if (count_ > 0) slots_ = std::make_unique<Slot[]>(static_cast<size_t>(count_));
 }
@@ -83,7 +86,7 @@ CompiledFn TierCache::compileSlot(Slot& slot, int entry, std::string* reason) {
   if (!lowered.ok) {
     why = "lowering: " + lowered.reason;
   } else {
-    EmitResult emitted = emitX64(lowered.routine);
+    EmitResult emitted = emitX64(lowered.routine, *portAddresses_);
     if (!emitted.ok) {
       why = "emit: " + emitted.error;
     } else if (slot.buf.install(emitted.code, &why)) {

@@ -68,8 +68,10 @@ struct TierResidency {
 /// publishes with release ordering.
 class TierCache {
  public:
+  /// `portAddresses` is the image's port map (sorted); the emitter
+  /// resolves a declared port's slot in it at compile time.
   TierCache(const AsmProgram* program, const hwlib::ArchConfig* config,
-            int transitionCount);
+            int transitionCount, const std::vector<int>* portAddresses);
 
   /// The routine's native entry point, compiled on its first dispatch.
   /// nullptr means "no native code for this run": the backend is
@@ -93,6 +95,7 @@ class TierCache {
 
   const AsmProgram* program_;
   const hwlib::ArchConfig* config_;
+  const std::vector<int>* portAddresses_;
   std::unique_ptr<Slot[]> slots_;
   int count_ = 0;
   std::mutex compileMutex_;

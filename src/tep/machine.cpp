@@ -1,5 +1,7 @@
 #include "tep/machine.hpp"
 
+#include <algorithm>
+
 #include "support/bits.hpp"
 
 namespace pscp::tep {
@@ -100,6 +102,12 @@ void SimpleHost::writeByte(int32_t addr, uint8_t value) {
 uint32_t SimpleHost::readReg(int index) const { return memory_.reg(0, index); }
 
 void SimpleHost::writeReg(int index, uint32_t value) { memory_.setReg(0, index, value); }
+
+int portSlotOf(const std::vector<int>& portMap, int64_t address) {
+  const auto it = std::lower_bound(portMap.begin(), portMap.end(), address);
+  if (it == portMap.end() || *it != address) return -1;
+  return static_cast<int>(it - portMap.begin());
+}
 
 uint32_t SimpleHost::readPort(int address) { return ports[address]; }
 
@@ -339,8 +347,9 @@ void Tep::execMicroOp(const MicroInstr& mi) {
         fail("TEP%d: division by zero at PC %d", id_, pc_ - 1);
       uint32_t result = 0;
       if (isSigned) {
-        const int32_t a = signExtend(acc_ & mask, w);
-        const int32_t b = signExtend(op_ & mask, w);
+        // In 64 bits: INT32_MIN / -1 wraps to INT32_MIN (remainder 0).
+        const int64_t a = signExtend(acc_ & mask, w);
+        const int64_t b = signExtend(op_ & mask, w);
         result = static_cast<uint32_t>(isDiv ? a / b : a % b);
       } else {
         const uint32_t a = acc_ & mask;

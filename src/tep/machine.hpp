@@ -94,6 +94,11 @@ class DataMemory {
   std::vector<std::unique_ptr<uint8_t[]>> tails_;
 };
 
+/// The slot of port `address` in `portMap` (declared bus addresses, sorted
+/// and unique), or -1 when none is declared there. A machine keeps one
+/// port value per slot, and native code reads and latches it in place.
+[[nodiscard]] int portSlotOf(const std::vector<int>& portMap, int64_t address);
+
 /// Everything outside the TEP core: memory, ports, CR. One host is shared
 /// by all TEPs of a PSCP instance.
 class TepHost {

@@ -43,8 +43,13 @@ Journal makeSampleJournal() {
   j.addCheckpointInstance(0, cr);
   j.addCheckpointInstance(1, cr);
   j.endCheckpoint();
-  EXPECT_EQ(j.recordInject(0, 2, 1), 1u);
-  EXPECT_EQ(j.recordInject(1, 5, 1), 2u);
+  const int toFirst = 2;
+  const int toSecond = 5;
+  j.recordDeliveries(0, &toFirst, 1, 1);
+  EXPECT_EQ(j.spanCount(), 1u);
+  j.recordDeliveries(1, &toSecond, 1, 1);
+  EXPECT_EQ(j.spanCount(), 2u);
+  EXPECT_EQ(j.ops().back().c, 2);  // the span id
   j.recordStep(1, 4);
   j.recordRetire(1);
   return j;

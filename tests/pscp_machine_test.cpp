@@ -434,5 +434,107 @@ TEST(PscpPorts, FarDeclaredAddressRoundTripsThroughThePortMap) {
   EXPECT_EQ(m.outputPort("Far"), 7u);
 }
 
+// ------------------------------------------------ arithmetic and port edges
+
+const char* kDivMinChart = R"chart(
+chart DivMin;
+event GO;
+port A data in width 32 address 0x20;
+port B data in width 32 address 0x21;
+orstate Top { contains S; default S; }
+basicstate S { transition { target S; label "GO/Divide()"; } }
+)chart";
+
+const char* kDivMinActions = R"code(
+int:32 q;
+int:32 r;
+void Divide() {
+  int:32 a = read_port(A);
+  int:32 b = read_port(B);
+  q = a / b;
+  r = a % b;
+}
+)code";
+
+// INT32_MIN / -1 overflows int32: both tiers divide in 64 bits and wrap
+// like the reference (quotient INT32_MIN, remainder 0) instead of trapping.
+TEST(PscpArithmetic, Int32MinOverMinusOneWrapsOnEveryTier) {
+  const statechart::Chart chart = statechart::parseChart(kDivMinChart);
+  const actionlang::Program actions = actionlang::parseActionSource(kDivMinActions);
+  using tep::jit::JitMode;
+  for (const int teps : {1, 2})
+    for (const JitMode mode : {JitMode::kOff, JitMode::kAlways}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "teps=" << teps << " jit=" << tep::jit::jitModeName(mode));
+      core::ReferenceSystem ref(chart, actions);
+      hwlib::ArchConfig arch = archOf(32, true, teps);
+      PscpMachine m(chart, actions, arch);
+      m.setJitMode(mode);
+      struct Case {
+        uint32_t a, b;
+        int64_t q, r;
+      };
+      const Case cases[] = {{0x80000000u, 0xFFFFFFFFu, INT32_MIN, 0},
+                            {0x80000000u, 1u, INT32_MIN, 0},
+                            {7u, 0xFFFFFFFFu, -7, 0},
+                            {0xFFFFFFF9u, 2u, -3, -1}};
+      for (const Case& c : cases) {
+        ref.setInputPort("A", c.a);
+        ref.setInputPort("B", c.b);
+        m.setInputPort("A", c.a);
+        m.setInputPort("B", c.b);
+        (void)ref.step({"GO"});
+        EXPECT_EQ(m.configurationCycle({"GO"}).fired.size(), 1u);
+        EXPECT_EQ(ref.globalValue("q"), c.q) << c.a << " / " << c.b;
+        EXPECT_EQ(ref.globalValue("r"), c.r) << c.a << " % " << c.b;
+        EXPECT_EQ(m.globalValue("q"), ref.globalValue("q")) << c.a << " / " << c.b;
+        EXPECT_EQ(m.globalValue("r"), ref.globalValue("r")) << c.a << " % " << c.b;
+      }
+      if (mode == JitMode::kAlways && tep::jit::jitBackendAvailable()) {
+        EXPECT_GT(m.jitNativeRuns(), 0);
+      }
+    }
+}
+
+const char* kPortWrapChart = R"chart(
+chart PortWrap;
+event NEG; event BIG;
+port Out data out width 16 address 0x22;
+orstate Top { contains S; default S; }
+basicstate S {
+  transition { target S; label "NEG/Negative()"; }
+  transition { target S; label "BIG/Big()"; }
+}
+)chart";
+
+const char* kPortWrapActions = R"code(
+void Negative() { int:16 x = -14; write_port(Out, x); }
+void Big() { int:32 y = 70000; write_port(Out, y); }
+)code";
+
+// write_port takes a uint:16: the machine's 16-bit Outp and the reference
+// write the same low 16 bits of a negative or wider value.
+TEST(PscpPorts, WritePortWritesTheSameValueOnEveryTier) {
+  const statechart::Chart chart = statechart::parseChart(kPortWrapChart);
+  const actionlang::Program actions = actionlang::parseActionSource(kPortWrapActions);
+  using tep::jit::JitMode;
+  for (const int teps : {1, 2})
+    for (const JitMode mode : {JitMode::kOff, JitMode::kAlways}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "teps=" << teps << " jit=" << tep::jit::jitModeName(mode));
+      core::ReferenceSystem ref(chart, actions);
+      PscpMachine m(chart, actions, archOf(16, true, teps));
+      m.setJitMode(mode);
+      const std::pair<const char*, uint32_t> cases[] = {{"NEG", 0xFFF2u},
+                                                        {"BIG", 70000u & 0xFFFFu}};
+      for (const auto& [event, expected] : cases) {
+        (void)ref.step({event});
+        EXPECT_EQ(m.configurationCycle({event}).fired.size(), 1u);
+        EXPECT_EQ(ref.outputPort("Out"), expected) << event;
+        EXPECT_EQ(m.outputPort("Out"), ref.outputPort("Out")) << event;
+      }
+    }
+}
+
 }  // namespace
 }  // namespace pscp::machine

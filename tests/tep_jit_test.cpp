@@ -91,26 +91,74 @@ std::string raiseAt(int64_t step, int index) {
 }
 
 /// SimpleHost that notes each external-bus request, port write and raise
-/// at the interpreter step the harness is running.
+/// at the interpreter step the harness is running. Like a machine, it keeps
+/// the values of its declared ports in an array by slot, which native code
+/// reads and latches in place (JitContext::ports); other addresses go to
+/// SimpleHost's map, or fail like a machine's undeclared port when
+/// `strictPorts` is set.
 class TimedHost : public SimpleHost {
  public:
   using SimpleHost::SimpleHost;
+
+  /// The port map routines run against: 0 and 1 are declared (native code
+  /// reaches them in place), 2 and 3 are not (it calls the helper).
+  static const std::vector<int>& declaredPorts() {
+    static const std::vector<int> ports = {0, 1};
+    return ports;
+  }
 
   bool acquireExternalBus(int /*tepId*/) override {
     timed.push_back(busAt(step));
     return true;
   }
+  uint32_t readPort(int address) override {
+    ++portReads;
+    if (uint32_t* v = declaredPort(address, "TEP read of")) return *v;
+    return SimpleHost::readPort(address);
+  }
   void writePort(int address, uint32_t value) override {
-    SimpleHost::writePort(address, value);
+    setPort(address, value);
     timed.push_back(portAt(step, address, value));
+  }
+  void latchPort(int address, uint32_t value) override {
+    ++portLatches;
+    setPort(address, value);
   }
   void raiseEvent(int index) override {
     SimpleHost::raiseEvent(index);
     timed.push_back(raiseAt(step, index));
   }
+  /// Give port `address` a value without writing it.
+  void seedPort(int address, uint32_t value) {
+    if (uint32_t* v = declaredPort(address, "seed of"))
+      *v = value;
+    else
+      ports[address] = value;
+  }
 
   int64_t step = 0;
   std::vector<std::string> timed;
+  bool strictPorts = false;
+  uint32_t portValues[2] = {0, 0};  ///< by slot in declaredPorts()
+  /// readPort and latchPort calls: native code makes them only through
+  /// the helpers (a routine's writes reach writePort from the replay).
+  int portReads = 0;
+  int portLatches = 0;
+
+ private:
+  void setPort(int address, uint32_t value) {
+    if (uint32_t* v = declaredPort(address, "TEP write to"))
+      *v = value;
+    else
+      SimpleHost::latchPort(address, value);
+  }
+  uint32_t* declaredPort(int address, const char* access) {
+    const std::vector<int>& declared = declaredPorts();
+    for (size_t slot = 0; slot < declared.size(); ++slot)
+      if (declared[slot] == address) return &portValues[slot];
+    if (strictPorts) fail("PSCP: %s undeclared port address %d", access, address);
+    return nullptr;
+  }
 };
 
 TierRun runInterp(const AsmProgram& prog, int entry,
@@ -145,20 +193,22 @@ TierRun runInterp(const AsmProgram& prog, int entry,
   return r;
 }
 
-/// Compile and run natively, then perform the logged port writes and
-/// raises on `host` in log order, as the machine's replay does. Returns
-/// false (with `reject` set) when the routine is rejected by
-/// lowering/emission — never an error, the caller just can't diff this
-/// case.
+/// Compile and run natively over `host`'s port map, then perform the
+/// logged port writes and raises on `host` in log order, as the machine's
+/// replay does. Returns false (with `reject` set) when the routine is
+/// rejected by lowering/emission — never an error, the caller just can't
+/// diff this case. `logBus` is the context's flag; `logSize`, when given,
+/// receives the number of entries the run logged.
 bool runNative(const AsmProgram& prog, int entry,
-               const hwlib::ArchConfig& config, SimpleHost& host,
-               int64_t budget, TierRun* out, std::string* reject) {
+               const hwlib::ArchConfig& config, TimedHost& host,
+               int64_t budget, TierRun* out, std::string* reject,
+               bool logBus = true, size_t* logSize = nullptr) {
   const ir::LowerResult low = ir::lowerRoutine(prog, entry, config);
   if (!low.ok) {
     *reject = "lowering: " + low.reason;
     return false;
   }
-  const jit::EmitResult em = jit::emitX64(low.routine);
+  const jit::EmitResult em = jit::emitX64(low.routine, TimedHost::declaredPorts());
   if (!em.ok) {
     *reject = "emit: " + em.error;
     return false;
@@ -169,7 +219,7 @@ bool runNative(const AsmProgram& prog, int entry,
     *reject = "install: " + err;
     return false;
   }
-  std::vector<jit::TimedEffect> log;
+  jit::EffectLog log;
   jit::JitEnv env;
   env.host = &host;
   env.config = &config;
@@ -181,9 +231,15 @@ bool runNative(const AsmProgram& prog, int entry,
   ctx.cycleBudget = budget;
   ctx.env = &env;
   ctx.mem = host.memView(0);
+  ctx.logAt = log.tail();
+  ctx.logEnd = log.limit();
+  ctx.ports = host.portValues;
+  ctx.logBus = logBus ? 1 : 0;
   const auto fn =
       reinterpret_cast<jit::CompiledFn>(const_cast<void*>(buf.entry()));
   const int32_t status = fn(&ctx);
+  EXPECT_LE(ctx.logAt, ctx.logEnd) << "the log cursor ran past the log's capacity";
+  log.setTail(ctx.logAt);
   TierRun r;
   if (status == 0) {
     r.completed = true;
@@ -209,6 +265,7 @@ bool runNative(const AsmProgram& prog, int entry,
         break;
     }
   }
+  if (logSize != nullptr) *logSize = log.size();
   r.acc = ctx.acc;
   r.op = ctx.op;
   r.z = ctx.flagZ != 0;
@@ -238,34 +295,50 @@ struct HostShape {
 const HostShape kHostShapes[] = {{kExternalBase, kExternalSize, "full-size banks"},
                                  {0x100, 0x10, "small layout"}};
 
-void seedHost(SimpleHost& host, Rng& rng) {
+void seedHost(TimedHost& host, Rng& rng) {
   for (const int32_t addr : kAddrPool)
     host.writeWord(addr, rng.next(), 4);
   for (int i = 0; i < 8; ++i) host.writeReg(i, rng.next());
-  for (int p = 0; p < 4; ++p) host.ports[p] = rng.next() & 0xFFFF;
+  for (int p = 0; p < 4; ++p) host.seedPort(p, rng.next() & 0xFFFF);
   for (int c = 0; c < 4; ++c) host.conditions[c] = rng.chance(50);
   for (int s = 0; s < 4; ++s) host.states[s] = rng.chance(50);
 }
+
+/// What a diff varies besides the program and the host shape.
+struct DiffOptions {
+  /// The native context's logBus flag; when off, the interpreter's bus
+  /// steps are left out of the comparison.
+  bool logBus = true;
+  /// Both hosts reject undeclared ports, like a machine.
+  bool strictPorts = false;
+  /// Bytes to compare besides kAddrPool's words (mapped addresses only).
+  std::vector<int32_t> watch;
+};
 
 /// Run `prog` on both tiers over identically seeded hosts of one shape and
 /// require bit-identical outcomes, down to the step of every bus request,
 /// port write and raise and of a fault. Returns false when the native tier
 /// rejected the routine (callers assert how often that may happen).
 bool diffRoutineOn(const AsmProgram& prog, int entry, const hwlib::ArchConfig& config,
-                   uint32_t hostSeed, const HostShape& shape, const std::string& label) {
+                   uint32_t hostSeed, const HostShape& shape, const std::string& label,
+                   const DiffOptions& options = {}) {
   TimedHost interpHost(shape.internalBytes, shape.externalBytes);
-  SimpleHost nativeHost(shape.internalBytes, shape.externalBytes);
+  TimedHost nativeHost(shape.internalBytes, shape.externalBytes);
   {
     Rng a(hostSeed);
     seedHost(interpHost, a);
     Rng b(hostSeed);
     seedHost(nativeHost, b);
   }
+  interpHost.strictPorts = nativeHost.strictPorts = options.strictPorts;
   TierRun native;
   std::string reject;
-  if (!runNative(prog, entry, config, nativeHost, 4'000'000, &native, &reject))
+  if (!runNative(prog, entry, config, nativeHost, 4'000'000, &native, &reject,
+                 options.logBus))
     return false;
-  const TierRun interp = runInterp(prog, entry, config, interpHost, 4'000'000);
+  TierRun interp = runInterp(prog, entry, config, interpHost, 4'000'000);
+  if (!options.logBus)
+    std::erase_if(interp.timed, [](const std::string& e) { return e.ends_with(" bus"); });
 
   EXPECT_EQ(interp.completed, native.completed) << label;
   EXPECT_EQ(interp.error, native.error) << label;
@@ -281,9 +354,15 @@ bool diffRoutineOn(const AsmProgram& prog, int entry, const hwlib::ArchConfig& c
     for (const int32_t addr : kAddrPool)
       EXPECT_EQ(interpHost.readWord(addr, 4), nativeHost.readWord(addr, 4))
           << label << " mem@0x" << std::hex << addr;
+    for (const int32_t addr : options.watch)
+      EXPECT_EQ(interpHost.readWord(addr, 1), nativeHost.readWord(addr, 1))
+          << label << " mem@0x" << std::hex << addr;
     for (int i = 0; i < 8; ++i)
       EXPECT_EQ(interpHost.readReg(i), nativeHost.readReg(i)) << label << " r" << i;
     EXPECT_EQ(interpHost.ports, nativeHost.ports) << label;
+    for (int slot = 0; slot < 2; ++slot)
+      EXPECT_EQ(interpHost.portValues[slot], nativeHost.portValues[slot])
+          << label << " port slot " << slot;
     EXPECT_EQ(interpHost.raisedEvents, nativeHost.raisedEvents) << label;
     EXPECT_EQ(interpHost.conditions, nativeHost.conditions) << label;
   }
@@ -408,11 +487,16 @@ TEST(TepJitDiff, UnaryAndShiftSemantics) {
   }
 }
 
+// Division runs in place at every width; a masked zero divisor and
+// INT32_MIN / -1 at width 32 take the helper. Each width's most negative
+// value (0x80, 0x8000, 0x40000000 at 31 bits, INT32_MIN) meets -1.
 TEST(TepJitDiff, DivisionIncludingByZero) {
   SKIP_WITHOUT_BACKEND();
-  const int32_t values[] = {0, 1, -1, 7, -7, 255, 0x8000, -32768};
+  const int32_t values[] = {0,      1,      -1,         7,
+                            -7,     0x80,   255,        0x8000,
+                            -32768, 0x40000000, static_cast<int32_t>(0x80000000)};
   for (const auto& config : allArchs()) {
-    for (const int w : {8, 16, 32}) {
+    for (const int w : {1, 8, 16, 31, 32}) {
       for (const Opcode op :
            {Opcode::Div, Opcode::Mod, Opcode::Divu, Opcode::Modu}) {
         for (const int32_t a : values) {
@@ -430,6 +514,176 @@ TEST(TepJitDiff, DivisionIncludingByZero) {
       }
     }
   }
+}
+
+// INT32_MIN / -1 overflows int32; both tiers wrap like the reference
+// (quotient INT32_MIN, remainder 0) instead of trapping.
+TEST(TepJitDiff, Int32MinOverMinusOneWraps) {
+  SKIP_WITHOUT_BACKEND();
+  for (const Opcode op : {Opcode::Div, Opcode::Mod}) {
+    const auto prog = progOf({
+        {Opcode::LdaImm, 32, static_cast<int32_t>(0x80000000)},
+        {Opcode::LdoImm, 32, -1},
+        {op, 32, 0},
+        {Opcode::Tret, 8, 0},
+    });
+    const uint32_t expected = op == Opcode::Div ? 0x80000000u : 0u;
+    TimedHost interpHost;
+    EXPECT_EQ(runInterp(prog, 0, archWide32(), interpHost, 100).acc, expected);
+    TimedHost nativeHost;
+    TierRun native;
+    std::string reject;
+    ASSERT_TRUE(runNative(prog, 0, archWide32(), nativeHost, 100, &native, &reject)) << reject;
+    EXPECT_TRUE(native.completed) << native.error;
+    EXPECT_EQ(native.acc, expected);
+  }
+}
+
+// External loads and stores of 1, 2, 3 and 4 bytes, at static and dynamic
+// addresses, over a 16-byte external layout: the bank's first and last
+// in-layout bytes run in place; an access straddling the layout's end, a
+// tail address, an access straddling the map's end, an unmapped address, a
+// 3-byte access and a dynamic address in the internal bank's tail take
+// pscpJitLoad/pscpJitStore. With the bus logged and not, both tiers agree
+// on values, cycles, every logged step and faults.
+TEST(TepJitDiff, ExternalAccessesInPlaceAndThroughTheHelper) {
+  SKIP_WITHOUT_BACKEND();
+  const HostShape shape = {0x100, 0x10, "small layout"};
+  const int32_t layoutEnd = kExternalBase + shape.externalBytes;
+  const int32_t mapEnd = kExternalBase + kExternalSize;
+  for (const auto& config : allArchs()) {
+    for (const int width : {8, 16, 24, 32}) {
+      const int bytes = width / 8;
+      const int32_t addrs[] = {kExternalBase,         layoutEnd - bytes, layoutEnd - bytes + 1,
+                               layoutEnd + 4,         mapEnd - 1,        mapEnd + 0x10,
+                               0x200,                 0xFF};
+      for (const int32_t addr : addrs) {
+        DiffOptions options;
+        for (int32_t a = addr; a < addr + bytes; ++a)
+          if (tep::DataMemory::mapped(a)) options.watch.push_back(a);
+        const std::vector<std::pair<const char*, AsmProgram>> progs = {
+            {"static load", progOf({{Opcode::LdaMem, width, addr},
+                                    {Opcode::Outp, 16, 0},
+                                    {Opcode::Tret, 8, 0}})},
+            {"static store", progOf({{Opcode::LdaImm, 32, 0x12345678},
+                                     {Opcode::StaMem, width, addr},
+                                     {Opcode::LdaImm, 8, 0},
+                                     {Opcode::LdaMem, width, addr},
+                                     {Opcode::Tret, 8, 0}})},
+            {"dynamic load", progOf({{Opcode::LdoImm, 16, addr},
+                                     {Opcode::LdaInd, width, 0},
+                                     {Opcode::EvSet, 8, 1},
+                                     {Opcode::Tret, 8, 0}})},
+            {"dynamic store", progOf({{Opcode::LdoImm, 16, addr},
+                                      {Opcode::LdaImm, 32, static_cast<int32_t>(0x9ABCDEF0)},
+                                      {Opcode::StaInd, width, 0},
+                                      {Opcode::LdaImm, 8, 0},
+                                      {Opcode::LdaInd, width, 0},
+                                      {Opcode::Tret, 8, 0}})},
+        };
+        for (const bool logBus : {true, false}) {
+          options.logBus = logBus;
+          for (const auto& [what, prog] : progs) {
+            const std::string label = std::string(what) + " w" +
+                                      std::to_string(config.dataWidth) + " " +
+                                      std::to_string(width) + "-bit @0x" +
+                                      strfmt("%X", addr) + (logBus ? "" : " unlogged");
+            ASSERT_TRUE(diffRoutineOn(prog, 0, config, 5, shape, label, options));
+            ASSERT_FALSE(::testing::Test::HasFailure()) << label;
+          }
+        }
+      }
+    }
+  }
+}
+
+// More effects than the log's initial capacity: whichever append finds it
+// full (a raise, a declared port write, an external access's bus entry)
+// takes its helper, which grows the log and moves the cursor, and the
+// appends after it run in place again, in order.
+TEST(TepJitDiff, EffectLogGrowsFromEmittedCode) {
+  SKIP_WITHOUT_BACKEND();
+  const int capacity = static_cast<int>(jit::EffectLog::kInitialCapacity);
+  for (const auto& config : allArchs()) {
+    for (int lead = capacity - 4; lead <= capacity + 1; ++lead) {
+      std::vector<Instr> code;
+      for (int i = 0; i < lead; ++i) code.push_back({Opcode::EvSet, 8, i % 4});
+      code.push_back({Opcode::LdaMem, 16, kExternalBase});
+      code.push_back({Opcode::Outp, 16, 0});
+      code.push_back({Opcode::StaMem, 16, kExternalBase + 2});
+      code.push_back({Opcode::EvSet, 8, 1});
+      code.push_back({Opcode::Outp, 16, 2});
+      for (int i = 0; i < capacity + 3; ++i) code.push_back({Opcode::EvSet, 8, 2});
+      code.push_back({Opcode::Tret, 8, 0});
+      const AsmProgram prog = progOf(code);
+      const std::string label = "lead " + std::to_string(lead) + " w" +
+                                std::to_string(config.dataWidth);
+      ASSERT_TRUE(diffRoutine(prog, 0, config, 3, label));
+      ASSERT_FALSE(::testing::Test::HasFailure()) << label;
+
+      TimedHost host;
+      TierRun run;
+      std::string reject;
+      size_t logged = 0;
+      ASSERT_TRUE(runNative(prog, 0, config, host, 4'000'000, &run, &reject, true, &logged));
+      // The raises, two bus entries, two port writes.
+      EXPECT_EQ(logged, static_cast<size_t>(lead + 1 + capacity + 3 + 4)) << label;
+    }
+  }
+}
+
+// A declared port is read and latched in place (JitContext::ports), an
+// undeclared one through pscpJitPortRead/pscpJitPortWrite; a routine reads
+// back its own write either way. On hosts that reject undeclared ports,
+// like a machine, both tiers fail with the same diagnostic at one step.
+TEST(TepJitDiff, PortsInPlaceAndThroughTheHelper) {
+  SKIP_WITHOUT_BACKEND();
+  for (const auto& config : allArchs()) {
+    for (const int port : {0, 1, 2, 3}) {
+      const bool declared = port < 2;
+      for (const int width : {8, 16, 32}) {
+        const AsmProgram writeBack = progOf({{Opcode::LdaImm, 32, 0x1234ABCD},
+                                             {Opcode::Outp, width, port},
+                                             {Opcode::LdaImm, 8, 0},
+                                             {Opcode::Inp, width, port},
+                                             {Opcode::Outp, 16, port ^ 1},
+                                             {Opcode::Tret, 8, 0}});
+        const std::string label = "port " + std::to_string(port) + " " +
+                                  std::to_string(width) + "-bit w" +
+                                  std::to_string(config.dataWidth);
+        ASSERT_TRUE(diffRoutine(writeBack, 0, config, 21, label));
+
+        TimedHost host;
+        TierRun run;
+        std::string reject;
+        ASSERT_TRUE(runNative(writeBack, 0, config, host, 4'000'000, &run, &reject));
+        EXPECT_EQ(run.acc, width == 8 ? 0xCDu : width == 16 ? 0xABCDu : 0x1234ABCDu) << label;
+        // Only the helpers call the host's readPort/latchPort (port ^ 1 is
+        // declared exactly when `port` is).
+        EXPECT_EQ(host.portReads, declared ? 0 : 1) << label;
+        EXPECT_EQ(host.portLatches, declared ? 0 : 2) << label;
+
+        DiffOptions strict;
+        strict.strictPorts = true;
+        for (const HostShape& shape : kHostShapes)
+          ASSERT_TRUE(diffRoutineOn(writeBack, 0, config, 21, shape, label + " strict", strict));
+        const AsmProgram readFirst = progOf({{Opcode::Inp, width, port},
+                                             {Opcode::Outp, 16, 0},
+                                             {Opcode::Tret, 8, 0}});
+        ASSERT_TRUE(diffRoutineOn(readFirst, 0, config, 21, kHostShapes[0],
+                                  label + " strict read", strict));
+        ASSERT_FALSE(::testing::Test::HasFailure()) << label;
+      }
+    }
+  }
+  // The diagnostic itself, from the native tier.
+  TimedHost host;
+  host.strictPorts = true;
+  TierRun run;
+  std::string reject;
+  ASSERT_TRUE(runNative(progOf({{Opcode::LdaImm, 8, 1}, {Opcode::Outp, 8, 3}, {Opcode::Tret, 8, 0}}),
+                        0, archPlain8(), host, 100, &run, &reject));
+  EXPECT_EQ(run.error, "PSCP: TEP write to undeclared port address 3");
 }
 
 TEST(TepJitDiff, MicrocodeJumpsAndLoops) {
@@ -584,7 +838,7 @@ TEST(TepJitDiff, BudgetExhaustionUsesInterpreterMessage) {
   // budget guard — the machine-level loop owns it — so only the native
   // side is run here and its message checked against the known text.)
   const auto prog = progOf({{Opcode::Jmp, 8, 0}});
-  SimpleHost host;
+  TimedHost host;
   TierRun native;
   std::string reject;
   ASSERT_TRUE(
@@ -832,7 +1086,7 @@ TEST(TepJitTier, DispatchCompilesOnFirstRun) {
       {Opcode::Tret, 8, 0},
   });
   const auto config = archPlain8();
-  jit::TierCache cache(&prog, &config, 1);
+  jit::TierCache cache(&prog, &config, 1, &TimedHost::declaredPorts());
   EXPECT_EQ(cache.residency().nativeRoutines, 0);
   const jit::CompiledFn fn = cache.dispatch(0, 0);
   EXPECT_NE(fn, nullptr);
@@ -846,7 +1100,7 @@ TEST(TepJitTier, RejectedRoutineStaysInterpreted) {
       {Opcode::Tret, 8, 0},
   });
   const auto config = archPlain8();
-  jit::TierCache cache(&prog, &config, 1);
+  jit::TierCache cache(&prog, &config, 1, &TimedHost::declaredPorts());
   std::string reason;
   EXPECT_EQ(cache.dispatch(0, 0, &reason), nullptr);
   EXPECT_FALSE(reason.empty());
