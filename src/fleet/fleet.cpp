@@ -17,6 +17,9 @@ namespace {
 // Instances per work-stealing chunk: small enough to balance a range
 // whose worker falls behind, large enough to keep cursor traffic low.
 constexpr size_t kStealChunk = 8;
+// Flight-ring records per shard when telemetry is armed: about the last
+// few dozen epochs of a busy shard.
+constexpr size_t kFlightRecordsPerShard = 1024;
 /// A sleeper's wake cycle when no timer bounds its credit.
 constexpr int64_t kNever = std::numeric_limits<int64_t>::max();
 
@@ -152,16 +155,16 @@ Fleet::Fleet(ChartImagePtr image, FleetConfig config)
   if (config_.eventQueueCapacity > kMaxEventQueueCapacity)
     fail("fleet: event queue capacity %zu exceeds the maximum of %zu",
          config_.eventQueueCapacity, kMaxEventQueueCapacity);
+  if (config_.workerThreads > kMaxWorkerThreads)
+    fail("fleet: %d worker threads exceeds the maximum of %d", config_.workerThreads,
+         kMaxWorkerThreads);
   if (config_.workerThreads < 1) config_.workerThreads = 1;
   workerCount_ = static_cast<size_t>(config_.workerThreads);
   counters_ = std::make_unique<WorkerCounters[]>(workerCount_);
   cursors_ = std::make_unique<RangeCursor[]>(workerCount_);
   errors_.resize(workerCount_);
-  if (config_.telemetry) {
-    if (config_.flightRecordsPerShard < 1) config_.flightRecordsPerShard = 1;
-    flight_ = std::make_unique<obs::FlightRecorder>(
-        workerCount_, config_.flightRecordsPerShard);
-  }
+  if (config_.telemetry)
+    flight_ = std::make_unique<obs::FlightRecorder>(workerCount_, kFlightRecordsPerShard);
   if (config_.journal) {
     journal_ = std::make_unique<obs::journal::Journal>(config_.journalConfig);
     journal_->setChartName(image_->chart().name());

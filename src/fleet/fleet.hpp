@@ -132,9 +132,15 @@ namespace pscp::fleet {
 /// fails loudly instead of aliasing a newer instance.
 using InstanceId = uint64_t;
 
+/// The most workers a fleet runs. FleetConfig::workerThreads above it is
+/// an error, raised before the fleet allocates or starts anything, so a
+/// mistyped worker count cannot ask the OS for thousands of threads.
+inline constexpr int kMaxWorkerThreads = 1024;
+
 struct FleetConfig {
   /// Workers stepping the fleet: the calling thread plus workerThreads-1
-  /// helper threads the fleet starts (1: the calling thread alone).
+  /// helper threads the fleet starts (1: the calling thread alone), at
+  /// most kMaxWorkerThreads.
   int workerThreads = 1;
   /// Per-instance event-queue capacity (rounded up to a power of two), at
   /// most kMaxEventQueueCapacity: a larger one makes Fleet throw.
@@ -153,14 +159,12 @@ struct FleetConfig {
   /// is purely a perf knob.
   tep::jit::JitMode jitMode = tep::jit::jitModeFromEnv();
 
-  /// Arm the telemetry plane: per-shard flight-recorder rings plus the
+  /// Arm the telemetry plane: per-shard flight-recorder rings of 1024
+  /// records (about the last few dozen epochs of a busy shard) plus the
   /// armed-only fields of each worker's counter block (see header
   /// comment). Off by default — a disarmed fleet pays one predictable
   /// branch per instance step and nothing else.
   bool telemetry = false;
-  /// Flight-ring capacity per shard (records; rounded up to a power of
-  /// two). 1024 records ≈ the last few dozen epochs of a busy shard.
-  size_t flightRecordsPerShard = 1024;
 
   /// Arm the record/replay journal (obs/journal): every control-plane op
   /// (spawn/retire/port/condition/timer/warm cycle), every *delivered*

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <utility>
 
 #include "support/diag.hpp"
@@ -82,7 +83,14 @@ ReplayResult Replayer::run(const ReplayOptions& options) const {
   // A queue of N slots holds N events.
   config.eventQueueCapacity = std::max<size_t>(
       static_cast<size_t>(journal_->eventQueueCapacity()), maxInjectBurst_);
-  Fleet fleet(image_, config);
+  std::unique_ptr<Fleet> fleetOwner;
+  try {
+    fleetOwner = std::make_unique<Fleet>(image_, config);
+  } catch (const Error& e) {  // e.g. more workers than a fleet runs
+    result.error = e.what();
+    return result;
+  }
+  Fleet& fleet = *fleetOwner;
 
   const std::map<int, std::string> eventNames =
       invert(image_->layout().eventBits());

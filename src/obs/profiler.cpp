@@ -24,8 +24,6 @@ const char* cycleCatName(CycleCat c) {
   return "?";
 }
 
-Profiler::Profiler(ProfilerOptions options) : options_(options) {}
-
 void Profiler::ensureTep(int tep) {
   if (tep < 0) return;
   const size_t need = static_cast<size_t>(tep) + 1;
@@ -203,7 +201,7 @@ void Profiler::onCycleEnd(int64_t configCycle, int64_t cycles, int64_t busStalls
   if (quiescent) quiescentCycles_ += 1;
   transitionsFired_ += firedCount;
   cycleLength_.record(cycles);
-  if (options_.keepCycles) cycles_.push_back(a);
+  cycles_.push_back(a);
 }
 
 std::vector<StateProfile> Profiler::stateProfiles() const {

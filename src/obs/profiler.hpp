@@ -102,21 +102,12 @@ struct TepProfile {
   int64_t criticalCycles = 0;  ///< configuration cycles this TEP bounded
 };
 
-struct ProfilerOptions {
-  /// Keep the per-cycle attribution list (cycles()). Off: totals,
-  /// profiles and distributions only — O(1) memory in the cycle count
-  /// apart from the exact latency samples.
-  bool keepCycles = true;
-};
-
 class Profiler : public ObsSink {
  public:
-  explicit Profiler(ProfilerOptions options = {});
-
   [[nodiscard]] const TraceMeta& meta() const { return meta_; }
 
   // ---------------------------------------------------------- attribution
-  /// Per-configuration-cycle attributions (empty when keepCycles is off).
+  /// Per-configuration-cycle attributions.
   [[nodiscard]] const std::vector<CycleAttribution>& cycles() const {
     return cycles_;
   }
@@ -160,7 +151,6 @@ class Profiler : public ObsSink {
  private:
   void ensureTep(int tep);
 
-  ProfilerOptions options_;
   TraceMeta meta_;
 
   std::vector<CycleAttribution> cycles_;

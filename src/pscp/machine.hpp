@@ -152,9 +152,9 @@ class ChartImage {
 
   /// The native-tier compile cache for this image's routines. Like the
   /// image it is shared by every instance over the chart: each routine is
-  /// lowered/emitted once and the read-execute pages serve the whole
-  /// fleet. The cache is internally synchronized, so handing it out from a
-  /// const image is safe.
+  /// emitted once and the read-execute pages serve the whole fleet. The
+  /// cache is internally synchronized, so handing it out from a const
+  /// image is safe.
   [[nodiscard]] tep::jit::TierCache& tierCache() const { return *tier_; }
 
   /// Program entry index of the transition's TEP routine (what the

@@ -6,16 +6,13 @@
 #include "support/diag.hpp"
 #include "tep/jit/codebuf.hpp"
 #include "tep/jit/runtime.hpp"
+#include "tep/microcode.hpp"
 
 #if PSCP_JIT_BACKEND
 
 namespace pscp::tep::jit {
 
 namespace {
-
-using ir::IrInst;
-using ir::IrOp;
-using ir::IrRoutine;
 
 // Register numbers (x86-64 encoding).
 constexpr int kRax = 0, kRcx = 1, kRdx = 2, kRbx = 3, kRsi = 6, kRdi = 7;
@@ -31,15 +28,6 @@ constexpr uint8_t kCcS = 0x8;   // sign set
 constexpr uint8_t kCcL = 0xC;   // signed less
 constexpr uint8_t kCcGe = 0xD;  // signed greater-or-equal
 constexpr uint8_t kCcG = 0xF;   // signed greater
-
-int vregReg(int v) {
-  switch (v) {
-    case ir::kVregAcc: return kRbx;
-    case ir::kVregOp: return kR12;
-    case ir::kVregTmp: return kR15;
-    default: PSCP_ASSERT(false); return kRax;
-  }
-}
 
 class Asm {
  public:
@@ -289,18 +277,75 @@ class Asm {
   std::vector<Fixup> fixups_;
 };
 
+/// Whether `op` transfers control to the instruction index in its operand.
+bool isBranch(Opcode op) {
+  switch (op) {
+    case Opcode::Jmp:
+    case Opcode::Jz:
+    case Opcode::Jnz:
+    case Opcode::Jn:
+    case Opcode::Jc:
+    case Opcode::Call:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// Whether the next instruction can run after `op`: everything but Jmp,
+/// Ret and Tret (a Call's continuation is reached through its Ret).
+bool fallsThrough(Opcode op) {
+  return op != Opcode::Jmp && op != Opcode::Ret && op != Opcode::Tret;
+}
+
+/// Why the native tier does not take instruction `i`, or "" when it does.
+std::string unsupported(int i, const Instr& in, const hwlib::ArchConfig& config) {
+  if (in.width < 1 || in.width > kMaxWidth)
+    return strfmt("isa %d: unsupported width %d", i, in.width);
+  switch (in.op) {
+    case Opcode::LdaReg:
+    case Opcode::LdoReg:
+    case Opcode::StaReg:
+      // Native code indexes the register file unchecked; a register outside
+      // it keeps the routine on the interpreter, which reports the fault.
+      if (in.operand < 0 || in.operand >= kRegisterCount)
+        return strfmt("isa %d: register %d outside the register file", i, in.operand);
+      break;
+    case Opcode::Custom:
+      if (in.operand < 0 ||
+          static_cast<size_t>(in.operand) >= config.customInstructions.size())
+        return strfmt("isa %d: custom index %d out of range", i, in.operand);
+      break;
+    default:
+      break;
+  }
+  return {};
+}
+
+/// A data-memory access: at the static address `addr`, or at the address
+/// in r15 when `dynamic`. `pack` is totalBytes | chunks<<8 | lead<<16, lead
+/// being the micro-ops from the first memory micro-op to the instruction's
+/// end.
+struct MemRef {
+  bool dynamic;
+  int32_t addr;
+  int32_t pack;
+};
+
 class RoutineEmitter {
  public:
-  RoutineEmitter(const IrRoutine& r, const std::vector<int>& portAddresses)
-      : r_(r), portAddresses_(portAddresses) {}
+  RoutineEmitter(const AsmProgram& program, const hwlib::ArchConfig& config,
+                 const std::vector<int>& portAddresses)
+      : program_(program), config_(config), portAddresses_(portAddresses) {}
 
-  EmitResult run();
+  EmitResult run(int entry);
 
  private:
-  const IrRoutine& r_;
+  const AsmProgram& program_;
+  const hwlib::ArchConfig& config_;
   const std::vector<int>& portAddresses_;
   Asm a_;
-  std::map<int, int> anchorLabel_;  ///< ISA index -> label
+  std::vector<int> isaLabel_;       ///< ISA index -> label (-1: unreachable)
   std::map<int, int> runoffLabel_;  ///< invalid target -> stub label
   int exitOk_ = -1, errExit_ = -1, budgetFail_ = -1, stackOver_ = -1,
       stackUnder_ = -1;
@@ -309,26 +354,30 @@ class RoutineEmitter {
   int targetLabel(int isaTarget);
   void helperCall(const void* fn, int nargs, const int32_t* immArgs,
                   const int* regArgs);
-  void finishValueFlags(const IrInst& in, int w);
+  void finishValueFlags(int w);
   void logRoom(int full);
   void appendEffect(int32_t stepOffset, int32_t arg, int valueReg, TimedEffect::Kind kind);
-  void inlineMemory(const IrInst& in, bool store, int r, int done);
-  void emitInst(const IrInst& in);
-  void emitAlu(const IrInst& in);
-  void emitDivMod(const IrInst& in);
-  void emitShift(const IrInst& in);
-  void emitCmp(const IrInst& in);
-  void emitBranch(const IrInst& in);
-  void emitCall(const IrInst& in);
-  void budgetGuard(const IrInst& in);
+  void inlineMemory(const MemRef& m, bool store, int r, int done);
+  void emitLoad(const MemRef& m, int w, int dst);
+  void emitStore(const MemRef& m, int w);
+  void emitInstr(int i, const Instr& in);
+  void emitAlu(Opcode op, int w);
+  void emitDivMod(Opcode op, int w, int isa);
+  void emitShift(Opcode op, int w, int32_t count);
+  void emitCmp(int w);
+  void emitBranch(Opcode op, int target, int isa);
+  void emitCall(int target);
+  void emitRunOff(int pc);
+  void budgetGuard(bool loopCapable);
 };
 
 int RoutineEmitter::targetLabel(int isaTarget) {
-  auto it = anchorLabel_.find(isaTarget);
-  if (it != anchorLabel_.end()) return it->second;
-  auto [sit, inserted] = runoffLabel_.try_emplace(isaTarget, -1);
-  if (inserted) sit->second = a_.newLabel();
-  return sit->second;
+  if (isaTarget >= 0 && isaTarget < static_cast<int>(isaLabel_.size()) &&
+      isaLabel_[static_cast<size_t>(isaTarget)] >= 0)
+    return isaLabel_[static_cast<size_t>(isaTarget)];
+  auto [it, inserted] = runoffLabel_.try_emplace(isaTarget, -1);
+  if (inserted) it->second = a_.newLabel();
+  return it->second;
 }
 
 /// Call a runtime helper. Args beyond ctx are described positionally:
@@ -353,24 +402,22 @@ void RoutineEmitter::helperCall(const void* fn, int nargs, const int32_t* immArg
   a_.movRM64(kR13, kR14, kCtxCycles);
 }
 
-/// Mask eax to `w` bits, then store the requested flags from it and move
-/// it into the destination vreg. ZF/SF come from the masking AND (or a
-/// TEST at full width); N for narrow widths reads bit w-1 via BT.
-void RoutineEmitter::finishValueFlags(const IrInst& in, int w) {
+/// Mask eax to `w` bits, store Z and N from it and move it into ACC. ZF/SF
+/// come from the masking AND (or a TEST at full width); N for narrow
+/// widths reads bit w-1 via BT.
+void RoutineEmitter::finishValueFlags(int w) {
   if (w < 32)
     a_.andRI(kRax, maskBits(w));
   else
     a_.testRR(kRax, kRax);
-  if (in.setZ) a_.setccM(kCcE, kR14, kCtxFlagZ);
-  if (in.setN) {
-    if (w == 32) {
-      a_.setccM(kCcS, kR14, kCtxFlagN);
-    } else {
-      a_.btRI(kRax, static_cast<uint8_t>(w - 1));
-      a_.setccM(kCcB, kR14, kCtxFlagN);
-    }
+  a_.setccM(kCcE, kR14, kCtxFlagZ);
+  if (w == 32) {
+    a_.setccM(kCcS, kR14, kCtxFlagN);
+  } else {
+    a_.btRI(kRax, static_cast<uint8_t>(w - 1));
+    a_.setccM(kCcB, kR14, kCtxFlagN);
   }
-  if (in.dst >= 0) a_.movRR(vregReg(in.dst), kRax);
+  a_.movRR(kRbx, kRax);
 }
 
 /// rax = the effect log's cursor; jump to `full` when it has no room for
@@ -409,34 +456,33 @@ void RoutineEmitter::appendEffect(int32_t stepOffset, int32_t arg, int valueReg,
 /// else (tail, straddling, unmapped, 3-byte, or a bus entry that finds the
 /// log full) falls through to the helper call the caller emits next. eax
 /// and ecx are scratch, so a stored value must be in edx.
-void RoutineEmitter::inlineMemory(const IrInst& in, bool store, int r, int done) {
-  const int bytes = in.imm2 & 0xFF;
+void RoutineEmitter::inlineMemory(const MemRef& m, bool store, int r, int done) {
+  const int bytes = m.pack & 0xFF;
   if (bytes != 1 && bytes != 2 && bytes != 4) return;
-  const bool dynamic = in.op == IrOp::kLoadAt || in.op == IrOp::kStoreAt;
-  const bool internal = dynamic || (in.imm >= 0 && in.imm <= kExternalBase - bytes);
+  const bool internal = m.dynamic || (m.addr >= 0 && m.addr <= kExternalBase - bytes);
   const bool external =
-      dynamic || (in.imm >= kExternalBase && in.imm <= kExternalBase + kExternalSize - bytes);
+      m.dynamic || (m.addr >= kExternalBase && m.addr <= kExternalBase + kExternalSize - bytes);
   if (!internal && !external) return;
   const int slow = a_.newLabel();
   if (internal) {
-    const int miss = dynamic ? a_.newLabel() : slow;
-    if (dynamic) {
+    const int miss = m.dynamic ? a_.newLabel() : slow;
+    if (m.dynamic) {
       // Zero-extended, a negative address is far above any bank size.
       a_.movRR(kRax, kR15);
       a_.addR64I(kRax, bytes);
       a_.cmpR64M(kRax, kR14, kCtxInternalSize);
       a_.jccLabel(kCcA, miss);
     } else {
-      a_.cmpM64I(kR14, kCtxInternalSize, in.imm + bytes);
+      a_.cmpM64I(kR14, kCtxInternalSize, m.addr + bytes);
       a_.jccLabel(kCcB, miss);
     }
     a_.movRM64(kRcx, kR14, kCtxInternal);
-    a_.movCell(store, bytes, r, kRcx, dynamic ? kR15 : -1, dynamic ? 0 : in.imm);
+    a_.movCell(store, bytes, r, kRcx, m.dynamic ? kR15 : -1, m.dynamic ? 0 : m.addr);
     a_.jmpLabel(done);
-    if (dynamic) a_.bind(miss);
+    if (m.dynamic) a_.bind(miss);
   }
   if (external) {
-    if (dynamic) {
+    if (m.dynamic) {
       // Below kExternalBase the 32-bit difference wraps far above any size.
       a_.movRR(kRax, kR15);
       a_.addRI(kRax, -kExternalBase);
@@ -444,11 +490,11 @@ void RoutineEmitter::inlineMemory(const IrInst& in, bool store, int r, int done)
       a_.cmpR64M(kRax, kR14, kCtxExternalSize);
       a_.jccLabel(kCcA, slow);
     } else {
-      a_.cmpM64I(kR14, kCtxExternalSize, in.imm - kExternalBase + bytes);
+      a_.cmpM64I(kR14, kCtxExternalSize, m.addr - kExternalBase + bytes);
       a_.jccLabel(kCcB, slow);
     }
-    const int chunks = (in.imm2 >> 8) & 0xFF;
-    const int lead = (in.imm2 >> 16) & 0xFF;
+    const int chunks = (m.pack >> 8) & 0xFF;
+    const int lead = (m.pack >> 16) & 0xFF;
     const int unlogged = a_.newLabel();
     a_.cmpByteMI(kR14, kCtxLogBus, 0);
     a_.jccLabel(kCcE, unlogged);
@@ -456,68 +502,97 @@ void RoutineEmitter::inlineMemory(const IrInst& in, bool store, int r, int done)
     appendEffect(-lead, 2 * chunks, -1, TimedEffect::Kind::kBus);
     a_.bind(unlogged);
     a_.movRM64(kRcx, kR14, kCtxExternal);
-    a_.movCell(store, bytes, r, kRcx, dynamic ? kR15 : -1,
-               dynamic ? -kExternalBase : in.imm - kExternalBase);
+    a_.movCell(store, bytes, r, kRcx, m.dynamic ? kR15 : -1,
+               m.dynamic ? -kExternalBase : m.addr - kExternalBase);
     a_.addR64I(kR13, chunks);
     a_.jmpLabel(done);
   }
   a_.bind(slow);
 }
 
-void RoutineEmitter::emitAlu(const IrInst& in) {
-  const int w = in.width;
+/// dst = mem[..] masked to `w` bits.
+void RoutineEmitter::emitLoad(const MemRef& m, int w, int dst) {
+  const int done = a_.newLabel();
+  inlineMemory(m, false, kRax, done);
+  const int32_t imms[2] = {m.addr, m.pack};
+  const int regs[2] = {m.dynamic ? kR15 : -1, -1};
+  helperCall(reinterpret_cast<const void*>(&pscpJitLoad), 2, imms, regs);
+  a_.movRM(kRax, kR14, kCtxHvalue);
+  a_.bind(done);
+  if (w < 32) a_.andRI(kRax, maskBits(w));
+  a_.movRR(dst, kRax);
+}
+
+/// mem[..] = ACC masked to `w` bits.
+void RoutineEmitter::emitStore(const MemRef& m, int w) {
+  a_.movRR(kRdx, kRbx);
+  if (w < 32) a_.andRI(kRdx, maskBits(w));
+  const int done = a_.newLabel();
+  inlineMemory(m, true, kRdx, done);
+  // The value (arg 2, edx) is already in place.
+  const int32_t imms[3] = {m.addr, 0, m.pack};
+  const int regs[3] = {m.dynamic ? kR15 : -1, kRdx, -1};
+  helperCall(reinterpret_cast<const void*>(&pscpJitStore), 3, imms, regs);
+  a_.bind(done);
+}
+
+/// ACC = op(ACC[, OP]) at `w` bits, with Z and N, and C for Add and Sub.
+void RoutineEmitter::emitAlu(Opcode op, int w) {
   const uint32_t m = maskBits(w);
-  const bool binary = in.src2 >= 0;
-  a_.movRR(kRax, vregReg(in.src1));
-  if (binary) a_.movRR(kRcx, vregReg(in.src2));
-  const bool needMaskedOperands =
-      (in.op == IrOp::kAdd || in.op == IrOp::kSub) && w < 32;
-  if (needMaskedOperands) {
+  const bool carry = op == Opcode::Add || op == Opcode::Sub;
+  a_.movRR(kRax, kRbx);
+  if (op != Opcode::Not && op != Opcode::Neg) a_.movRR(kRcx, kR12);
+  if (carry && w < 32) {
     a_.andRI(kRax, m);
     a_.andRI(kRcx, m);
   }
-  switch (in.op) {
-    case IrOp::kAdd: a_.addRR(kRax, kRcx); break;
-    case IrOp::kSub: a_.subRR(kRax, kRcx); break;
-    case IrOp::kAnd: a_.andRR(kRax, kRcx); break;
-    case IrOp::kOr: a_.orRR(kRax, kRcx); break;
-    case IrOp::kXor: a_.xorRR(kRax, kRcx); break;
-    case IrOp::kNot: a_.notR(kRax); break;
-    case IrOp::kNeg: a_.negR(kRax); break;
-    case IrOp::kMul: a_.imulRR(kRax, kRcx); break;
+  switch (op) {
+    case Opcode::Add: a_.addRR(kRax, kRcx); break;
+    case Opcode::Sub: a_.subRR(kRax, kRcx); break;
+    case Opcode::And: a_.andRR(kRax, kRcx); break;
+    case Opcode::Or: a_.orRR(kRax, kRcx); break;
+    case Opcode::Xor: a_.xorRR(kRax, kRcx); break;
+    case Opcode::Not: a_.notR(kRax); break;
+    // Without a two's-complement unit the interpreter expands Neg into
+    // Not+Inc chunks; the final value and Z/N are identical to the
+    // one-state Neg (flags come from the final increment).
+    case Opcode::Neg: a_.negR(kRax); break;
+    case Opcode::Mul: a_.imulRR(kRax, kRcx); break;
     default: PSCP_ASSERT(false);
   }
-  if (in.setC) {
+  if (carry) {
     // Interpreter carry: Add -> carry out of the w-bit sum of masked
     // operands (bit w of the 32-bit sum, which cannot carry past bit w+1
     // for w < 32); Sub -> unsigned borrow, which with masked operands is
     // exactly the host CF.
-    if (in.op == IrOp::kSub || w == 32) {
+    if (op == Opcode::Sub || w == 32) {
       a_.setccM(kCcB, kR14, kCtxFlagC);
     } else {
       a_.btRI(kRax, static_cast<uint8_t>(w));
       a_.setccM(kCcB, kR14, kCtxFlagC);
     }
   }
-  finishValueFlags(in, w);
+  finishValueFlags(w);
 }
 
 /// Division in place at every width, on the operands masked (unsigned) or
 /// sign-extended (signed) to the width. A masked zero divisor, and
 /// INT32_MIN / -1 at width 32 (the host instruction traps), take the
-/// helper, which raises the interpreter's diagnostic or wraps.
-void RoutineEmitter::emitDivMod(const IrInst& in) {
-  const int w = in.width;
+/// helper, which raises the interpreter's diagnostic (naming ISA pc `isa`)
+/// or wraps.
+void RoutineEmitter::emitDivMod(Opcode op, int w, int isa) {
+  const bool signedOp = op == Opcode::Div || op == Opcode::Mod;
+  const bool isDiv = op == Opcode::Div || op == Opcode::Divu;
   const int slow = a_.newLabel();
   const int done = a_.newLabel();
-  a_.movRR(kRax, vregReg(in.src1));
-  a_.movRR(kRcx, vregReg(in.src2));
+  a_.movRR(kRax, kRbx);
+  a_.movRR(kRcx, kR12);
   if (w < 32)
     a_.andRI(kRcx, maskBits(w));
   else
     a_.testRR(kRcx, kRcx);
   a_.jccLabel(kCcE, slow);
-  if (in.signedOp) {
+  if (signedOp) {
     if (w < 32) {
       const auto shift = static_cast<uint8_t>(32 - w);
       a_.shlRI(kRax, shift);
@@ -539,108 +614,103 @@ void RoutineEmitter::emitDivMod(const IrInst& in) {
     a_.xorRR(kRdx, kRdx);
     a_.divR(kRcx);
   }
-  if (!in.isDiv) a_.movRR(kRax, kRdx);
+  if (!isDiv) a_.movRR(kRax, kRdx);
   a_.jmpLabel(done);
   a_.bind(slow);
-  const int32_t packed = in.width | (in.signedOp ? 1 << 8 : 0) | (in.isDiv ? 1 << 9 : 0);
-  const int32_t imms[4] = {0, 0, packed, in.imm};
-  const int regs[4] = {vregReg(in.src1), vregReg(in.src2), -1, -1};
+  const int32_t packed = w | (signedOp ? 1 << 8 : 0) | (isDiv ? 1 << 9 : 0);
+  const int32_t imms[4] = {0, 0, packed, isa};
+  const int regs[4] = {kRbx, kR12, -1, -1};
   helperCall(reinterpret_cast<const void*>(&pscpJitDivMod), 4, imms, regs);
   a_.movRM(kRax, kR14, kCtxHvalue);
   a_.bind(done);
-  finishValueFlags(in, w);
+  finishValueFlags(w);
 }
 
-void RoutineEmitter::emitShift(const IrInst& in) {
-  const int w = in.width;
-  const uint8_t count = static_cast<uint8_t>(in.imm & 31);
-  a_.movRR(kRax, vregReg(in.src1));
-  switch (in.op) {
-    case IrOp::kShl:
+void RoutineEmitter::emitShift(Opcode op, int w, int32_t count) {
+  const auto n = static_cast<uint8_t>(count & 31);
+  a_.movRR(kRax, kRbx);
+  switch (op) {
+    case Opcode::Shl:
       // Raw ACC shifted, then truncated — stale bits above w shift out of
       // the mask, so no pre-mask is needed (matches the interpreter).
-      if (count != 0) a_.shlRI(kRax, count);
+      if (n != 0) a_.shlRI(kRax, n);
       break;
-    case IrOp::kShr:
+    case Opcode::Shr:
       if (w < 32) a_.andRI(kRax, maskBits(w));
-      if (count != 0) a_.shrRI(kRax, count);
+      if (n != 0) a_.shrRI(kRax, n);
       break;
-    case IrOp::kSar:
+    case Opcode::Sar:
       if (w < 32) {
         a_.shlRI(kRax, static_cast<uint8_t>(32 - w));
         a_.sarRI(kRax, static_cast<uint8_t>(32 - w));
       }
-      if (count != 0) a_.sarRI(kRax, count);
+      if (n != 0) a_.sarRI(kRax, n);
       break;
     default: PSCP_ASSERT(false);
   }
-  finishValueFlags(in, w);
+  finishValueFlags(w);
 }
 
-void RoutineEmitter::emitCmp(const IrInst& in) {
-  const int w = in.width;
-  a_.movRR(kRax, vregReg(in.src1));
-  a_.movRR(kRcx, vregReg(in.src2));
+/// Flags only: Z = (ACC == OP), C = unsigned <, N = signed <, at `w` bits.
+void RoutineEmitter::emitCmp(int w) {
+  a_.movRR(kRax, kRbx);
+  a_.movRR(kRcx, kR12);
   if (w < 32) {
     a_.andRI(kRax, maskBits(w));
     a_.andRI(kRcx, maskBits(w));
   }
   a_.cmpRR(kRax, kRcx);
-  if (in.setZ) a_.setccM(kCcE, kR14, kCtxFlagZ);
-  if (in.setC) a_.setccM(kCcB, kR14, kCtxFlagC);
-  if (in.setN) {
-    if (w == 32) {
-      a_.setccM(kCcL, kR14, kCtxFlagN);
-    } else {
-      // Signed compare at width w: sign-extend both, compare again.
-      a_.shlRI(kRax, static_cast<uint8_t>(32 - w));
-      a_.sarRI(kRax, static_cast<uint8_t>(32 - w));
-      a_.shlRI(kRcx, static_cast<uint8_t>(32 - w));
-      a_.sarRI(kRcx, static_cast<uint8_t>(32 - w));
-      a_.cmpRR(kRax, kRcx);
-      a_.setccM(kCcL, kR14, kCtxFlagN);
-    }
+  a_.setccM(kCcE, kR14, kCtxFlagZ);
+  a_.setccM(kCcB, kR14, kCtxFlagC);
+  if (w == 32) {
+    a_.setccM(kCcL, kR14, kCtxFlagN);
+  } else {
+    // Signed compare at width w: sign-extend both, compare again.
+    a_.shlRI(kRax, static_cast<uint8_t>(32 - w));
+    a_.sarRI(kRax, static_cast<uint8_t>(32 - w));
+    a_.shlRI(kRcx, static_cast<uint8_t>(32 - w));
+    a_.sarRI(kRcx, static_cast<uint8_t>(32 - w));
+    a_.cmpRR(kRax, kRcx);
+    a_.setccM(kCcL, kR14, kCtxFlagN);
   }
 }
 
 /// Taken-edge guard shared by jumps and calls: trip the configuration-cycle
 /// budget on loop-capable edges (backward jumps and calls — forward
 /// straight-line code is bounded by its static cost and cannot run away).
-void RoutineEmitter::budgetGuard(const IrInst& in) {
-  const bool loopCapable = in.op == IrOp::kCall || in.imm <= in.isa;
-  if (loopCapable) {
-    if (budgetFail_ < 0) budgetFail_ = a_.newLabel();
-    needBudget_ = true;
-    a_.cmpR64M(kR13, kR14, kCtxBudget);
-    a_.jccLabel(kCcG, budgetFail_);
-  }
+void RoutineEmitter::budgetGuard(bool loopCapable) {
+  if (!loopCapable) return;
+  if (budgetFail_ < 0) budgetFail_ = a_.newLabel();
+  needBudget_ = true;
+  a_.cmpR64M(kR13, kR14, kCtxBudget);
+  a_.jccLabel(kCcG, budgetFail_);
 }
 
-void RoutineEmitter::emitBranch(const IrInst& in) {
-  if (in.op == IrOp::kJump) {
-    budgetGuard(in);
-    a_.jmpLabel(targetLabel(in.imm));
+void RoutineEmitter::emitBranch(Opcode op, int target, int isa) {
+  if (op == Opcode::Jmp) {
+    budgetGuard(target <= isa);
+    a_.jmpLabel(targetLabel(target));
     return;
   }
   // Conditional: test the flag byte, skip the taken path when not taken.
   int32_t flagOff = kCtxFlagZ;
   bool takenWhenSet = true;
-  switch (in.op) {
-    case IrOp::kJz: flagOff = kCtxFlagZ; break;
-    case IrOp::kJnz: flagOff = kCtxFlagZ; takenWhenSet = false; break;
-    case IrOp::kJn: flagOff = kCtxFlagN; break;
-    case IrOp::kJc: flagOff = kCtxFlagC; break;
+  switch (op) {
+    case Opcode::Jz: flagOff = kCtxFlagZ; break;
+    case Opcode::Jnz: flagOff = kCtxFlagZ; takenWhenSet = false; break;
+    case Opcode::Jn: flagOff = kCtxFlagN; break;
+    case Opcode::Jc: flagOff = kCtxFlagC; break;
     default: PSCP_ASSERT(false);
   }
   const int skip = a_.newLabel();
   a_.cmpByteMI(kR14, flagOff, 0);
   a_.jccLabel(takenWhenSet ? kCcE : kCcNe, skip);  // inverted: fall through
-  budgetGuard(in);
-  a_.jmpLabel(targetLabel(in.imm));
+  budgetGuard(target <= isa);
+  a_.jmpLabel(targetLabel(target));
   a_.bind(skip);
 }
 
-void RoutineEmitter::emitCall(const IrInst& in) {
+void RoutineEmitter::emitCall(int target) {
   if (stackOver_ < 0) stackOver_ = a_.newLabel();
   needOver_ = true;
   const int cont = a_.newLabel();
@@ -651,177 +721,119 @@ void RoutineEmitter::emitCall(const IrInst& in) {
   a_.movSibR64(true, kR14, kRax, kCtxCallStack, kRcx);
   a_.addRI(kRax, 1);
   a_.movMR(kR14, kCtxCallDepth, kRax);
-  budgetGuard(in);
-  a_.jmpLabel(targetLabel(in.imm));
+  budgetGuard(true);
+  a_.jmpLabel(targetLabel(target));
   a_.bind(cont);
 }
 
-void RoutineEmitter::emitInst(const IrInst& in) {
-  const uint32_t m = maskBits(in.width);
+/// "PC `pc` ran off the program", as the interpreter raises it when it
+/// fetches there.
+void RoutineEmitter::emitRunOff(int pc) {
+  a_.movRR64(kRdi, kR14);
+  a_.movRI(kRsi, static_cast<uint32_t>(pc));
+  a_.movRI64(kRax, reinterpret_cast<uint64_t>(
+                       reinterpret_cast<const void*>(&pscpJitErrRunOff)));
+  a_.callR64(kRax);
+  a_.jmpLabel(errExit_);
+}
+
+/// Instruction `i`: its whole microprogram's length charged up front, then
+/// its effect, each timed effect offset to the step of its micro-op.
+void RoutineEmitter::emitInstr(int i, const Instr& in) {
+  const int w = in.width;
+  const uint32_t m = maskBits(w);
+  const std::vector<MicroInstr> micro = microcodeFor(in, config_);
+  const auto cost = static_cast<int32_t>(micro.size());
+  if (cost != 0) a_.addR64I(kR13, cost);
+
+  // The first micro-op `is` accepts, as its index minus the microprogram
+  // length: the step the interpreter performs it at, relative to the cycle
+  // count after the charge (0: none).
+  auto skewOf = [&](auto is) {
+    size_t k = 0;
+    while (k < micro.size() && !is(micro[k].op)) ++k;
+    return static_cast<int32_t>(k) - cost;
+  };
+  auto access = [&](bool dynamic, int32_t addr) {
+    const int32_t lead = -skewOf(
+        [](MicroOp op) { return op == MicroOp::MemRead || op == MicroOp::MemWrite; });
+    return MemRef{dynamic, addr, ((w + 7) / 8) | (config_.chunksFor(w) << 8) | (lead << 16)};
+  };
+  // mar = (OP & 0xFFFF) + disp in r15, raw 32-bit wrap like the interpreter.
+  auto addressFromOp = [&](int32_t disp) {
+    a_.movRR(kR15, kR12);
+    a_.andRI(kR15, 0xFFFF);
+    if (disp != 0) a_.addRI(kR15, disp);
+    return access(true, 0);
+  };
+
   switch (in.op) {
-    case IrOp::kAddCycles:
-      if (in.imm != 0) a_.addR64I(kR13, in.imm);
+    case Opcode::Nop:
       break;
-    case IrOp::kLoadImm:
-      a_.movRI(vregReg(in.dst), static_cast<uint32_t>(in.imm));
+    case Opcode::LdaImm:
+    case Opcode::LdoImm:
+      a_.movRI(in.op == Opcode::LdaImm ? kRbx : kR12, static_cast<uint32_t>(in.operand) & m);
       break;
-    case IrOp::kCopy:
-      if (in.dst != in.src1) a_.movRR(vregReg(in.dst), vregReg(in.src1));
-      break;
-    case IrOp::kMask:
-      if (in.dst != in.src1) a_.movRR(vregReg(in.dst), vregReg(in.src1));
-      a_.andRI(vregReg(in.dst), static_cast<uint32_t>(in.imm));
-      break;
-    case IrOp::kAddImm:
-      if (in.dst != in.src1) a_.movRR(vregReg(in.dst), vregReg(in.src1));
-      a_.addRI(vregReg(in.dst), in.imm);
-      break;
-    case IrOp::kAdd:
-    case IrOp::kSub:
-    case IrOp::kAnd:
-    case IrOp::kOr:
-    case IrOp::kXor:
-    case IrOp::kNot:
-    case IrOp::kNeg:
-    case IrOp::kMul:
-      emitAlu(in);
-      break;
-    case IrOp::kShl:
-    case IrOp::kShr:
-    case IrOp::kSar:
-      emitShift(in);
-      break;
-    case IrOp::kCmp:
-      emitCmp(in);
-      break;
-    case IrOp::kDivMod:
-      emitDivMod(in);
-      break;
-    case IrOp::kLoad:
-    case IrOp::kLoadAt: {
-      const int done = a_.newLabel();
-      inlineMemory(in, false, kRax, done);
-      const int32_t imms[2] = {in.imm, in.imm2};
-      const int regs[2] = {in.op == IrOp::kLoadAt ? vregReg(in.src1) : -1, -1};
-      helperCall(reinterpret_cast<const void*>(&pscpJitLoad), 2, imms, regs);
-      a_.movRM(kRax, kR14, kCtxHvalue);
-      a_.bind(done);
-      if (in.width < 32) a_.andRI(kRax, m);
-      a_.movRR(vregReg(in.dst), kRax);
-      break;
-    }
-    case IrOp::kStore:
-    case IrOp::kStoreAt: {
-      const int valueVreg = in.op == IrOp::kStoreAt ? in.src2 : in.src1;
-      a_.movRR(kRdx, vregReg(valueVreg));
-      if (in.width < 32) a_.andRI(kRdx, m);
-      const int done = a_.newLabel();
-      inlineMemory(in, true, kRdx, done);
-      // The value (arg 2, edx) is already in place.
-      const int32_t imms[3] = {in.imm, 0, in.imm2};
-      const int regs[3] = {in.op == IrOp::kStoreAt ? vregReg(in.src1) : -1, kRdx, -1};
-      helperCall(reinterpret_cast<const void*>(&pscpJitStore), 3, imms, regs);
-      a_.bind(done);
-      break;
-    }
-    case IrOp::kRegGet:
-      // Lowering keeps the index inside the register file.
-      PSCP_ASSERT(in.imm >= 0 && in.imm < kRegisterCount);
+    case Opcode::LdaMem: emitLoad(access(false, in.operand), w, kRbx); break;
+    case Opcode::LdoMem: emitLoad(access(false, in.operand), w, kR12); break;
+    case Opcode::StaMem: emitStore(access(false, in.operand), w); break;
+    case Opcode::LdaInd: emitLoad(addressFromOp(0), w, kRbx); break;
+    case Opcode::StaInd: emitStore(addressFromOp(0), w); break;
+    case Opcode::LdaIdx: emitLoad(addressFromOp(in.operand), w, kRbx); break;
+    case Opcode::StaIdx: emitStore(addressFromOp(in.operand), w); break;
+    case Opcode::LdaReg:
+    case Opcode::LdoReg: {
+      const int dst = in.op == Opcode::LdaReg ? kRbx : kR12;
       a_.movRM64(kRax, kR14, kCtxRegs);
-      a_.movRM(vregReg(in.dst), kRax, 4 * in.imm);
-      if (in.width < 32) a_.andRI(vregReg(in.dst), m);
+      a_.movRM(dst, kRax, 4 * in.operand);
+      if (w < 32) a_.andRI(dst, m);
       break;
-    case IrOp::kRegSet:
-      PSCP_ASSERT(in.imm >= 0 && in.imm < kRegisterCount);
-      a_.movRR(kRdx, vregReg(in.src1));
-      if (in.width < 32) a_.andRI(kRdx, m);
+    }
+    case Opcode::StaReg:
+      a_.movRR(kRdx, kRbx);
+      if (w < 32) a_.andRI(kRdx, m);
       a_.movRM64(kRax, kR14, kCtxRegs);
-      a_.movMR(kRax, 4 * in.imm, kRdx);
+      a_.movMR(kRax, 4 * in.operand, kRdx);
       break;
-    case IrOp::kPortRead: {
-      if (const int slot = portSlotOf(portAddresses_, in.imm); slot >= 0) {
-        a_.movRM64(kRax, kR14, kCtxPorts);
-        a_.movRM(vregReg(in.dst), kRax, 4 * slot);
-        break;
-      }
-      const int32_t imms[1] = {in.imm};
-      helperCall(reinterpret_cast<const void*>(&pscpJitPortRead), 1, imms, nullptr);
-      // PortRead loads ACC unmasked, exactly like the interpreter.
-      a_.movRM(vregReg(in.dst), kR14, kCtxHvalue);
+    case Opcode::Tao:  // OP = ACC & mask, no flags
+      a_.movRR(kR12, kRbx);
+      a_.andRI(kR12, m);
       break;
-    }
-    case IrOp::kPortWrite: {
-      a_.movRR(kRdx, vregReg(in.src1));
-      if (in.width < 32) a_.andRI(kRdx, m);
-      const int done = a_.newLabel();
-      if (const int slot = portSlotOf(portAddresses_, in.imm); slot >= 0) {
-        // Latched now so the routine reads back its own write; the write
-        // itself happens when the replay reaches its entry.
-        const int full = a_.newLabel();
-        logRoom(full);
-        a_.movRM64(kRcx, kR14, kCtxPorts);
-        a_.movMR(kRcx, 4 * slot, kRdx);
-        appendEffect(in.imm2, in.imm, kRdx, TimedEffect::Kind::kPortWrite);
-        a_.jmpLabel(done);
-        a_.bind(full);
-      }
-      const int32_t imms[3] = {in.imm, 0, in.imm2};
-      const int regs[3] = {-1, kRdx, -1};
-      helperCall(reinterpret_cast<const void*>(&pscpJitPortWrite), 3, imms, regs);
-      a_.bind(done);
+    case Opcode::Add:
+    case Opcode::Sub:
+    case Opcode::And:
+    case Opcode::Or:
+    case Opcode::Xor:
+    case Opcode::Not:
+    case Opcode::Neg:
+    case Opcode::Mul:
+      emitAlu(in.op, w);
       break;
-    }
-    case IrOp::kEvSet: {
-      const int full = a_.newLabel();
-      const int done = a_.newLabel();
-      logRoom(full);
-      appendEffect(in.imm2, in.imm, -1, TimedEffect::Kind::kRaise);
-      a_.jmpLabel(done);
-      a_.bind(full);
-      const int32_t imms[2] = {in.imm, in.imm2};
-      helperCall(reinterpret_cast<const void*>(&pscpJitEvSet), 2, imms, nullptr);
-      a_.bind(done);
+    case Opcode::Div:
+    case Opcode::Mod:
+    case Opcode::Divu:
+    case Opcode::Modu:
+      emitDivMod(in.op, w, i);
       break;
-    }
-    case IrOp::kCondSet: {
-      const int32_t imms[2] = {in.imm, in.imm2};
-      helperCall(reinterpret_cast<const void*>(&pscpJitCondSet), 2, imms, nullptr);
+    case Opcode::Cmp:
+      emitCmp(w);
       break;
-    }
-    case IrOp::kCondTest:
-    case IrOp::kStateTest: {
-      const int32_t imms[1] = {in.imm};
-      helperCall(in.op == IrOp::kCondTest
-                     ? reinterpret_cast<const void*>(&pscpJitCondTest)
-                     : reinterpret_cast<const void*>(&pscpJitStateTest),
-                 1, imms, nullptr);
-      a_.movRM(kRax, kR14, kCtxHvalue);
-      a_.movRR(vregReg(in.dst), kRax);
-      if (in.setZ) {
-        a_.testRR(kRax, kRax);
-        a_.setccM(kCcE, kR14, kCtxFlagZ);
-      }
+    case Opcode::Shl:
+    case Opcode::Shr:
+    case Opcode::Sar:
+      emitShift(in.op, w, in.operand);
       break;
-    }
-    case IrOp::kCustom: {
-      const int32_t imms[3] = {in.imm, 0, 0};
-      const int regs[3] = {-1, vregReg(in.src1), vregReg(in.src2)};
-      helperCall(reinterpret_cast<const void*>(&pscpJitCustom), 3, imms, regs);
-      a_.movRM(kRax, kR14, kCtxHvalue);
-      finishValueFlags(in, in.imm2);  // flags at the chain's width
+    case Opcode::Jmp:
+    case Opcode::Jz:
+    case Opcode::Jnz:
+    case Opcode::Jn:
+    case Opcode::Jc:
+      emitBranch(in.op, in.operand, i);
       break;
-    }
-    case IrOp::kJump:
-    case IrOp::kJz:
-    case IrOp::kJnz:
-    case IrOp::kJn:
-    case IrOp::kJc:
-      emitBranch(in);
+    case Opcode::Call:
+      emitCall(in.operand);
       break;
-    case IrOp::kCall:
-      emitCall(in);
-      break;
-    case IrOp::kRet: {
+    case Opcode::Ret:
       if (stackUnder_ < 0) stackUnder_ = a_.newLabel();
       needUnder_ = true;
       a_.movRM(kRax, kR14, kCtxCallDepth);
@@ -832,36 +844,120 @@ void RoutineEmitter::emitInst(const IrInst& in) {
       a_.movSibR64(false, kR14, kRax, kCtxCallStack, kRcx);
       a_.jmpR64(kRcx);
       break;
+    case Opcode::Inp: {
+      if (const int slot = portSlotOf(portAddresses_, in.operand); slot >= 0) {
+        a_.movRM64(kRax, kR14, kCtxPorts);
+        a_.movRM(kRbx, kRax, 4 * slot);
+        break;
+      }
+      const int32_t imms[1] = {in.operand};
+      helperCall(reinterpret_cast<const void*>(&pscpJitPortRead), 1, imms, nullptr);
+      // PortRead loads ACC unmasked, exactly like the interpreter.
+      a_.movRM(kRbx, kR14, kCtxHvalue);
+      break;
     }
-    case IrOp::kTret:
+    case Opcode::Outp: {
+      const int32_t skew = skewOf([](MicroOp op) { return op == MicroOp::PortWrite; });
+      a_.movRR(kRdx, kRbx);
+      if (w < 32) a_.andRI(kRdx, m);
+      const int done = a_.newLabel();
+      if (const int slot = portSlotOf(portAddresses_, in.operand); slot >= 0) {
+        // Latched now so the routine reads back its own write; the write
+        // itself happens when the replay reaches its entry.
+        const int full = a_.newLabel();
+        logRoom(full);
+        a_.movRM64(kRcx, kR14, kCtxPorts);
+        a_.movMR(kRcx, 4 * slot, kRdx);
+        appendEffect(skew, in.operand, kRdx, TimedEffect::Kind::kPortWrite);
+        a_.jmpLabel(done);
+        a_.bind(full);
+      }
+      const int32_t imms[3] = {in.operand, 0, skew};
+      const int regs[3] = {-1, kRdx, -1};
+      helperCall(reinterpret_cast<const void*>(&pscpJitPortWrite), 3, imms, regs);
+      a_.bind(done);
+      break;
+    }
+    case Opcode::EvSet: {
+      const int32_t skew = skewOf([](MicroOp op) { return op == MicroOp::EvSet; });
+      const int full = a_.newLabel();
+      const int done = a_.newLabel();
+      logRoom(full);
+      appendEffect(skew, in.operand, -1, TimedEffect::Kind::kRaise);
+      a_.jmpLabel(done);
+      a_.bind(full);
+      const int32_t imms[2] = {in.operand, skew};
+      helperCall(reinterpret_cast<const void*>(&pscpJitEvSet), 2, imms, nullptr);
+      a_.bind(done);
+      break;
+    }
+    case Opcode::CSet:
+    case Opcode::CClr: {
+      const int32_t imms[2] = {in.operand, in.op == Opcode::CSet ? 1 : 0};
+      helperCall(reinterpret_cast<const void*>(&pscpJitCondSet), 2, imms, nullptr);
+      break;
+    }
+    case Opcode::CTst:
+    case Opcode::STst: {  // ACC = 1 when set, else 0; Z = !ACC
+      const int32_t imms[1] = {in.operand};
+      helperCall(in.op == Opcode::CTst ? reinterpret_cast<const void*>(&pscpJitCondTest)
+                                       : reinterpret_cast<const void*>(&pscpJitStateTest),
+                 1, imms, nullptr);
+      a_.movRM(kRax, kR14, kCtxHvalue);
+      a_.movRR(kRbx, kRax);
+      a_.testRR(kRax, kRax);
+      a_.setccM(kCcE, kR14, kCtxFlagZ);
+      break;
+    }
+    case Opcode::Tret:
       a_.jmpLabel(exitOk_);
       break;
-    case IrOp::kRunOff: {
-      a_.movRR64(kRdi, kR14);
-      a_.movRI(kRsi, static_cast<uint32_t>(in.imm));
-      a_.movRI64(kRax, reinterpret_cast<uint64_t>(
-                           reinterpret_cast<const void*>(&pscpJitErrRunOff)));
-      a_.callR64(kRax);
-      a_.jmpLabel(errExit_);
+    case Opcode::Custom: {
+      const int32_t imms[3] = {in.operand, 0, 0};
+      const int regs[3] = {-1, kRbx, kR12};
+      helperCall(reinterpret_cast<const void*>(&pscpJitCustom), 3, imms, regs);
+      a_.movRM(kRax, kR14, kCtxHvalue);
+      // Flags at the chain's width.
+      finishValueFlags(config_.customInstructions[static_cast<size_t>(in.operand)].width);
       break;
     }
   }
 }
 
-EmitResult RoutineEmitter::run() {
+EmitResult RoutineEmitter::run(int entry) {
   EmitResult res;
-  exitOk_ = a_.newLabel();
-  errExit_ = a_.newLabel();
-
-  // Labels for every lowered instruction anchor.
-  for (const IrInst& in : r_.code)
-    if (in.op == IrOp::kAddCycles && anchorLabel_.find(in.isa) == anchorLabel_.end())
-      anchorLabel_[in.isa] = a_.newLabel();
-  auto entryIt = anchorLabel_.find(r_.entryIsa);
-  if (entryIt == anchorLabel_.end()) {
-    res.error = "entry anchor missing";
+  const int size = static_cast<int>(program_.code.size());
+  if (entry < 0 || entry >= size) {
+    res.error = "entry out of range";
     return res;
   }
+  // Reachability over the ISA instruction stream; every reachable
+  // instruction gets its label up front so forward branches resolve.
+  isaLabel_.assign(static_cast<size_t>(size), -1);
+  std::vector<int> work;
+  int reachable = 0;
+  auto visit = [&](int t) {
+    if (t >= 0 && t < size && isaLabel_[static_cast<size_t>(t)] < 0) {
+      isaLabel_[static_cast<size_t>(t)] = a_.newLabel();
+      work.push_back(t);
+      ++reachable;
+    }
+  };
+  visit(entry);
+  while (!work.empty()) {
+    const int i = work.back();
+    work.pop_back();
+    const Instr& in = program_.code[static_cast<size_t>(i)];
+    if (isBranch(in.op)) visit(in.operand);
+    if (fallsThrough(in.op)) visit(i + 1);
+  }
+  if (reachable > kMaxRoutineInstrs) {
+    res.error = strfmt("routine of %d instructions exceeds the size limit of %d",
+                       reachable, kMaxRoutineInstrs);
+    return res;
+  }
+  exitOk_ = a_.newLabel();
+  errExit_ = a_.newLabel();
 
   // Prologue: pin registers, seed machine state from the context.
   a_.push(kRbx);
@@ -874,11 +970,18 @@ EmitResult RoutineEmitter::run() {
   a_.movRM(kR12, kR14, kCtxOp);
   a_.xorRR(kR15, kR15);
   a_.movRM64(kR13, kR14, kCtxCycles);
-  a_.jmpLabel(entryIt->second);
+  a_.jmpLabel(isaLabel_[static_cast<size_t>(entry)]);
 
-  for (const IrInst& in : r_.code) {
-    if (in.op == IrOp::kAddCycles) a_.bind(anchorLabel_.at(in.isa));
-    emitInst(in);
+  for (int i = 0; i < size; ++i) {
+    if (isaLabel_[static_cast<size_t>(i)] < 0) continue;
+    const Instr& in = program_.code[static_cast<size_t>(i)];
+    res.error = unsupported(i, in, config_);
+    if (!res.error.empty()) return res;
+    a_.bind(isaLabel_[static_cast<size_t>(i)]);
+    emitInstr(i, in);
+    // Falling off the end of the program is a runtime error, raised by the
+    // interpreter's beginInstruction inside the same cycle.
+    if (fallsThrough(in.op) && i + 1 >= size) emitRunOff(i + 1);
   }
 
   // Shared tails.
@@ -929,12 +1032,7 @@ EmitResult RoutineEmitter::run() {
   // raises "ran off" when it fetches there.
   for (const auto& [target, label] : runoffLabel_) {
     a_.bind(label);
-    a_.movRR64(kRdi, kR14);
-    a_.movRI(kRsi, static_cast<uint32_t>(target));
-    a_.movRI64(kRax, reinterpret_cast<uint64_t>(
-                         reinterpret_cast<const void*>(&pscpJitErrRunOff)));
-    a_.callR64(kRax);
-    a_.jmpLabel(errExit_);
+    emitRunOff(target);
   }
 
   if (!a_.resolve(&res.error)) return res;
@@ -945,8 +1043,9 @@ EmitResult RoutineEmitter::run() {
 
 }  // namespace
 
-EmitResult emitX64(const ir::IrRoutine& routine, const std::vector<int>& portAddresses) {
-  return RoutineEmitter(routine, portAddresses).run();
+EmitResult emitX64(const AsmProgram& program, int entry, const hwlib::ArchConfig& config,
+                   const std::vector<int>& portAddresses) {
+  return RoutineEmitter(program, config, portAddresses).run(entry);
 }
 
 }  // namespace pscp::tep::jit
@@ -955,8 +1054,11 @@ EmitResult emitX64(const ir::IrRoutine& routine, const std::vector<int>& portAdd
 
 namespace pscp::tep::jit {
 
-EmitResult emitX64(const ir::IrRoutine& routine, const std::vector<int>& portAddresses) {
-  (void)routine;
+EmitResult emitX64(const AsmProgram& program, int entry, const hwlib::ArchConfig& config,
+                   const std::vector<int>& portAddresses) {
+  (void)program;
+  (void)entry;
+  (void)config;
   (void)portAddresses;
   EmitResult res;
   res.error = "native tier unavailable on this build";

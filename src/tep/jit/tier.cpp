@@ -82,17 +82,12 @@ CompiledFn TierCache::compileSlot(Slot& slot, int entry, std::string* reason) {
   const auto t0 = std::chrono::steady_clock::now();
   CompiledFn fn = nullptr;
   std::string why;
-  ir::LowerResult lowered = ir::lowerRoutine(*program_, entry, *config_);
-  if (!lowered.ok) {
-    why = "lowering: " + lowered.reason;
-  } else {
-    EmitResult emitted = emitX64(lowered.routine, *portAddresses_);
-    if (!emitted.ok) {
-      why = "emit: " + emitted.error;
-    } else if (slot.buf.install(emitted.code, &why)) {
-      fn = reinterpret_cast<CompiledFn>(const_cast<void*>(slot.buf.entry()));
-      slot.fn.store(fn, std::memory_order_release);
-    }
+  const EmitResult emitted = emitX64(*program_, entry, *config_, *portAddresses_);
+  if (!emitted.ok) {
+    why = emitted.error;
+  } else if (slot.buf.install(emitted.code, &why)) {
+    fn = reinterpret_cast<CompiledFn>(const_cast<void*>(slot.buf.entry()));
+    slot.fn.store(fn, std::memory_order_release);
   }
   const auto t1 = std::chrono::steady_clock::now();
   compileMicros_.fetch_add(

@@ -3,9 +3,9 @@
 //
 // Promotion policy: with mode kAlways (the default) a routine is compiled
 // the first time any machine dispatches it; kOff never asks for code. A
-// routine that fails lowering or emission is marked Rejected and stays on
-// the interpreter forever — rejection is a performance decision, never a
-// correctness one, because the interpreter is the semantics.
+// routine the emitter rejects (emit_x64.hpp) is marked Rejected and stays
+// on the interpreter forever — rejection is a performance decision, never
+// a correctness one, because the interpreter is the semantics.
 //
 // A machine asks for code at each dispatch of an unobserved cycle whose
 // routines pass its hazard gate; a routine with code runs natively to its
@@ -15,8 +15,8 @@
 //
 // The cache lives per ChartImage, so a fleet of thousands of instances
 // compiles each routine once and shares the read-execute pages; per-run
-// state (JitContext) is per machine, which keeps multi-worker stepping
-// race-free without locks on the hot path.
+// state (JitContext) is built on the stack of each native run, which keeps
+// multi-worker stepping race-free without locks on the hot path.
 #pragma once
 
 #include <atomic>

@@ -233,7 +233,6 @@ TEST(SteadyStateAllocations, FleetEpochLoopIsAllocationFreeWhenArmed) {
   fleet::FleetConfig config;
   config.workerThreads = 1;
   config.telemetry = true;
-  config.flightRecordsPerShard = 128;  // small ring: the loop laps it
   fleet::Fleet f(image, config);
   const std::vector<fleet::InstanceId> ids = f.spawnMany(16);
   const int go = f.eventId("GO");
@@ -250,6 +249,8 @@ TEST(SteadyStateAllocations, FleetEpochLoopIsAllocationFreeWhenArmed) {
     f.step(2);
   }
 
+  const auto& ring = f.flightRecorder()->ring(0);
+  const uint64_t pushedBefore = ring.pushed();
   const uint64_t before = gAllocations.load(std::memory_order_relaxed);
   for (int e = 0; e < 200; ++e) {
     for (fleet::InstanceId id : ids) f.inject(id, tick);
@@ -259,7 +260,9 @@ TEST(SteadyStateAllocations, FleetEpochLoopIsAllocationFreeWhenArmed) {
 
   EXPECT_EQ(after - before, 0u)
       << "armed fleet epochs must not allocate in steady state";
-  EXPECT_GT(f.flightRecorder()->ring(0).pushed(), 200u);
+  EXPECT_GT(ring.pushed(), 200u);
+  EXPECT_GT(ring.pushed() - pushedBefore, ring.capacity())
+      << "the measured epochs must lap the flight ring";
 }
 
 // Both memos hold the bar across images: the cycle scratch and the schedule
@@ -374,7 +377,6 @@ TEST(SteadyStateAllocations, SleepingFleetEpochsAreAllocationFreeWhenArmed) {
   fleet::FleetConfig config;
   config.workerThreads = 1;
   config.telemetry = true;
-  config.flightRecordsPerShard = 128;
   config.journal = true;
   fleet::Fleet f(image, config);
   const std::vector<fleet::InstanceId> ids = f.spawnMany(16);

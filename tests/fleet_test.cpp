@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <ctime>
 #include <limits>
 #include <memory>
@@ -955,6 +956,22 @@ TEST_F(FleetTest, EventQueueCapacityAboveTheMaximumIsAnError) {
     ADD_FAILURE() << "capacity 4097 was accepted";
   } catch (const Error& e) {
     EXPECT_STREQ(e.what(), "fleet: event queue capacity 4097 exceeds the maximum of 4096");
+  }
+}
+
+// Rejected before the fleet allocates a counter block or starts a thread;
+// no accepted count above the tests' usual few is ever tried.
+TEST_F(FleetTest, WorkerThreadsAboveTheMaximumIsAnError) {
+  for (const int workers : {kMaxWorkerThreads + 1, INT_MAX}) {
+    FleetConfig config;
+    config.workerThreads = workers;
+    try {
+      Fleet fleet(image_, config);
+      ADD_FAILURE() << workers << " worker threads were accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()), "fleet: " + std::to_string(workers) +
+                                           " worker threads exceeds the maximum of 1024");
+    }
   }
 }
 

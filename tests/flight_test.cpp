@@ -211,12 +211,10 @@ class FlightFleetTest : public ::testing::Test {
   }
 
   /// Armed fleet with `instances` Counter machines driven into Active.
-  std::unique_ptr<fleet::Fleet> makeArmedFleet(size_t instances, int workers,
-                                               size_t recordsPerShard = 256) {
+  std::unique_ptr<fleet::Fleet> makeArmedFleet(size_t instances, int workers) {
     fleet::FleetConfig config;
     config.workerThreads = workers;
     config.telemetry = true;
-    config.flightRecordsPerShard = recordsPerShard;
     auto f = std::make_unique<fleet::Fleet>(image_, config);
     const int go = f->eventId("GO");
     for (fleet::InstanceId id : f->spawnMany(instances)) {
@@ -317,8 +315,16 @@ TEST_F(FlightFleetTest, DumpRoundTripsThroughFile) {
 // pushing records is data-race-free (verified under TSan in CI) and every
 // record a reader does see is internally consistent.
 TEST_F(FlightFleetTest, SnapshotWhileSteppingNeverTearsRecords) {
-  auto f = makeArmedFleet(16, 2, /*recordsPerShard=*/64);  // small ring: laps
+  auto f = makeArmedFleet(16, 2);
   const int tick = f->eventId("TICK");
+  // Every shard pushes an epoch's begin and end at least, so each ring
+  // laps within capacity/2 epochs and readers race slot reuse.
+  const auto lapped = [&] {
+    const FlightRecorder& recorder = *f->flightRecorder();
+    for (size_t s = 0; s < recorder.shardCount(); ++s)
+      if (recorder.ring(s).pushed() <= recorder.ring(s).capacity()) return false;
+    return true;
+  };
 
   std::atomic<bool> stop{false};
   std::atomic<int> snapshots{0};
@@ -339,9 +345,11 @@ TEST_F(FlightFleetTest, SnapshotWhileSteppingNeverTearsRecords) {
     }
   });
 
-  // Step until the reader has taken a snapshot mid-run: a fast fleet can
-  // finish 200 epochs before the reader thread is first scheduled.
-  for (int e = 0; e < 200 || snapshots.load(std::memory_order_relaxed) == 0; ++e) {
+  // Step until every ring lapped and the reader has taken a snapshot
+  // mid-run: a fast fleet can finish 200 epochs before the reader thread
+  // is first scheduled.
+  for (int e = 0; e < 200 || !lapped() || snapshots.load(std::memory_order_relaxed) == 0;
+       ++e) {
     tickAll(*f, tick);
     f->step(1);
   }

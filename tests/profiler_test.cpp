@@ -197,35 +197,6 @@ TEST(Profiler, StateRollupConservesCost) {
   EXPECT_EQ(selfCalls, run.profiler.transitionsFired());
 }
 
-TEST(Profiler, KeepCyclesOffStillAccumulatesTotals) {
-  ProfiledRun keep(2);
-  keep.driveCanonical();
-
-  auto chart = statechart::parseChart(workloads::smdChartText());
-  auto actions = actionlang::parseActionSource(workloads::smdActionText());
-  machine::PscpMachine m(chart, actions, smdArch(2));
-  Profiler lean(ProfilerOptions{.keepCycles = false});
-  m.setObsOptions({&lean});
-  m.configurationCycle({"POWER"});
-  for (uint32_t b : {0x01u, 6u, 4u, 2u}) {
-    m.setInputPort("Buffer", b);
-    m.configurationCycle({"DATA_VALID"});
-  }
-  m.configurationCycle({});
-  m.configurationCycle({});
-  m.configurationCycle({});
-  m.configurationCycle({"X_PULSE", "Y_PULSE", "PHI_PULSE"});
-  m.configurationCycle({"X_PULSE", "Y_PULSE"});
-  m.configurationCycle({"X_STEPS", "Y_STEPS", "PHI_STEPS"});
-  m.configurationCycle({});
-  m.runToQuiescence({});
-
-  EXPECT_TRUE(lean.cycles().empty());
-  EXPECT_EQ(lean.totalCycles(), keep.profiler.totalCycles());
-  EXPECT_EQ(lean.categoryTotals(), keep.profiler.categoryTotals());
-  EXPECT_EQ(lean.transitionsFired(), keep.profiler.transitionsFired());
-}
-
 // ------------------------------------------------------- quantile oracles
 
 TEST(Percentile, QuantileOfSortedIsNearestRank) {

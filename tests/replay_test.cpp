@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -180,6 +181,19 @@ TEST(Replay, PortOpAtUndeclaredAddressIsADiagnostic) {
           << result.error;
     }
   }
+}
+
+// A worker count no fleet runs ends the replay in the fleet's diagnostic,
+// not an exception escaping run() or a thread per worker.
+TEST(Replay, TooManyWorkersIsADiagnostic) {
+  const Recording rec = recordSmdRun(2, 2, 1);
+  const Replayer replayer(rec.journal.get(), rec.image);
+  ReplayOptions options;
+  options.workerThreads = INT_MAX;
+  const ReplayResult result = replayer.run(options);
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.error, "fleet: " + std::to_string(INT_MAX) +
+                              " worker threads exceeds the maximum of 1024");
 }
 
 // Hostile edits of a recorded journal, each applied to the first op of a

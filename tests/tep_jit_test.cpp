@@ -39,7 +39,6 @@
 #include "obs/journal/journal.hpp"
 #include "obs/journal/replay.hpp"
 #include "pscp/machine.hpp"
-#include "tep/ir.hpp"
 #include "tep/jit/codebuf.hpp"
 #include "tep/jit/emit_x64.hpp"
 #include "tep/jit/runtime.hpp"
@@ -195,20 +194,15 @@ TierRun runInterp(const AsmProgram& prog, int entry,
 
 /// Compile and run natively over `host`'s port map, then perform the
 /// logged port writes and raises on `host` in log order, as the machine's
-/// replay does. Returns false (with `reject` set) when the routine is
-/// rejected by lowering/emission — never an error, the caller just can't
-/// diff this case. `logBus` is the context's flag; `logSize`, when given,
+/// replay does. Returns false (with `reject` set) when the emitter
+/// rejects the routine — never an error, the caller just can't diff this
+/// case. `logBus` is the context's flag; `logSize`, when given,
 /// receives the number of entries the run logged.
 bool runNative(const AsmProgram& prog, int entry,
                const hwlib::ArchConfig& config, TimedHost& host,
                int64_t budget, TierRun* out, std::string* reject,
                bool logBus = true, size_t* logSize = nullptr) {
-  const ir::LowerResult low = ir::lowerRoutine(prog, entry, config);
-  if (!low.ok) {
-    *reject = "lowering: " + low.reason;
-    return false;
-  }
-  const jit::EmitResult em = jit::emitX64(low.routine, TimedHost::declaredPorts());
+  const jit::EmitResult em = jit::emitX64(prog, entry, config, TimedHost::declaredPorts());
   if (!em.ok) {
     *reject = "emit: " + em.error;
     return false;
@@ -733,6 +727,16 @@ TEST(TepJitDiff, MicrocodeJumpsAndLoops) {
                                 {Opcode::Ret, 8, 0},
                             }),
                             0, config, 23, "call"));
+    // Static cost: every instruction's whole microprogram is charged up
+    // front, an external access adds its chunks' wait states as it runs.
+    ASSERT_TRUE(diffRoutine(progOf({
+                                {Opcode::LdaImm, 16, 7},
+                                {Opcode::LdoMem, 32, 0x4000},  // external, chunked
+                                {Opcode::Mul, 16, 0},
+                                {Opcode::Outp, 16, 2},
+                                {Opcode::Tret, 8, 0},
+                            }),
+                            0, config, 25, "static-cost"));
   }
 }
 
@@ -1096,7 +1100,7 @@ TEST(TepJitTier, DispatchCompilesOnFirstRun) {
 
 TEST(TepJitTier, RejectedRoutineStaysInterpreted) {
   const auto prog = progOf({
-      {Opcode::Add, 33, 0},  // invalid width: lowering rejects
+      {Opcode::Add, 33, 0},  // invalid width: the emitter rejects
       {Opcode::Tret, 8, 0},
   });
   const auto config = archPlain8();
@@ -1110,22 +1114,51 @@ TEST(TepJitTier, RejectedRoutineStaysInterpreted) {
   EXPECT_EQ(cache.dispatch(0, 0), nullptr);
 }
 
-// Native code indexes the register file unchecked, so lowering rejects a
-// register operand outside it and the routine stays on the interpreter,
+// Native code indexes the register file unchecked, so the emitter rejects
+// a register operand outside it and the routine stays on the interpreter,
 // which reports the fault as a runtime diagnostic.
 TEST(TepJitTier, RegisterOutsideTheFileStaysInterpreted) {
   for (const Opcode op : {Opcode::LdaReg, Opcode::LdoReg, Opcode::StaReg}) {
     for (const int32_t reg : {16, -1}) {
       SCOPED_TRACE(std::string(opcodeMnemonic(op)) + " r" + std::to_string(reg));
       const auto prog = progOf({{Opcode::LdaImm, 8, 1}, {op, 8, reg}, {Opcode::Tret, 8, 0}});
-      const ir::LowerResult low = ir::lowerRoutine(prog, 0, archPlain8());
-      EXPECT_FALSE(low.ok);
-      EXPECT_EQ(low.reason,
-                "isa 1: register " + std::to_string(reg) + " outside the register file");
+      if (jit::jitBackendAvailable()) {
+        const jit::EmitResult em =
+            jit::emitX64(prog, 0, archPlain8(), TimedHost::declaredPorts());
+        EXPECT_FALSE(em.ok);
+        EXPECT_EQ(em.error,
+                  "isa 1: register " + std::to_string(reg) + " outside the register file");
+      }
       TimedHost host;
       const TierRun run = runInterp(prog, 0, archPlain8(), host, 100);
       EXPECT_EQ(run.error, "TEP0: register " + std::to_string(reg) +
                                " outside the 16-entry register file at PC 1");
+    }
+  }
+}
+
+// The size bound counts reachable instructions: a routine of
+// kMaxRoutineInstrs of them compiles whatever follows its Tret, one more
+// stays on the interpreter and the tier names the limit.
+TEST(TepJitTier, OversizedRoutineStaysInterpreted) {
+  SKIP_WITHOUT_BACKEND();
+  const auto config = archPlain8();
+  for (const int reachable : {jit::kMaxRoutineInstrs, jit::kMaxRoutineInstrs + 1}) {
+    SCOPED_TRACE(reachable);
+    std::vector<Instr> code(static_cast<size_t>(reachable - 1), {Opcode::Add, 32, 0});
+    code.push_back({Opcode::Tret, 8, 0});
+    code.push_back({Opcode::Add, 32, 0});  // unreachable
+    const AsmProgram prog = progOf(std::move(code));
+    jit::TierCache cache(&prog, &config, 1, &TimedHost::declaredPorts());
+    std::string reason;
+    const jit::CompiledFn fn = cache.dispatch(0, 0, &reason);
+    if (reachable == jit::kMaxRoutineInstrs) {
+      EXPECT_NE(fn, nullptr) << reason;
+      EXPECT_EQ(cache.residency().nativeRoutines, 1);
+    } else {
+      EXPECT_EQ(fn, nullptr);
+      EXPECT_NE(reason.find("size limit"), std::string::npos) << reason;
+      EXPECT_EQ(cache.residency().rejectedRoutines, 1);
     }
   }
 }

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "actionlang/parser.hpp"
+#include "fleet/fleet.hpp"
 #include "hwlib/arch_config.hpp"
 #include "obs/journal/journal.hpp"
 #include "obs/journal/replay.hpp"
@@ -106,6 +107,11 @@ bool parseOptions(int argc, char** argv, Options* opt) {
       opt->instances = static_cast<size_t>(std::atoll(v));
     } else if (arg == "--threads" && (v = next())) {
       opt->threads = std::atoi(v);
+      if (opt->threads > fleet::kMaxWorkerThreads) {
+        std::fprintf(stderr, "--threads %d exceeds the maximum of %d\n", opt->threads,
+                     fleet::kMaxWorkerThreads);
+        return false;
+      }
     } else if (arg == "--epochs" && (v = next())) {
       opt->epochs = std::atoi(v);
     } else if (arg == "--cycles" && (v = next())) {

@@ -76,6 +76,11 @@ bool parseOptions(int argc, char** argv, Options* opt) {
       opt->instances = static_cast<size_t>(std::atoll(v));
     } else if (arg == "--threads" && (v = next())) {
       opt->threads = std::atoi(v);
+      if (opt->threads > fleet::kMaxWorkerThreads) {
+        std::fprintf(stderr, "--threads %d exceeds the maximum of %d\n", opt->threads,
+                     fleet::kMaxWorkerThreads);
+        return false;
+      }
     } else if (arg == "--cycles" && (v = next())) {
       opt->cyclesPerEpoch = std::atoi(v);
     } else if (arg == "--refresh-ms" && (v = next())) {
