@@ -740,6 +740,38 @@ TEST(TepJitDiff, MicrocodeJumpsAndLoops) {
   }
 }
 
+// The suite keeps the name of the three-address IR this check began on;
+// the emitter now charges each instruction's microprogram length itself.
+TEST(TepIr, StaticCostMatchesMicrocodeLengths) {
+  SKIP_WITHOUT_BACKEND();
+  hwlib::ArchConfig config;
+  config.dataWidth = 16;
+  config.hasMulDiv = true;
+  config.registerFileSize = 8;
+  const auto prog = progOf({
+      {Opcode::LdaImm, 16, 7},
+      {Opcode::LdoMem, 32, 0x4000},  // external, chunked
+      {Opcode::Mul, 16, 0},
+      {Opcode::Outp, 16, 2},
+      {Opcode::Tret, 8, 0},
+  });
+  int64_t microcodeLengths = 0;
+  for (const Instr& in : prog.code) microcodeLengths += cyclesFor(in, config);
+  // Each chunk of the uncontended external access adds one wait state as
+  // it runs; no other cycle is charged.
+  int64_t waitStates = 0;
+  for (const MicroInstr& mi : microcodeFor(prog.code[1], config))
+    if (mi.op == MicroOp::MemRead) ++waitStates;
+  ASSERT_EQ(waitStates, 2) << "a 32-bit access takes two chunks on a 16-bit datapath";
+
+  TimedHost host(kExternalBase, kExternalSize);
+  TierRun run;
+  std::string reject;
+  ASSERT_TRUE(runNative(prog, 0, config, host, 4'000'000, &run, &reject)) << reject;
+  EXPECT_TRUE(run.completed) << run.error;
+  EXPECT_EQ(run.cycles, microcodeLengths + waitStates);
+}
+
 TEST(TepJitDiff, IndirectAndIndexedArrayWrites) {
   SKIP_WITHOUT_BACKEND();
   for (const auto& config : allArchs()) {
