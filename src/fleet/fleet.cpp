@@ -303,16 +303,28 @@ int64_t Fleet::stepInstance(Instance& inst, int cycles, WorkerLocal& local) {
       local.ring->push(obs::FlightKind::kDrops, local.epoch,
                        static_cast<int64_t>(inst.id), droppedNow, 0, 0);
     }
-    if (drainedCount > 0 || epochFired > 0)
-      local.ring->push(obs::FlightKind::kInstance, local.epoch,
-                       static_cast<int64_t>(inst.id), stats.cycles, epochFired,
-                       drainedCount);
-    for (const machine::PortWrite& w : inst.machine.portWrites()) {
-      local.ring->push(obs::FlightKind::kPortWrite, local.epoch,
-                       static_cast<int64_t>(inst.id), w.port,
-                       static_cast<int64_t>(w.value), w.configCycle);
-      ++local.portWrites;
+    // A busy instance-epoch's record and its first two port writes, when
+    // they share a configuration cycle, take one slot; any other write one.
+    const std::vector<machine::PortWrite>& writes = inst.machine.portWrites();
+    const auto id = static_cast<int64_t>(inst.id);
+    size_t pushed = 0;
+    if (drainedCount > 0 || epochFired > 0) {
+      if (writes.size() >= 2 && writes[0].configCycle == writes[1].configCycle &&
+          obs::FlightRing::fitsInstanceWithWrites(epochFired, drainedCount)) {
+        local.ring->pushInstanceWithWrites(local.epoch, id, stats.cycles, epochFired,
+                                           drainedCount, writes[0].configCycle,
+                                           writes[0].port, writes[0].value, writes[1].port,
+                                           writes[1].value);
+        pushed = 2;
+      } else {
+        local.ring->push(obs::FlightKind::kInstance, local.epoch, id, stats.cycles,
+                         epochFired, drainedCount);
+      }
     }
+    for (size_t i = pushed; i < writes.size(); ++i)
+      local.ring->push(obs::FlightKind::kPortWrite, local.epoch, id, writes[i].port,
+                       static_cast<int64_t>(writes[i].value), writes[i].configCycle);
+    local.portWrites += static_cast<int64_t>(writes.size());
   }
 
   if (config_.capturePortWrites) {

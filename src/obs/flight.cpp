@@ -67,19 +67,38 @@ void FlightRing::snapshot(int32_t shard, std::vector<FlightRecord>* out) const {
   for (uint64_t n = begin; n < end; ++n) {
     const Slot& slot = slots_[static_cast<size_t>(n) & mask_];
     if (slot.seq.load(std::memory_order_acquire) != 2 * n + 2) continue;
+    const uint64_t kind = slot.kind.load(std::memory_order_relaxed);
     FlightRecord r;
-    r.kind = static_cast<FlightKind>(slot.kind.load(std::memory_order_relaxed));
+    r.kind = static_cast<FlightKind>(kind & 0xFF);
     r.shard = shard;
     r.epoch = slot.epoch.load(std::memory_order_relaxed);
     r.a = slot.a.load(std::memory_order_relaxed);
     r.b = slot.b.load(std::memory_order_relaxed);
     r.c = slot.c.load(std::memory_order_relaxed);
     r.d = slot.d.load(std::memory_order_relaxed);
+    const int64_t e = slot.e.load(std::memory_order_relaxed);
     // Re-validate after reading: if the writer lapped us mid-read the
     // fields may mix generations — every field is individually atomic, so
     // the only hazard is a stale logical record, which this check drops.
     std::atomic_thread_fence(std::memory_order_acquire);
     if (slot.seq.load(std::memory_order_relaxed) != 2 * n + 2) continue;
+    if ((kind & 0xFF) == kInstanceWithWrites) {
+      // kind: fired in bits 8-39, drained from bit 40; c and d: port << 32
+      // | value; e: the writes' configuration cycle.
+      const int64_t packed[2] = {r.c, r.d};
+      r.kind = FlightKind::kInstance;
+      r.c = static_cast<int64_t>(kind >> 8 & 0xFFFFFFFFu);
+      r.d = static_cast<int64_t>(kind >> 40);
+      out->push_back(r);
+      r.kind = FlightKind::kPortWrite;
+      r.d = e;
+      for (const int64_t p : packed) {
+        r.b = static_cast<int32_t>(static_cast<uint32_t>(static_cast<uint64_t>(p) >> 32));
+        r.c = static_cast<uint32_t>(p);
+        out->push_back(r);
+      }
+      continue;
+    }
     if (findSpec(r.kind) == nullptr) continue;  // never published garbage
     out->push_back(r);
   }

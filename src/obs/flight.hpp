@@ -69,15 +69,17 @@ struct FlightRecord {
   friend bool operator==(const FlightRecord&, const FlightRecord&) = default;
 };
 
-/// Single-writer / many-reader bounded ring of flight records. Capacity is
-/// rounded up to a power of two. The writer overwrites the oldest record
-/// once full — a flight recorder keeps the tail of history, not all of it.
+/// Single-writer / many-reader bounded ring of flight records. Capacity, in
+/// slots, is rounded up to a power of two; a slot holds one record, or an
+/// instance record with two of its port writes. The writer overwrites the
+/// oldest slot once full — a flight recorder keeps the tail of history,
+/// not all of it.
 class FlightRing {
  public:
   explicit FlightRing(size_t capacity);
 
   [[nodiscard]] size_t capacity() const { return mask_ + 1; }
-  /// Total records ever pushed (monotonic; readers use it to find the live
+  /// Total slots ever written (monotonic; readers use it to find the live
   /// window).
   [[nodiscard]] uint64_t pushed() const {
     return next_.load(std::memory_order_acquire);
@@ -87,19 +89,27 @@ class FlightRing {
   /// writes one cache line (inline: the armed fleet pushes per instance).
   void push(FlightKind kind, int64_t epoch, int64_t a, int64_t b, int64_t c,
             int64_t d) {
-    const uint64_t n = next_.load(std::memory_order_relaxed);
-    Slot& slot = slots_[static_cast<size_t>(n) & mask_];
-    // Mark the slot in-progress before touching the payload, publish after:
-    // a reader that races sees seq != 2n+2 and skips the slot.
-    slot.seq.store(2 * n + 1, std::memory_order_release);
-    slot.kind.store(static_cast<uint8_t>(kind), std::memory_order_relaxed);
-    slot.epoch.store(epoch, std::memory_order_relaxed);
-    slot.a.store(a, std::memory_order_relaxed);
-    slot.b.store(b, std::memory_order_relaxed);
-    slot.c.store(c, std::memory_order_relaxed);
-    slot.d.store(d, std::memory_order_relaxed);
-    slot.seq.store(2 * n + 2, std::memory_order_release);
-    next_.store(n + 1, std::memory_order_release);
+    write(static_cast<uint8_t>(kind), epoch, a, b, c, d);
+  }
+
+  /// An instance-epoch's kInstance record and two kPortWrite records of
+  /// its configuration cycle `configCycle` in one slot, which snapshot()
+  /// reads back as the three records, in that order. A busy SMD
+  /// instance-epoch writes its two motor ports in one cycle, so the armed
+  /// fleet pushes one slot for it where it pushed three. The slot packs
+  /// `fired` and `drained` beside its kind and each port with its value, so
+  /// it takes only what fitsInstanceWithWrites accepts.
+  void pushInstanceWithWrites(int64_t epoch, int64_t id, int64_t cycles, int64_t fired,
+                              int64_t drained, int64_t configCycle, int32_t port0,
+                              uint32_t value0, int32_t port1, uint32_t value1) {
+    write(kInstanceWithWrites | static_cast<uint64_t>(fired) << 8 |
+              static_cast<uint64_t>(drained) << 40,
+          epoch, id, cycles, packPortWrite(port0, value0), packPortWrite(port1, value1),
+          configCycle);
+  }
+  [[nodiscard]] static bool fitsInstanceWithWrites(int64_t fired, int64_t drained) {
+    return fired >= 0 && fired < (int64_t{1} << 32) && drained >= 0 &&
+           drained < (int64_t{1} << 24);
   }
 
   /// Append the published records still resident in the ring to `out`,
@@ -108,15 +118,44 @@ class FlightRing {
   void snapshot(int32_t shard, std::vector<FlightRecord>* out) const;
 
  private:
-  /// One record per cache line.
+  /// The kind of a pushInstanceWithWrites slot (no FlightKind has it).
+  static constexpr uint64_t kInstanceWithWrites = 0x80;
+
+  static int64_t packPortWrite(int32_t port, uint32_t value) {
+    return static_cast<int64_t>(static_cast<uint64_t>(static_cast<uint32_t>(port)) << 32 |
+                                value);
+  }
+
+  /// `kind`'s low byte is the slot's kind; `e` is stored only for
+  /// kInstanceWithWrites.
+  void write(uint64_t kind, int64_t epoch, int64_t a, int64_t b, int64_t c, int64_t d,
+             int64_t e = 0) {
+    const uint64_t n = next_.load(std::memory_order_relaxed);
+    Slot& slot = slots_[static_cast<size_t>(n) & mask_];
+    // Mark the slot in-progress before touching the payload, publish after:
+    // a reader that races sees seq != 2n+2 and skips the slot.
+    slot.seq.store(2 * n + 1, std::memory_order_release);
+    slot.kind.store(kind, std::memory_order_relaxed);
+    slot.epoch.store(epoch, std::memory_order_relaxed);
+    slot.a.store(a, std::memory_order_relaxed);
+    slot.b.store(b, std::memory_order_relaxed);
+    slot.c.store(c, std::memory_order_relaxed);
+    slot.d.store(d, std::memory_order_relaxed);
+    if ((kind & 0xFF) == kInstanceWithWrites) slot.e.store(e, std::memory_order_relaxed);
+    slot.seq.store(2 * n + 2, std::memory_order_release);
+    next_.store(n + 1, std::memory_order_release);
+  }
+
+  /// One slot per cache line.
   struct alignas(64) Slot {
     std::atomic<uint64_t> seq{0};  ///< 2n+1 writing, 2n+2 published
-    std::atomic<uint8_t> kind{0};
+    std::atomic<uint64_t> kind{0};  ///< low byte; kInstanceWithWrites packs more
     std::atomic<int64_t> epoch{0};
     std::atomic<int64_t> a{0};
     std::atomic<int64_t> b{0};
     std::atomic<int64_t> c{0};
     std::atomic<int64_t> d{0};
+    std::atomic<int64_t> e{0};
   };
 
   std::unique_ptr<Slot[]> slots_;

@@ -76,6 +76,7 @@ ChartImage::ChartImage(const statechart::Chart& chart,
         app_.program.entryOf(app_.transitionRoutine.at(t.id)));
   }
   exclusionGroupCount_ = static_cast<int>(groupIds.size());
+  condCopyCycles_ = conditionCopyCycles(arch_, layout_.conditionCount());
   if (arch_.numTeps > 1) hazards_ = analysis::replayHazards(chart, actions, app_, binding_);
   tier_ = std::make_unique<tep::jit::TierCache>(
       &app_.program, &arch_, static_cast<int>(transitionCount), &portAddresses_);
@@ -144,7 +145,7 @@ obs::TraceMeta PscpMachine::traceMeta() const {
     meta.transitionSource[static_cast<size_t>(t.id)] = static_cast<int>(t.source);
   meta.slaEvaluateCycles = kSlaEvaluateCycles;
   meta.dispatchCycles = kDispatchCyclesPerTransition;
-  meta.condCopyCycles = conditionCopyCycles(arch_, layout_.conditionCount());
+  meta.condCopyCycles = image_->condCopyCycles();
   return meta;
 }
 
@@ -158,6 +159,12 @@ void PscpMachine::setObsOptions(const obs::ObsOptions& options) {
 }
 
 PscpMachine::~PscpMachine() = default;
+
+PscpMachine::Replay::Replay() {
+  ctx.log = &log;
+  ctx.error = &error;
+  ctx.budgetLimit = kMaxMachineCycles;
+}
 
 PscpMachine::CycleScratch& PscpMachine::scratch() {
   static thread_local CycleScratch s;
@@ -520,17 +527,18 @@ void PscpMachine::decodeCycle(const std::vector<int>& externalEventIds,
   CycleScratch& s = scratch();
 
   // 1. Sample events into the CR: external + those the TEPs raised last
-  //    cycle + matured hardware timers. Events live for exactly this cycle
-  //    (their CR bits are cleared again right after the decode).
-  std::vector<int>& events = s.events;
-  events.clear();
-  events.insert(events.end(), pendingEvents_.begin(), pendingEvents_.end());
+  //    cycle + matured hardware timers. Events live for exactly this cycle:
+  //    the CR's event bits, clear between cycles, are cleared again right
+  //    after the decode.
+  bool sampled = !pendingEvents_.empty() || !externalEventIds.empty();
+  for (int b : pendingEvents_) cr_.set(b);
   pendingEvents_.clear();
   pendingEventBits_.clear();
-  events.insert(events.end(), externalEventIds.begin(), externalEventIds.end());
+  for (int b : externalEventIds) cr_.set(b);
   for (Timer& t : timers_) {
     if (totalCycles_ >= t.nextFire) {
-      events.push_back(t.eventBit);
+      cr_.set(t.eventBit);
+      sampled = true;
       if (sink != nullptr) sink->onTimerFire(t.eventBit, base);
       // Catch up without bursting: one event per cycle boundary, and the
       // next maturity is the first period multiple past now — or never,
@@ -539,22 +547,23 @@ void PscpMachine::decodeCycle(const std::vector<int>& externalEventIds,
       t.nextFire = ahead > kMaxTime - totalCycles_ ? kMaxTime : totalCycles_ + ahead;
     }
   }
-  for (int b : events) cr_.set(b);
 
   // 2. Decode: the SLA selects enabled transitions and the scheduler
   //    resolves conflicts — or the memo entry of this kind of decode holds
   //    the sampled CR and answers with its chosen set. An observed cycle
   //    neither reads nor writes the memo.
   ++stats.decodes;
-  DecodeEntry& memo = decodeMemo_[events.empty() ? 0 : 1];
+  DecodeEntry& memo = decodeMemo_[sampled ? 1 : 0];
   const size_t keyWords = cr_.wordCount();
   const bool hit = sink == nullptr && memo.filled && keyIsCr(memo);
   std::vector<TransitionId>& chosen = s.chosen;
   if (hit) {
     ++stats.decodeMemoHits;
-    chosen.assign(memo.words.begin() + static_cast<std::ptrdiff_t>(keyWords),
-                  memo.words.end());
-    for (int b : events) cr_.reset(b);
+    const size_t chosenCount = memo.words.size() - keyWords;
+    if (chosen.size() != chosenCount) chosen.resize(chosenCount);
+    for (size_t j = 0; j < chosenCount; ++j)
+      chosen[j] = static_cast<TransitionId>(memo.words[keyWords + j]);
+    cr_.resetBelow(layout_.eventCount());
   } else {
     if (sink != nullptr) sink->onCrSampled(cr_, base);
     sla::SelectStats selectStats;
@@ -563,7 +572,7 @@ void PscpMachine::decodeCycle(const std::vector<int>& externalEventIds,
       memo.words.resize(keyWords);
       for (size_t w = 0; w < keyWords; ++w) memo.words[w] = cr_.word(w);
     }
-    for (int b : events) cr_.reset(b);  // events are consumed by the decode
+    cr_.resetBelow(layout_.eventCount());  // events are consumed by the decode
     std::vector<int> selectedIds;  // copied before resolveConflicts reorders
     if (sink != nullptr) selectedIds.assign(s.select.begin(), s.select.end());
     resolveConflicts(s);
@@ -574,6 +583,7 @@ void PscpMachine::decodeCycle(const std::vector<int>& externalEventIds,
       memo.words.insert(memo.words.end(), chosen.begin(), chosen.end());
       memo.filled = true;
       memo.sameConfig = -1;
+      memo.hazardFree = hazardFree(chosen);
     }
   }
   if (chosen.empty()) {
@@ -589,23 +599,30 @@ void PscpMachine::decodeCycle(const std::vector<int>& externalEventIds,
   stats.quiescent = false;
   ++stats.lockstepRuns;
 
-  // 3. Fill the TEP condition caches from the CR (flat byte copy). The
-  //    scratch only grows, so a thread that steps images with different
-  //    TEP counts keeps every cache's storage.
+  // 3. Fill the TEP condition caches from the CR (flat byte copy, in
+  //    place). The scratch only grows, so a thread that steps images with
+  //    different TEP counts keeps every cache's storage.
   const size_t tepCount = teps_.size();
   if (s.condCache.size() < tepCount) {
     s.condCache.resize(tepCount);
     s.condDirty.resize(tepCount);
   }
+  const size_t conditions = crConditions_.size();
   for (size_t i = 0; i < tepCount; ++i) {
-    s.condCache[i] = crConditions_;
-    s.condDirty[i].assign(layout_.conditionCount());
+    std::vector<uint8_t>& cache = s.condCache[i];
+    if (cache.size() != conditions) cache.resize(conditions);
+    for (size_t c = 0; c < conditions; ++c) cache[c] = crConditions_[c];
+    BitVec& dirty = s.condDirty[i];
+    if (dirty.size() != static_cast<int>(conditions))
+      dirty.assign(static_cast<int>(conditions));
+    else
+      dirty.clear();  // a faulted cycle may have left bits set
   }
 
   // 4. Execute the Transition Address Table: the TEPs in lockstep with bus
   //    arbitration, each routine on the microcode interpreter or replayed
   //    from its native run (bit-identical CR/port/cycle behaviour).
-  const int64_t cycles = runTatLockstep(s, stats, base);
+  const int64_t cycles = runTatLockstep(s, stats, base, nativeAllowed(memo));
 
   // 5. Configuration update: apply exits/enters of all fired transitions,
   //    unless the memo knows they leave the configuration as they found
@@ -637,10 +654,7 @@ void PscpMachine::decodeCycle(const std::vector<int>& externalEventIds,
   }
 }
 
-bool PscpMachine::nativeAllowed(const std::vector<TransitionId>& chosen) const {
-  if (obs_.sink != nullptr || jitMode_ == tep::jit::JitMode::kOff ||
-      !tep::jit::jitBackendAvailable())
-    return false;
+bool PscpMachine::hazardFree(const std::vector<TransitionId>& chosen) const {
   for (size_t a = 0; a < chosen.size(); ++a)
     for (size_t b = a + 1; b < chosen.size(); ++b)
       if (image_->hazardPair(chosen[a], chosen[b])) return false;
@@ -653,29 +667,27 @@ bool PscpMachine::runAhead(Replay& replay, size_t tepIndex, TransitionId t,
       image_->tierCache().dispatch(t, image_->routineEntry_[static_cast<size_t>(t)]);
   if (fn == nullptr) return false;
   tep::Tep& core = *teps_[tepIndex];
-  tep::jit::JitEnv env;
-  env.host = this;
-  env.config = &arch_;
-  env.tepId = core.id();
-  env.programSize = image_->app_.program.code.size();
-  env.budgetLimit = kMaxMachineCycles;
-  env.log = &replay.log;
-  tep::jit::JitContext ctx;
+  // The thread's context: the TAT bound this machine, so only what differs
+  // per run is written here, and everything a run can leave behind is.
+  tep::jit::JitContext& ctx = replay.ctx;
   ctx.acc = core.acc();
   ctx.op = core.op();
   ctx.flagZ = core.flagZ() ? 1 : 0;
   ctx.flagN = core.flagN() ? 1 : 0;
   ctx.flagC = core.flagC() ? 1 : 0;
+  ctx.cycles = 0;
+  ctx.callDepth = 0;
   // A routine's steps start no earlier than the machine cycle it is
   // dispatched in, so one longer than this cannot retire before the guard
   // trips; its run stops here and the loop's guard raises the error.
   ctx.cycleBudget = kMaxMachineCycles - guard + 2;
-  ctx.env = &env;
   ctx.mem = memory_.view(static_cast<int>(tepIndex));
   ctx.logAt = replay.log.tail();
   ctx.logEnd = replay.log.limit();
-  ctx.ports = ports_.data();
   ctx.logBus = contended ? 1 : 0;
+  ctx.tepId = core.id();
+  ctx.faultStep = -1;
+  ctx.overBudget = false;
   LogCursor& cursor = replay.cursors[tepIndex];
   cursor.begin = replay.log.size();
   cursor.next = cursor.begin;
@@ -691,10 +703,13 @@ bool PscpMachine::runAhead(Replay& replay, size_t tepIndex, TransitionId t,
   cursor.end = replay.log.size();
   cursor.length = status == 0 ? ctx.cycles : kNever;
   cursor.faultStep = kNever;
-  if (status != 0 && !env.overBudget) {
-    cursor.faultStep = tep::jit::faultStepOf(ctx);
-    cursor.fault = env.error.empty() ? std::string("PSCP: native tier fault")
-                                     : std::move(env.error);
+  if (status != 0) {
+    if (!ctx.overBudget) {
+      cursor.faultStep = tep::jit::faultStepOf(ctx);
+      cursor.fault = replay.error.empty() ? std::string("PSCP: native tier fault")
+                                          : std::move(replay.error);
+    }
+    replay.error.clear();
   }
   return true;
 }
@@ -817,24 +832,94 @@ void PscpMachine::replayEffect(Replay& replay, size_t entry, size_t tepIndex) {
   }
 }
 
-int64_t PscpMachine::runTatLockstep(CycleScratch& s, CycleStats& stats, int64_t base) {
+namespace {
+// A schedule key's word for an idle TEP slot (no routine length reaches it).
+constexpr uint64_t kIdleSlot = ~uint64_t{0};
+// A schedule key's first word for a logged entry: its step and argument
+// (the entry's first eight bytes); the second word is its kind.
+uint64_t effectKeyWord(const tep::jit::TimedEffect& e) {
+  return static_cast<uint64_t>(static_cast<uint32_t>(e.step)) |
+         static_cast<uint64_t>(static_cast<uint32_t>(e.arg)) << 32;
+}
+}  // namespace
+
+void PscpMachine::buildScheduleKey(const Replay& replay, const std::vector<TransitionId>& running,
+                                   int64_t cycles, int64_t condCopy,
+                                   std::vector<uint64_t>* key) {
+  key->clear();
+  key->push_back(running.size());
+  key->push_back(static_cast<uint64_t>(cycles));
+  key->push_back(static_cast<uint64_t>(condCopy));
+  for (size_t i = 0; i < running.size(); ++i) {
+    if (running[i] == -1) {
+      key->push_back(kIdleSlot);
+      continue;
+    }
+    const LogCursor& c = replay.cursors[i];
+    key->push_back(static_cast<uint64_t>(c.length));
+    key->push_back(c.end - c.begin);
+    for (size_t k = c.begin; k < c.end; ++k) {
+      key->push_back(effectKeyWord(replay.log[k]));
+      key->push_back(static_cast<uint64_t>(replay.log[k].kind));
+    }
+  }
+}
+
+bool PscpMachine::scheduleKeyMatches(const std::vector<uint64_t>& key, const Replay& replay,
+                                     const std::vector<TransitionId>& running, int64_t cycles,
+                                     int64_t condCopy) {
+  // Every length is checked against the key's remaining words before the
+  // words are read, so a key that ends early, or runs on, does not match.
+  const uint64_t* k = key.data();
+  const uint64_t* const end = k + key.size();
+  if (key.size() < 3 || k[0] != running.size() || k[1] != static_cast<uint64_t>(cycles) ||
+      k[2] != static_cast<uint64_t>(condCopy))
+    return false;
+  k += 3;
+  for (size_t i = 0; i < running.size(); ++i) {
+    if (running[i] == -1) {
+      if (k == end || *k++ != kIdleSlot) return false;
+      continue;
+    }
+    const LogCursor& c = replay.cursors[i];
+    const size_t entries = c.end - c.begin;
+    if (static_cast<size_t>(end - k) < 2 + 2 * entries ||
+        k[0] != static_cast<uint64_t>(c.length) || k[1] != entries)
+      return false;
+    k += 2;
+    const tep::jit::TimedEffect* e = replay.log.data() + c.begin;
+    for (size_t n = 0; n < entries; ++n, ++e, k += 2)
+      if (k[0] != effectKeyWord(*e) || k[1] != static_cast<uint64_t>(e->kind)) return false;
+  }
+  return k == end;
+}
+
+int64_t PscpMachine::runTatLockstep(CycleScratch& s, CycleStats& stats, int64_t base,
+                                    bool native) {
   obs::ObsSink* const sink = obs_.sink;
   const std::vector<TransitionId>& chosen = s.chosen;
   const size_t tepCount = teps_.size();
   // Dispatch from the Transition Address Table round-robin; mutual-
   // exclusion groups are never in flight on two TEPs at once (the
-  // "additional decode logic" of Sec. 4).
-  std::vector<TransitionId>& table = s.table;  // FIFO of pending transitions
-  table.assign(chosen.begin(), chosen.end());
+  // "additional decode logic" of Sec. 4). The scratch is refilled in
+  // place and resized only when a size changes.
+  // Plain loops: a library fill or copy costs a call per vector.
+  std::vector<TransitionId>& table = s.table;  // the chosen set, -1 once dispatched
+  if (table.size() != chosen.size()) table.resize(chosen.size());
+  for (size_t j = 0; j < chosen.size(); ++j) table[j] = chosen[j];
+  size_t pending = table.size();
   std::vector<TransitionId>& running = s.running;
-  running.assign(tepCount, -1);
-  s.groupInFlight.assign(static_cast<size_t>(image_->exclusionGroupCount_), 0);
+  if (running.size() != tepCount) running.resize(tepCount);
+  for (TransitionId& t : running) t = -1;
+  const auto groups = static_cast<size_t>(image_->exclusionGroupCount_);
+  if (s.groupInFlight.size() != groups) s.groupInFlight.resize(groups);
+  for (uint8_t& g : s.groupInFlight) g = 0;
   if (sink != nullptr) {
     s.dispatchCycles.resize(tepCount);
     s.dispatchInstrs.resize(tepCount);
     s.dispatchStalls.resize(tepCount);
   }
-  const int64_t condCopy = conditionCopyCycles(arch_, layout_.conditionCount());
+  const int64_t condCopy = image_->condCopyCycles_;
   int64_t cycles = kSlaEvaluateCycles + static_cast<int64_t>(tepCount) * condCopy;
   // (cycles + k) % tepCount visits the TEPs from a rotating start; a mask
   // does the modulo for the usual power-of-two TEP counts.
@@ -843,24 +928,31 @@ int64_t PscpMachine::runTatLockstep(CycleScratch& s, CycleStats& stats, int64_t 
     const auto u = static_cast<size_t>(c);
     return powerOfTwo ? u & (tepCount - 1) : u % tepCount;
   };
-  const bool native = nativeAllowed(chosen);
   // A bus step can stall only while another routine is in flight.
   const bool contended = tepCount > 1 && chosen.size() > 1;
   Replay& replay = s.replay;
   replay.log.clear();
-  replay.cursors.resize(tepCount);
+  if (replay.cursors.size() != tepCount) replay.cursors.resize(tepCount);
   for (LogCursor& c : replay.cursors) c.active = false;
   replay.recording = false;
+  if (native) {  // bind the thread's context to this machine
+    replay.ctx.host = this;
+    replay.ctx.config = &arch_;
+    replay.ctx.programSize = image_->app_.program.code.size();
+    replay.ctx.ports = ports_.data();
+  }
   int64_t guard = 0;  // machine cycles stepped (the guard excludes overhead)
 
   auto tryDispatch = [&](size_t tepIndex) {
-    if (running[tepIndex] != -1 || table.empty()) return;
+    if (running[tepIndex] != -1 || pending == 0) return;
     // Find the first pending transition whose exclusion group is free.
     for (size_t j = 0; j < table.size(); ++j) {
-      const int group = image_->exclusionGroup_[static_cast<size_t>(table[j])];
-      if (group >= 0 && s.groupInFlight[static_cast<size_t>(group)] != 0) continue;
       const TransitionId t = table[j];
-      table.erase(table.begin() + static_cast<std::ptrdiff_t>(j));
+      if (t == -1) continue;
+      const int group = image_->exclusionGroup_[static_cast<size_t>(t)];
+      if (group >= 0 && s.groupInFlight[static_cast<size_t>(group)] != 0) continue;
+      table[j] = -1;
+      --pending;
       running[tepIndex] = t;
       if (group >= 0) s.groupInFlight[static_cast<size_t>(group)] = 1;
       // A rejected routine, or one another thread is compiling right now,
@@ -872,8 +964,8 @@ int64_t PscpMachine::runTatLockstep(CycleScratch& s, CycleStats& stats, int64_t 
         s.dispatchCycles[tepIndex] = teps_[tepIndex]->cyclesExecuted();
         s.dispatchInstrs[tepIndex] = teps_[tepIndex]->instructionsExecuted();
         s.dispatchStalls[tepIndex] = teps_[tepIndex]->stallCycles();
-        sink->onDispatch(static_cast<int>(tepIndex), t,
-                         static_cast<int>(table.size()), base + cycles);
+        sink->onDispatch(static_cast<int>(tepIndex), t, static_cast<int>(pending),
+                         base + cycles);
       }
       break;
     }
@@ -907,33 +999,13 @@ int64_t PscpMachine::runTatLockstep(CycleScratch& s, CycleStats& stats, int64_t 
   // the TEP count, the cycle count so far, the write-back cost and each
   // slot's logged timing (never on an effect's value, the instance or the
   // image), so the loop's recorded output for the same key replays exactly.
-  bool allNative = native && table.empty();
+  bool allNative = native && pending == 0;
   for (size_t i = 0; allNative && i < tepCount; ++i)
     allNative = running[i] == -1 ||
                 (replay.cursors[i].active && replay.cursors[i].length != kNever);
   if (allNative) {
-    std::vector<uint64_t>& key = s.scheduleKey;
-    key.clear();
-    key.push_back(tepCount);
-    key.push_back(static_cast<uint64_t>(cycles));
-    key.push_back(static_cast<uint64_t>(condCopy));
-    for (size_t i = 0; i < tepCount; ++i) {
-      if (running[i] == -1) {
-        key.push_back(~uint64_t{0});  // idle slot
-        continue;
-      }
-      const LogCursor& c = replay.cursors[i];
-      key.push_back(static_cast<uint64_t>(c.length));
-      key.push_back(c.end - c.begin);
-      for (size_t k = c.begin; k < c.end; ++k) {
-        const tep::jit::TimedEffect& e = replay.log[k];
-        key.push_back((static_cast<uint64_t>(static_cast<uint32_t>(e.step)) << 8) |
-                      static_cast<uint64_t>(e.kind));
-        key.push_back(static_cast<uint32_t>(e.arg));
-      }
-    }
     const ScheduleMemo& memo = s.schedule;
-    if (key == memo.key) {
+    if (scheduleKeyMatches(memo.key, replay, running, cycles, condCopy)) {
       ++stats.scheduleReplays;
       for (const ScheduleStep& step : memo.steps) {
         const auto i = static_cast<size_t>(step.tep);
@@ -947,6 +1019,8 @@ int64_t PscpMachine::runTatLockstep(CycleScratch& s, CycleStats& stats, int64_t 
       busStallsThisCycle_ += memo.stalls;
       return memo.cycles;
     }
+    // Stored as the memo's key if the loop returns.
+    buildScheduleKey(replay, running, cycles, condCopy, &s.scheduleKey);
     replay.recording = true;
     replay.base = base;
     replay.steps.clear();
@@ -965,7 +1039,7 @@ int64_t PscpMachine::runTatLockstep(CycleScratch& s, CycleStats& stats, int64_t 
       }
     }
     if (busy == 0) {
-      if (table.empty()) break;
+      if (pending == 0) break;
       // All TEPs idle but exclusion groups blocked dispatch earlier: clear
       // finished groups and retry.
       for (size_t i = 0; i < tepCount; ++i) tryDispatch(i);

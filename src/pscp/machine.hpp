@@ -42,8 +42,8 @@
 // decoder and SLA synthesis run once per chart, not once per instance.
 // Steady-state stepping through configurationCycleIds(events, &stats,
 // cycles) is allocation-free. A machine keeps only state that outlives a
-// configuration cycle; every per-cycle temporary (sampled events, the SLA
-// selection, the TAT, the condition caches, the native tier's replay log)
+// configuration cycle; every per-cycle temporary (the SLA selection, the
+// TAT, the condition caches, the native tier's replay log and context)
 // is per thread, so a fleet worker reuses one set for every instance it
 // steps and thousands of instances never serialize on the allocator.
 //
@@ -171,6 +171,11 @@ class ChartImage {
     return !hazards_.empty() && hazards_[static_cast<size_t>(a)].test(b);
   }
 
+  /// Machine cycles to copy the CR's condition part into one TEP's
+  /// condition cache, and the same to write it back
+  /// (machine::conditionCopyCycles over this chart and datapath).
+  [[nodiscard]] int condCopyCycles() const { return condCopyCycles_; }
+
  private:
   friend class PscpMachine;
 
@@ -193,6 +198,7 @@ class ChartImage {
   std::vector<int> routineEntry_;    ///< program entry index of t's routine
   std::vector<BitVec> hazards_;      ///< replay hazard rows (multi-TEP only)
   int exclusionGroupCount_ = 0;
+  int condCopyCycles_ = 0;
   std::unique_ptr<tep::jit::TierCache> tier_;
 };
 
@@ -404,6 +410,9 @@ class PscpMachine : public tep::TepHost {
     /// found it: -1 until an update over this key has run, then 0 or 1.
     int8_t sameConfig = -1;
     bool filled = false;
+    /// No two transitions of the chosen set form a hazard pair
+    /// (ChartImage::hazardPair), so its routines may run natively.
+    bool hazardFree = false;
   };
   /// True when `entry`'s key words are cr_'s words.
   [[nodiscard]] bool keyIsCr(const DecodeEntry& entry) const {
@@ -441,31 +450,55 @@ class PscpMachine : public tep::TepHost {
   /// logged (each run's entries contiguous, in step order) and a cursor per
   /// TEP. When `recording`, the loop appends its output to `steps`.
   struct Replay {
+    /// Binds the context to this replay's log and error text; a Replay
+    /// never moves (it lives in the thread's scratch).
+    Replay();
+    Replay(const Replay&) = delete;
+    Replay& operator=(const Replay&) = delete;
+
     tep::jit::EffectLog log;
     std::vector<LogCursor> cursors;
     bool recording = false;
     int64_t base = 0;  ///< the cycle's machine time at its start
     std::vector<ScheduleStep> steps;
+    /// The thread's one native-run context. A TAT binds its machine (host,
+    /// datapath, program size, ports); each run rewrites the fields that
+    /// differ per run (runAhead), so nothing carries over from the last.
+    tep::jit::JitContext ctx;
+    std::string error;  ///< *ctx.error: a faulting run's diagnostic
   };
   /// The schedule memo: the lockstep loop's output for the last all-native
   /// TAT it ran to its end, keyed on everything the loop read (TEP count,
   /// start cycle, write-back cost, and per TEP slot idle or the routine's
-  /// length and each logged entry's step, kind and argument).
+  /// length and each logged entry's step, kind and argument). A lookup
+  /// compares the key with the TAT in place; the key is built only to
+  /// store a new entry.
   struct ScheduleMemo {
     std::vector<uint64_t> key;  ///< empty: no entry
     std::vector<ScheduleStep> steps;
     int64_t cycles = 0;  ///< the loop's final cycle count
     int64_t stalls = 0;  ///< bus stalls the loop counted
   };
+  /// The schedule key of the TAT that `running` and `replay` hold, whose
+  /// loop starts at cycle `cycles` with write-back cost `condCopy`: the TEP
+  /// count, `cycles`, `condCopy`, then per TEP slot kIdleSlot, or the
+  /// routine's length, its entry count and two words per entry (its step
+  /// and argument, then its kind).
+  static void buildScheduleKey(const Replay& replay,
+                               const std::vector<statechart::TransitionId>& running,
+                               int64_t cycles, int64_t condCopy, std::vector<uint64_t>* key);
+  /// Whether `key` is that key, compared in place without building it.
+  [[nodiscard]] static bool scheduleKeyMatches(
+      const std::vector<uint64_t>& key, const Replay& replay,
+      const std::vector<statechart::TransitionId>& running, int64_t cycles, int64_t condCopy);
   /// Everything a configuration cycle works with that no machine state
   /// outlives. It is per thread, not per machine: a fleet worker reuses one
   /// for every instance it steps (allocation-free once grown, also across
   /// images), and instances carry no scratch.
   struct CycleScratch {
-    std::vector<int> events;                         ///< sampled event bits
     std::vector<statechart::TransitionId> select;    ///< SLA selection, by id
     std::vector<statechart::TransitionId> chosen;    ///< conflict-resolved
-    std::vector<statechart::TransitionId> table;     ///< the TAT FIFO
+    std::vector<statechart::TransitionId> table;     ///< the TAT, -1 once dispatched
     std::vector<statechart::TransitionId> running;   ///< per TEP, -1 idle
     BitVec exited;                                   ///< resolveConflicts working set
     std::vector<uint8_t> groupInFlight;              ///< by interned exclusion group
@@ -479,7 +512,7 @@ class PscpMachine : public tep::TepHost {
     std::vector<int64_t> dispatchStalls;
     Replay replay;
     ScheduleMemo schedule;
-    std::vector<uint64_t> scheduleKey;  ///< the key being looked up
+    std::vector<uint64_t> scheduleKey;  ///< the key of the TAT being recorded
   };
   /// The calling thread's cycle scratch.
   static CycleScratch& scratch();
@@ -489,11 +522,19 @@ class PscpMachine : public tep::TepHost {
   void resolveConflicts(CycleScratch& s);
   /// Execute the Transition Address Table: every busy TEP advances one
   /// step per machine cycle, with round-robin dispatch, exclusion groups
-  /// and external-bus arbitration. Returns the cycle count. An all-native
-  /// TAT whose timing the schedule memo holds replays the memo instead.
-  int64_t runTatLockstep(CycleScratch& s, CycleStats& stats, int64_t base);
-  /// Whether this cycle's routines may run natively (see "tiered execution").
-  [[nodiscard]] bool nativeAllowed(const std::vector<statechart::TransitionId>& chosen) const;
+  /// and external-bus arbitration. Returns the cycle count. When `native`,
+  /// routines with code run natively; an all-native TAT whose timing the
+  /// schedule memo holds replays the memo instead.
+  int64_t runTatLockstep(CycleScratch& s, CycleStats& stats, int64_t base, bool native);
+  /// Whether the routines of the chosen set `decode` holds may run natively
+  /// (see "tiered execution"). `decode` must describe this cycle's decode,
+  /// which an unobserved cycle's memo entry always does.
+  [[nodiscard]] bool nativeAllowed(const DecodeEntry& decode) const {
+    return obs_.sink == nullptr && jitMode_ != tep::jit::JitMode::kOff &&
+           tep::jit::jitBackendAvailable() && decode.hazardFree;
+  }
+  /// True when no two of `chosen` form a hazard pair.
+  [[nodiscard]] bool hazardFree(const std::vector<statechart::TransitionId>& chosen) const;
 
   /// Run `t`'s routine natively to its end on TEP `tep` at its dispatch,
   /// logging its timed shared effects, and point the TEP's cursor at them.

@@ -87,6 +87,13 @@ class BitVec {
   }
   void reset(int i) { set(i, false); }
   void clear() { std::fill(words_.begin(), words_.end(), 0); }
+  /// Clear bits [0, bits).
+  void resetBelow(int bits) {
+    PSCP_ASSERT(bits >= 0 && bits <= bits_);
+    const auto full = static_cast<size_t>(bits) / 64;
+    for (size_t w = 0; w < full; ++w) words_[w] = 0;
+    if (bits % 64 != 0) words_[full] &= ~uint64_t{0} << (bits % 64);
+  }
   /// Become `bits` clear bits, reusing the word storage (allocation-free
   /// once it has held that many words).
   void assign(int bits) {

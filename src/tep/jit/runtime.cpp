@@ -18,13 +18,11 @@ void EffectLog::grow() {
 
 namespace {
 
-JitEnv* envOf(JitContext* ctx) { return ctx->env; }
-
 /// Append `e` at the context's log cursor, growing the log when it is full
 /// (the emitted code's room check sent the effect here).
 void appendEffect(JitContext* ctx, const TimedEffect& e) {
   if (ctx->logAt == ctx->logEnd) {
-    EffectLog& log = *ctx->env->log;
+    EffectLog& log = *ctx->log;
     log.setTail(ctx->logAt);
     log.grow();
     ctx->logAt = log.tail();
@@ -39,10 +37,10 @@ void appendEffect(JitContext* ctx, const TimedEffect& e) {
 /// external operand then takes two steps per chunk (wait state + access),
 /// both on the external bus, an internal one a single step.
 struct MemAccess {
-  MemAccess(JitContext* ctx, JitEnv* env, int32_t addr, int32_t packed)
+  MemAccess(JitContext* ctx, int32_t addr, int32_t packed)
       : bytes(packed & 0xFF),
         chunks((packed >> 8) & 0xFF),
-        bytesPerChunk(env->config->bytesPerWord()),
+        bytesPerChunk(ctx->config->bytesPerWord()),
         external(isExternalAddress(addr)),
         firstStep(ctx->cycles - ((packed >> 16) & 0xFF)) {
     // Externality is decided by the base address, like needsExternalBus(mar).
@@ -70,18 +68,17 @@ struct MemAccess {
 };
 
 /// Run `body`, trapping pscp::Error (and any other exception) into
-/// JitEnv::error so nothing unwinds through the emitted frame.
+/// *ctx->error so nothing unwinds through the emitted frame.
 template <typename Fn>
 int32_t guarded(JitContext* ctx, Fn&& body) noexcept {
-  JitEnv* env = envOf(ctx);
   try {
-    body(env);
+    body();
     return 0;
   } catch (const Error& e) {
-    env->error = e.what();
+    *ctx->error = e.what();
     return 1;
   } catch (const std::exception& e) {
-    env->error = e.what();
+    *ctx->error = e.what();
     return 1;
   }
 }
@@ -91,18 +88,18 @@ int32_t guarded(JitContext* ctx, Fn&& body) noexcept {
 extern "C" {
 
 int32_t pscpJitLoad(JitContext* ctx, int32_t addr, int32_t packed) noexcept {
-  return guarded(ctx, [&](JitEnv* env) {
-    const MemAccess access(ctx, env, addr, packed);
+  return guarded(ctx, [&] {
+    const MemAccess access(ctx, addr, packed);
     uint32_t v = 0;
     int i = 0;
     try {
       for (; i < access.bytes; ++i) {
         const uint8_t* cell = ctx->mem.byteAt(addr + i);
-        v |= static_cast<uint32_t>(cell != nullptr ? *cell : env->host->readByte(addr + i))
+        v |= static_cast<uint32_t>(cell != nullptr ? *cell : ctx->host->readByte(addr + i))
              << (8 * i);
       }
     } catch (const Error&) {
-      env->faultStep = access.stepOfByte(i);
+      ctx->faultStep = access.stepOfByte(i);
       throw;
     }
     access.charge(ctx);
@@ -112,8 +109,8 @@ int32_t pscpJitLoad(JitContext* ctx, int32_t addr, int32_t packed) noexcept {
 
 int32_t pscpJitStore(JitContext* ctx, int32_t addr, uint32_t value,
                      int32_t packed) noexcept {
-  return guarded(ctx, [&](JitEnv* env) {
-    const MemAccess access(ctx, env, addr, packed);
+  return guarded(ctx, [&] {
+    const MemAccess access(ctx, addr, packed);
     int i = 0;
     try {
       for (; i < access.bytes; ++i) {
@@ -121,10 +118,10 @@ int32_t pscpJitStore(JitContext* ctx, int32_t addr, uint32_t value,
         if (uint8_t* cell = ctx->mem.byteAt(addr + i))
           *cell = byte;
         else
-          env->host->writeByte(addr + i, byte);
+          ctx->host->writeByte(addr + i, byte);
       }
     } catch (const Error&) {
-      env->faultStep = access.stepOfByte(i);
+      ctx->faultStep = access.stepOfByte(i);
       throw;
     }
     access.charge(ctx);
@@ -132,44 +129,44 @@ int32_t pscpJitStore(JitContext* ctx, int32_t addr, uint32_t value,
 }
 
 int32_t pscpJitPortRead(JitContext* ctx, int32_t port) noexcept {
-  return guarded(ctx, [&](JitEnv* env) { ctx->hvalue = env->host->readPort(port); });
+  return guarded(ctx, [&] { ctx->hvalue = ctx->host->readPort(port); });
 }
 
 int32_t pscpJitPortWrite(JitContext* ctx, int32_t port, uint32_t value,
                          int32_t skew) noexcept {
-  return guarded(ctx, [&](JitEnv* env) {
+  return guarded(ctx, [&] {
     // Latched now so the routine reads back its own write; the write
     // itself (log record, timestamp) happens when the replay reaches it.
-    env->host->latchPort(port, value);
+    ctx->host->latchPort(port, value);
     appendEffect(ctx, {static_cast<int32_t>(ctx->cycles + skew), port, value,
                        TimedEffect::Kind::kPortWrite});
   });
 }
 
 int32_t pscpJitEvSet(JitContext* ctx, int32_t index, int32_t skew) noexcept {
-  return guarded(ctx, [&](JitEnv*) {
+  return guarded(ctx, [&] {
     appendEffect(ctx,
                  {static_cast<int32_t>(ctx->cycles + skew), index, 0, TimedEffect::Kind::kRaise});
   });
 }
 
 int32_t pscpJitCondSet(JitContext* ctx, int32_t index, int32_t value) noexcept {
-  return guarded(ctx, [&](JitEnv* env) { env->host->setCondition(index, value != 0); });
+  return guarded(ctx, [&] { ctx->host->setCondition(index, value != 0); });
 }
 
 int32_t pscpJitCondTest(JitContext* ctx, int32_t index) noexcept {
   return guarded(ctx,
-                 [&](JitEnv* env) { ctx->hvalue = env->host->testCondition(index) ? 1u : 0u; });
+                 [&] { ctx->hvalue = ctx->host->testCondition(index) ? 1u : 0u; });
 }
 
 int32_t pscpJitStateTest(JitContext* ctx, int32_t index) noexcept {
   return guarded(ctx,
-                 [&](JitEnv* env) { ctx->hvalue = env->host->testState(index) ? 1u : 0u; });
+                 [&] { ctx->hvalue = ctx->host->testState(index) ? 1u : 0u; });
 }
 
 int32_t pscpJitDivMod(JitContext* ctx, uint32_t a, uint32_t b, int32_t packed,
                       int32_t pc) noexcept {
-  return guarded(ctx, [&](JitEnv* env) {
+  return guarded(ctx, [&] {
     const int w = packed & 0xFF;
     const bool isSigned = (packed & (1 << 8)) != 0;
     const bool isDiv = (packed & (1 << 9)) != 0;
@@ -177,7 +174,7 @@ int32_t pscpJitDivMod(JitContext* ctx, uint32_t a, uint32_t b, int32_t packed,
     if ((b & mask) == 0)
       // The interpreter reports pc_ - 1, i.e. the ISA index of the
       // dividing instruction (pc was advanced at fetch).
-      fail("TEP%d: division by zero at PC %d", env->tepId, pc);
+      fail("TEP%d: division by zero at PC %d", ctx->tepId, pc);
     uint32_t result = 0;
     if (isSigned) {
       // In 64 bits: INT32_MIN / -1 wraps to INT32_MIN (remainder 0).
@@ -194,11 +191,11 @@ int32_t pscpJitDivMod(JitContext* ctx, uint32_t a, uint32_t b, int32_t packed,
 }
 
 int32_t pscpJitCustom(JitContext* ctx, int32_t index, uint32_t a, uint32_t b) noexcept {
-  return guarded(ctx, [&](JitEnv* env) {
+  return guarded(ctx, [&] {
     PSCP_ASSERT(index >= 0 &&
-                static_cast<size_t>(index) < env->config->customInstructions.size());
+                static_cast<size_t>(index) < ctx->config->customInstructions.size());
     const hwlib::CustomInstr& ci =
-        env->config->customInstructions[static_cast<size_t>(index)];
+        ctx->config->customInstructions[static_cast<size_t>(index)];
     const uint32_t cmask = maskBits(ci.width);
     uint32_t v = a & cmask;
     for (const hwlib::CustomStep& step : ci.steps) {
@@ -225,29 +222,29 @@ int32_t pscpJitCustom(JitContext* ctx, int32_t index, uint32_t a, uint32_t b) no
 }
 
 int32_t pscpJitErrRunOff(JitContext* ctx, int32_t pc) noexcept {
-  guarded(ctx, [&](JitEnv* env) {
-    fail("TEP%d: PC %d ran off the program (size %zu)", env->tepId, pc,
-         env->programSize);
+  guarded(ctx, [&] {
+    fail("TEP%d: PC %d ran off the program (size %zu)", ctx->tepId, pc,
+         ctx->programSize);
   });
   return 1;
 }
 
 int32_t pscpJitErrStackOver(JitContext* ctx) noexcept {
-  guarded(ctx, [&](JitEnv* env) { fail("TEP%d: call stack overflow", env->tepId); });
+  guarded(ctx, [&] { fail("TEP%d: call stack overflow", ctx->tepId); });
   return 1;
 }
 
 int32_t pscpJitErrStackUnder(JitContext* ctx) noexcept {
   guarded(ctx,
-          [&](JitEnv* env) { fail("TEP%d: RET with empty call stack", env->tepId); });
+          [&] { fail("TEP%d: RET with empty call stack", ctx->tepId); });
   return 1;
 }
 
 int32_t pscpJitErrBudget(JitContext* ctx) noexcept {
-  guarded(ctx, [&](JitEnv* env) {
-    env->overBudget = true;
+  guarded(ctx, [&] {
+    ctx->overBudget = true;
     fail("PSCP configuration cycle exceeded %lld machine cycles",
-         static_cast<long long>(env->budgetLimit));
+         static_cast<long long>(ctx->budgetLimit));
   });
   return 1;
 }

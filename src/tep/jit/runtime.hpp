@@ -24,10 +24,16 @@
 //
 // Error discipline: emitted code has no unwind tables, so C++ exceptions
 // must never cross a JIT frame. Every helper catches pscp::Error, stores
-// the exact message in JitEnv::error and returns nonzero; the emitted
+// the exact message in *JitContext::error and returns nonzero; the emitted
 // code checks the status and exits through its error epilogue, after
 // which the embedder rethrows the stored message. Interpreter and native
 // tier therefore fail with byte-identical diagnostics.
+//
+// One context per thread: a JitContext holds both what emitted code reads
+// and what only the helpers read, so an embedder keeps one per thread and
+// rewrites, before each run, only the fields that differ between runs
+// (pscp/machine.cpp's runAhead); nothing a run leaves behind may decide
+// the next one.
 //
 // Timed effects: a routine's shared effects — external-bus steps, port
 // writes, raises — are logged, each at the interpreter step that performs
@@ -43,6 +49,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "hwlib/arch_config.hpp"
 #include "tep/machine.hpp"
@@ -114,28 +121,11 @@ class EffectLog {
   size_t capacity_ = 0;
 };
 
-/// Everything the helpers need from C++ land. Referenced (not owned) by
-/// JitContext::env; never read by emitted code directly.
-struct JitEnv {
-  TepHost* host = nullptr;
-  const hwlib::ArchConfig* config = nullptr;
-  int tepId = 0;
-  size_t programSize = 0;
-  int64_t budgetLimit = 0;  ///< configuration-cycle guard (machine cycles)
-  std::string error;        ///< helper-captured diagnostic
-  /// Required: the log JitContext::logAt appends to, which a helper grows
-  /// when the cursor meets JitContext::logEnd.
-  EffectLog* log = nullptr;
-  /// Step of the fault when a memory access failed part-way (its chunk's
-  /// access step); -1 means the fault is at the last step charged so far.
-  int64_t faultStep = -1;
-  bool overBudget = false;  ///< the budget guard, not a fault, stopped the run
-};
-
-/// The block emitted code addresses with fixed offsets (asserted below).
-/// Seeded by the embedder before a routine runs; read back afterwards.
-/// `cycles` counts the routine's local steps: seeded at 0, a routine that
-/// returns 0 has taken exactly `cycles` steps on the interpreter.
+/// The block emitted code addresses with fixed offsets (asserted below),
+/// followed by what only the helpers read. Seeded by the embedder before a
+/// routine runs; read back afterwards. `cycles` counts the routine's local
+/// steps: seeded at 0, a routine that returns 0 has taken exactly `cycles`
+/// steps on the interpreter. Standard-layout, so offsetof applies.
 struct JitContext {
   uint32_t acc = 0;          // +0
   uint32_t op = 0;           // +4
@@ -146,7 +136,7 @@ struct JitContext {
   uint32_t hvalue = 0;       // +12  helper value-return slot
   int64_t cycles = 0;        // +16  machine cycles consumed (running total)
   int64_t cycleBudget = 0;   // +24  error when a backward edge exceeds this
-  JitEnv* env = nullptr;     // +32
+  uint64_t pad2 = 0;         // +32
   int32_t callDepth = 0;     // +40
   int32_t pad1 = 0;          // +44
   MemView mem;               // +48  the TEP's registers and in-layout memory
@@ -154,7 +144,7 @@ struct JitContext {
   /// read, so the stack is left uninitialized (a run need not clear it).
   uint64_t callStack[32];
   /// +344 the effect log's append cursor, +352 the end of its capacity
-  /// (JitEnv::log's tail() and limit() when the run starts).
+  /// (log's tail() and limit() when the run starts).
   TimedEffect* logAt = nullptr;
   TimedEffect* logEnd = nullptr;
   /// +360 the values of the image's declared ports, by slot: port reads
@@ -164,6 +154,23 @@ struct JitContext {
   /// when no other routine can be in flight to contend for the bus).
   /// Port writes and raises are always logged.
   uint8_t logBus = 1;
+
+  // Read by the helpers only; emitted code never addresses them.
+  int32_t tepId = 0;
+  TepHost* host = nullptr;
+  const hwlib::ArchConfig* config = nullptr;
+  size_t programSize = 0;
+  int64_t budgetLimit = 0;  ///< configuration-cycle guard (machine cycles)
+  /// Required: the log logAt appends to, which a helper grows when the
+  /// cursor meets logEnd.
+  EffectLog* log = nullptr;
+  /// Required: where a helper stores its diagnostic. A string member would
+  /// make the context non-standard-layout, so it lives outside.
+  std::string* error = nullptr;
+  /// Step of the fault when a memory access failed part-way (its chunk's
+  /// access step); -1 means the fault is at the last step charged so far.
+  int64_t faultStep = -1;
+  bool overBudget = false;  ///< the budget guard, not a fault, stopped the run
 };
 
 inline constexpr int32_t kCtxAcc = 0;
@@ -207,15 +214,16 @@ static_assert(offsetof(JitContext, logAt) == kCtxLogAt);
 static_assert(offsetof(JitContext, logEnd) == kCtxLogEnd);
 static_assert(offsetof(JitContext, ports) == kCtxPorts);
 static_assert(offsetof(JitContext, logBus) == kCtxLogBus);
+static_assert(std::is_standard_layout_v<JitContext>);
 
 /// The interpreter step at which a routine that returned nonzero (and did
 /// not stop at the budget guard) faults.
 [[nodiscard]] inline int64_t faultStepOf(const JitContext& ctx) {
-  return ctx.env->faultStep >= 0 ? ctx.env->faultStep : ctx.cycles - 1;
+  return ctx.faultStep >= 0 ? ctx.faultStep : ctx.cycles - 1;
 }
 
 /// Signature of an emitted routine: run to TRET or error. Returns 0 on
-/// TRET, nonzero after an error epilogue (JitEnv::error holds the text).
+/// TRET, nonzero after an error epilogue (*JitContext::error holds the text).
 using CompiledFn = int32_t (*)(JitContext*);
 
 // --------------------------------------------------------------- helpers
@@ -228,8 +236,8 @@ using CompiledFn = int32_t (*)(JitContext*);
 // instruction's (already charged) micro-ops run from its first memory
 // micro-op on, which places the access's steps. `skew` places an effect
 // the same way: its micro-op's index minus the microprogram length.
-// Helpers that log append at ctx->logAt, growing JitEnv::log (and moving
-// the cursor) when it is full.
+// Helpers that log append at ctx->logAt, growing ctx->log (and moving the
+// cursor) when it is full.
 
 extern "C" {
 int32_t pscpJitLoad(JitContext* ctx, int32_t addr, int32_t packed) noexcept;

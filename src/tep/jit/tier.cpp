@@ -48,12 +48,13 @@ TierCache::TierCache(const AsmProgram* program, const hwlib::ArchConfig* config,
   if (count_ > 0) slots_ = std::make_unique<Slot[]>(static_cast<size_t>(count_));
 }
 
-CompiledFn TierCache::dispatch(int transition, int entry, std::string* reason) {
+CompiledFn TierCache::dispatchSlow(int transition, int entry, std::string* reason) {
   if (transition < 0 || transition >= count_) {
     if (reason != nullptr) *reason = "transition id out of range";
     return nullptr;
   }
   Slot& slot = slots_[transition];
+  // Compiled since the inline load looked.
   if (const CompiledFn fn = slot.fn.load(std::memory_order_acquire)) return fn;
   if (!jitBackendAvailable()) {
     if (reason != nullptr) *reason = "native tier unavailable on this build";

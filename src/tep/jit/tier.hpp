@@ -15,8 +15,8 @@
 //
 // The cache lives per ChartImage, so a fleet of thousands of instances
 // compiles each routine once and shares the read-execute pages; per-run
-// state (JitContext) is built on the stack of each native run, which keeps
-// multi-worker stepping race-free without locks on the hot path.
+// state (one JitContext) belongs to the thread that runs the routine, which
+// keeps multi-worker stepping race-free without locks on the hot path.
 #pragma once
 
 #include <atomic>
@@ -76,9 +76,15 @@ class TierCache {
   /// The routine's native entry point, compiled on its first dispatch.
   /// nullptr means "no native code for this run": the backend is
   /// unavailable, the routine was rejected, or another thread is
-  /// compiling it right now. `reason`, when given, says which.
+  /// compiling it right now. `reason`, when given, says which. Once the
+  /// routine has code, a dispatch is one acquire load, inline.
   [[nodiscard]] CompiledFn dispatch(int transition, int entry,
-                                    std::string* reason = nullptr);
+                                    std::string* reason = nullptr) {
+    if (transition >= 0 && transition < count_)
+      if (const CompiledFn fn = slots_[transition].fn.load(std::memory_order_acquire))
+        return fn;
+    return dispatchSlow(transition, entry, reason);
+  }
 
   [[nodiscard]] TierResidency residency() const;
 
@@ -91,6 +97,9 @@ class TierCache {
     std::atomic<CompiledFn> fn{nullptr};
   };
 
+  /// dispatch() for a routine without code yet: out of range, no
+  /// backend, rejected, compiling elsewhere, or compiled here and now.
+  CompiledFn dispatchSlow(int transition, int entry, std::string* reason);
   CompiledFn compileSlot(Slot& slot, int entry, std::string* reason);
 
   const AsmProgram* program_;

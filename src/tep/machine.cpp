@@ -21,24 +21,6 @@ DataMemory::DataMemory(int teps, int32_t internalBytes, int32_t externalBytes)
   block_ = std::make_unique<uint32_t[]>(words);  // zeroed
 }
 
-uint8_t* DataMemory::internalBank(int tep) const {
-  return reinterpret_cast<uint8_t*>(block_.get() + static_cast<size_t>(teps_) * kRegisterCount) +
-         static_cast<size_t>(tep) * static_cast<size_t>(internalBytes_);
-}
-
-uint8_t* DataMemory::externalBank() const { return internalBank(teps_); }
-
-MemView DataMemory::view(int tep) const {
-  PSCP_ASSERT(tep >= 0 && tep < teps_);
-  MemView v;
-  v.regs = block_.get() + static_cast<size_t>(tep) * kRegisterCount;
-  v.internal = internalBank(tep);
-  v.external = externalBank();
-  v.internalSize = static_cast<uint64_t>(internalBytes_);
-  v.externalSize = static_cast<uint64_t>(externalBytes_);
-  return v;
-}
-
 DataMemory::TailSlot DataMemory::tailSlot(int tep, int32_t addr) const {
   if (addr < kExternalBase)
     return {static_cast<size_t>(tep), static_cast<size_t>(addr - internalBytes_)};

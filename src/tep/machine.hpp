@@ -22,6 +22,7 @@
 
 #include "hwlib/arch_config.hpp"
 #include "obs/sink.hpp"
+#include "support/diag.hpp"
 #include "tep/microcode.hpp"
 
 namespace pscp::tep {
@@ -65,8 +66,17 @@ class DataMemory {
   }
 
   /// TEP `tep`'s view: its register file and internal bank, the external
-  /// bank.
-  [[nodiscard]] MemView view(int tep) const;
+  /// bank. Inline: the native tier takes one per run.
+  [[nodiscard]] MemView view(int tep) const {
+    PSCP_ASSERT(tep >= 0 && tep < teps_);
+    MemView v;
+    v.regs = block_.get() + static_cast<size_t>(tep) * kRegisterCount;
+    v.internal = internalBank(tep);
+    v.external = externalBank();
+    v.internalSize = static_cast<uint64_t>(internalBytes_);
+    v.externalSize = static_cast<uint64_t>(externalBytes_);
+    return v;
+  }
   /// Mapped byte `addr` as TEP `tep` sees it (its own internal bank).
   [[nodiscard]] uint8_t read(int tep, int32_t addr) const;
   void write(int tep, int32_t addr, uint8_t value);
@@ -74,8 +84,12 @@ class DataMemory {
   void setReg(int tep, int index, uint32_t value);
 
  private:
-  [[nodiscard]] uint8_t* internalBank(int tep) const;
-  [[nodiscard]] uint8_t* externalBank() const;
+  [[nodiscard]] uint8_t* internalBank(int tep) const {
+    return reinterpret_cast<uint8_t*>(block_.get() +
+                                      static_cast<size_t>(teps_) * kRegisterCount) +
+           static_cast<size_t>(tep) * static_cast<size_t>(internalBytes_);
+  }
+  [[nodiscard]] uint8_t* externalBank() const { return internalBank(teps_); }
   /// Tail slot of mapped address `addr` past its bank's layout, for TEP
   /// `tep`: the bank (TEP index, or `teps_` for the external bank) and the
   /// byte's offset in that bank's tail.

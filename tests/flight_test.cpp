@@ -6,9 +6,11 @@
 
 #include <atomic>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "actionlang/parser.hpp"
@@ -62,6 +64,115 @@ TEST(FlightRecorder, PartialRingSnapshotsEverythingPushed) {
   EXPECT_EQ(records[1].kind, FlightKind::kSteal);
   EXPECT_EQ(records[2].kind, FlightKind::kEpochEnd);
   EXPECT_EQ(records[2].a, 12345);
+}
+
+// An instance-with-writes slot reads back as its kInstance record and its
+// two kPortWrite records, in order, exactly as the three records pushed one
+// by one (the dump too), with the extreme ports, values and counts it
+// takes; a lapped ring keeps each slot's records together.
+TEST(FlightRecorder, InstanceWithWritesReadsBackAsThreeRecords) {
+  struct Write {
+    int32_t port;
+    uint32_t value;
+  };
+  const Write writes[] = {{0x40, 7}, {0x42, 0xFFFFFFFFu}, {INT32_MAX, 0}, {-1, 0x80000000u}};
+  const int64_t fired[] = {2, (int64_t{1} << 32) - 1};
+  const int64_t drained[] = {(int64_t{1} << 24) - 1, 0};
+  FlightRecorder packed(/*shardCount=*/1, /*recordsPerShard=*/8);
+  FlightRecorder plain(/*shardCount=*/1, /*recordsPerShard=*/8);
+  for (size_t p = 0; p < 2; ++p) {
+    const int64_t id = 5 + static_cast<int64_t>(p);
+    ASSERT_TRUE(FlightRing::fitsInstanceWithWrites(fired[p], drained[p]));
+    const Write& w0 = writes[2 * p];
+    const Write& w1 = writes[2 * p + 1];
+    packed.ring(0).pushInstanceWithWrites(/*epoch=*/3, id, /*cycles=*/40, fired[p], drained[p],
+                                          /*configCycle=*/9, w0.port, w0.value, w1.port,
+                                          w1.value);
+    plain.ring(0).push(FlightKind::kInstance, 3, id, 40, fired[p], drained[p]);
+    for (const Write& w : {w0, w1})
+      plain.ring(0).push(FlightKind::kPortWrite, 3, id, w.port, w.value, 9);
+  }
+  EXPECT_FALSE(FlightRing::fitsInstanceWithWrites(int64_t{1} << 32, 0));
+  EXPECT_FALSE(FlightRing::fitsInstanceWithWrites(0, int64_t{1} << 24));
+  EXPECT_FALSE(FlightRing::fitsInstanceWithWrites(-1, 0));
+  EXPECT_EQ(packed.ring(0).pushed(), 2u);
+  const std::vector<FlightRecord> records = packed.snapshot();
+  ASSERT_EQ(records.size(), 6u);
+  for (size_t p = 0; p < 2; ++p) {
+    const FlightRecord& inst = records[3 * p];
+    EXPECT_EQ(inst.kind, FlightKind::kInstance);
+    EXPECT_EQ(inst.a, 5 + static_cast<int64_t>(p));
+    EXPECT_EQ(inst.c, fired[p]);
+    EXPECT_EQ(inst.d, drained[p]);
+    for (size_t w = 0; w < 2; ++w) {
+      const FlightRecord& r = records[3 * p + 1 + w];
+      EXPECT_EQ(r.kind, FlightKind::kPortWrite);
+      EXPECT_EQ(r.b, writes[2 * p + w].port);
+      EXPECT_EQ(r.c, static_cast<int64_t>(writes[2 * p + w].value));
+      EXPECT_EQ(r.d, 9);
+    }
+  }
+  EXPECT_EQ(records, plain.snapshot());
+  EXPECT_EQ(packed.dumpJson(), plain.dumpJson());
+
+  FlightRing ring(4);
+  for (int64_t id = 0; id < 6; ++id)
+    ring.pushInstanceWithWrites(1, id, 40, 2, 1, 0, 0x40, 1, 0x42, 2);
+  std::vector<FlightRecord> lapped;
+  ring.snapshot(0, &lapped);
+  ASSERT_EQ(lapped.size(), 12u);
+  for (size_t i = 0; i < lapped.size(); ++i) {
+    EXPECT_EQ(lapped[i].a, 2 + static_cast<int64_t>(i / 3));
+    EXPECT_EQ(lapped[i].kind, i % 3 == 0 ? FlightKind::kInstance : FlightKind::kPortWrite);
+  }
+}
+
+// A reader racing the writer sees each slot's three records whole or not
+// at all: all carry the slot's epoch and instance, and each field the
+// value it was pushed with (this TU runs under TSan).
+TEST(FlightRecorder, InstanceWithWritesIsNeverTorn) {
+  FlightRing ring(16);
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    for (int64_t n = 0; !stop.load(std::memory_order_relaxed); ++n) {
+      ring.pushInstanceWithWrites(n, n, 2 * n, n & 0xFFFF, n & 0xFFF, n,
+                                  static_cast<int32_t>(n & 0x7FFF), static_cast<uint32_t>(n),
+                                  static_cast<int32_t>(~n & 0x7FFF), ~static_cast<uint32_t>(n));
+      // Pause now and then, or a reader may find every slot mid-write.
+      if (n % 64 == 0) std::this_thread::yield();
+    }
+  });
+  int snapshots = 0;
+  int64_t slots = 0;
+  while (snapshots < 2000 || ring.pushed() <= 4 * ring.capacity() ||
+         (slots == 0 && snapshots < 1000000)) {
+    std::vector<FlightRecord> records;
+    ring.snapshot(0, &records);
+    EXPECT_EQ(records.size() % 3, 0u);
+    for (size_t i = 0; i + 2 < records.size(); i += 3, ++slots) {
+      const int64_t n = records[i].epoch;
+      for (const FlightRecord& r : {records[i], records[i + 1], records[i + 2]}) {
+        EXPECT_EQ(r.epoch, n);
+        EXPECT_EQ(r.a, n);
+      }
+      EXPECT_EQ(records[i].kind, FlightKind::kInstance);
+      EXPECT_EQ(records[i].b, 2 * n);
+      EXPECT_EQ(records[i].c, n & 0xFFFF);
+      EXPECT_EQ(records[i].d, n & 0xFFF);
+      EXPECT_EQ(records[i + 1].b, n & 0x7FFF);
+      EXPECT_EQ(records[i + 1].c, static_cast<uint32_t>(n));
+      EXPECT_EQ(records[i + 2].b, ~n & 0x7FFF);
+      EXPECT_EQ(records[i + 2].c, ~static_cast<uint32_t>(n));
+      for (const FlightRecord& r : {records[i + 1], records[i + 2]}) {
+        EXPECT_EQ(r.kind, FlightKind::kPortWrite);
+        EXPECT_EQ(r.d, n);
+      }
+    }
+    ++snapshots;
+  }
+  stop.store(true, std::memory_order_relaxed);
+  writer.join();
+  EXPECT_GT(slots, 0);
 }
 
 // --------------------------------------------------------- serialization
@@ -361,6 +472,94 @@ TEST_F(FlightFleetTest, SnapshotWhileSteppingNeverTearsRecords) {
     std::string error;
     f->writeFlightDump("FLIGHT_SnapshotWhileStepping.json", &error);
   }
+}
+
+// One routine per cycle writes one, two or three ports, and Three's raise
+// fires Next's single write in the following cycle: the armed fleet packs
+// an instance-epoch's record with its first two writes only when both are
+// of one configuration cycle.
+const char* kWritesChart = R"chart(
+chart Writes;
+event ONE; event TWO; event THREE; event NEXT;
+port P0 data out width 16 address 0x30;
+port P1 data out width 16 address 0x32;
+port P2 data out width 16 address 0x34;
+orstate Top { contains S; default S; }
+basicstate S {
+  transition { target S; label "ONE/One()"; }
+  transition { target S; label "TWO/Two()"; }
+  transition { target S; label "THREE/Three()"; }
+  transition { target S; label "NEXT/Next()"; }
+}
+)chart";
+
+const char* kWritesActions = R"code(
+int:16 n;
+void One() { n = n + 1; write_port(P0, n); }
+void Two() { n = n + 1; write_port(P0, n); write_port(P1, n + 1); }
+void Three() {
+  n = n + 1;
+  write_port(P0, n);
+  write_port(P1, n + 1);
+  write_port(P2, n + 2);
+  raise(NEXT);
+}
+void Next() { write_port(P2, n + 3); }
+)code";
+
+// Every port write the fleet captured in epochs the ring still holds is in
+// the snapshot, in order, after the ring lapped, and so is each
+// instance-epoch's record.
+TEST(FlightFleet, EveryCapturedPortWriteInTheWindowIsInTheSnapshot) {
+  const statechart::Chart chart = statechart::parseChart(kWritesChart);
+  const actionlang::Program actions = actionlang::parseActionSource(kWritesActions);
+  hwlib::ArchConfig arch;
+  arch.numTeps = 2;
+  arch.dataWidth = 16;
+  fleet::FleetConfig config;
+  config.telemetry = true;
+  config.capturePortWrites = true;
+  fleet::Fleet f(std::make_shared<const machine::ChartImage>(chart, actions, arch), config);
+  const std::vector<fleet::InstanceId> ids = f.spawnMany(8);
+  const int events[3] = {f.eventId("ONE"), f.eventId("TWO"), f.eventId("THREE")};
+  int epoch = 0;
+  const auto step = [&] {
+    for (fleet::InstanceId id : ids) f.inject(id, events[(id + epoch) % 3]);
+    f.step(2);
+    ++epoch;
+  };
+  const FlightRing& ring = f.flightRecorder()->ring(0);
+  while (ring.pushed() <= ring.capacity()) step();
+  for (fleet::InstanceId id : ids) f.clearPortWrites(id);
+  const int64_t first = f.epochs() + 1;
+  for (int e = 0; e < 12; ++e) step();
+
+  using Write = std::tuple<int64_t, int64_t, int64_t>;  // port, value, cycle
+  std::map<int64_t, std::vector<Write>> inRing;
+  bool holdsFirst = false;
+  int64_t instanceRecords = 0;
+  for (const FlightRecord& r : f.flightRecorder()->snapshot()) {
+    if (r.epoch < first) continue;
+    holdsFirst = holdsFirst || (r.kind == FlightKind::kEpochBegin && r.epoch == first);
+    if (r.kind == FlightKind::kPortWrite) inRing[r.a].emplace_back(r.b, r.c, r.d);
+    if (r.kind == FlightKind::kInstance) {
+      ++instanceRecords;
+      EXPECT_EQ(r.d, 1) << "each instance-epoch drains one event";
+      EXPECT_EQ(r.c, (r.a + r.epoch - 1) % 3 == 2 ? 2 : 1) << "Three's epochs fire Next too";
+    }
+  }
+  EXPECT_EQ(instanceRecords, static_cast<int64_t>(ids.size()) * 12);
+  ASSERT_TRUE(holdsFirst) << "the window must hold every epoch since the clear";
+  size_t captured = 0;
+  for (fleet::InstanceId id : ids) {
+    std::vector<Write> writes;
+    for (const machine::PortWrite& w : f.portWrites(id))
+      writes.emplace_back(w.port, w.value, w.configCycle);
+    EXPECT_EQ(inRing[static_cast<int64_t>(id)], writes) << "instance " << id;
+    captured += writes.size();
+  }
+  // Four epochs of each routine per instance: 1 + 2 + (3 + 1) writes.
+  EXPECT_EQ(captured, ids.size() * 4 * 7);
 }
 
 }  // namespace

@@ -244,6 +244,16 @@ struct EquivParam {
   bool optimized;
 };
 
+std::string equivName(const EquivParam& p) {
+  return strfmt("w%d_%s_t%d_%s", p.width, p.mulDiv ? "md" : "plain", p.teps,
+                p.optimized ? "opt" : "unopt");
+}
+
+// gtest prints a parameter without a PrintTo as its raw bytes, padding
+// included, and ctest's test names carry that text: print the name instead,
+// so the names are the same in every build.
+void PrintTo(const EquivParam& p, std::ostream* os) { *os << equivName(p); }
+
 class PscpEquivalence : public ::testing::TestWithParam<EquivParam> {};
 
 TEST_P(PscpEquivalence, MachineMatchesReferenceOnScriptedTrace) {
@@ -291,11 +301,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(EquivParam{8, false, 1, false}, EquivParam{8, false, 1, true},
                       EquivParam{16, true, 1, true}, EquivParam{16, true, 2, true},
                       EquivParam{16, true, 4, true}, EquivParam{8, true, 2, false}),
-    [](const ::testing::TestParamInfo<EquivParam>& info) {
-      return strfmt("w%d_%s_t%d_%s", info.param.width,
-                    info.param.mulDiv ? "md" : "plain", info.param.teps,
-                    info.param.optimized ? "opt" : "unopt");
-    });
+    [](const ::testing::TestParamInfo<EquivParam>& info) { return equivName(info.param); });
 
 // ----------------------------------------------------------- parallelism
 

@@ -214,16 +214,16 @@ bool runNative(const AsmProgram& prog, int entry,
     return false;
   }
   jit::EffectLog log;
-  jit::JitEnv env;
-  env.host = &host;
-  env.config = &config;
-  env.tepId = 0;
-  env.programSize = prog.code.size();
-  env.budgetLimit = budget;
-  env.log = &log;
+  std::string error;
   jit::JitContext ctx;
+  ctx.host = &host;
+  ctx.config = &config;
+  ctx.tepId = 0;
+  ctx.programSize = prog.code.size();
+  ctx.budgetLimit = budget;
+  ctx.log = &log;
+  ctx.error = &error;
   ctx.cycleBudget = budget;
-  ctx.env = &env;
   ctx.mem = host.memView(0);
   ctx.logAt = log.tail();
   ctx.logEnd = log.limit();
@@ -238,8 +238,8 @@ bool runNative(const AsmProgram& prog, int entry,
   if (status == 0) {
     r.completed = true;
   } else {
-    r.error = env.error;
-    if (!env.overBudget) r.faultStep = jit::faultStepOf(ctx);
+    r.error = error;
+    if (!ctx.overBudget) r.faultStep = jit::faultStepOf(ctx);
   }
   // A bus run is logged whole at its access; steps past a fault never run.
   const int64_t lastStep = r.faultStep >= 0 ? r.faultStep : INT64_MAX;
@@ -1723,15 +1723,15 @@ TEST(TepJitReplay, FaultWhileOtherTepIsMidRoutineMatchesInterpreter) {
 // Edge reads edge[Idx] with Idx aimed at the last mapped byte, so the
 // element's second byte is unmapped: on the 8-bit datapath the fault is
 // on the access's second chunk. Peek writes Out2 on the other TEP while
-// Edge runs; both run natively.
+// Edge runs; both run natively. (No WorkB may run first: it raises DONE_B
+// every cycle, and DONE_B's WorkB outranks Peek and forms a hazard pair
+// with Edge, which would put the cycle on the interpreter.)
 TEST(TepJitReplay, FaultOnASecondChunkMatchesInterpreter) {
   const ReplayChart rc;
   for (const int width : {16, 8}) {
     SCOPED_TRACE(width);
     TierPair pair(rc.image(2, width));
-    // Some history, then the DONE_A/DONE_B routines it raised.
-    for (const std::set<std::string>& events : {std::set<std::string>{"A", "B"}, {}})
-      ASSERT_EQ(pair.step(events), std::make_pair(std::string(), std::string()));
+    ASSERT_EQ(pair.step({"C"}), std::make_pair(std::string(), std::string()));
     const int32_t lastByte = kExternalBase + kExternalSize - 1;
     const int32_t edge = pair.native.app().globalPlacement.at("edge").address;
     ASSERT_EQ((lastByte - edge) % 2, 0) << "edge[] must start at an odd address";
@@ -1759,6 +1759,111 @@ TEST(TepJitReplay, MachineCycleGuardMatchesInterpreter) {
   pair.expectSameFault(errors, "PSCP configuration cycle exceeded 4000000 machine cycles");
   if (jit::jitBackendAvailable()) {
     EXPECT_EQ(pair.native.jitNativeRuns() - native, 1);
+  }
+}
+
+// A chart whose one transition calls D0, which calls D1, and so on down to
+// D<depth - 1>, which writes port Out: `depth` calls nested in the routine.
+struct CallChain {
+  explicit CallChain(int depth) {
+    std::string code;
+    for (int i = depth - 1; i >= 0; --i)
+      code += i + 1 == depth ? strfmt("void D%d() { write_port(Out, %d); }\n", i, depth)
+                             : strfmt("void D%d() { D%d(); }\n", i, i + 1);
+    actions = actionlang::parseActionSource(code);
+    hwlib::ArchConfig arch;
+    arch.dataWidth = 16;
+    arch.numTeps = 2;
+    image = std::make_shared<const machine::ChartImage>(chart, actions, arch);
+  }
+
+  statechart::Chart chart = statechart::parseChart(R"chart(
+chart Chain;
+event GO;
+port Out data out width 16 address 0x40;
+orstate Top { contains S; default S; }
+basicstate S { transition { target S; label "GO/D0()"; } }
+)chart");
+  actionlang::Program actions;
+  std::shared_ptr<const machine::ChartImage> image;
+};
+
+// The thread's native-run context (one per thread, rewritten per run)
+// carries nothing from one run into the next. Fresh machines run in turn on
+// this thread, each against its interpreter twin: a fault on a later chunk
+// (it sets the run's fault step), divisions by zero (each faults at its
+// last step charged, not that step), the guard (it marks the run over
+// budget), divisions by zero again (faults, not the guard), clean cycles,
+// and last a routine that nests calls as deep as the call stack holds,
+// after runs that faulted inside calls.
+TEST(TepJitReplay, NativeRunInheritsNothingFromTheLastRun) {
+  const ReplayChart rc;
+  {
+    TierPair pair(rc.image(2, 8));
+    const int32_t lastByte = kExternalBase + kExternalSize - 1;
+    const int32_t edge = pair.native.app().globalPlacement.at("edge").address;
+    for (PscpMachine* m : {&pair.interp, &pair.native})
+      m->setInputPort("Idx", static_cast<uint32_t>((lastByte - edge) / 2));
+    pair.expectSameFault(pair.step({"F"}), "PSCP: data read from unmapped address 0x8000");
+  }
+  // Divide on both TEPs, then DivideLate while Long writes ports on the
+  // other TEP, so the fault's step decides which of Long's writes land.
+  const auto divideByZero = [&] {
+    for (const char* event : {"Z", "Y"}) {
+      TierPair pair(rc.image(2));
+      pair.step({"A", "B"});
+      pair.interp.setInputPort("Den", 0);
+      pair.native.setInputPort("Den", 0);
+      const auto errors = pair.step({event});
+      EXPECT_NE(errors.first.find("division by zero"), std::string::npos) << errors.first;
+      pair.expectSameFault(errors, errors.first);
+    }
+  };
+  divideByZero();
+  {
+    TierPair pair(rc.image(2));
+    pair.expectSameFault(pair.step({"W"}),
+                         "PSCP configuration cycle exceeded 4000000 machine cycles");
+  }
+  divideByZero();
+  {
+    TierPair pair(rc.image(2));
+    const int64_t native = pair.native.jitNativeRuns();
+    for (int round = 0; round < 3; ++round) {
+      for (const std::set<std::string>& events : {std::set<std::string>{"A", "B"}, {}}) {
+        ASSERT_EQ(pair.step(events), std::make_pair(std::string(), std::string()));
+        EXPECT_EQ(pair.interp.totalCycles(), pair.native.totalCycles());
+        EXPECT_TRUE(pair.interp.crBits() == pair.native.crBits());
+        EXPECT_EQ(pair.interp.portWrites(), pair.native.portWrites());
+      }
+    }
+    if (jit::jitBackendAvailable()) {
+      EXPECT_GT(pair.native.jitNativeRuns(), native);
+    }
+  }
+  // 32 nested calls fill the call stack, a 33rd overflows it: on both
+  // tiers, whatever depth the faulted runs above stopped at.
+  for (const int depth : {32, 33}) {
+    SCOPED_TRACE(depth);
+    const CallChain chain(depth);
+    PscpMachine interp(chain.image);
+    PscpMachine native(chain.image);
+    interp.setJitMode(jit::JitMode::kOff);
+    native.setJitMode(jit::JitMode::kAlways);
+    std::string errors[2];
+    for (int m = 0; m < 2; ++m) {
+      try {
+        (m == 0 ? interp : native).configurationCycle({"GO"});
+      } catch (const Error& e) {
+        errors[m] = e.what();
+      }
+    }
+    EXPECT_EQ(errors[0], depth == 32 ? "" : "TEP0: call stack overflow");
+    EXPECT_EQ(errors[1], errors[0]);
+    EXPECT_EQ(interp.portWrites(), native.portWrites());
+    if (jit::jitBackendAvailable()) {
+      EXPECT_EQ(native.jitInterpRuns(), 0);
+    }
   }
 }
 
@@ -1854,6 +1959,99 @@ TEST(TepJitReplay, ScheduleMemoKeysBusLengthsAndEffectSteps) {
     replays += sb.scheduleReplays;
   }
   EXPECT_NE(stalls[0], stalls[1]) << "the two bus-run lengths must contend differently";
+  if (jit::jitBackendAvailable()) {
+    EXPECT_EQ(native.jitInterpRuns(), 0);
+    EXPECT_GT(replays, 0);
+  }
+}
+
+// The memo's key is matched in place, slot by slot, against the TAT's
+// logged runs: a run's log must match whole, not as a prefix of the key's
+// or with the key's prefix. RaiseTail and CondTail take the same steps and
+// log the same entries, but RaiseTail's last step raises R (one more
+// entry) where CondTail sets a condition (none). Other runs on the other
+// TEP. Each TAT of P (RaiseTail) or Q (CondTail) follows one of the other
+// kind or replays one of its own; S runs RaiseTail alone, so its key has
+// an idle slot where the others have Other. (The first dispatch round
+// fills TEPs from TEP 0, so two keys with the same start cycle never
+// differ in which slot is idle.)
+const char* kTailChart = R"chart(
+chart Tails;
+event P; event Q; event S; event R;
+condition K;
+port Out  data out width 16 address 0x40;
+port Out2 data out width 16 address 0x42;
+orstate Top { contains Run; default Run; }
+andstate Run {
+  orstate L { contains La; default La; }
+  orstate Rr { contains Ra; default Ra; }
+}
+basicstate La {
+  transition { target La; label "P/RaiseTail()"; }
+  transition { target La; label "Q/CondTail()"; }
+  transition { target La; label "S/RaiseTail()"; }
+}
+basicstate Ra {
+  transition { target Ra; label "P/Other()"; }
+  transition { target Ra; label "Q/Other()"; }
+}
+)chart";
+
+const char* kTailActions = R"code(
+int:16 v;
+int:16 other;
+
+void RaiseTail() {
+  v = v + 1;
+  write_port(Out, v);
+  raise(R);
+}
+
+void CondTail() {
+  v = v + 1;
+  write_port(Out, v);
+  set_cond(K, 1);
+}
+
+void Other() {
+  other = other + 1;
+  write_port(Out2, other);
+}
+)code";
+
+TEST(TepJitReplay, ScheduleMemoMatchesWholeRunsOnly) {
+  const statechart::Chart chart = statechart::parseChart(kTailChart);
+  const actionlang::Program actions = actionlang::parseActionSource(kTailActions);
+  hwlib::ArchConfig arch;
+  arch.dataWidth = 16;
+  arch.numTeps = 2;
+  const auto image = std::make_shared<const machine::ChartImage>(chart, actions, arch);
+  PscpMachine interp(image);
+  interp.setJitMode(jit::JitMode::kOff);
+  PscpMachine native(image);
+  native.setJitMode(jit::JitMode::kAlways);
+  const char* const script = "PPQQPQPSPSQSSQ";
+  int64_t replays = 0;
+  int64_t cyclesOf[2] = {0, 0};  // a P and a Q TAT
+  for (const char* e = script; *e != '\0'; ++e) {
+    SCOPED_TRACE(std::string("cycle ") + std::to_string(e - script) + " " + *e);
+    // The TAT, then the cycle that samples what it raised.
+    for (const std::vector<int>& events : {std::vector<int>{native.eventId(std::string(1, *e))},
+                                           std::vector<int>{}}) {
+      CycleStats sa, sb;
+      interp.configurationCycleIds(events, &sa);
+      native.configurationCycleIds(events, &sb);
+      ASSERT_EQ(sa.fired, sb.fired);
+      ASSERT_EQ(sa.cycles, sb.cycles);
+      ASSERT_EQ(sa.busStallCycles, sb.busStallCycles);
+      ASSERT_EQ(interp.portWrites(), native.portWrites());
+      ASSERT_EQ(interp.pendingEvents(), native.pendingEvents());
+      ASSERT_TRUE(interp.crBits() == native.crBits());
+      replays += sb.scheduleReplays;
+      if (!events.empty() && *e != 'S') cyclesOf[*e == 'Q' ? 1 : 0] = sa.cycles;
+    }
+  }
+  EXPECT_EQ(cyclesOf[0], cyclesOf[1]) << "RaiseTail and CondTail must take the same steps";
   if (jit::jitBackendAvailable()) {
     EXPECT_EQ(native.jitInterpRuns(), 0);
     EXPECT_GT(replays, 0);
